@@ -13,8 +13,8 @@ Two measurements back the federation engine's scalability claims:
    clients so regressions in the round loop show up as a number, not a
    feeling.
 3. The event-driven engine over a lazy 100k-user fleet: rounds/sec with
-   1k and 10k active clients per round under a time cutoff is gated (>= 2
-   and >= 0.1 rounds/s) and the materialized-client count is asserted to
+   1k and 10k active clients per round under a time cutoff is gated (>= 15
+   and >= 2 rounds/s) and the materialized-client count is asserted to
    stay O(dispatched), never O(registered).
 
 Results are recorded as a report and emitted to ``BENCH_fl_scale.json``
@@ -190,10 +190,12 @@ def test_federation_rounds_per_sec(benchmark):
 
 FLEET_SIZE = 100_000
 FLEET_DIM = 1024
-# Honest floors well under the measured dev-box numbers (~11 and ~0.7
-# rounds/s) so CI jitter does not flake the gate, while a 10x regression
-# in the event loop or fleet materialization still fails loudly.
-FLEET_GATES = {1000: 2.0, 10_000: 0.1}
+# Planning a round is one vectorized keyed draw and one sort.  Same-host
+# A/B on a 2-core x86_64 host against the planner it replaced (two keyed
+# SeedSequences per client plus an event heap): 54-82 vs 7-8 rounds/s at
+# 1k active, 4.8-7.1 vs 0.6-0.7 at 10k.  The floors sit well under the new
+# rates for CI jitter, and above anything per-client planning can reach.
+FLEET_GATES = {1000: 15.0, 10_000: 2.0}
 
 
 class _FleetStubClient:

@@ -12,8 +12,12 @@ comparison.
 Alongside the gate, the bench records what the cryptographic choreography
 costs relative to the plain ``masked_sum`` reduction (which cannot
 survive any dropout at all): wall-clock per round with and without
-dropout, and the overhead ratio.  Results merge into
-``BENCH_secagg.json`` next to this file.
+dropout, and the overhead ratio.  The Bonawitz ratio is gated at half
+the 7.2x recorded when every pairwise seed took a Python ``pow``, a
+hashed ``SeedSequence`` and a generator of its own: ``masked_sum`` is
+the same-process yardstick, so the gate reads a >= 2x speedup of the
+protocol round on any host.  Results merge into ``BENCH_secagg.json``
+next to this file.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_secagg.py --benchmark-only
 """
@@ -35,6 +39,8 @@ NUM_CLIENTS = 100
 DROPOUT_FRACTION = 0.30
 DIM = 1024
 PROTOCOLS = ("secagg", "secagg_oneshot")
+# Bonawitz round (30% dropout) over the masked_sum baseline; see above.
+BONAWITZ_OVERHEAD_GATE = 3.6
 
 _RESULTS: dict = {}
 
@@ -108,6 +114,12 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
             "overhead_vs_masked_sum": dropout_s / plain_s,
             "recovery_exact": True,
         }
+
+    overhead = per_protocol["secagg"]["overhead_vs_masked_sum"]
+    assert overhead <= BONAWITZ_OVERHEAD_GATE, (
+        f"Bonawitz round costs {overhead:.1f}x masked_sum "
+        f"(gate <= {BONAWITZ_OVERHEAD_GATE}x)"
+    )
 
     _RESULTS["secagg_dropout_recovery"] = {
         "num_clients": NUM_CLIENTS,

@@ -119,6 +119,7 @@ from repro.defense.registry import (
     validate_defense_spec,
 )
 from repro.experiments.reporting import format_table
+from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
 from repro.utils.checkpoint import atomic_write_lines
@@ -1273,23 +1274,25 @@ class SweepRunner:
         The ``seeding`` marker versions the RNG-derivation scheme itself:
         cells computed under an older scheme (e.g. pre-fingerprint-keyed
         stores) miss and recompute rather than mixing two seed regimes in
-        one grid.
+        one grid.  Trace-driven arrival arms also fold in the arrival
+        streams' version, so a change to how timing traces are drawn
+        recomputes exactly those cells.
         """
         scenario = self.scenarios[cell.scenario]
+        config = {
+            "dataset": self._dataset_fingerprint,
+            "batch_size": self.batch_size,
+            "num_neurons": self.num_neurons,
+            "rounds": self.rounds,
+            "public_size": self.public_size,
+            "seed": self.seed,
+            "seeding": "cell-fingerprint-v1",
+            "scenario": scenario_to_dict(scenario),
+        }
+        if scenario.arrivals not in ("", "instant"):
+            config["arrival_stream"] = TRACE_STREAM_VERSION
         fingerprint = hashlib.sha256(
-            json.dumps(
-                {
-                    "dataset": self._dataset_fingerprint,
-                    "batch_size": self.batch_size,
-                    "num_neurons": self.num_neurons,
-                    "rounds": self.rounds,
-                    "public_size": self.public_size,
-                    "seed": self.seed,
-                    "seeding": "cell-fingerprint-v1",
-                    "scenario": scenario_to_dict(scenario),
-                },
-                sort_keys=True,
-            ).encode()
+            json.dumps(config, sort_keys=True).encode()
         ).hexdigest()[:12]
         return f"{cell.key}|{fingerprint}"
 

@@ -2,9 +2,10 @@
 
 An :class:`ArrivalProcess` turns the server's selected client set into a
 :class:`~repro.fl.engine.RoundPlan` — per-client completion ticks on the
-virtual clock, plus the clients that never start at all.  The engine pops
-those completions in time order; the round cutoff then *derives* dropout
-and straggling from the timeline instead of drawing them from rates.
+virtual clock, plus the clients that never start at all.  The engine
+sorts those completions into time order; the round cutoff then *derives*
+dropout and straggling from the timeline instead of drawing them from
+rates.
 
 Three processes ship with the engine:
 
@@ -26,10 +27,13 @@ Three processes ship with the engine:
   tier's failure rate, and — when a :class:`DiurnalCycle` is attached —
   is simply offline for part of every simulated day.
 
-Every trace draw is keyed by ``seed_sequence_for(seed, label, client,
-round)``: completion times are pure functions of configuration, invariant
-to registration order, worker count, and which other clients exist — the
+Each trace is one vectorized :func:`~repro.utils.rng.keyed_uniforms`
+draw over the whole cohort, keyed by ``(seed, label, client, round)``:
+completion times are pure functions of configuration, invariant to
+registration order, worker count, and which other clients exist — the
 same discipline the sweep engine's byte-identity rests on.
+:data:`TRACE_STREAM_VERSION` names that keying scheme; sweep fingerprints
+fold it in, so a store never mixes plans drawn under two schemes.
 """
 
 from __future__ import annotations
@@ -39,8 +43,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fl.engine import RoundPlan, ScheduledCompletion, ticks
-from repro.utils.rng import seed_sequence_for
+from repro.fl.engine import TICKS_PER_SECOND, RoundPlan, ticks
+from repro.utils.rng import keyed_uniforms
+
+#: Version of the keyed random streams the trace-driven processes draw.
+TRACE_STREAM_VERSION = "keyed-v2"
+
+
+def _delay_ticks(seconds: np.ndarray) -> np.ndarray:
+    """Durations in simulated seconds as whole ticks, never below one."""
+    return np.maximum(np.rint(seconds * TICKS_PER_SECOND).astype(np.int64), 1)
 
 
 class ArrivalProcess:
@@ -115,17 +127,10 @@ class InstantArrivals(ArrivalProcess):
                     stragglers.append(client_id)
                 else:
                     active.append(client_id)
-        dispatched = [
-            ScheduledCompletion(client_id, opened_at + rank + 1)
-            for rank, client_id in enumerate(active)
-        ]
-        base = opened_at + len(active) + 1
-        dispatched.extend(
-            ScheduledCompletion(client_id, base + rank)
-            for rank, client_id in enumerate(stragglers)
-        )
+        scheduled = active + stragglers
         return RoundPlan(
-            dispatched=dispatched,
+            client_ids=scheduled,
+            times=opened_at + 1 + np.arange(len(scheduled)),
             unavailable=dropped,
             expected_fresh=len(active),
         )
@@ -135,15 +140,6 @@ class InstantArrivals(ArrivalProcess):
             f"{type(self).__name__}(dropout_rate={self.dropout_rate}, "
             f"straggler_rate={self.straggler_rate})"
         )
-
-
-def _trace_rng(
-    seed: int, label: str, client_id: int, round_index: int
-) -> np.random.Generator:
-    """A generator keyed by (seed, label, client, round) — order-invariant."""
-    return np.random.default_rng(
-        seed_sequence_for(seed, label, str(int(client_id)), str(int(round_index)))
-    )
 
 
 class UniformArrivals(ArrivalProcess):
@@ -167,14 +163,13 @@ class UniformArrivals(ArrivalProcess):
         opened_at: int,
         server_rng: np.random.Generator,
     ) -> RoundPlan:
-        dispatched = []
-        for client_id in selected_ids:
-            rng = _trace_rng(self.seed, "uniform-latency", client_id, round_index)
-            delay = ticks(float(rng.uniform(self.low_s, self.high_s)))
-            dispatched.append(
-                ScheduledCompletion(client_id, opened_at + max(delay, 1))
-            )
-        return RoundPlan(dispatched=dispatched)
+        draw = keyed_uniforms(
+            self.seed, "uniform-latency", selected_ids, round_index
+        )[:, 0]
+        latency = self.low_s + (self.high_s - self.low_s) * draw
+        return RoundPlan(
+            client_ids=selected_ids, times=opened_at + _delay_ticks(latency)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -244,14 +239,12 @@ class DiurnalCycle:
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty_cycle must be in (0, 1]")
 
-    def available(self, client_id: int, tick: int, seed: int) -> bool:
+    def available(self, client_ids, tick: int, seed: int) -> np.ndarray:
+        """Which of ``client_ids`` are inside their window at ``tick``."""
         period = ticks(self.period_s)
         window = int(round(period * self.duty_cycle))
-        phase_rng = np.random.default_rng(
-            seed_sequence_for(seed, "diurnal-phase", str(int(client_id)))
-        )
-        phase = int(phase_rng.integers(period))
-        return (tick + phase) % period < window
+        phase = keyed_uniforms(seed, "diurnal-phase", client_ids)[:, 0]
+        return (tick + (phase * period).astype(np.int64)) % period < window
 
 
 class TieredArrivals(ArrivalProcess):
@@ -278,29 +271,39 @@ class TieredArrivals(ArrivalProcess):
         self.tiers = tuple(tiers)
         self.seed = seed
         self.diurnal = diurnal
-        total = sum(tier.weight for tier in self.tiers)
-        self._shares = np.asarray(
-            [tier.weight / total for tier in self.tiers], dtype=np.float64
+        weights = np.asarray([tier.weight for tier in self.tiers])
+        self._edges = np.cumsum(weights / weights.sum())[:-1]
+        self._compute_s, self._network_s, self._jitter, self._failure_rate = (
+            np.asarray([getattr(tier, name) for tier in self.tiers])
+            for name in ("compute_s", "network_s", "jitter", "failure_rate")
         )
 
-    def tier_of(self, client_id: int) -> HardwareTier:
-        """The client's permanent hardware tier (keyed by id alone)."""
-        rng = np.random.default_rng(
-            seed_sequence_for(self.seed, "hardware-tier", str(int(client_id)))
-        )
-        return self.tiers[int(rng.choice(len(self.tiers), p=self._shares))]
+    def tier_indices(self, client_ids) -> np.ndarray:
+        """Each client's permanent tier, as an index into :attr:`tiers`.
 
-    def completion_delay(
-        self, client_id: int, round_index: int
-    ) -> Optional[int]:
-        """Ticks from dispatch to completion; ``None`` when the device fails."""
-        tier = self.tier_of(client_id)
-        rng = _trace_rng(self.seed, "tier-trace", client_id, round_index)
-        if tier.failure_rate and rng.random() < tier.failure_rate:
-            return None
-        compute = tier.compute_s * float(rng.lognormal(0.0, tier.jitter))
-        network = tier.network_s * float(rng.exponential(1.0))
-        return max(ticks(compute + network), 1)
+        Keyed by id alone and drawn in proportion to the tier weights.
+        """
+        draw = keyed_uniforms(self.seed, "hardware-tier", client_ids)[:, 0]
+        return np.searchsorted(self._edges, draw, side="right")
+
+    def completion_delays(self, client_ids, round_index: int) -> np.ndarray:
+        """Ticks from dispatch to completion per client in one round.
+
+        ``0`` marks a device that fails mid-round; every completing
+        device takes at least one tick.
+        """
+        tier = self.tier_indices(client_ids)
+        draw = keyed_uniforms(
+            self.seed, "tier-trace", client_ids, round_index, k=4
+        )
+        # Box–Muller: two uniforms give the lognormal's standard normal.
+        normal = np.sqrt(-2.0 * np.log(draw[:, 1])) * np.cos(
+            2.0 * np.pi * draw[:, 2]
+        )
+        compute = self._compute_s[tier] * np.exp(self._jitter[tier] * normal)
+        network = self._network_s[tier] * -np.log(draw[:, 3])
+        delays = _delay_ticks(compute + network)
+        return np.where(draw[:, 0] < self._failure_rate[tier], 0, delays)
 
     def plan_round(
         self,
@@ -309,22 +312,16 @@ class TieredArrivals(ArrivalProcess):
         opened_at: int,
         server_rng: np.random.Generator,
     ) -> RoundPlan:
-        dispatched = []
-        unavailable = []
-        for client_id in selected_ids:
-            if self.diurnal is not None and not self.diurnal.available(
-                client_id, opened_at, self.seed
-            ):
-                unavailable.append(client_id)
-                continue
-            delay = self.completion_delay(client_id, round_index)
-            if delay is None:
-                unavailable.append(client_id)
-                continue
-            dispatched.append(
-                ScheduledCompletion(client_id, opened_at + delay)
-            )
-        return RoundPlan(dispatched=dispatched, unavailable=unavailable)
+        ids = np.asarray(selected_ids, dtype=np.int64)
+        delays = self.completion_delays(ids, round_index)
+        starts = delays > 0
+        if self.diurnal is not None:
+            starts &= self.diurnal.available(ids, opened_at, self.seed)
+        return RoundPlan(
+            client_ids=ids[starts],
+            times=opened_at + delays[starts],
+            unavailable=ids[~starts].tolist(),
+        )
 
     def __repr__(self) -> str:
         return (

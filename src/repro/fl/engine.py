@@ -1,4 +1,4 @@
-"""Event-driven round engine: virtual clock, event heap, round cutoffs.
+"""Event-driven round engine: virtual clock, completion timeline, cutoffs.
 
 The synchronous seed drove every selected client inline from
 ``Server.run_round`` — fine at 10 clients, hopeless at fleet scale, and
@@ -11,34 +11,31 @@ module replaces that loop with a small discrete-event simulation:
   wall clock (enforced by the ``no-sim-wallclock`` lint rule); all timing
   derives from this clock, so two runs of the same federation are
   tick-for-tick identical on any host.
-- :class:`Event` / :class:`EventQueue` — a binary heap whose ordering is
-  a pure function of each event's ``(time, kind, client_id)`` key, never
-  of insertion order.  Registering clients (or pushing events) in a
-  different order cannot reorder the simulation — the property the
-  hypothesis suite pins.
+- :class:`RoundPlan` — every completion tick of a round is known when the
+  round is planned, so its timeline is one sort on ``(tick, client_id)``:
+  a pure function of the plan's completions, never of the order clients
+  were registered or listed.  Registering clients in a different order
+  cannot reorder the simulation — the property the hypothesis suite pins.
 - :class:`CountCutoff` / :class:`TimeCutoff` — round-close policies.  A
   count cutoff closes the round once the expected number of updates has
   landed (the degenerate case that reproduces the legacy synchronous loop
   byte-for-byte); a time cutoff closes at ``opened_at + duration`` and
   whatever lands later *is* a straggler — lateness is an emergent timing
   outcome, not a coin flip.
-- :class:`RoundEngine` — runs one round's events: dispatches the selected
-  clients through an :class:`~repro.fl.arrivals.ArrivalProcess`, pops
-  completion events in virtual-time order, ingests each arriving update
-  into the :class:`~repro.fl.aggregators.RoundBuffer` as it lands, and
+- :class:`RoundEngine` — runs one round: dispatches the selected clients
+  through an :class:`~repro.fl.arrivals.ArrivalProcess`, splits the
+  sorted timeline at the cutoff, ingests each on-time update into the
+  :class:`~repro.fl.aggregators.RoundBuffer` in arrival order, and
   classifies dropouts (never complete) and stragglers (complete after the
-  cutoff) from the event timeline.
-
-The server (:mod:`repro.fl.server`) owns the protocol semantics —
-aggregation, secure-aggregation commitment windows, dishonest-server
-hooks — and delegates *when things happen* to this engine.
+  cutoff) from the timeline.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.fl.aggregators import RoundBuffer, flat_spec
 from repro.fl.messages import GradientUpdate
@@ -92,75 +89,6 @@ class VirtualClock:
         return f"VirtualClock(now={self._now})"
 
 
-# The event taxonomy.  ``completion`` sorts before ``close`` at the same
-# tick, so an update landing exactly at the deadline is on time.
-EVENT_KINDS = ("completion", "close")
-_KIND_PRIORITY = {kind: priority for priority, kind in enumerate(EVENT_KINDS)}
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence on the virtual timeline.
-
-    ``kind`` is one of :data:`EVENT_KINDS`; ``client_id`` is ``-1`` for
-    events that belong to the round rather than to a client (the close
-    event).  The sort key is the event's identity — never a heap
-    insertion counter — which is what makes the pop order invariant to
-    the order clients were registered or events were pushed.
-    """
-
-    time: int
-    kind: str
-    client_id: int = -1
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_PRIORITY:
-            raise ValueError(
-                f"unknown event kind {self.kind!r}; known: {EVENT_KINDS}"
-            )
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.time, _KIND_PRIORITY[self.kind], self.client_id)
-
-
-class EventQueue:
-    """A deterministic min-heap of :class:`Event`\\ s.
-
-    Pop order is the sorted order of the events' ``sort_key``\\ s — a pure
-    function of the event *set*, independent of push order.  Two events
-    with the same key would be the same occurrence; pushing a duplicate
-    key is rejected to keep the order total.
-    """
-
-    def __init__(self, events: Sequence[Event] = ()) -> None:
-        self._heap: list[tuple[tuple[int, int, int], Event]] = []
-        self._keys: set[tuple[int, int, int]] = set()
-        for event in events:
-            self.push(event)
-
-    def push(self, event: Event) -> None:
-        key = event.sort_key
-        if key in self._keys:
-            raise ValueError(f"duplicate event key {key}")
-        self._keys.add(key)
-        heapq.heappush(self._heap, (key, event))
-
-    def pop(self) -> Event:
-        key, event = heapq.heappop(self._heap)
-        self._keys.remove(key)
-        return event
-
-    def peek(self) -> Event:
-        return self._heap[0][1]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 # --------------------------------------------------------------------------
 # Round cutoffs.
 # --------------------------------------------------------------------------
@@ -185,15 +113,19 @@ class CountCutoff:
         if self.target is not None and self.target < 1:
             raise ValueError("count cutoff target must be >= 1")
 
-    def arrival_target(self, plan: "RoundPlan") -> Optional[int]:
-        if self.target is not None:
-            return self.target
-        if plan.expected_fresh is not None:
-            return plan.expected_fresh
-        return len(plan.dispatched)
+    def close(
+        self, times: np.ndarray, opened_at: int, expected_fresh: Optional[int]
+    ) -> tuple[int, int]:
+        """Split completion-ordered ``times`` at the cutoff.
 
-    def deadline(self, opened_at: int, plan: "RoundPlan") -> Optional[int]:
-        return None
+        Returns ``(on_time, closed_at)``: the first ``on_time``
+        completions land before the round closes at tick ``closed_at``,
+        the rest are late.  A round that runs out of completions before
+        its target closes when the last one landed.
+        """
+        target = self.target if self.target is not None else expected_fresh
+        on_time = len(times) if target is None else min(target, len(times))
+        return on_time, int(times[on_time - 1]) if on_time else opened_at
 
 
 @dataclass(frozen=True)
@@ -216,14 +148,23 @@ class TimeCutoff:
         if self.min_arrivals < 0:
             raise ValueError("min_arrivals must be non-negative")
 
-    def arrival_target(self, plan: "RoundPlan") -> Optional[int]:
-        return None
+    def close(
+        self, times: np.ndarray, opened_at: int, expected_fresh: Optional[int]
+    ) -> tuple[int, int]:
+        """Split completion-ordered ``times`` at the deadline.
 
-    def deadline(self, opened_at: int, plan: "RoundPlan") -> Optional[int]:
-        return opened_at + self.duration
-
-
-RoundCutoff = "CountCutoff | TimeCutoff"
+        Returns ``(on_time, closed_at)`` like :meth:`CountCutoff.close`.
+        A completion landing exactly at the deadline is on time.  When
+        fewer than ``min_arrivals`` made it and more are still due, the
+        round stays open until the ``min_arrivals``-th lands (or the last
+        one, if fewer are due).
+        """
+        deadline = opened_at + self.duration
+        on_time = int(np.searchsorted(times, deadline, side="right"))
+        if on_time >= self.min_arrivals or on_time == len(times):
+            return on_time, deadline
+        on_time = min(self.min_arrivals, len(times))
+        return on_time, int(times[on_time - 1])
 
 
 def make_cutoff(
@@ -247,30 +188,39 @@ def make_cutoff(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScheduledCompletion:
-    """One dispatched client and the tick its update will land."""
-
-    client_id: int
-    time: int
-
-
 @dataclass
 class RoundPlan:
     """An arrival process's timeline for one round.
 
-    ``dispatched`` lists the clients that will eventually complete, with
-    their completion ticks; ``unavailable`` the selected clients that
-    never start (offline at dispatch, failed mid-round) — the engine
-    records them as dropped.  ``expected_fresh`` is set by the compat
-    process to tell the default count cutoff how many arrivals the legacy
-    semantics would have waited for (its stragglers are scheduled but not
-    expected); trace-driven processes leave it ``None``.
+    ``client_ids`` lists the dispatched clients that will eventually
+    complete and ``times`` their completion ticks, aligned and in any
+    order; ``unavailable`` the selected clients that never start (offline
+    at dispatch, failed mid-round) — the engine records them as dropped.
+    ``expected_fresh`` is set by the compat process to tell the default
+    count cutoff how many arrivals the legacy semantics would have waited
+    for (its stragglers are scheduled but not expected); trace-driven
+    processes leave it ``None``.
     """
 
-    dispatched: list[ScheduledCompletion] = field(default_factory=list)
+    client_ids: np.ndarray
+    times: np.ndarray
     unavailable: list[int] = field(default_factory=list)
     expected_fresh: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.client_ids = np.asarray(self.client_ids, dtype=np.int64)
+        self.times = np.asarray(self.times, dtype=np.int64)
+        if self.client_ids.shape != self.times.shape:
+            raise ValueError("every dispatched client needs one completion tick")
+
+    def timeline(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dispatched ids and their ticks in completion order.
+
+        One sort on ``(tick, client_id)``: ties at a tick break by client
+        id, so the order is a pure function of the plan's completions.
+        """
+        order = np.lexsort((self.client_ids, self.times))
+        return self.client_ids[order], self.times[order]
 
 
 @dataclass
@@ -298,15 +248,14 @@ class RoundLedger:
 
 
 class RoundEngine:
-    """Drives one round's virtual-time event loop for the server.
+    """Drives one round's virtual-time timeline for the server.
 
     The server hands over the selected client ids, a ``compute`` callable
     (materialize the client, deliver the broadcast, collect its update —
     all protocol semantics stay server-side), and the round's bookkeeping
-    knobs; the engine owns *time*: it builds the arrival plan, pops
-    events in deterministic virtual-time order, ingests on-time updates
-    into the round buffer as they land, and classifies dropout and
-    straggling from the timeline.
+    knobs; the engine owns *time*: it builds the arrival plan, sorts its
+    completions, ingests on-time updates into the round buffer in arrival
+    order, and classifies dropout and straggling from the timeline.
     """
 
     def __init__(self, clock: VirtualClock, arrivals, cutoff) -> None:
@@ -339,14 +288,13 @@ class RoundEngine:
         extra_capacity: int = 0,
         release_gradients: bool = False,
     ) -> RoundLedger:
-        """Run one round's events and return the observed ledger.
+        """Run one round's timeline and return the observed ledger.
 
-        ``compute(client_id)`` is invoked exactly when the client's
-        completion event pops — on-time arrivals before the cutoff, late
-        ones after (skipped entirely when ``compute_late`` is false, the
-        commitment-protocol case).  ``extra_capacity`` reserves buffer
-        rows for updates the server will append after the event loop
-        (stale arrivals from a previous round).
+        ``compute(client_id)`` is invoked in completion order — on-time
+        arrivals first, late ones after (skipped entirely when
+        ``compute_late`` is false, the commitment-protocol case).
+        ``extra_capacity`` reserves buffer rows for updates the server
+        will append afterwards (stale arrivals from a previous round).
 
         ``release_gradients=True`` drops each on-time update's gradient
         dict right after its row is packed into the buffer — the server
@@ -360,74 +308,30 @@ class RoundEngine:
         plan = self.arrivals.plan_round(
             list(selected_ids), round_index, opened_at, server_rng
         )
-        queue = EventQueue()
-        for completion in plan.dispatched:
-            queue.push(
-                Event(completion.time, "completion", completion.client_id)
-            )
-        target = self.cutoff.arrival_target(plan)
-        deadline = self.cutoff.deadline(opened_at, plan)
-        min_arrivals = getattr(self.cutoff, "min_arrivals", 0)
-        if deadline is not None:
-            queue.push(Event(deadline, "close"))
+        ids, times = plan.timeline()
+        on_time, closed_at = self.cutoff.close(
+            times, opened_at, plan.expected_fresh
+        )
+        ids, times = ids.tolist(), times.tolist()
 
         fresh: list[GradientUpdate] = []
-        late: list[GradientUpdate] = []
-        arrival_ticks: list[tuple[int, int]] = []
-        late_ticks: list[tuple[int, int]] = []
-        straggler_ids: list[int] = []
         buffer: Optional[RoundBuffer] = None
-        closed = False
-        closed_at: Optional[int] = None
-        deadline_passed = False
-        last_on_time = opened_at
+        for client_id in ids[:on_time]:
+            update = compute(client_id)
+            if buffer is None:
+                capacity = len(ids) + extra_capacity
+                buffer = RoundBuffer(capacity, flat_spec(update.gradients))
+            buffer.add(update.gradients)
+            if release_gradients:
+                update.gradients = {}
+            fresh.append(update)
+        straggler_ids = ids[on_time:]
+        late = [compute(cid) for cid in straggler_ids] if compute_late else []
 
-        # A zero-target count cutoff (every expected arrival straggled)
-        # closes the round immediately: whatever the queue still holds is
-        # late by definition.
-        if target == 0:
-            closed = True
-            closed_at = opened_at
-
-        while queue:
-            event = queue.pop()
-            if event.kind == "close":
-                # The grace floor can hold the round open past its
-                # deadline; otherwise the close event seals it.
-                deadline_passed = True
-                if len(fresh) >= min_arrivals or not queue:
-                    closed = True
-                    closed_at = event.time
-                continue
-            if not closed:
-                update = compute(event.client_id)
-                if buffer is None:
-                    capacity = len(plan.dispatched) + extra_capacity
-                    buffer = RoundBuffer(capacity, flat_spec(update.gradients))
-                buffer.add(update.gradients)
-                if release_gradients:
-                    update.gradients = {}
-                fresh.append(update)
-                arrival_ticks.append((event.client_id, event.time))
-                last_on_time = event.time
-                if (target is not None and len(fresh) >= target) or (
-                    deadline_passed and len(fresh) >= min_arrivals
-                ):
-                    closed = True
-                    closed_at = event.time
-            else:
-                straggler_ids.append(event.client_id)
-                late_ticks.append((event.client_id, event.time))
-                if compute_late:
-                    late.append(compute(event.client_id))
-
-        if closed_at is None:
-            # Count-cutoff round that ran out of events before reaching
-            # its target (mass dropout): it closes when the last on-time
-            # arrival landed.
-            closed_at = last_on_time
         closed_at = max(closed_at, opened_at)
         self.clock.advance_to(closed_at)
+        arrival_ticks = list(zip(ids[:on_time], times[:on_time]))
+        late_ticks = list(zip(straggler_ids, times[on_time:]))
 
         timing = None
         if self.records_timing:

@@ -33,6 +33,7 @@ _SHIFT29 = np.uint64(29)
 _SHIFT32 = np.uint64(32)
 _SHIFT61 = np.uint64(61)
 _EIGHT = np.uint64(8)  # 2**64 mod PRIME
+_ONE = np.uint64(1)
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -107,17 +108,23 @@ def f_mul(a, b) -> np.ndarray:
     return _fold(acc)
 
 
-def f_pow(base, exponent: int) -> np.ndarray:
-    """Field exponentiation by a non-negative Python-int exponent."""
-    if exponent < 0:
+def f_pow(base, exponent) -> np.ndarray:
+    """Field exponentiation, elementwise.
+
+    ``exponent`` holds non-negative integers below ``2**64`` and
+    broadcasts against ``base``, so one call raises many bases to many
+    exponents (square-and-multiply over every exponent bit at once).
+    """
+    if np.any(np.asarray(exponent) < 0):
         raise ValueError("exponent must be non-negative")
-    base = np.asarray(base, dtype=np.uint64)
+    base, exponent = np.broadcast_arrays(
+        np.asarray(base, dtype=np.uint64), np.asarray(exponent, dtype=np.uint64)
+    )
     result = np.ones_like(base)
-    while exponent:
-        if exponent & 1:
-            result = f_mul(result, base)
+    while exponent.any():
+        result = np.where(exponent & _ONE, f_mul(result, base), result)
         base = f_mul(base, base)
-        exponent >>= 1
+        exponent = exponent >> _ONE
     return result
 
 

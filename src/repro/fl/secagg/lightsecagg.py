@@ -39,7 +39,6 @@ from ...utils.rng import rng_for
 from ..messages import AggregatedMaskSegment, EncodedMaskSegment, MaskedUpload
 from .base import BelowThresholdError, SecAggError, default_threshold
 from .field import f_add, f_sub, from_field_centered, interpolate, rand_field, to_field
-from .masking import expand_field_mask  # noqa: F401  (re-export for tests)
 
 
 class OneShotRound:

@@ -1,60 +1,70 @@
-"""Mask expansion and key agreement primitives for the SecAgg protocols.
+"""Mask expansion and key agreement primitives for the Bonawitz protocol.
 
-Two mask domains coexist:
+Masks live in the full ``uint64`` ring (``mod 2**64``), matching the
+fixed-point encoding of :class:`~repro.fl.aggregators.MaskedSumAggregator`
+exactly, so the recovered sum is bit-for-bit the plain quantized sum.
+(LightSecAgg's field-domain masks are drawn in
+:mod:`repro.fl.secagg.lightsecagg`.)
 
-- the Bonawitz-style protocol masks quantized updates in the full
-  ``uint64`` ring (``mod 2**64``), matching the fixed-point encoding of
-  :class:`~repro.fl.aggregators.MaskedSumAggregator` exactly, so the
-  recovered sum is bit-for-bit the plain quantized sum;
-- the LightSecAgg-style protocol masks field-embedded updates in
-  GF(2**61 - 1), because its mask segments must survive Lagrange
-  encoding/decoding, which only works over a field.
+Masks are expanded in counter mode through
+:func:`~repro.utils.rng.keyed_words`: word ``j`` of the mask for seed
+``s`` is a keyed hash of ``(s, j)``, so the masks of every seed a client
+or the server must add come out of one vectorized call instead of one
+generator object per seed.
 
-Key agreement is a textbook Diffie–Hellman simulation over the same
-Mersenne prime (generator 7) — a stand-in for X25519 with the property
-that matters here: both endpoints of a pair derive the same seed without
-the server learning it.
+Key agreement is a textbook Diffie–Hellman simulation over the Mersenne
+prime of :mod:`repro.fl.secagg.field` (generator 7) — a stand-in for
+X25519 with the property that matters here: both endpoints of a pair
+derive the same seed without the server learning it.  Whole key sets
+are exponentiated at once with the field's vectorized arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...utils.rng import derive_seed
-from .field import PRIME_INT, rand_field
+from ...utils.rng import keyed_words
+from .field import f_pow
 
 _GENERATOR = 7
-_RING_MAX = np.iinfo(np.uint64).max
+# Upper bound on the mask words one expansion materializes (2 MiB).
+_CHUNK_WORDS = 1 << 18
 
 
-def expand_ring_mask(seed, dim: int) -> np.ndarray:
-    """PRG-expand a seed into a uniform ``uint64`` ring mask of length ``dim``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.integers(_RING_MAX, size=dim, dtype=np.uint64, endpoint=True)
+def ring_mask_sum(seeds, dim: int) -> np.ndarray:
+    """``Σ PRG(s)`` over ``seeds`` in the ``uint64`` ring (``mod 2**64``).
 
-
-def expand_field_mask(seed, dim: int) -> np.ndarray:
-    """PRG-expand a seed into uniform GF(2**61 - 1) elements of length ``dim``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rand_field(rng, dim)
-
-
-def dh_keypair(rng: np.random.Generator) -> tuple[int, int]:
-    """Draw a (secret, public) Diffie–Hellman pair mod the Mersenne prime.
-
-    Secrets are drawn in ``[1, p - 1)`` so the public key is never the
-    identity; arithmetic runs through Python's ``pow`` because the
-    exponent exceeds what uint64 modmul can express.
+    Each seed expands to a uniform ring mask of length ``dim``.  Seeds
+    are expanded a bounded block at a time, so memory stays flat however
+    many masks a round sums and however long the update is.
     """
-    secret = int(rng.integers(1, PRIME_INT - 1, dtype=np.uint64))
-    return secret, pow(_GENERATOR, secret, PRIME_INT)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    total = np.zeros(dim, dtype=np.uint64)
+    step = max(1, _CHUNK_WORDS // dim)
+    for start in range(0, len(seeds), step):
+        masks = keyed_words(0, "secagg-ring-mask", seeds[start : start + step], k=dim)
+        total += masks.sum(axis=0, dtype=np.uint64)
+    return total
 
 
-def dh_shared_seed(secret_key: int, peer_public_key: int, round_index: int) -> tuple:
-    """The pairwise PRG seed both endpoints derive: ``g**(sk_i * sk_j)``.
+def dh_public_key(secret_keys) -> np.ndarray:
+    """The Diffie–Hellman public keys ``g**sk`` mod the Mersenne prime."""
+    return f_pow(_GENERATOR, secret_keys)
 
-    Folding the round index in via :func:`~repro.utils.rng.derive_seed`
-    gives each round an independent mask stream from the same key pair.
+
+def dh_shared_seed(secret_keys, peer_public_keys, round_index: int) -> np.ndarray:
+    """The pairwise PRG seeds ``g**(sk_i * sk_j)`` of keys and peers.
+
+    Entry ``[i, j]`` of the ``(len(secret_keys), len(peer_public_keys))``
+    result is the seed owner ``i`` shares with peer ``j``; both endpoints
+    of a pair derive the same seed.  The exponentiations run elementwise
+    in the field, and hashing each shared secret with the round index
+    (one vectorized keyed draw) gives every round an independent mask
+    stream from the same key pair.
     """
-    shared = pow(peer_public_key, secret_key, PRIME_INT)
-    return (derive_seed(shared, "secagg-pairwise", str(round_index)),)
+    shared = f_pow(
+        np.asarray(peer_public_keys, dtype=np.uint64)[None, :],
+        np.asarray(secret_keys, dtype=np.uint64)[:, None],
+    )
+    seeds = keyed_words(0, "secagg-pairwise", shared.reshape(-1), round_index)
+    return seeds.reshape(shared.shape)

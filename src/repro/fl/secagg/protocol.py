@@ -25,8 +25,8 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
    dropped client's secret key (cancel the orphaned pairwise masks), and
    the ring sum of the uploads collapses to the exact quantized sum.
 
-Clients here are simulated in-process: each one's secrets derive from a
-:func:`~repro.utils.rng.rng_for` stream keyed by (seed, round, client),
+Clients here are simulated in-process: each one's secrets are a
+:func:`~repro.utils.rng.keyed_words` draw keyed by (seed, round, client),
 so rounds are deterministic and replayable, and nothing about a round
 depends on how many rounds an instance served before — the replay bug
 the old in-aggregator masking had.
@@ -34,12 +34,11 @@ the old in-aggregator masking had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ...utils.rng import derive_seed, rng_for
+from ...utils.rng import keyed_words, rng_for
 from ..messages import (
     KeyAdvertisement,
     MaskedUpload,
@@ -48,19 +47,9 @@ from ..messages import (
     UnmaskResponse,
 )
 from .base import BelowThresholdError, SecAggError, default_threshold
-from .masking import dh_keypair, dh_shared_seed, expand_ring_mask
+from .field import PRIME_INT
+from .masking import dh_public_key, dh_shared_seed, ring_mask_sum
 from .shamir import reconstruct_secrets, share_secrets
-
-
-@dataclass
-class _ClientState:
-    """One simulated client's per-round secrets (never visible server-side)."""
-
-    client_id: int
-    position: int  # 0-indexed slot in the committed order; share_x = position + 1
-    secret_key: int
-    public_key: int
-    self_mask_seed: int
 
 
 class SecAggRound:
@@ -68,7 +57,9 @@ class SecAggRound:
 
     Construction runs the advertise and share phases (the commitment
     point); :meth:`masked_upload` produces survivor uploads and
-    :meth:`recover_sum` runs the unmasking phase.
+    :meth:`recover_sum` runs the unmasking phase.  Each simulated
+    client's secrets (never visible server-side) sit at its position in
+    the sorted committed order; its Shamir ``share_x`` is position + 1.
     """
 
     def __init__(
@@ -93,78 +84,63 @@ class SecAggRound:
                 f"threshold {self.threshold} invalid for {len(ordered)} clients"
             )
         self._seed = seed
-        self._states: dict[int, _ClientState] = {}
-        self.advertisements: list[KeyAdvertisement] = []
+        self._positions = {cid: pos for pos, cid in enumerate(ordered)}
         self._advertise_keys()
-        # Mailboxes: share matrices indexed [recipient_position, sender_position].
-        self._seed_shares = np.zeros((0, 0), dtype=np.uint64)
-        self._self_mask_shares = np.zeros((0, 0), dtype=np.uint64)
         self._share_keys()
 
     # ------------------------------------------------------------------
     # Phase 1+2: commitment
     # ------------------------------------------------------------------
     def _advertise_keys(self) -> None:
-        for position, client_id in enumerate(self.client_ids):
-            rng = rng_for(
-                self._seed, "secagg-client", str(self.round_index), str(client_id)
-            )
-            secret_key, public_key = dh_keypair(rng)
-            # derive_seed yields a uint32, so the seed doubles as a Shamir
-            # secret (it must fit the 61-bit field to survive sharing).
-            self_mask_seed = derive_seed(
-                int(rng.integers(0, 2**63, dtype=np.uint64)),
-                "secagg-self-mask",
-                str(self.round_index),
-            )
-            self._states[client_id] = _ClientState(
-                client_id, position, secret_key, public_key, self_mask_seed
-            )
-            self.advertisements.append(
-                KeyAdvertisement(client_id, self.round_index, public_key)
-            )
+        # One keyed draw for the whole committed set: each client's DH
+        # secret key in [1, p - 2] (so the public key is never the
+        # identity) and its self-mask seed, cut to 32 bits so it doubles
+        # as a Shamir secret (it must fit the 61-bit field).
+        words = keyed_words(
+            self._seed, "secagg-client", self.client_ids, self.round_index, k=2
+        )
+        self._secret_keys = words[:, 0] % np.uint64(PRIME_INT - 2) + np.uint64(1)
+        self._self_mask_seeds = words[:, 1] >> np.uint64(32)
+        self._public_keys = dh_public_key(self._secret_keys)
+        self.advertisements = [
+            KeyAdvertisement(client_id, self.round_index, int(public_key))
+            for client_id, public_key in zip(self.client_ids, self._public_keys)
+        ]
+        # Every client agrees a pairwise seed with every peer once the
+        # keys are out; row i holds client i's seeds.
+        self._pairwise_seeds = dh_shared_seed(
+            self._secret_keys, self._public_keys, self.round_index
+        )
 
     def _share_keys(self) -> None:
         count = len(self.client_ids)
-        secret_keys = np.array(
-            [self._states[cid].secret_key for cid in self.client_ids],
-            dtype=np.uint64,
-        )
-        self_masks = np.array(
-            [self._states[cid].self_mask_seed for cid in self.client_ids],
-            dtype=np.uint64,
-        )
         rng = rng_for(self._seed, "secagg-shamir", str(self.round_index))
-        self._seed_shares = share_secrets(secret_keys, count, self.threshold, rng)
-        self._self_mask_shares = share_secrets(self_masks, count, self.threshold, rng)
+        # Mailboxes: share matrices indexed [recipient_position, sender_position].
+        self._seed_shares = share_secrets(
+            self._secret_keys, count, self.threshold, rng
+        )
+        self._self_mask_shares = share_secrets(
+            self._self_mask_seeds, count, self.threshold, rng
+        )
 
     def share_bundles(self) -> list[SecretShareBundle]:
         """Materialize the n**2 share messages (for inspection/tests)."""
-        bundles = []
-        for sender in self.client_ids:
-            sender_pos = self._states[sender].position
-            for recipient in self.client_ids:
-                recipient_pos = self._states[recipient].position
-                bundles.append(
-                    SecretShareBundle(
-                        sender_id=sender,
-                        recipient_id=recipient,
-                        round_index=self.round_index,
-                        share_x=recipient_pos + 1,
-                        seed_share=int(self._seed_shares[recipient_pos, sender_pos]),
-                        self_mask_share=int(
-                            self._self_mask_shares[recipient_pos, sender_pos]
-                        ),
-                    )
-                )
-        return bundles
+        return [
+            SecretShareBundle(
+                sender_id=sender,
+                recipient_id=recipient,
+                round_index=self.round_index,
+                share_x=recipient_pos + 1,
+                seed_share=int(self._seed_shares[recipient_pos, sender_pos]),
+                self_mask_share=int(self._self_mask_shares[recipient_pos, sender_pos]),
+            )
+            for sender_pos, sender in enumerate(self.client_ids)
+            for recipient_pos, recipient in enumerate(self.client_ids)
+        ]
 
     # ------------------------------------------------------------------
     # Phase 3: masked upload
     # ------------------------------------------------------------------
-    def _pairwise_seed(self, state: _ClientState, peer: _ClientState) -> tuple:
-        return dh_shared_seed(state.secret_key, peer.public_key, self.round_index)
-
     def masked_upload(
         self,
         client_id: int,
@@ -173,24 +149,19 @@ class SecAggRound:
         loss: float = 0.0,
     ) -> MaskedUpload:
         """Mask a quantized (uint64-ring) update the way client ``i`` would."""
-        state = self._states.get(int(client_id))
-        if state is None:
+        position = self._positions.get(int(client_id))
+        if position is None:
             raise SecAggError(f"client {client_id} is not in the committed set")
         payload = np.asarray(quantized, dtype=np.uint64).copy()
         dim = payload.shape[-1]
-        payload += expand_ring_mask(state.self_mask_seed, dim)
-        for peer_id in self.client_ids:
-            if peer_id == state.client_id:
-                continue
-            mask = expand_ring_mask(
-                self._pairwise_seed(state, self._states[peer_id]), dim
-            )
-            if state.client_id < peer_id:
-                payload += mask
-            else:
-                payload -= mask
+        seeds = self._pairwise_seeds[position]
+        # Committed ids are sorted, so the peers after this client's
+        # position are the j > i whose masks it adds (sign(i, j) = +1).
+        payload += ring_mask_sum(self._self_mask_seeds[position], dim)
+        payload += ring_mask_sum(seeds[position + 1 :], dim)
+        payload -= ring_mask_sum(seeds[:position], dim)
         return MaskedUpload(
-            client_id=state.client_id,
+            client_id=int(client_id),
             round_index=self.round_index,
             num_examples=num_examples,
             payload=payload,
@@ -211,20 +182,18 @@ class SecAggRound:
         request = UnmaskRequest(self.round_index, survivors, dropped)
         responses = []
         for cid in survivors:
-            pos = self._states[cid].position
+            pos = self._positions[cid]
             responses.append(
                 UnmaskResponse(
                     client_id=cid,
                     round_index=self.round_index,
                     share_x=pos + 1,
                     self_mask_shares={
-                        sid: int(
-                            self._self_mask_shares[pos, self._states[sid].position]
-                        )
+                        sid: int(self._self_mask_shares[pos, self._positions[sid]])
                         for sid in survivors
                     },
                     seed_shares={
-                        did: int(self._seed_shares[pos, self._states[did].position])
+                        did: int(self._seed_shares[pos, self._positions[did]])
                         for did in dropped
                     },
                 )
@@ -242,7 +211,7 @@ class SecAggRound:
         survivor_ids = sorted(int(upload.client_id) for upload in uploads)
         if len(set(survivor_ids)) != len(survivor_ids):
             raise SecAggError("duplicate masked uploads for one client")
-        unknown = [cid for cid in survivor_ids if cid not in self._states]
+        unknown = [cid for cid in survivor_ids if cid not in self._positions]
         if unknown:
             raise SecAggError(f"uploads from uncommitted clients: {unknown}")
         if len(survivor_ids) < self.threshold:
@@ -264,38 +233,29 @@ class SecAggRound:
             dtype=np.uint64,
         )
         recovered_self = reconstruct_secrets(helper_xs, self_mask_shares)
-        for seed in recovered_self:
-            total -= expand_ring_mask(int(seed), dim)
+        total -= ring_mask_sum(recovered_self, dim)
 
         # Cancel the dropped clients' orphaned pairwise masks: reconstruct
-        # each dropped secret key, re-derive its pairwise seeds with every
+        # every dropped secret key, re-derive its pairwise seeds with every
         # survivor, and remove the survivor-side contributions.
-        recovered_dropped: list[int] = []
         if request.dropped_ids:
             seed_shares = np.array(
                 [[r.seed_shares[did] for did in request.dropped_ids] for r in helpers],
                 dtype=np.uint64,
             )
             recovered_keys = reconstruct_secrets(helper_xs, seed_shares)
-            for dropped_id, secret_key in zip(
-                request.dropped_ids, (int(k) for k in recovered_keys)
-            ):
-                recovered_dropped.append(dropped_id)
-                for survivor_id in survivor_ids:
-                    peer = self._states[survivor_id]
-                    mask = expand_ring_mask(
-                        dh_shared_seed(secret_key, peer.public_key, self.round_index),
-                        dim,
-                    )
-                    # Survivor i uploaded sign(i, dropped) * mask; remove it.
-                    if survivor_id < dropped_id:
-                        total -= mask
-                    else:
-                        total += mask
+            survivor_keys = self._public_keys[
+                [self._positions[cid] for cid in survivor_ids]
+            ]
+            seeds = dh_shared_seed(recovered_keys, survivor_keys, self.round_index)
+            # Survivor i uploaded sign(i, dropped) * mask; remove it.
+            below = np.less.outer(survivor_ids, request.dropped_ids).T
+            total -= ring_mask_sum(seeds[below], dim)
+            total += ring_mask_sum(seeds[~below], dim)
         self.last_recovery = {
             "survivors": len(survivor_ids),
             "dropped": len(request.dropped_ids),
-            "recovered_dropped_ids": recovered_dropped,
+            "recovered_dropped_ids": list(request.dropped_ids),
             "unmask_responses": len(responses),
             "helper_shares": int(self.threshold),
         }

@@ -7,8 +7,8 @@ owns the *protocol* — selection, aggregation, secure-aggregation
 commitment windows, dishonest hooks — and delegates *time* to the
 event-driven :class:`~repro.fl.engine.RoundEngine`: clients are
 dispatched through a pluggable :class:`~repro.fl.arrivals.ArrivalProcess`,
-updates ingest into the round buffer as their completion events pop on
-the virtual clock, and the configured cutoff decides when the round
+updates ingest into the round buffer in completion order on the
+virtual clock, and the configured cutoff decides when the round
 closes.  Under the default configuration (rate-based
 :class:`~repro.fl.arrivals.InstantArrivals` + degenerate count cutoff)
 the engine reproduces the legacy synchronous loop's round records
@@ -208,7 +208,7 @@ class Server:
         """One full protocol round under the configured scenario.
 
         The engine owns the round's timeline: it schedules the selected
-        cohort through the arrival process, pops completion events in
+        cohort through the arrival process, sorts the completions into
         virtual-time order, packs each on-time update into the round
         buffer as it lands, and closes the round at the configured
         cutoff.  Everything after the ledger — stale folding, hooks,
@@ -399,7 +399,7 @@ class DishonestServer(Server):
 
         ``state_dict`` snapshots copies, so re-crafting the server model
         for the next client never mutates an already-dispatched broadcast.
-        The engine pops completions in deterministic virtual-time order,
+        The engine computes completions in deterministic virtual-time order,
         so the per-client craft sequence is as reproducible as the legacy
         selection-order loop.
         """

@@ -13,6 +13,8 @@ from repro.utils.numeric import numerical_gradient
 from repro.utils.rng import (
     SeedSequence,
     derive_seed,
+    keyed_uniforms,
+    keyed_words,
     new_rng,
     rng_for,
     seed_sequence_for,
@@ -26,6 +28,8 @@ __all__ = [
     "seed_sequence_for",
     "derive_seed",
     "rng_for",
+    "keyed_words",
+    "keyed_uniforms",
     "numerical_gradient",
     "save_state",
     "load_state",

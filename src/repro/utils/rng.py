@@ -12,6 +12,14 @@ configuration fingerprint) rather than a spawn position, so the stream a
 consumer receives is invariant to enumeration order, to how work is sharded
 across processes, and to which other consumers exist.  That invariance is
 what lets serial and parallel sweep executors produce bit-identical results.
+
+``keyed_words`` / ``keyed_uniforms`` apply the same discipline to hot paths
+that need a few draws for *every member of a cohort*: a counter-based
+generator in the Random123 sense (Salmon et al., SC'11, "Parallel random
+numbers: as easy as 1, 2, 3") maps ``(seed, label, id, round, counter)``
+straight to a 64-bit word, vectorized over ids, with no generator object
+per id.  The draws for a subset of ids are exactly the matching rows of
+the full-cohort draw.
 """
 
 from __future__ import annotations
@@ -21,6 +29,12 @@ import hashlib
 import numpy as np
 
 SeedSequence = np.random.SeedSequence
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# SplitMix64: the Weyl increment and the finalizer's two multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def new_rng(seed: int | None = None) -> np.random.Generator:
@@ -43,7 +57,7 @@ def seed_sequence_for(base_seed: int, *labels: str) -> np.random.SeedSequence:
     an enumeration) get the same stream, while any label change yields a
     statistically independent one.
     """
-    entropy = [int(base_seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [int(base_seed) & _MASK64]
     for label in labels:
         digest = hashlib.sha256(label.encode()).digest()
         entropy.extend(
@@ -67,3 +81,46 @@ def rng_for(base_seed: int, *labels: str) -> np.random.Generator:
     """A generator keyed by ``(base_seed, labels)`` via
     :func:`seed_sequence_for`."""
     return np.random.default_rng(seed_sequence_for(base_seed, *labels))
+
+
+def _mix(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection on ``uint64``, applied in place."""
+    words ^= words >> np.uint64(30)
+    words *= _MIX1
+    words ^= words >> np.uint64(27)
+    words *= _MIX2
+    words ^= words >> np.uint64(31)
+    return words
+
+
+def keyed_words(
+    seed: int, label: str, ids, round_index: int = 0, k: int = 1
+) -> np.ndarray:
+    """``(len(ids), k)`` uniform ``uint64`` words keyed by
+    ``(seed, label, id, round_index, column)``.
+
+    Row ``i`` is the SplitMix64 stream whose state is a keyed hash of
+    ``ids[i]``, and column ``j`` is that stream's ``j``-th output.  Each
+    word is a pure function of its key: draws never depend on cohort
+    order, and the rows for a subset of ids equal the matching rows of a
+    superset's draw.
+    """
+    label_word = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
+    stream = np.array([int(seed) & _MASK64], dtype=np.uint64)
+    for word in (label_word, int(round_index) & _MASK64):
+        stream = _mix(stream) ^ np.uint64(word)
+    rows = np.asarray(ids, dtype=np.uint64).reshape(-1, 1) * _GAMMA
+    rows = _mix(rows + _mix(stream))
+    return _mix(rows + np.arange(1, k + 1, dtype=np.uint64) * _GAMMA)
+
+
+def keyed_uniforms(
+    seed: int, label: str, ids, round_index: int = 0, k: int = 1
+) -> np.ndarray:
+    """:func:`keyed_words` as ``float64`` uniforms on the open interval (0, 1).
+
+    52-bit resolution and never exactly 0 or 1, so the draws are safe
+    under ``log`` and the Box–Muller transform.
+    """
+    words = keyed_words(seed, label, ids, round_index, k) >> np.uint64(12)
+    return (words + 0.5) * 2.0**-52

@@ -1,4 +1,4 @@
-"""Event-engine tests: legacy byte-identity, clock/heap determinism, cutoffs.
+"""Event-engine tests: legacy byte-identity, clock/timeline determinism, cutoffs.
 
 The load-bearing suite here is :class:`TestLegacyByteIdentity`: a verbatim
 copy of the pre-engine synchronous ``run_round`` loop (as
@@ -24,8 +24,7 @@ from repro.fl import (
 )
 from repro.fl.engine import (
     CountCutoff,
-    Event,
-    EventQueue,
+    RoundPlan,
     TimeCutoff,
     VirtualClock,
     make_cutoff,
@@ -318,31 +317,20 @@ class TestVirtualClock:
             clock.advance_to(9)
 
 
-class TestEventQueue:
-    def test_pop_order_is_sorted_key_order(self):
-        events = [
-            Event(5, "completion", 2),
-            Event(5, "close"),
-            Event(5, "completion", 1),
-            Event(3, "completion", 9),
-        ]
-        queue = EventQueue(events)
-        popped = [queue.pop() for _ in range(len(events))]
-        assert popped == sorted(events, key=lambda e: e.sort_key)
-        # Completions at the deadline tick beat the close event: an
-        # update landing exactly at the cutoff is on time.
-        assert [e.kind for e in popped] == [
-            "completion", "completion", "completion", "close",
-        ]
+class TestRoundTimeline:
+    def test_completion_order_is_tick_then_client_id(self):
+        plan = RoundPlan(client_ids=[2, 1, 9, 4], times=[5, 5, 3, 7])
+        ids, times = plan.timeline()
+        assert ids.tolist() == [9, 1, 2, 4]
+        assert times.tolist() == [3, 5, 5, 7]
 
-    def test_duplicate_keys_rejected(self):
-        queue = EventQueue([Event(1, "completion", 4)])
-        with pytest.raises(ValueError):
-            queue.push(Event(1, "completion", 4))
+    def test_completions_at_the_deadline_are_on_time(self):
+        on_time, closed_at = TimeCutoff(5).close(np.array([3, 5, 5, 6]), 0, None)
+        assert (on_time, closed_at) == (3, 5)
 
-    def test_unknown_kind_rejected(self):
+    def test_misaligned_plan_rejected(self):
         with pytest.raises(ValueError):
-            Event(0, "arrival")
+            RoundPlan(client_ids=[1, 2], times=[3])
 
 
 class TestCutoffs:
@@ -442,9 +430,8 @@ class TestArrivalProcesses:
                 active.append(client_id)
         assert plan.unavailable == dropped
         assert plan.expected_fresh == len(active)
-        scheduled = [c.client_id for c in plan.dispatched]
-        assert scheduled == active + stragglers
-        times = [c.time for c in plan.dispatched]
+        assert plan.client_ids.tolist() == active + stragglers
+        times = plan.times.tolist()
         assert times == sorted(times) and len(set(times)) == len(times)
 
     def test_instant_zero_rates_draws_nothing(self):
@@ -464,43 +451,39 @@ class TestArrivalProcesses:
         rng = np.random.default_rng(0)
         forward = process.plan_round([1, 2, 3, 4], 5, 100, rng)
         backward = process.plan_round([4, 3, 2, 1], 5, 100, rng)
-        assert {c.client_id: c.time for c in forward.dispatched} == {
-            c.client_id: c.time for c in backward.dispatched
-        }
+        assert dict(zip(forward.client_ids.tolist(), forward.times.tolist())) == (
+            dict(zip(backward.client_ids.tolist(), backward.times.tolist()))
+        )
 
     def test_tiered_assignment_is_stable_and_weighted(self):
         process = TieredArrivals(seed=0)
-        tiers = [process.tier_of(cid).name for cid in range(2000)]
-        assert tiers == [process.tier_of(cid).name for cid in range(2000)]
-        counts = {name: tiers.count(name) for name in set(tiers)}
+        tiers = process.tier_indices(np.arange(2000))
+        np.testing.assert_array_equal(tiers, process.tier_indices(np.arange(2000)))
+        counts = np.bincount(tiers, minlength=len(process.tiers))
         # The mid tier holds 55% of the fleet; it must dominate.
-        assert max(counts, key=counts.get) == "mid"
-        assert len(counts) == 4
+        assert process.tiers[int(np.argmax(counts))].name == "mid"
+        assert (counts > 0).all()
 
     def test_tiered_slow_tiers_straggle(self):
         process = TieredArrivals(seed=3)
-        delays: dict[str, list[int]] = {}
-        for cid in range(500):
-            delay = process.completion_delay(cid, 0)
-            if delay is not None:
-                delays.setdefault(process.tier_of(cid).name, []).append(delay)
-        assert np.mean(delays["iot"]) > np.mean(delays["flagship"])
+        ids = np.arange(500)
+        delays = process.completion_delays(ids, 0)
+        names = np.array([t.name for t in process.tiers])[process.tier_indices(ids)]
+        iot = delays[(delays > 0) & (names == "iot")]
+        flagship = delays[(delays > 0) & (names == "flagship")]
+        assert iot.mean() > flagship.mean()
 
     def test_diurnal_cycle_gates_availability(self):
         cycle = DiurnalCycle(period_s=10.0, duty_cycle=0.5)
-        available = [
-            cycle.available(cid, 0, seed=0) for cid in range(400)
-        ]
         # Phase offsets spread the fleet: roughly half reachable at t=0.
-        fraction = np.mean(available)
+        fraction = cycle.available(np.arange(400), 0, seed=0).mean()
         assert 0.3 < fraction < 0.7
-        # A client flips availability somewhere within one period.
-        for cid in range(10):
-            states = {
-                cycle.available(cid, ticks(t / 10), seed=0)
-                for t in range(100)
-            }
-            assert states == {True, False}
+        # Every client flips availability somewhere within one period.
+        states = np.stack([
+            cycle.available(np.arange(10), ticks(t / 10), seed=0)
+            for t in range(100)
+        ])
+        assert states.any(axis=0).all() and not states.all(axis=0).any()
 
     def test_diurnal_fleet_still_makes_progress(self):
         server = Server(

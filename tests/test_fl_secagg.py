@@ -72,6 +72,18 @@ class TestField:
         )
         np.testing.assert_array_equal(F.f_mul(a, b), reference)
 
+    def test_elementwise_pow_matches_python_pow(self):
+        # The vectorized Diffie–Hellman key agreement rests on this.
+        rng = np.random.default_rng(2)
+        bases = F.rand_field(rng, 64)
+        exponents = F.rand_field(rng, (3, 1))
+        reference = np.array(
+            [[pow(int(x), int(e), F.PRIME_INT) for x in bases] for e in exponents[:, 0]],
+            dtype=np.uint64,
+        )
+        np.testing.assert_array_equal(F.f_pow(bases[None, :], exponents), reference)
+        assert int(F.f_pow(7, 0)) == 1
+
     def test_add_sub_inverse(self):
         rng = np.random.default_rng(1)
         a = F.rand_field(rng, 64)

@@ -10,11 +10,14 @@ Invariant families, each load-bearing for the reproduction:
 5. Partitioning: Dirichlet label skew covers every sample exactly once.
 6. Aggregators: every rule is invariant to the order clients report in.
 7. SecAgg: any supra-threshold survivor set recovers the exact sum.
-8. Event engine: heap pop order and arrival plans are pure functions of
-   the event/cohort *set*, never of push or registration order.
+8. Event engine: round timelines, cutoff splits and arrival plans are
+   pure functions of the plan/cohort *set*, never of listing or
+   registration order; keyed draws for a subset are rows of the full draw.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 import pytest
@@ -24,17 +27,19 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.augment import horizontal_flip, rotate, shear, vertical_flip
 from repro.fl import (
-    Event,
-    EventQueue,
+    CountCutoff,
+    DiurnalCycle,
+    TieredArrivals,
+    TimeCutoff,
     UniformArrivals,
     average_gradients,
     dirichlet_partition_indices,
     make_aggregator,
 )
-from repro.fl.engine import EVENT_KINDS
+from repro.fl.engine import RoundPlan
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
-from repro.utils import numerical_gradient
+from repro.utils import keyed_words, numerical_gradient
 
 finite_floats = st.floats(
     min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False
@@ -313,59 +318,99 @@ class TestSecAggRecoveryProperties:
             )
 
 
-class TestEventHeapOrderInvariance:
-    """Engine invariant: pop order is a pure function of the event *set*.
+def reference_close(times, opened_at, cutoff, expected_fresh):
+    """The event-heap loop the sorted timeline replaced, as a reference.
 
-    The sort key is the event's identity ``(time, kind priority,
-    client_id)`` — never a heap insertion counter — so the order clients
-    were registered, selected, or pushed can never leak into the round's
-    timeline.  This is what makes time-cutoff arms byte-identical across
-    serial and parallel sweep executions.
+    Completions and the round's close event pop in ``(tick, kind)``
+    order, completions first at equal ticks; returns the on-time count
+    and the close tick exactly as that loop produced them.
+    """
+    if isinstance(cutoff, CountCutoff):
+        target = cutoff.target
+        if target is None:
+            target = len(times) if expected_fresh is None else expected_fresh
+        deadline, min_arrivals = None, 0
+    else:
+        target, deadline = None, opened_at + cutoff.duration
+        min_arrivals = cutoff.min_arrivals
+    events = [(tick, 0) for tick in times]
+    if deadline is not None:
+        events.append((deadline, 1))
+    heapq.heapify(events)
+    fresh, closed, closed_at = 0, target == 0, None
+    if closed:
+        closed_at = opened_at
+    deadline_passed, last_on_time = False, opened_at
+    while events:
+        tick, kind = heapq.heappop(events)
+        if kind == 1:
+            deadline_passed = True
+            if fresh >= min_arrivals or not events:
+                closed, closed_at = True, tick
+            continue
+        if not closed:
+            fresh, last_on_time = fresh + 1, tick
+            if (target is not None and fresh >= target) or (
+                deadline_passed and fresh >= min_arrivals
+            ):
+                closed, closed_at = True, tick
+    return fresh, max(last_on_time if closed_at is None else closed_at, opened_at)
+
+
+class TestRoundTimelineProperties:
+    """Engine invariant: a round's timeline is a pure function of its plan.
+
+    Completions sort on ``(tick, client_id)`` — never on the order the
+    arrival process listed them — and arrival draws are keyed per
+    ``(client, round)``, so the order clients were registered, selected
+    or dispatched can never leak into the round.  This is what makes
+    time-cutoff arms byte-identical across serial and parallel sweeps.
     """
 
-    event_triples = st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10_000),
-            st.sampled_from(EVENT_KINDS),
-            st.integers(min_value=-1, max_value=40),
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=1, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=24,
+            unique_by=lambda pair: pair[0],
         ),
-        min_size=1,
-        max_size=24,
-        unique=True,
+        seed=st.integers(min_value=0, max_value=2**16),
     )
+    def test_timeline_invariant_to_dispatch_order(self, pairs, seed):
+        order = np.random.default_rng(seed).permutation(len(pairs))
+        ids, times = RoundPlan(
+            client_ids=[pairs[i][0] for i in order],
+            times=[pairs[i][1] for i in order],
+        ).timeline()
+        expected = sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+        assert list(zip(ids.tolist(), times.tolist())) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(triples=event_triples, seed=st.integers(min_value=0, max_value=2**16))
-    def test_pop_order_invariant_to_push_order(self, triples, seed):
-        events = [Event(time=t, kind=k, client_id=c) for t, k, c in triples]
-        expected = sorted(e.sort_key for e in events)
-        order = np.random.default_rng(seed).permutation(len(events))
-        queue = EventQueue([events[i] for i in order])
-        popped = []
-        while queue:
-            popped.append(queue.pop().sort_key)
-        assert popped == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(triples=event_triples, seed=st.integers(min_value=0, max_value=2**16))
-    def test_interleaved_push_pop_emits_sorted_remainder(self, triples, seed):
-        # Pops interleaved with further pushes (the engine schedules the
-        # close event mid-round) still always emit the smallest queued
-        # keys, and the final drain is the sorted remaining set.
-        events = [Event(time=t, kind=k, client_id=c) for t, k, c in triples]
-        rng = np.random.default_rng(seed)
-        shuffled = [events[i] for i in rng.permutation(len(events))]
-        half = len(shuffled) // 2
-        queue = EventQueue(shuffled[:half])
-        early = [queue.pop().sort_key for _ in range(len(queue) // 2)]
-        assert early == sorted(e.sort_key for e in shuffled[:half])[: len(early)]
-        for event in shuffled[half:]:
-            queue.push(event)
-        drained = []
-        while queue:
-            drained.append(queue.pop().sort_key)
-        remaining = set(e.sort_key for e in events) - set(early)
-        assert drained == sorted(remaining)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Narrow tick ranges make ties, and ticks exactly at the deadline,
+        # common — the cases the kind ordering of the event loop decided.
+        offsets=st.lists(st.integers(min_value=1, max_value=12), max_size=20),
+        opened_at=st.integers(min_value=0, max_value=1000),
+        timed=st.booleans(),
+        knob=st.integers(min_value=0, max_value=8),
+        duration=st.integers(min_value=1, max_value=14),
+        expected=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    )
+    def test_cutoff_split_matches_event_loop(
+        self, offsets, opened_at, timed, knob, duration, expected
+    ):
+        times = np.sort(np.asarray(offsets, dtype=np.int64) + opened_at)
+        if timed:
+            cutoff = TimeCutoff(duration, min_arrivals=knob)
+        else:
+            cutoff = CountCutoff(target=knob or None)
+        on_time, closed_at = cutoff.close(times, opened_at, expected)
+        reference = reference_close(times.tolist(), opened_at, cutoff, expected)
+        assert (on_time, max(closed_at, opened_at)) == reference
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -382,13 +427,43 @@ class TestEventHeapOrderInvariance:
     def test_arrival_plans_invariant_to_registration_order(
         self, ids, round_index, seed, arrivals_seed
     ):
-        # Trace RNG streams are keyed per (client, round), so the plan's
+        # Trace draws are keyed per (client, round), so the plan's
         # completion tick for a client cannot depend on cohort order.
-        process = UniformArrivals(seed=arrivals_seed)
         order = np.random.default_rng(seed).permutation(len(ids))
-        base = process.plan_round(ids, round_index, 0, np.random.default_rng(0))
-        shuffled = process.plan_round(
-            [ids[i] for i in order], round_index, 0, np.random.default_rng(0)
+        for process in (
+            UniformArrivals(seed=arrivals_seed),
+            TieredArrivals(seed=arrivals_seed, diurnal=DiurnalCycle(period_s=5.0)),
+        ):
+            plans = [
+                process.plan_round(cohort, round_index, 7, np.random.default_rng(0))
+                for cohort in (ids, [ids[i] for i in order])
+            ]
+            base, shuffled = (
+                dict(zip(plan.client_ids.tolist(), plan.times.tolist()))
+                for plan in plans
+            )
+            assert shuffled == base
+            assert sorted(plans[1].unavailable) == sorted(plans[0].unavailable)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(
+            st.integers(min_value=0, max_value=2**40),
+            min_size=1,
+            max_size=32,
+            unique=True,
+        ),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**63),
+        round_index=st.integers(min_value=0, max_value=2**20),
+        k=st.integers(min_value=1, max_value=5),
+    )
+    def test_keyed_draws_for_a_subset_are_rows_of_the_full_draw(
+        self, ids, data, seed, round_index, k
+    ):
+        rows = data.draw(
+            st.lists(st.sampled_from(range(len(ids))), unique=True), label="rows"
         )
-        by_id = {s.client_id: s.time for s in base.dispatched}
-        assert {s.client_id: s.time for s in shuffled.dispatched} == by_id
+        full = keyed_words(seed, "cohort", ids, round_index, k)
+        subset = keyed_words(seed, "cohort", [ids[i] for i in rows], round_index, k)
+        np.testing.assert_array_equal(subset, full[rows].reshape(-1, k))

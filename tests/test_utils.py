@@ -9,6 +9,8 @@ from repro.nn import MLP
 from repro.tensor import Tensor
 from repro.utils import (
     derive_seed,
+    keyed_uniforms,
+    keyed_words,
     new_rng,
     numerical_gradient,
     rng_for,
@@ -73,6 +75,37 @@ class TestLabelKeyedSeeding:
         with_neighbors = derive_seed(5, "mine")
         derive_seed(5, "other")
         assert alone == with_neighbors == derive_seed(5, "mine")
+
+
+class TestKeyedDraws:
+    """keyed_words / keyed_uniforms: counter-based draws keyed per id."""
+
+    def test_shape_and_determinism(self):
+        words = keyed_words(7, "trace", [3, 1, 4], 2, k=5)
+        assert words.shape == (3, 5) and words.dtype == np.uint64
+        np.testing.assert_array_equal(words, keyed_words(7, "trace", [3, 1, 4], 2, k=5))
+
+    def test_every_key_part_changes_the_draw(self):
+        base = keyed_words(7, "trace", [3], 2, k=4)
+        for other in (
+            keyed_words(8, "trace", [3], 2, k=4),
+            keyed_words(7, "other", [3], 2, k=4),
+            keyed_words(7, "trace", [4], 2, k=4),
+            keyed_words(7, "trace", [3], 3, k=4),
+        ):
+            assert not np.intersect1d(base, other).size
+
+    def test_columns_extend_without_changing_earlier_ones(self):
+        np.testing.assert_array_equal(
+            keyed_words(1, "x", [9, 10], k=2), keyed_words(1, "x", [9, 10], k=6)[:, :2]
+        )
+
+    def test_uniforms_fill_the_open_unit_interval(self):
+        draws = keyed_uniforms(0, "u", np.arange(50_000), k=2)
+        assert 0.0 < draws.min() and draws.max() < 1.0
+        # Each decile holds a tenth of the draws, within sampling noise.
+        counts = np.histogram(draws, bins=10, range=(0.0, 1.0))[0]
+        assert np.abs(counts / draws.size - 0.1).max() < 0.01
 
 
 class TestAtomicWrite:
