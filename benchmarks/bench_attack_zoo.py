@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from common import bench_rng, cifar100_bench, record_report
-from repro.attacks import ImprintedModel, LinearClassifier, attack_spec, available_attacks, make_attack
+from repro.attacks import ATTACKS, ImprintedModel, LinearClassifier, make_attack
 from repro.defense import OasisDefense
 from repro.experiments import format_table
 from repro.fl import compute_batch_gradients
@@ -41,11 +41,10 @@ MATCH_DB = 18.0
 
 def _one_round(attack_name: str, defense):
     dataset = cifar100_bench()
-    spec = attack_spec(attack_name)
     attack = make_attack(
         attack_name, NUM_NEURONS, dataset.images[:128], seed=7
     )
-    if spec.model == "linear":
+    if attack.model_family == "linear":
         model = LinearClassifier(
             dataset.image_shape, dataset.num_classes,
             rng=bench_rng(11),
@@ -89,7 +88,7 @@ def test_attack_zoo_grid(benchmark):
                 "WO": _one_round(name, None),
                 "MR+SH": _one_round(name, OasisDefense("MR+SH")),
             }
-            for name in available_attacks()
+            for name in ATTACKS.names()
         },
         rounds=1,
         iterations=1,
@@ -106,7 +105,7 @@ def test_attack_zoo_grid(benchmark):
         ])
         # Gate 1: the attack works when nothing defends.
         assert arms["WO"]["matches_over_18db"] >= 1, name
-        if attack_spec(name).model == "imprint":
+        if ATTACKS.get(name).model_family == "imprint":
             assert arms["WO"]["best_psnr"] > 100.0, name
         # Gate 2: MR+SH drops the match rate.
         assert (

@@ -1,8 +1,8 @@
 """Active reconstruction attacks: the pluggable attack zoo.
 
 Built-in entries: RTF, CAH, linear-model inversion, QBI, and LOKI — all
-registered in :mod:`repro.attacks.registry` and resolvable by name through
-:func:`make_attack`.
+registered in :data:`ATTACKS` (:mod:`repro.attacks.registry`) and
+resolvable by name through :func:`make_attack`.
 """
 
 from repro.attacks.base import (
@@ -22,18 +22,7 @@ from repro.attacks.imprint import (
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack, sole_activation_probability
-from repro.attacks.registry import (
-    AttackKnob,
-    AttackRegistryError,
-    AttackSpec,
-    DuplicateAttackError,
-    UnknownAttackError,
-    attack_spec,
-    available_attacks,
-    make_attack,
-    register_attack,
-    unregister_attack,
-)
+from repro.attacks.registry import ATTACKS, make_attack
 from repro.attacks.rtf import RTFAttack
 from repro.attacks.traps import TrapImprintAttack
 
@@ -55,14 +44,6 @@ __all__ = [
     "sole_activation_probability",
     "LinearClassifier",
     "LinearModelInversion",
-    "AttackSpec",
-    "AttackKnob",
-    "AttackRegistryError",
-    "UnknownAttackError",
-    "DuplicateAttackError",
-    "register_attack",
-    "unregister_attack",
-    "attack_spec",
-    "available_attacks",
+    "ATTACKS",
     "make_attack",
 ]

@@ -60,9 +60,13 @@ class ActiveReconstructionAttack:
     2. The (honest) client computes batch gradients on the crafted model.
     3. ``reconstruct(gradients)`` — the server inverts the uploaded
        gradients into candidate training images.
+
+    ``model_family`` names the global model the attack targets, so grid
+    runners build the right architecture per cell.
     """
 
     name = "abstract"
+    model_family = "imprint"
 
     def craft(self, model: ImprintedModel) -> None:
         raise NotImplementedError

@@ -57,10 +57,14 @@ class LinearModelInversion:
     """
 
     name = "linear"
+    model_family = "linear"
 
     def __init__(self, signal_tolerance: float = 1e-10) -> None:
         self.signal_tolerance = signal_tolerance
         self._image_shape: Optional[tuple[int, int, int]] = None
+
+    def calibrate_from_public_data(self, public_images: np.ndarray) -> None:
+        """Nothing to calibrate: the inversion reads honest gradients."""
 
     def craft(self, model: LinearClassifier) -> None:
         """No parameter manipulation; remembers the image geometry."""

@@ -1,44 +1,30 @@
-"""Pluggable attack registry: name -> factory with declared config knobs.
+"""The attack zoo: a :class:`~repro.registry.Registry` of attack classes.
 
 The sweep engine grids over attacks the same way it grids over
 transformation suites and participation scenarios, so the attack axis must
-be *data*, not a hard-coded if/elif chain.  Each attack registers an
-:class:`AttackSpec` — its factory, which global model it targets, and the
-config knobs it exposes — and every consumer (``SweepRunner``, the CLI's
-``--attacks`` flag, the per-figure harnesses, tests) resolves attacks
-through :func:`make_attack`.
+be *data*, not a hard-coded if/elif chain.  Every consumer
+(``SweepRunner``, the CLI's ``--attacks`` flag, the per-figure harnesses,
+tests) resolves attacks through :func:`make_attack`.
 
-Adding an attack to the zoo:
+An attack's knobs are its constructor's keyword parameters; ``num_neurons``
+and ``seed`` are offered as context and passed only to constructors that
+take them.  The global-model family an attack targets is its
+``model_family`` class attribute (``"imprint"`` for the malicious-layer
+attacks, ``"linear"`` for single-layer gradient inversion), which grid
+runners read to build the right architecture per cell.
 
-1. Implement :class:`~repro.attacks.base.ActiveReconstructionAttack`
-   (``craft`` + ``reconstruct``; optionally ``calibrate_from_public_data``,
-   and the large-scale hooks ``craft_for_client`` /
-   ``reconstruct_per_client`` — see :mod:`repro.attacks.loki`).
-2. Register it::
+Adding an attack: implement
+:class:`~repro.attacks.base.ActiveReconstructionAttack` (``craft`` +
+``reconstruct``; optionally ``calibrate_from_public_data``, and the
+large-scale hooks ``craft_for_client`` / ``reconstruct_per_client`` — see
+:mod:`repro.attacks.loki`), then register it here::
 
-       register_attack(AttackSpec(
-           name="myattack",
-           factory=_make_myattack,
-           model="imprint",
-           description="one line for --help and docs",
-           knobs=(AttackKnob("strength", 1.0, "what it does"),),
-       ))
-
-3. It is now reachable from ``python -m repro.experiments.sweep
-   --attacks myattack`` and every registry-driven test picks it up
-   automatically.
-
-Register at import time, in a module that parallel sweep workers also
-import: under the ``spawn`` start method (the default off Linux) each
-worker re-imports this registry fresh, so a registration executed only
-in the parent process is invisible to workers and that attack's cells
-fail with :class:`UnknownAttackError` despite a working serial run.
+    ATTACKS.register("myattack", MyAttack)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,93 +34,9 @@ from repro.attacks.linear import LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack
 from repro.attacks.rtf import RTFAttack
+from repro.registry import IDENTIFIER_PATTERN, Registry
 
-
-class AttackRegistryError(ValueError):
-    """Base for registry misuse errors."""
-
-
-class UnknownAttackError(AttackRegistryError):
-    """The requested attack name is not registered."""
-
-
-class DuplicateAttackError(AttackRegistryError):
-    """An attack name is already registered (pass ``replace=True`` to allow)."""
-
-
-@dataclass(frozen=True)
-class AttackKnob:
-    """One declared configuration knob of a registered attack."""
-
-    name: str
-    default: object
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """Everything the zoo knows about one attack.
-
-    ``factory`` is called as ``factory(num_neurons, public_images, seed,
-    **knobs)`` and must return a calibrated, ready-to-``craft`` attack.
-    ``model`` names the global-model family the attack targets
-    (``"imprint"`` for the malicious-layer attacks, ``"linear"`` for
-    single-layer gradient inversion) so grid runners can build the right
-    architecture per cell.  ``crafts_model`` is False for passive attacks
-    that never modify parameters (nothing for client-side detection to
-    flag).
-    """
-
-    name: str
-    factory: Callable[..., ActiveReconstructionAttack]
-    model: str = "imprint"
-    crafts_model: bool = True
-    description: str = ""
-    knobs: tuple[AttackKnob, ...] = field(default_factory=tuple)
-
-    def knob_names(self) -> set[str]:
-        return {knob.name for knob in self.knobs}
-
-
-_REGISTRY: dict[str, AttackSpec] = {}
-
-
-def register_attack(spec: AttackSpec, replace: bool = False) -> AttackSpec:
-    """Add ``spec`` to the zoo; duplicate names are an error unless replacing."""
-    if not spec.name or not spec.name.isidentifier():
-        raise AttackRegistryError(
-            f"attack name {spec.name!r} must be a non-empty identifier"
-        )
-    if spec.name in _REGISTRY and not replace:
-        raise DuplicateAttackError(
-            f"attack {spec.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_attack(name: str) -> None:
-    """Remove an attack from the zoo (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownAttackError(f"cannot unregister unknown attack {name!r}")
-    del _REGISTRY[name]
-
-
-def attack_spec(name: str) -> AttackSpec:
-    """Look up a registered attack, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownAttackError(
-            f"unknown attack {name!r}; registered attacks: "
-            f"{', '.join(available_attacks())}"
-        ) from None
-
-
-def available_attacks() -> tuple[str, ...]:
-    """All registered attack names, in registration order."""
-    return tuple(_REGISTRY)
+ATTACKS = Registry("attack", pattern=IDENTIFIER_PATTERN)
 
 
 def make_attack(
@@ -144,127 +46,20 @@ def make_attack(
     seed: int = 0,
     **knobs,
 ) -> ActiveReconstructionAttack:
-    """Build a calibrated attack from the zoo.
+    """Build an attack from the zoo, calibrated on ``public_images``.
 
-    ``knobs`` must be declared by the attack's spec — an undeclared knob
-    is a configuration typo, and silently dropping it would run a
-    different experiment than the one asked for.
+    ``knobs`` must be keyword parameters of the attack's constructor — an
+    undeclared knob is a configuration typo, and silently dropping it
+    would run a different experiment than the one asked for.
     """
-    spec = attack_spec(name)
-    unknown = set(knobs) - spec.knob_names()
-    if unknown:
-        raise AttackRegistryError(
-            f"unknown knob(s) {sorted(unknown)} for attack {name!r}; "
-            f"declared knobs: {sorted(spec.knob_names())}"
-        )
-    return spec.factory(num_neurons, public_images, seed, **knobs)
-
-
-def _calibrated(attack, public_images):
+    attack = ATTACKS.build(name, knobs, num_neurons=num_neurons, seed=seed)
     if public_images is not None and len(public_images):
         attack.calibrate_from_public_data(public_images)
     return attack
 
 
-def _make_rtf(num_neurons, public_images, seed, **knobs):
-    return _calibrated(RTFAttack(num_neurons, **knobs), public_images)
-
-
-def _make_cah(num_neurons, public_images, seed, **knobs):
-    return _calibrated(CAHAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_qbi(num_neurons, public_images, seed, **knobs):
-    return _calibrated(QBIAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_loki(num_neurons, public_images, seed, **knobs):
-    return _calibrated(LOKIAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_linear(num_neurons, public_images, seed, **knobs):
-    # Nothing to craft or calibrate: the inversion reads honest gradients.
-    return LinearModelInversion(**knobs)
-
-
-register_attack(AttackSpec(
-    name="rtf",
-    factory=_make_rtf,
-    description=(
-        "Robbing the Fed: one measurement direction, quantile-staggered "
-        "biases, successive-difference bin inversion (Fowl et al. 2022)"
-    ),
-    knobs=(
-        AttackKnob("measurement_mean", 0.5, "prior mean of the measurement"),
-        AttackKnob("measurement_std", 0.1, "prior std of the measurement"),
-        AttackKnob("scale", 1.0, "crafted weight magnitude"),
-        AttackKnob("signal_tolerance", 1e-10, "empty-bin threshold"),
-        AttackKnob(
-            "denominator_floor", None,
-            "clamp for near-empty bin denominators (noise amplification cap)",
-        ),
-    ),
-))
-
-register_attack(AttackSpec(
-    name="cah",
-    factory=_make_cah,
-    description=(
-        "Curious Abandon Honesty: random trap weights at a fixed small "
-        "activation probability (Boenisch et al. 2023)"
-    ),
-    knobs=(
-        AttackKnob("activation_probability", 0.02, "target P(trap fires)"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
-    ),
-))
-
-register_attack(AttackSpec(
-    name="linear",
-    factory=_make_linear,
-    model="linear",
-    crafts_model=False,
-    description=(
-        "Single-layer logistic-model gradient inversion, class row by "
-        "class row (paper Sec. IV-D)"
-    ),
-    knobs=(
-        AttackKnob("signal_tolerance", 1e-10, "absent-class threshold"),
-    ),
-))
-
-register_attack(AttackSpec(
-    name="qbi",
-    factory=_make_qbi,
-    description=(
-        "Quantile-based bias initialization: trap biases at the empirical "
-        "1-1/B quantile, maximizing sole activations (Nowak et al. 2024)"
-    ),
-    knobs=(
-        AttackKnob("expected_batch_size", 8, "batch size B the server expects"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
-    ),
-))
-
-register_attack(AttackSpec(
-    name="loki",
-    factory=_make_loki,
-    description=(
-        "LOKI-style scaled imprint: per-client-disjoint trap blocks "
-        "recovered from the FedAvg aggregate (Zhao et al. 2023)"
-    ),
-    knobs=(
-        AttackKnob("activation_probability", 0.05, "per-block P(trap fires)"),
-        AttackKnob("scale", 1.0, "block amplification (stealth/robustness)"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
-    ),
-))
+ATTACKS.register("rtf", RTFAttack)
+ATTACKS.register("cah", CAHAttack)
+ATTACKS.register("linear", LinearModelInversion)
+ATTACKS.register("qbi", QBIAttack)
+ATTACKS.register("loki", LOKIAttack)

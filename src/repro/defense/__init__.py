@@ -13,23 +13,7 @@ from repro.defense.baselines import (
 from repro.defense.detection import DetectionReport, inspect_state
 from repro.defense.oasis import OasisDefense
 from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
-from repro.defense.registry import (
-    DefenseKnob,
-    DefenseRegistryError,
-    DefenseSpec,
-    DefenseSpecError,
-    DuplicateDefenseError,
-    UnknownDefenseError,
-    available_defenses,
-    canonical_spec,
-    defense_spec,
-    make_defense,
-    parse_defense_spec,
-    register_defense,
-    split_spec_list,
-    unregister_defense,
-    validate_defense_spec,
-)
+from repro.defense.registry import DEFENSES, make_defense, validate_defense_spec
 from repro.defense.tabular import (
     GroupPermutation,
     MeanPreservingJitter,
@@ -48,20 +32,8 @@ __all__ = [
     "GradientPruningDefense",
     "TransformReplaceDefense",
     "defense_lineup",
-    "DefenseKnob",
-    "DefenseSpec",
-    "DefenseRegistryError",
-    "DefenseSpecError",
-    "DuplicateDefenseError",
-    "UnknownDefenseError",
-    "available_defenses",
-    "canonical_spec",
-    "defense_spec",
+    "DEFENSES",
     "make_defense",
-    "parse_defense_spec",
-    "register_defense",
-    "split_spec_list",
-    "unregister_defense",
     "validate_defense_spec",
     "ActivationOverlapReport",
     "activation_overlap_report",

@@ -195,9 +195,8 @@ def defense_lineup(names: Sequence[str]) -> list[ClientDefense]:
 
     Registry-backed: ``"WO"`` maps to no defense, suite names to OASIS,
     and any registered spec (``"dpsgd"``, ``"MR>dpsgd"``...) works too.
-    Unknown names raise
-    :class:`~repro.defense.registry.UnknownDefenseError` listing the
-    available defenses instead of an opaque ``KeyError``.
+    Unknown names raise :class:`~repro.registry.UnknownNameError` listing
+    the available defenses instead of an opaque ``KeyError``.
     """
     # Imported lazily: the registry module imports this one for the
     # baseline classes it registers.

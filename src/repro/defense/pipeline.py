@@ -32,10 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.defense.base import ClientDefense
+from repro.registry import STAGE_SEPARATOR
 from repro.utils.rng import derive_seed
-
-# The stage separator of the registry's spec-string grammar ("MR>dpsgd").
-STAGE_SEPARATOR = ">"
 
 
 class DefensePipeline(ClientDefense):

@@ -1,62 +1,37 @@
-"""Pluggable defense registry: spec strings -> composable client defenses.
+"""The defense registry: spec strings -> composable client defenses.
 
 The sweep engine grids over defenses the same way it grids over attacks
 (:mod:`repro.attacks.registry`), so the defense axis must be *data*, not a
-hard-coded ``"WO" | OasisDefense(name)`` branch.  Each defense registers a
-:class:`DefenseSpec` — its factory, which pipeline stage it acts at, and
-the config knobs it exposes — and every consumer (``SweepRunner``, the
-CLI's ``--defenses`` flag, the per-figure harnesses, tests) resolves
-defenses through :func:`make_defense`.
+hard-coded ``"WO" | OasisDefense(name)`` branch.  :data:`DEFENSES` maps
+each name to a factory whose keyword parameters are its knobs, and every
+consumer (``SweepRunner``, the CLI's ``--defenses`` flag, the per-figure
+harnesses, tests) resolves defenses through :func:`make_defense`.
 
-Spec-string grammar
--------------------
-
-One defense arm is a ``">"``-separated chain of stages; each stage is a
-registered name with optional ``knob=value`` arguments::
+One defense arm is a spec in the :mod:`repro.registry` grammar::
 
     WO                              # no defense
     MR+SH                           # OASIS with the MR+SH suite
     dpsgd(noise_multiplier=0.5)     # DP-SGD with a non-default knob
     MR>dpsgd                        # OASIS composed with DP-SGD
-    SH>prune(prune_fraction=0.8)>dpfed
 
 Multi-stage specs build a
 :class:`~repro.defense.pipeline.DefensePipeline`; a single stage returns
-the bare defense.  Values parse as Python literals (``0.5``, ``True``)
-with bare words falling back to strings (``suite=MR``).
+the bare defense.
 
-Adding a defense:
+Adding a defense: implement :class:`~repro.defense.base.ClientDefense`
+(override only the hooks you use; override ``reseed`` only if you hold
+private state beyond the base class's ``_rng``), then register a factory
+whose keyword parameters are exactly the knobs — seeding is applied
+afterwards through :meth:`~ClientDefense.reseed`, never by the factory::
 
-1. Implement :class:`~repro.defense.base.ClientDefense` (override only the
-   hooks you use; override ``reseed`` only if you hold private state
-   beyond the base class's ``_rng``).
-2. Register it::
-
-       register_defense(DefenseSpec(
-           name="mydefense",
-           factory=_make_mydefense,
-           stage="gradient",
-           description="one line for --help and docs",
-           knobs=(DefenseKnob("strength", 1.0, "what it does"),),
-       ))
-
-3. It is now reachable from ``python -m repro.experiments.sweep
-   --defenses mydefense`` (and composable: ``MR>mydefense``), and every
-   registry-driven test picks it up automatically.
-
-Register at import time, in a module that parallel sweep workers also
-import: under the ``spawn`` start method each worker re-imports this
-registry fresh, so a parent-only registration is invisible to workers.
+    DEFENSES.register("mydefense", MyDefense)
 """
 
 from __future__ import annotations
 
-import ast
-import re
-from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
-from repro.augment.suites import available_suites, suite_by_name
+from repro.augment.suites import available_suites
 from repro.defense.base import ClientDefense, NoDefense
 from repro.defense.baselines import (
     DPGradientDefense,
@@ -65,218 +40,18 @@ from repro.defense.baselines import (
     TransformReplaceDefense,
 )
 from repro.defense.oasis import OasisDefense
-from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
+from repro.defense.pipeline import DefensePipeline
 from repro.defense.tabular import TabularOasisDefense
+from repro.registry import (
+    Registry,
+    RegistryError,
+    SpecError,
+    canonical_spec,
+    parse_spec,
+)
 from repro.utils.rng import derive_seed
 
-
-class DefenseRegistryError(ValueError):
-    """Base for registry misuse errors."""
-
-
-class UnknownDefenseError(DefenseRegistryError):
-    """The requested defense name is not registered."""
-
-
-class DuplicateDefenseError(DefenseRegistryError):
-    """A defense name is already registered (pass ``replace=True`` to allow)."""
-
-
-class DefenseSpecError(DefenseRegistryError):
-    """A defense spec string does not parse under the stage grammar."""
-
-
-@dataclass(frozen=True)
-class DefenseKnob:
-    """One declared configuration knob of a registered defense."""
-
-    name: str
-    default: object
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class DefenseSpec:
-    """Everything the registry knows about one defense.
-
-    ``factory`` is called as ``factory(**knobs)`` and must return a
-    ready-to-use :class:`~repro.defense.base.ClientDefense`; seeding is
-    applied afterwards through :meth:`~ClientDefense.reseed`, never inside
-    the factory.  ``stage`` names the pipeline point the defense acts at
-    (``"batch"``, ``"gradient"``, or ``"none"`` for the WO arm) and
-    ``stochastic`` marks defenses that draw randomness — the ones whose
-    cells depend on fingerprint-derived seeding for order invariance.
-    """
-
-    name: str
-    factory: Callable[..., ClientDefense]
-    stage: str = "batch"
-    stochastic: bool = False
-    description: str = ""
-    knobs: tuple[DefenseKnob, ...] = field(default_factory=tuple)
-
-    def knob_names(self) -> set[str]:
-        return {knob.name for knob in self.knobs}
-
-
-# Registered names may carry "+" (suite unions like MR+SH) but none of the
-# grammar's structural characters (">", parens, commas, "=", whitespace).
-_NAME_PATTERN = re.compile(r"^[A-Za-z0-9_+-]+$")
-
-_REGISTRY: dict[str, DefenseSpec] = {}
-
-
-def register_defense(spec: DefenseSpec, replace: bool = False) -> DefenseSpec:
-    """Add ``spec`` to the registry; duplicates are an error unless replacing."""
-    if not spec.name or not _NAME_PATTERN.match(spec.name):
-        raise DefenseRegistryError(
-            f"defense name {spec.name!r} must be non-empty and use only "
-            "letters, digits, '_', '+', '-' (the spec grammar reserves "
-            "'>', parentheses, commas, and '=')"
-        )
-    if spec.name in _REGISTRY and not replace:
-        raise DuplicateDefenseError(
-            f"defense {spec.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_defense(name: str) -> None:
-    """Remove a defense from the registry (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownDefenseError(f"cannot unregister unknown defense {name!r}")
-    del _REGISTRY[name]
-
-
-def defense_spec(name: str) -> DefenseSpec:
-    """Look up a registered defense, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownDefenseError(
-            f"unknown defense {name!r}; registered defenses: "
-            f"{', '.join(available_defenses())}"
-        ) from None
-
-
-def available_defenses() -> tuple[str, ...]:
-    """All registered defense names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def _parse_value(text: str):
-    """A knob value: a Python literal, or a bare word as a string."""
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
-
-
-_STAGE_PATTERN = re.compile(
-    r"^(?P<name>[A-Za-z0-9_+-]+)(?:\((?P<kwargs>.*)\))?$"
-)
-
-
-def _parse_stage(token: str, spec: str) -> tuple[str, dict]:
-    match = _STAGE_PATTERN.match(token)
-    if match is None:
-        raise DefenseSpecError(
-            f"cannot parse defense stage {token!r} in spec {spec!r}; "
-            "expected name or name(knob=value, ...)"
-        )
-    name = match.group("name")
-    kwargs: dict = {}
-    body = match.group("kwargs")
-    if body:
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, separator, value = part.partition("=")
-            if not separator or not key.strip():
-                raise DefenseSpecError(
-                    f"cannot parse knob {part!r} of stage {token!r} in spec "
-                    f"{spec!r}; expected knob=value"
-                )
-            kwargs[key.strip()] = _parse_value(value.strip())
-    return name, kwargs
-
-
-def parse_defense_spec(spec: str) -> list[tuple[str, dict]]:
-    """Parse a spec string into ``[(stage_name, knob_dict), ...]``.
-
-    Purely syntactic — names are not resolved against the registry here,
-    so callers can report unknown-name and bad-grammar problems
-    separately.
-    """
-    tokens = [token.strip() for token in spec.split(STAGE_SEPARATOR)]
-    if not spec.strip() or any(not token for token in tokens):
-        raise DefenseSpecError(
-            f"empty stage in defense spec {spec!r}; expected "
-            "name or name>name>... chains"
-        )
-    return [_parse_stage(token, spec) for token in tokens]
-
-
-def split_spec_list(text: str) -> list[str]:
-    """Split a comma-separated list of defense specs, respecting parens.
-
-    The CLI's ``--defenses`` values look like
-    ``"WO,MR,dpsgd(clip_norm=2.0,noise_multiplier=0.5),MR>dpsgd"`` — commas
-    inside a stage's knob parentheses separate knobs, not arms.  Empty
-    items are dropped, whitespace trimmed; an unbalanced parenthesis is a
-    grammar error.
-    """
-    specs: list[str] = []
-    current: list[str] = []
-    depth = 0
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-            if depth < 0:
-                raise DefenseSpecError(
-                    f"unbalanced ')' in defense spec list {text!r}"
-                )
-        if char == "," and depth == 0:
-            specs.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    if depth != 0:
-        raise DefenseSpecError(f"unbalanced '(' in defense spec list {text!r}")
-    specs.append("".join(current).strip())
-    return [spec for spec in specs if spec]
-
-
-def canonical_spec(spec: str) -> str:
-    """Fully-normalized spec string — :func:`make_defense`'s seeding key.
-
-    Rendered back from the parsed form with knobs sorted by name and no
-    incidental whitespace, so every spelling of the same configuration
-    (``"dpsgd(a=1, b=2)"``, ``"dpsgd(b=2,a=1)"``, ``" dpsgd(a=1,b=2) "``)
-    hands ``make_defense(spec, seed=...)`` the same private streams.
-
-    Scope note: sweep grids key their cells (store cache, cell seeds) by
-    the *literal* arm string — two spellings of one configuration are two
-    distinct arms there, each internally deterministic.  Keep the
-    spelling stable between a run and its ``--resume``; this helper only
-    guarantees that direct ``make_defense``/``defense_from_name`` callers
-    (lineups, per-trial defenses) are spelling-invariant.
-    """
-    stages = []
-    for name, kwargs in parse_defense_spec(spec):
-        if kwargs:
-            rendered = ",".join(
-                f"{key}={kwargs[key]!r}" for key in sorted(kwargs)
-            )
-            stages.append(f"{name}({rendered})")
-        else:
-            stages.append(name)
-    return STAGE_SEPARATOR.join(stages)
+DEFENSES = Registry("defense")
 
 
 def validate_defense_spec(spec: str) -> None:
@@ -316,33 +91,25 @@ def make_defense(
     """
     if isinstance(spec, ClientDefense):
         if knobs:
-            raise DefenseRegistryError(
+            raise RegistryError(
                 "knobs cannot be applied to an already-built defense "
                 f"instance {spec.name!r}"
             )
         if seed is not None:
             spec.reseed(derive_seed(seed, "defense", spec.name))
         return spec
-    stages = parse_defense_spec(spec)
+    stages = parse_spec(spec)
     if knobs and len(stages) != 1:
-        raise DefenseRegistryError(
+        raise RegistryError(
             f"keyword knobs are ambiguous for the multi-stage spec {spec!r}; "
             "write them into the spec string per stage, e.g. "
             "'MR>dpsgd(noise_multiplier=0.5)'"
         )
     built: list[ClientDefense] = []
     for name, kwargs in stages:
-        registered = defense_spec(name)
-        merged = {**kwargs, **knobs} if len(stages) == 1 else kwargs
-        unknown = set(merged) - registered.knob_names()
-        if unknown:
-            raise DefenseRegistryError(
-                f"unknown knob(s) {sorted(unknown)} for defense {name!r}; "
-                f"declared knobs: {sorted(registered.knob_names())}"
-            )
         try:
-            built.append(registered.factory(**merged))
-        except DefenseRegistryError:
+            built.append(DEFENSES.build(name, {**kwargs, **knobs}))
+        except RegistryError:
             raise
         except (ValueError, KeyError, TypeError) as error:
             # Normalize factory rejections (a negative clip_norm, an
@@ -351,7 +118,7 @@ def make_defense(
             # so every bad spec is catchable the same way — the CLI and
             # grid runners fail fast with one usage error, never a raw
             # traceback.
-            raise DefenseSpecError(
+            raise SpecError(
                 f"cannot build stage {name!r} of defense spec {spec!r}: "
                 f"{error}"
             ) from error
@@ -366,131 +133,33 @@ def make_defense(
 # --------------------------------------------------------------------------
 
 
-def _make_none(**knobs):
-    return NoDefense()
-
-
-def _make_oasis(suite: str):
-    def factory(include_original: bool = True):
-        return OasisDefense(suite, include_original=include_original)
-
-    return factory
-
-
 def _make_dpsgd(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
+    """DP-SGD: per-example clipping + Gaussian noise sigma = z*C/B."""
     return DPSGDDefense(clip_norm=clip_norm, noise_multiplier=noise_multiplier)
 
 
 def _make_dpfed(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
+    """Update-level DP (DP-FedSGD): clip the update, add N(0, (z*C)^2)."""
     return DPGradientDefense(
         clip_norm=clip_norm, noise_multiplier=noise_multiplier
     )
 
 
-def _make_prune(prune_fraction: float = 0.9):
-    return GradientPruningDefense(prune_fraction=prune_fraction)
-
-
 def _make_ats(suite: str = "MR"):
+    """ATSPrivacy-style transform-replace, batch size unchanged."""
     return TransformReplaceDefense(suite=suite)
 
 
 def _make_tabular(num_features: int = 8):
+    """Tabular OASIS: group permutation + mean-preserving jitter."""
     return TabularOasisDefense(num_features=num_features)
 
 
-register_defense(DefenseSpec(
-    name="WO",
-    factory=_make_none,
-    stage="none",
-    description="no defense — the paper's without-OASIS baseline arm",
-))
-
+DEFENSES.register("WO", NoDefense)
 for _suite_name in available_suites():
-    register_defense(DefenseSpec(
-        name=_suite_name,
-        factory=_make_oasis(_suite_name),
-        stage="batch",
-        description=(
-            f"OASIS batch expansion with the {_suite_name} suite "
-            f"({len(suite_by_name(_suite_name))} transforms; paper Eq. 7)"
-        ),
-        knobs=(
-            DefenseKnob(
-                "include_original", True,
-                "keep originals in D' (disable only for ablations)",
-            ),
-        ),
-    ))
-
-register_defense(DefenseSpec(
-    name="dpsgd",
-    factory=_make_dpsgd,
-    stage="gradient",
-    stochastic=True,
-    description=(
-        "DP-SGD: per-example clipping + Gaussian noise sigma = z*C/B "
-        "(Abadi et al.; the paper's utility-cost baseline)"
-    ),
-    knobs=(
-        DefenseKnob("clip_norm", 1.0, "per-example L2 clip C"),
-        DefenseKnob("noise_multiplier", 0.1, "noise multiplier z"),
-    ),
-))
-
-register_defense(DefenseSpec(
-    name="dpfed",
-    factory=_make_dpfed,
-    stage="gradient",
-    stochastic=True,
-    description=(
-        "update-level DP (DP-FedSGD): clip the whole update, add "
-        "N(0, (z*C)^2) before upload"
-    ),
-    knobs=(
-        DefenseKnob("clip_norm", 1.0, "update L2 clip C"),
-        DefenseKnob("noise_multiplier", 0.1, "noise multiplier z = sigma/C"),
-    ),
-))
-
-register_defense(DefenseSpec(
-    name="prune",
-    factory=_make_prune,
-    stage="gradient",
-    description=(
-        "gradient magnitude pruning (Zhu et al. / Soteria-style); the "
-        "paper notes pruned gradients still leak content"
-    ),
-    knobs=(
-        DefenseKnob("prune_fraction", 0.9, "fraction of entries zeroed"),
-    ),
-))
-
-register_defense(DefenseSpec(
-    name="ats",
-    factory=_make_ats,
-    stage="batch",
-    stochastic=True,
-    description=(
-        "ATSPrivacy-style transform-replace (Gao et al. 2021): each image "
-        "replaced by one transformed version, batch size unchanged "
-        "(RTF defeats it — paper Fig. 14)"
-    ),
-    knobs=(
-        DefenseKnob("suite", "MR", "transformation suite to draw from"),
-    ),
-))
-
-register_defense(DefenseSpec(
-    name="tabular",
-    factory=_make_tabular,
-    stage="batch",
-    stochastic=True,
-    description=(
-        "tabular OASIS: group permutation + mean-preserving jitter "
-        "companions for feature rows (paper future-work direction)"
-    ),
-    knobs=(
-        DefenseKnob("num_features", 8, "row width the default transforms cover"),
-    ),
-))
+    DEFENSES.register(_suite_name, partial(OasisDefense, _suite_name))
+DEFENSES.register("dpsgd", _make_dpsgd)
+DEFENSES.register("dpfed", _make_dpfed)
+DEFENSES.register("prune", GradientPruningDefense)
+DEFENSES.register("ats", _make_ats)
+DEFENSES.register("tabular", _make_tabular)

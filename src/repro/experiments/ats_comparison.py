@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.imprint import ImprintedModel
+from repro.attacks.registry import make_attack
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.baselines import TransformReplaceDefense
 from repro.defense.oasis import OasisDefense
-from repro.experiments.runner import make_attack
 from repro.fl.gradients import compute_batch_gradients
 from repro.metrics.psnr import average_attack_psnr
 from repro.nn.losses import CrossEntropyLoss

@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
+from repro.defense.registry import make_defense
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    defense_from_name,
-    evaluate_attack_cell,
-    run_linear_trial,
-)
+from repro.experiments.runner import evaluate_attack_cell, run_linear_trial
 from repro.experiments.sweep import (
     SweepStore,
     dataset_fingerprint,
@@ -179,7 +176,7 @@ def run_linear_lineup(
             result = run_linear_trial(
                 dataset,
                 batch_size,
-                defense=defense_from_name(defense_name, seed=trial_seed),
+                defense=make_defense(defense_name, seed=trial_seed),
                 seed=trial_seed,
             )
             scores.extend(result.psnrs)

@@ -17,10 +17,11 @@ import numpy as np
 from repro.attacks.base import ReconstructionResult
 from repro.attacks.imprint import ImprintedModel
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import make_attack as registry_make_attack
+from repro.attacks.registry import make_attack
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
+from repro.defense.registry import make_defense
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
 from repro.nn.losses import CrossEntropyLoss, LogisticLoss
@@ -43,41 +44,6 @@ class AttackTrialResult:
         if not self.psnrs:
             return 0.0
         return float(np.mean(self.psnrs))
-
-
-def make_attack(
-    name: str,
-    num_neurons: int,
-    public_images: np.ndarray,
-    seed: int = 0,
-    **knobs,
-):
-    """Build a calibrated attack from the zoo (any registered name).
-
-    Thin delegate to :func:`repro.attacks.registry.make_attack`, kept here
-    because every per-figure harness historically imported it from this
-    module.  Unknown names raise
-    :class:`~repro.attacks.registry.UnknownAttackError` (a ``ValueError``).
-    """
-    return registry_make_attack(
-        name, num_neurons, public_images, seed=seed, **knobs
-    )
-
-
-def defense_from_name(name: str, seed: "int | None" = None) -> ClientDefense:
-    """Resolve a defense-arm spec string through the defense registry.
-
-    ``"WO"`` (no defense), OASIS suite names, gradient-space baselines
-    (``"dpsgd"``, ``"prune"``, ...), and composed stacks (``"MR>dpsgd"``)
-    all work — see :mod:`repro.defense.registry` for the grammar.  With
-    ``seed``, stochastic defenses get a private fingerprint-derived
-    generator so trials stay order-invariant.  Unknown names raise
-    :class:`~repro.defense.registry.UnknownDefenseError` (a ``ValueError``)
-    listing what is available.
-    """
-    from repro.defense.registry import make_defense
-
-    return make_defense(name, seed=seed)
 
 
 def evaluate_attack_cell(payload: dict):
@@ -128,7 +94,7 @@ def evaluate_attack_cell(payload: dict):
                 # (DP noise, transform-replace) must not thread one stream
                 # across trials, or the distribution would depend on how
                 # many trials ran before this one.
-                defense=defense_from_name(payload["defense"], seed=trial_seed),
+                defense=make_defense(payload["defense"], seed=trial_seed),
                 seed=trial_seed,
             )
             scores.extend(result.psnrs)

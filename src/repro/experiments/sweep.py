@@ -19,9 +19,8 @@ module provides that engine:
   file per cell — O(N^2) bytes over a run) and only a ``key -> offset``
   index stays in memory; values are read back lazily and
   :meth:`SweepStore.iter_cells` streams the grid without materializing
-  it.  Completed runs compact the log into canonical sorted-key order,
-  and stores written by the old JSON format migrate transparently on
-  first write.  The per-figure harnesses (``attack_sweep``,
+  it.  Completed runs compact the log into canonical sorted-key order.
+  The per-figure harnesses (``attack_sweep``,
   ``defense_eval``) share the same store for their own grids.
 - :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
   *how* the pending cells run: in-process, or pulled by worker processes
@@ -54,7 +53,7 @@ cell's — reproduced by :func:`headline_ordering_holds`.
 
 Both grid axes resolve through pluggable registries.  The attack axis
 (:mod:`repro.attacks.registry`): any registered name works, the cell's
-global model follows the attack's declared family (imprint vs linear),
+global model follows the attack's ``model_family`` (imprint vs linear),
 and aggregate-reconstructing attacks (LOKI) ride the dishonest server's
 per-client crafting hooks transparently.  The defense axis
 (:mod:`repro.defense.registry`): arms are spec strings — ``"WO"``, OASIS
@@ -106,22 +105,13 @@ from repro.data.synthetic import (
     make_synthetic_dataset,
     synthetic_cifar100,
 )
-from repro.attacks.registry import (
-    UnknownAttackError,
-    attack_spec,
-    available_attacks,
-    make_attack,
-)
-from repro.defense.registry import (
-    available_defenses,
-    make_defense,
-    split_spec_list,
-    validate_defense_spec,
-)
+from repro.attacks.registry import ATTACKS, make_attack
+from repro.defense.registry import DEFENSES, make_defense, validate_defense_spec
 from repro.experiments.reporting import format_table
 from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
+from repro.registry import UnknownNameError, split_spec_list
 from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
 
@@ -364,11 +354,10 @@ class SweepStore:
     compact on completion, which is what keeps serial, work-stolen
     parallel, and resumed stores **byte-identical**.
 
-    Stores written by the pre-log monolithic format (``{"cells": {...}}``
-    JSON, including the committed golden stores) load transparently and
-    are left byte-for-byte unchanged until the first write, which migrates
-    the file to the log format once.  With ``path=None`` the store is
-    memory-only — same interface, no persistence.
+    A file without the log header is outside input: opening it raises
+    :class:`SweepStoreError` and leaves it byte-for-byte unchanged.  With
+    ``path=None`` the store is memory-only — same interface, no
+    persistence.
     """
 
     def __init__(self, path: "str | Path | None" = None) -> None:
@@ -376,11 +365,9 @@ class SweepStore:
         self.hits = 0
         self.misses = 0
         # key -> (offset, length) into the log file, or None when the
-        # value lives in _mem (memory-only store, or a legacy-format
-        # store loaded but not yet migrated).
+        # value lives in _mem (memory-only store).
         self._where: "dict[str, tuple[int, int] | None]" = {}
         self._mem: dict[str, object] = {}
-        self._legacy = False
         self._read_handle = None
         self._append_handle = None
         self._data_end = 0  # end of the last intact record (torn tails cut)
@@ -403,21 +390,19 @@ class SweepStore:
             header = json.loads(first_line)
         except ValueError:
             pass
-        if isinstance(header, dict) and "format" in header:
-            if header["format"] != STORE_FORMAT:
-                raise SweepStoreError(
-                    f"sweep store {path} was written by format "
-                    f"{header['format']!r}, not {STORE_FORMAT!r}; refusing "
-                    "to mix store formats — migrate or delete the file"
-                )
-            self._where, self._data_end = self._scan_log(path)
-        else:
-            # Pre-log monolithic JSON store: load in full (such stores
-            # were memory-bound by construction) and migrate lazily on
-            # the first write, leaving read-only opens byte-identical.
-            self._mem = self._load_legacy(path)
-            self._where = {key: None for key in self._mem}
-            self._legacy = True
+        if not (isinstance(header, dict) and "format" in header):
+            raise SweepStoreError(
+                f"sweep store {path} does not start with a store-format "
+                "header; refusing to overwrite a file this module did not "
+                "write — delete or move it first"
+            )
+        if header["format"] != STORE_FORMAT:
+            raise SweepStoreError(
+                f"sweep store {path} was written by format "
+                f"{header['format']!r}, not {STORE_FORMAT!r}; refusing "
+                "to mix store formats — migrate or delete the file"
+            )
+        self._where, self._data_end = self._scan_log(path)
 
     @staticmethod
     def _scan_log(path: Path) -> "tuple[dict[str, tuple[int, int]], int]":
@@ -466,33 +451,6 @@ class SweepStore:
                 where[record["k"]] = (start, len(line))
                 data_end = offset
         return where, data_end
-
-    @staticmethod
-    def _load_legacy(path: Path) -> dict:
-        """Parse a pre-log monolithic store, raising on damage."""
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise SweepStoreError(
-                f"sweep store {path} exists but cannot be read: {error}"
-            ) from error
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise SweepStoreError(
-                f"sweep store {path} is corrupt (not valid JSON: {error}); "
-                "it was likely truncated by a non-atomic writer or a full "
-                "disk — delete the file to start the sweep from scratch"
-            ) from error
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("cells"), dict
-        ):
-            raise SweepStoreError(
-                f"sweep store {path} parsed as JSON but lacks the expected "
-                '{"cells": {...}} shape; refusing to overwrite a file this '
-                "module did not write — delete or move it first"
-            )
-        return payload["cells"]
 
     # -- reads -------------------------------------------------------------
 
@@ -555,10 +513,6 @@ class SweepStore:
         self._append(mapping)
 
     def _append(self, mapping: dict) -> None:
-        if self._legacy:
-            # One-time migration: rewrite the legacy JSON as a log, then
-            # append normally ever after.
-            self._write_canonical()
         handle = self._appender()
         offset = self._data_end
         buffer = bytearray()
@@ -597,8 +551,7 @@ class SweepStore:
         Executors call this once per completed run: compaction is what
         turns "same mapping" into "same bytes", making serial, parallel,
         and resumed stores byte-identical regardless of the order cells
-        finished (and it drops superseded duplicate records).  Also the
-        migration point for legacy-format stores.
+        finished (and it drops superseded duplicate records).
         """
         if self.path is None:
             return
@@ -627,8 +580,6 @@ class SweepStore:
             len(_STORE_HEADER) + 1
             + sum(length for _, length in new_where.values())
         )
-        self._mem = {}
-        self._legacy = False
 
     def close(self) -> None:
         """Close file handles (reopened lazily on the next access)."""
@@ -1026,10 +977,6 @@ class WorkStealingSweepExecutor:
         return executions
 
 
-# Backwards-compatible name: the parallel executor *is* the work-stealing
-# scheduler now.
-ParallelSweepExecutor = WorkStealingSweepExecutor
-
 
 def usable_cpu_count() -> int:
     """Cores this process may actually run on (affinity-aware)."""
@@ -1216,7 +1163,7 @@ class SweepRunner:
             if len(axis) != len(set(axis)):
                 raise ValueError(f"duplicate {axis_label} in {axis}")
         for name in attacks:
-            attack_spec(name)  # fail fast on unknown attacks, not per cell
+            ATTACKS.get(name)  # fail fast on unknown attacks, not per cell
         for spec in defenses:
             validate_defense_spec(spec)  # likewise for the defense axis
         self.dataset = dataset
@@ -1316,7 +1263,7 @@ class SweepRunner:
         """
         dataset = self.dataset
         num_neurons = self.num_neurons
-        model_kind = attack_spec(attack_name).model
+        model_kind = ATTACKS.get(attack_name).model_family
 
         if model_kind == "linear":
             from repro.attacks.linear import LinearClassifier
@@ -1692,7 +1639,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help=(
             "comma-separated attack names overriding the preset's attack "
-            f"axis; registered: {', '.join(available_attacks())}"
+            f"axis; registered: {', '.join(ATTACKS.names())}"
         ),
     )
     parser.add_argument(
@@ -1703,7 +1650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "axis; arms are registry spec strings, including knobbed "
             "variants like dpsgd(noise_multiplier=0.5) and composed stacks "
             "like MR>dpsgd (quote '>' from the shell); registered: "
-            f"{', '.join(available_defenses())}"
+            f"{', '.join(DEFENSES.names())}"
         ),
     )
     parser.add_argument(
@@ -1742,8 +1689,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--attacks lists a name twice: {', '.join(attacks)}")
         for name in attacks:
             try:
-                attack_spec(name)
-            except UnknownAttackError as error:
+                ATTACKS.get(name)
+            except UnknownNameError as error:
                 parser.error(str(error))
 
     defenses: Optional[tuple[str, ...]] = None

@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from repro.attacks.imprint import ImprintedModel
+from repro.attacks.registry import make_attack
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import NoDefense
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import render_ascii_image, side_by_side
-from repro.experiments.runner import make_attack
 from repro.fl.gradients import compute_batch_gradients
 from repro.metrics.psnr import psnr
 from repro.nn.losses import CrossEntropyLoss

@@ -26,10 +26,11 @@ Four rules ship with the engine:
 from __future__ import annotations
 
 import warnings
-from importlib import import_module
 from typing import Sequence
 
 import numpy as np
+
+from repro.registry import IDENTIFIER_PATTERN, Registry
 
 # (name, shape, size) triples describing how a flat vector maps back to a
 # named-gradient dict.
@@ -438,41 +439,27 @@ class MaskedSumAggregator(Aggregator):
         return f"{type(self).__name__}(fractional_bits={self.fractional_bits})"
 
 
-_AGGREGATORS: dict[str, type[Aggregator]] = {
-    "fedavg": FedAvgAggregator,
-    "mean": FedAvgAggregator,
-    "median": CoordinateMedianAggregator,
-    "coordinate_median": CoordinateMedianAggregator,
-    "trimmed_mean": TrimmedMeanAggregator,
-    "masked_sum": MaskedSumAggregator,
-    "secure_agg": MaskedSumAggregator,
-}
-
-# Protocol aggregators live in repro.fl.secagg, which itself builds on
-# this module — resolving them lazily (module path, attribute) keeps the
-# registry complete without a circular import at package load.
-_LAZY_AGGREGATORS: dict[str, tuple[str, str]] = {
-    "secagg": ("repro.fl.secagg.aggregators", "SecAggAggregator"),
-    "secagg_bonawitz": ("repro.fl.secagg.aggregators", "SecAggAggregator"),
-    "secagg_oneshot": ("repro.fl.secagg.aggregators", "OneShotRecoveryAggregator"),
-    "lightsecagg": ("repro.fl.secagg.aggregators", "OneShotRecoveryAggregator"),
-}
-
-
-def aggregator_names() -> list[str]:
-    """Every registered aggregator name (eager and lazy), sorted."""
-    return sorted(set(_AGGREGATORS) | set(_LAZY_AGGREGATORS))
+AGGREGATORS = Registry("aggregator", pattern=IDENTIFIER_PATTERN)
+AGGREGATORS.register("fedavg", FedAvgAggregator)
+AGGREGATORS.register("median", CoordinateMedianAggregator)
+AGGREGATORS.register("trimmed_mean", TrimmedMeanAggregator)
+AGGREGATORS.register("masked_sum", MaskedSumAggregator)
+# The protocol rules live in repro.fl.secagg, which builds on this module;
+# lazy entries keep the registry complete without a circular import.
+AGGREGATORS.register("secagg", "repro.fl.secagg.aggregators:SecAggAggregator")
+AGGREGATORS.register(
+    "secagg_oneshot", "repro.fl.secagg.aggregators:OneShotRecoveryAggregator"
+)
 
 
 def make_aggregator(spec: "str | type[Aggregator] | Aggregator" = "fedavg", **kwargs) -> Aggregator:
-    """Resolve an aggregator from a registry name, class, or instance.
+    """Resolve an aggregator from a registered name, class, or instance.
 
     Accepts an :class:`Aggregator` instance (returned as-is; ``kwargs``
-    must be empty), an ``Aggregator`` subclass, or one of the registered
-    names: ``fedavg``/``mean``, ``median``/``coordinate_median``,
-    ``trimmed_mean``, ``masked_sum``/``secure_agg``, and the protocol
-    rules ``secagg``/``secagg_bonawitz``, ``secagg_oneshot``/
-    ``lightsecagg``.
+    must be empty), an ``Aggregator`` subclass, or a name in
+    :data:`AGGREGATORS`: ``fedavg``, ``median``, ``trimmed_mean``,
+    ``masked_sum``, and the protocol rules ``secagg`` and
+    ``secagg_oneshot``.
     """
     if isinstance(spec, Aggregator):
         if kwargs:
@@ -480,13 +467,4 @@ def make_aggregator(spec: "str | type[Aggregator] | Aggregator" = "fedavg", **kw
         return spec
     if isinstance(spec, type) and issubclass(spec, Aggregator):
         return spec(**kwargs)
-    key = str(spec).lower()
-    if key in _AGGREGATORS:
-        return _AGGREGATORS[key](**kwargs)
-    if key in _LAZY_AGGREGATORS:
-        module_path, attribute = _LAZY_AGGREGATORS[key]
-        cls = getattr(import_module(module_path), attribute)
-        return cls(**kwargs)
-    raise ValueError(
-        f"unknown aggregator {spec!r}; choose from {aggregator_names()}"
-    )
+    return AGGREGATORS.build(spec, kwargs)

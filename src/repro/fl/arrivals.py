@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.fl.engine import TICKS_PER_SECOND, RoundPlan, ticks
+from repro.registry import Registry
 from repro.utils.rng import keyed_uniforms
 
 #: Version of the keyed random streams the trace-driven processes draw.
@@ -334,12 +335,20 @@ class TieredArrivals(ArrivalProcess):
 # Registry.
 # --------------------------------------------------------------------------
 
-_NAMED_PROCESSES = ("instant", "uniform", "tiered", "tiered-diurnal")
+def _tiered_diurnal(
+    tiers: Sequence[HardwareTier] = DEFAULT_TIERS,
+    seed: int = 0,
+    diurnal: Optional[DiurnalCycle] = DiurnalCycle(),
+) -> TieredArrivals:
+    """Tiered arrivals with the default day/night availability cycle."""
+    return TieredArrivals(tiers, seed=seed, diurnal=diurnal)
 
 
-def arrival_process_names() -> tuple[str, ...]:
-    """Every named arrival process the config layer accepts."""
-    return _NAMED_PROCESSES
+ARRIVALS = Registry("arrival process")
+ARRIVALS.register("instant", InstantArrivals)
+ARRIVALS.register("uniform", UniformArrivals)
+ARRIVALS.register("tiered", TieredArrivals)
+ARRIVALS.register("tiered-diurnal", _tiered_diurnal)
 
 
 def make_arrivals(
@@ -361,23 +370,16 @@ def make_arrivals(
         if options:
             raise ValueError("cannot pass options with a process instance")
         return spec
-    name = "instant" if spec is None else str(spec).lower()
-    if name == "instant":
-        return InstantArrivals(
-            dropout_rate=dropout_rate, straggler_rate=straggler_rate, **options
-        )
-    if dropout_rate or straggler_rate:
+    process = ARRIVALS.build(
+        "instant" if spec is None else spec,
+        options,
+        dropout_rate=dropout_rate,
+        straggler_rate=straggler_rate,
+        seed=seed,
+    )
+    if (dropout_rate or straggler_rate) and not isinstance(process, InstantArrivals):
         raise ValueError(
-            f"arrival process {name!r} derives dropout and straggling from "
+            f"arrival process {spec!r} derives dropout and straggling from "
             "timing traces; rate knobs must stay zero under it"
         )
-    if name == "uniform":
-        return UniformArrivals(seed=seed, **options)
-    if name == "tiered":
-        return TieredArrivals(seed=seed, **options)
-    if name == "tiered-diurnal":
-        options.setdefault("diurnal", DiurnalCycle())
-        return TieredArrivals(seed=seed, **options)
-    raise ValueError(
-        f"unknown arrival process {spec!r}; choose from {_NAMED_PROCESSES}"
-    )
+    return process

@@ -10,11 +10,12 @@ machine-checked ones:
 
 - :mod:`repro.lint.engine` — the rule engine: :class:`Rule` /
   :class:`Violation`, per-file AST walks, line pragmas
-  (``# repro-lint: disable=<rule> -- <why>``), and a rule registry
-  mirroring the attack/defense registries.
+  (``# repro-lint: disable=<rule> -- <why>``), and the rule registry
+  :data:`RULES`, a :class:`~repro.registry.Registry` like the attack and
+  defense zoos.
 - :mod:`repro.lint.rules` — the initial rule pack encoding the real
   invariants: ``no-global-rng``, ``no-raw-write``, ``no-wallclock``,
-  ``sorted-iteration``, ``picklable-entry``, ``registry-knob-sync``.
+  ``sorted-iteration``, ``picklable-entry``, and more.
 
 Run it::
 
@@ -29,12 +30,10 @@ committed tree clean.
 """
 
 from repro.lint.engine import (
-    DuplicateRuleError,
     FileContext,
-    LintRegistryError,
     PROFILES,
+    RULES,
     Rule,
-    UnknownRuleError,
     Violation,
     available_rules,
     collect_files,
@@ -42,19 +41,15 @@ from repro.lint.engine import (
     lint_source,
     parse_pragmas,
     register_rule,
-    rule_by_name,
     rules_for,
-    unregister_rule,
 )
 import repro.lint.rules  # noqa: F401  (registers the built-in rule pack)
 
 __all__ = [
-    "DuplicateRuleError",
     "FileContext",
-    "LintRegistryError",
     "PROFILES",
+    "RULES",
     "Rule",
-    "UnknownRuleError",
     "Violation",
     "available_rules",
     "collect_files",
@@ -62,9 +57,7 @@ __all__ = [
     "lint_source",
     "parse_pragmas",
     "register_rule",
-    "rule_by_name",
     "rules_for",
-    "unregister_rule",
     "main",
 ]
 

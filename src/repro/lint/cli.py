@@ -14,19 +14,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.lint.engine import (
-    LintRegistryError,
-    PROFILES,
-    available_rules,
-    lint_paths,
-    rule_by_name,
-)
+from repro.lint.engine import PROFILES, RULES, available_rules, lint_paths
+from repro.registry import RegistryError
 
 
 def _list_rules() -> str:
     lines = []
     for name in available_rules():
-        rule = rule_by_name(name)
+        rule = RULES.get(name)
         profiles = ",".join(rule.profiles)
         lines.append(f"{name} [{profiles}] - {rule.description}")
     return "\n".join(lines)
@@ -98,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         violations, checked = lint_paths(
             args.paths, profile=args.profile, rule_names=rule_names
         )
-    except LintRegistryError as error:
+    except RegistryError as error:
         parser.error(str(error))
     except FileNotFoundError as error:
         parser.error(str(error))

@@ -7,13 +7,13 @@ iterates an unordered collection into a store or a seed derivation).  PR
 2-6 enforced those invariants by hand-auditing each new module; this
 engine turns them into machine-checked rules.
 
-Architecture mirrors the attack/defense registries: each rule registers a
-:class:`Rule` (name, checker, fix hint, which profiles it runs in) via
-:func:`register_rule`, and every consumer — the ``python -m repro.lint``
-CLI, the tier-1 meta-tests, CI — resolves rules through the registry.
-Rules are either *file*-scoped (an AST walk over one parsed source file,
-the default) or *tree*-scoped (run once per lint invocation — the
-import-based ``registry-knob-sync`` check).
+The rules are one :class:`~repro.registry.Registry`, :data:`RULES`, like
+the attack and defense zoos: each rule registers a :class:`Rule` (name,
+checker, fix hint, which profiles it runs in) via :func:`register_rule`,
+and every consumer — the ``python -m repro.lint`` CLI, the tier-1
+meta-tests, CI — resolves rules through it.  Rules are either
+*file*-scoped (an AST walk over one parsed source file, the default) or
+*tree*-scoped (run once per lint invocation with every parsed file).
 
 Suppression is per line and must be justified::
 
@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.registry import Registry, RegistryError
+
 #: Rule profiles: ``lib`` is the full invariant set enforced over
 #: ``src/repro``; ``bench`` is the relaxed profile for ``benchmarks/``,
 #: which legitimately reads wall clocks and writes report files but must
@@ -43,18 +45,6 @@ PROFILES = ("lib", "bench")
 
 #: Reserved rule name for problems with the pragmas themselves.
 PRAGMA_RULE = "pragma"
-
-
-class LintRegistryError(ValueError):
-    """Base for rule-registry misuse errors."""
-
-
-class UnknownRuleError(LintRegistryError):
-    """The requested rule name is not registered."""
-
-
-class DuplicateRuleError(LintRegistryError):
-    """A rule name is already registered (pass ``replace=True`` to allow)."""
 
 
 @dataclass(frozen=True)
@@ -106,62 +96,37 @@ class Rule:
     scope: str = "file"  # "file" | "tree"
 
 
-_REGISTRY: dict[str, Rule] = {}
+RULES = Registry("rule", pattern=r"[a-z0-9][a-z0-9-]*")
 
 
 def register_rule(rule: Rule, replace: bool = False) -> Rule:
-    """Add ``rule`` to the registry; duplicates are an error unless replacing."""
-    if not rule.name or not re.fullmatch(r"[a-z0-9][a-z0-9-]*", rule.name):
-        raise LintRegistryError(
-            f"rule name {rule.name!r} must be non-empty lower-case "
-            "kebab-case (it appears in pragmas and CLI flags)"
-        )
+    """Add ``rule`` to :data:`RULES` after checking its scope and profiles.
+
+    Names are lower-case kebab-case (they appear in pragmas and CLI
+    flags); duplicates are an error unless replacing.
+    """
     if rule.name == PRAGMA_RULE:
-        raise LintRegistryError(
+        raise RegistryError(
             f"rule name {PRAGMA_RULE!r} is reserved for the engine's own "
             "pragma diagnostics"
         )
     if rule.scope not in ("file", "tree"):
-        raise LintRegistryError(
+        raise RegistryError(
             f"rule {rule.name!r} has unknown scope {rule.scope!r}; "
             "expected 'file' or 'tree'"
         )
     unknown_profiles = set(rule.profiles) - set(PROFILES)
     if unknown_profiles:
-        raise LintRegistryError(
+        raise RegistryError(
             f"rule {rule.name!r} names unknown profile(s) "
             f"{sorted(unknown_profiles)}; known: {', '.join(PROFILES)}"
         )
-    if rule.name in _REGISTRY and not replace:
-        raise DuplicateRuleError(
-            f"rule {rule.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[rule.name] = rule
-    return rule
-
-
-def unregister_rule(name: str) -> None:
-    """Remove a rule (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownRuleError(f"cannot unregister unknown rule {name!r}")
-    del _REGISTRY[name]
-
-
-def rule_by_name(name: str) -> Rule:
-    """Look up a registered rule, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownRuleError(
-            f"unknown rule {name!r}; registered rules: "
-            f"{', '.join(available_rules())}"
-        ) from None
+    return RULES.register(rule.name, rule, replace=replace)
 
 
 def available_rules() -> tuple[str, ...]:
     """All registered rule names, in registration order."""
-    return tuple(_REGISTRY)
+    return RULES.names()
 
 
 def rules_for(
@@ -174,13 +139,13 @@ def rules_for(
     would normally relax it.
     """
     if profile not in PROFILES:
-        raise LintRegistryError(
+        raise RegistryError(
             f"unknown lint profile {profile!r}; known: {', '.join(PROFILES)}"
         )
     if names is not None:
-        return tuple(rule_by_name(name) for name in names)
+        return tuple(RULES.get(name) for name in names)
     return tuple(
-        rule for rule in _REGISTRY.values() if profile in rule.profiles
+        rule for rule in map(RULES.get, RULES.names()) if profile in rule.profiles
     )
 
 

@@ -2,7 +2,7 @@
 
 Importing this package registers every built-in rule with the engine's
 registry (mirroring how :mod:`repro.attacks.registry` and
-:mod:`repro.defense.registry` register their zoos at import time — and
+:mod:`repro.defense.registry` fill their registries at import time — and
 for the same reason: every consumer, including subprocesses, sees the
 same rule set by importing one module).
 
@@ -26,16 +26,12 @@ The rules, and the invariant each one guards:
 - ``picklable-entry`` (:mod:`.pickling`): callables crossing process
   boundaries are module-level, so parallel executors work under every
   start method.
-- ``registry-knob-sync`` (:mod:`.registry_sync`): declared attack/defense
-  knobs round-trip against their constructors, so a knob rename fails at
-  lint time instead of mid-sweep.
 - ``no-allocating-accumulate`` (:mod:`.accumulate`): gradient
   accumulation under ``src/repro/tensor`` stays in place (pooled
   buffers, ``out=``) — ``x.grad = x.grad + g`` churn is a silent perf
   regression the benchmarks would only catch at their gate.
 
-Add-a-rule recipe: see EXPERIMENTS.md (mirrors add-an-attack /
-add-a-defense).
+Add-a-rule recipe: see EXPERIMENTS.md ("Register an entry").
 """
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
@@ -43,7 +39,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     io,
     ordering,
     pickling,
-    registry_sync,
     rng,
     sim_wallclock,
     wallclock,

@@ -60,7 +60,6 @@ class SGD(Optimizer):
         if not backend.FUSED:
             self._step_reference()
             return
-        xp = backend.xp
         for i, (param, velocity) in enumerate(zip(self.parameters, self._velocity)):
             if param.grad is None:
                 continue
@@ -70,15 +69,15 @@ class SGD(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 # Reference order: grad + weight_decay * param.data.
-                xp.multiply(param.data, self.weight_decay, out=buf)
-                xp.add(grad, buf, out=buf)
+                np.multiply(param.data, self.weight_decay, out=buf)
+                np.add(grad, buf, out=buf)
                 grad = buf
             if self.momentum:
                 velocity *= self.momentum
                 velocity += grad
                 grad = velocity
-            xp.multiply(grad, self.lr, out=buf)
-            xp.subtract(param.data, buf, out=param.data)
+            np.multiply(grad, self.lr, out=buf)
+            np.subtract(param.data, buf, out=param.data)
 
     def _step_reference(self) -> None:
         for param, velocity in zip(self.parameters, self._velocity):
@@ -124,7 +123,6 @@ class Adam(Optimizer):
         if not backend.FUSED:
             self._step_reference(bias1, bias2)
             return
-        xp = backend.xp
         for i, (param, m, v) in enumerate(zip(self.parameters, self._m, self._v)):
             if param.grad is None:
                 continue
@@ -136,27 +134,27 @@ class Adam(Optimizer):
             a, b = pair
             grad = param.grad
             if self.weight_decay:
-                xp.multiply(param.data, self.weight_decay, out=a)
-                xp.add(grad, a, out=a)
+                np.multiply(param.data, self.weight_decay, out=a)
+                np.add(grad, a, out=a)
                 grad = a
             # m = beta1*m + (1-beta1)*grad, replayed in reference op order.
             m *= self.beta1
-            xp.multiply(grad, 1.0 - self.beta1, out=b)
-            xp.add(m, b, out=m)
+            np.multiply(grad, 1.0 - self.beta1, out=b)
+            np.add(m, b, out=m)
             # v = beta2*v + (1-beta2)*grad*grad.
             v *= self.beta2
-            xp.multiply(grad, 1.0 - self.beta2, out=b)
-            xp.multiply(b, grad, out=b)
-            xp.add(v, b, out=v)
+            np.multiply(grad, 1.0 - self.beta2, out=b)
+            np.multiply(b, grad, out=b)
+            np.add(v, b, out=v)
             # param -= lr*m_hat / (sqrt(v_hat) + eps), same op order as the
             # reference allocating chain.
-            xp.divide(m, bias1, out=a)
-            xp.multiply(a, self.lr, out=a)
-            xp.divide(v, bias2, out=b)
-            xp.sqrt(b, out=b)
-            xp.add(b, self.eps, out=b)
-            xp.divide(a, b, out=a)
-            xp.subtract(param.data, a, out=param.data)
+            np.divide(m, bias1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(param.data, a, out=param.data)
 
     def _step_reference(self, bias1: float, bias2: float) -> None:
         for param, m, v in zip(self.parameters, self._m, self._v):

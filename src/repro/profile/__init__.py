@@ -14,10 +14,10 @@ freshly computed result array, so the profiler can
 - **time backward closures** per op exactly, by returning a wrapping
   backward factory from the hook (``_make`` swaps it in).
 
-Forward attribution is a delta scheme, so glue work between two ops
-(python dispatch, non-tensor numpy) is charged to the downstream op; the
-profiler reports the out-of-graph remainder separately as
-``unattributed_seconds`` so totals always reconcile with wall time.
+Forward attribution is a delta scheme, so any work between two graph
+events (python dispatch, non-tensor numpy, a defense pipeline) is charged
+to the next node built.  ``unattributed_seconds`` holds only the wall time
+after the last graph event, so totals reconcile with wall time.
 
 Typical use, as a context manager around any tensor workload::
 

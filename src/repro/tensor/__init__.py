@@ -9,7 +9,7 @@ the experiment, so we build the exact thing.
 
 from repro.tensor import backend, buffers
 from repro.tensor.autograd import is_grad_enabled, no_grad, topological_order
-from repro.tensor.backend import reference_kernels, set_kernel_mode, use_backend
+from repro.tensor.backend import reference_kernels, set_kernel_mode
 from repro.tensor.conv import (
     avg_pool2d,
     batch_norm,
@@ -35,6 +35,5 @@ __all__ = [
     "buffers",
     "reference_kernels",
     "set_kernel_mode",
-    "use_backend",
     "set_profile_hook",
 ]

@@ -1,27 +1,12 @@
-"""The array-backend seam and the kernel-mode switch for the tensor core.
+"""The kernel-mode switch for the tensor core.
 
-Two orthogonal knobs live here, both read on every hot-path kernel:
-
-**The backend seam.**  Every kernel in :mod:`repro.tensor` and
-:mod:`repro.nn` reaches its array namespace through :data:`xp` (rebound by
-:func:`set_backend`) instead of importing ``numpy`` directly.  The contract
-a backend must satisfy is deliberately the numpy one — the golden grids pin
-*bit patterns*, so a conforming backend must reproduce numpy's float64
-semantics exactly (same ufuncs, same pairwise-summation reductions, same
-broadcasting, ``out=`` support on ufuncs and ``einsum``).  A backend that
-only promises *approximate* parity (float32, GPUs, relaxed reductions) can
-still slot in for exploratory work, but golden/byte-identity suites are
-only meaningful under the default numpy backend.  The seam exists so that
-swap touches no attack/defense/experiment code: those layers only ever see
-:class:`~repro.tensor.Tensor`.
-
-**The kernel mode.**  ``"fused"`` (the default) runs the accelerated
-kernels: single-node fused ops (subtract, mean/var, linear, cross-entropy),
-in-place gradient accumulation over the :mod:`repro.tensor.buffers` pool,
-``out=`` optimizer arithmetic, and the strided ``_col2im``.  ``"reference"``
+``"fused"`` (the default) runs the accelerated kernels: single-node fused
+ops (subtract, mean/var, linear, cross-entropy), in-place gradient
+accumulation over the :mod:`repro.tensor.buffers` pool, ``out=``
+optimizer arithmetic, and the strided ``_col2im``.  ``"reference"``
 reproduces the pre-acceleration op-for-op graph — one node per primitive,
-allocating accumulation — and exists for two reasons: it is the in-repo A/B
-baseline that ``benchmarks/bench_tensor_core.py`` measures speedups
+allocating accumulation — and exists for two reasons: it is the in-repo
+A/B baseline that ``benchmarks/bench_tensor_core.py`` measures speedups
 against, and it is the oracle the byte-identity equivalence suite compares
 the fused kernels to (every fused kernel must produce bit-identical values
 *and* bit-identical accumulation order; see DESIGN.md "The tensor core").
@@ -32,48 +17,12 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator
 
-import numpy
-
 __all__ = [
-    "ArrayBackend",
-    "NUMPY",
-    "active",
-    "set_backend",
-    "use_backend",
     "kernel_mode",
     "set_kernel_mode",
     "reference_kernels",
-    "xp",
     "FUSED",
 ]
-
-
-class ArrayBackend:
-    """A named array namespace the kernels route through.
-
-    ``module`` is anything numpy-API-compatible; byte-identity guarantees
-    only hold when it reproduces numpy float64 semantics exactly (see
-    module docstring for the contract).
-    """
-
-    __slots__ = ("name", "module")
-
-    def __init__(self, name: str, module) -> None:
-        self.name = name
-        self.module = module
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayBackend({self.name!r})"
-
-
-NUMPY = ArrayBackend("numpy", numpy)
-
-_ACTIVE: ArrayBackend = NUMPY
-
-#: The active array namespace.  Kernels read this module attribute at call
-#: time (``backend.xp.exp(...)``) so :func:`set_backend` takes effect
-#: without re-importing anything.
-xp = NUMPY.module
 
 #: Fast-path predicate for the kernel mode, read by every kernel.  True
 #: means the fused/in-place kernels run; False means the reference
@@ -81,32 +30,6 @@ xp = NUMPY.module
 FUSED: bool = True
 
 _MODES = ("fused", "reference")
-
-
-def active() -> ArrayBackend:
-    """Return the active :class:`ArrayBackend`."""
-    return _ACTIVE
-
-
-def set_backend(backend: ArrayBackend) -> ArrayBackend:
-    """Install ``backend`` as the active array namespace; return the old one."""
-    global _ACTIVE, xp
-    if not isinstance(backend, ArrayBackend):
-        raise TypeError(f"expected ArrayBackend, got {type(backend).__name__}")
-    previous = _ACTIVE
-    _ACTIVE = backend
-    xp = backend.module
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(backend: ArrayBackend) -> Iterator[ArrayBackend]:
-    """Context manager form of :func:`set_backend`."""
-    previous = set_backend(backend)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
 
 
 def kernel_mode() -> str:

@@ -67,7 +67,7 @@ def _einsum(equation: str, a: np.ndarray, b: np.ndarray, out=None):
     if path is None:
         path = np.einsum_path(equation, a, b, optimize=True)[0]
         _EINSUM_PATHS[key] = path
-    return backend.xp.einsum(equation, a, b, out=out, optimize=path)
+    return np.einsum(equation, a, b, out=out, optimize=path)
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, tuple]:

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-import repro.tensor.backend as backend
 import repro.tensor.buffers as buffers
 from repro.tensor.tensor import Tensor
 
@@ -44,10 +43,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     ``(x.T @ g).T`` exactly as the transpose node's backward produced it,
     because a differently-laid-out GEMM may sum in a different order.
     """
-    xp = backend.xp
     data = x.data @ weight.data.T
     if bias is not None:
-        xp.add(data, bias.data, out=data)
+        np.add(data, bias.data, out=data)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(out: Tensor) -> Callable[[], None]:
@@ -91,16 +89,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unsupported reduction: {reduction}")
-    xp = backend.xp
     num_classes = logits.shape[-1]
     encoded = _one_hot(np.asarray(targets), num_classes)
 
     # Forward, op for op as the reference chain computes it.
     maxes = logits.data.max(axis=-1, keepdims=True)
     shifted = logits.data - maxes
-    exps = xp.exp(shifted)
+    exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
-    log_probs = shifted - xp.log(sums)
+    log_probs = shifted - np.log(sums)
     per_sample = -(log_probs * encoded).sum(axis=-1)
     total = per_sample.sum()
     if reduction == "mean":
@@ -119,7 +116,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
             g = out.grad * inv if inv is not None else out.grad
             a1 = (-g) * encoded
             g_sums = a1.sum(axis=-1, keepdims=True)
-            grad_logits = a1 + xp.broadcast_to((-g_sums) / sums, a1.shape) * exps
+            grad_logits = a1 + np.broadcast_to((-g_sums) / sums, a1.shape) * exps
             logits._accumulate(grad_logits, fresh=True)
 
         return run

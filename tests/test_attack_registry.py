@@ -6,22 +6,20 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
-    AttackKnob,
-    AttackRegistryError,
-    AttackSpec,
-    DuplicateAttackError,
+    ATTACKS,
     ImprintedModel,
     LinearClassifier,
-    UnknownAttackError,
-    attack_spec,
-    available_attacks,
     make_attack,
-    register_attack,
-    unregister_attack,
 )
 from repro.defense import inspect_state
 from repro.fl import compute_batch_gradients
 from repro.nn import CrossEntropyLoss, LogisticLoss
+from repro.registry import (
+    DuplicateNameError,
+    RegistryError,
+    SpecError,
+    UnknownNameError,
+)
 
 BUILTIN_ATTACKS = ("rtf", "cah", "linear", "qbi", "loki")
 NUM_NEURONS = 96
@@ -29,11 +27,11 @@ NUM_NEURONS = 96
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_ATTACKS) <= set(available_attacks())
+        assert set(BUILTIN_ATTACKS) <= set(ATTACKS.names())
 
     def test_unknown_name_raises_with_available_list(self):
-        with pytest.raises(UnknownAttackError) as excinfo:
-            attack_spec("definitely-not-an-attack")
+        with pytest.raises(UnknownNameError) as excinfo:
+            ATTACKS.get("definitely-not-an-attack")
         message = str(excinfo.value)
         for name in BUILTIN_ATTACKS:
             assert name in message
@@ -44,29 +42,28 @@ class TestRegistry:
             make_attack("nope", 8, None)
 
     def test_duplicate_registration_refused(self):
-        spec = AttackSpec(name="dup_test", factory=lambda *a, **k: None)
-        register_attack(spec)
+        ATTACKS.register("dup_test", ATTACKS.get("rtf"))
         try:
-            with pytest.raises(DuplicateAttackError):
-                register_attack(spec)
+            with pytest.raises(DuplicateNameError):
+                ATTACKS.register("dup_test", ATTACKS.get("rtf"))
             # ... unless replacement is explicit.
-            register_attack(spec, replace=True)
+            ATTACKS.register("dup_test", ATTACKS.get("rtf"), replace=True)
         finally:
-            unregister_attack("dup_test")
-        assert "dup_test" not in available_attacks()
+            ATTACKS.unregister("dup_test")
+        assert "dup_test" not in ATTACKS.names()
 
     def test_unregister_unknown_raises(self):
-        with pytest.raises(UnknownAttackError):
-            unregister_attack("never_registered")
+        with pytest.raises(UnknownNameError):
+            ATTACKS.unregister("never_registered")
 
     def test_invalid_name_refused(self):
-        with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="", factory=lambda *a: None))
-        with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="bad name", factory=lambda *a: None))
+        # Attack names are identifiers: they key store cells and CLI lists.
+        for bad in ("", "bad name", "rtf-2", "MR+SH"):
+            with pytest.raises(RegistryError):
+                ATTACKS.register(bad, ATTACKS.get("rtf"))
 
     def test_unknown_knob_raises(self):
-        with pytest.raises(AttackRegistryError, match="declared knobs"):
+        with pytest.raises(SpecError, match="declared knobs"):
             make_attack("rtf", 8, None, not_a_knob=3)
 
     def test_declared_knobs_pass_through(self, cifar_like):
@@ -76,19 +73,9 @@ class TestRegistry:
         assert attack.activation_probability == pytest.approx(0.07)
 
     def test_specs_declare_model_family(self):
-        assert attack_spec("linear").model == "linear"
-        assert not attack_spec("linear").crafts_model
+        assert ATTACKS.get("linear").model_family == "linear"
         for name in ("rtf", "cah", "qbi", "loki"):
-            assert attack_spec(name).model == "imprint"
-            assert attack_spec(name).crafts_model
-
-    def test_every_spec_has_description_and_knob_docs(self):
-        for name in BUILTIN_ATTACKS:
-            spec = attack_spec(name)
-            assert spec.description
-            for knob in spec.knobs:
-                assert isinstance(knob, AttackKnob)
-                assert knob.description
+            assert ATTACKS.get(name).model_family == "imprint"
 
 
 class TestRoundTrips:
@@ -148,7 +135,8 @@ class TestDetectionCoverage:
     """Client-side inspection flags every model-crafting attack in the zoo."""
 
     @pytest.mark.parametrize(
-        "name", [n for n in BUILTIN_ATTACKS if attack_spec(n).crafts_model]
+        "name",
+        [n for n in BUILTIN_ATTACKS if ATTACKS.get(n).model_family == "imprint"],
     )
     def test_crafted_state_is_flagged(self, name, cifar_like):
         attack = make_attack(name, 100, cifar_like.images[:100], seed=1)

@@ -118,9 +118,9 @@ class TestLineup:
 
     def test_typo_raises_name_listing_error(self):
         # Registry-backed: no more opaque KeyError on a misspelled arm.
-        from repro.defense import UnknownDefenseError
+        from repro.registry import UnknownNameError
 
-        with pytest.raises(UnknownDefenseError, match="registered defenses"):
+        with pytest.raises(UnknownNameError, match="registered defenses"):
             defense_lineup(["WO", "MRR"])
 
     def test_gradient_and_composed_arms_resolve(self):

@@ -7,28 +7,25 @@ import pytest
 
 from repro.augment import UnknownSuiteError, suite_by_name
 from repro.defense import (
-    DefenseKnob,
+    DEFENSES,
     DefensePipeline,
-    DefenseRegistryError,
-    DefenseSpec,
-    DefenseSpecError,
     DPSGDDefense,
-    DuplicateDefenseError,
     GradientPruningDefense,
     NoDefense,
     OasisDefense,
     TransformReplaceDefense,
-    UnknownDefenseError,
-    available_defenses,
-    canonical_spec,
     defense_lineup,
-    defense_spec,
     make_defense,
-    parse_defense_spec,
-    register_defense,
-    split_spec_list,
-    unregister_defense,
     validate_defense_spec,
+)
+from repro.registry import (
+    DuplicateNameError,
+    RegistryError,
+    SpecError,
+    UnknownNameError,
+    canonical_spec,
+    parse_spec,
+    split_spec_list,
 )
 from repro.utils.rng import derive_seed
 
@@ -40,11 +37,11 @@ BUILTIN_DEFENSES = (
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_DEFENSES) <= set(available_defenses())
+        assert set(BUILTIN_DEFENSES) <= set(DEFENSES.names())
 
     def test_unknown_name_raises_with_available_list(self):
-        with pytest.raises(UnknownDefenseError) as excinfo:
-            defense_spec("definitely-not-a-defense")
+        with pytest.raises(UnknownNameError) as excinfo:
+            DEFENSES.get("definitely-not-a-defense")
         message = str(excinfo.value)
         for name in BUILTIN_DEFENSES:
             assert name in message
@@ -55,69 +52,61 @@ class TestRegistry:
             make_defense("nope")
 
     def test_duplicate_registration_refused(self):
-        spec = DefenseSpec(name="dup_defense", factory=NoDefense)
-        register_defense(spec)
+        DEFENSES.register("dup_defense", NoDefense)
         try:
-            with pytest.raises(DuplicateDefenseError):
-                register_defense(spec)
-            register_defense(spec, replace=True)
+            with pytest.raises(DuplicateNameError):
+                DEFENSES.register("dup_defense", NoDefense)
+            DEFENSES.register("dup_defense", NoDefense, replace=True)
         finally:
-            unregister_defense("dup_defense")
-        assert "dup_defense" not in available_defenses()
+            DEFENSES.unregister("dup_defense")
+        assert "dup_defense" not in DEFENSES.names()
 
     def test_unregister_unknown_raises(self):
-        with pytest.raises(UnknownDefenseError):
-            unregister_defense("never_registered")
+        with pytest.raises(UnknownNameError):
+            DEFENSES.unregister("never_registered")
 
     def test_grammar_characters_refused_in_names(self):
         for bad in ("", "bad name", "a>b", "a(b)", "a=b", "a,b"):
-            with pytest.raises(DefenseRegistryError):
-                register_defense(DefenseSpec(name=bad, factory=NoDefense))
+            with pytest.raises(RegistryError):
+                DEFENSES.register(bad, NoDefense)
 
     def test_plus_allowed_in_names(self):
         # Suite unions like MR+SH are first-class registered names.
-        assert defense_spec("MR+SH").name == "MR+SH"
-
-    def test_specs_declare_stage_and_stochasticity(self):
-        assert defense_spec("WO").stage == "none"
-        assert defense_spec("MR").stage == "batch"
-        assert defense_spec("dpsgd").stage == "gradient"
-        assert defense_spec("dpsgd").stochastic
-        assert not defense_spec("prune").stochastic
+        assert make_defense("MR+SH").name == "MR+SH"
 
 
 class TestSpecGrammar:
     def test_single_stage(self):
-        assert parse_defense_spec("dpsgd") == [("dpsgd", {})]
+        assert parse_spec("dpsgd") == [("dpsgd", {})]
 
     def test_stage_with_knobs(self):
-        assert parse_defense_spec(
+        assert parse_spec(
             "dpsgd(clip_norm=2.0, noise_multiplier=0.5)"
         ) == [("dpsgd", {"clip_norm": 2.0, "noise_multiplier": 0.5})]
 
     def test_chain(self):
-        assert parse_defense_spec("MR+SH>dpsgd(noise_multiplier=0.5)") == [
+        assert parse_spec("MR+SH>dpsgd(noise_multiplier=0.5)") == [
             ("MR+SH", {}),
             ("dpsgd", {"noise_multiplier": 0.5}),
         ]
 
     def test_bare_word_values_are_strings(self):
-        assert parse_defense_spec("ats(suite=MR)") == [("ats", {"suite": "MR"})]
+        assert parse_spec("ats(suite=MR)") == [("ats", {"suite": "MR"})]
 
     def test_literal_values_parse(self):
-        [(_, kwargs)] = parse_defense_spec(
+        [(_, kwargs)] = parse_spec(
             "MR(include_original=False)"
         )
         assert kwargs == {"include_original": False}
 
     def test_empty_stage_rejected(self):
         for bad in ("", ">", "MR>", ">dpsgd", "MR>>dpsgd"):
-            with pytest.raises(DefenseSpecError):
-                parse_defense_spec(bad)
+            with pytest.raises(SpecError):
+                parse_spec(bad)
 
     def test_malformed_knobs_rejected(self):
-        with pytest.raises(DefenseSpecError):
-            parse_defense_spec("dpsgd(noise)")
+        with pytest.raises(SpecError):
+            parse_spec("dpsgd(noise)")
 
     def test_canonical_spec_strips_whitespace(self):
         assert canonical_spec(" MR > dpsgd ") == "MR>dpsgd"
@@ -149,15 +138,15 @@ class TestSpecGrammar:
         ) == ["WO", "dpsgd(clip_norm=2.0,noise_multiplier=0.5)", "MR>dpsgd"]
 
     def test_split_spec_list_unbalanced_raises(self):
-        with pytest.raises(DefenseSpecError):
+        with pytest.raises(SpecError):
             split_spec_list("dpsgd(clip_norm=2.0")
-        with pytest.raises(DefenseSpecError):
+        with pytest.raises(SpecError):
             split_spec_list("dpsgd)")
 
     def test_validate_fails_fast_on_unknown_stage_and_knob(self):
-        with pytest.raises(UnknownDefenseError):
+        with pytest.raises(UnknownNameError):
             validate_defense_spec("MR>typo")
-        with pytest.raises(DefenseRegistryError, match="declared knobs"):
+        with pytest.raises(RegistryError, match="declared knobs"):
             validate_defense_spec("dpsgd(bogus=1)")
         validate_defense_spec("MR>dpsgd(noise_multiplier=0.5)")  # clean
 
@@ -175,11 +164,11 @@ class TestSpecGrammar:
         # inside the factory; the registry must surface it as its
         # ValueError family so `except ValueError` consumers (the CLI,
         # structured-failure capture) handle every bad spec uniformly.
-        with pytest.raises(DefenseSpecError, match="XYZ"):
+        with pytest.raises(SpecError, match="XYZ"):
             validate_defense_spec("ats(suite=XYZ)")
         with pytest.raises(ValueError):
             make_defense("ats(suite=XYZ)")
-        with pytest.raises(DefenseSpecError, match="cannot build stage"):
+        with pytest.raises(SpecError, match="cannot build stage"):
             make_defense("dpsgd(clip_norm='abc')")
 
 
@@ -206,11 +195,11 @@ class TestMakeDefense:
         assert defense.noise_multiplier == pytest.approx(0.5)
 
     def test_keyword_knobs_refused_for_chains(self):
-        with pytest.raises(DefenseRegistryError, match="ambiguous"):
+        with pytest.raises(RegistryError, match="ambiguous"):
             make_defense("MR>dpsgd", clip_norm=2.0)
 
     def test_undeclared_knob_raises(self):
-        with pytest.raises(DefenseRegistryError, match="declared knobs"):
+        with pytest.raises(RegistryError, match="declared knobs"):
             make_defense("prune", bogus=3)
 
     def test_chain_builds_pipeline_in_order(self):
@@ -225,7 +214,7 @@ class TestMakeDefense:
         assert make_defense(defense) is defense
 
     def test_instance_with_knobs_refused(self):
-        with pytest.raises(DefenseRegistryError):
+        with pytest.raises(RegistryError):
             make_defense(NoDefense(), prune_fraction=0.5)
 
     def test_lineup_builds_and_orders(self):
@@ -236,7 +225,7 @@ class TestMakeDefense:
         assert isinstance(lineup[3], DefensePipeline)
 
     def test_lineup_unknown_name_lists_available(self):
-        with pytest.raises(UnknownDefenseError, match="registered defenses"):
+        with pytest.raises(UnknownNameError, match="registered defenses"):
             defense_lineup(["WO", "Gaussian"])
 
 

@@ -17,10 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    DuplicateRuleError,
-    LintRegistryError,
+    RULES,
     Rule,
-    UnknownRuleError,
     Violation,
     available_rules,
     lint_paths,
@@ -28,8 +26,8 @@ from repro.lint import (
     main,
     register_rule,
     rules_for,
-    unregister_rule,
 )
+from repro.registry import DuplicateNameError, RegistryError, UnknownNameError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -41,7 +39,6 @@ EXPECTED_RULES = {
     "no-sim-wallclock",
     "sorted-iteration",
     "picklable-entry",
-    "registry-knob-sync",
     "no-allocating-accumulate",
 }
 
@@ -77,7 +74,7 @@ class TestRuleRegistry:
         }
 
     def test_unknown_profile_rejected(self):
-        with pytest.raises(LintRegistryError, match="unknown lint profile"):
+        with pytest.raises(RegistryError, match="unknown lint profile"):
             rules_for("strict")
 
     def test_explicit_names_bypass_profile(self):
@@ -85,23 +82,23 @@ class TestRuleRegistry:
         assert [rule.name for rule in selected] == ["no-raw-write"]
 
     def test_unknown_rule_name(self):
-        with pytest.raises(UnknownRuleError, match="no-such-rule"):
+        with pytest.raises(UnknownNameError, match="no-such-rule"):
             rules_for("lib", names=["no-such-rule"])
 
     def test_duplicate_registration_rejected(self):
         rule = Rule(name="scratch-rule", check=lambda context: [])
         register_rule(rule)
         try:
-            with pytest.raises(DuplicateRuleError):
+            with pytest.raises(DuplicateNameError):
                 register_rule(rule)
             register_rule(rule, replace=True)  # deliberate replace is fine
         finally:
-            unregister_rule("scratch-rule")
+            RULES.unregister("scratch-rule")
         assert "scratch-rule" not in available_rules()
 
     def test_bad_rule_names_rejected(self):
         for name in ("", "Has_Caps", "pragma", "-leading"):
-            with pytest.raises(LintRegistryError):
+            with pytest.raises(RegistryError):
                 register_rule(Rule(name=name, check=lambda context: []))
 
     def test_violation_format_is_compiler_style(self):

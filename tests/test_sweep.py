@@ -210,12 +210,15 @@ class TestStoreResume:
             SweepStore(path)
 
     def test_foreign_json_detected(self, tmp_path):
-        # Valid JSON without the {"cells": {...}} shape is a foreign file;
-        # refusing protects it from being overwritten by the next put().
+        # A file without the log header is outside input (the pre-log
+        # {"cells": ...} format included); refusing it, bytes untouched,
+        # protects it from being overwritten by the next put().
         path = tmp_path / "sweep.json"
-        path.write_text('{"other": 1}')
-        with pytest.raises(SweepStoreError, match="cells"):
-            SweepStore(path)
+        for foreign in (b'{"other": 1}', b'{"cells": {"a": 1}}', b"", b"x\n"):
+            path.write_bytes(foreign)
+            with pytest.raises(SweepStoreError, match="header"):
+                SweepStore(path)
+            assert path.read_bytes() == foreign
 
     def test_memory_store_counts_hits_and_misses(self):
         store = SweepStore()
@@ -284,7 +287,7 @@ class TestHarnessParallelAndFailures:
         )
         assert np.isnan(result.grid[0, 0])
         # The registry's unknown-name error (a ValueError subclass).
-        assert result.errors[(32, 3)]["type"] == "UnknownAttackError"
+        assert result.errors[(32, 3)]["type"] == "UnknownNameError"
         # An all-NaN column yields no optimum rather than a NaN winner.
         assert result.optima == {}
 
@@ -322,8 +325,8 @@ class TestHarnessParallelAndFailures:
         assert len(result.distributions["WO"]) > 0
         assert len(result.distributions["bogus-suite"]) == 0
         # Registry-backed resolution: the typo'd arm fails with the
-        # name-listing UnknownDefenseError, not an opaque KeyError.
-        assert result.errors["bogus-suite"]["type"] == "UnknownDefenseError"
+        # name-listing UnknownNameError, not an opaque KeyError.
+        assert result.errors["bogus-suite"]["type"] == "UnknownNameError"
         assert "registered defenses" in result.errors["bogus-suite"]["message"]
         assert "bogus-suite" in result.to_table()
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.attacks import ImprintedModel
 from repro.data import make_synthetic_dataset
-from repro.defense import UnknownDefenseError, make_defense
+from repro.defense import make_defense
 from repro.experiments import (
     ParticipationScenario,
     SweepCell,
@@ -27,6 +27,7 @@ from repro.experiments.sweep import ZOO_DEFENSES, main
 from repro.fl import Client
 from repro.fl.messages import ModelBroadcast
 from repro.nn import CrossEntropyLoss
+from repro.registry import UnknownNameError
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +78,9 @@ class TestDefenseAxis:
         )
 
     def test_unknown_defense_fails_fast_at_construction(self, sweep_dataset):
-        with pytest.raises(UnknownDefenseError, match="registered defenses"):
+        with pytest.raises(UnknownNameError, match="registered defenses"):
             make_runner(sweep_dataset, defenses=("WO", "typo-defense"))
-        with pytest.raises(UnknownDefenseError):
+        with pytest.raises(UnknownNameError):
             make_runner(sweep_dataset, defenses=("MR>typo",))
 
     def test_stochastic_arms_serial_parallel_byte_identical(

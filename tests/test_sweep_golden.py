@@ -128,10 +128,10 @@ def test_golden_grid_still_shows_headline_ordering(outcome):
 
 
 def test_every_zoo_attack_present_in_golden_grid(outcome):
-    from repro.attacks import available_attacks
+    from repro.attacks import ATTACKS
 
     covered = {result["attack"] for result in outcome.results.values()}
-    assert covered == set(available_attacks()), (
+    assert covered == set(ATTACKS.names()), (
         "the golden grid must cover the whole attack zoo; extend "
         "golden_runner and regenerate when registering a new attack"
     )
@@ -148,10 +148,10 @@ def test_defense_families_present_in_golden_grid(outcome):
 def test_parallel_executor_reproduces_golden_cells(tmp_path):
     # The zoo's fingerprint-keyed seeding must make a 2-worker run land on
     # exactly the frozen snapshots — not merely match a serial run.
-    from repro.experiments import ParallelSweepExecutor
+    from repro.experiments import WorkStealingSweepExecutor
 
     store_path = tmp_path / "golden_parallel.json"
-    outcome = golden_runner(store=store_path).run(ParallelSweepExecutor(2))
+    outcome = golden_runner(store=store_path).run(WorkStealingSweepExecutor(2))
     assert drift_from_golden(outcome.results) == []
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.data import make_synthetic_dataset
 from repro.experiments import (
     CellEvent,
-    ParallelSweepExecutor,
     ParticipationScenario,
     SerialSweepExecutor,
     ShardRecovery,
@@ -195,11 +194,6 @@ class TestExecutorEquivalence:
         assert isinstance(executor, WorkStealingSweepExecutor)
         assert executor.workers == 3
         assert make_executor("auto").workers == 3
-
-    def test_parallel_executor_is_the_work_stealing_scheduler(self):
-        # Backwards-compatible alias: code constructing the old name gets
-        # the shared-queue scheduler.
-        assert ParallelSweepExecutor is WorkStealingSweepExecutor
 
     def test_memory_only_store_runs_parallel(self, sweep_dataset):
         outcome = make_runner(sweep_dataset).run(WorkStealingSweepExecutor(2))

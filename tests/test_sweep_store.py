@@ -1,15 +1,14 @@
-"""The append-only sweep-store log: format, migration, crash recovery.
+"""The append-only sweep-store log: format, compaction, crash recovery.
 
 Companion to the executor-level tests in test_sweep_parallel.py — these
 exercise the store itself: the log format and its torn-tail semantics,
-lazy legacy-JSON migration, canonical compaction, and the shard-recovery
+canonical compaction, and the shard-recovery
 paths (corrupt-shard quarantine, kill-mid-merge durability).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +22,6 @@ from repro.experiments import (
     SweepStoreError,
     WorkStealingSweepExecutor,
 )
-
-GOLDEN_STORE = Path(__file__).parent / "golden" / "sweep_cells.json"
 
 
 def make_store(path, cells):
@@ -124,41 +121,6 @@ class TestCompaction:
         store.put("a", 1)
         store.compact()
         assert store.get("a") == 1
-
-
-class TestLegacyMigration:
-    def test_golden_store_loads_with_bytes_unchanged(self):
-        before = GOLDEN_STORE.read_bytes()
-        store = SweepStore(GOLDEN_STORE)
-        assert len(store) > 0
-        assert all(value is not None for _, value in store.iter_cells())
-        store.close()
-        assert GOLDEN_STORE.read_bytes() == before
-
-    def test_first_write_migrates_to_log_format(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({"cells": {"old": {"v": 1}}}))
-        store = SweepStore(path)
-        store.put("new", {"v": 2})
-        store.close()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"format": STORE_FORMAT}
-        reopened = SweepStore(path)
-        assert reopened.get("old") == {"v": 1}
-        assert reopened.get("new") == {"v": 2}
-
-    def test_migrated_store_matches_native_log_store(self, tmp_path):
-        cells = {"a": {"v": 1}, "b": {"v": 2}}
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"cells": cells}))
-        migrated = SweepStore(legacy)
-        migrated.compact()
-        migrated.close()
-        native = tmp_path / "native.json"
-        store = make_store(native, cells)
-        store.compact()
-        store.close()
-        assert legacy.read_bytes() == native.read_bytes()
 
 
 class TestCrashRecovery:
