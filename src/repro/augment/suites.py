@@ -104,12 +104,6 @@ _REGISTRY = {
     "MR+SH": major_rotation_shearing,
 }
 
-# The orderings used on the x-axes of the paper's figures.
-FIGURE5_SUITES = ("MR", "mR", "SH", "HFlip", "VFlip")
-FIGURE6_SUITES = ("SH", "MR", "MR+SH")
-FIGURE13_SUITES = ("MR", "mR", "SH", "HFlip", "VFlip")
-
-
 class UnknownSuiteError(KeyError):
     """The requested transformation suite name is not registered.
 

@@ -8,7 +8,6 @@ from repro.defense.baselines import (
     DPSGDDefense,
     GradientPruningDefense,
     TransformReplaceDefense,
-    defense_lineup,
 )
 from repro.defense.detection import DetectionReport, inspect_state
 from repro.defense.oasis import OasisDefense
@@ -31,7 +30,6 @@ __all__ = [
     "DPSGDDefense",
     "GradientPruningDefense",
     "TransformReplaceDefense",
-    "defense_lineup",
     "DEFENSES",
     "make_defense",
     "validate_defense_spec",

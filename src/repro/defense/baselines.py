@@ -24,8 +24,6 @@ so defended cells stay order- and worker-invariant.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.augment.suites import TransformSuite, suite_by_name
@@ -189,17 +187,3 @@ class TransformReplaceDefense(ClientDefense):
         ).astype(images.dtype, copy=False)
         return replaced, labels.copy()
 
-
-def defense_lineup(names: Sequence[str]) -> list[ClientDefense]:
-    """Build the standard figure lineups from registered spec strings.
-
-    Registry-backed: ``"WO"`` maps to no defense, suite names to OASIS,
-    and any registered spec (``"dpsgd"``, ``"MR>dpsgd"``...) works too.
-    Unknown names raise :class:`~repro.registry.UnknownNameError` listing
-    the available defenses instead of an opaque ``KeyError``.
-    """
-    # Imported lazily: the registry module imports this one for the
-    # baseline classes it registers.
-    from repro.defense.registry import make_defense
-
-    return [make_defense(name) for name in names]

@@ -16,12 +16,13 @@ import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import evaluate_attack_cell
+from repro.experiments.runner import average_psnr_task
 from repro.experiments.sweep import (
     SweepStore,
     dataset_fingerprint,
     is_failure,
     make_executor,
+    run_tasks,
 )
 
 PAPER_BATCH_SIZES = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
@@ -77,61 +78,47 @@ def run_sweep(
     seed: int = 0,
     store: "SweepStore | None" = None,
     workers: int = 1,
-    executor=None,
 ) -> SweepResult:
     """Reproduce one panel of Fig. 3 (RTF) or Fig. 4 (CAH).
 
     Pass a :class:`~repro.experiments.SweepStore` to make the (n, B) grid
     resumable: each finished cell is persisted under a key derived from the
     full configuration, so re-running after an interruption only computes
-    the missing cells.  ``workers > 1`` (or an explicit ``executor``) fans
-    the pending cells out over a process pool with sharded, crash-safe
-    persistence; each cell's trials are seeded by its configuration, so
-    serial and parallel grids are identical.  A failed cell lands in
-    :attr:`SweepResult.errors` with a NaN grid entry instead of killing
-    the sweep.
+    the missing cells.  ``workers > 1`` fans the pending cells out over
+    worker processes with sharded, crash-safe persistence; each cell's
+    trials are seeded by its configuration, so serial and parallel grids
+    are identical.  A failed cell lands in :attr:`SweepResult.errors` with
+    a NaN grid entry instead of killing the sweep.
     """
-    store = store if store is not None else SweepStore()
-    store.recover_shards()
-    executor = executor if executor is not None else make_executor(workers)
     data_key = f"{dataset.name}:{dataset_fingerprint(dataset)}"
-    grid = np.zeros((len(neuron_counts), len(batch_sizes)))
-    tasks = []
-    positions: dict[str, tuple[int, int]] = {}
-    for i, num_neurons in enumerate(neuron_counts):
-        for j, batch_size in enumerate(batch_sizes):
-            if batch_size > len(dataset):
-                grid[i, j] = np.nan
-                continue
-            key = (
-                f"fig34|{attack_name}|{data_key}|n{num_neurons}"
-                f"|B{batch_size}|t{num_trials}|s{seed}"
-            )
-            cached = store.get(key)
-            if cached is not None:
-                grid[i, j] = cached
-                continue
-            positions[key] = (i, j)
-            tasks.append(
-                (
-                    key,
-                    evaluate_attack_cell,
-                    {
-                        "mode": "average",
-                        "attack": attack_name,
-                        "batch_size": batch_size,
-                        "num_neurons": num_neurons,
-                        "num_trials": num_trials,
-                        "seed": seed,
-                    },
-                )
-            )
+    # A batch larger than the dataset has no cell; its entries stay NaN.
+    cells = [
+        (i, j)
+        for i in range(len(neuron_counts))
+        for j in range(len(batch_sizes))
+        if batch_sizes[j] <= len(dataset)
+    ]
+    tasks = [
+        (
+            f"fig34|{attack_name}|{data_key}|n{neuron_counts[i]}"
+            f"|B{batch_sizes[j]}|t{num_trials}|s{seed}",
+            average_psnr_task,
+            {
+                "attack_name": attack_name,
+                "batch_size": batch_sizes[j],
+                "num_neurons": neuron_counts[i],
+                "num_trials": num_trials,
+                "seed": seed,
+            },
+        )
+        for i, j in cells
+    ]
+    store = store if store is not None else SweepStore()
+    executions = run_tasks(tasks, store, make_executor(workers), shared=dataset)
+    grid = np.full((len(neuron_counts), len(batch_sizes)), np.nan)
     errors: dict[tuple[int, int], dict] = {}
-    executions = executor.run(tasks, store, shared={"dataset": dataset})
-    for key, execution in executions.items():
-        i, j = positions[key]
+    for (i, j), execution in zip(cells, executions):
         if is_failure(execution.result):
-            grid[i, j] = np.nan
             errors[(neuron_counts[i], batch_sizes[j])] = execution.result["error"]
         else:
             grid[i, j] = execution.result

@@ -21,12 +21,13 @@ import numpy as np
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import evaluate_attack_cell, run_linear_trial
+from repro.experiments.runner import psnr_distribution_task, run_linear_trial
 from repro.experiments.sweep import (
     SweepStore,
     dataset_fingerprint,
     is_failure,
     make_executor,
+    run_tasks,
 )
 
 # The paper's strongest-attack settings (read off Figs. 3-4, Sec. IV-A).
@@ -93,63 +94,44 @@ def run_defense_lineup(
     seed: int = 0,
     store: "SweepStore | None" = None,
     workers: int = 1,
-    executor=None,
 ) -> DefenseLineupResult:
     """One panel of Fig. 5 (RTF) / Fig. 6 (CAH): PSNRs per transformation.
 
     With a :class:`~repro.experiments.SweepStore`, each defense arm's PSNR
     distribution is cached so interrupted lineups resume where they left
-    off.  ``workers > 1`` (or an explicit ``executor``) evaluates the
-    pending arms concurrently over a process pool with sharded, crash-safe
-    persistence and identical results to the serial path.  A failed arm
-    lands in :attr:`DefenseLineupResult.errors` with an empty distribution
-    instead of killing the lineup.
+    off.  ``workers > 1`` evaluates the pending arms concurrently over
+    worker processes with sharded, crash-safe persistence and identical
+    results to the serial path.  A failed arm lands in
+    :attr:`DefenseLineupResult.errors` with an empty distribution instead
+    of killing the lineup.
     """
-    store = store if store is not None else SweepStore()
-    store.recover_shards()
-    executor = executor if executor is not None else make_executor(workers)
     data_key = f"{dataset.name}:{dataset_fingerprint(dataset)}"
-    distributions: dict[str, np.ndarray] = {}
-    tasks = []
-    arms: dict[str, str] = {}
-    for defense_name in lineup:
-        key = (
+    tasks = [
+        (
             f"fig56|{attack_name}|{data_key}|B{batch_size}"
-            f"|n{num_neurons}|{defense_name}|t{num_trials}|s{seed}"
+            f"|n{num_neurons}|{defense_name}|t{num_trials}|s{seed}",
+            psnr_distribution_task,
+            {
+                "attack": attack_name,
+                "batch_size": batch_size,
+                "num_neurons": num_neurons,
+                "defense": defense_name,
+                "num_trials": num_trials,
+                "seed": seed,
+            },
         )
-        cached = store.get(key)
-        if cached is not None:
-            distributions[defense_name] = np.array(cached)
-            continue
-        arms[key] = defense_name
-        tasks.append(
-            (
-                key,
-                evaluate_attack_cell,
-                {
-                    "mode": "distribution",
-                    "attack": attack_name,
-                    "batch_size": batch_size,
-                    "num_neurons": num_neurons,
-                    "defense": defense_name,
-                    "num_trials": num_trials,
-                    "seed": seed,
-                },
-            )
-        )
+        for defense_name in lineup
+    ]
+    store = store if store is not None else SweepStore()
+    executions = run_tasks(tasks, store, make_executor(workers), shared=dataset)
+    distributions: dict[str, np.ndarray] = {}
     errors: dict[str, dict] = {}
-    executions = executor.run(tasks, store, shared={"dataset": dataset})
-    for key, defense_name in arms.items():
-        execution = executions[key]
+    for defense_name, execution in zip(lineup, executions):
         if is_failure(execution.result):
             distributions[defense_name] = np.array([])
             errors[defense_name] = execution.result["error"]
         else:
             distributions[defense_name] = np.array(execution.result)
-    # Preserve the lineup's arm order regardless of cache/compute split.
-    distributions = {
-        name: distributions[name] for name in lineup if name in distributions
-    }
     return DefenseLineupResult(
         attack=attack_name,
         dataset=dataset.name,

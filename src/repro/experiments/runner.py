@@ -22,6 +22,7 @@ from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
 from repro.defense.registry import make_defense
+from repro.experiments.sweep import worker_shared
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
 from repro.nn.losses import CrossEntropyLoss, LogisticLoss
@@ -46,60 +47,41 @@ class AttackTrialResult:
         return float(np.mean(self.psnrs))
 
 
-def evaluate_attack_cell(payload: dict):
-    """Picklable process-pool entry: evaluate one attack-configuration cell.
+def average_psnr_task(payload: dict) -> float:
+    """Picklable grid task of the Fig. 3/4 sweeps: one (n, B) cell.
 
-    The sweep executors (:mod:`repro.experiments.sweep`) dispatch tasks as
-    ``(store_key, fn, payload)`` triples to worker processes, so the work
-    function must live at module level.  This one covers both per-figure
-    harness shapes:
-
-    - ``mode="average"`` (Fig. 3/4 grids): mean average-PSNR over
-      ``num_trials`` independent trials — returns a float, the exact value
-      :func:`average_over_trials` reports, so stores written by serial PR-2
-      sweeps keep serving.
-    - ``mode="distribution"`` (Fig. 5/6 lineups): the concatenated PSNR
-      list across trials for one defense arm — returns ``list[float]``.
-
-    The dataset may ride in the payload (``payload["dataset"]``) or, for
-    pool runs, be shipped once per worker through the executor's shared
-    object (``shared={"dataset": ...}``) instead of once per task.
+    The payload holds :func:`average_over_trials` keyword arguments; the
+    dataset is the run's shared object (see
+    :func:`~repro.experiments.sweep.worker_shared`).  Returns the overall
+    mean average-PSNR.
     """
-    mode = payload.get("mode", "average")
-    dataset = payload.get("dataset")
-    if dataset is None:
-        from repro.experiments.sweep import worker_shared
+    overall, _ = average_over_trials(worker_shared(), **payload)
+    return float(overall)
 
-        dataset = worker_shared()["dataset"]
-    if mode == "average":
-        overall, _ = average_over_trials(
-            dataset,
+
+def psnr_distribution_task(payload: dict) -> list[float]:
+    """Picklable grid task of the Fig. 5/6 lineups: one defense arm.
+
+    Returns the PSNRs of every reconstruction across ``num_trials``
+    trials; the dataset is the run's shared object.
+    """
+    scores: list[float] = []
+    for trial in range(payload["num_trials"]):
+        trial_seed = payload["seed"] + 31 * trial
+        result = run_attack_trial(
+            worker_shared(),
             payload["attack"],
             payload["batch_size"],
             payload["num_neurons"],
-            num_trials=payload["num_trials"],
-            seed=payload["seed"],
+            # A fresh, trial-seeded defense per trial: stochastic arms (DP
+            # noise, transform-replace) must not thread one stream across
+            # trials, or the distribution would depend on how many trials
+            # ran before this one.
+            defense=make_defense(payload["defense"], seed=trial_seed),
+            seed=trial_seed,
         )
-        return float(overall)
-    if mode == "distribution":
-        scores: list[float] = []
-        for trial in range(payload["num_trials"]):
-            trial_seed = payload["seed"] + 31 * trial
-            result = run_attack_trial(
-                dataset,
-                payload["attack"],
-                payload["batch_size"],
-                payload["num_neurons"],
-                # A fresh, trial-seeded defense per trial: stochastic arms
-                # (DP noise, transform-replace) must not thread one stream
-                # across trials, or the distribution would depend on how
-                # many trials ran before this one.
-                defense=make_defense(payload["defense"], seed=trial_seed),
-                seed=trial_seed,
-            )
-            scores.extend(result.psnrs)
-        return [float(score) for score in scores]
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+        scores.extend(result.psnrs)
+    return [float(score) for score in scores]
 
 
 def run_attack_trial(

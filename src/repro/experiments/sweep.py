@@ -22,6 +22,9 @@ module provides that engine:
   it.  Completed runs compact the log into canonical sorted-key order.
   The per-figure harnesses (``attack_sweep``,
   ``defense_eval``) share the same store for their own grids.
+- :func:`run_tasks` is the one resumable driver every grid (the runner's
+  and the harnesses') goes through: recover shards, serve cached keys,
+  execute the rest.
 - :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
   *how* the pending cells run: in-process, or pulled by worker processes
   from a shared task queue — a worker takes its next cell the moment it
@@ -52,8 +55,10 @@ The expected headline shape (paper Fig. 5): for each scenario, the
 cell's — reproduced by :func:`headline_ordering_holds`.
 
 Both grid axes resolve through pluggable registries.  The attack axis
-(:mod:`repro.attacks.registry`): any registered name works, the cell's
-global model follows the attack's ``model_family`` (imprint vs linear),
+(:mod:`repro.attacks.registry`): arms are one-stage spec strings — any
+registered name, or a knobbed variant like
+``"loki(activation_probability=0.1)"`` — the cell's global model follows
+the attack's ``model_family`` (imprint vs linear),
 and aggregate-reconstructing attacks (LOKI) ride the dishonest server's
 per-client crafting hooks transparently.  The defense axis
 (:mod:`repro.defense.registry`): arms are spec strings — ``"WO"``, OASIS
@@ -69,9 +74,10 @@ Run a sweep from the command line::
 
     PYTHONPATH=src python -m repro.experiments.sweep \
         --grid smoke --workers 4 --store sweep.json
-    # the whole attack zoo:
+    # the whole attack zoo, plus a knobbed LOKI arm:
     PYTHONPATH=src python -m repro.experiments.sweep \
-        --grid smoke --attacks rtf,cah,linear,qbi,loki --workers 2
+        --grid smoke --workers 2 \
+        --attacks 'rtf,cah,linear,qbi,loki,loki(activation_probability=0.1)'
     # a defense stack lineup (quote the '>' from the shell):
     PYTHONPATH=src python -m repro.experiments.sweep \
         --grid smoke --attacks rtf,cah,qbi \
@@ -95,6 +101,7 @@ import traceback
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -111,7 +118,7 @@ from repro.experiments.reporting import format_table
 from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
-from repro.registry import UnknownNameError, split_spec_list
+from repro.registry import parse_spec, split_spec_list
 from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
 
@@ -669,10 +676,15 @@ class SweepStore:
 
 @dataclass(frozen=True)
 class CellExecution:
-    """What one executed task produced: its result and wall-clock cost."""
+    """What one task produced: its result and wall-clock cost.
+
+    ``cached`` marks a result :func:`run_tasks` served from the store
+    instead of computing it (``elapsed_s`` is then 0).
+    """
 
     result: object
     elapsed_s: float
+    cached: bool = False
 
 
 @dataclass(frozen=True)
@@ -1020,6 +1032,42 @@ def make_executor(
     return WorkStealingSweepExecutor(workers, start_method=start_method)
 
 
+def run_tasks(
+    tasks: Sequence[tuple],
+    store: SweepStore,
+    executor=None,
+    progress: Optional[ProgressCallback] = None,
+    shared=None,
+) -> list[CellExecution]:
+    """Run a resumable grid of ``(key, fn, payload)`` tasks.
+
+    The one driver every grid goes through (:meth:`SweepRunner.run` and
+    the per-figure harnesses): absorb the shards a killed parallel run
+    left behind, serve every key the store already holds (emitting a
+    ``"cached"`` :class:`CellEvent` each), and run the rest through
+    ``executor`` (serial in-process when None), which persists successes
+    and compacts the store.  ``shared`` reaches the task functions via
+    :func:`worker_shared`.  Returns one :class:`CellExecution` per task,
+    in task order.
+    """
+    store.recover_shards()
+    executions: dict[str, CellExecution] = {}
+    pending: dict[str, tuple] = {}
+    for key, fn, payload in tasks:
+        value = store.get(key)
+        if value is None:
+            pending[key] = (key, fn, payload)
+            continue
+        executions[key] = CellExecution(value, 0.0, cached=True)
+        if progress is not None:
+            progress(CellEvent(key, "cached", 0.0, len(executions), len(tasks)))
+    executor = executor if executor is not None else SerialSweepExecutor()
+    executions.update(
+        executor.run(list(pending.values()), store, progress, shared)
+    )
+    return [executions[key] for key, _, _ in tasks]
+
+
 @dataclass
 class SweepOutcome:
     """Everything one :meth:`SweepRunner.run` call produced.
@@ -1100,7 +1148,7 @@ def _sweep_cell_task(cell: SweepCell) -> dict:
     The spec (including the dataset) arrives through :func:`worker_shared`
     — shipped once per worker by the executor, not once per task.
     """
-    spec = worker_shared()["spec"]
+    spec = worker_shared()
     if _RUNNER_CACHE and _RUNNER_CACHE[0][0] is spec:
         runner = _RUNNER_CACHE[0][1]
     else:
@@ -1120,19 +1168,16 @@ class SweepRunner:
     of the full configuration (see :meth:`store_key`), making long sweeps
     resumable without ever serving results from a different setup.
 
-    :meth:`run` decomposes into three stages any caller can drive
-    separately: :meth:`cells` (enumerate the grid), :meth:`execute` (run
-    pending cells through an executor — serial or process-pool), and
-    :meth:`collect` (assemble a :class:`SweepOutcome` in grid order).
-
     Parameters
     ----------
     dataset:
         The private dataset; partitioned per scenario.
     attacks / defenses / scenarios:
-        The grid axes.  Attacks are registered attack names; defenses are
-        registry spec strings — ``"WO"``, suite names, baselines, knobbed
-        variants, or composed stacks like ``"MR>dpsgd"`` (see
+        The grid axes.  Attacks are one-stage attack-registry specs — a
+        name or a knobbed variant like ``"loki(activation_probability=0.1)"``
+        (see :mod:`repro.attacks.registry`); defenses are registry spec
+        strings — ``"WO"``, suite names, baselines, knobbed variants, or
+        composed stacks like ``"MR>dpsgd"`` (see
         :mod:`repro.defense.registry`); scenarios are
         :class:`ParticipationScenario` entries with unique names.
     store:
@@ -1162,10 +1207,12 @@ class SweepRunner:
         ):
             if len(axis) != len(set(axis)):
                 raise ValueError(f"duplicate {axis_label} in {axis}")
-        for name in attacks:
-            ATTACKS.get(name)  # fail fast on unknown attacks, not per cell
+        # Fail fast on a bad arm, not one cell deep into the sweep: a
+        # throwaway build is exactly as strict as the per-cell one.
+        for spec in attacks:
+            ATTACKS.build(spec, num_neurons=num_neurons, seed=seed)
         for spec in defenses:
-            validate_defense_spec(spec)  # likewise for the defense axis
+            validate_defense_spec(spec)
         self.dataset = dataset
         self.attacks = tuple(attacks)
         self.defenses = tuple(defenses)
@@ -1254,7 +1301,7 @@ class SweepRunner:
         """
         return derive_seed(self.seed, self.store_key(cell))
 
-    def _model_factory(self, seed: int, attack_name: str):
+    def _model_factory(self, seed: int, attack_spec: str):
         """Global-model factory matching the attack's declared target.
 
         Imprint-family attacks get the malicious-layer
@@ -1263,9 +1310,8 @@ class SweepRunner:
         """
         dataset = self.dataset
         num_neurons = self.num_neurons
-        model_kind = ATTACKS.get(attack_name).model_family
-
-        if model_kind == "linear":
+        [(attack_name, _)] = parse_spec(attack_spec)
+        if ATTACKS.get(attack_name).model_family == "linear":
             from repro.attacks.linear import LinearClassifier
 
             def factory():
@@ -1343,56 +1389,6 @@ class SweepRunner:
             "rounds": self.rounds,
         }
 
-    def execute(
-        self,
-        cells: Sequence[SweepCell],
-        executor=None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> dict[str, CellExecution]:
-        """Run ``cells`` through ``executor`` (serial when None).
-
-        Successful results are persisted to the store by the executor;
-        failures are returned but never persisted, so they retry on the
-        next run.  Returns ``store_key -> CellExecution``.
-        """
-        executor = executor if executor is not None else SerialSweepExecutor()
-        tasks = [
-            (self.store_key(cell), _sweep_cell_task, cell) for cell in cells
-        ]
-        return executor.run(
-            tasks, self.store, progress, shared={"spec": self.spec()}
-        )
-
-    def collect(
-        self,
-        cells: Sequence[SweepCell],
-        executions: dict[str, CellExecution],
-        cached: Optional[dict[str, dict]] = None,
-    ) -> SweepOutcome:
-        """Assemble the outcome in grid order from executed + cached cells."""
-        cached = cached or {}
-        outcome = SweepOutcome()
-        for cell in cells:
-            if cell.key in cached:
-                outcome.results[cell.key] = cached[cell.key]
-                outcome.cached.append(cell.key)
-                continue
-            execution = executions[self.store_key(cell)]
-            result = execution.result
-            if is_failure(result):
-                result = {
-                    "attack": cell.attack,
-                    "defense": cell.defense,
-                    "scenario": cell.scenario,
-                    **result,
-                }
-                outcome.failed.append(cell.key)
-            else:
-                outcome.computed.append(cell.key)
-            outcome.results[cell.key] = result
-            outcome.timings[cell.key] = execution.elapsed_s
-        return outcome
-
     def run(
         self,
         executor=None,
@@ -1400,33 +1396,32 @@ class SweepRunner:
     ) -> SweepOutcome:
         """Evaluate the whole grid, serving finished cells from the store.
 
-        Recovers any shards a killed parallel run left behind, scans the
-        store for finished cells, fans the rest out through ``executor``
-        (serial in-process when None), and collects everything in grid
-        order.
+        Drives :func:`run_tasks` (shard recovery, cache scan, ``executor``
+        — serial in-process when None) and collects everything in grid
+        order.  Failures are reported but never persisted, so they retry
+        on the next run.
         """
-        self.store.recover_shards()
         grid = self.cells()
-        cached_results: dict[str, dict] = {}
-        pending: list[SweepCell] = []
-        for cell in grid:
-            cached = self.store.get(self.store_key(cell))
-            if cached is not None:
-                cached_results[cell.key] = cached
-                if progress is not None:
-                    progress(
-                        CellEvent(
-                            key=self.store_key(cell),
-                            status="cached",
-                            elapsed_s=0.0,
-                            completed=len(cached_results),
-                            total=len(grid),
-                        )
-                    )
+        tasks = [
+            (self.store_key(cell), _sweep_cell_task, cell) for cell in grid
+        ]
+        executions = run_tasks(
+            tasks, self.store, executor, progress, shared=self.spec()
+        )
+        outcome = SweepOutcome()
+        for cell, execution in zip(grid, executions):
+            result = execution.result
+            if execution.cached:
+                outcome.cached.append(cell.key)
             else:
-                pending.append(cell)
-        executions = self.execute(pending, executor, progress)
-        return self.collect(grid, executions, cached_results)
+                outcome.timings[cell.key] = execution.elapsed_s
+                if is_failure(result):
+                    result = {**asdict(cell), **result}
+                    outcome.failed.append(cell.key)
+                else:
+                    outcome.computed.append(cell.key)
+            outcome.results[cell.key] = result
+        return outcome
 
 
 def headline_ordering_holds(
@@ -1507,86 +1502,84 @@ def scenario_to_dict(scenario: ParticipationScenario) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _smoke_runner(
-    seed: int,
-    rounds: int,
-    store,
-    attacks: Optional[Sequence[str]] = None,
-    defenses: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[ParticipationScenario]] = None,
-) -> SweepRunner:
-    """2-cell sanity grid: rtf x (WO, MR) x full participation, seconds."""
-    dataset = make_synthetic_dataset(
-        4, 12, image_size=8, seed=3, name="smoke-grid"
-    )
-    return SweepRunner(
-        dataset,
-        attacks=attacks or ("rtf",),
-        defenses=defenses or ("WO", "MR"),
-        scenarios=scenarios or (ParticipationScenario("full", num_clients=2),),
-        batch_size=3,
-        num_neurons=48,
-        public_size=48,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-    )
+@dataclass(frozen=True)
+class GridPreset:
+    """A named CLI grid: its dataset, default axes and sizes.
+
+    Calling a preset builds its :class:`SweepRunner`; ``attacks``,
+    ``defenses`` and ``scenarios`` override the default axes, ``sizes``
+    holds the runner's ``batch_size``/``num_neurons``/``public_size``.
+    """
+
+    dataset: Callable[[], SyntheticImageDataset]
+    attacks: tuple[str, ...]
+    defenses: tuple[str, ...]
+    scenarios: tuple[ParticipationScenario, ...]
+    sizes: dict
+
+    def __call__(
+        self,
+        seed: int,
+        rounds: int,
+        store,
+        attacks: Optional[Sequence[str]] = None,
+        defenses: Optional[Sequence[str]] = None,
+        scenarios: Optional[Sequence[ParticipationScenario]] = None,
+    ) -> SweepRunner:
+        return SweepRunner(
+            self.dataset(),
+            attacks=attacks or self.attacks,
+            defenses=defenses or self.defenses,
+            scenarios=scenarios or self.scenarios,
+            rounds=rounds,
+            seed=seed,
+            store=store,
+            **self.sizes,
+        )
 
 
-def _default_runner(
-    seed: int,
-    rounds: int,
-    store,
-    attacks: Optional[Sequence[str]] = None,
-    defenses: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[ParticipationScenario]] = None,
-) -> SweepRunner:
-    """8-cell working grid: rtf x 4 suites x 2 participation shapes."""
-    dataset = make_synthetic_dataset(
-        6, 16, image_size=16, seed=5, name="default-grid"
-    )
-    return SweepRunner(
-        dataset,
-        attacks=attacks or ("rtf",),
-        defenses=defenses or ("WO", "MR", "SH", "MR+SH"),
-        scenarios=scenarios or DEFAULT_SCENARIOS[:2],
-        batch_size=4,
-        num_neurons=64,
-        public_size=64,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-    )
-
-
-def _acceptance_runner(
-    seed: int,
-    rounds: int,
-    store,
-    attacks: Optional[Sequence[str]] = None,
-    defenses: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[ParticipationScenario]] = None,
-) -> SweepRunner:
-    """The 24-cell acceptance grid on the CIFAR100 stand-in (minutes)."""
-    return SweepRunner(
-        synthetic_cifar100(samples_per_class=2, seed=2002),
-        attacks=attacks or ("rtf", "cah"),
-        defenses=defenses or ("WO", "MR", "SH", "MR+SH"),
-        scenarios=scenarios or DEFAULT_SCENARIOS[:3],
-        batch_size=4,
-        num_neurons=64,
-        public_size=100,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-    )
-
-
-GRID_PRESETS: dict[str, Callable[..., SweepRunner]] = {
-    "smoke": _smoke_runner,
-    "default": _default_runner,
-    "acceptance": _acceptance_runner,
+GRID_PRESETS: dict[str, GridPreset] = {
+    # 2-cell sanity grid: rtf x (WO, MR) x full participation, seconds.
+    "smoke": GridPreset(
+        partial(make_synthetic_dataset, 4, 12, image_size=8, seed=3,
+                name="smoke-grid"),
+        ("rtf",), ("WO", "MR"), DEFAULT_SCENARIOS[:1],
+        dict(batch_size=3, num_neurons=48, public_size=48),
+    ),
+    # 8-cell working grid: rtf x 4 suites x 2 participation shapes.
+    "default": GridPreset(
+        partial(make_synthetic_dataset, 6, 16, image_size=16, seed=5,
+                name="default-grid"),
+        ("rtf",), ("WO", "MR", "SH", "MR+SH"), DEFAULT_SCENARIOS[:2],
+        dict(batch_size=4, num_neurons=64, public_size=64),
+    ),
+    # The 24-cell acceptance grid on the CIFAR100 stand-in (minutes).
+    "acceptance": GridPreset(
+        partial(synthetic_cifar100, samples_per_class=2, seed=2002),
+        ("rtf", "cah"), ("WO", "MR", "SH", "MR+SH"), DEFAULT_SCENARIOS[:3],
+        dict(batch_size=4, num_neurons=64, public_size=100),
+    ),
 }
+
+
+def _spec_axis(parser, flag: str, kind: str, text: Optional[str]):
+    """Split one ``--attacks``/``--defenses`` value into its arm specs.
+
+    Only the list grammar is checked here; the runner validates each arm
+    at construction (unknown names, undeclared knobs, bad values).  An
+    absent flag gives None: the preset's own axis.
+    """
+    if text is None:
+        return None
+    try:
+        specs = tuple(split_spec_list(text))
+    except ValueError as error:
+        parser.error(str(error))
+    if not specs:
+        parser.error(f"{flag} must name at least one {kind}")
+    if len(set(specs)) != len(specs):
+        parser.error(f"{flag} lists a spec twice: {', '.join(specs)}")
+    return specs
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1638,8 +1631,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--attacks",
         default=None,
         help=(
-            "comma-separated attack names overriding the preset's attack "
-            f"axis; registered: {', '.join(ATTACKS.names())}"
+            "comma-separated attack specs overriding the preset's attack "
+            "axis; arms are registry spec strings, including knobbed "
+            "variants like loki(activation_probability=0.1); registered: "
+            f"{', '.join(ATTACKS.names())}"
         ),
     )
     parser.add_argument(
@@ -1678,38 +1673,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError:
             parser.error("--workers must be an integer or 'auto'")
 
-    attacks: Optional[tuple[str, ...]] = None
-    if args.attacks is not None:
-        attacks = tuple(
-            name.strip() for name in args.attacks.split(",") if name.strip()
-        )
-        if not attacks:
-            parser.error("--attacks must name at least one attack")
-        if len(set(attacks)) != len(attacks):
-            parser.error(f"--attacks lists a name twice: {', '.join(attacks)}")
-        for name in attacks:
-            try:
-                ATTACKS.get(name)
-            except UnknownNameError as error:
-                parser.error(str(error))
-
-    defenses: Optional[tuple[str, ...]] = None
-    if args.defenses is not None:
-        try:
-            defenses = tuple(split_spec_list(args.defenses))
-        except ValueError as error:
-            parser.error(str(error))
-        if not defenses:
-            parser.error("--defenses must name at least one defense")
-        if len(set(defenses)) != len(defenses):
-            parser.error(
-                f"--defenses lists a spec twice: {', '.join(defenses)}"
-            )
-        for spec in defenses:
-            try:
-                validate_defense_spec(spec)
-            except ValueError as error:
-                parser.error(str(error))
+    attacks = _spec_axis(parser, "--attacks", "attack", args.attacks)
+    defenses = _spec_axis(parser, "--defenses", "defense", args.defenses)
 
     store_path = args.store or Path(f"sweep_{args.grid}.json")
     shard_dir = SweepStore.shard_directory_for(store_path)
@@ -1720,18 +1685,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "killed parallel run); pass --resume to finish that sweep with "
             "it, or point --store elsewhere"
         )
-    runner = GRID_PRESETS[args.grid](
-        seed=args.seed,
-        rounds=args.rounds,
-        store=store_path,
-        attacks=attacks,
-        defenses=defenses,
-        scenarios=(
-            SCENARIO_AXES[args.scenario_axis]
-            if args.scenario_axis is not None
-            else None
-        ),
-    )
+    try:
+        runner = GRID_PRESETS[args.grid](
+            seed=args.seed,
+            rounds=args.rounds,
+            store=store_path,
+            attacks=attacks,
+            defenses=defenses,
+            scenarios=SCENARIO_AXES.get(args.scenario_axis),
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
     def report(event: CellEvent) -> None:
         if event.status == "cached":

@@ -11,9 +11,8 @@ The rules are one :class:`~repro.registry.Registry`, :data:`RULES`, like
 the attack and defense zoos: each rule registers a :class:`Rule` (name,
 checker, fix hint, which profiles it runs in) via :func:`register_rule`,
 and every consumer — the ``python -m repro.lint`` CLI, the tier-1
-meta-tests, CI — resolves rules through it.  Rules are either
-*file*-scoped (an AST walk over one parsed source file, the default) or
-*tree*-scoped (run once per lint invocation with every parsed file).
+meta-tests, CI — resolves rules through it.  A rule is an AST walk over one
+parsed source file.
 
 Suppression is per line and must be justified::
 
@@ -81,11 +80,10 @@ class Violation:
 class Rule:
     """One registered invariant check.
 
-    ``check`` is called with a :class:`FileContext` for file-scoped rules,
-    or with the full list of contexts for ``scope="tree"`` rules (which
-    run once per invocation, not once per file).  ``profiles`` names the
-    lint profiles the rule participates in; ``hint`` is the one-line fix
-    guidance appended to every violation the rule emits.
+    ``check`` is called with each file's :class:`FileContext`.
+    ``profiles`` names the lint profiles the rule participates in;
+    ``hint`` is the one-line fix guidance appended to every violation the
+    rule emits.
     """
 
     name: str
@@ -93,14 +91,13 @@ class Rule:
     description: str = ""
     hint: str = ""
     profiles: tuple[str, ...] = PROFILES
-    scope: str = "file"  # "file" | "tree"
 
 
 RULES = Registry("rule", pattern=r"[a-z0-9][a-z0-9-]*")
 
 
 def register_rule(rule: Rule, replace: bool = False) -> Rule:
-    """Add ``rule`` to :data:`RULES` after checking its scope and profiles.
+    """Add ``rule`` to :data:`RULES` after checking its profiles.
 
     Names are lower-case kebab-case (they appear in pragmas and CLI
     flags); duplicates are an error unless replacing.
@@ -109,11 +106,6 @@ def register_rule(rule: Rule, replace: bool = False) -> Rule:
         raise RegistryError(
             f"rule name {PRAGMA_RULE!r} is reserved for the engine's own "
             "pragma diagnostics"
-        )
-    if rule.scope not in ("file", "tree"):
-        raise RegistryError(
-            f"rule {rule.name!r} has unknown scope {rule.scope!r}; "
-            "expected 'file' or 'tree'"
         )
     unknown_profiles = set(rule.profiles) - set(PROFILES)
     if unknown_profiles:
@@ -248,7 +240,7 @@ def parse_pragmas(
 
 
 class FileContext:
-    """One parsed source file handed to file-scoped rules.
+    """One parsed source file handed to the rules.
 
     Carries the AST, raw lines, and the import table (alias -> module for
     plain imports, name -> "module.name" for from-imports) rules use to
@@ -304,13 +296,13 @@ def lint_source(
     rules: Optional[Sequence[Rule]] = None,
     known_rules: Optional[Iterable[str]] = None,
 ) -> list[Violation]:
-    """Lint one source string with file-scoped ``rules`` (default: all).
+    """Lint one source string with ``rules`` (default: the lib profile).
 
     The entry point tests and editor integrations use; :func:`lint_paths`
     drives it per file.  Violations come back sorted by position.
     """
     if rules is None:
-        rules = [rule for rule in rules_for("lib") if rule.scope == "file"]
+        rules = rules_for("lib")
     if known_rules is None:
         known_rules = available_rules()
     try:
@@ -326,8 +318,6 @@ def lint_source(
     pragmas = parse_pragmas(path, context.lines, known_rules)
     violations = list(pragmas.problems)
     for rule in rules:
-        if rule.scope != "file":
-            continue
         for violation in rule.check(context):
             if not pragmas.suppressed(violation.line, violation.rule):
                 violations.append(violation)
@@ -369,27 +359,18 @@ def lint_paths(
 ) -> tuple[list[Violation], int]:
     """Lint files/directories; returns (violations, files_checked).
 
-    File-scoped rules walk every collected file; tree-scoped rules run
-    once with all contexts.  Violations are sorted by (path, line, col)
-    so output is deterministic regardless of traversal details.
+    Each file is parsed once and walked by every selected rule.
+    Violations are sorted by (path, line, col) so output is deterministic
+    regardless of traversal details.
     """
     selected = rules_for(profile, rule_names)
     files = collect_files(paths)
     known = available_rules()
     violations: list[Violation] = []
-    contexts: list[FileContext] = []
     for file in files:
-        source = file.read_text(encoding="utf-8")
-        file_violations = lint_source(
-            source, path=str(file), rules=selected, known_rules=known
-        )
-        violations.extend(file_violations)
-        if not any(v.rule == "syntax" for v in file_violations):
-            contexts.append(
-                FileContext(str(file), source, ast.parse(source))
-            )
-    for rule in selected:
-        if rule.scope == "tree":
-            violations.extend(rule.check(contexts))
+        violations.extend(lint_source(
+            file.read_text(encoding="utf-8"),
+            path=str(file), rules=selected, known_rules=known,
+        ))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return violations, len(files)

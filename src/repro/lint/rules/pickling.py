@@ -6,10 +6,10 @@ every callable crossing that boundary is pickled by qualified name.  A
 ``lambda`` or a function defined inside another function pickles on no
 platform — and the failure is deferred and environment-dependent: the
 serial path works, Linux ``fork`` works, and the macOS/Windows CI matrix
-dies with an opaque ``PicklingError``.  PR 3 hit exactly this (the
-``runner.evaluate_attack_cell`` module-level entry exists because of it);
-PR 5 hit the registration variant (a parent-only registered defense
-invisible to spawned workers).
+dies with an opaque ``PicklingError``.  The grid task functions in
+``repro.experiments.runner`` are module-level for exactly this reason; the
+registration variant (a parent-only registered defense) fails the same
+way, invisible to spawned workers.
 
 Flagged: a ``lambda``, or a name whose only definition in the file is
 nested inside another function, passed as
@@ -109,7 +109,7 @@ RULE = register_rule(Rule(
     ),
     hint=(
         "move the entry point to module level, like "
-        "repro.experiments.runner.evaluate_attack_cell"
+        "repro.experiments.runner.average_psnr_task"
     ),
     profiles=("lib", "bench"),
 ))

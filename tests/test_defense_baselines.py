@@ -11,7 +11,7 @@ from repro.defense import (
     NoDefense,
     OasisDefense,
     TransformReplaceDefense,
-    defense_lineup,
+    make_defense,
 )
 
 
@@ -108,12 +108,12 @@ class TestTransformReplace:
 
 class TestLineup:
     def test_wo_maps_to_no_defense(self):
-        lineup = defense_lineup(["WO", "MR"])
+        lineup = [make_defense(name) for name in ["WO", "MR"]]
         assert isinstance(lineup[0], NoDefense)
         assert isinstance(lineup[1], OasisDefense)
 
     def test_names_preserved(self):
-        lineup = defense_lineup(["WO", "MR+SH"])
+        lineup = [make_defense(name) for name in ["WO", "MR+SH"]]
         assert [d.name for d in lineup] == ["WO", "MR+SH"]
 
     def test_typo_raises_name_listing_error(self):
@@ -121,11 +121,11 @@ class TestLineup:
         from repro.registry import UnknownNameError
 
         with pytest.raises(UnknownNameError, match="registered defenses"):
-            defense_lineup(["WO", "MRR"])
+            make_defense("MRR")
 
     def test_gradient_and_composed_arms_resolve(self):
         from repro.defense import DefensePipeline, DPSGDDefense
 
-        lineup = defense_lineup(["dpsgd", "MR>dpsgd"])
+        lineup = [make_defense(name) for name in ["dpsgd", "MR>dpsgd"]]
         assert isinstance(lineup[0], DPSGDDefense)
         assert isinstance(lineup[1], DefensePipeline)

@@ -14,7 +14,6 @@ from repro.defense import (
     NoDefense,
     OasisDefense,
     TransformReplaceDefense,
-    defense_lineup,
     make_defense,
     validate_defense_spec,
 )
@@ -218,7 +217,7 @@ class TestMakeDefense:
             make_defense(NoDefense(), prune_fraction=0.5)
 
     def test_lineup_builds_and_orders(self):
-        lineup = defense_lineup(["WO", "MR", "dpsgd", "MR>dpsgd"])
+        lineup = [make_defense(n) for n in ("WO", "MR", "dpsgd", "MR>dpsgd")]
         assert isinstance(lineup[0], NoDefense)
         assert isinstance(lineup[1], OasisDefense)
         assert isinstance(lineup[2], DPSGDDefense)
@@ -226,7 +225,7 @@ class TestMakeDefense:
 
     def test_lineup_unknown_name_lists_available(self):
         with pytest.raises(UnknownNameError, match="registered defenses"):
-            defense_lineup(["WO", "Gaussian"])
+            make_defense("Gaussian")
 
 
 class TestSeedDerivation:

@@ -231,7 +231,7 @@ class TestNoRawWrite:
         source = 'open("report.txt", "w")\n'
         assert lint_source(
             source,
-            rules=[r for r in rules_for("bench") if r.scope == "file"],
+            rules=rules_for("bench"),
         ) == []
 
     def test_pragma_suppresses(self):
@@ -289,7 +289,7 @@ class TestNoWallclock:
         source = "import time\nstamp = time.time()\n"
         assert lint_source(
             source,
-            rules=[r for r in rules_for("bench") if r.scope == "file"],
+            rules=rules_for("bench"),
         ) == []
 
 

@@ -19,6 +19,7 @@ from repro.experiments import (
     headline_ordering_holds,
     run_defense_lineup,
     run_sweep,
+    run_tasks,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -259,6 +260,73 @@ class TestHarnessesShareStore:
             np.testing.assert_array_equal(
                 first.distributions[name], again.distributions[name]
             )
+
+
+def _negate(payload):
+    """A trivial picklable task."""
+    return -payload
+
+
+# Each grid driver over a one-cell grid, reporting that cell's value, and
+# a sentinel value no real evaluation of the cell produces.
+GRID_DRIVERS = {
+    "SweepRunner.run": (
+        lambda dataset, store: make_runner(
+            dataset, store=store, defenses=("WO",)
+        ).run().results["rtf|WO|full"],
+        {"mean_psnr": -1.0},
+    ),
+    "run_sweep": (
+        lambda dataset, store: run_sweep(
+            dataset, "rtf", batch_sizes=(3,), neuron_counts=(32,),
+            num_trials=1, store=store,
+        ).grid[0, 0],
+        -1.0,
+    ),
+    "run_defense_lineup": (
+        lambda dataset, store: list(run_defense_lineup(
+            dataset, "rtf", 3, 32, ("WO",), num_trials=1, store=store,
+        ).distributions["WO"]),
+        [-1.0],
+    ),
+}
+
+
+class TestSharedDriver:
+    """Every grid runs through run_tasks: recover, serve cached, execute."""
+
+    @pytest.mark.parametrize("driver", sorted(GRID_DRIVERS))
+    def test_killed_run_shard_is_served_cached(
+        self, driver, sweep_dataset, tmp_path
+    ):
+        run, sentinel = GRID_DRIVERS[driver]
+        reference = SweepStore(tmp_path / "reference.json")
+        run(sweep_dataset, reference)
+        [key] = reference.keys()
+        path = tmp_path / "store.json"
+        shard_dir = SweepStore.shard_directory_for(path)
+        shard_dir.mkdir()
+        SweepStore(shard_dir / "shard-999.json").put(key, sentinel)
+        # The sentinel comes back: the cell was not recomputed.
+        assert run(sweep_dataset, SweepStore(path)) == sentinel
+        assert not shard_dir.exists()
+        assert SweepStore(path).get(key) == sentinel
+
+    def test_results_in_task_order_marked_cached(self, tmp_path):
+        store = SweepStore(tmp_path / "s.json")
+        store.put("b", -2)
+        events = []
+        executions = run_tasks(
+            [("a", _negate, 1), ("b", _negate, 2), ("c", _negate, 3)],
+            store,
+            progress=events.append,
+        )
+        assert [e.result for e in executions] == [-1, -2, -3]
+        assert [e.cached for e in executions] == [False, True, False]
+        assert [(e.key, e.status) for e in events] == [
+            ("b", "cached"), ("a", "done"), ("c", "done"),
+        ]
+        assert sorted(SweepStore(tmp_path / "s.json").keys()) == list("abc")
 
 
 class TestHarnessParallelAndFailures:

@@ -162,3 +162,29 @@ def test_every_preset_accepts_attack_override(tmp_path):
             attacks=("qbi", "loki"),
         )
         assert runner.attacks == ("qbi", "loki")
+
+
+def test_knobbed_attack_arm_gets_its_own_cells(tmp_path, capsys):
+    store = tmp_path / "knobbed.json"
+    exit_code = main([
+        "--grid", "smoke",
+        "--attacks", "rtf,loki(activation_probability=0.1)",
+        "--store", str(store),
+    ])
+    assert exit_code == 0
+    attacks = {key.split("|")[0] for key in SweepStore(store).keys()}
+    assert attacks == {"rtf", "loki(activation_probability=0.1)"}
+    assert "4 computed" in capsys.readouterr().out
+
+
+def test_undeclared_attack_knob_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "--grid", "smoke",
+            "--attacks", "rtf(bogus=1)",
+            "--store", str(tmp_path / "x.json"),
+        ])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "measurement_mean" in err
+    assert not (tmp_path / "x.json").exists()

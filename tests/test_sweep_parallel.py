@@ -246,22 +246,22 @@ class TestResume:
         assert not shard_dir.exists()
         assert path.read_bytes() == reference_path.read_bytes()
 
-    def test_survivor_shards_not_deleted_by_staged_parallel_execute(
-        self, sweep_dataset, tmp_path
-    ):
-        # The staged API (execute without run's recover step) must still
-        # absorb a previous killed run's shards during cleanup, never
-        # delete them unmerged.
+    def test_parallel_executor_cleanup_absorbs_survivor_shards(self, tmp_path):
+        # An executor driven directly (without run_tasks' recover step)
+        # must still absorb a previous killed run's shards during
+        # cleanup, never delete them unmerged.
         path = tmp_path / "sweep.json"
-        runner = make_runner(sweep_dataset, store=path)
-        shard_dir = runner.store.shard_directory()
+        store = SweepStore(path)
+        shard_dir = store.shard_directory()
         shard_dir.mkdir()
         SweepStore(shard_dir / "shard-999.json").put(
             "survivor-key", {"mean_psnr": 42.0}
         )
-        runner.execute(runner.cells()[:1], WorkStealingSweepExecutor(2))
+        WorkStealingSweepExecutor(2).run([("new-key", _double, 21)], store)
         assert not shard_dir.exists()
-        assert SweepStore(path).get("survivor-key") == {"mean_psnr": 42.0}
+        reopened = SweepStore(path)
+        assert reopened.get("survivor-key") == {"mean_psnr": 42.0}
+        assert reopened.get("new-key") == 42
 
     def test_recover_shards_counts_and_is_idempotent(self, sweep_dataset, tmp_path):
         path = tmp_path / "sweep.json"
@@ -273,6 +273,11 @@ class TestResume:
         assert store.recover_shards() == ShardRecovery(2, 0)
         assert store.recover_shards() == (0, 0)
         assert sorted(store.keys()) == ["a", "b"]
+
+
+def _double(payload):
+    """A trivial picklable task."""
+    return 2 * payload
 
 
 def _exit_worker_hard(payload):
@@ -395,27 +400,3 @@ class TestSeedDerivation:
         for cell in base.cells():
             assert base.cell_seed(cell) != moved.cell_seed(cell)
 
-
-class TestStagedApi:
-    """cells() -> execute() -> collect() compose the same as run()."""
-
-    def test_staged_run_matches_run(self, sweep_dataset, tmp_path):
-        runner = make_runner(sweep_dataset, store=tmp_path / "staged.json")
-        cells = runner.cells()
-        executions = runner.execute(cells, SerialSweepExecutor())
-        outcome = runner.collect(cells, executions)
-        reference = make_runner(
-            sweep_dataset, store=tmp_path / "reference.json"
-        ).run()
-        assert outcome.results == reference.results
-        assert outcome.computed == reference.computed
-
-    def test_execute_persists_only_successes(self, sweep_dataset, tmp_path):
-        runner = make_runner(
-            sweep_dataset,
-            store=tmp_path / "s.json",
-            defenses=("WO", FAILING_DEFENSE),
-        )
-        runner.execute(runner.cells())
-        assert all("WO" in key for key in runner.store.keys())
-        assert len(runner.store) == 2
