@@ -318,6 +318,12 @@ class FixedPointCodec:
         matrix = np.asarray(matrix, dtype=np.float64)
         rows = len(matrix) if matrix.ndim > 1 else 1
         count = max(count if count is not None else rows, 1)
+        finite = np.isfinite(matrix).reshape(rows, -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"update row {int(np.argmin(finite))} holds non-finite values "
+                "(nan or inf); a fixed-point sum cannot encode them"
+            )
         scaled = np.rint(matrix * self.scale)
         magnitude = float(np.max(np.abs(scaled))) if scaled.size else 0.0
         if not magnitude * count < self.sum_limit:

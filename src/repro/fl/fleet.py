@@ -81,10 +81,6 @@ class Fleet:
             self._cache[client_id] = client
         return client
 
-    def get_many(self, client_ids: Sequence[int]) -> list[Client]:
-        """Materialize a cohort in the given order."""
-        return [self.get(client_id) for client_id in client_ids]
-
     def materialize_all(self) -> list[Client]:
         """Force every client into existence (legacy ``server.clients``)."""
         return [self.get(client_id) for client_id in self.client_ids]

@@ -37,16 +37,20 @@ from .protocol import SecAggProtocol
 class ProtocolAggregator(Aggregator):
     """Shared plumbing for aggregation rules backed by a SecAgg protocol.
 
-    Subclasses implement :meth:`_run_protocol` mapping the survivors'
-    quantizable update matrix to the recovered *plain* quantized sum.
-    The reduction divides by the survivor count, so results stay
-    mean-scaled like FedAvg.  :attr:`last_metadata` carries the most
-    recent round's protocol bookkeeping (committed/survivor counts,
-    threshold, recovery size) for the server's ``RoundRecord``.
+    Subclasses implement :meth:`_begin`, committing one protocol round,
+    and set :attr:`sum_limit` for their codec; :meth:`protocol_round`
+    runs the rest — quantize, mask each survivor's upload, recover the
+    ring sum and decode it.  The reduction divides by the survivor
+    count, so results stay mean-scaled like FedAvg.
+    :attr:`last_metadata` carries the most recent round's protocol
+    bookkeeping (committed/survivor counts, threshold, recovery size)
+    for the server's ``RoundRecord``.
     """
 
     honours_weights = False
     requires_commitment = True
+    # Bound on the summed quantized magnitudes (FixedPointCodec.sum_limit).
+    sum_limit = 2.0 ** 63
 
     def __init__(
         self,
@@ -56,13 +60,10 @@ class ProtocolAggregator(Aggregator):
     ) -> None:
         self.fractional_bits = fractional_bits
         self.threshold = threshold
-        self.codec = self._make_codec(fractional_bits)
+        self.codec = FixedPointCodec(fractional_bits, sum_limit=self.sum_limit)
         self.scale = self.codec.scale
         self._seed = seed
         self.last_metadata: dict = {}
-
-    def _make_codec(self, fractional_bits: int) -> FixedPointCodec:
-        return FixedPointCodec(fractional_bits)
 
     def threshold_for(self, num_committed: int) -> int:
         """The Shamir/recovery threshold this rule uses for a round."""
@@ -74,14 +75,8 @@ class ProtocolAggregator(Aggregator):
         """The plain quantized sum a protocol round must recover bit-for-bit."""
         return self.codec.exact_sum(matrix, count=num_committed)
 
-    def _run_protocol(
-        self,
-        matrix: np.ndarray,
-        survivor_ids: list[int],
-        committed_ids: list[int],
-        round_index: int,
-    ) -> np.ndarray:
-        """Run one protocol execution; returns the dequantized exact sum."""
+    def _begin(self, committed_ids: list[int], round_index: int, dim: int):
+        """Commit one protocol round over ``committed_ids``."""
         raise NotImplementedError
 
     def protocol_round(
@@ -105,8 +100,20 @@ class ProtocolAggregator(Aggregator):
         missing = [cid for cid in survivors if cid not in set(committed)]
         if missing:
             raise ValueError(f"survivors outside the committed set: {missing}")
-        recovered = self._run_protocol(matrix, survivors, committed, int(round_index))
-        return recovered / len(survivors)
+        session = self._begin(committed, int(round_index), matrix.shape[1])
+        quantized = self.codec.quantize(matrix, count=len(committed))
+        uploads = [
+            session.masked_upload(cid, quantized[row])
+            for row, cid in enumerate(survivors)
+        ]
+        total = session.recover_sum(uploads)
+        self.last_metadata = {
+            "protocol": self.name,
+            "committed": len(committed),
+            "threshold": session.threshold,
+            **session.last_recovery,
+        }
+        return self.codec.dequantize_sum(total) / len(survivors)
 
     def aggregate_committed(
         self,
@@ -156,28 +163,9 @@ class SecAggAggregator(ProtocolAggregator):
 
     name = "secagg"
 
-    def _run_protocol(
-        self,
-        matrix: np.ndarray,
-        survivor_ids: list[int],
-        committed_ids: list[int],
-        round_index: int,
-    ) -> np.ndarray:
+    def _begin(self, committed_ids, round_index, dim):
         protocol = SecAggProtocol(threshold=self.threshold, seed=self._seed)
-        session = protocol.begin(committed_ids, round_index)
-        quantized = self.codec.quantize(matrix, count=len(committed_ids))
-        uploads = [
-            session.masked_upload(cid, quantized[row])
-            for row, cid in enumerate(survivor_ids)
-        ]
-        total = session.recover_sum(uploads)
-        self.last_metadata = {
-            "protocol": "secagg",
-            "committed": len(committed_ids),
-            "threshold": session.threshold,
-            **session.last_recovery,
-        }
-        return self.codec.dequantize_sum(total)
+        return protocol.begin(committed_ids, round_index)
 
 
 class OneShotRecoveryAggregator(ProtocolAggregator):
@@ -193,6 +181,7 @@ class OneShotRecoveryAggregator(ProtocolAggregator):
     """
 
     name = "secagg_oneshot"
+    sum_limit = float(PRIME_INT // 2)
 
     def __init__(
         self,
@@ -204,34 +193,10 @@ class OneShotRecoveryAggregator(ProtocolAggregator):
         super().__init__(fractional_bits, threshold, seed)
         self.privacy_chunks = privacy_chunks
 
-    def _make_codec(self, fractional_bits: int) -> FixedPointCodec:
-        return FixedPointCodec(fractional_bits, sum_limit=float(PRIME_INT // 2))
-
-    def _run_protocol(
-        self,
-        matrix: np.ndarray,
-        survivor_ids: list[int],
-        committed_ids: list[int],
-        round_index: int,
-    ) -> np.ndarray:
+    def _begin(self, committed_ids, round_index, dim):
         protocol = OneShotRecoveryProtocol(
             threshold=self.threshold,
             privacy_chunks=self.privacy_chunks,
             seed=self._seed,
         )
-        session = protocol.begin(committed_ids, round_index, dim=matrix.shape[1])
-        quantized = self.codec.quantize(matrix, count=len(committed_ids)).view(
-            np.int64
-        )
-        uploads = [
-            session.masked_upload(cid, quantized[row])
-            for row, cid in enumerate(survivor_ids)
-        ]
-        total_signed = session.recover_sum(uploads)
-        self.last_metadata = {
-            "protocol": "secagg_oneshot",
-            "committed": len(committed_ids),
-            "threshold": session.threshold,
-            **session.last_recovery,
-        }
-        return total_signed.astype(np.float64) / self.scale
+        return protocol.begin(committed_ids, round_index, dim=dim)

@@ -1,4 +1,5 @@
-"""Shared error types for the secure-aggregation protocol stack.
+"""Shared error types and the committed-round skeleton of the
+secure-aggregation protocol stack.
 
 Kept free of intra-package imports so :mod:`repro.fl.server` can catch
 protocol failures without pulling in the protocol implementations at
@@ -6,6 +7,8 @@ import time (the aggregator registry resolves those lazily).
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 
 class SecAggError(RuntimeError):
@@ -40,3 +43,56 @@ def default_threshold(num_clients: int) -> int:
     reconstruct seeds on its own.
     """
     return num_clients // 2 + 1
+
+
+class CommittedRound:
+    """The committed client set one protocol execution runs over.
+
+    Holds what both protocol rounds share: the sorted distinct ids, the
+    threshold (strict majority by default), each client's position in
+    the sorted order, and the checks on who may upload and how many
+    uploads a recovery needs.
+    """
+
+    def __init__(
+        self,
+        client_ids: Sequence[int],
+        round_index: int,
+        threshold: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        ordered = sorted(int(cid) for cid in client_ids)
+        if len(set(ordered)) != len(ordered):
+            raise ValueError("committed client ids must be distinct")
+        if not ordered:
+            raise ValueError("a protocol round needs at least one client")
+        self.client_ids = ordered
+        self.round_index = int(round_index)
+        self.threshold = (
+            default_threshold(len(ordered)) if threshold is None else int(threshold)
+        )
+        if not 1 <= self.threshold <= len(ordered):
+            raise ValueError(
+                f"threshold {self.threshold} invalid for {len(ordered)} clients"
+            )
+        self._seed = seed
+        self._positions = {cid: pos for pos, cid in enumerate(ordered)}
+
+    def _position(self, client_id: int) -> int:
+        position = self._positions.get(int(client_id))
+        if position is None:
+            raise SecAggError(f"client {client_id} is not in the committed set")
+        return position
+
+    def _survivor_ids(self, uploads) -> list[int]:
+        """The sorted uploading ids, once each, all committed, at least
+        ``threshold`` of them."""
+        survivor_ids = sorted(int(upload.client_id) for upload in uploads)
+        if len(set(survivor_ids)) != len(survivor_ids):
+            raise SecAggError("duplicate masked uploads for one client")
+        unknown = [cid for cid in survivor_ids if cid not in self._positions]
+        if unknown:
+            raise SecAggError(f"uploads from uncommitted clients: {unknown}")
+        if len(survivor_ids) < self.threshold:
+            raise BelowThresholdError(len(survivor_ids), self.threshold)
+        return survivor_ids

@@ -16,12 +16,16 @@ Mersenne prime ``2**61 - 1``, chosen so that:
 All functions accept scalars or arrays (broadcasting like the underlying
 ufuncs) and return canonical representatives in ``[0, PRIME)`` as
 ``uint64`` arrays.  Inputs must already be canonical unless noted —
-:func:`to_field` is the entry point for arbitrary signed integers.
+:func:`to_field` is the entry point for arbitrary signed integers, and
+:func:`keyed_field` for keyed random draws.  Sums of field products are
+accumulated in one place, :func:`f_matmul`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ...utils.rng import keyed_words
 
 # The Mersenne prime 2**61 - 1, as a Python int and a uint64 scalar.
 PRIME_INT = (1 << 61) - 1
@@ -34,6 +38,7 @@ _SHIFT32 = np.uint64(32)
 _SHIFT61 = np.uint64(61)
 _EIGHT = np.uint64(8)  # 2**64 mod PRIME
 _ONE = np.uint64(1)
+_THREE = np.uint64(3)
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -82,11 +87,6 @@ def f_sub(a, b) -> np.ndarray:
     )
 
 
-def f_neg(a) -> np.ndarray:
-    """Field additive inverse."""
-    return _fold(PRIME - np.asarray(a, dtype=np.uint64))
-
-
 def f_mul(a, b) -> np.ndarray:
     """Field multiplication via 32-bit limb products (no 128-bit ints).
 
@@ -133,9 +133,32 @@ def f_inv(a) -> np.ndarray:
     return f_pow(a, PRIME_INT - 2)
 
 
-def rand_field(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniform field elements in ``[0, PRIME)`` from a seeded generator."""
-    return rng.integers(0, PRIME_INT, size=size, dtype=np.uint64)
+def f_matmul(a, b) -> np.ndarray:
+    """Field matrix product ``a @ b``: ``(m, k)`` times ``(k, ...)``.
+
+    The one place field products are accumulated: Shamir sharing,
+    Lagrange interpolation and every protocol sum route through it.
+    Trailing axes of ``b`` are flattened into columns and restored on
+    the ``(m, ...)`` result.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    columns = b.reshape(len(b), int(np.prod(b.shape[1:])))
+    acc = np.zeros((len(a), columns.shape[1]), dtype=np.uint64)
+    for j in range(a.shape[1]):
+        acc = f_add(acc, f_mul(a[:, j, None], columns[j][None]))
+    return acc.reshape((len(a),) + b.shape[1:])
+
+
+def keyed_field(seed: int, label: str, ids, round_index: int, k: int) -> np.ndarray:
+    """``(len(ids), k)`` uniform field elements keyed by
+    ``(seed, label, id, round_index, column)``.
+
+    The top 61 bits of :func:`~repro.utils.rng.keyed_words`, folded
+    (bias ``2**-61``); like the words, row ``i`` depends only on
+    ``ids[i]`` and column ``j`` does not depend on ``k``.
+    """
+    return _fold(keyed_words(seed, label, ids, round_index, k) >> _THREE)
 
 
 def lagrange_basis(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -174,11 +197,4 @@ def interpolate(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarr
     ``ys`` has shape ``(k, ...)`` — one value vector per interpolation
     point; the result has shape ``(len(targets), ...)``.
     """
-    ys = np.asarray(ys, dtype=np.uint64)
-    basis = lagrange_basis(xs, targets)
-    shape = (len(basis),) + ys.shape[1:]
-    acc = np.zeros(shape, dtype=np.uint64)
-    expand = (slice(None),) + (None,) * (ys.ndim - 1)
-    for j in range(len(xs)):
-        acc = f_add(acc, f_mul(basis[:, j][expand], ys[j][None]))
-    return acc
+    return f_matmul(lagrange_basis(xs, targets), ys)

@@ -27,6 +27,12 @@ dropped:
 Fewer than ``T`` survivors cannot recover (and any ``T - 1`` segments
 reveal nothing about an individual ``z_i`` thanks to the ``r`` random
 coding chunks — privacy and recoverability share one threshold).
+
+Each client's mask and coding chunks are one keyed draw
+(:func:`~repro.fl.secagg.field.keyed_field`), so a mask does not depend
+on who else committed; every sum of products is a
+:func:`~repro.fl.secagg.field.f_matmul`; uploads and the recovered sum
+are the codec's ``uint64`` ring words, as in the Bonawitz round.
 """
 
 from __future__ import annotations
@@ -35,13 +41,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ...utils.rng import rng_for
 from ..messages import AggregatedMaskSegment, EncodedMaskSegment, MaskedUpload
-from .base import BelowThresholdError, SecAggError, default_threshold
-from .field import f_add, f_sub, from_field_centered, interpolate, rand_field, to_field
+from .base import CommittedRound
+from .field import (
+    f_add,
+    f_matmul,
+    f_sub,
+    from_field_centered,
+    interpolate,
+    keyed_field,
+    to_field,
+)
 
 
-class OneShotRound:
+class OneShotRound(CommittedRound):
     """One LightSecAgg-style execution over a fixed committed client set."""
 
     def __init__(
@@ -53,59 +66,34 @@ class OneShotRound:
         privacy_chunks: int = 1,
         seed: int = 0,
     ) -> None:
-        ordered = sorted(int(cid) for cid in client_ids)
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("committed client ids must be distinct")
-        if not ordered:
-            raise ValueError("a protocol round needs at least one client")
+        super().__init__(client_ids, round_index, threshold, seed)
         if dim <= 0:
             raise ValueError("dim must be positive")
-        count = len(ordered)
-        self.client_ids = ordered
-        self.round_index = int(round_index)
+        count = len(self.client_ids)
         self.dim = int(dim)
-        self.threshold = (
-            default_threshold(count) if threshold is None else int(threshold)
-        )
-        if not 1 <= self.threshold <= count:
-            raise ValueError(
-                f"threshold {self.threshold} invalid for {count} clients"
-            )
         # k data chunks + r coding chunks = threshold evaluation points.
         self.privacy_chunks = min(max(int(privacy_chunks), 0), self.threshold - 1)
         self.data_chunks = self.threshold - self.privacy_chunks
         self.chunk_size = -(-self.dim // self.data_chunks)  # ceil division
-        self._seed = seed
-        self._positions = {cid: pos for pos, cid in enumerate(ordered)}
         self._alphas = np.arange(1, self.threshold + 1, dtype=np.uint64)
         self._betas = np.arange(
             self.threshold + 1, self.threshold + count + 1, dtype=np.uint64
         )
-        self._masks = np.zeros((count, self.dim), dtype=np.uint64)
         # segments[j, i] = f_i(beta_j): what client j holds for client i.
         self._segments = self._encode_masks()
 
     def _encode_masks(self) -> np.ndarray:
-        count = len(self.client_ids)
-        padded = self.data_chunks * self.chunk_size
-        values = np.zeros(
-            (self.threshold, count, self.chunk_size), dtype=np.uint64
+        # One keyed draw per client: its mask z_i, then its coding chunks.
+        count, chunk = len(self.client_ids), self.chunk_size
+        draws = keyed_field(
+            self._seed, "oneshot-mask", self.client_ids, self.round_index,
+            k=self.dim + self.privacy_chunks * chunk,
         )
-        for pos, client_id in enumerate(self.client_ids):
-            rng = rng_for(
-                self._seed, "oneshot-mask", str(self.round_index), str(client_id)
-            )
-            mask = rand_field(rng, self.dim)
-            self._masks[pos] = mask
-            chunks = np.zeros(padded, dtype=np.uint64)
-            chunks[: self.dim] = mask
-            values[: self.data_chunks, pos] = chunks.reshape(
-                self.data_chunks, self.chunk_size
-            )
-            if self.privacy_chunks:
-                values[self.data_chunks :, pos] = rand_field(
-                    rng, (self.privacy_chunks, self.chunk_size)
-                )
+        self._masks = draws[:, : self.dim]
+        chunks = np.zeros((count, self.threshold * chunk), dtype=np.uint64)
+        chunks[:, : self.dim] = self._masks
+        chunks[:, self.data_chunks * chunk :] = draws[:, self.dim :]
+        values = chunks.reshape(count, self.threshold, chunk).transpose(1, 0, 2)
         return interpolate(self._alphas, values, self._betas)
 
     def encoded_segments(self, recipient_id: int) -> list[EncodedMaskSegment]:
@@ -128,11 +116,10 @@ class OneShotRound:
         num_examples: int = 1,
         loss: float = 0.0,
     ) -> MaskedUpload:
-        """Mask a signed quantized update by field embedding plus ``z_i``."""
-        position = self._positions.get(int(client_id))
-        if position is None:
-            raise SecAggError(f"client {client_id} is not in the committed set")
-        embedded = to_field(np.asarray(quantized))
+        """Mask a quantized (uint64-ring) update: embed its signed value in
+        the field and add ``z_i``."""
+        position = self._position(client_id)
+        embedded = to_field(np.asarray(quantized, dtype=np.uint64).view(np.int64))
         if embedded.shape[-1] != self.dim:
             raise ValueError("update dimension does not match the committed round")
         return MaskedUpload(
@@ -149,46 +136,34 @@ class OneShotRound:
         """The one message each survivor sends: its segments summed over
         the survivor set."""
         survivors = sorted(int(cid) for cid in survivor_ids)
-        survivor_pos = [self._positions[cid] for cid in survivors]
-        messages = []
-        for cid in survivors:
-            own = self._positions[cid]
-            aggregated = np.zeros(self.chunk_size, dtype=np.uint64)
-            for pos in survivor_pos:
-                aggregated = f_add(aggregated, self._segments[own, pos])
-            messages.append(
-                AggregatedMaskSegment(
-                    client_id=cid, round_index=self.round_index, segment=aggregated
-                )
+        positions = [self._positions[cid] for cid in survivors]
+        indicator = np.zeros((1, len(self.client_ids)), dtype=np.uint64)
+        indicator[0, positions] = 1
+        # held[j, i] = f_i(beta_j) for survivor j; the 0/1 row sums over i.
+        held = self._segments[positions]
+        aggregated = f_matmul(indicator, held.transpose(1, 0, 2))[0]
+        return [
+            AggregatedMaskSegment(
+                client_id=cid, round_index=self.round_index, segment=segment
             )
-        return messages
+            for cid, segment in zip(survivors, aggregated)
+        ]
 
     def recover_sum(self, uploads: Sequence[MaskedUpload]) -> np.ndarray:
         """One-shot unmasking of the survivors' field sum.
 
-        Returns the ``(dim,)`` *signed* quantized sum (int64).  Raises
+        Returns the ``(dim,)`` ``uint64`` ring sum of the survivors'
+        quantized updates, exactly as the Bonawitz round does.  Raises
         :class:`BelowThresholdError` with fewer than ``threshold``
         survivors — below that the aggregated segments cannot pin down
         the summed mask polynomial.
         """
-        survivor_ids = sorted(int(upload.client_id) for upload in uploads)
-        if len(set(survivor_ids)) != len(survivor_ids):
-            raise SecAggError("duplicate masked uploads for one client")
-        unknown = [cid for cid in survivor_ids if cid not in self._positions]
-        if unknown:
-            raise SecAggError(f"uploads from uncommitted clients: {unknown}")
-        if len(survivor_ids) < self.threshold:
-            raise BelowThresholdError(len(survivor_ids), self.threshold)
-
-        total = np.zeros(self.dim, dtype=np.uint64)
-        for upload in uploads:
-            total = f_add(total, np.asarray(upload.payload, dtype=np.uint64))
+        survivor_ids = self._survivor_ids(uploads)
+        payloads = np.stack([np.asarray(u.payload, dtype=np.uint64) for u in uploads])
+        total = f_matmul(np.ones((1, len(uploads)), dtype=np.uint64), payloads)[0]
 
         segments = self.recovery_segments(survivor_ids)[: self.threshold]
-        seg_xs = np.array(
-            [self._betas[self._positions[m.client_id]] for m in segments],
-            dtype=np.uint64,
-        )
+        seg_xs = self._betas[[self._positions[m.client_id] for m in segments]]
         seg_ys = np.stack([m.segment for m in segments])
         chunk_sums = interpolate(seg_xs, seg_ys, self._alphas[: self.data_chunks])
         mask_sum = chunk_sums.reshape(-1)[: self.dim]
@@ -199,7 +174,7 @@ class OneShotRound:
             "recovery_messages": len(segments),
             "segment_size": int(self.chunk_size),
         }
-        return from_field_centered(f_sub(total, mask_sum))
+        return from_field_centered(f_sub(total, mask_sum)).view(np.uint64)
 
 
 class OneShotRecoveryProtocol:

@@ -25,11 +25,11 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
    dropped client's secret key (cancel the orphaned pairwise masks), and
    the ring sum of the uploads collapses to the exact quantized sum.
 
-Clients here are simulated in-process: each one's secrets are a
-:func:`~repro.utils.rng.keyed_words` draw keyed by (seed, round, client),
-so rounds are deterministic and replayable, and nothing about a round
-depends on how many rounds an instance served before — the replay bug
-the old in-aggregator masking had.
+Clients here are simulated in-process: each one's secrets and Shamir
+coefficients are keyed draws by (seed, label, client, round), so rounds
+are deterministic and replayable, and nothing about a round depends on
+how many rounds an instance served before.  Both secrets of every
+client are shared by one field matrix product.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ...utils.rng import keyed_words, rng_for
+from ...utils.rng import keyed_words
 from ..messages import (
     KeyAdvertisement,
     MaskedUpload,
@@ -46,13 +46,13 @@ from ..messages import (
     UnmaskRequest,
     UnmaskResponse,
 )
-from .base import BelowThresholdError, SecAggError, default_threshold
-from .field import PRIME_INT
+from .base import CommittedRound
+from .field import PRIME_INT, keyed_field
 from .masking import dh_public_key, dh_shared_seed, ring_mask_sum
 from .shamir import reconstruct_secrets, share_secrets
 
 
-class SecAggRound:
+class SecAggRound(CommittedRound):
     """One protocol execution over a fixed committed client set.
 
     Construction runs the advertise and share phases (the commitment
@@ -69,22 +69,7 @@ class SecAggRound:
         threshold: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        ordered = sorted(int(cid) for cid in client_ids)
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("committed client ids must be distinct")
-        if not ordered:
-            raise ValueError("a protocol round needs at least one client")
-        self.client_ids = ordered
-        self.round_index = int(round_index)
-        self.threshold = (
-            default_threshold(len(ordered)) if threshold is None else int(threshold)
-        )
-        if not 1 <= self.threshold <= len(ordered):
-            raise ValueError(
-                f"threshold {self.threshold} invalid for {len(ordered)} clients"
-            )
-        self._seed = seed
-        self._positions = {cid: pos for pos, cid in enumerate(ordered)}
+        super().__init__(client_ids, round_index, threshold, seed)
         self._advertise_keys()
         self._share_keys()
 
@@ -113,15 +98,17 @@ class SecAggRound:
         )
 
     def _share_keys(self) -> None:
-        count = len(self.client_ids)
-        rng = rng_for(self._seed, "secagg-shamir", str(self.round_index))
+        # Both secrets of every client in one sharing: the (n, 2) secret
+        # pairs, each with its own keyed polynomial coefficients.
+        count, degree = len(self.client_ids), self.threshold - 1
+        coefficients = keyed_field(
+            self._seed, "secagg-shamir", self.client_ids, self.round_index,
+            k=2 * degree,
+        ).reshape(count, degree, 2)
+        secrets = np.stack([self._secret_keys, self._self_mask_seeds], axis=1)
+        shares = share_secrets(secrets, coefficients.transpose(1, 0, 2), count)
         # Mailboxes: share matrices indexed [recipient_position, sender_position].
-        self._seed_shares = share_secrets(
-            self._secret_keys, count, self.threshold, rng
-        )
-        self._self_mask_shares = share_secrets(
-            self._self_mask_seeds, count, self.threshold, rng
-        )
+        self._seed_shares, self._self_mask_shares = shares[..., 0], shares[..., 1]
 
     def share_bundles(self) -> list[SecretShareBundle]:
         """Materialize the n**2 share messages (for inspection/tests)."""
@@ -149,9 +136,7 @@ class SecAggRound:
         loss: float = 0.0,
     ) -> MaskedUpload:
         """Mask a quantized (uint64-ring) update the way client ``i`` would."""
-        position = self._positions.get(int(client_id))
-        if position is None:
-            raise SecAggError(f"client {client_id} is not in the committed set")
+        position = self._position(client_id)
         payload = np.asarray(quantized, dtype=np.uint64).copy()
         dim = payload.shape[-1]
         seeds = self._pairwise_seeds[position]
@@ -208,15 +193,7 @@ class SecAggRound:
         dropped clients' seeds (by design).  Returns the ``(dim,)``
         ``uint64`` ring sum of the survivors' *plain* quantized updates.
         """
-        survivor_ids = sorted(int(upload.client_id) for upload in uploads)
-        if len(set(survivor_ids)) != len(survivor_ids):
-            raise SecAggError("duplicate masked uploads for one client")
-        unknown = [cid for cid in survivor_ids if cid not in self._positions]
-        if unknown:
-            raise SecAggError(f"uploads from uncommitted clients: {unknown}")
-        if len(survivor_ids) < self.threshold:
-            raise BelowThresholdError(len(survivor_ids), self.threshold)
-
+        survivor_ids = self._survivor_ids(uploads)
         request, responses = self.unmask_messages(survivor_ids)
         helpers = responses[: self.threshold]
         helper_xs = np.array([r.share_x for r in helpers], dtype=np.uint64)
@@ -226,24 +203,23 @@ class SecAggRound:
             total += np.asarray(upload.payload, dtype=np.uint64)
         dim = total.shape[-1]
 
-        # Cancel every survivor's self mask: reconstruct all b_i in one
-        # batched interpolation over the helpers' shares.
-        self_mask_shares = np.array(
-            [[r.self_mask_shares[sid] for sid in survivor_ids] for r in helpers],
+        # Reconstruct every survivor's self-mask seed b_i and every dropped
+        # client's secret key in one batched interpolation over the
+        # helpers' shares (each response lists them in sorted id order).
+        shares = np.array(
+            [[*r.self_mask_shares.values(), *r.seed_shares.values()] for r in helpers],
             dtype=np.uint64,
         )
-        recovered_self = reconstruct_secrets(helper_xs, self_mask_shares)
+        recovered_self, recovered_keys = np.split(
+            reconstruct_secrets(helper_xs, shares), [len(survivor_ids)]
+        )
+        # Cancel every survivor's self mask.
         total -= ring_mask_sum(recovered_self, dim)
 
-        # Cancel the dropped clients' orphaned pairwise masks: reconstruct
-        # every dropped secret key, re-derive its pairwise seeds with every
-        # survivor, and remove the survivor-side contributions.
+        # Cancel the dropped clients' orphaned pairwise masks: re-derive
+        # every dropped key's pairwise seeds with every survivor, and
+        # remove the survivor-side contributions.
         if request.dropped_ids:
-            seed_shares = np.array(
-                [[r.seed_shares[did] for did in request.dropped_ids] for r in helpers],
-                dtype=np.uint64,
-            )
-            recovered_keys = reconstruct_secrets(helper_xs, seed_shares)
             survivor_keys = self._public_keys[
                 [self._positions[cid] for cid in survivor_ids]
             ]

@@ -1,9 +1,10 @@
 """Vectorized Shamir t-of-n secret sharing over GF(2**61 - 1).
 
-Secrets are field scalars (or batches of them); a batch of ``m`` secrets
-is shared with *one* coefficient draw and ``n`` Horner evaluations, so
-sharing every client's seed pair in a 1000-client round is a handful of
-numpy passes rather than ``O(n * m)`` Python loops.
+Secrets are field scalars (or batches of them); sharing a batch is one
+field matrix product — the Vandermonde matrix of the share points times
+the stacked ``[secrets; coefficients]`` — so sharing every client's
+seed pair in a 1000-client round is one :func:`~.field.f_matmul` call
+rather than ``O(n * m)`` Python loops.
 
 Share ``j`` (1-indexed ``x = j``) of secret ``s`` is ``f(j)`` for a
 random polynomial ``f`` of degree ``t - 1`` with ``f(0) = s``.  Any
@@ -15,32 +16,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import f_add, f_mul, interpolate, rand_field
+from .field import f_matmul, f_pow, interpolate
 
 
 def share_secrets(
-    secrets: np.ndarray,
-    num_shares: int,
-    threshold: int,
-    rng: np.random.Generator,
+    secrets: np.ndarray, coefficients: np.ndarray, num_shares: int
 ) -> np.ndarray:
     """Split a batch of secrets into ``num_shares`` Shamir shares.
 
-    ``secrets`` has shape ``(m,)`` (canonical field elements); the result
-    has shape ``(num_shares, m)`` where row ``j`` is the share evaluated
-    at ``x = j + 1``.  Any ``threshold`` rows recover the batch via
-    :func:`reconstruct_secrets`.
+    ``secrets`` holds canonical field elements of any shape ``S`` and
+    ``coefficients`` the ``(t - 1,) + S`` uniform higher-degree
+    coefficients, so the threshold ``t`` is one more than the
+    coefficient count.  The result has shape ``(num_shares,) + S``
+    where row ``j`` is the share evaluated at ``x = j + 1``.  Any ``t``
+    rows recover the batch via :func:`reconstruct_secrets`.
     """
     secrets = np.atleast_1d(np.asarray(secrets, dtype=np.uint64))
-    if not 1 <= threshold <= num_shares:
-        raise ValueError("threshold must satisfy 1 <= threshold <= num_shares")
-    coeffs = rand_field(rng, (threshold - 1,) + secrets.shape)
+    polynomials = np.concatenate(
+        [secrets[None], np.asarray(coefficients, dtype=np.uint64)]
+    )
+    if len(polynomials) > num_shares:
+        raise ValueError(
+            f"{len(polynomials) - 1} coefficients imply threshold "
+            f"{len(polynomials)}, above the {num_shares} shares"
+        )
     xs = np.arange(1, num_shares + 1, dtype=np.uint64)
-    shares = np.zeros((num_shares,) + secrets.shape, dtype=np.uint64)
-    # Horner from the highest-degree coefficient down to f(0) = secret.
-    for degree in range(threshold - 2, -1, -1):
-        shares = f_add(f_mul(shares, xs[:, None]), coeffs[degree][None])
-    return f_add(f_mul(shares, xs[:, None]), secrets[None])
+    vandermonde = f_pow(xs[:, None], np.arange(len(polynomials))[None, :])
+    return f_matmul(vandermonde, polynomials)
 
 
 def reconstruct_secrets(xs, shares: np.ndarray) -> np.ndarray:

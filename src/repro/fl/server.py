@@ -182,10 +182,6 @@ class Server:
         )
         return [int(index) for index in indices]
 
-    def select_clients(self) -> list[Client]:
-        """Sample and materialize this round's participants (legacy view)."""
-        return self.fleet.get_many(self.select_client_ids())
-
     def apply_aggregate(self, aggregated: dict[str, np.ndarray]) -> None:
         """w_{t+1} = w_t - eta * aggregated gradient (Eq. 1)."""
         params = dict(self.model.named_parameters())

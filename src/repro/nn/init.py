@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming / Xavier / uniform fan-in).
+"""Weight initialization schemes (Kaiming-uniform weights, fan-in biases).
 
 All initializers take an explicit ``numpy.random.Generator`` so model
 construction is deterministic under a fixed seed — a requirement for
@@ -10,36 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
+def _fan_in(shape: tuple[int, ...]) -> int:
     if len(shape) == 2:  # Linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # Conv: (out, in, k, k)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        fan_in = fan_out = int(np.prod(shape))
-    return fan_in, fan_out
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He-normal init for ReLU networks: std = sqrt(2 / fan_in)."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.standard_normal(shape) * std
+        return shape[1]
+    if len(shape) == 4:  # Conv: (out, in, k, k)
+        return shape[1] * shape[2] * shape[3]
+    return int(np.prod(shape))
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He-uniform init, the PyTorch default for Linear/Conv layers."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init for tanh/sigmoid networks."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / _fan_in(shape))
     return rng.uniform(-bound, bound, size=shape)
 
 

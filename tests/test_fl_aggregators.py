@@ -320,6 +320,17 @@ class TestFixedPointCodec:
         with pytest.raises(ValueError, match="fixed-point range"):
             codec.quantize(matrix, count=4)
 
+    @pytest.mark.parametrize("name", ["masked_sum", "secagg", "secagg_oneshot"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_named_not_called_out_of_range(self, name, bad):
+        # NaN/inf is not a magnitude problem: clipping or fewer fractional
+        # bits cannot help, so the error must say what is wrong and where.
+        updates = [{"w": np.array([0.5, 1.0, 1.5])} for _ in range(4)]
+        updates[2]["w"] = np.array([0.5, bad, 1.5])
+        with pytest.raises(ValueError, match="row 2 holds non-finite") as caught:
+            make_aggregator(name).aggregate(updates)
+        assert "fixed-point range" not in str(caught.value)
+
     def test_masked_sum_exposes_codec(self):
         agg = MaskedSumAggregator(fractional_bits=8)
         assert isinstance(agg.codec, FixedPointCodec)

@@ -35,6 +35,11 @@ DIM = 5
 PROTOCOL_NAMES = ["secagg", "secagg_oneshot"]
 
 
+def field_elements(rng, size):
+    """Uniform canonical field elements."""
+    return rng.integers(0, F.PRIME_INT, size=size, dtype=np.uint64)
+
+
 def grid_matrix(count, dim=DIM, seed=0):
     """Updates on the 2^-16 fixed-point grid: quantization is lossless."""
     rng = np.random.default_rng(seed)
@@ -64,8 +69,8 @@ def make_stub_server(num_clients, **kwargs):
 class TestField:
     def test_mul_matches_python_bigints(self):
         rng = np.random.default_rng(0)
-        a = F.rand_field(rng, 256)
-        b = F.rand_field(rng, 256)
+        a = field_elements(rng, 256)
+        b = field_elements(rng, 256)
         reference = np.array(
             [(int(x) * int(y)) % F.PRIME_INT for x, y in zip(a, b)],
             dtype=np.uint64,
@@ -75,8 +80,8 @@ class TestField:
     def test_elementwise_pow_matches_python_pow(self):
         # The vectorized Diffie–Hellman key agreement rests on this.
         rng = np.random.default_rng(2)
-        bases = F.rand_field(rng, 64)
-        exponents = F.rand_field(rng, (3, 1))
+        bases = field_elements(rng, 64)
+        exponents = field_elements(rng, (3, 1))
         reference = np.array(
             [[pow(int(x), int(e), F.PRIME_INT) for x in bases] for e in exponents[:, 0]],
             dtype=np.uint64,
@@ -86,14 +91,14 @@ class TestField:
 
     def test_add_sub_inverse(self):
         rng = np.random.default_rng(1)
-        a = F.rand_field(rng, 64)
-        b = F.rand_field(rng, 64)
+        a = field_elements(rng, 64)
+        b = field_elements(rng, 64)
         np.testing.assert_array_equal(F.f_sub(F.f_add(a, b), b), a)
-        np.testing.assert_array_equal(F.f_add(a, F.f_neg(a)), np.zeros(64, np.uint64))
+        np.testing.assert_array_equal(F.f_add(a, F.f_sub(0, a)), np.zeros(64, np.uint64))
 
     def test_multiplicative_inverse(self):
         rng = np.random.default_rng(2)
-        a = F.rand_field(rng, 64)
+        a = field_elements(rng, 64)
         a[a == 0] = 1
         np.testing.assert_array_equal(
             F.f_mul(a, F.f_inv(a)), np.ones(64, np.uint64)
@@ -108,7 +113,7 @@ class TestField:
     def test_interpolate_identity_and_shift(self):
         rng = np.random.default_rng(3)
         xs = np.arange(1, 7, dtype=np.uint64)
-        ys = F.rand_field(rng, (6, 9))
+        ys = field_elements(rng, (6, 9))
         np.testing.assert_array_equal(F.interpolate(xs, ys, xs), ys)
         # Evaluating a degree-1 polynomial y = 3x + 5 anywhere is exact.
         line_xs = np.array([1, 2], dtype=np.uint64)
@@ -120,33 +125,52 @@ class TestField:
 class TestShamir:
     def test_any_threshold_subset_recovers(self):
         rng = np.random.default_rng(4)
-        secrets = F.rand_field(rng, 6)
-        shares = share_secrets(secrets, num_shares=9, threshold=4, rng=rng)
+        secrets = field_elements(rng, 6)
+        shares = share_secrets(secrets, field_elements(rng, (3, 6)), num_shares=9)
         for subset in ([0, 1, 2, 3], [5, 6, 7, 8], [0, 3, 4, 8]):
             xs = np.asarray(subset, dtype=np.uint64) + 1
             np.testing.assert_array_equal(
                 reconstruct_secrets(xs, shares[subset]), secrets
             )
 
+    def test_shares_evaluate_the_sharing_polynomial(self):
+        # Share j of secret s with coefficients c is s + c_1 x + c_2 x^2
+        # at x = j + 1, and secrets of any shape share elementwise.
+        rng = np.random.default_rng(8)
+        secrets = field_elements(rng, (4, 2))
+        coefficients = field_elements(rng, (2, 4, 2))
+        shares = share_secrets(secrets, coefficients, num_shares=5)
+        assert shares.shape == (5, 4, 2)
+        for j in range(5):
+            x = j + 1
+            expected = [
+                (int(s) + int(c1) * x + int(c2) * x * x) % F.PRIME_INT
+                for s, c1, c2 in zip(
+                    secrets.ravel(), coefficients[0].ravel(), coefficients[1].ravel()
+                )
+            ]
+            np.testing.assert_array_equal(shares[j].ravel(), expected)
+
     def test_below_threshold_subset_is_uninformative(self):
         # With t-1 shares the interpolation is underdetermined; the value
         # it happens to produce must not equal the secret (overwhelmingly).
         rng = np.random.default_rng(5)
-        secrets = F.rand_field(rng, 8)
-        shares = share_secrets(secrets, num_shares=9, threshold=4, rng=rng)
+        secrets = field_elements(rng, 8)
+        shares = share_secrets(secrets, field_elements(rng, (3, 8)), num_shares=9)
         xs = np.array([1, 2, 3], dtype=np.uint64)
         assert not np.array_equal(reconstruct_secrets(xs, shares[:3]), secrets)
 
     def test_duplicate_coordinates_rejected(self):
         rng = np.random.default_rng(6)
-        shares = share_secrets(F.rand_field(rng, 2), 5, 3, rng)
+        shares = share_secrets(field_elements(rng, 2), field_elements(rng, (2, 2)), 5)
         with pytest.raises(ValueError):
             reconstruct_secrets(np.array([1, 1, 2], np.uint64), shares[[0, 0, 1]])
 
     def test_invalid_threshold_rejected(self):
+        # Three coefficients imply threshold 4, above the 3 shares.
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            share_secrets(F.rand_field(rng, 1), num_shares=3, threshold=4, rng=rng)
+            share_secrets(field_elements(rng, 1), field_elements(rng, (3, 1)), 3)
 
 
 class TestBonawitzChoreography:
@@ -192,37 +216,28 @@ class TestProtocolRecovery:
             return protocol.begin(client_ids, round_index, dim=dim)
         return protocol.begin(client_ids, round_index)
 
-    def _quantized(self, protocol_cls, codec, matrix, count):
-        quantized = codec.quantize(matrix, count=count)
-        if protocol_cls is OneShotRecoveryProtocol:
-            return quantized.view(np.int64)
-        return quantized
-
-    def _ring_sum(self, protocol_cls, recovered):
-        if protocol_cls is OneShotRecoveryProtocol:
-            return recovered.view(np.uint64)
-        return recovered
-
     def test_exact_sum_with_mid_round_dropout(self, protocol_cls):
         matrix = grid_matrix(12)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(12)), 4, DIM)
-        quantized = self._quantized(protocol_cls, codec, matrix, 12)
+        quantized = codec.quantize(matrix, count=12)
         survivors = [0, 1, 3, 4, 6, 8, 9, 11]  # 4 of 12 drop after commitment
         uploads = [session.masked_upload(cid, quantized[cid]) for cid in survivors]
-        recovered = self._ring_sum(protocol_cls, session.recover_sum(uploads))
+        recovered = session.recover_sum(uploads)
         expected = codec.quantize(matrix[survivors], count=12).sum(
             axis=0, dtype=np.uint64
         )
+        # Both protocols hand back uint64 ring words for the codec to decode.
+        assert recovered.dtype == np.uint64
         np.testing.assert_array_equal(recovered, expected)
 
     def test_no_dropout_is_exact_too(self, protocol_cls):
         matrix = grid_matrix(7, seed=9)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(7)), 0, DIM)
-        quantized = self._quantized(protocol_cls, codec, matrix, 7)
+        quantized = codec.quantize(matrix, count=7)
         uploads = [session.masked_upload(cid, quantized[cid]) for cid in range(7)]
-        recovered = self._ring_sum(protocol_cls, session.recover_sum(uploads))
+        recovered = session.recover_sum(uploads)
         np.testing.assert_array_equal(
             recovered, codec.quantize(matrix, count=7).sum(axis=0, dtype=np.uint64)
         )
@@ -232,10 +247,10 @@ class TestProtocolRecovery:
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(9)), 1, DIM)
         threshold = session.threshold
-        quantized = self._quantized(protocol_cls, codec, matrix, 9)
+        quantized = codec.quantize(matrix, count=9)
         survivors = list(range(threshold))
         uploads = [session.masked_upload(cid, quantized[cid]) for cid in survivors]
-        recovered = self._ring_sum(protocol_cls, session.recover_sum(uploads))
+        recovered = session.recover_sum(uploads)
         expected = codec.quantize(matrix[survivors], count=9).sum(
             axis=0, dtype=np.uint64
         )
@@ -245,7 +260,7 @@ class TestProtocolRecovery:
         matrix = grid_matrix(9, seed=2)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(9)), 1, DIM)
-        quantized = self._quantized(protocol_cls, codec, matrix, 9)
+        quantized = codec.quantize(matrix, count=9)
         uploads = [
             session.masked_upload(cid, quantized[cid])
             for cid in range(session.threshold - 1)
@@ -257,7 +272,7 @@ class TestProtocolRecovery:
         matrix = grid_matrix(6)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(6)), 0, DIM)
-        quantized = self._quantized(protocol_cls, codec, matrix, 6)
+        quantized = codec.quantize(matrix, count=6)
         upload = session.masked_upload(0, quantized[0])
         others = [session.masked_upload(cid, quantized[cid]) for cid in range(1, 6)]
         with pytest.raises(SecAggError):
@@ -267,12 +282,12 @@ class TestProtocolRecovery:
         matrix = grid_matrix(6, seed=5)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(6)), 0, DIM)
-        quantized = self._quantized(protocol_cls, codec, matrix, 6)
+        quantized = codec.quantize(matrix, count=6)
         for cid in range(6):
             upload = session.masked_upload(cid, quantized[cid])
             assert not np.array_equal(
                 np.asarray(upload.payload, dtype=np.uint64),
-                quantized[cid].view(np.uint64),
+                quantized[cid],
             )
 
     def test_rounds_are_replayable(self, protocol_cls):
@@ -284,7 +299,7 @@ class TestProtocolRecovery:
         results = []
         for _ in range(2):
             session = self._begin(protocol_cls, list(range(8)), 3, DIM)
-            quantized = self._quantized(protocol_cls, codec, matrix, 8)
+            quantized = codec.quantize(matrix, count=8)
             uploads = [
                 session.masked_upload(cid, quantized[cid]) for cid in survivors
             ]
@@ -307,6 +322,19 @@ class TestOneShotSpecifics:
         assert session.data_chunks == session.threshold - 1
         assert session.chunk_size * session.data_chunks >= 24
         assert session.chunk_size < 24
+
+    def test_mask_is_independent_of_the_committed_set(self):
+        # A client's mask is keyed by (seed, client, round) alone: who
+        # else committed (and so the threshold and chunking) never moves it.
+        masks = [
+            OneShotRecoveryProtocol(seed=4)
+            .begin(committed, 7, dim=10)
+            .masked_upload(5, np.zeros(10, np.uint64))
+            .payload
+            for committed in ([3, 5, 8], [1, 3, 5, 8, 9])
+        ]
+        np.testing.assert_array_equal(masks[0], masks[1])
+        assert masks[0].any()
 
     def test_encoded_segments_messages(self):
         session = OneShotRecoveryProtocol(seed=1).begin([3, 5, 8], 2, dim=6)

@@ -9,7 +9,8 @@ Invariant families, each load-bearing for the reproduction:
 4. Aggregation: FedAvg linearity/convexity (Eq. 1).
 5. Partitioning: Dirichlet label skew covers every sample exactly once.
 6. Aggregators: every rule is invariant to the order clients report in.
-7. SecAgg: any supra-threshold survivor set recovers the exact sum.
+7. SecAgg: any supra-threshold survivor set recovers the exact sum, and
+   the field matrix product under both protocols is exact.
 8. Event engine: round timelines, cutoff splits and arrival plans are
    pure functions of the plan/cohort *set*, never of listing or
    registration order; keyed draws for a subset are rows of the full draw.
@@ -37,6 +38,7 @@ from repro.fl import (
     make_aggregator,
 )
 from repro.fl.engine import RoundPlan
+from repro.fl.secagg.field import PRIME_INT, f_matmul
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
 from repro.utils import keyed_words, numerical_gradient
@@ -316,6 +318,47 @@ class TestSecAggRecoveryProperties:
             aggregator.protocol_round(
                 matrix[survivors], survivors, list(range(n)), round_index=2
             )
+
+
+# Field elements with the extremes 0 and p - 1 drawn often.
+field_elements = st.one_of(
+    st.sampled_from([0, PRIME_INT - 1]), st.integers(0, PRIME_INT - 1)
+)
+
+
+def reference_matmul(a, b):
+    """``(Σ a·b) mod p`` with Python ints: no limb or fold to get wrong."""
+    return np.array(
+        [
+            [sum(int(x) * int(y) for x, y in zip(row, col)) % PRIME_INT for col in b.T]
+            for row in a
+        ],
+        dtype=np.uint64,
+    ).reshape(len(a), b.shape[1])
+
+
+class TestFieldMatmulProperties:
+    """``f_matmul`` is the one accumulation point of both protocols: it
+    must equal the exact integer product reduced mod p, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_python_int_reference(self, data):
+        m = data.draw(st.integers(1, 8), label="m")
+        k = data.draw(st.integers(0, 64), label="k")
+        n = data.draw(st.integers(1, 8), label="n")
+        a = data.draw(arrays(np.uint64, (m, k), elements=field_elements), label="a")
+        b = data.draw(arrays(np.uint64, (k, n), elements=field_elements), label="b")
+        np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
+
+    def test_long_inner_dimension_of_maximal_elements(self):
+        # k = 2049 terms of (p-1)^2 each: past the 2048-term chunk a
+        # limb-split product must respect to stay exact.
+        k = 2049
+        a = np.full((2, k), PRIME_INT - 1, dtype=np.uint64)
+        b = np.full((k, 3), PRIME_INT - 1, dtype=np.uint64)
+        expected = (k * (PRIME_INT - 1) ** 2) % PRIME_INT
+        np.testing.assert_array_equal(f_matmul(a, b), np.full((2, 3), expected))
 
 
 def reference_close(times, opened_at, cutoff, expected_fresh):
