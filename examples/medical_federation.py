@@ -60,7 +60,7 @@ def attack_federation(dataset, defense):
     )
     simulation.run(ROUNDS)
     server = simulation.server
-    target_batch = server.clients[0].last_batch[0]
+    target_batch = server.fleet.get(0).last_batch[0]
     return target_batch, server.reconstructions[(0, 0)].images
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.attacks.base import ActiveReconstructionAttack, ReconstructionResult, clip_to_image
 from repro.attacks.imprint import ImprintedModel, extract_imprint_gradients
@@ -101,6 +100,8 @@ class RTFAttack(ActiveReconstructionAttack):
 
     def bin_edges(self) -> np.ndarray:
         """The Gaussian quantiles q_1 < ... < q_n staggering the biases."""
+        from scipy.special import ndtri
+
         probabilities = (np.arange(1, self.num_neurons + 1)) / (self.num_neurons + 1)
         return ndtri(probabilities) * self.measurement_std + self.measurement_mean
 

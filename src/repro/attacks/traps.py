@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.attacks.base import (
     ActiveReconstructionAttack,
@@ -74,6 +73,8 @@ def trap_biases(
         return -thresholds
     row_sums = weight.sum(axis=1)
     row_norms = np.linalg.norm(weight, axis=1)
+    from scipy.special import ndtri
+
     z = ndtri(1.0 - activation_probability)
     return -(pixel_mean * row_sums + z * pixel_std * row_norms)
 

@@ -23,11 +23,11 @@ from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import format_table
-from repro.metrics.accuracy import accuracy
+from repro.metrics.accuracy import model_accuracy
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import Adam
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 
 TABLE1_LINEUP = ("MR", "mR", "SH", "HFlip", "VFlip", "MR+SH", "WO")
 
@@ -37,17 +37,6 @@ class TrainingOutcome:
     defense: str
     test_accuracy: float
     train_losses: list[float]
-
-
-def _evaluate(model: Module, dataset: SyntheticImageDataset, batch_size: int = 128) -> float:
-    model.eval()
-    logits = []
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            chunk = dataset.images[start : start + batch_size].astype(np.float64)
-            logits.append(model(Tensor(chunk)).numpy())
-    model.train()
-    return accuracy(np.concatenate(logits), dataset.labels)
 
 
 def train_with_defense(
@@ -81,7 +70,7 @@ def train_with_defense(
         losses.append(epoch_loss / max(len(loader), 1))
     return TrainingOutcome(
         defense=defense.name,
-        test_accuracy=_evaluate(model, test_set),
+        test_accuracy=model_accuracy(model, test_set, batch_size=128),
         train_losses=losses,
     )
 

@@ -23,7 +23,14 @@ from repro.nn.module import Module
 
 
 class Client:
-    """One federated participant with a private local dataset."""
+    """One federated participant with a private local dataset.
+
+    ``model`` is scratch state, not owned state: a federation hands every
+    client the same instance, and :meth:`local_update` overwrites it in
+    full with ``load_state_dict`` before reading it, so no parameter or
+    buffer survives from one client to the next.  What a client owns is
+    its shard, its defense and its RNG stream.
+    """
 
     def __init__(
         self,

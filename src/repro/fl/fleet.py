@@ -1,26 +1,29 @@
 """Lazy client registries: million-user fleets without million-object cost.
 
 A :class:`Fleet` maps client ids to :class:`~repro.fl.client.Client`
-objects, but only builds the objects that are actually sampled into a
-round.  Registration is O(1) in fleet size — the registry holds a factory
-and a count, not a list — so a 1M-user federation costs nothing until the
-server samples its first cohort, and then costs exactly the cohort.
+objects (shard, defense, RNG stream), but only builds the objects that
+are actually sampled into a round.  Registration is O(1) in fleet size —
+the registry holds a factory and a count, not a list — so a 1M-user
+federation costs nothing until the server samples its first cohort, and
+then costs exactly the cohort.
 
 The factory contract is ``factory(i).client_id == i`` for every ``i`` in
 ``range(size)``: a client's shard, loss, and RNG stream must be pure
 functions of its id so that materialization order (which depends on
 sampling, not registration) can never change behaviour.  Materialized
 clients are cached — a client sampled in rounds 3 and 7 is the same
-object, preserving its local RNG stream continuity across rounds exactly
-as the eager list did.
+object, preserving its local RNG stream continuity across rounds.  A
+cached client pins its shard and RNG stream, not a model: every client of
+a federation trains on one shared scratch model (see
+:func:`repro.fl.simulator.make_lazy_fleet`).
 
-``Fleet.from_clients`` wraps an existing eagerly-built list so every
-legacy call site (tests, examples, the simulator) keeps working unchanged.
+``Fleet.from_clients`` wraps an eagerly-built list, for
+``Server(model, [clients])``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.fl.client import Client
 
@@ -37,7 +40,7 @@ class Fleet:
 
     @classmethod
     def from_clients(cls, clients: Sequence[Client]) -> "Fleet":
-        """Wrap an eagerly-built client list (legacy construction path)."""
+        """Wrap an eagerly-built client list (``Server(model, [clients])``)."""
         if not clients:
             raise ValueError("fleet needs at least one client")
         by_id = {client.client_id: client for client in clients}
@@ -80,13 +83,6 @@ class Fleet:
                 )
             self._cache[client_id] = client
         return client
-
-    def materialize_all(self) -> list[Client]:
-        """Force every client into existence (legacy ``server.clients``)."""
-        return [self.get(client_id) for client_id in self.client_ids]
-
-    def __iter__(self) -> Iterator[Client]:
-        return iter(self.materialize_all())
 
     def __repr__(self) -> str:
         return (

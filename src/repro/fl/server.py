@@ -18,8 +18,8 @@ instead of coin flips.
 
 Clients live in a :class:`~repro.fl.fleet.Fleet`: registering 10k–1M
 users costs a factory and a count, and a ``Client`` object (with its
-shard and model) only materializes when the engine actually dispatches
-that id.
+shard and RNG stream; the model it trains on is shared scratch) only
+materializes when the engine actually dispatches that id.
 
 :class:`DishonestServer` additionally manipulates the global model before
 broadcasting (the paper's threat model) and runs gradient inversion on a
@@ -131,15 +131,6 @@ class Server:
         self.history: list[RoundRecord] = []
         self.last_aggregate: Optional[dict[str, np.ndarray]] = None
         self._stale_updates: list[GradientUpdate] = []
-
-    @property
-    def clients(self) -> list[Client]:
-        """Every client, materialized — the legacy eager view.
-
-        Kept for call sites that index or iterate the full roster; fleet-
-        scale code should use :attr:`fleet` (ids without materialization).
-        """
-        return self.fleet.materialize_all()
 
     # ------------------------------------------------------------------
     # Hooks a dishonest subclass overrides

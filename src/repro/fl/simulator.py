@@ -5,10 +5,10 @@ running federation, so examples and experiments stay short.  Scenarios are
 described declaratively through :class:`FederationConfig`: IID or Dirichlet
 label-skewed partitioning, per-round client sampling, dropout/straggler
 rates, arrival processes and round cutoffs for the event engine, and the
-server-side aggregation rule.  Setting ``fleet_size`` switches the
-federation onto a lazy :class:`~repro.fl.fleet.Fleet`: clients (shard,
-model, RNG stream) materialize only when sampled, so a 100k-user
-registration costs a closure, not 100k objects.
+server-side aggregation rule.  Every federation's clients live in a lazy
+:class:`~repro.fl.fleet.Fleet`: a client (shard, RNG stream) materializes
+only when sampled, and all of them train on one scratch model, so a
+100k-user registration (``fleet_size``) costs a closure, not 100k objects.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from repro.fl.client import Client
 from repro.fl.engine import CountCutoff, TimeCutoff, make_cutoff
 from repro.fl.fleet import Fleet
 from repro.fl.server import DishonestServer, Server
-from repro.metrics.accuracy import accuracy
+from repro.metrics.accuracy import model_accuracy
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
-from repro.tensor import Tensor, no_grad
 from repro.utils.rng import seed_sequence_for
 
 
@@ -207,11 +206,10 @@ class FederationConfig:
       many simulated seconds (with an optional grace floor); zero keeps
       the legacy count cutoff.
     - ``fleet_size`` / ``shard_size``: a positive ``fleet_size`` registers
-      that many users in a lazy fleet instead of eagerly partitioning
-      ``num_clients`` shards; each materialized client samples a
-      ``shard_size`` private shard (``0`` → ``batch_size``) keyed by its
-      id, so any cohort is reproducible without touching the rest of the
-      fleet.
+      that many users instead of partitioning ``num_clients`` shards;
+      each materialized client samples a ``shard_size`` private shard
+      (``0`` → ``batch_size``) keyed by its id, so any cohort is
+      reproducible without touching the rest of the fleet.
     """
 
     num_clients: int = 10
@@ -270,49 +268,62 @@ def make_lazy_fleet(
     config: FederationConfig,
     defense: Optional[ClientDefense] = None,
 ) -> Fleet:
-    """A ``config.fleet_size``-user fleet materializing clients on demand.
+    """The federation's client registry, materializing clients on demand.
 
-    Each client's shard is a ``shard_size`` sample of the dataset keyed by
-    ``(seed, "fleet-shard", client_id)`` — a pure function of the id, so
-    whichever cohort the server happens to dispatch sees the same data in
-    any run, on any worker, regardless of who else materialized.
-    ``model_factory`` must likewise be order-independent (seeded
-    internally, as every factory in this repo is): with a lazy fleet it
-    runs at materialization time, in dispatch order.
+    The shard source follows the config.  A positive ``fleet_size``
+    registers that many users, each holding a ``shard_size`` sample of the
+    dataset keyed by ``(seed, "fleet-shard", client_id)`` — a pure
+    function of the id, so whichever cohort the server happens to
+    dispatch sees the same data in any run, on any worker, regardless of
+    who else materialized.  Otherwise the fleet holds ``num_clients``
+    clients over :meth:`FederationConfig.make_shards`, indexed by id.
+
+    Every client trains on one scratch model, built here once:
+    ``model_factory`` must be order-independent (seeded internally, as
+    every factory in this repo is), and each client's
+    ``load_state_dict`` overwrites the scratch before it is read.
     """
-    if config.fleet_size <= 0:
-        raise ValueError("fleet_size must be positive for a lazy fleet")
-    shard_size = config.shard_size or config.batch_size
-    if shard_size > len(dataset):
-        raise ValueError("shard_size cannot exceed the dataset")
+    if config.fleet_size > 0:
+        size = config.fleet_size
+        shard_size = config.shard_size or config.batch_size
+        if shard_size > len(dataset):
+            raise ValueError("shard_size cannot exceed the dataset")
+
+        def shard(client_id: int) -> SyntheticImageDataset:
+            shard_rng = np.random.default_rng(
+                seed_sequence_for(config.seed, "fleet-shard", str(client_id))
+            )
+            indices = shard_rng.choice(len(dataset), size=shard_size, replace=False)
+            return dataset.subset(np.sort(indices))
+
+    else:
+        shards = config.make_shards(dataset)
+        size = len(shards)
+        shard = shards.__getitem__
+    model = model_factory()
     loss_fn = CrossEntropyLoss()
 
     def factory(client_id: int) -> Client:
-        shard_rng = np.random.default_rng(
-            seed_sequence_for(config.seed, "fleet-shard", str(client_id))
-        )
-        indices = np.sort(
-            shard_rng.choice(len(dataset), size=shard_size, replace=False)
-        )
         return Client(
             client_id=client_id,
-            dataset=dataset.subset(indices),
-            model=model_factory(),
+            dataset=shard(client_id),
+            model=model,
             loss_fn=loss_fn,
             batch_size=config.batch_size,
             defense=defense,
             seed=config.seed,
         )
 
-    return Fleet(config.fleet_size, factory)
+    return Fleet(size, factory)
 
 
 class FederatedSimulation:
     """A ready-to-run federation over one dataset.
 
     ``model_factory`` must return a fresh model of identical architecture
-    each call; clients each hold their own instance (as real devices would)
-    and synchronize through state dicts.
+    each call.  It runs exactly twice per federation, whatever the fleet
+    size: once for the global model and once for the scratch model every
+    client trains on (see :func:`make_lazy_fleet`).
     """
 
     def __init__(
@@ -325,25 +336,7 @@ class FederatedSimulation:
         target_client_id: Optional[int] = None,
     ) -> None:
         self.config = config
-        if config.fleet_size:
-            self.fleet = make_lazy_fleet(dataset, model_factory, config, defense)
-        else:
-            shards = config.make_shards(dataset)
-            loss_fn = CrossEntropyLoss()
-            self.fleet = Fleet.from_clients(
-                [
-                    Client(
-                        client_id=i,
-                        dataset=shard,
-                        model=model_factory(),
-                        loss_fn=loss_fn,
-                        batch_size=config.batch_size,
-                        defense=defense,
-                        seed=config.seed,
-                    )
-                    for i, shard in enumerate(shards)
-                ]
-            )
+        self.fleet = make_lazy_fleet(dataset, model_factory, config, defense)
         global_model = model_factory()
         server_kwargs = dict(
             learning_rate=config.learning_rate,
@@ -369,23 +362,10 @@ class FederatedSimulation:
                 **server_kwargs,
             )
 
-    @property
-    def clients(self) -> list[Client]:
-        """The fully-materialized roster (legacy view; prefer ``fleet``)."""
-        return self.fleet.materialize_all()
-
     def run(self, num_rounds: int):
         """Run the federation for ``num_rounds`` and return the records."""
         return self.server.run(num_rounds)
 
     def evaluate(self, dataset: SyntheticImageDataset, batch_size: int = 64) -> float:
         """Top-1 accuracy of the current global model on ``dataset``."""
-        model = self.server.model
-        model.eval()
-        logits_all = []
-        with no_grad():
-            for start in range(0, len(dataset), batch_size):
-                images = dataset.images[start : start + batch_size].astype(np.float64)
-                logits_all.append(model(Tensor(images)).numpy())
-        model.train()
-        return accuracy(np.concatenate(logits_all), dataset.labels)
+        return model_accuracy(self.server.model, dataset, batch_size)

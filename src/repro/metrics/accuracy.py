@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+from repro.tensor import Tensor, no_grad
+
+if TYPE_CHECKING:
+    from repro.data.synthetic import SyntheticImageDataset
+    from repro.nn.module import Module
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -23,3 +31,23 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
     top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
     hits = (top == labels[:, None]).any(axis=1)
     return float(hits.mean())
+
+
+def model_accuracy(
+    model: "Module", dataset: "SyntheticImageDataset", batch_size: int
+) -> float:
+    """Top-1 accuracy of ``model`` on ``dataset``, evaluated in batches.
+
+    Runs the model in eval mode under ``no_grad`` over ``batch_size``-row
+    chunks of the images (as float64), then puts it back in train mode.
+    The batch size stays the caller's choice because the chunk shape sets
+    the BLAS blocking, so a different size may move the logits' last bits.
+    """
+    model.eval()
+    logits = []
+    with no_grad():
+        for start in range(0, len(dataset), batch_size):
+            images = dataset.images[start : start + batch_size].astype(np.float64)
+            logits.append(model(Tensor(images)).numpy())
+    model.train()
+    return accuracy(np.concatenate(logits), dataset.labels)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 
 def ssim(
@@ -17,6 +16,8 @@ def ssim(
     Follows Wang et al. (2004) with uniform (rather than Gaussian) windows;
     channels are averaged.  Values in [-1, 1]; 1 means identical structure.
     """
+    from scipy import ndimage
+
     original = np.asarray(original, dtype=np.float64)
     reconstruction = np.asarray(reconstruction, dtype=np.float64)
     if original.shape != reconstruction.shape:

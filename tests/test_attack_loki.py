@@ -141,7 +141,7 @@ class TestAggregateReconstruction:
     def test_reconstructs_every_client_from_the_aggregate(self, federation):
         record = federation.server.run_round()
         assert all(e.get("from_aggregate") for e in record.attack_events)
-        clients = {c.client_id: c for c in federation.server.clients}
+        clients = {i: federation.fleet.get(i) for i in record.participant_ids}
         pairs = federation.server.round_reconstructions(0)
         assert len(pairs) == 4
         for client_id, result in pairs:
@@ -152,8 +152,8 @@ class TestAggregateReconstruction:
             )
 
     def test_reconstructions_attribute_to_the_owning_client(self, federation):
-        federation.server.run_round()
-        clients = {c.client_id: c for c in federation.server.clients}
+        record = federation.server.run_round()
+        clients = {i: federation.fleet.get(i) for i in record.participant_ids}
         for client_id, result in federation.server.round_reconstructions(0):
             own = clients[client_id].last_batch[0]
             other = clients[(client_id + 1) % 4].last_batch[0]
@@ -187,8 +187,10 @@ class TestAggregateReconstruction:
                 attack=attack,
                 target_client_id=None,
             )
-            simulation.server.run_round()
-            clients = {c.client_id: c for c in simulation.server.clients}
+            record = simulation.server.run_round()
+            clients = {
+                i: simulation.fleet.get(i) for i in record.participant_ids
+            }
             hits = 0
             for client_id, result in simulation.server.round_reconstructions(0):
                 if len(result) == 0:

@@ -1,13 +1,14 @@
 """Lazy-fleet tests: O(cohort) materialization, factory contract, soak.
 
 The fleet is what makes 100k–1M registered users affordable: registration
-stores a factory and a count, and a ``Client`` (shard, model, RNG stream)
-exists only once the engine dispatches its id.  These tests pin the
-laziness itself (materialized counts), the purity contract that makes
-laziness sound (``factory(i).client_id == i``, same client object across
-rounds), and — behind the ``fleet_scale`` marker — the sustained
-multi-round soak at 1k active clients from a 100k-user registry that the
-CI ``fleet-scale`` job runs.
+stores a factory and a count, and a ``Client`` (shard, RNG stream) exists
+only once the engine dispatches its id; every client trains on the
+federation's one scratch model.  These tests pin the laziness itself
+(materialized counts, two model builds per federation), the purity
+contract that makes laziness sound (``factory(i).client_id == i``, same
+client object across rounds), and — behind the ``fleet_scale`` marker —
+the sustained multi-round soak at 1k active clients from a 100k-user
+registry that the CI ``fleet-scale`` job runs.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class TestFleetRegistry:
             Fleet.from_clients([StubClient(0), StubClient(2)])
         fleet = Fleet.from_clients([StubClient(0), StubClient(1)])
         assert fleet.materialized_count == 2
-        assert [c.client_id for c in fleet] == [0, 1]
+        assert [fleet.get(i).client_id for i in fleet.client_ids] == [0, 1]
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -176,12 +177,59 @@ class TestLazySimulation:
             assert record.timing is not None
 
     def test_lazy_fleet_validates_inputs(self, dataset):
-        with pytest.raises(ValueError, match="fleet_size"):
-            make_lazy_fleet(dataset, Module, self.make_config(0))
+        # fleet_size=0 selects the partitioned shards: num_clients ids,
+        # client i holding shard i, none materialized until dispatched.
+        config = self.make_config(0, num_clients=6)
+        fleet = make_lazy_fleet(dataset, Module, config)
+        assert len(fleet) == 6
+        assert fleet.materialized_count == 0
+        shards = config.make_shards(dataset)
+        np.testing.assert_array_equal(
+            fleet.get(4).dataset.images, shards[4].images
+        )
         with pytest.raises(ValueError, match="shard_size"):
             make_lazy_fleet(
                 dataset, Module, self.make_config(10, shard_size=10_000)
             )
+
+    @pytest.mark.parametrize(
+        "sizing",
+        [{"num_clients": 4}, {"fleet_size": 64}],
+        ids=["partitioned", "keyed"],
+    )
+    def test_model_factory_runs_twice_per_federation(self, dataset, sizing):
+        # One global model and one scratch model, whatever the fleet size.
+        built = []
+
+        def factory():
+            built.append(None)
+            return MLP(
+                [dataset.flat_dim, 4, dataset.num_classes],
+                rng=np.random.default_rng(0),
+            )
+
+        config = FederationConfig(batch_size=2, seed=3, **sizing)
+        sim = FederatedSimulation(dataset, factory, config)
+        sim.run(2)
+        assert len(built) == 2
+        scratch = {id(sim.fleet.get(i).model) for i in range(3)}
+        assert len(scratch) == 1
+        assert sim.server.model is not sim.fleet.get(0).model
+
+    def test_partitioned_federation_materializes_only_dispatched(self, dataset):
+        config = self.make_config(0, num_clients=4, clients_per_round=2)
+        sim = FederatedSimulation(
+            dataset,
+            lambda: MLP(
+                [dataset.flat_dim, 4, dataset.num_classes],
+                rng=np.random.default_rng(0),
+            ),
+            config,
+        )
+        assert sim.fleet.materialized_count == 0
+        record = sim.server.run_round()
+        assert len(record.selected_ids) == 2
+        assert sim.fleet.materialized_count == 2
 
 
 @pytest.mark.fleet_scale

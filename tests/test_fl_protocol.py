@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.tensor.backend as backend
 from repro.attacks import ImprintedModel, RTFAttack
 from repro.data import make_synthetic_dataset
-from repro.defense import OasisDefense
+from repro.defense import OasisDefense, make_defense
 from repro.fl import (
     Client,
     DishonestServer,
@@ -18,7 +24,16 @@ from repro.fl import (
     partition_dataset,
 )
 from repro.metrics import per_image_best_psnr
-from repro.nn import CrossEntropyLoss, MLP
+from repro.nn import (
+    MLP,
+    BatchNorm2d,
+    Conv2d,
+    CrossEntropyLoss,
+    Flatten,
+    Linear,
+    ReLU,
+    Sequential,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +105,58 @@ class TestClient:
         client.local_update(ModelBroadcast(0, model.state_dict()))
         assert client.last_batch is not None
         assert len(client.last_batch[0]) == 4
+
+
+def make_bn_net(fl_dataset, seed=0):
+    rng = np.random.default_rng(seed)
+    channels, height, width = fl_dataset.image_shape
+    return Sequential(
+        Conv2d(channels, 4, 3, padding=1, rng=rng),
+        BatchNorm2d(4),
+        ReLU(),
+        Flatten(),
+        Linear(4 * height * width, fl_dataset.num_classes, rng=rng),
+    )
+
+
+class TestSharedScratchModel:
+    @pytest.mark.parametrize("kernel_mode", ["fused", "reference"])
+    def test_update_does_not_depend_on_earlier_clients(
+        self, fl_dataset, kernel_mode
+    ):
+        # Every client of a federation trains on one scratch model.  A
+        # client's upload must be a function of the broadcast and its own
+        # data alone: BatchNorm running stats, gradients and parameters
+        # left behind by earlier clients must never show.  Fused kernels
+        # hand gradient buffers to the upload; reference kernels copy
+        # them out and leave them on the scratch, so both are pinned.
+        assert make_defense("dpsgd").per_sample_clip is not None
+        broadcast = ModelBroadcast(0, make_bn_net(fl_dataset).state_dict())
+        other = ModelBroadcast(0, make_bn_net(fl_dataset, seed=9).state_dict())
+
+        def run(earlier_ids):
+            scratch = make_bn_net(fl_dataset, seed=5)
+            clients = [
+                Client(i, shard, scratch, CrossEntropyLoss(), batch_size=3,
+                       defense="dpsgd", seed=4)
+                for i, shard in enumerate(partition_dataset(fl_dataset, 3))
+            ]
+            for i in earlier_ids:
+                clients[i].local_update(other)
+            return clients[2].local_update(broadcast), scratch.state_dict()
+
+        previous = backend.set_kernel_mode(kernel_mode)
+        try:
+            alone, alone_state = run([])
+            after, after_state = run([0, 1])
+        finally:
+            backend.set_kernel_mode(previous)
+        assert after.loss == alone.loss
+        assert set(after.gradients) == set(alone.gradients)
+        for name, gradient in alone.gradients.items():
+            np.testing.assert_array_equal(after.gradients[name], gradient)
+        for name, value in alone_state.items():
+            np.testing.assert_array_equal(after_state[name], value)
 
 
 class TestHonestServer:
@@ -253,7 +320,26 @@ class TestFederatedSimulation:
         )
         sim.run(1)
         server = sim.server
-        target = server.clients[0].last_batch[0]
+        target = sim.fleet.get(0).last_batch[0]
         recon = server.reconstructions[(0, 0)].images
         per_image = per_image_best_psnr(target, recon)
         assert np.all(per_image < 60.0), "OASIS failed inside the full protocol"
+
+
+def test_importing_the_fl_package_loads_no_scipy():
+    # scipy is imported at first use (Gaussian quantiles, SSIM), so a
+    # federation that never crafts a trap or scores SSIM never pays for it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.fl; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

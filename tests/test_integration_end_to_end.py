@@ -57,7 +57,7 @@ class TestRTFEndToEnd:
 
     def test_undefended_leaks_everything(self, dataset):
         sim = run_attack_sim(dataset, self._attack(dataset), defense=None)
-        target_batch = sim.server.clients[0].last_batch[0]
+        target_batch = sim.fleet.get(0).last_batch[0]
         scores = per_image_best_psnr(
             target_batch, sim.server.reconstructions[(0, 0)].images
         )
@@ -65,7 +65,7 @@ class TestRTFEndToEnd:
 
     def test_oasis_mr_protects_every_image(self, dataset):
         sim = run_attack_sim(dataset, self._attack(dataset), OasisDefense("MR"))
-        target_batch = sim.server.clients[0].last_batch[0]
+        target_batch = sim.fleet.get(0).last_batch[0]
         scores = per_image_best_psnr(
             target_batch, sim.server.reconstructions[(0, 0)].images
         )
@@ -76,12 +76,12 @@ class TestRTFEndToEnd:
             dataset, self._attack(dataset), OasisDefense("MR"), rounds=3
         )
         for (round_index, _client_id), result in sim.server.reconstructions.items():
-            target_batch = sim.server.clients[0].last_batch[0]
+            target_batch = sim.fleet.get(0).last_batch[0]
             scores = per_image_best_psnr(target_batch, result.images)
             # last_batch is from the final round; earlier rounds' recon may
             # match older batches, but none should be a verbatim hit on any
             # private image of the target shard.
-            shard = sim.server.clients[0].dataset.images.astype(np.float64)
+            shard = sim.fleet.get(0).dataset.images.astype(np.float64)
             shard_scores = per_image_best_psnr(shard, result.images)
             assert np.all(shard_scores < 60.0), f"leak in round {round_index}"
 
@@ -95,7 +95,7 @@ class TestRTFEndToEnd:
             dataset, self._attack(dataset),
             DPGradientDefense(clip_norm=10.0, noise_multiplier=1e-9),
         )
-        target_batch = light.server.clients[0].last_batch[0]
+        target_batch = light.fleet.get(0).last_batch[0]
         light_scores = per_image_best_psnr(
             target_batch, light.server.reconstructions[(0, 0)].images
         )
@@ -103,7 +103,7 @@ class TestRTFEndToEnd:
             dataset, self._attack(dataset),
             DPGradientDefense(clip_norm=1.0, noise_multiplier=1.0),
         )
-        target_batch = heavy.server.clients[0].last_batch[0]
+        target_batch = heavy.fleet.get(0).last_batch[0]
         heavy_scores = per_image_best_psnr(
             target_batch, heavy.server.reconstructions[(0, 0)].images
         )
@@ -116,7 +116,7 @@ class TestCAHEndToEnd:
         attack = CAHAttack(NUM_NEURONS, activation_probability=0.05, seed=3)
         attack.calibrate_from_public_data(dataset.images)
         undefended = run_attack_sim(dataset, attack, defense=None)
-        target = undefended.server.clients[0].last_batch[0]
+        target = undefended.fleet.get(0).last_batch[0]
         undefended_scores = per_image_best_psnr(
             target, undefended.server.reconstructions[(0, 0)].images
         )
@@ -124,7 +124,7 @@ class TestCAHEndToEnd:
         attack2 = CAHAttack(NUM_NEURONS, activation_probability=0.05, seed=3)
         attack2.calibrate_from_public_data(dataset.images)
         defended = run_attack_sim(dataset, attack2, OasisDefense("MR+SH"))
-        target = defended.server.clients[0].last_batch[0]
+        target = defended.fleet.get(0).last_batch[0]
         defended_scores = per_image_best_psnr(
             target, defended.server.reconstructions[(0, 0)].images
         )
