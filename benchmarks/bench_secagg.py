@@ -12,12 +12,19 @@ comparison.
 Alongside the gate, the bench records what the cryptographic choreography
 costs relative to the plain ``masked_sum`` reduction (which cannot
 survive any dropout at all): wall-clock per round with and without
-dropout, and the overhead ratio.  The Bonawitz ratio is gated at half
-the 7.2x recorded when every pairwise seed took a Python ``pow``, a
-hashed ``SeedSequence`` and a generator of its own: ``masked_sum`` is
-the same-process yardstick, so the gate reads a >= 2x speedup of the
-protocol round on any host.  Results merge into ``BENCH_secagg.json``
-next to this file.
+dropout, and the overhead ratio.  ``masked_sum`` is the same-process
+yardstick, so each ratio gate reads a speedup of the protocol round on
+any host:
+
+- Bonawitz is gated at 3.6x, half the 7.2x recorded when every pairwise
+  seed took a Python ``pow``, a hashed ``SeedSequence`` and a generator
+  of its own.
+- LightSecAgg is gated at 2.0x.  It read 3.6-6.8x while
+  ``field.f_matmul`` summed field products one rank-1 pass at a time,
+  and about 0.6x on the exact limb-split GEMM.
+
+Results, with the host block of :func:`common.host_block`, merge into
+``BENCH_secagg.json`` next to this file.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_secagg.py --benchmark-only
 """
@@ -30,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, record_report
+from common import bench_rng, host_block, record_report
 from repro.fl import make_aggregator
 
 JSON_PATH = Path(__file__).parent / "BENCH_secagg.json"
@@ -39,8 +46,8 @@ NUM_CLIENTS = 100
 DROPOUT_FRACTION = 0.30
 DIM = 1024
 PROTOCOLS = ("secagg", "secagg_oneshot")
-# Bonawitz round (30% dropout) over the masked_sum baseline; see above.
-BONAWITZ_OVERHEAD_GATE = 3.6
+# Round (30% dropout) over the masked_sum baseline, per protocol; see above.
+OVERHEAD_GATES = {"secagg": 3.6, "secagg_oneshot": 2.0}
 
 _RESULTS: dict = {}
 
@@ -112,15 +119,18 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
             "round_with_30pct_dropout_s": dropout_s,
             "round_no_dropout_s": smooth_s,
             "overhead_vs_masked_sum": dropout_s / plain_s,
+            "overhead_gate": OVERHEAD_GATES[name],
             "recovery_exact": True,
         }
 
-    overhead = per_protocol["secagg"]["overhead_vs_masked_sum"]
-    assert overhead <= BONAWITZ_OVERHEAD_GATE, (
-        f"Bonawitz round costs {overhead:.1f}x masked_sum "
-        f"(gate <= {BONAWITZ_OVERHEAD_GATE}x)"
-    )
+    for name, stats in per_protocol.items():
+        overhead = stats["overhead_vs_masked_sum"]
+        assert overhead <= OVERHEAD_GATES[name], (
+            f"{name} round costs {overhead:.1f}x masked_sum "
+            f"(gate <= {OVERHEAD_GATES[name]}x)"
+        )
 
+    _RESULTS["host"] = host_block()
     _RESULTS["secagg_dropout_recovery"] = {
         "num_clients": NUM_CLIENTS,
         "dim": DIM,
@@ -135,7 +145,8 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
         + "\n".join(
             f"{name:<16} drop {1e3 * stats['round_with_30pct_dropout_s']:8.2f} ms"
             f"   smooth {1e3 * stats['round_no_dropout_s']:8.2f} ms"
-            f"   ({stats['overhead_vs_masked_sum']:.1f}x masked_sum, exact sum OK)"
+            f"   ({stats['overhead_vs_masked_sum']:.1f}x masked_sum, "
+            f"gate <= {stats['overhead_gate']}x, exact sum OK)"
             for name, stats in per_protocol.items()
         ),
     )

@@ -18,7 +18,11 @@ back the engine's claims:
    >= 0.75x: adapting to the host means never paying pool overhead that
    cannot be repaid.  Always enforced.
 
-Results land in ``BENCH_sweep_parallel.json`` next to this file.
+When the executor resolves to the serial one, both arms run the same
+code and their ratio is warm-up and host noise, not a speedup: the JSON
+then records ``"speedup": null`` with a ``"not_measured"`` reason.
+Results, with the host block of :func:`common.host_block`, land in
+``BENCH_sweep_parallel.json`` next to this file.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_sweep_parallel.py --benchmark-only
 """
@@ -30,9 +34,10 @@ import time
 import warnings
 from pathlib import Path
 
-from common import record_report
+from common import host_block, record_report
 from repro.experiments import (
     ParticipationScenario,
+    SerialSweepExecutor,
     SweepRunner,
     make_executor,
     usable_cpu_count,
@@ -110,37 +115,42 @@ def test_parallel_sweep_speedup(tmp_path, benchmark):
         "the host must never reintroduce the oversubscription regression"
     )
 
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "grid_cells": 8,
-                "requested_workers": REQUESTED_WORKERS,
-                "effective_workers": effective_workers,
-                "usable_cores": cores,
-                "serial_s": serial_s,
-                "parallel_s": parallel_s,
-                "speedup": speedup,
-                "stores_byte_identical": True,
-                "gate": {
-                    "min_speedup": GATE_SPEEDUP,
-                    "min_cores": GATE_MIN_CORES,
-                    "enforced": gate_enforced,
-                    "floor_speedup": GATE_FLOOR,
-                    "floor_enforced": True,
-                },
-            },
-            indent=2,
-            sort_keys=True,
+    result = {
+        "host": host_block(),
+        "grid_cells": 8,
+        "requested_workers": REQUESTED_WORKERS,
+        "effective_workers": effective_workers,
+        "usable_cores": cores,
+        "serial_s": serial_s,
+        "parallel_s": parallel_s,
+        "speedup": speedup,
+        "stores_byte_identical": True,
+        "gate": {
+            "min_speedup": GATE_SPEEDUP,
+            "min_cores": GATE_MIN_CORES,
+            "enforced": gate_enforced,
+            "floor_speedup": GATE_FLOOR,
+            "floor_enforced": True,
+        },
+    }
+    if isinstance(executor, SerialSweepExecutor):
+        result["speedup"] = None
+        result["not_measured"] = (
+            f"{cores} usable core(s): both arms ran the serial executor"
         )
-        + "\n"
-    )
+    JSON_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    if result["speedup"] is None:
+        verdict = f"speedup not measured: {result['not_measured']}"
+    else:
+        verdict = (
+            f"{speedup:.2f}x, gate >= {GATE_SPEEDUP}x "
+            f"{'enforced' if gate_enforced else f'unenforced: < {GATE_MIN_CORES} cores'}"
+        )
     record_report(
         f"Parallel sweep — 8-cell grid, {REQUESTED_WORKERS} requested -> "
         f"{effective_workers} effective workers, {cores} cores",
         f"serial    {serial_s:7.2f} s\n"
         f"stealing  {parallel_s:7.2f} s"
-        f"   ({speedup:.2f}x, gate >= {GATE_SPEEDUP}x "
-        f"{'enforced' if gate_enforced else f'unenforced: < {GATE_MIN_CORES} cores'}, "
-        f"floor >= {GATE_FLOOR}x always)\n"
+        f"   ({verdict}, floor >= {GATE_FLOOR}x always)\n"
         f"stores byte-identical: yes",
     )

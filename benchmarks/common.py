@@ -1,4 +1,4 @@
-"""Shared benchmark infrastructure: datasets, report registry, scales.
+"""Shared benchmark infrastructure: datasets, report registry, scales, host.
 
 The benchmark suite regenerates every table and figure of the paper at a
 CPU-budget scale (reduced resolutions / trial counts, same protocol).  Each
@@ -9,6 +9,8 @@ prints all reports at the end of the run so ``pytest benchmarks/
 
 from __future__ import annotations
 
+import os
+import platform
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +30,29 @@ def bench_rng(seed: int) -> np.random.Generator:
     what keeps recorded numbers comparable across runs and machines.
     """
     return new_rng(seed)
+
+
+def host_block() -> dict:
+    """The host a ``BENCH_*.json`` was recorded on, for its ``"host"`` key.
+
+    Recorded numbers are same-host ratios; this block says which host,
+    so numbers from different machines are never read side by side.
+    """
+    from repro.experiments import usable_cpu_count
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "usable_cores": usable_cpu_count(),
+    }
 
 
 def record_report(title: str, body: str) -> None:

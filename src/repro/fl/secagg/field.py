@@ -18,7 +18,8 @@ ufuncs) and return canonical representatives in ``[0, PRIME)`` as
 ``uint64`` arrays.  Inputs must already be canonical unless noted —
 :func:`to_field` is the entry point for arbitrary signed integers, and
 :func:`keyed_field` for keyed random draws.  Sums of field products are
-accumulated in one place, :func:`f_matmul`.
+accumulated in one place, :func:`f_matmul`, which runs them as exact
+float64 BLAS GEMMs over 21-bit limbs.
 """
 
 from __future__ import annotations
@@ -39,10 +40,19 @@ _SHIFT61 = np.uint64(61)
 _EIGHT = np.uint64(8)  # 2**64 mod PRIME
 _ONE = np.uint64(1)
 _THREE = np.uint64(3)
+# f_matmul's limb split and inner chunk: three limb pairs of MATMUL_CHUNK
+# products, each at most (2**21 - 1)**2, sum strictly below 2**53.
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+MATMUL_CHUNK = ((1 << 53) - 1) // (3 * ((1 << _LIMB_BITS) - 1) ** 2)
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
-    """Reduce values below ``2**63`` into ``[0, PRIME)`` with one fold."""
+    """Reduce any ``uint64`` values into ``[0, PRIME)`` with one fold.
+
+    The high three bits fold onto the low 61 (``2**61 ≡ 1``), leaving at
+    most ``PRIME + 7``, so one conditional subtraction finishes.
+    """
     folded = (values & PRIME) + (values >> _SHIFT61)
     return np.where(folded >= PRIME, folded - PRIME, folded)
 
@@ -140,13 +150,60 @@ def f_matmul(a, b) -> np.ndarray:
     Lagrange interpolation and every protocol sum route through it.
     Trailing axes of ``b`` are flattened into columns and restored on
     the ``(m, ...)`` result.
+
+    The sums run as float64 BLAS GEMMs, exactly:
+
+    - Each element splits into three 21-bit limbs,
+      ``x = x0 + x1·2**21 + x2·2**42``, so a limb product is an integer
+      of at most ``(2**21 - 1)**2``.
+    - The nine limb products group by diagonal ``d = s + t``.  One GEMM
+      per diagonal sums ``a_s·b_t`` over its at most three limb pairs,
+      stacked along the inner axis: ``a``'s limbs side by side as
+      ``[a0 | a1 | a2]`` and ``b``'s as ``[b2; b1; b0]``, so every
+      diagonal is a column slice times a row slice, with no padding.
+    - The inner axis runs in chunks of ``MATMUL_CHUNK = 682`` terms, the
+      largest ``K`` with ``3·K·(2**21 - 1)**2 < 2**53``.  Every partial
+      sum of such products is a non-negative integer below ``2**53``,
+      which float64 holds exactly, whatever order BLAS adds in.
+    - Diagonal ``d`` weighs ``2**(21·d)``.  As ``2**61 ≡ 1 (mod p)``,
+      that weight is a 61-bit rotation by ``21·d mod 61`` bits.  The five
+      rotated diagonals (each below ``2**61``) add to the canonical
+      accumulator without passing ``2**64``; one fold per chunk reduces
+      the sum.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     columns = b.reshape(len(b), int(np.prod(b.shape[1:])))
     acc = np.zeros((len(a), columns.shape[1]), dtype=np.uint64)
-    for j in range(a.shape[1]):
-        acc = f_add(acc, f_mul(a[:, j, None], columns[j][None]))
+    diagonal = np.empty(acc.shape)
+    term = np.empty_like(acc)
+    for start in range(0, a.shape[1], MATMUL_CHUNK):
+        a_chunk = a[:, start : start + MATMUL_CHUNK]
+        b_chunk = columns[start : start + MATMUL_CHUNK]
+        k = a_chunk.shape[1]
+        a_limbs = np.empty((len(a), 3, k))
+        b_limbs = np.empty((3, k, columns.shape[1]))
+        for s in range(3):
+            shift = np.uint64(_LIMB_BITS * s)
+            a_limbs[:, s] = (a_chunk >> shift) & _LIMB_MASK
+            b_limbs[2 - s] = (b_chunk >> shift) & _LIMB_MASK
+        a_limbs = a_limbs.reshape(len(a), 3 * k)
+        b_limbs = b_limbs.reshape(3 * k, columns.shape[1])
+        for d in range(5):
+            low, high = max(0, d - 2), min(2, d)
+            np.matmul(
+                a_limbs[:, low * k : (high + 1) * k],
+                b_limbs[(2 - d + low) * k : (3 - d + high) * k],
+                out=diagonal,
+            )
+            term[...] = diagonal
+            rotation = _LIMB_BITS * d % 61
+            if rotation:
+                acc += term >> np.uint64(61 - rotation)
+                term <<= np.uint64(rotation)
+                term &= PRIME
+            acc += term
+        acc = _fold(acc)
     return acc.reshape((len(a),) + b.shape[1:])
 
 

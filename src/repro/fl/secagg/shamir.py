@@ -2,9 +2,9 @@
 
 Secrets are field scalars (or batches of them); sharing a batch is one
 field matrix product — the Vandermonde matrix of the share points times
-the stacked ``[secrets; coefficients]`` — so sharing every client's
-seed pair in a 1000-client round is one :func:`~.field.f_matmul` call
-rather than ``O(n * m)`` Python loops.
+the stacked ``[secrets; coefficients]``.  Sharing every client's seed
+pair in a 1000-client round is one :func:`~.field.f_matmul` call, whose
+few BLAS GEMMs cover every share row and coefficient at once.
 
 Share ``j`` (1-indexed ``x = j``) of secret ``s`` is ``f(j)`` for a
 random polynomial ``f`` of degree ``t - 1`` with ``f(0) = s``.  Any

@@ -38,7 +38,7 @@ from repro.fl import (
     make_aggregator,
 )
 from repro.fl.engine import RoundPlan
-from repro.fl.secagg.field import PRIME_INT, f_matmul
+from repro.fl.secagg.field import MATMUL_CHUNK, PRIME_INT, f_matmul
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
 from repro.utils import keyed_words, numerical_gradient
@@ -345,20 +345,51 @@ class TestFieldMatmulProperties:
     @given(data=st.data())
     def test_equals_python_int_reference(self, data):
         m = data.draw(st.integers(1, 8), label="m")
-        k = data.draw(st.integers(0, 64), label="k")
+        # k straddles one and two inner chunks of the limb-split GEMM.
+        k = data.draw(st.integers(0, 2 * MATMUL_CHUNK + 2), label="k")
         n = data.draw(st.integers(1, 8), label="n")
         a = data.draw(arrays(np.uint64, (m, k), elements=field_elements), label="a")
         b = data.draw(arrays(np.uint64, (k, n), elements=field_elements), label="b")
         np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
 
     def test_long_inner_dimension_of_maximal_elements(self):
-        # k = 2049 terms of (p-1)^2 each: past the 2048-term chunk a
-        # limb-split product must respect to stay exact.
+        # k = 2049 terms of (p-1)^2 each: three full MATMUL_CHUNK-term
+        # chunks of the limb-split GEMM and a short fourth one, with the
+        # limb diagonals of every full chunk summed up to about 2**52.
         k = 2049
         a = np.full((2, k), PRIME_INT - 1, dtype=np.uint64)
         b = np.full((k, 3), PRIME_INT - 1, dtype=np.uint64)
         expected = (k * (PRIME_INT - 1) ** 2) % PRIME_INT
         np.testing.assert_array_equal(f_matmul(a, b), np.full((2, 3), expected))
+
+    @pytest.mark.parametrize(
+        "k",
+        [MATMUL_CHUNK - 1, MATMUL_CHUNK, MATMUL_CHUNK + 1, 2 * MATMUL_CHUNK + 1],
+    )
+    def test_maximal_elements_at_the_chunk_boundary(self, k):
+        a = np.full((3, k), PRIME_INT - 1, dtype=np.uint64)
+        b = np.full((k, 2), PRIME_INT - 1, dtype=np.uint64)
+        expected = (k * (PRIME_INT - 1) ** 2) % PRIME_INT
+        np.testing.assert_array_equal(f_matmul(a, b), np.full((3, 2), expected))
+
+    def test_three_dimensional_non_contiguous_right_operand(self):
+        # The (survivors, segments, width) held-segment view that
+        # LightSecAgg's recovery_segments transposes before summing.
+        rng = np.random.default_rng(3)
+        held = rng.integers(0, PRIME_INT, size=(5, 7, 4), dtype=np.uint64)
+        b = held.transpose(1, 0, 2)
+        assert not b.flags.c_contiguous
+        a = rng.integers(0, PRIME_INT, size=(2, 7), dtype=np.uint64)
+        expected = reference_matmul(a, b.reshape(7, -1)).reshape(2, 5, 4)
+        np.testing.assert_array_equal(f_matmul(a, b), expected)
+
+    def test_row_vector_left_operand(self):
+        # The upload sum: a row of ones times every survivor's payload.
+        rng = np.random.default_rng(4)
+        a = np.ones((1, 9), dtype=np.uint64)
+        b = rng.integers(0, PRIME_INT, size=(9, 33), dtype=np.uint64)
+        b[0] = PRIME_INT - 1
+        np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
 
 
 def reference_close(times, opened_at, cutoff, expected_fresh):
