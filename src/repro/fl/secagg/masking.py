@@ -7,43 +7,58 @@ exactly, so the recovered sum is bit-for-bit the plain quantized sum.
 :mod:`repro.fl.secagg.lightsecagg`.)
 
 Masks are expanded in counter mode through
-:func:`~repro.utils.rng.keyed_words`: word ``j`` of the mask for seed
-``s`` is a keyed hash of ``(s, j)``, so the masks of every seed a client
-or the server must add come out of one vectorized call instead of one
-generator object per seed.
+:func:`~repro.utils.rng.keyed_words`' two steps: word ``j`` of the mask
+for seed ``s`` is a keyed hash of ``(s, j)``, so the masks of every seed
+a client or the server must add come out of one vectorized expansion
+instead of one generator object per seed.  The expansion runs a
+cache-sized block of words at a time, into two reused buffers, and sums
+each block as it goes.
 
 Key agreement is a textbook Diffie–Hellman simulation over the Mersenne
 prime of :mod:`repro.fl.secagg.field` (generator 7) — a stand-in for
 X25519 with the property that matters here: both endpoints of a pair
 derive the same seed without the server learning it.  Whole key sets
-are exponentiated at once with the field's vectorized arithmetic.
+are exponentiated at once with the field's windowed :func:`f_pow`, which
+builds each window's powers over the un-broadcast public keys.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...utils.rng import keyed_words
+from ...utils.rng import keyed_words, row_states, stream_words
 from .field import f_pow
 
 _GENERATOR = 7
-# Upper bound on the mask words one expansion materializes (2 MiB).
-_CHUNK_WORDS = 1 << 18
+# Mask words one expansion block holds (256 KiB): the block and its
+# scratch buffer stay in a 1 MiB L2 cache.
+_BLOCK_WORDS = 1 << 15
 
 
 def ring_mask_sum(seeds, dim: int) -> np.ndarray:
     """``Σ PRG(s)`` over ``seeds`` in the ``uint64`` ring (``mod 2**64``).
 
-    Each seed expands to a uniform ring mask of length ``dim``.  Seeds
-    are expanded a bounded block at a time, so memory stays flat however
-    many masks a round sums and however long the update is.
+    Each seed expands to a uniform ring mask of length ``dim``, equal to
+    its row of ``keyed_words(0, "secagg-ring-mask", seeds, k=dim)``.  The
+    masks are expanded ``_BLOCK_WORDS`` words at a time (a block of
+    seeds, or a slice of one long mask) into two reused buffers, so
+    memory stays flat and cache-resident however many masks a round sums
+    and however long the update is.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    states = row_states(0, "secagg-ring-mask", seeds)
     total = np.zeros(dim, dtype=np.uint64)
-    step = max(1, _CHUNK_WORDS // dim)
-    for start in range(0, len(seeds), step):
-        masks = keyed_words(0, "secagg-ring-mask", seeds[start : start + step], k=dim)
-        total += masks.sum(axis=0, dtype=np.uint64)
+    width = min(dim, _BLOCK_WORDS)
+    rows = max(1, min(len(states), _BLOCK_WORDS // width))
+    words, scratch = np.empty((2, rows * width), dtype=np.uint64)
+    for start in range(0, dim, width):
+        columns = min(width, dim - start)
+        for first in range(0, len(states), rows):
+            block = states[first : first + rows]
+            shape, size = (len(block), columns), len(block) * columns
+            masks = stream_words(
+                block, start, words[:size].reshape(shape), scratch[:size].reshape(shape)
+            )
+            total[start : start + columns] += masks.sum(axis=0)
     return total
 
 

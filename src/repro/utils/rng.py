@@ -19,7 +19,10 @@ generator in the Random123 sense (Salmon et al., SC'11, "Parallel random
 numbers: as easy as 1, 2, 3") maps ``(seed, label, id, round, counter)``
 straight to a 64-bit word, vectorized over ids, with no generator object
 per id.  The draws for a subset of ids are exactly the matching rows of
-the full-cohort draw.
+the full-cohort draw.  Its two steps are public for callers that reduce
+long streams without holding them: ``row_states`` hashes each id once,
+and ``stream_words`` expands any column range of those streams into a
+caller's buffers.
 """
 
 from __future__ import annotations
@@ -83,14 +86,61 @@ def rng_for(base_seed: int, *labels: str) -> np.random.Generator:
     return np.random.default_rng(seed_sequence_for(base_seed, *labels))
 
 
-def _mix(words: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, a bijection on ``uint64``, applied in place."""
-    words ^= words >> np.uint64(30)
-    words *= _MIX1
-    words ^= words >> np.uint64(27)
-    words *= _MIX2
-    words ^= words >> np.uint64(31)
+def _mix(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection on ``uint64``, applied in place.
+
+    ``scratch`` is a buffer of ``words``' shape that holds each shifted
+    copy, so a mix allocates nothing.
+    """
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(words, np.uint64(shift), out=scratch)
+        words ^= scratch
+        words *= multiplier
+    np.right_shift(words, np.uint64(31), out=scratch)
+    words ^= scratch
     return words
+
+
+def _mix_int(word: int) -> int:
+    """:func:`_mix` on one Python int."""
+    word ^= word >> 30
+    word = (word * int(_MIX1)) & _MASK64
+    word ^= word >> 27
+    word = (word * int(_MIX2)) & _MASK64
+    return word ^ (word >> 31)
+
+
+def row_states(seed: int, label: str, ids, round_index: int = 0) -> np.ndarray:
+    """The SplitMix64 state of every :func:`keyed_words` row, ``(len(ids),)``.
+
+    A keyed hash of each id under ``(seed, label, round_index)``.  The
+    stream prefix is mixed as Python ints, so a call costs one small
+    vectorized pass over the ids.
+    """
+    label_word = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
+    stream = int(seed) & _MASK64
+    for word in (label_word, int(round_index) & _MASK64):
+        stream = _mix_int(stream) ^ word
+    states = np.asarray(ids, dtype=np.uint64).reshape(-1) * _GAMMA
+    states += np.uint64(_mix_int(stream))
+    return _mix(states, np.empty_like(states))
+
+
+def stream_words(
+    states: np.ndarray, start: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Words ``start, start + 1, ...`` of the streams at ``states``, in ``out``.
+
+    ``out`` and ``scratch`` are ``(len(states), width)`` ``uint64``
+    buffers; row ``i`` of ``out`` becomes the outputs ``start`` to
+    ``start + width - 1`` of the stream whose state is ``states[i]``.
+    Writing into caller-owned buffers lets a caller expand a long stream
+    one cache-sized block at a time without allocating.
+    """
+    width = out.shape[1]
+    counters = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
+    np.add(states[:, None], counters, out=out)
+    return _mix(out, scratch)
 
 
 def keyed_words(
@@ -100,18 +150,14 @@ def keyed_words(
     ``(seed, label, id, round_index, column)``.
 
     Row ``i`` is the SplitMix64 stream whose state is a keyed hash of
-    ``ids[i]``, and column ``j`` is that stream's ``j``-th output.  Each
-    word is a pure function of its key: draws never depend on cohort
-    order, and the rows for a subset of ids equal the matching rows of a
-    superset's draw.
+    ``ids[i]`` (:func:`row_states`), and column ``j`` is that stream's
+    ``j``-th output (:func:`stream_words`).  Each word is a pure function
+    of its key: draws never depend on cohort order, and the rows for a
+    subset of ids equal the matching rows of a superset's draw.
     """
-    label_word = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
-    stream = np.array([int(seed) & _MASK64], dtype=np.uint64)
-    for word in (label_word, int(round_index) & _MASK64):
-        stream = _mix(stream) ^ np.uint64(word)
-    rows = np.asarray(ids, dtype=np.uint64).reshape(-1, 1) * _GAMMA
-    rows = _mix(rows + _mix(stream))
-    return _mix(rows + np.arange(1, k + 1, dtype=np.uint64) * _GAMMA)
+    states = row_states(seed, label, ids, round_index)
+    words = np.empty((len(states), k), dtype=np.uint64)
+    return stream_words(states, 0, words, np.empty_like(words))
 
 
 def keyed_uniforms(

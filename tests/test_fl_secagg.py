@@ -10,6 +10,8 @@ bit-for-bit, and below the Shamir threshold recovery must fail loudly.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,10 @@ from repro.fl.secagg import (
     default_threshold,
 )
 from repro.fl.secagg import field as F
+from repro.fl.secagg import masking
 from repro.fl.secagg.shamir import reconstruct_secrets, share_secrets
 from repro.nn.module import Module
+from repro.utils import keyed_words
 
 DIM = 5
 PROTOCOL_NAMES = ["secagg", "secagg_oneshot"]
@@ -120,6 +124,185 @@ class TestField:
         line_ys = np.array([[8], [11]], dtype=np.uint64)
         at_ten = F.interpolate(line_xs, line_ys, np.array([10], dtype=np.uint64))
         np.testing.assert_array_equal(at_ten, [[35]])
+
+
+# Exponents at the edges of the windowed f_pow: empty, single-bit, the
+# Fermat inverse, p - 1 and the full 64-bit word (sixteen 4-bit windows).
+EDGE_EXPONENTS = [0, 1, F.PRIME_INT - 2, F.PRIME_INT - 1, 2**64 - 1]
+
+
+def reference_pow(bases, exponents):
+    """Python ``pow`` over every (base, exponent) pair, as a matrix."""
+    return np.array(
+        [[pow(int(b), int(e), F.PRIME_INT) for e in exponents] for b in bases],
+        dtype=np.uint64,
+    )
+
+
+def reference_basis(xs, targets):
+    """Lagrange basis ``l_j(t)`` with Python ints: one product per entry."""
+    p = F.PRIME_INT
+    rows = []
+    for t in map(int, targets):
+        row = []
+        for j, xj in enumerate(map(int, xs)):
+            numerator = denominator = 1
+            for i, xi in enumerate(map(int, xs)):
+                if i != j:
+                    numerator = numerator * (t - xi) % p
+                    denominator = denominator * (xj - xi) % p
+            row.append(numerator * pow(denominator, p - 2, p) % p)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint64)
+
+
+class TestFieldPowAndInverse:
+    def test_pow_with_base_broadcast_along_either_axis(self):
+        rng = np.random.default_rng(11)
+        bases = np.concatenate(
+            [[0, 1, 7, F.PRIME_INT - 1], field_elements(rng, 4)]
+        ).astype(np.uint64)
+        exponents = np.concatenate(
+            [
+                np.array(EDGE_EXPONENTS, dtype=np.uint64),
+                rng.integers(0, 2**63, 4, dtype=np.uint64),
+            ]
+        )
+        reference = reference_pow(bases, exponents)
+        # Bases down the rows (the Shamir Vandermonde), then across the
+        # columns (the Diffie-Hellman peer keys).
+        np.testing.assert_array_equal(
+            F.f_pow(bases[:, None], exponents[None, :]), reference
+        )
+        np.testing.assert_array_equal(
+            F.f_pow(bases[None, :], exponents[:, None]), reference.T
+        )
+
+    def test_pow_with_full_shape_base_and_scalar_exponent(self):
+        rng = np.random.default_rng(12)
+        bases = field_elements(rng, (3, 5))
+        for exponent in EDGE_EXPONENTS:
+            expected = reference_pow(bases.reshape(-1), [exponent]).reshape(3, 5)
+            np.testing.assert_array_equal(F.f_pow(bases, exponent), expected)
+
+    def test_pow_of_scalars_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert int(F.f_pow(3, 5)) == 243
+            assert int(F.f_pow(7, 0)) == 1
+            for exponent in EDGE_EXPONENTS:
+                assert int(F.f_pow(7, exponent)) == pow(7, exponent, F.PRIME_INT)
+            keys = np.array([1, 2, F.PRIME_INT - 2], dtype=np.uint64)
+            np.testing.assert_array_equal(
+                masking.dh_public_key(keys), reference_pow([7], keys)[0]
+            )
+
+    def test_pow_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            F.f_pow(3, np.array([1, -1]))
+
+    def test_inverse_maps_zero_to_zero(self):
+        rng = np.random.default_rng(13)
+        a = field_elements(rng, (4, 6))
+        a[0, 0] = a[2, 3] = a[3, 5] = 0
+        inverses = F.f_inv(a)
+        assert inverses.shape == a.shape
+        zero = a == 0
+        np.testing.assert_array_equal(inverses[zero], 0)
+        np.testing.assert_array_equal(F.f_mul(a, inverses)[~zero], 1)
+        np.testing.assert_array_equal(F.f_inv(np.zeros(3, np.uint64)), 0)
+
+    def test_inverse_of_a_scalar_and_of_an_empty_array(self):
+        assert int(F.f_mul(F.f_inv(5), 5)) == 1
+        empty = F.f_inv(np.array([], dtype=np.uint64))
+        assert empty.shape == (0,) and empty.dtype == np.uint64
+
+
+class TestLagrangeBasis:
+    @pytest.mark.parametrize("k", [1, 2, 3, 51, 64, 65])
+    def test_equals_python_int_reference(self, k):
+        rng = np.random.default_rng(k)
+        xs = rng.choice(10**6, size=k, replace=False).astype(np.uint64) + 1
+        # Random targets, zero (Shamir reconstruction) and one target
+        # equal to an interpolation point.
+        targets = np.concatenate([field_elements(rng, 4), [0, xs[k // 2]]]).astype(
+            np.uint64
+        )
+        basis = F.lagrange_basis(xs, targets)
+        np.testing.assert_array_equal(basis, reference_basis(xs, targets))
+        np.testing.assert_array_equal(basis[-1], np.eye(k, dtype=np.uint64)[k // 2])
+
+    def test_points_map_to_the_identity(self):
+        xs = np.arange(1, 40, dtype=np.uint64) * 3
+        np.testing.assert_array_equal(
+            F.lagrange_basis(xs, xs), np.eye(len(xs), dtype=np.uint64)
+        )
+
+
+def reference_mask_sum(seeds, dim):
+    """The unblocked expansion: every mask at once, summed mod 2**64."""
+    return keyed_words(0, "secagg-ring-mask", seeds, k=dim).sum(
+        axis=0, dtype=np.uint64
+    )
+
+
+class TestRingMaskExpansion:
+    DIM = 1000
+    ROWS = masking._BLOCK_WORDS // DIM  # seeds per expansion block
+
+    @pytest.mark.parametrize("count", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    def test_equals_unblocked_reference_around_the_block_size(self, count):
+        seeds = np.random.default_rng(count).integers(0, 2**64, count, dtype=np.uint64)
+        np.testing.assert_array_equal(
+            masking.ring_mask_sum(seeds, self.DIM), reference_mask_sum(seeds, self.DIM)
+        )
+
+    def test_no_seeds_sum_to_zero(self):
+        np.testing.assert_array_equal(
+            masking.ring_mask_sum(np.array([], dtype=np.uint64), 7),
+            np.zeros(7, dtype=np.uint64),
+        )
+
+    def test_masks_longer_than_one_block(self):
+        dim = masking._BLOCK_WORDS + 5
+        seeds = np.array([3, 1, 2**64 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(
+            masking.ring_mask_sum(seeds, dim), reference_mask_sum(seeds, dim)
+        )
+
+    def test_scalar_seed_is_one_mask(self):
+        # The self-mask path passes one numpy scalar seed.
+        seed = np.uint64(12345)
+        np.testing.assert_array_equal(
+            masking.ring_mask_sum(seed, 33), reference_mask_sum([seed], 33)
+        )
+
+
+class TestKeyedWordStreams:
+    """Literal words: any change to the stream derivation shows here."""
+
+    def test_pinned_ring_mask_words(self):
+        words = keyed_words(0, "secagg-ring-mask", [0, 2**64 - 1], k=3)
+        np.testing.assert_array_equal(
+            words,
+            np.array(
+                [
+                    [0x669A07DF2BF6688D, 0xF8EE599A8D93969E, 0x752846A4D83F8E0A],
+                    [0x480FB03526718AD9, 0x3E305595695E6B16, 0xA7D85DD1666ED796],
+                ],
+                dtype=np.uint64,
+            ),
+        )
+
+    def test_pinned_words_with_wide_seed_and_round(self):
+        np.testing.assert_array_equal(
+            keyed_words(7, "secagg-pairwise", [12345], 2**63 + 5, k=2),
+            np.array([[0x60B11CB324C033D5, 0xB19B5686B6D7281A]], dtype=np.uint64),
+        )
+        np.testing.assert_array_equal(
+            keyed_words(2**64 - 1, "", [1]),
+            np.array([[0x3CEF64A9E193F12F]], dtype=np.uint64),
+        )
 
 
 class TestShamir:

@@ -38,7 +38,14 @@ from repro.fl import (
     make_aggregator,
 )
 from repro.fl.engine import RoundPlan
-from repro.fl.secagg.field import MATMUL_CHUNK, PRIME_INT, f_matmul
+from repro.fl.secagg.field import (
+    MATMUL_CHUNK,
+    PRIME_INT,
+    f_inv,
+    f_matmul,
+    f_mul,
+    f_pow,
+)
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
 from repro.utils import keyed_words, numerical_gradient
@@ -390,6 +397,42 @@ class TestFieldMatmulProperties:
         b = rng.integers(0, PRIME_INT, size=(9, 33), dtype=np.uint64)
         b[0] = PRIME_INT - 1
         np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
+
+
+class TestFieldPowProperties:
+    """The windowed ``f_pow`` builds powers at the base's own shape and
+    gathers them at the broadcast shape: every pair must still equal
+    Python's ``pow``, whichever argument carries which axes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_python_pow_under_broadcasting(self, data):
+        rows = data.draw(st.integers(1, 5), label="rows")
+        cols = data.draw(st.integers(1, 5), label="cols")
+        shapes = st.sampled_from([(rows, 1), (1, cols), (rows, cols), ()])
+        base = data.draw(
+            arrays(np.uint64, data.draw(shapes), elements=field_elements),
+            label="base",
+        )
+        exponent = data.draw(
+            arrays(np.uint64, data.draw(shapes), elements=st.integers(0, 2**64 - 1)),
+            label="exponent",
+        )
+        result = f_pow(base, exponent)
+        b, e = np.broadcast_arrays(base, exponent)
+        expected = np.array(
+            [pow(int(x), int(y), PRIME_INT) for x, y in zip(b.ravel(), e.ravel())],
+            dtype=np.uint64,
+        ).reshape(b.shape)
+        np.testing.assert_array_equal(np.asarray(result), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=arrays(np.uint64, st.integers(0, 40), elements=field_elements))
+    def test_batch_inverse_is_elementwise(self, a):
+        inverses = f_inv(a)
+        nonzero = a != 0
+        np.testing.assert_array_equal(inverses[~nonzero], 0)
+        np.testing.assert_array_equal(f_mul(a, inverses)[nonzero], 1)
 
 
 def reference_close(times, opened_at, cutoff, expected_fresh):
