@@ -1,131 +1,100 @@
-"""Per-figure/table experiment harnesses for the paper's evaluation."""
+"""Per-figure/table experiment harnesses for the paper's evaluation.
 
-from repro.experiments.ats_comparison import ATSComparisonResult, run_ats_comparison
-from repro.experiments.attack_sweep import (
-    PAPER_BATCH_SIZES,
-    PAPER_NEURON_COUNTS,
-    SweepResult,
-    monotone_in_batch_size,
-    run_sweep,
-)
-from repro.experiments.defense_eval import (
-    FIG5_LINEUP,
-    FIG6_LINEUP,
-    FIG13_LINEUP,
-    PAPER_SETTINGS,
-    DefenseLineupResult,
-    run_defense_lineup,
-    run_linear_lineup,
-)
-from repro.experiments.model_perf import (
-    TABLE1_LINEUP,
-    TrainingOutcome,
-    run_table1,
-    table1_report,
-    train_with_defense,
-)
-from repro.experiments.paper_summary import build_paper_summary, summary_holds
-from repro.experiments.reporting import (
-    PaperComparison,
-    comparison_table,
-    format_table,
-    render_ascii_image,
-    side_by_side,
-)
-from repro.experiments.runner import (
-    AttackTrialResult,
-    average_over_trials,
-    run_attack_trial,
-    run_linear_trial,
-)
-from repro.experiments.sweep import (
-    DEFAULT_DEFENSES,
-    DEFAULT_SCENARIOS,
-    SCENARIO_AXES,
-    SECAGG_SCENARIOS,
-    STORE_FORMAT,
-    ZOO_DEFENSES,
-    CellEvent,
-    CellExecution,
-    ParticipationScenario,
-    SerialSweepExecutor,
-    ShardRecovery,
-    SweepCell,
-    SweepOutcome,
-    SweepRunner,
-    SweepStore,
-    SweepStoreError,
-    WorkStealingSweepExecutor,
-    dataset_fingerprint,
-    headline_ordering_holds,
-    is_failure,
-    make_executor,
-    run_tasks,
-    scenario_from_dict,
-    scenario_to_dict,
-    usable_cpu_count,
-    worker_shared,
-)
-from repro.experiments.visual import Gallery, reconstruction_gallery, render_pairs
+Every name below is re-exported lazily (PEP 562 ``__getattr__``): importing
+the package loads none of its submodules, so ``python -m
+repro.experiments.sweep`` finds no sweep module already imported when it
+runs that file as ``__main__``.
+"""
 
-__all__ = [
-    "run_attack_trial",
-    "run_linear_trial",
-    "average_over_trials",
-    "AttackTrialResult",
-    "run_sweep",
-    "monotone_in_batch_size",
-    "SweepResult",
-    "SweepRunner",
-    "SweepStore",
-    "SweepStoreError",
-    "SweepCell",
-    "SweepOutcome",
-    "SerialSweepExecutor",
-    "WorkStealingSweepExecutor",
-    "ShardRecovery",
-    "STORE_FORMAT",
-    "make_executor",
-    "usable_cpu_count",
-    "CellEvent",
-    "CellExecution",
-    "is_failure",
-    "run_tasks",
-    "worker_shared",
-    "ParticipationScenario",
-    "DEFAULT_SCENARIOS",
-    "SECAGG_SCENARIOS",
-    "SCENARIO_AXES",
-    "DEFAULT_DEFENSES",
-    "ZOO_DEFENSES",
-    "headline_ordering_holds",
-    "dataset_fingerprint",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "PAPER_BATCH_SIZES",
-    "PAPER_NEURON_COUNTS",
-    "run_defense_lineup",
-    "run_linear_lineup",
-    "DefenseLineupResult",
-    "PAPER_SETTINGS",
-    "FIG5_LINEUP",
-    "FIG6_LINEUP",
-    "FIG13_LINEUP",
-    "run_table1",
-    "train_with_defense",
-    "table1_report",
-    "TrainingOutcome",
-    "TABLE1_LINEUP",
-    "run_ats_comparison",
-    "ATSComparisonResult",
-    "reconstruction_gallery",
-    "render_pairs",
-    "Gallery",
-    "format_table",
-    "render_ascii_image",
-    "side_by_side",
-    "PaperComparison",
-    "build_paper_summary",
-    "summary_holds",
-    "comparison_table",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "ats_comparison": (
+        "ATSComparisonResult",
+        "run_ats_comparison",
+    ),
+    "attack_sweep": (
+        "PAPER_BATCH_SIZES",
+        "PAPER_NEURON_COUNTS",
+        "SweepResult",
+        "monotone_in_batch_size",
+        "run_sweep",
+    ),
+    "defense_eval": (
+        "FIG5_LINEUP",
+        "FIG6_LINEUP",
+        "FIG13_LINEUP",
+        "PAPER_SETTINGS",
+        "DefenseLineupResult",
+        "run_defense_lineup",
+        "run_linear_lineup",
+    ),
+    "model_perf": (
+        "TABLE1_LINEUP",
+        "TrainingOutcome",
+        "run_table1",
+        "table1_report",
+        "train_with_defense",
+    ),
+    "paper_summary": (
+        "build_paper_summary",
+        "summary_holds",
+    ),
+    "reporting": (
+        "PaperComparison",
+        "comparison_table",
+        "format_table",
+        "render_ascii_image",
+        "side_by_side",
+    ),
+    "runner": (
+        "AttackTrialResult",
+        "average_over_trials",
+        "run_attack_trial",
+        "run_linear_trial",
+    ),
+    "sweep": (
+        "DEFAULT_DEFENSES",
+        "DEFAULT_SCENARIOS",
+        "SCENARIO_AXES",
+        "SECAGG_SCENARIOS",
+        "STORE_FORMAT",
+        "ZOO_DEFENSES",
+        "CellEvent",
+        "CellExecution",
+        "ParticipationScenario",
+        "SerialSweepExecutor",
+        "ShardRecovery",
+        "SweepCell",
+        "SweepOutcome",
+        "SweepRunner",
+        "SweepStore",
+        "SweepStoreError",
+        "WorkStealingSweepExecutor",
+        "dataset_fingerprint",
+        "headline_ordering_holds",
+        "is_failure",
+        "make_executor",
+        "run_tasks",
+        "scenario_from_dict",
+        "scenario_to_dict",
+        "usable_cpu_count",
+        "worker_shared",
+    ),
+    "visual": (
+        "Gallery",
+        "reconstruction_gallery",
+        "render_pairs",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -1553,7 +1553,7 @@ GRID_PRESETS: dict[str, GridPreset] = {
         ("rtf",), ("WO", "MR", "SH", "MR+SH"), DEFAULT_SCENARIOS[:2],
         dict(batch_size=4, num_neurons=64, public_size=64),
     ),
-    # The 24-cell acceptance grid on the CIFAR100 stand-in (minutes).
+    # The 24-cell acceptance grid on the CIFAR100 stand-in (~2 s).
     "acceptance": GridPreset(
         partial(synthetic_cifar100, samples_per_class=2, seed=2002),
         ("rtf", "cah"), ("WO", "MR", "SH", "MR+SH"), DEFAULT_SCENARIOS[:3],

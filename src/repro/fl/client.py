@@ -26,10 +26,14 @@ class Client:
     """One federated participant with a private local dataset.
 
     ``model`` is scratch state, not owned state: a federation hands every
-    client the same instance, and :meth:`local_update` overwrites it in
-    full with ``load_state_dict`` before reading it, so no parameter or
-    buffer survives from one client to the next.  What a client owns is
-    its shard, its defense and its RNG stream.
+    client the same instance, and :meth:`local_update` rebinds it in full
+    before reading it, so no parameter or buffer survives from one client
+    to the next.  Parameters are bound zero-copy as read-only views of the
+    broadcast's arrays (:meth:`~repro.nn.module.Module.bind_state_dict`):
+    a client computes gradients and never writes weights, and any
+    in-place write raises instead of corrupting the broadcast the rest of
+    the cohort reads.  Buffers are copied in.  What a client owns is its
+    shard, its defense and its RNG stream.
     """
 
     def __init__(
@@ -60,11 +64,11 @@ class Client:
     def local_update(self, broadcast: ModelBroadcast) -> GradientUpdate:
         """One round of honest local training on the received model.
 
-        Loads the (possibly malicious) global state, samples a private
-        batch, applies the defense's batch hook, computes gradients, applies
-        the defense's gradient hook, and uploads.
+        Binds the (possibly malicious) global state read-only, samples a
+        private batch, applies the defense's batch hook, computes
+        gradients, applies the defense's gradient hook, and uploads.
         """
-        self.model.load_state_dict(broadcast.state)
+        self.model.bind_state_dict(broadcast.state)
         images, labels = self.dataset.sample_batch(self.batch_size, self._rng)
         self.last_batch = (images.copy(), labels.copy())
         gradients, loss, num_examples = compute_defended_update(

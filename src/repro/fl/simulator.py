@@ -13,6 +13,7 @@ only when sampled, and all of them train on one scratch model, so a
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -264,7 +265,7 @@ class FederationConfig:
 
 def make_lazy_fleet(
     dataset: SyntheticImageDataset,
-    model_factory: Callable[[], Module],
+    model: Module,
     config: FederationConfig,
     defense: Optional[ClientDefense] = None,
 ) -> Fleet:
@@ -278,10 +279,13 @@ def make_lazy_fleet(
     who else materialized.  Otherwise the fleet holds ``num_clients``
     clients over :meth:`FederationConfig.make_shards`, indexed by id.
 
-    Every client trains on one scratch model, built here once:
-    ``model_factory`` must be order-independent (seeded internally, as
-    every factory in this repo is), and each client's
-    ``load_state_dict`` overwrites the scratch before it is read.
+    Every client trains on one scratch model: a structural copy of
+    ``model`` (the federation's global model) that shares its parameter
+    arrays, so the copy owns no parameter memory.  Buffers, such as
+    batch-norm running statistics, are the scratch model's own.  Nothing
+    reads the scratch before a client binds its broadcast into it
+    (:meth:`Client.local_update`), and binding only rebinds parameters,
+    so ``model``'s arrays are never written through the copy.
     """
     if config.fleet_size > 0:
         size = config.fleet_size
@@ -300,14 +304,15 @@ def make_lazy_fleet(
         shards = config.make_shards(dataset)
         size = len(shards)
         shard = shards.__getitem__
-    model = model_factory()
+    shared = {id(param.data): param.data for param in model.parameters()}
+    scratch = copy.deepcopy(model, memo=shared)
     loss_fn = CrossEntropyLoss()
 
     def factory(client_id: int) -> Client:
         return Client(
             client_id=client_id,
             dataset=shard(client_id),
-            model=model,
+            model=scratch,
             loss_fn=loss_fn,
             batch_size=config.batch_size,
             defense=defense,
@@ -320,10 +325,11 @@ def make_lazy_fleet(
 class FederatedSimulation:
     """A ready-to-run federation over one dataset.
 
-    ``model_factory`` must return a fresh model of identical architecture
-    each call.  It runs exactly twice per federation, whatever the fleet
-    size: once for the global model and once for the scratch model every
-    client trains on (see :func:`make_lazy_fleet`).
+    ``model_factory`` runs once per federation, whatever the fleet size,
+    to build the global model.  The scratch model every client trains on
+    borrows the global model's parameter arrays (see
+    :func:`make_lazy_fleet`), so a federation's parameters exist only in
+    the global model and the broadcasts the server sends.
     """
 
     def __init__(
@@ -336,8 +342,8 @@ class FederatedSimulation:
         target_client_id: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.fleet = make_lazy_fleet(dataset, model_factory, config, defense)
         global_model = model_factory()
+        self.fleet = make_lazy_fleet(dataset, global_model, config, defense)
         server_kwargs = dict(
             learning_rate=config.learning_rate,
             clients_per_round=config.clients_per_round,

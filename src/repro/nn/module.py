@@ -3,7 +3,8 @@
 Modules own named :class:`Parameter` leaves and named buffers (non-trainable
 state such as batch-norm running statistics).  The federated-learning
 simulator serializes models through :meth:`Module.state_dict` /
-:meth:`Module.load_state_dict`, so both must round-trip exactly.
+:meth:`Module.load_state_dict`, so both must round-trip exactly; a client
+binds a received state zero-copy with :meth:`Module.bind_state_dict`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def _bump_structure_generation() -> None:
     """
     global _STRUCTURE_GENERATION
     _STRUCTURE_GENERATION += 1
+
+
+def _read_only_view(value: np.ndarray, dtype) -> np.ndarray:
+    view = np.asarray(value, dtype=dtype, order="C").view()
+    view.flags.writeable = False
+    return view
 
 
 class Module:
@@ -144,14 +151,31 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the module: nothing aliases the caller's arrays."""
+        self._assign_state(
+            state, lambda value, dtype: np.asarray(value, dtype=dtype).copy()
+        )
+
+    def bind_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Rebind every parameter to a read-only view of ``state``'s array.
+
+        The zero-copy counterpart of :meth:`load_state_dict`: a C-contiguous
+        array of the parameter's dtype is shared, not copied (any other
+        input binds a contiguous cast copy), and the view's read-only flag
+        makes an in-place write to the weights raise instead of corrupting
+        the caller's state.  Buffers are still copied in place, so they
+        stay the module's own.  Unknown names raise ``KeyError``.
+        """
+        self._assign_state(state, _read_only_view)
+
+    def _assign_state(self, state: dict[str, np.ndarray], as_param) -> None:
         params = dict(self.named_parameters())
         missing = []
         for name, value in state.items():
             if name in params:
-                params[name].data = np.asarray(value, dtype=params[name].data.dtype).copy()
-            else:
-                if not self._load_buffer(name, value):
-                    missing.append(name)
+                params[name].data = as_param(value, params[name].data.dtype)
+            elif not self._load_buffer(name, value):
+                missing.append(name)
         if missing:
             raise KeyError(f"state entries not found in module: {missing}")
 

@@ -51,11 +51,12 @@ def test_module_has_docstring(module):
 def _public_members():
     members = []
     for module in MODULES:
-        exported = getattr(module, "__all__", None)
-        for name, obj in vars(module).items():
+        # A module's ``__all__`` is its public surface, resolved through
+        # getattr so lazily re-exported names (PEP 562) are walked too.
+        names = getattr(module, "__all__", None) or list(vars(module))
+        for name in names:
+            obj = getattr(module, name)
             if name.startswith("_"):
-                continue
-            if exported is not None and name not in exported:
                 continue
             if not (inspect.isclass(obj) or inspect.isfunction(obj)):
                 continue

@@ -4,7 +4,8 @@ The fleet is what makes 100k–1M registered users affordable: registration
 stores a factory and a count, and a ``Client`` (shard, RNG stream) exists
 only once the engine dispatches its id; every client trains on the
 federation's one scratch model.  These tests pin the laziness itself
-(materialized counts, two model builds per federation), the purity
+(materialized counts, one model build per federation, a scratch model
+that borrows the global arrays and binds each broadcast read-only), the purity
 contract that makes laziness sound (``factory(i).client_id == i``, same
 client object across rounds), and — behind the ``fleet_scale`` marker —
 the sustained multi-round soak at 1k active clients from a 100k-user
@@ -27,10 +28,22 @@ from repro.fl import (
     make_lazy_fleet,
 )
 from repro.fl.engine import ticks
-from repro.nn import MLP
+from repro.nn import MLP, BatchNorm2d, Conv2d, Flatten, Linear, ReLU, Sequential
 from repro.nn.module import Module
 
 DIM = 4
+
+
+def bn_net(dataset):
+    rng = np.random.default_rng(0)
+    channels, height, width = dataset.image_shape
+    return Sequential(
+        Conv2d(channels, 4, 3, padding=1, rng=rng),
+        BatchNorm2d(4),
+        ReLU(),
+        Flatten(),
+        Linear(4 * height * width, dataset.num_classes, rng=rng),
+    )
 
 
 class StubClient:
@@ -141,12 +154,12 @@ class TestLazySimulation:
 
     def test_shards_are_pure_functions_of_client_id(self, dataset):
         config = self.make_config(1000, shard_size=4)
-        factory = lambda: MLP(
+        model = MLP(
             [dataset.flat_dim, 4, dataset.num_classes],
             rng=np.random.default_rng(0),
         )
-        one = make_lazy_fleet(dataset, factory, config)
-        other = make_lazy_fleet(dataset, factory, config)
+        one = make_lazy_fleet(dataset, model, config)
+        other = make_lazy_fleet(dataset, model, config)
         # Materialize in different orders; shards must match per id.
         for cid in (977, 3, 500):
             np.testing.assert_array_equal(
@@ -180,7 +193,7 @@ class TestLazySimulation:
         # fleet_size=0 selects the partitioned shards: num_clients ids,
         # client i holding shard i, none materialized until dispatched.
         config = self.make_config(0, num_clients=6)
-        fleet = make_lazy_fleet(dataset, Module, config)
+        fleet = make_lazy_fleet(dataset, Module(), config)
         assert len(fleet) == 6
         assert fleet.materialized_count == 0
         shards = config.make_shards(dataset)
@@ -189,7 +202,7 @@ class TestLazySimulation:
         )
         with pytest.raises(ValueError, match="shard_size"):
             make_lazy_fleet(
-                dataset, Module, self.make_config(10, shard_size=10_000)
+                dataset, Module(), self.make_config(10, shard_size=10_000)
             )
 
     @pytest.mark.parametrize(
@@ -197,8 +210,9 @@ class TestLazySimulation:
         [{"num_clients": 4}, {"fleet_size": 64}],
         ids=["partitioned", "keyed"],
     )
-    def test_model_factory_runs_twice_per_federation(self, dataset, sizing):
-        # One global model and one scratch model, whatever the fleet size.
+    def test_model_factory_runs_once_per_federation(self, dataset, sizing):
+        # One global model, whatever the fleet size; the one scratch model
+        # every client shares is a copy that borrows its arrays.
         built = []
 
         def factory():
@@ -211,10 +225,47 @@ class TestLazySimulation:
         config = FederationConfig(batch_size=2, seed=3, **sizing)
         sim = FederatedSimulation(dataset, factory, config)
         sim.run(2)
-        assert len(built) == 2
+        assert len(built) == 1
         scratch = {id(sim.fleet.get(i).model) for i in range(3)}
         assert len(scratch) == 1
         assert sim.server.model is not sim.fleet.get(0).model
+
+    def bn_simulation(self, dataset):
+        config = FederationConfig(batch_size=2, seed=3, num_clients=4)
+        return FederatedSimulation(dataset, lambda: bn_net(dataset), config)
+
+    def test_scratch_model_borrows_the_global_arrays(self, dataset):
+        sim = self.bn_simulation(dataset)
+        scratch = sim.fleet.get(0).model
+        for mine, theirs in zip(
+            scratch.parameters(), sim.server.model.parameters()
+        ):
+            assert mine is not theirs
+            assert mine.data is theirs.data
+        # Buffers are loaded in place, so the scratch model owns its own.
+        for (_, mine), (_, theirs) in zip(
+            scratch.named_buffers(), sim.server.model.named_buffers()
+        ):
+            assert not np.shares_memory(mine, theirs)
+
+    def test_clients_bind_the_broadcast_read_only(self, dataset):
+        sim = self.bn_simulation(dataset)
+        broadcast = sim.server.prepare_broadcast()
+        before = {name: value.copy() for name, value in broadcast.state.items()}
+        for client_id in range(4):
+            sim.fleet.get(client_id).local_update(broadcast)
+        # Every client ran on the broadcast; not one byte of it moved.
+        for name, value in broadcast.state.items():
+            assert value.tobytes() == before[name].tobytes()
+        scratch = sim.fleet.get(0).model
+        for name, param in scratch.named_parameters():
+            assert not param.data.flags.writeable
+            assert np.shares_memory(param.data, broadcast.state[name])
+            with pytest.raises(ValueError, match="read-only"):
+                param.data += 1.0
+        # A full round leaves the scratch model bound read-only too.
+        sim.run(1)
+        assert not any(p.data.flags.writeable for p in scratch.parameters())
 
     def test_partitioned_federation_materializes_only_dispatched(self, dataset):
         config = self.make_config(0, num_clients=4, clients_per_round=2)

@@ -124,6 +124,53 @@ class TestStateDict:
         grads = model.grad_dict()
         assert any(np.any(g != 0.0) for g in grads.values())
 
+    def test_bind_state_dict_shares_parameter_memory(self):
+        a = Composite()
+        b = Composite()
+        state = a.state_dict()
+        b.bind_state_dict(state)
+        for name, param in b.named_parameters():
+            assert np.shares_memory(param.data, state[name])
+            assert not param.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                param.data[...] = 0.0
+        # The caller's arrays keep their own flags.
+        assert all(value.flags.writeable for value in state.values())
+
+    def test_bind_state_dict_casts_and_compacts(self):
+        model = Composite()
+        state = model.state_dict()
+        dtype = model.fc1.weight.data.dtype
+        single = state["fc1.weight"].astype(np.float32)
+        strided = np.repeat(state["fc1.bias"], 2)[::2]
+        assert not strided.flags.c_contiguous
+        model.bind_state_dict({"fc1.weight": single, "fc1.bias": strided})
+        for name, given in (("weight", single), ("bias", strided)):
+            bound = getattr(model.fc1, name).data
+            assert bound.dtype == dtype
+            assert bound.flags.c_contiguous
+            assert not bound.flags.writeable
+            assert not np.shares_memory(bound, given)
+            np.testing.assert_array_equal(bound, given.astype(dtype))
+
+    def test_bind_state_dict_copies_buffers(self):
+        model = Sequential(BatchNorm2d(3))
+        source = Sequential(BatchNorm2d(3))
+        source[0].running_mean[:] = 7.0
+        state = source.state_dict()
+        buffer = model[0].running_mean
+        model.bind_state_dict(state)
+        assert model[0].running_mean is buffer
+        assert not np.shares_memory(buffer, state["0.running_mean"])
+        np.testing.assert_array_equal(buffer, np.full(3, 7.0))
+
+    def test_bind_unknown_key_raises(self):
+        model = Composite()
+        state = model.state_dict()
+        state["nonexistent.weight"] = np.zeros(1)
+        with pytest.raises(KeyError):
+            model.bind_state_dict(state)
+
     def test_load_state_dict_is_deep(self):
         a = Composite()
         b = Composite()

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +454,31 @@ class TestOutcomeEdgeCases:
         # Cells exist for the attack but not the requested defense pair.
         outcome = make_runner(sweep_dataset, defenses=("WO", "MR")).run()
         assert headline_ordering_holds(outcome, defended="SH") is False
+
+
+class TestCommandLine:
+    def test_module_cli_runs_without_runpy_warning(self):
+        # The package re-exports sweep names lazily, so ``-m`` finds no
+        # sweep module already imported and runpy has nothing to warn of.
+        src = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.sweep", "--help"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
+
+    def test_package_resolves_reexports_on_demand(self):
+        import repro.experiments as experiments
+        from repro.experiments import sweep
+
+        assert experiments.SweepStore is sweep.SweepStore
+        assert all(hasattr(experiments, name) for name in experiments.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            experiments.no_such_name
 
 
 @pytest.mark.sweep_scale
