@@ -22,13 +22,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_attack_eval.py --benchmar
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, imagenet_bench, record_report
+from common import bench_rng, imagenet_bench, record_report, write_bench_json
 from repro.defense import OasisDefense
 from repro.experiments import ParticipationScenario, SweepRunner
 from repro.metrics import (
@@ -104,7 +103,7 @@ def test_batched_expansion_speedup(benchmark):
         f"batched apply_batch   {1e3 * batched_s:8.3f} ms"
         f"   ({speedup:.1f}x, gate >= 5x)",
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def _scalar_match(originals, reconstructions):
@@ -178,7 +177,7 @@ def test_vectorized_matching_speedup(benchmark):
         f"   ({speedup:.1f}x, gate >= 5x)\n"
         f"unique (Hungarian)  {1e3 * unique_s:8.3f} ms",
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_sweep_cells_per_sec(benchmark):
@@ -215,17 +214,4 @@ def test_sweep_cells_per_sec(benchmark):
         "Attack eval — sweep throughput (2 attacks x 3 suites x 2 scenarios)",
         f"{num_cells} cells in {elapsed:.2f} s  ({cells_per_sec:.1f} cells/s)",
     )
-    _write_json()
-
-
-def _write_json() -> None:
-    # Merge with any existing file so running one bench in isolation does
-    # not drop the other bench's recorded section.
-    merged: dict = {}
-    if JSON_PATH.exists():
-        try:
-            merged = json.loads(JSON_PATH.read_text())
-        except (ValueError, OSError):
-            merged = {}
-    merged.update(_RESULTS)
-    JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_json(JSON_PATH, _RESULTS)

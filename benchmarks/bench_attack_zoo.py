@@ -18,13 +18,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_attack_zoo.py --benchmark
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, cifar100_bench, record_report
+from common import bench_rng, cifar100_bench, record_report, write_bench_json
 from repro.attacks import ATTACKS, ImprintedModel, LinearClassifier, make_attack
 from repro.defense import OasisDefense
 from repro.experiments import format_table
@@ -117,16 +116,12 @@ def test_attack_zoo_grid(benchmark):
         ["attack", "WO >18dB", "WO best", "MR+SH >18dB", "round"], rows
     )
     record_report("Attack zoo: undefended vs OASIS MR+SH", table)
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "batch_size": BATCH_SIZE,
-                "num_neurons": NUM_NEURONS,
-                "match_threshold_db": MATCH_DB,
-                "cells": cells,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    write_bench_json(
+        JSON_PATH,
+        {
+            "batch_size": BATCH_SIZE,
+            "num_neurons": NUM_NEURONS,
+            "match_threshold_db": MATCH_DB,
+            "cells": cells,
+        },
     )

@@ -31,13 +31,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_defense_zoo.py --benchmar
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, cifar100_bench, record_report
+from common import bench_rng, cifar100_bench, record_report, write_bench_json
 from repro.attacks import ImprintedModel, make_attack
 from repro.defense import make_defense
 from repro.experiments import format_table
@@ -138,24 +137,20 @@ def test_defense_zoo_grid(benchmark):
     record_report(
         "Defense zoo: mean match PSNR per arm (composed stacks last)", table
     )
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "batch_size": BATCH_SIZE,
-                "num_neurons": NUM_NEURONS,
-                "defense_arms": list(DEFENSE_ARMS),
-                "strict_composed": {
-                    "arm": STRICT_COMPOSED,
-                    "components": list(STRICT_COMPONENTS),
-                },
-                "oasis_dp_composed": {
-                    "arm": OASIS_DP_COMPOSED,
-                    "components": list(OASIS_DP_COMPONENTS),
-                },
-                "cells": cells,
+    write_bench_json(
+        JSON_PATH,
+        {
+            "batch_size": BATCH_SIZE,
+            "num_neurons": NUM_NEURONS,
+            "defense_arms": list(DEFENSE_ARMS),
+            "strict_composed": {
+                "arm": STRICT_COMPOSED,
+                "components": list(STRICT_COMPONENTS),
             },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+            "oasis_dp_composed": {
+                "arm": OASIS_DP_COMPOSED,
+                "components": list(OASIS_DP_COMPONENTS),
+            },
+            "cells": cells,
+        },
     )

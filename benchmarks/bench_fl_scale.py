@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, host_block, record_report
+from common import bench_rng, record_report, write_bench_json
 from repro.data import make_synthetic_dataset
 from repro.fl import (
     Client,
@@ -148,7 +147,7 @@ def test_buffered_aggregation_speedup(benchmark):
             f"{name:<16}{1e3 * seconds:8.3f} ms" for name, seconds in robust.items()
         ),
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def _rounds_per_sec(num_clients: int, dataset, rounds: int = 3) -> float:
@@ -193,7 +192,7 @@ def test_federation_rounds_per_sec(benchmark):
             for n, rate in scaling.items()
         ),
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 FLEET_SIZE = 100_000
@@ -274,7 +273,7 @@ def test_lazy_fleet_engine_throughput(benchmark):
             for active, result in results.items()
         ),
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 TRAINED_ACTIVE = 1000
@@ -427,18 +426,4 @@ def test_trained_fleet_round_shared_scratch(benchmark):
         f"global-model sha256 {digests['shared_scratch'][0][:16]}… "
         "equal across arms",
     )
-    _write_json()
-
-
-def _write_json() -> None:
-    # Merge with any existing file so running one bench in isolation does
-    # not drop the other bench's recorded section.
-    merged: dict = {}
-    if JSON_PATH.exists():
-        try:
-            merged = json.loads(JSON_PATH.read_text())
-        except (ValueError, OSError):
-            merged = {}
-    merged.update(_RESULTS)
-    merged["host"] = host_block()
-    JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_json(JSON_PATH, _RESULTS)

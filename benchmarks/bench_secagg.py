@@ -31,13 +31,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_secagg.py --benchmark-onl
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, host_block, record_report
+from common import bench_rng, record_report, write_bench_json
 from repro.fl import make_aggregator
 
 JSON_PATH = Path(__file__).parent / "BENCH_secagg.json"
@@ -130,7 +129,6 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
             f"(gate <= {OVERHEAD_GATES[name]}x)"
         )
 
-    _RESULTS["host"] = host_block()
     _RESULTS["secagg_dropout_recovery"] = {
         "num_clients": NUM_CLIENTS,
         "dim": DIM,
@@ -150,17 +148,4 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
             for name, stats in per_protocol.items()
         ),
     )
-    _write_json()
-
-
-def _write_json() -> None:
-    # Merge with any existing file so running one bench in isolation does
-    # not drop another bench's recorded section.
-    merged: dict = {}
-    if JSON_PATH.exists():
-        try:
-            merged = json.loads(JSON_PATH.read_text())
-        except (ValueError, OSError):
-            merged = {}
-    merged.update(_RESULTS)
-    JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_json(JSON_PATH, _RESULTS)

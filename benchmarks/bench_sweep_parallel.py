@@ -29,12 +29,11 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_sweep_parallel.py --bench
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from pathlib import Path
 
-from common import host_block, record_report
+from common import record_report, write_bench_json
 from repro.experiments import (
     ParticipationScenario,
     SerialSweepExecutor,
@@ -116,7 +115,6 @@ def test_parallel_sweep_speedup(tmp_path, benchmark):
     )
 
     result = {
-        "host": host_block(),
         "grid_cells": 8,
         "requested_workers": REQUESTED_WORKERS,
         "effective_workers": effective_workers,
@@ -124,6 +122,7 @@ def test_parallel_sweep_speedup(tmp_path, benchmark):
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "speedup": speedup,
+        "not_measured": None,
         "stores_byte_identical": True,
         "gate": {
             "min_speedup": GATE_SPEEDUP,
@@ -138,7 +137,7 @@ def test_parallel_sweep_speedup(tmp_path, benchmark):
         result["not_measured"] = (
             f"{cores} usable core(s): both arms ran the serial executor"
         )
-    JSON_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    write_bench_json(JSON_PATH, result)
     if result["speedup"] is None:
         verdict = f"speedup not measured: {result['not_measured']}"
     else:

@@ -25,7 +25,7 @@ import json
 import time
 from pathlib import Path
 
-from common import record_report
+from common import record_report, write_bench_json
 from repro.experiments import SweepStore
 from repro.utils import atomic_write_text
 
@@ -117,37 +117,33 @@ def test_store_upsert_scaling(tmp_path, benchmark):
         f"{GATE_OPEN_CELLS_PER_S:,.0f}/s)"
     )
 
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "tail_puts_timed": TAIL,
-                "log_store": {
-                    "cells_small": LOG_SMALL,
-                    "cells_large": LOG_LARGE,
-                    "per_put_small_s": log_small,
-                    "per_put_large_s": log_large,
-                    "cost_ratio": log_ratio,
-                    "gate_max_ratio": GATE_LOG_RATIO,
-                },
-                "rewrite_all_baseline": {
-                    "cells_small": REWRITE_SMALL,
-                    "cells_large": REWRITE_LARGE,
-                    "per_put_small_s": rewrite_small,
-                    "per_put_large_s": rewrite_large,
-                    "cost_ratio": rewrite_ratio,
-                    "gate_min_ratio": GATE_REWRITE_RATIO,
-                },
-                "reopen": {
-                    "cells": LOG_LARGE,
-                    "open_s": open_s,
-                    "cells_per_s": open_cells_per_s,
-                    "gate_min_cells_per_s": GATE_OPEN_CELLS_PER_S,
-                },
+    write_bench_json(
+        JSON_PATH,
+        {
+            "tail_puts_timed": TAIL,
+            "log_store": {
+                "cells_small": LOG_SMALL,
+                "cells_large": LOG_LARGE,
+                "per_put_small_s": log_small,
+                "per_put_large_s": log_large,
+                "cost_ratio": log_ratio,
+                "gate_max_ratio": GATE_LOG_RATIO,
             },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+            "rewrite_all_baseline": {
+                "cells_small": REWRITE_SMALL,
+                "cells_large": REWRITE_LARGE,
+                "per_put_small_s": rewrite_small,
+                "per_put_large_s": rewrite_large,
+                "cost_ratio": rewrite_ratio,
+                "gate_min_ratio": GATE_REWRITE_RATIO,
+            },
+            "reopen": {
+                "cells": LOG_LARGE,
+                "open_s": open_s,
+                "cells_per_s": open_cells_per_s,
+                "gate_min_cells_per_s": GATE_OPEN_CELLS_PER_S,
+            },
+        },
     )
     record_report(
         f"Sweep store — last-{TAIL}-put cost vs store size",

@@ -32,13 +32,12 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_tensor_core.py --benchmar
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, record_report
+from common import bench_rng, record_report, write_bench_json
 from repro.experiments.sweep import GRID_PRESETS
 from repro.nn import MLP, Adam, CrossEntropyLoss, SGD, small_cnn
 from repro.profile import Profiler
@@ -165,7 +164,7 @@ def test_graph_node_reduction(benchmark):
     )
     assert reduction >= GATE_NODE_REDUCTION
     assert ce_reduction >= GATE_CE_NODE_REDUCTION
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_training_loop_speedup(benchmark):
@@ -212,7 +211,7 @@ def test_training_loop_speedup(benchmark):
     )
     assert update_r / update_f >= GATE_UPDATE_LOOP
     assert grads_r / grads_f >= GATE_GRADS_LOOP
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_fused_op_micro_speedups(benchmark):
@@ -260,7 +259,7 @@ def test_fused_op_micro_speedups(benchmark):
     )
     assert ce_r / ce_f >= GATE_CROSS_ENTROPY
     assert conv_r / conv_f >= GATE_CONV
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_optimizer_inplace_not_slower(benchmark):
@@ -298,7 +297,7 @@ def test_optimizer_inplace_not_slower(benchmark):
             for name, stats in per_optimizer.items()
         ),
     )
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_im2col_index_cache(benchmark):
@@ -334,7 +333,7 @@ def test_im2col_index_cache(benchmark):
         f"({speedup:.0f}x, gate >= {GATE_INDEX_CACHE:.0f}x)",
     )
     assert speedup >= GATE_INDEX_CACHE
-    _write_json()
+    write_bench_json(JSON_PATH, _RESULTS)
 
 
 def test_sweep_cell_end_to_end(benchmark):
@@ -376,17 +375,4 @@ def test_sweep_cell_end_to_end(benchmark):
         f"   ({speedup:.2f}x, gate >= {GATE_SWEEP_CELL:.2f}x, results identical)",
     )
     assert speedup >= GATE_SWEEP_CELL
-    _write_json()
-
-
-def _write_json() -> None:
-    # Merge with any existing file so running one bench in isolation does
-    # not drop another bench's recorded section.
-    merged: dict = {}
-    if JSON_PATH.exists():
-        try:
-            merged = json.loads(JSON_PATH.read_text())
-        except (ValueError, OSError):
-            merged = {}
-    merged.update(_RESULTS)
-    JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_json(JSON_PATH, _RESULTS)

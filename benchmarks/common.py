@@ -9,13 +9,16 @@ prints all reports at the end of the run so ``pytest benchmarks/
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from repro.data import make_synthetic_dataset, synthetic_cifar100, synthetic_imagenet
+from repro.utils import atomic_write_text
 from repro.utils.rng import new_rng
 
 _REPORTS: list[tuple[str, str]] = []
@@ -53,6 +56,25 @@ def host_block() -> dict:
         },
         "usable_cores": usable_cpu_count(),
     }
+
+
+def write_bench_json(path: Path, results: dict) -> None:
+    """Merge ``results`` into the ``BENCH_*.json`` at ``path``, host-stamped.
+
+    Merging lets one bench of a file run alone without dropping another
+    bench's recorded section; ``"host"`` is always replaced by this host.
+    A bench must write the same keys on every run, so a merge never keeps
+    a stale key from an earlier run.
+    """
+    merged: dict = {}
+    if path.exists():
+        try:
+            merged = json.loads(path.read_text())
+        except (ValueError, OSError):
+            merged = {}
+    merged.update(results)
+    merged["host"] = host_block()
+    atomic_write_text(path, json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def record_report(title: str, body: str) -> None:

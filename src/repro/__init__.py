@@ -10,7 +10,7 @@ Reconstruction Attacks in Federated Learning" (ICDCS 2024).  Sub-packages:
 - :mod:`repro.fl` — federated-learning simulator with dishonest servers.
 - :mod:`repro.attacks` — RTF, CAH, and linear-model gradient inversion.
 - :mod:`repro.defense` — the OASIS defense, analysis tools, baselines.
-- :mod:`repro.metrics` — PSNR / SSIM / accuracy.
+- :mod:`repro.metrics` — PSNR / accuracy.
 - :mod:`repro.experiments` — per-figure/table reproduction harnesses.
 """
 

@@ -17,11 +17,10 @@ from repro.attacks.imprint import (
     ImprintedModel,
     activation_matrix,
     extract_imprint_gradients,
-    invert_gradient_pair,
 )
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
-from repro.attacks.qbi import QBIAttack, sole_activation_probability
+from repro.attacks.qbi import QBIAttack
 from repro.attacks.registry import ATTACKS, make_attack
 from repro.attacks.rtf import RTFAttack
 from repro.attacks.traps import TrapImprintAttack
@@ -33,7 +32,6 @@ __all__ = [
     "ImprintedModel",
     "activation_matrix",
     "extract_imprint_gradients",
-    "invert_gradient_pair",
     "IMPRINT_WEIGHT",
     "IMPRINT_BIAS",
     "RTFAttack",
@@ -41,7 +39,6 @@ __all__ = [
     "QBIAttack",
     "LOKIAttack",
     "TrapImprintAttack",
-    "sole_activation_probability",
     "LinearClassifier",
     "LinearModelInversion",
     "ATTACKS",

@@ -124,21 +124,6 @@ def extract_imprint_gradients(
         ) from error
 
 
-def invert_gradient_pair(
-    weight_grad: np.ndarray,
-    bias_grad: float,
-    tolerance: float = 1e-12,
-) -> Optional[np.ndarray]:
-    """Eq. 6: recover the input as (dL/db_i)^-1 * dL/dW_i.
-
-    Returns None when the neuron carries no signal (|dL/db_i| below
-    ``tolerance``), i.e. no sample activated it.
-    """
-    if abs(float(bias_grad)) <= tolerance:
-        return None
-    return weight_grad / float(bias_grad)
-
-
 def activation_matrix(
     weight: np.ndarray, bias: np.ndarray, flat_images: np.ndarray
 ) -> np.ndarray:

@@ -27,11 +27,6 @@ from __future__ import annotations
 from repro.attacks.traps import TrapImprintAttack
 
 
-def sole_activation_probability(p: float, batch_size: int) -> float:
-    """P(exactly one of ``batch_size`` samples activates a trap firing w.p. p)."""
-    return batch_size * p * (1.0 - p) ** (batch_size - 1)
-
-
 class QBIAttack(TrapImprintAttack):
     """Trap-weight imprint attack tuned to the sole-activation optimum.
 

@@ -37,22 +37,6 @@ def compute_batch_gradients(
     return model.grad_dict(transfer=backend.FUSED), loss.item()
 
 
-def per_sample_gradients(
-    model: Module,
-    loss_fn: Module,
-    images: np.ndarray,
-    labels: np.ndarray,
-) -> list[dict[str, np.ndarray]]:
-    """Per-example gradients via microbatching (used by the DP-SGD baseline)."""
-    gradients = []
-    for i in range(len(images)):
-        grads, _ = compute_batch_gradients(
-            model, loss_fn, images[i : i + 1], labels[i : i + 1]
-        )
-        gradients.append(grads)
-    return gradients
-
-
 def clip_gradient_dict(
     gradients: dict[str, np.ndarray], clip_norm: float
 ) -> dict[str, np.ndarray]:

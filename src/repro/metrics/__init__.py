@@ -1,7 +1,6 @@
-"""Evaluation metrics: PSNR (attack success), SSIM, accuracy."""
+"""Evaluation metrics: PSNR (attack success) and accuracy."""
 
-from repro.metrics.accuracy import accuracy, top_k_accuracy
-from repro.metrics.image_quality import image_entropy, ssim
+from repro.metrics.accuracy import accuracy
 from repro.metrics.psnr import (
     MSE_FLOOR,
     PSNR_CEILING,
@@ -26,8 +25,5 @@ __all__ = [
     "per_image_best_psnr",
     "MSE_FLOOR",
     "PSNR_CEILING",
-    "ssim",
-    "image_entropy",
     "accuracy",
-    "top_k_accuracy",
 ]

@@ -23,16 +23,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy: fraction of samples whose label is in the k best logits."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    k = min(k, logits.shape[1])
-    top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-    hits = (top == labels[:, None]).any(axis=1)
-    return float(hits.mean())
-
-
 def model_accuracy(
     model: "Module", dataset: "SyntheticImageDataset", batch_size: int
 ) -> float:

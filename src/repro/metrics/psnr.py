@@ -163,23 +163,12 @@ def _unique_assignment(scores: np.ndarray) -> np.ndarray:
 
     Returns an array of original indices per reconstruction row; rows left
     over when reconstructions outnumber originals get ``-1``.  Uses SciPy's
-    Hungarian solver (the `breaching` convention) with a deterministic
-    greedy fallback when SciPy is unavailable.
+    Hungarian solver (the `breaching` convention).
     """
-    num_reconstructions, num_originals = scores.shape
-    assigned = np.full(num_reconstructions, -1, dtype=np.int64)
-    try:
-        from scipy.optimize import linear_sum_assignment
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        remaining = list(range(num_originals))
-        order = np.argsort(-scores.max(axis=1, initial=-np.inf))
-        for row in order:
-            if not remaining:
-                break
-            best = max(remaining, key=lambda col: scores[row, col])
-            assigned[row] = best
-            remaining.remove(best)
-        return assigned
+    # Imported here: scipy.optimize is slow to load and only this path needs it.
+    from scipy.optimize import linear_sum_assignment
+
+    assigned = np.full(len(scores), -1, dtype=np.int64)
     rows, cols = linear_sum_assignment(-scores)
     assigned[rows] = cols
     return assigned

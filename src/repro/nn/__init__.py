@@ -1,7 +1,6 @@
 """Neural-network library: modules, layers, models, losses, optimizers."""
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Flatten,
@@ -13,7 +12,7 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.losses import CrossEntropyLoss, LogisticLoss, MSELoss, one_hot
+from repro.nn.losses import CrossEntropyLoss, LogisticLoss, one_hot
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.resnet import BasicBlock, ResNet, resnet18, small_cnn
@@ -28,12 +27,10 @@ __all__ = [
     "Identity",
     "Flatten",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Sequential",
     "MLP",
     "CrossEntropyLoss",
-    "MSELoss",
     "LogisticLoss",
     "one_hot",
     "Optimizer",

@@ -17,7 +17,6 @@ from repro.nn.init import bias_uniform, kaiming_uniform
 from repro.nn.module import Module, Parameter, _bump_structure_generation
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     batch_norm,
     conv2d,
     global_avg_pool2d,
@@ -149,16 +148,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

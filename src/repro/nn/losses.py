@@ -48,21 +48,6 @@ class CrossEntropyLoss(Module):
         return per_sample.sum()
 
 
-class MSELoss(Module):
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-        if not isinstance(target, Tensor):
-            target = Tensor(target)
-        diff = prediction - target
-        squared = diff * diff
-        if self.reduction == "mean":
-            return squared.mean()
-        return squared.sum()
-
-
 class LogisticLoss(Module):
     """Multi-class logistic-regression loss for the Sec. IV-D linear attack.
 

@@ -11,7 +11,6 @@ from repro.tensor import backend, buffers
 from repro.tensor.autograd import is_grad_enabled, no_grad, topological_order
 from repro.tensor.backend import reference_kernels, set_kernel_mode
 from repro.tensor.conv import (
-    avg_pool2d,
     batch_norm,
     conv2d,
     global_avg_pool2d,
@@ -28,7 +27,6 @@ __all__ = [
     "topological_order",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "batch_norm",
     "backend",

@@ -235,36 +235,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     return result
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling over windows."""
-    stride = stride if stride is not None else kernel
-    n, c, h, w = x.shape
-    fused = backend.FUSED
-    cols, (rows, col_idx, out_h, out_w) = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, stride
-    )
-    out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-    window = kernel * kernel
-
-    def backward(result: Tensor) -> Callable[[], None]:
-        def run() -> None:
-            if not x.requires_grad:
-                return
-            grad_out = result.grad.reshape(n * c, 1, -1) / window
-            grad_cols = np.broadcast_to(grad_out, cols.shape)
-            grad = _col2im(grad_cols, (n * c, 1, h, w), kernel, rows, col_idx, stride)
-            if fused:
-                buffers.release(cols)
-            x._accumulate(grad.reshape(n, c, h, w), fresh=fused)
-
-        return run
-
-    result = Tensor._make(out, (x,), backward)
-    if fused and result._backward is None:
-        buffers.release(cols)
-    return result
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Adaptive average pooling to 1x1, returned as (N, C)."""
     return x.mean(axis=(2, 3))

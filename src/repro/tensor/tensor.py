@@ -409,18 +409,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(out: "Tensor") -> Callable[[], None]:
-            def run() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * data * (1.0 - data))
-
-            return run
-
-        return Tensor._make(data, (self,), backward)
-
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
         sign = np.sign(self.data)
@@ -677,12 +665,6 @@ class Tensor:
     @staticmethod
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
-        rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

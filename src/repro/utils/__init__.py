@@ -4,9 +4,7 @@ from repro.utils.checkpoint import (
     atomic_write_bytes,
     atomic_write_lines,
     atomic_write_text,
-    load_model,
     load_state,
-    save_model,
     save_state,
 )
 from repro.utils.numeric import numerical_gradient
@@ -33,8 +31,6 @@ __all__ = [
     "numerical_gradient",
     "save_state",
     "load_state",
-    "save_model",
-    "load_model",
     "atomic_write_bytes",
     "atomic_write_lines",
     "atomic_write_text",

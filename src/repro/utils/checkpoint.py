@@ -106,13 +106,3 @@ def load_state(path: str | Path) -> dict[str, np.ndarray]:
     """Read a state dict written by :func:`save_state`."""
     with np.load(Path(path)) as archive:
         return {name: archive[name].copy() for name in archive.files}
-
-
-def save_model(path: str | Path, model) -> Path:
-    """Persist a :class:`~repro.nn.Module`'s parameters and buffers."""
-    return save_state(path, model.state_dict())
-
-
-def load_model(path: str | Path, model) -> None:
-    """Restore a module in place from a checkpoint written by save_model."""
-    model.load_state_dict(load_state(path))

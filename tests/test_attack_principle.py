@@ -21,7 +21,6 @@ from repro.attacks import (
     ImprintedModel,
     activation_matrix,
     extract_imprint_gradients,
-    invert_gradient_pair,
 )
 from repro.fl import compute_batch_gradients
 from repro.nn import CrossEntropyLoss
@@ -48,11 +47,8 @@ class TestEquation6:
         active = np.flatnonzero(np.abs(bias_grad) > 1e-12)
         assert active.size > 0, "at least one neuron must fire"
         for i in active:
-            recovered = invert_gradient_pair(weight_grad[i], bias_grad[i])
+            recovered = weight_grad[i] / bias_grad[i]
             np.testing.assert_allclose(recovered, flat, atol=1e-9)
-
-    def test_inactive_neuron_returns_none(self):
-        assert invert_gradient_pair(np.ones(4), 0.0) is None
 
     def test_inversion_invariant_to_loss_scale(self, setup, rng):
         # Eq. 6 divides two gradients sharing the loss scale, so mean vs sum
@@ -62,8 +58,8 @@ class TestEquation6:
         w_mean, b_mean = _grads_for(model, CrossEntropyLoss("mean"), x, np.array([0]))
         w_sum, b_sum = _grads_for(model, CrossEntropyLoss("sum"), x, np.array([0]))
         i = int(np.argmax(np.abs(b_mean)))
-        r1 = invert_gradient_pair(w_mean[i], b_mean[i])
-        r2 = invert_gradient_pair(w_sum[i], b_sum[i])
+        r1 = w_mean[i] / b_mean[i]
+        r2 = w_sum[i] / b_sum[i]
         np.testing.assert_allclose(r1, r2, atol=1e-9)
 
 
@@ -99,7 +95,7 @@ class TestBatchSummation:
         w_grad, b_grad = _grads_for(
             model, CrossEntropyLoss(), images, np.array([0, 1])
         )
-        recovered = invert_gradient_pair(w_grad[0], b_grad[0])
+        recovered = w_grad[0] / b_grad[0]
         np.testing.assert_allclose(recovered, images[0].reshape(-1), atol=1e-9)
 
     def test_shared_neuron_yields_linear_combination(self, rng):
@@ -111,7 +107,7 @@ class TestBatchSummation:
         w_grad, b_grad = _grads_for(
             model, CrossEntropyLoss(), images, np.array([0, 1])
         )
-        mixture = invert_gradient_pair(w_grad[0], b_grad[0])
+        mixture = w_grad[0] / b_grad[0]
         # The mixture must lie in the span of the two flattened inputs.
         basis = images.reshape(2, -1)
         coeffs, residual, *_ = np.linalg.lstsq(basis.T, mixture, rcond=None)
@@ -132,7 +128,7 @@ class TestBatchSummation:
         for i in range(2):
             _, b_i = _grads_for(model, loss_fn, images[i : i + 1], np.array([i]))
             b_parts.append(b_i[0])
-        mixture = invert_gradient_pair(w_grad[0], b_grad[0])
+        mixture = w_grad[0] / b_grad[0]
         expected = (
             b_parts[0] * images[0].reshape(-1) + b_parts[1] * images[1].reshape(-1)
         ) / (b_parts[0] + b_parts[1])

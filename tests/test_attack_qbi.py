@@ -9,7 +9,6 @@ from repro.attacks import (
     ImprintedModel,
     QBIAttack,
     activation_matrix,
-    sole_activation_probability,
 )
 from repro.defense import OasisDefense
 from repro.fl import compute_batch_gradients
@@ -37,7 +36,10 @@ class TestTuning:
             assert attack.activation_probability == pytest.approx(1.0 / batch_size)
 
     def test_inverse_batch_size_maximizes_sole_activation(self):
-        # p* = 1/B is the argmax of B * p * (1-p)^(B-1).
+        # p* = 1/B is the argmax of P(sole) = B * p * (1-p)^(B-1).
+        def sole_activation_probability(p, batch_size):
+            return batch_size * p * (1.0 - p) ** (batch_size - 1)
+
         for batch_size in (2, 4, 8):
             optimum = sole_activation_probability(1.0 / batch_size, batch_size)
             grid = np.linspace(0.01, 0.99, 197)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     batch_norm,
     conv2d,
     global_avg_pool2d,
@@ -105,16 +104,6 @@ class TestPooling:
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
         np.testing.assert_array_equal(t.grad[0, 0], expected)
-
-    def test_avg_pool_forward(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2).numpy()
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_grad_uniform(self):
-        t = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        avg_pool2d(t, 2).sum().backward()
-        np.testing.assert_allclose(t.grad, np.full((1, 1, 4, 4), 0.25))
 
     def test_global_avg_pool(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))

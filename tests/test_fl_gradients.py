@@ -10,7 +10,6 @@ from repro.fl import (
     average_gradients,
     compute_batch_gradients,
     compute_defended_update,
-    per_sample_gradients,
 )
 from repro.nn import CrossEntropyLoss, MLP
 
@@ -42,22 +41,6 @@ class TestComputeBatchGradients:
         for name in sum_grads:
             np.testing.assert_allclose(sum_grads[name], 4.0 * mean_grads[name],
                                        atol=1e-10)
-
-
-class TestPerSampleGradients:
-    def test_per_sample_sums_to_batch(self, model, rng):
-        x, y = rng.random((3, 8)), rng.integers(0, 3, 3)
-        batch_grads, _ = compute_batch_gradients(model, CrossEntropyLoss("sum"), x, y)
-        per_sample = per_sample_gradients(model, CrossEntropyLoss("sum"), x, y)
-        for name in batch_grads:
-            total = sum(g[name] for g in per_sample)
-            np.testing.assert_allclose(batch_grads[name], total, atol=1e-10)
-
-    def test_count(self, model, rng):
-        per_sample = per_sample_gradients(
-            model, CrossEntropyLoss(), rng.random((5, 8)), rng.integers(0, 3, 5)
-        )
-        assert len(per_sample) == 5
 
 
 class TestAverageGradients:

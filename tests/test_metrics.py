@@ -1,4 +1,4 @@
-"""PSNR / SSIM / accuracy metric correctness."""
+"""PSNR / accuracy metric correctness."""
 
 from __future__ import annotations
 
@@ -11,15 +11,12 @@ from repro.metrics import (
     accuracy,
     average_attack_psnr,
     best_match_psnr,
-    image_entropy,
     match_reconstructions,
     mse,
     pairwise_mse,
     pairwise_psnr,
     per_image_best_psnr,
     psnr,
-    ssim,
-    top_k_accuracy,
 )
 
 
@@ -199,39 +196,6 @@ class TestUniqueAssignment:
             )
 
 
-class TestSSIM:
-    def test_identical_is_one(self, rng):
-        x = rng.random((3, 16, 16))
-        assert ssim(x, x) == pytest.approx(1.0)
-
-    def test_noise_lowers_ssim(self, rng):
-        x = rng.random((3, 16, 16))
-        noisy = np.clip(x + rng.normal(0, 0.3, x.shape), 0, 1)
-        assert ssim(x, noisy) < 0.9
-
-    def test_2d_input(self, rng):
-        x = rng.random((16, 16))
-        assert ssim(x, x) == pytest.approx(1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ssim(np.zeros((3, 4, 4)), np.zeros((3, 5, 5)))
-
-    def test_ordering_matches_distortion(self, rng):
-        x = rng.random((3, 16, 16))
-        mild = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1)
-        harsh = np.clip(x + rng.normal(0, 0.5, x.shape), 0, 1)
-        assert ssim(x, mild) > ssim(x, harsh)
-
-
-class TestEntropy:
-    def test_constant_image_zero_entropy(self):
-        assert image_entropy(np.full((3, 8, 8), 0.5)) == 0.0
-
-    def test_uniform_noise_high_entropy(self, rng):
-        assert image_entropy(rng.random((3, 32, 32))) > 4.0
-
-
 class TestAccuracy:
     def test_perfect(self):
         logits = np.eye(4)
@@ -244,12 +208,3 @@ class TestAccuracy:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             accuracy(np.zeros(3), np.zeros(3))
-
-    def test_top_k(self):
-        logits = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        assert top_k_accuracy(logits, np.array([1, 0]), k=2) == 0.5
-        assert top_k_accuracy(logits, np.array([0, 2]), k=1) == 1.0
-
-    def test_top_k_caps_at_num_classes(self):
-        logits = np.array([[0.5, 0.5]])
-        assert top_k_accuracy(logits, np.array([0]), k=10) == 1.0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Flatten,
@@ -121,7 +120,6 @@ class TestContainers:
     def test_pool_layers(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         assert MaxPool2d(2)(x).shape == (1, 2, 2, 2)
-        assert AvgPool2d(2)(x).shape == (1, 2, 2, 2)
         assert GlobalAvgPool2d()(x).shape == (1, 2)
 
 

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.sweep import GRID_PRESETS, SweepStore, main
@@ -118,6 +124,37 @@ def test_attacks_flag_serial_parallel_stores_identical(tmp_path):
     assert main(args + ["--store", str(serial)]) == 0
     assert main(args + ["--store", str(parallel), "--workers", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+# Subpackages scipy imports for itself on ``import scipy.special``.
+SCIPY_INTERNALS = {"__config__", "_lib", "_cyutility", "_distributor_init", "version"}
+
+
+def test_smoke_zoo_grid_loads_only_scipy_special(tmp_path):
+    # A fresh interpreter, so no other test's imports leak in.  The whole
+    # attack zoo on the smoke grid needs scipy.special (RTF's normal
+    # quantiles) and nothing else of scipy.
+    script = (
+        "import json, sys\n"
+        "from repro.experiments.sweep import main\n"
+        "code = main(['--grid', 'smoke', '--attacks', 'rtf,cah,linear,qbi,loki',"
+        " '--store', sys.argv[1]])\n"
+        "print(json.dumps({'code': code, 'scipy': sorted({name.split('.')[1]"
+        " for name in sys.modules if name.startswith('scipy.')})}))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "zoo.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    loaded = set(report["scipy"])
+    assert loaded == {"special"} | SCIPY_INTERNALS
+    assert "ndimage" not in loaded and "optimize" not in loaded
 
 
 def test_unknown_attack_name_is_a_usage_error(tmp_path, capsys):

@@ -28,16 +28,12 @@ import numpy as np
 import pytest
 
 import repro.tensor.backend as backend
-from repro.fl.gradients import (
-    clip_gradient_dict,
-    compute_batch_gradients,
-    per_sample_gradients,
-)
-from repro.nn import MLP, SGD, Adam, CrossEntropyLoss, Linear, MSELoss
+from repro.defense import DPSGDDefense
+from repro.fl.gradients import compute_batch_gradients, compute_defended_update
+from repro.nn import MLP, SGD, Adam, CrossEntropyLoss, Linear
 from repro.nn.resnet import small_cnn
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     batch_norm,
     conv2d,
     max_pool2d,
@@ -141,7 +137,7 @@ def test_linear_layer_bitwise_equivalence():
 
 @pytest.mark.parametrize(
     "op",
-    ["conv", "conv_stride_pad", "max_pool", "avg_pool", "bn"],
+    ["conv", "conv_stride_pad", "max_pool", "bn"],
 )
 def test_conv_family_bitwise_equivalence(op):
     rng = _rng()
@@ -157,8 +153,6 @@ def test_conv_family_bitwise_equivalence(op):
             return conv2d(t, Tensor(w), None, stride=2, padding=1).sum()
         if op == "max_pool":
             return max_pool2d(t, 2).sum()
-        if op == "avg_pool":
-            return avg_pool2d(t, 3, stride=1).sum()
         return batch_norm(
             t, Tensor(gamma), Tensor(beta), np.zeros(3), np.ones(3),
             training=True,
@@ -311,15 +305,18 @@ def test_clipped_per_sample_path_bitwise_equivalence():
 
     def build():
         model = MLP([12, 10, 4], rng=np.random.default_rng(31))
-        per_sample = per_sample_gradients(
-            model, CrossEntropyLoss(), images, labels
+        return compute_defended_update(
+            model, CrossEntropyLoss(), images, labels,
+            DPSGDDefense(clip_norm=1.0, noise_multiplier=0.0),
+            np.random.default_rng(0),
         )
-        return [clip_gradient_dict(grads, 1.0) for grads in per_sample]
 
-    fused_clipped, reference_clipped = run_both(build)
-    for clipped_f, clipped_r in zip(fused_clipped, reference_clipped):
-        for name in sorted(clipped_f):
-            bitwise_equal(clipped_f[name], clipped_r[name])
+    (grads_f, loss_f, count_f), (grads_r, loss_r, count_r) = run_both(build)
+    assert sorted(grads_f) == sorted(grads_r)
+    for name in sorted(grads_f):
+        bitwise_equal(grads_f[name], grads_r[name])
+    assert loss_f == loss_r
+    assert count_f == count_r == len(images)
 
 
 # ---------------------------------------------------------------------------

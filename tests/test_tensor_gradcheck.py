@@ -21,10 +21,9 @@ import pytest
 
 import repro.tensor.backend as backend
 from repro.nn.layers import Linear
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.tensor import (
     Tensor,
-    avg_pool2d,
     batch_norm,
     concatenate,
     conv2d,
@@ -79,7 +78,6 @@ def _signed(shape):
 _OTHER_2x5 = _signed((2, 5))
 _OTHER_3x4 = _signed((3, 4))
 _MAT_5x3 = _signed((5, 3))
-_TARGET_2x5 = _signed((2, 5))
 _LABELS_4 = np.array([0, 2, 1, 2])
 
 OP_CASES = {
@@ -100,7 +98,6 @@ OP_CASES = {
     "log": ((2, 5), lambda t: t.log().sum(), _smooth),
     "sqrt": ((2, 5), lambda t: t.sqrt().sum(), _smooth),
     "tanh": ((2, 5), lambda t: t.tanh().sum()),
-    "sigmoid": ((2, 5), lambda t: t.sigmoid().sum()),
     "abs": ((2, 5), lambda t: t.abs().sum()),
     "clip": ((2, 5), lambda t: t.clip(-0.9, 0.9).sum()),
     "matmul": ((2, 5), lambda t: (t @ Tensor(_MAT_5x3)).sum()),
@@ -145,7 +142,6 @@ OP_CASES = {
         ).sum(),
     ),
     "max_pool2d": ((2, 2, 4, 4), lambda t: max_pool2d(t, 2).sum()),
-    "avg_pool2d": ((2, 2, 4, 4), lambda t: avg_pool2d(t, 2).sum()),
     "global_avg_pool2d": ((2, 3, 4, 4), lambda t: global_avg_pool2d(t).sum()),
     "batch_norm": (
         (4, 3, 2, 2),
@@ -154,7 +150,6 @@ OP_CASES = {
             np.zeros(3), np.ones(3), training=True,
         ).sum(),
     ),
-    "mse_loss": ((2, 5), lambda t: MSELoss()(t, _TARGET_2x5)),
     "cross_entropy_mean": ((4, 3), lambda t: CrossEntropyLoss()(t, _LABELS_4)),
     "cross_entropy_sum": (
         (4, 3),

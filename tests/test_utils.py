@@ -20,9 +20,7 @@ from repro.utils import (
 from repro.utils.checkpoint import (
     atomic_write_bytes,
     atomic_write_text,
-    load_model,
     load_state,
-    save_model,
     save_state,
 )
 
@@ -166,9 +164,9 @@ class TestCheckpoint:
 
     def test_model_roundtrip(self, tmp_path, rng):
         model = MLP([6, 4, 2], rng=np.random.default_rng(0))
-        path = save_model(tmp_path / "model.npz", model)
+        path = save_state(tmp_path / "model.npz", model.state_dict())
         other = MLP([6, 4, 2], rng=np.random.default_rng(99))
-        load_model(path, other)
+        other.load_state_dict(load_state(path))
         x = Tensor(rng.standard_normal((3, 6)))
         np.testing.assert_allclose(model(x).numpy(), other(x).numpy())
 
