@@ -26,7 +26,7 @@ Four rules ship with the engine:
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,16 +51,41 @@ class RoundBuffer:
     Python loop over dicts.  In a deployment the packing cost overlaps the
     wait for slower clients; here it simply moves the dict walking out of
     the aggregation hot path.
+
+    A :class:`~repro.fl.engine.RoundEngine` keeps its buffer from one
+    round to the next and re-arms it (:meth:`rearm`) whenever the new
+    round fits the matrix, so a fleet round neither allocates nor
+    zero-fills a fresh ``capacity x dim`` matrix.  :attr:`matrix` is
+    therefore valid only until the owning engine's next round, and every
+    aggregation rule must return a fresh array, never a view of it.
     """
 
     def __init__(self, capacity: int, spec: FlatSpec) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.spec = spec
         self.dim = sum(size for _, _, size in spec)
         self._matrix = np.empty((capacity, self.dim), dtype=np.float64)
-        self._names = {name for name, _, _ in spec}
-        self._count = 0
+        self.rearm(capacity, spec)
+
+    def fits(self, capacity: int, spec: FlatSpec) -> bool:
+        """Whether ``capacity`` updates packed as ``spec`` fit the matrix."""
+        rows, dim = self._matrix.shape
+        return 0 < capacity <= rows and sum(size for _, _, size in spec) == dim
+
+    def rearm(self, capacity: int, spec: FlatSpec) -> None:
+        """Empty the buffer for a round of ``capacity`` updates packed as ``spec``.
+
+        Keeps the matrix, so the round must fit it.  Builds the packing
+        table (each name's column slice) once, for every :meth:`add`.
+        """
+        if not self.fits(capacity, spec):
+            raise ValueError("round does not fit the buffer's matrix")
+        self.spec, self.capacity, self._count = spec, capacity, 0
+        self._names = frozenset(name for name, _, _ in spec)
+        self._columns, offset = [], 0
+        for name, _, size in spec:
+            self._columns.append((name, slice(offset, offset + size), size))
+            offset += size
 
     @classmethod
     def for_updates(cls, updates: Sequence[dict[str, np.ndarray]]) -> "RoundBuffer":
@@ -72,18 +97,17 @@ class RoundBuffer:
             buffer.add(update)
         return buffer
 
-    def add(self, gradients: dict[str, np.ndarray]) -> None:
+    def add(self, gradients: Mapping[str, np.ndarray]) -> None:
         """Pack one arriving named-gradient dict into the next matrix row."""
-        if self._count >= len(self._matrix):
+        count = self._count
+        if count >= self.capacity:
             raise ValueError("round buffer is full")
-        if set(gradients) != self._names:
+        if gradients.keys() != self._names:
             raise KeyError("updates carry mismatched parameter names")
-        row = self._matrix[self._count]
-        offset = 0
-        for name, _, size in self.spec:
-            row[offset : offset + size] = np.asarray(gradients[name]).reshape(size)
-            offset += size
-        self._count += 1
+        row = self._matrix[count]
+        for name, columns, size in self._columns:
+            row[columns] = np.asarray(gradients[name]).reshape(size)
+        self._count = count + 1
 
     @property
     def matrix(self) -> np.ndarray:

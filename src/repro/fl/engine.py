@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.fl.aggregators import RoundBuffer, flat_spec
-from repro.fl.messages import GradientUpdate
+from repro.fl.aggregators import FlatSpec, RoundBuffer, flat_spec
+from repro.fl.messages import RELEASED_GRADIENTS, GradientUpdate
 
 #: Virtual-clock resolution: one tick is one simulated microsecond.
 TICKS_PER_SECOND = 1_000_000
@@ -232,7 +232,8 @@ class RoundLedger:
     that completed after the cutoff (computed so they can fold into the
     next round as stale arrivals; empty under commitment protocols, whose
     late uploads are undecryptable and discarded uncomputed).  ``buffer``
-    is ``None`` when nothing arrived on time.
+    is ``None`` when nothing arrived on time; otherwise it is the engine's
+    own buffer, valid until the engine runs its next round.
     """
 
     opened_at: int
@@ -242,8 +243,6 @@ class RoundLedger:
     dropped_ids: list[int]
     straggler_ids: list[int]
     buffer: Optional[RoundBuffer]
-    arrival_ticks: list[tuple[int, int]]
-    late_ticks: list[tuple[int, int]]
     timing: Optional[dict] = None
 
 
@@ -256,12 +255,17 @@ class RoundEngine:
     knobs; the engine owns *time*: it builds the arrival plan, sorts its
     completions, ingests on-time updates into the round buffer in arrival
     order, and classifies dropout and straggling from the timeline.
+
+    The engine also owns the round matrix: one :class:`RoundBuffer`,
+    re-armed each round that fits it and replaced only when a round needs
+    more rows or a different ``dim``.
     """
 
     def __init__(self, clock: VirtualClock, arrivals, cutoff) -> None:
         self.clock = clock
         self.arrivals = arrivals
         self.cutoff = cutoff
+        self._buffer: Optional[RoundBuffer] = None
 
     @property
     def records_timing(self) -> bool:
@@ -277,6 +281,15 @@ class RoundEngine:
             isinstance(self.cutoff, CountCutoff) and self.cutoff.target is None
         )
         return not (synthetic and legacy_cutoff)
+
+    def _round_buffer(self, capacity: int, spec: FlatSpec) -> RoundBuffer:
+        """This round's buffer: the pooled one if the round fits it."""
+        buffer = self._buffer
+        if buffer is not None and buffer.fits(capacity, spec):
+            buffer.rearm(capacity, spec)
+        else:
+            buffer = self._buffer = RoundBuffer(capacity, spec)
+        return buffer
 
     def run_round(
         self,
@@ -302,7 +315,14 @@ class RoundEngine:
         ``inspect_updates`` override), so a 10k-arrival round holds one
         contiguous matrix instead of 10k per-client dicts.  Late updates
         always keep their gradients: they fold into the next round's
-        buffer as stale arrivals.
+        buffer as stale arrivals.  Released updates all share the one
+        immutable :data:`~repro.fl.messages.RELEASED_GRADIENTS` mapping.
+
+        The ledger's ``buffer`` is the engine's own: it re-arms the
+        previous round's matrix whenever this round's rows (one per plan
+        completion, plus ``extra_capacity``) fit it at the same ``dim``,
+        so the buffer is valid only until the next ``run_round``.  A round
+        with no on-time arrival leaves it untouched.
         """
         opened_at = self.clock.now
         plan = self.arrivals.plan_round(
@@ -316,23 +336,22 @@ class RoundEngine:
 
         fresh: list[GradientUpdate] = []
         buffer: Optional[RoundBuffer] = None
+        append = fresh.append
         for client_id in ids[:on_time]:
             update = compute(client_id)
             if buffer is None:
                 capacity = len(ids) + extra_capacity
-                buffer = RoundBuffer(capacity, flat_spec(update.gradients))
-            buffer.add(update.gradients)
+                buffer = self._round_buffer(capacity, flat_spec(update.gradients))
+                add = buffer.add
+            add(update.gradients)
             if release_gradients:
-                update.gradients = {}
-            fresh.append(update)
+                update.gradients = RELEASED_GRADIENTS
+            append(update)
         straggler_ids = ids[on_time:]
         late = [compute(cid) for cid in straggler_ids] if compute_late else []
 
         closed_at = max(closed_at, opened_at)
         self.clock.advance_to(closed_at)
-        arrival_ticks = list(zip(ids[:on_time], times[:on_time]))
-        late_ticks = list(zip(straggler_ids, times[on_time:]))
-
         timing = None
         if self.records_timing:
             timing = {
@@ -341,8 +360,12 @@ class RoundEngine:
                 "cutoff": (
                     "time" if isinstance(self.cutoff, TimeCutoff) else "count"
                 ),
-                "arrival_ticks": [list(pair) for pair in arrival_ticks],
-                "late_ticks": [list(pair) for pair in late_ticks],
+                "arrival_ticks": [
+                    [cid, tick] for cid, tick in zip(ids[:on_time], times[:on_time])
+                ],
+                "late_ticks": [
+                    [cid, tick] for cid, tick in zip(straggler_ids, times[on_time:])
+                ],
                 "unavailable": list(plan.unavailable),
             }
         return RoundLedger(
@@ -353,7 +376,5 @@ class RoundEngine:
             dropped_ids=list(plan.unavailable),
             straggler_ids=straggler_ids,
             buffer=buffer,
-            arrival_ticks=arrival_ticks,
-            late_ticks=late_ticks,
             timing=timing,
         )

@@ -23,6 +23,7 @@ a federation trains on one shared scratch model (see
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from repro.fl.client import Client
@@ -56,7 +57,7 @@ class Fleet:
         return self.size
 
     def __contains__(self, client_id: int) -> bool:
-        return 0 <= int(client_id) < self.size
+        return 0 <= operator.index(client_id) < self.size
 
     @property
     def client_ids(self) -> range:
@@ -69,12 +70,20 @@ class Fleet:
         return len(self._cache)
 
     def get(self, client_id: int) -> Client:
-        """Materialize (or fetch the cached) client for ``client_id``."""
-        client_id = int(client_id)
-        if client_id not in self:
-            raise KeyError(f"client_id {client_id} outside fleet of {self.size}")
+        """Materialize (or fetch the cached) client for ``client_id``.
+
+        ``client_id`` must be a Python or numpy integer; a float or a
+        string raises :class:`TypeError` rather than truncating to some
+        client.  It is converted before the cache lookup, where ``3.0``
+        would hit client 3.  Only a cache miss checks the range.
+        """
+        client_id = operator.index(client_id)
         client = self._cache.get(client_id)
         if client is None:
+            if not 0 <= client_id < self.size:
+                raise KeyError(
+                    f"client_id {client_id} outside fleet of {self.size}"
+                )
             client = self._factory(client_id)
             if client.client_id != client_id:
                 raise ValueError(

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
+
+#: The gradients of every update whose rows were packed into a round
+#: buffer and released: one shared, immutable, empty mapping.
+RELEASED_GRADIENTS: Mapping[str, np.ndarray] = MappingProxyType({})
 
 
 @dataclass
@@ -19,14 +25,20 @@ class ModelBroadcast:
     state: dict[str, np.ndarray]
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientUpdate:
-    """Client -> server: gradients computed on the local batch (Eq. 1)."""
+    """Client -> server: gradients computed on the local batch (Eq. 1).
+
+    Slotted: a fleet round creates one per arrival, and a slotted
+    instance carries no ``__dict__`` for the cyclic collector to walk.
+    Once the engine has packed ``gradients`` into the round buffer it may
+    swap them for :data:`RELEASED_GRADIENTS`.
+    """
 
     client_id: int
     round_index: int
     num_examples: int
-    gradients: dict[str, np.ndarray]
+    gradients: Mapping[str, np.ndarray]
     loss: float = 0.0
 
 

@@ -397,18 +397,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self.__pow__(0.5)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(out: "Tensor") -> Callable[[], None]:
-            def run() -> None:
-                if self.requires_grad:
-                    self._accumulate(out.grad * (1.0 - data ** 2))
-
-            return run
-
-        return Tensor._make(data, (self,), backward)
-
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
         sign = np.sign(self.data)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fl import (
+    AGGREGATORS,
     DishonestServer,
     GradientUpdate,
     RoundBuffer,
@@ -24,6 +25,7 @@ from repro.fl import (
 )
 from repro.fl.engine import (
     CountCutoff,
+    RoundEngine,
     RoundPlan,
     TimeCutoff,
     VirtualClock,
@@ -37,6 +39,7 @@ from repro.fl.arrivals import (
     UniformArrivals,
     make_arrivals,
 )
+from repro.fl.messages import RELEASED_GRADIENTS, ModelBroadcast
 from repro.fl.secagg.base import BelowThresholdError
 from repro.nn.module import Module
 
@@ -498,3 +501,164 @@ class TestArrivalProcesses:
         assert any(r.timing["unavailable"] for r in records), (
             "a 50% duty cycle should leave some selected clients offline"
         )
+
+
+# --------------------------------------------------------------------------
+# The engine-owned round matrix and the ingest path.
+# --------------------------------------------------------------------------
+
+
+class FreshBufferServer(Server):
+    """Allocates a new round matrix every round: the pooling reference."""
+
+    def run_round(self):
+        self.engine._buffer = None
+        return super().run_round()
+
+
+class ScriptedArrivals:
+    """Hands the engine a fixed sequence of round plans."""
+
+    synthesizes_time = False
+
+    def __init__(self, plans) -> None:
+        self._plans = iter(plans)
+
+    def plan_round(self, selected_ids, round_index, opened_at, rng):
+        return next(self._plans)
+
+
+def _stub_compute(client_id: int) -> GradientUpdate:
+    return StubClient(client_id).local_update(ModelBroadcast(0, {}))
+
+
+def _run_cohorts(server_class, kwargs, cohorts) -> dict:
+    """Run one round per entry of ``cohorts`` (``None`` keeps the size)."""
+    server = server_class(
+        Module(), [StubClient(i) for i in range(40)], seed=9, **kwargs
+    )
+    records, aggregates, buffers = [], [], []
+    for cohort in cohorts:
+        if cohort is not None:
+            server.clients_per_round = cohort
+        records.append(server.run_round())
+        aggregate = server.last_aggregate
+        aggregates.append(None if aggregate is None else aggregate["w"].tobytes())
+        buffers.append((server.engine._buffer._matrix, server.engine._buffer.capacity))
+    return {"records": records, "aggregates": aggregates, "buffers": buffers}
+
+
+POOLING_SCENARIOS = {
+    "tiered-stragglers": dict(
+        clients_per_round=12,
+        arrivals="tiered",
+        cutoff=TimeCutoff(ticks(1.0), min_arrivals=1),
+    ),
+    "tiered-stale": dict(
+        clients_per_round=12,
+        arrivals="tiered",
+        cutoff=TimeCutoff(ticks(1.0), min_arrivals=1),
+        accept_stale=True,
+    ),
+    "rate-stale": dict(
+        clients_per_round=8, straggler_rate=0.4, accept_stale=True
+    ),
+}
+
+
+class TestPooledRoundBuffer:
+    @pytest.mark.parametrize(
+        "kwargs", POOLING_SCENARIOS.values(), ids=POOLING_SCENARIOS
+    )
+    def test_pooled_rounds_match_fresh_buffers(self, kwargs):
+        # The cohort grows in round 3, past what the pooled matrix holds,
+        # then shrinks back into the larger matrix.
+        cohorts = [None, None, None, 20, kwargs["clients_per_round"], None]
+        pooled = _run_cohorts(Server, kwargs, cohorts)
+        fresh = _run_cohorts(FreshBufferServer, kwargs, cohorts)
+        assert_records_identical(pooled["records"], fresh["records"])
+        for ours, reference in zip(pooled["aggregates"], fresh["aggregates"]):
+            assert ours == reference
+        reused = grown = 0
+        for previous, (matrix, capacity) in zip(
+            pooled["buffers"], pooled["buffers"][1:]
+        ):
+            if matrix is previous[0]:
+                reused += 1
+            else:
+                # A new matrix only when the round outgrew the pooled one.
+                assert capacity > len(previous[0])
+                grown += 1
+        assert reused and grown
+        if "arrivals" in kwargs:
+            assert any(r.straggler_ids for r in pooled["records"])
+        if kwargs.get("accept_stale"):
+            assert any(r.stale_ids for r in pooled["records"])
+
+    @pytest.mark.parametrize("name", AGGREGATORS.names())
+    def test_aggregates_never_view_the_round_matrix(self, name):
+        server = Server(
+            Module(), [StubClient(i) for i in range(6)], aggregator=name, seed=0
+        )
+        for cohort in (5, 1):
+            server.clients_per_round = cohort
+            server.run_round()
+            matrix = server.engine._buffer._matrix
+            assert server.last_aggregate is not None
+            for value in server.last_aggregate.values():
+                assert not np.shares_memory(value, matrix)
+
+    def test_empty_round_leaves_the_pooled_matrix_untouched(self):
+        engine = RoundEngine(
+            VirtualClock(),
+            ScriptedArrivals([
+                RoundPlan([3, 1, 2], [30, 10, 20]),
+                RoundPlan([], [], unavailable=[4, 5]),
+                RoundPlan([6, 7], [40, 50]),
+            ]),
+            CountCutoff(),
+        )
+        first = engine.run_round([1, 2, 3], 0, None, _stub_compute)
+        pooled = first.buffer
+        snapshot = pooled.matrix.copy()
+        empty = engine.run_round([4, 5], 1, None, _stub_compute)
+        assert empty.buffer is None and empty.fresh == []
+        assert engine._buffer is pooled and len(pooled) == 3
+        np.testing.assert_array_equal(pooled.matrix, snapshot)
+        third = engine.run_round([6, 7], 2, None, _stub_compute)
+        assert third.buffer is pooled
+        np.testing.assert_array_equal(pooled.matrix[:, 0], [6.0, 7.0])
+
+    def test_rearmed_buffer_keeps_its_checks(self):
+        buffer = RoundBuffer(4, [("w", (DIM,), DIM)])
+        buffer.rearm(2, [("v", (2, 2), DIM)])
+        assert buffer.capacity == 2 and buffer.spec == [("v", (2, 2), DIM)]
+        with pytest.raises(KeyError, match="mismatched"):
+            buffer.add({"w": np.zeros(DIM)})
+        buffer.add({"v": np.ones((2, 2))})
+        buffer.add({"v": np.ones((2, 2))})
+        with pytest.raises(ValueError, match="full"):
+            buffer.add({"v": np.ones((2, 2))})
+        assert not buffer.fits(5, buffer.spec)
+        assert not buffer.fits(2, [("w", (DIM + 1,), DIM + 1)])
+        with pytest.raises(ValueError, match="does not fit"):
+            buffer.rearm(5, buffer.spec)
+
+    def test_released_updates_share_one_immutable_mapping(self):
+        engine = RoundEngine(
+            VirtualClock(),
+            ScriptedArrivals([RoundPlan([0, 1, 2, 3], [10, 20, 30, 90])]),
+            CountCutoff(target=3),
+        )
+        ledger = engine.run_round(
+            [0, 1, 2, 3], 0, None, _stub_compute, release_gradients=True
+        )
+        assert len(ledger.fresh) == 3
+        for update in ledger.fresh:
+            assert update.gradients is RELEASED_GRADIENTS
+        with pytest.raises(TypeError):
+            RELEASED_GRADIENTS["w"] = np.zeros(DIM)
+        assert len(RELEASED_GRADIENTS) == 0
+        # Late updates keep their gradients: they may fold in as stale rows.
+        assert list(ledger.late[0].gradients) == ["w"]
+        assert not hasattr(ledger.fresh[0], "__dict__")

@@ -96,6 +96,30 @@ class TestFleetRegistry:
             fleet.get(-1)
         assert 4 in fleet and 5 not in fleet
 
+    def test_numpy_integer_ids_accepted(self):
+        fleet = Fleet(5, StubClient)
+        client = fleet.get(np.int64(3))
+        assert client.client_id == 3 and type(client.client_id) is int
+        assert fleet.get(3) is client
+        assert np.int32(4) in fleet and np.int64(5) not in fleet
+
+    @pytest.mark.parametrize("bad_id", [3.7, 3.0, "5", None])
+    def test_non_integral_ids_raise_type_error(self, bad_id):
+        fleet = Fleet(10, StubClient)
+        with pytest.raises(TypeError):
+            fleet.get(bad_id)
+        with pytest.raises(TypeError):
+            bad_id in fleet
+        assert fleet.materialized_count == 0
+
+    def test_float_id_does_not_hit_the_cache(self):
+        # 3.0 hashes equal to 3: the id must be converted before the
+        # cache lookup, or a cached client 3 would answer for it.
+        fleet = Fleet(10, StubClient)
+        fleet.get(3)
+        with pytest.raises(TypeError):
+            fleet.get(3.0)
+
     def test_from_clients_requires_dense_ids(self):
         with pytest.raises(ValueError, match="at least one client"):
             Fleet.from_clients([])

@@ -97,7 +97,6 @@ OP_CASES = {
     "exp": ((2, 5), lambda t: t.exp().sum()),
     "log": ((2, 5), lambda t: t.log().sum(), _smooth),
     "sqrt": ((2, 5), lambda t: t.sqrt().sum(), _smooth),
-    "tanh": ((2, 5), lambda t: t.tanh().sum()),
     "abs": ((2, 5), lambda t: t.abs().sum()),
     "clip": ((2, 5), lambda t: t.clip(-0.9, 0.9).sum()),
     "matmul": ((2, 5), lambda t: (t @ Tensor(_MAT_5x3)).sum()),
