@@ -104,14 +104,14 @@ def test_buffered_aggregation_speedup(benchmark):
     buffer = RoundBuffer.for_updates(updates)  # ingest-time packing
 
     vectorized = benchmark.pedantic(
-        lambda: aggregator.aggregate_buffer(buffer), rounds=9, iterations=1
+        lambda: aggregator.aggregate(buffer), rounds=9, iterations=1
     )
     baseline = _python_loop_mean(updates)
     for name in baseline:
         np.testing.assert_allclose(vectorized[name], baseline[name], atol=1e-12)
 
     loop_s = _best_of(lambda: _python_loop_mean(updates))
-    reduce_s = _best_of(lambda: aggregator.aggregate_buffer(buffer))
+    reduce_s = _best_of(lambda: aggregator.aggregate(buffer))
     ingest_s = _best_of(lambda: RoundBuffer.for_updates(updates))
     speedup = loop_s / reduce_s
     assert speedup >= 5.0, (
@@ -119,13 +119,13 @@ def test_buffered_aggregation_speedup(benchmark):
     )
 
     robust = {
-        name: _best_of(lambda agg=make_aggregator(name): agg.aggregate_buffer(buffer))
+        name: _best_of(lambda agg=make_aggregator(name): agg.aggregate(buffer))
         for name in ("median", "trimmed_mean")
     }
     # masked_sum expands O(K^2) pairwise masks — time it at a modest fleet.
     masked_buffer = RoundBuffer.for_updates(updates[:16])
     robust["masked_sum@16"] = _best_of(
-        lambda: make_aggregator("masked_sum").aggregate_buffer(masked_buffer)
+        lambda: make_aggregator("masked_sum").aggregate(masked_buffer)
     )
 
     _RESULTS["aggregation"] = {

@@ -87,13 +87,13 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
         aggregator = make_aggregator(name, seed=11)
 
         def full_round(agg=aggregator):
-            return agg.protocol_round(
-                matrix[survivors], survivors, committed, round_index=0
+            return agg.reduce(
+                matrix[survivors], None, 0, ids=survivors, committed_ids=committed
             )
 
         def no_dropout_round(agg=aggregator):
-            return agg.protocol_round(
-                matrix, committed, committed, round_index=0
+            return agg.reduce(
+                matrix, None, 0, ids=committed, committed_ids=committed
             )
 
         # The bit-for-bit gate: 100 committed clients, 30 dropped after

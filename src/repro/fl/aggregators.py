@@ -118,23 +118,8 @@ class RoundBuffer:
         return self._count
 
 
-def flatten_updates(
-    updates: Sequence[dict[str, np.ndarray]],
-) -> tuple[np.ndarray, FlatSpec]:
-    """Stack named-gradient dicts into one contiguous (K, dim) matrix.
-
-    Returns ``(matrix, spec)`` where row ``k`` of ``matrix`` is client
-    ``k``'s update flattened in the key order of the first dict, and
-    ``spec`` records how to invert the packing (:func:`unflatten_vector`).
-    Raises :class:`ValueError` on an empty list and :class:`KeyError` when
-    updates carry mismatched parameter names.
-    """
-    buffer = RoundBuffer.for_updates(updates)
-    return buffer.matrix, buffer.spec
-
-
 def unflatten_vector(vector: np.ndarray, spec: FlatSpec) -> dict[str, np.ndarray]:
-    """Invert :func:`flatten_updates` for a single reduced (dim,) vector."""
+    """Unpack one reduced (dim,) vector into a named-gradient dict by ``spec``."""
     out: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape, size in spec:
@@ -161,13 +146,14 @@ def _normalized_weights(
 class Aggregator:
     """Base class for server-side aggregation rules.
 
-    Subclasses implement :meth:`reduce` over the stacked ``(K, dim)``
-    update matrix; :meth:`aggregate` handles packing/unpacking of the
-    named-gradient dicts so every rule gets the vectorized path for free.
-    Rules whose output depends on the round (mask derivation, protocol
-    sessions) override :meth:`_reduce_round` instead and key everything
-    off the ``round_index`` the server passes — never off hidden
-    instance state, which a resumed or replayed round would not share.
+    Every rule is reached one way: :meth:`aggregate` over a
+    :class:`RoundBuffer` (pack named-gradient dicts with
+    :meth:`RoundBuffer.for_updates`).  It normalizes the weights, calls
+    the rule's one hook, :meth:`reduce`, on the stacked ``(K, dim)``
+    matrix and unpacks the result.  Rules whose output depends on the
+    round (mask derivation, protocol sessions) key everything off the
+    ``round_index`` the server passes — never off hidden instance state,
+    which a resumed or replayed round would not share.
 
     ``honours_weights`` declares whether the rule can apply per-client
     weights at all; passing weights to a rule that cannot raises a
@@ -183,19 +169,22 @@ class Aggregator:
     requires_commitment = False
     _warned_weights = False
 
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Reduce a (num_clients, dim) matrix to the (dim,) aggregate.
+    def reduce(
+        self,
+        matrix: np.ndarray,
+        weights: np.ndarray,
+        round_index: int = 0,
+        ids: Sequence[int] | None = None,
+        committed_ids: Sequence[int] | None = None,
+    ) -> np.ndarray:
+        """Reduce a (num_clients, dim) matrix to a fresh (dim,) aggregate.
 
         ``weights`` is the normalized per-client weight vector; rules that
         are inherently unweighted (median, masked sum) may ignore it.
+        ``ids`` names each row's client and ``committed_ids`` the round's
+        committed set; only protocol rules read them.
         """
         raise NotImplementedError
-
-    def _reduce_round(
-        self, matrix: np.ndarray, weights: np.ndarray, round_index: int
-    ) -> np.ndarray:
-        """Round-aware reduction hook; defaults to the stateless rule."""
-        return self.reduce(matrix, weights)
 
     def _check_weights(self, weights: Sequence[float] | None) -> None:
         """Warn (once per instance) when weights reach an unweighted rule."""
@@ -215,36 +204,22 @@ class Aggregator:
 
     def aggregate(
         self,
-        updates: Sequence[dict[str, np.ndarray]],
-        weights: Sequence[float] | None = None,
-        round_index: int = 0,
-    ) -> dict[str, np.ndarray]:
-        """Aggregate named-gradient dicts into one named-gradient dict."""
-        self._check_weights(weights)
-        matrix, spec = flatten_updates(updates)
-        reduced = self._reduce_round(
-            matrix, _normalized_weights(weights, len(updates)), round_index
-        )
-        return unflatten_vector(reduced, spec)
-
-    def aggregate_buffer(
-        self,
         buffer: RoundBuffer,
         weights: Sequence[float] | None = None,
         round_index: int = 0,
+        ids: Sequence[int] | None = None,
+        committed_ids: Sequence[int] | None = None,
     ) -> dict[str, np.ndarray]:
-        """Aggregate an ingest-stacked :class:`RoundBuffer` (the hot path).
+        """Aggregate a packed :class:`RoundBuffer` into a named-gradient dict.
 
-        Skips the dict flattening entirely — the buffer was packed as
-        updates arrived — so this is one vectorized reduction plus a
-        view-based unflatten.
+        The buffer was packed as updates arrived, so this is one
+        vectorized :meth:`reduce` plus a view-based unflatten.
         """
         if not len(buffer):
             raise ValueError("no updates to aggregate")
         self._check_weights(weights)
-        reduced = self._reduce_round(
-            buffer.matrix, _normalized_weights(weights, len(buffer)), round_index
-        )
+        weights = _normalized_weights(weights, len(buffer))
+        reduced = self.reduce(buffer.matrix, weights, round_index, ids, committed_ids)
         return unflatten_vector(reduced, buffer.spec)
 
     def __repr__(self) -> str:
@@ -260,7 +235,7 @@ class FedAvgAggregator(Aggregator):
 
     name = "fedavg"
 
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def reduce(self, matrix, weights, round_index=0, ids=None, committed_ids=None):
         return weights @ matrix
 
 
@@ -274,7 +249,7 @@ class CoordinateMedianAggregator(Aggregator):
     name = "median"
     honours_weights = False
 
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def reduce(self, matrix, weights, round_index=0, ids=None, committed_ids=None):
         return np.median(matrix, axis=0)
 
 
@@ -294,7 +269,7 @@ class TrimmedMeanAggregator(Aggregator):
             raise ValueError("trim_ratio must be in [0, 0.5)")
         self.trim_ratio = trim_ratio
 
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def reduce(self, matrix, weights, round_index=0, ids=None, committed_ids=None):
         count = len(matrix)
         trim = min(int(self.trim_ratio * count), (count - 1) // 2)
         if trim == 0:
@@ -410,7 +385,6 @@ class MaskedSumAggregator(Aggregator):
     def __init__(self, fractional_bits: int = 16, seed: int = 0) -> None:
         self.codec = FixedPointCodec(fractional_bits)
         self.fractional_bits = fractional_bits
-        self.scale = self.codec.scale
         self._seed = seed
 
     def quantize(self, matrix: np.ndarray) -> np.ndarray:
@@ -456,12 +430,7 @@ class MaskedSumAggregator(Aggregator):
         """The unmasked fixed-point sum the protocol must recover bit-for-bit."""
         return self.codec.exact_sum(matrix)
 
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return self._reduce_round(matrix, weights, 0)
-
-    def _reduce_round(
-        self, matrix: np.ndarray, weights: np.ndarray, round_index: int
-    ) -> np.ndarray:
+    def reduce(self, matrix, weights, round_index=0, ids=None, committed_ids=None):
         masked = self.mask_updates(matrix, round_index)
         return self.unmask_sum(masked) / len(matrix)
 

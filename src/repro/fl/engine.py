@@ -177,9 +177,13 @@ def make_cutoff(
     A positive ``round_duration_s`` selects a :class:`TimeCutoff`;
     otherwise a :class:`CountCutoff` (with ``count_target``, or the
     legacy wait-for-everyone degenerate case when that is ``None``).
+    ``min_arrivals`` is the time cutoff's grace floor, so a nonzero one
+    without a positive ``round_duration_s`` raises :class:`ValueError`.
     """
     if round_duration_s is not None and round_duration_s > 0:
         return TimeCutoff(ticks(round_duration_s), min_arrivals=min_arrivals)
+    if min_arrivals:
+        raise ValueError("min_arrivals needs a positive round_duration_s")
     return CountCutoff(target=count_target)
 
 

@@ -10,9 +10,9 @@ the masks of clients that dropped after commitment.  The server opts
 into that choreography through ``requires_commitment``; see
 ``Server.run_round``.
 
-Both rules also work through the plain ``aggregate``/``reduce`` path
-(every row is treated as a committed survivor), so registry-level
-round-trips and generic aggregator tests hold.
+Both rules are reached like every other rule, through
+``Aggregator.aggregate``: ``ids`` are the survivors and ``committed_ids``
+the committed set, and both default to every row.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..aggregators import (
-    Aggregator,
-    FixedPointCodec,
-    RoundBuffer,
-    _normalized_weights,
-    unflatten_vector,
-)
+from ..aggregators import Aggregator, FixedPointCodec
 from .base import default_threshold
 from .field import PRIME_INT
 from .lightsecagg import OneShotRecoveryProtocol
@@ -38,10 +32,10 @@ class ProtocolAggregator(Aggregator):
     """Shared plumbing for aggregation rules backed by a SecAgg protocol.
 
     Subclasses implement :meth:`_begin`, committing one protocol round,
-    and set :attr:`sum_limit` for their codec; :meth:`protocol_round`
-    runs the rest — quantize, mask each survivor's upload, recover the
-    ring sum and decode it.  The reduction divides by the survivor
-    count, so results stay mean-scaled like FedAvg.
+    and set :attr:`sum_limit` for their codec; :meth:`reduce` runs the
+    rest — quantize, mask each survivor's upload, recover the ring sum
+    and decode it.  The reduction divides by the survivor count, so
+    results stay mean-scaled like FedAvg.
     :attr:`last_metadata` carries the most recent round's protocol
     bookkeeping (committed/survivor counts, threshold, recovery size)
     for the server's ``RoundRecord``.
@@ -61,7 +55,6 @@ class ProtocolAggregator(Aggregator):
         self.fractional_bits = fractional_bits
         self.threshold = threshold
         self.codec = FixedPointCodec(fractional_bits, sum_limit=self.sum_limit)
-        self.scale = self.codec.scale
         self._seed = seed
         self.last_metadata: dict = {}
 
@@ -79,27 +72,29 @@ class ProtocolAggregator(Aggregator):
         """Commit one protocol round over ``committed_ids``."""
         raise NotImplementedError
 
-    def protocol_round(
+    def reduce(
         self,
         matrix: np.ndarray,
-        survivor_ids: Sequence[int],
-        committed_ids: Sequence[int],
-        round_index: int,
+        weights: np.ndarray,
+        round_index: int = 0,
+        ids: Sequence[int] | None = None,
+        committed_ids: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Aggregate one committed round: the survivors' mean update.
+        """Run one committed protocol round: the survivors' mean update.
 
-        ``matrix`` rows align with ``survivor_ids``; ``committed_ids`` is
-        the full selected set whose masks were committed.  Raises
+        ``matrix`` rows align with the survivor ``ids``; ``committed_ids``
+        is the full selected set whose masks were committed.  Both default
+        to every row.  Raises :class:`~repro.fl.secagg.base.SecAggError`
+        for a survivor outside the committed set and
         :class:`~repro.fl.secagg.base.BelowThresholdError` when too few
         survivors remain to unmask.
         """
-        survivors = [int(cid) for cid in survivor_ids]
-        committed = sorted(int(cid) for cid in committed_ids)
+        survivors = range(len(matrix)) if ids is None else [int(cid) for cid in ids]
         if len(matrix) != len(survivors):
-            raise ValueError("matrix rows must align with survivor_ids")
-        missing = [cid for cid in survivors if cid not in set(committed)]
-        if missing:
-            raise ValueError(f"survivors outside the committed set: {missing}")
+            raise ValueError("matrix rows must align with the survivor ids")
+        committed = sorted(
+            survivors if committed_ids is None else (int(cid) for cid in committed_ids)
+        )
         session = self._begin(committed, int(round_index), matrix.shape[1])
         quantized = self.codec.quantize(matrix, count=len(committed))
         uploads = [
@@ -114,35 +109,6 @@ class ProtocolAggregator(Aggregator):
             **session.last_recovery,
         }
         return self.codec.dequantize_sum(total) / len(survivors)
-
-    def aggregate_committed(
-        self,
-        buffer: RoundBuffer,
-        survivor_ids: Sequence[int],
-        committed_ids: Sequence[int],
-        round_index: int,
-        weights: Sequence[float] | None = None,
-    ) -> dict[str, np.ndarray]:
-        """The server's entry point for a committed protocol round."""
-        if not len(buffer):
-            raise ValueError("no updates to aggregate")
-        self._check_weights(weights)
-        reduced = self.protocol_round(
-            buffer.matrix, survivor_ids, committed_ids, round_index
-        )
-        return unflatten_vector(reduced, buffer.spec)
-
-    def _reduce_round(
-        self, matrix: np.ndarray, weights: np.ndarray, round_index: int
-    ) -> np.ndarray:
-        # Plain-path fallback: every row is a committed survivor.
-        ids = list(range(len(matrix)))
-        return self.protocol_round(matrix, ids, ids, round_index)
-
-    def reduce(self, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return self._reduce_round(
-            matrix, _normalized_weights(None, len(matrix)), 0
-        )
 
     def __repr__(self) -> str:
         return (

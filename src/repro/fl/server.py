@@ -29,6 +29,7 @@ protocol looks honest from the outside.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +50,9 @@ class Server:
 
     Scenario knobs:
 
-    - ``clients_per_round``: per-round uniform sampling of the fleet.
+    - ``clients_per_round``: per-round uniform sampling of the fleet; an
+      integer of at least 1 (capped at the fleet size), ``None`` for the
+      whole fleet.
     - ``dropout_rate`` / ``straggler_rate``: the legacy rate-based
       participation model, implemented by the compat arrival process —
       a selected client fails before uploading with ``dropout_rate``; a
@@ -109,8 +112,17 @@ class Server:
                 raise ValueError(f"{label} must be in [0, 1]")
         self.model = model
         self.learning_rate = learning_rate
-        self.clients_per_round = clients_per_round or len(self.fleet)
-        self.clients_per_round = min(self.clients_per_round, len(self.fleet))
+        if clients_per_round is None:
+            clients_per_round = len(self.fleet)
+        try:
+            clients_per_round = operator.index(clients_per_round)
+        except TypeError:
+            raise TypeError(
+                f"clients_per_round must be an integer, got {clients_per_round!r}"
+            ) from None
+        if clients_per_round < 1:
+            raise ValueError(f"clients_per_round must be >= 1, got {clients_per_round}")
+        self.clients_per_round = min(clients_per_round, len(self.fleet))
         self.aggregator = make_aggregator(aggregator)
         self.dropout_rate = dropout_rate
         self.straggler_rate = straggler_rate
@@ -200,6 +212,9 @@ class Server:
         buffer as it lands, and closes the round at the configured
         cutoff.  Everything after the ledger — stale folding, hooks,
         aggregation, the model step — is protocol and stays here.
+        Every rule aggregates through one ``aggregator.aggregate`` call
+        given the arrivals' ids and the selected set; only protocol rules
+        read the ids.
 
         A round always completes: if no update arrives at all (or a
         secure-aggregation round aborts below its recovery threshold),
@@ -221,7 +236,7 @@ class Server:
         secure aggregation is exactly the question the secagg sweeps
         ask).
         """
-        protocol_mode = getattr(self.aggregator, "requires_commitment", False)
+        protocol_mode = self.aggregator.requires_commitment
         broadcast = self.prepare_broadcast()
         selected_ids = self.select_client_ids()
         stale = self._stale_updates if self.accept_stale else []
@@ -267,28 +282,24 @@ class Server:
             else:
                 for update in stale:
                     buffer.add(update.gradients)
-            if protocol_mode:
-                try:
-                    aggregated = self.aggregator.aggregate_committed(
-                        buffer,
-                        survivor_ids=[u.client_id for u in arrivals],
-                        committed_ids=list(selected_ids),
-                        round_index=self.round_index,
-                        weights=weights,
-                    )
-                    secagg_meta = dict(self.aggregator.last_metadata)
-                except BelowThresholdError as error:
-                    secagg_meta = {
-                        "protocol": self.aggregator.name,
-                        "aborted": True,
-                        "survivors": error.survivors,
-                        "threshold": error.threshold,
-                    }
-                    arrivals = []
-            else:
-                aggregated = self.aggregator.aggregate_buffer(
-                    buffer, weights, round_index=self.round_index
+            try:
+                aggregated = self.aggregator.aggregate(
+                    buffer,
+                    weights,
+                    self.round_index,
+                    ids=[u.client_id for u in arrivals],
+                    committed_ids=selected_ids,
                 )
+                if protocol_mode:
+                    secagg_meta = dict(self.aggregator.last_metadata)
+            except BelowThresholdError as error:
+                secagg_meta = {
+                    "protocol": self.aggregator.name,
+                    "aborted": True,
+                    "survivors": error.survivors,
+                    "threshold": error.threshold,
+                }
+                arrivals = []
         if aggregated is not None:
             self.apply_aggregate(aggregated)
             self.last_aggregate = aggregated

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from repro.fl import (
+    AGGREGATORS,
     Aggregator,
     CoordinateMedianAggregator,
     FedAvgAggregator,
     FixedPointCodec,
     MaskedSumAggregator,
     OneShotRecoveryAggregator,
+    RoundBuffer,
     SecAggAggregator,
+    SecAggError,
     TrimmedMeanAggregator,
     average_gradients,
-    flatten_updates,
     make_aggregator,
     unflatten_vector,
 )
@@ -25,6 +27,10 @@ from repro.fl import (
 ALL_NAMES = [
     "fedavg", "median", "trimmed_mean", "masked_sum", "secagg", "secagg_oneshot",
 ]
+
+
+def pack(updates):
+    return RoundBuffer.for_updates(updates)
 
 
 def hand_updates():
@@ -38,33 +44,34 @@ def hand_updates():
 class TestFlattening:
     def test_round_trip(self):
         updates = hand_updates()
-        matrix, spec = flatten_updates(updates)
+        buffer = RoundBuffer.for_updates(updates)
+        matrix, spec = buffer.matrix, buffer.spec
         assert matrix.shape == (3, 3)
         restored = unflatten_vector(matrix[1], spec)
         for name in updates[1]:
             np.testing.assert_array_equal(restored[name], updates[1][name])
 
     def test_rows_are_clients(self):
-        matrix, _ = flatten_updates(hand_updates())
+        matrix = pack(hand_updates()).matrix
         np.testing.assert_array_equal(matrix[0], [1.0, 3.0, 2.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            flatten_updates([])
+            RoundBuffer.for_updates([])
 
     def test_mismatched_keys_rejected(self):
         with pytest.raises(KeyError):
-            flatten_updates([{"w": np.ones(2)}, {"v": np.ones(2)}])
+            RoundBuffer.for_updates([{"w": np.ones(2)}, {"v": np.ones(2)}])
 
 
 class TestFedAvg:
     def test_exact_uniform_mean(self):
-        out = FedAvgAggregator().aggregate(hand_updates())
+        out = FedAvgAggregator().aggregate(pack(hand_updates()))
         np.testing.assert_allclose(out["w"], [3.0, 5.0])
         np.testing.assert_allclose(out["b"], [[4.0]])
 
     def test_exact_weighted_mean(self):
-        out = FedAvgAggregator().aggregate(hand_updates(), weights=[1, 1, 2])
+        out = FedAvgAggregator().aggregate(pack(hand_updates()), weights=[1, 1, 2])
         # (1*1 + 1*3 + 2*5) / 4 = 3.5 ; (1*3 + 1*5 + 2*7) / 4 = 5.5
         np.testing.assert_allclose(out["w"], [3.5, 5.5])
         np.testing.assert_allclose(out["b"], [[4.5]])
@@ -75,30 +82,30 @@ class TestFedAvg:
             {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
             for _ in range(9)
         ]
-        fast = FedAvgAggregator().aggregate(updates)
+        fast = FedAvgAggregator().aggregate(pack(updates))
         reference = average_gradients(updates)
         for name in reference:
             np.testing.assert_allclose(fast[name], reference[name], atol=1e-12)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            FedAvgAggregator().aggregate(hand_updates(), weights=[1.0])
+            FedAvgAggregator().aggregate(pack(hand_updates()), weights=[1.0])
         with pytest.raises(ValueError):
-            FedAvgAggregator().aggregate(hand_updates(), weights=[0.0, 0.0, 0.0])
+            FedAvgAggregator().aggregate(pack(hand_updates()), weights=[0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            FedAvgAggregator().aggregate(hand_updates(), weights=[1.0, -1.0, 1.0])
+            FedAvgAggregator().aggregate(pack(hand_updates()), weights=[1.0, -1.0, 1.0])
 
 
 class TestCoordinateMedian:
     def test_exact_on_hand_updates(self):
-        out = CoordinateMedianAggregator().aggregate(hand_updates())
+        out = CoordinateMedianAggregator().aggregate(pack(hand_updates()))
         np.testing.assert_array_equal(out["w"], [3.0, 5.0])
         np.testing.assert_array_equal(out["b"], [[4.0]])
 
     def test_tolerates_crafted_outlier(self):
         updates = hand_updates()
         updates[2] = {"w": np.array([1e9, -1e9]), "b": np.array([[1e9]])}
-        out = CoordinateMedianAggregator().aggregate(updates)
+        out = CoordinateMedianAggregator().aggregate(pack(updates))
         # The median lands on an honest client's coordinate, unmoved by the
         # attacker's arbitrarily large values.
         np.testing.assert_array_equal(out["w"], [3.0, 3.0])
@@ -113,22 +120,22 @@ class TestTrimmedMean:
             {"w": np.array([4.0])},
             {"w": np.array([100.0])},
         ]
-        out = TrimmedMeanAggregator(trim_ratio=0.25).aggregate(updates)
+        out = TrimmedMeanAggregator(trim_ratio=0.25).aggregate(pack(updates))
         np.testing.assert_array_equal(out["w"], [3.0])  # mean of {2, 4}
 
     def test_tolerates_crafted_outlier(self):
         honest = [{"w": np.full(3, float(v))} for v in (1.0, 2.0, 3.0)]
         crafted = {"w": np.full(3, 1e12)}
-        out = TrimmedMeanAggregator(trim_ratio=0.25).aggregate(honest + [crafted])
+        out = TrimmedMeanAggregator(trim_ratio=0.25).aggregate(pack(honest + [crafted]))
         np.testing.assert_array_equal(out["w"], np.full(3, 2.5))  # mean of {2, 3}
 
     def test_zero_trim_is_mean(self):
-        out = TrimmedMeanAggregator(trim_ratio=0.0).aggregate(hand_updates())
+        out = TrimmedMeanAggregator(trim_ratio=0.0).aggregate(pack(hand_updates()))
         np.testing.assert_allclose(out["w"], [3.0, 5.0])
 
     def test_trim_never_empties(self):
         # Ratio large enough to trim everything is clamped to leave the median.
-        out = TrimmedMeanAggregator(trim_ratio=0.49).aggregate(hand_updates())
+        out = TrimmedMeanAggregator(trim_ratio=0.49).aggregate(pack(hand_updates()))
         np.testing.assert_allclose(out["w"], [3.0, 5.0])
 
     def test_invalid_ratio(self):
@@ -147,7 +154,7 @@ class TestMaskedSum:
     def test_recovers_plain_sum_bit_for_bit(self):
         updates = self.grid_updates()
         agg = MaskedSumAggregator(fractional_bits=16, seed=11)
-        matrix, _ = flatten_updates(updates)
+        matrix = pack(updates).matrix
         recovered = agg.unmask_sum(agg.mask_updates(matrix))
         # Grid-aligned values make the fixed-point sum equal the exact float
         # sum, so mask cancellation must reproduce it to the last bit.
@@ -156,14 +163,14 @@ class TestMaskedSum:
 
     def test_aggregate_equals_plain_mean_bit_for_bit(self):
         updates = self.grid_updates(count=4)  # power of two: exact division
-        out = MaskedSumAggregator(fractional_bits=16, seed=5).aggregate(updates)
-        matrix, _ = flatten_updates(updates)
+        out = MaskedSumAggregator(fractional_bits=16, seed=5).aggregate(pack(updates))
+        matrix = pack(updates).matrix
         np.testing.assert_array_equal(out["w"], matrix.sum(axis=0) / 4.0)
 
     def test_masked_uploads_hide_individual_updates(self):
         updates = self.grid_updates()
         agg = MaskedSumAggregator(seed=1)
-        matrix, _ = flatten_updates(updates)
+        matrix = pack(updates).matrix
         masked = agg.mask_updates(matrix)
         plain = agg.quantize(matrix)
         # No client's masked upload may equal its plain quantized update.
@@ -173,7 +180,7 @@ class TestMaskedSum:
     def test_masks_are_fresh_each_round(self):
         updates = self.grid_updates()
         agg = MaskedSumAggregator(seed=1)
-        matrix, _ = flatten_updates(updates)
+        matrix = pack(updates).matrix
         first = agg.mask_updates(matrix, round_index=0)
         second = agg.mask_updates(matrix, round_index=1)
         assert not np.array_equal(first, second)
@@ -185,7 +192,7 @@ class TestMaskedSum:
         # rounds the instance already served: replaying round 3 on a fresh
         # instance (a resumed run) draws the identical mask stream.
         updates = self.grid_updates()
-        matrix, _ = flatten_updates(updates)
+        matrix = pack(updates).matrix
         veteran = MaskedSumAggregator(seed=1)
         for earlier_round in range(3):
             veteran.mask_updates(matrix, round_index=earlier_round)
@@ -201,14 +208,14 @@ class TestMaskedSum:
         updates = self.grid_updates(count=6)
         survivors = [updates[i] for i in (0, 2, 5)]
         agg = MaskedSumAggregator(seed=9)
-        matrix, _ = flatten_updates(survivors)
+        matrix = pack(survivors).matrix
         np.testing.assert_array_equal(
             agg.unmask_sum(agg.mask_updates(matrix)), matrix.sum(axis=0)
         )
 
     def test_single_client_passthrough(self):
         updates = self.grid_updates(count=1)
-        out = MaskedSumAggregator(seed=2).aggregate(updates)
+        out = MaskedSumAggregator(seed=2).aggregate(pack(updates))
         np.testing.assert_array_equal(out["w"], updates[0]["w"])
 
     def test_overflowing_update_rejected(self):
@@ -217,12 +224,12 @@ class TestMaskedSum:
         updates = self.grid_updates(count=2)
         updates[1]["w"] = np.full_like(updates[1]["w"], 1e15)
         with pytest.raises(ValueError, match="fixed-point range"):
-            MaskedSumAggregator(fractional_bits=16).aggregate(updates)
+            MaskedSumAggregator(fractional_bits=16).aggregate(pack(updates))
 
     def test_close_to_float_mean_off_grid(self):
         rng = np.random.default_rng(3)
         updates = [{"w": rng.standard_normal(8)} for _ in range(5)]
-        out = MaskedSumAggregator(fractional_bits=16).aggregate(updates)
+        out = MaskedSumAggregator(fractional_bits=16).aggregate(pack(updates))
         plain = np.mean([u["w"] for u in updates], axis=0)
         np.testing.assert_allclose(out["w"], plain, atol=2e-5)
 
@@ -248,7 +255,7 @@ class TestRegistry:
 
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Aggregator().aggregate(hand_updates())
+            Aggregator().aggregate(pack(hand_updates()))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_every_rule_preserves_shapes(self, name):
@@ -257,7 +264,7 @@ class TestRegistry:
             {"w": rng.standard_normal((2, 3)), "b": rng.standard_normal(5)}
             for _ in range(6)
         ]
-        out = make_aggregator(name).aggregate(updates)
+        out = make_aggregator(name).aggregate(pack(updates))
         assert out["w"].shape == (2, 3)
         assert out["b"].shape == (5,)
         assert all(np.isfinite(v).all() for v in out.values())
@@ -328,7 +335,7 @@ class TestFixedPointCodec:
         updates = [{"w": np.array([0.5, 1.0, 1.5])} for _ in range(4)]
         updates[2]["w"] = np.array([0.5, bad, 1.5])
         with pytest.raises(ValueError, match="row 2 holds non-finite") as caught:
-            make_aggregator(name).aggregate(updates)
+            make_aggregator(name).aggregate(pack(updates))
         assert "fixed-point range" not in str(caught.value)
 
     def test_masked_sum_exposes_codec(self):
@@ -347,21 +354,21 @@ class TestWeightHandling:
         agg = make_aggregator(name)
         updates = hand_updates()
         with pytest.warns(RuntimeWarning, match="cannot honour"):
-            agg.aggregate(updates, weights=[1, 1, 2])
+            agg.aggregate(pack(updates), weights=[1, 1, 2])
         # Second call on the same instance stays silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            agg.aggregate(updates, weights=[1, 1, 2])
+            agg.aggregate(pack(updates), weights=[1, 1, 2])
 
     def test_fedavg_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            FedAvgAggregator().aggregate(hand_updates(), weights=[1, 1, 2])
+            FedAvgAggregator().aggregate(pack(hand_updates()), weights=[1, 1, 2])
 
     def test_no_weights_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            CoordinateMedianAggregator().aggregate(hand_updates())
+            CoordinateMedianAggregator().aggregate(pack(hand_updates()))
 
     def test_effective_weighting_labels(self):
         assert FedAvgAggregator().effective_weighting([1, 2]) == "weighted"
@@ -384,3 +391,96 @@ class TestProtocolRegistryEntries:
         assert make_aggregator("secagg").requires_commitment
         assert make_aggregator("secagg_oneshot").requires_commitment
         assert not make_aggregator("masked_sum").requires_commitment
+
+
+class TestOneAggregationPath:
+    """Every rule is reached through ``aggregate(buffer, ...)``, which is
+    exactly the rule's ``reduce`` over the packed matrix."""
+
+    COMMITTED = list(range(10))
+    SURVIVORS = [0, 2, 3, 5, 7, 8]
+    WEIGHTS = [3.0, 1.0, 2.0, 5.0, 1.0, 4.0]
+
+    def buffer(self):
+        rng = np.random.default_rng(12)
+        return pack([
+            {"w": rng.integers(-4000, 4000, (2, 3)) / 1024.0,
+             "b": rng.integers(-4000, 4000, 4) / 1024.0}
+            for _ in self.SURVIVORS
+        ])
+
+    @pytest.mark.parametrize("name", AGGREGATORS.names())
+    def test_server_call_shape_is_reduce(self, name):
+        buffer = self.buffer()
+        weights = np.asarray(self.WEIGHTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = make_aggregator(name).aggregate(
+                buffer, self.WEIGHTS, 4,
+                ids=self.SURVIVORS, committed_ids=self.COMMITTED,
+            )
+        reduced = make_aggregator(name).reduce(
+            buffer.matrix, weights / weights.sum(), 4,
+            self.SURVIVORS, self.COMMITTED,
+        )
+        expected = unflatten_vector(reduced, buffer.spec)
+        assert out.keys() == expected.keys()
+        for key in expected:
+            assert out[key].tobytes() == expected[key].tobytes()
+
+    def test_aggregate_forwards_every_argument_to_reduce(self):
+        seen = []
+
+        class Recording(Aggregator):
+            def reduce(self, matrix, weights, round_index=0, ids=None,
+                       committed_ids=None):
+                seen.append((matrix, weights, round_index, ids, committed_ids))
+                return weights @ matrix
+
+        buffer = self.buffer()
+        Recording().aggregate(
+            buffer, self.WEIGHTS, 7,
+            ids=self.SURVIVORS, committed_ids=self.COMMITTED,
+        )
+        [(matrix, weights, round_index, ids, committed)] = seen
+        assert np.shares_memory(matrix, buffer.matrix)
+        np.testing.assert_allclose(weights.sum(), 1.0)
+        assert (round_index, ids, committed) == (7, self.SURVIVORS, self.COMMITTED)
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in AGGREGATORS.names()
+         if not make_aggregator(n).requires_commitment],
+    )
+    def test_plain_rules_ignore_ids(self, name):
+        buffer = self.buffer()
+        plain = make_aggregator(name).aggregate(buffer, None, 4)
+        with_ids = make_aggregator(name).aggregate(
+            buffer, None, 4, ids=self.SURVIVORS, committed_ids=self.COMMITTED
+        )
+        for key in plain:
+            assert plain[key].tobytes() == with_ids[key].tobytes()
+
+    @pytest.mark.parametrize("name", ["secagg", "secagg_oneshot"])
+    def test_survivor_outside_committed_set_rejected(self, name):
+        with pytest.raises(SecAggError, match="not in the committed set"):
+            make_aggregator(name).aggregate(
+                self.buffer(), ids=[0, 2, 3, 5, 7, 99],
+                committed_ids=self.COMMITTED,
+            )
+
+    @pytest.mark.parametrize("name", ["secagg", "secagg_oneshot"])
+    def test_protocol_ids_default_to_every_row(self, name):
+        buffer = self.buffer()
+        rows = list(range(len(buffer)))
+        default = make_aggregator(name).aggregate(buffer, None, 4)
+        explicit = make_aggregator(name).aggregate(
+            buffer, None, 4, ids=rows, committed_ids=rows
+        )
+        for key in default:
+            assert default[key].tobytes() == explicit[key].tobytes()
+
+    def test_empty_buffer_rejected(self):
+        buffer = RoundBuffer(2, [("w", (2,), 2)])
+        with pytest.raises(ValueError, match="no updates"):
+            FedAvgAggregator().aggregate(buffer)

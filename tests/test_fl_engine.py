@@ -19,6 +19,7 @@ import pytest
 from repro.fl import (
     AGGREGATORS,
     DishonestServer,
+    FederationConfig,
     GradientUpdate,
     RoundBuffer,
     Server,
@@ -128,9 +129,9 @@ class LegacyRoundMixin:
             buffer = RoundBuffer.for_updates([u.gradients for u in arrivals])
             if protocol_mode:
                 try:
-                    aggregated = self.aggregator.aggregate_committed(
+                    aggregated = self.aggregator.aggregate(
                         buffer,
-                        survivor_ids=[u.client_id for u in arrivals],
+                        ids=[u.client_id for u in arrivals],
                         committed_ids=[c.client_id for c in selected],
                         round_index=self.round_index,
                         weights=weights,
@@ -145,7 +146,7 @@ class LegacyRoundMixin:
                     }
                     arrivals = []
             else:
-                aggregated = self.aggregator.aggregate_buffer(
+                aggregated = self.aggregator.aggregate(
                     buffer, weights, round_index=self.round_index
                 )
         if aggregated is not None:
@@ -342,6 +343,13 @@ class TestCutoffs:
         assert make_cutoff(count_target=3) == CountCutoff(target=3)
         timed = make_cutoff(round_duration_s=0.5, min_arrivals=2)
         assert timed == TimeCutoff(ticks(0.5), min_arrivals=2)
+
+    def test_min_arrivals_needs_a_round_duration(self):
+        for duration in (None, 0.0):
+            with pytest.raises(ValueError, match="min_arrivals"):
+                make_cutoff(round_duration_s=duration, min_arrivals=5)
+        with pytest.raises(ValueError, match="min_arrivals"):
+            FederationConfig(min_arrivals=5).make_cutoff()
 
     def test_invalid_cutoffs_rejected(self):
         with pytest.raises(ValueError):

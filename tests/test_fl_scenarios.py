@@ -152,6 +152,22 @@ class TestSamplingAndStragglers:
         assert record.num_selected == 16
         assert len(record.participant_ids) + len(record.dropped_ids) == 16
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_non_positive_cohort_rejected(self, bad):
+        with pytest.raises(ValueError, match="clients_per_round"):
+            make_stub_server(8, clients_per_round=bad)
+
+    def test_non_integral_cohort_rejected(self):
+        with pytest.raises(TypeError, match="clients_per_round"):
+            make_stub_server(8, clients_per_round=2.5)
+
+    def test_cohort_accepts_numpy_ints_and_caps_at_fleet(self):
+        server = make_stub_server(8, clients_per_round=np.int64(3), seed=0)
+        assert type(server.clients_per_round) is int
+        assert server.run_round().num_selected == 3
+        assert make_stub_server(8, clients_per_round=20).clients_per_round == 8
+        assert make_stub_server(8).clients_per_round == 8
+
     def test_stragglers_excluded_by_default(self):
         server = make_stub_server(16, straggler_rate=0.5, seed=3)
         record = server.run_round()

@@ -653,8 +653,8 @@ class TestHundredClientAcceptance:
         dropped = set(range(0, num_clients, 10)) | set(range(1, num_clients, 5))
         survivors = [cid for cid in committed if cid not in dropped]
         assert len(survivors) == 70
-        aggregated = aggregator.protocol_round(
-            matrix[survivors], survivors, committed, round_index=9
+        aggregated = aggregator.reduce(
+            matrix[survivors], None, 9, ids=survivors, committed_ids=committed
         )
         exact = aggregator.codec.quantize(matrix[survivors], count=num_clients).sum(
             axis=0, dtype=np.uint64

@@ -30,6 +30,7 @@ from repro.augment import horizontal_flip, rotate, shear, vertical_flip
 from repro.fl import (
     CountCutoff,
     DiurnalCycle,
+    RoundBuffer,
     TieredArrivals,
     TimeCutoff,
     UniformArrivals,
@@ -258,10 +259,12 @@ class TestAggregatorOrderInvariance:
     )
     def test_aggregate_is_permutation_invariant(self, name, grads, seed):
         updates = [{"w": g} for g in grads]
-        base = make_aggregator(name).aggregate(updates)["w"]
+        base = make_aggregator(name).aggregate(
+            RoundBuffer.for_updates(updates)
+        )["w"]
         order = np.random.default_rng(seed).permutation(len(updates))
         shuffled = make_aggregator(name).aggregate(
-            [updates[i] for i in order]
+            RoundBuffer.for_updates([updates[i] for i in order])
         )["w"]
         np.testing.assert_allclose(shuffled, base, atol=1e-9)
 
@@ -297,8 +300,8 @@ class TestSecAggRecoveryProperties:
             data.draw(st.permutations(list(range(n))), label="order")[:k]
         )
         committed = list(range(n))
-        recovered = aggregator.protocol_round(
-            matrix[survivors], survivors, committed, round_index=2
+        recovered = aggregator.reduce(
+            matrix[survivors], None, 2, ids=survivors, committed_ids=committed
         )
         exact = aggregator.codec.quantize(matrix[survivors], count=n).sum(
             axis=0, dtype=np.uint64
@@ -322,8 +325,8 @@ class TestSecAggRecoveryProperties:
             data.draw(st.permutations(list(range(n))), label="order")[:k]
         )
         with pytest.raises(BelowThresholdError):
-            aggregator.protocol_round(
-                matrix[survivors], survivors, list(range(n)), round_index=2
+            aggregator.reduce(
+                matrix[survivors], None, 2, ids=survivors, committed_ids=range(n)
             )
 
 
