@@ -24,7 +24,9 @@ any host:
   and about 0.6x on the exact limb-split GEMM.
 
 Results, with the host block of :func:`common.host_block`, merge into
-``BENCH_secagg.json`` next to this file.
+``BENCH_secagg.json`` next to this file.  A run that fails an overhead
+gate still records its numbers, with the failed gates under
+``"failed_gates"``, and then fails.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_secagg.py --benchmark-only
 """
@@ -122,13 +124,14 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
             "recovery_exact": True,
         }
 
-    for name, stats in per_protocol.items():
-        overhead = stats["overhead_vs_masked_sum"]
-        assert overhead <= OVERHEAD_GATES[name], (
-            f"{name} round costs {overhead:.1f}x masked_sum "
-            f"(gate <= {OVERHEAD_GATES[name]}x)"
-        )
-
+    # A failing run still records what it measured, and which gate it
+    # failed, before it fails.
+    failed_gates = [
+        f"{name} round costs {stats['overhead_vs_masked_sum']:.1f}x masked_sum "
+        f"(gate <= {stats['overhead_gate']}x)"
+        for name, stats in per_protocol.items()
+        if stats["overhead_vs_masked_sum"] > stats["overhead_gate"]
+    ]
     _RESULTS["secagg_dropout_recovery"] = {
         "num_clients": NUM_CLIENTS,
         "dim": DIM,
@@ -136,6 +139,7 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
         "survivors": len(survivors),
         "masked_sum_baseline_s": plain_s,
         "protocols": per_protocol,
+        "failed_gates": failed_gates,
     }
     record_report(
         "SecAgg — 100-client round, 30% dropped after mask commitment",
@@ -149,3 +153,4 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
         ),
     )
     write_bench_json(JSON_PATH, _RESULTS)
+    assert not failed_gates, "; ".join(failed_gates)

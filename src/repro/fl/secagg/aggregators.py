@@ -33,9 +33,10 @@ class ProtocolAggregator(Aggregator):
 
     Subclasses implement :meth:`_begin`, committing one protocol round,
     and set :attr:`sum_limit` for their codec; :meth:`reduce` runs the
-    rest — quantize, mask each survivor's upload, recover the ring sum
-    and decode it.  The reduction divides by the survivor count, so
-    results stay mean-scaled like FedAvg.
+    rest — quantize, mask the survivors' uploads in one batched
+    ``masked_upload`` call, recover the ring sum and decode it.  The
+    reduction divides by the survivor count, so results stay
+    mean-scaled like FedAvg.
     :attr:`last_metadata` carries the most recent round's protocol
     bookkeeping (committed/survivor counts, threshold, recovery size)
     for the server's ``RoundRecord``.
@@ -97,11 +98,7 @@ class ProtocolAggregator(Aggregator):
         )
         session = self._begin(committed, int(round_index), matrix.shape[1])
         quantized = self.codec.quantize(matrix, count=len(committed))
-        uploads = [
-            session.masked_upload(cid, quantized[row])
-            for row, cid in enumerate(survivors)
-        ]
-        total = session.recover_sum(uploads)
+        total = session.recover_sum(session.masked_upload(survivors, quantized))
         self.last_metadata = {
             "protocol": self.name,
             "committed": len(committed),

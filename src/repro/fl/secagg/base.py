@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..messages import MaskedUpload
+
 
 class SecAggError(RuntimeError):
     """Base class for secure-aggregation protocol failures."""
@@ -83,6 +85,26 @@ class CommittedRound:
         if position is None:
             raise SecAggError(f"client {client_id} is not in the committed set")
         return position
+
+    def _upload_positions(self, client_ids: Sequence[int], quantized) -> list[int]:
+        """The positions of a batched upload's clients, one ``quantized``
+        row each."""
+        positions = [self._position(cid) for cid in client_ids]
+        if len(quantized) != len(positions):
+            raise ValueError("quantized rows must align with the uploading ids")
+        return positions
+
+    def _uploads(self, client_ids: Sequence[int], payloads) -> list[MaskedUpload]:
+        """The upload messages of ``client_ids``, payload row by row."""
+        return [
+            MaskedUpload(
+                client_id=int(cid),
+                round_index=self.round_index,
+                num_examples=1,
+                payload=payload,
+            )
+            for cid, payload in zip(client_ids, payloads)
+        ]
 
     def _survivor_ids(self, uploads) -> list[int]:
         """The sorted uploading ids, once each, all committed, at least

@@ -43,8 +43,11 @@ _THREE = np.uint64(3)
 # f_matmul's limb split and inner chunk: three limb pairs of MATMUL_CHUNK
 # products, each at most (2**21 - 1)**2, sum strictly below 2**53.
 _LIMB_BITS = 21
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 MATMUL_CHUNK = ((1 << 53) - 1) // (3 * ((1 << _LIMB_BITS) - 1) ** 2)
+# f_matmul's output tile: about _TILE elements (512 KiB per buffer), and
+# never fewer than _MIN_TILE_COLUMNS columns, so each GEMM stays wide.
+_TILE = 1 << 16
+_MIN_TILE_COLUMNS = 256
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -235,41 +238,117 @@ def f_matmul(a, b) -> np.ndarray:
       rotated diagonals (each below ``2**61``) add to the canonical
       accumulator without passing ``2**64``; one fold per chunk reduces
       the sum.
+
+    The result is built one output tile at a time (:func:`_tile_shape`):
+    ``a`` is split into limbs once, ``b`` one column tile at a time into
+    a reused buffer, and the conversions, rotations and folds of a tile
+    run in place in two reused cache-sized buffers, so no pass touches
+    a full-size temporary.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     columns = b.reshape(len(b), int(np.prod(b.shape[1:])))
-    acc = np.zeros((len(a), columns.shape[1]), dtype=np.uint64)
-    diagonal = np.empty(acc.shape)
-    term = np.empty_like(acc)
-    for start in range(0, a.shape[1], MATMUL_CHUNK):
-        a_chunk = a[:, start : start + MATMUL_CHUNK]
-        b_chunk = columns[start : start + MATMUL_CHUNK]
-        k = a_chunk.shape[1]
-        a_limbs = np.empty((len(a), 3, k))
-        b_limbs = np.empty((3, k, columns.shape[1]))
-        for s in range(3):
-            shift = np.uint64(_LIMB_BITS * s)
-            a_limbs[:, s] = (a_chunk >> shift) & _LIMB_MASK
-            b_limbs[2 - s] = (b_chunk >> shift) & _LIMB_MASK
-        a_limbs = a_limbs.reshape(len(a), 3 * k)
-        b_limbs = b_limbs.reshape(3 * k, columns.shape[1])
-        for d in range(5):
-            low, high = max(0, d - 2), min(2, d)
-            np.matmul(
-                a_limbs[:, low * k : (high + 1) * k],
-                b_limbs[(2 - d + low) * k : (3 - d + high) * k],
-                out=diagonal,
+    m, n = len(a), columns.shape[1]
+    out = np.zeros((m, n), dtype=np.uint64)
+    starts = range(0, a.shape[1], MATMUL_CHUNK)
+    a_limbs = [_limbs(a[:, start : start + MATMUL_CHUNK], axis=1) for start in starts]
+    height, width = _tile_shape(m, n, a.shape[1])
+    diagonal_buffer = np.empty(height * width)
+    term_buffer = np.empty(height * width, dtype=np.uint64)
+    panel_buffer = np.empty(3 * min(a.shape[1], MATMUL_CHUNK) * width)
+    for left in range(0, n, width):
+        cols = min(width, n - left)
+        for start, a_split in zip(starts, a_limbs):
+            b_chunk = columns[start : start + MATMUL_CHUNK, left : left + cols]
+            k = len(b_chunk)
+            b_split = _limbs(
+                b_chunk, axis=0, out=panel_buffer[: 3 * k * cols].reshape(3 * k, cols)
             )
-            term[...] = diagonal
-            rotation = _LIMB_BITS * d % 61
-            if rotation:
-                acc += term >> np.uint64(61 - rotation)
-                term <<= np.uint64(rotation)
-                term &= PRIME
-            acc += term
-        acc = _fold(acc)
-    return acc.reshape((len(a),) + b.shape[1:])
+            for top in range(0, m, height):
+                rows = min(height, m - top)
+                acc = out[top : top + rows, left : left + cols]
+                diagonal = diagonal_buffer[: rows * cols].reshape(rows, cols)
+                # The float buffer's bytes double as the shift scratch once
+                # a diagonal has been converted.
+                scratch = diagonal.view(np.uint64)
+                term = term_buffer[: rows * cols].reshape(rows, cols)
+                for d in range(5):
+                    low, high = max(0, d - 2), min(2, d)
+                    np.matmul(
+                        a_split[top : top + rows, low * k : (high + 1) * k],
+                        b_split[(2 - d + low) * k : (3 - d + high) * k],
+                        out=diagonal,
+                    )
+                    # Below 2**53, so the (faster) signed cast is exact.
+                    np.copyto(term.view(np.int64), diagonal, casting="unsafe")
+                    rotation = _LIMB_BITS * d % 61
+                    if rotation > 61 - 53:
+                        np.right_shift(term, np.uint64(61 - rotation), out=scratch)
+                        acc += scratch
+                        term <<= np.uint64(rotation)
+                        term &= PRIME
+                    elif rotation:
+                        # A short rotation of a 53-bit value never wraps.
+                        term <<= np.uint64(rotation)
+                    acc += term
+                # _fold in place; at most PRIME + 7 is left, and
+                # min(x, x - PRIME) subtracts PRIME exactly when x >= PRIME.
+                np.right_shift(acc, _SHIFT61, out=term)
+                acc &= PRIME
+                acc += term
+                np.subtract(acc, PRIME, out=term)
+                np.minimum(acc, term, out=acc)
+    return out.reshape((m,) + b.shape[1:])
+
+
+def _limbs(values: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """The three 21-bit limbs of ``values`` as float64, stacked along
+    ``axis``: ``[x0 | x1 | x2]`` side by side for ``axis=1``, and
+    ``[x2; x1; x0]`` top to bottom for ``axis=0`` (:func:`f_matmul`).
+    ``out``, when given, is the buffer of that shape to fill."""
+    size = values.shape[axis]
+    if out is None:
+        shape = list(values.shape)
+        shape[axis] *= 3
+        out = np.empty(shape)
+    # Field elements fit int64, whose float conversion is the faster.
+    words = values.view(np.int64)
+    for s in range(3):
+        place = s if axis else 2 - s
+        index = [slice(None)] * 2
+        index[axis] = slice(place * size, (place + 1) * size)
+        np.bitwise_and(
+            words >> (_LIMB_BITS * s),
+            (1 << _LIMB_BITS) - 1,
+            out=out[tuple(index)],
+            casting="unsafe",
+        )
+    return out
+
+
+def _tile_shape(m: int, n: int, k: int) -> tuple[int, int]:
+    """The ``(rows, columns)`` of :func:`f_matmul`'s output tiles for an
+    ``(m, k) @ (k, n)`` product.
+
+    A tile holds about ``_TILE`` output elements, and its columns about
+    ``_TILE`` limbs of ``b``, so its buffers stay in L2.  It is never
+    narrower than ``_MIN_TILE_COLUMNS``: a thin GEMM runs far below
+    BLAS's peak.  When ``m`` and the inner chunk are both long, the
+    GEMMs rather than the tile's passes are the cost, so a tile is then
+    at least four times the shorter of the two on each side.
+    """
+    m, n, k = max(m, 1), max(n, 1), min(k, MATMUL_CHUNK)
+    span = 4 * min(k, m)
+    budget = min(_TILE // m, _TILE // max(3 * k, 1))
+    width = _even_split(n, max(_MIN_TILE_COLUMNS, budget, span))
+    return _even_split(m, max(_TILE // width, span, 1)), width
+
+
+def _even_split(size: int, most: int) -> int:
+    """The size of the fewest equal pieces, each at most ``most``, that
+    cover ``size``."""
+    pieces = -(-size // most)
+    return -(-size // pieces)
 
 
 def keyed_field(seed: int, label: str, ids, round_index: int, k: int) -> np.ndarray:

@@ -110,25 +110,17 @@ class OneShotRound(CommittedRound):
         ]
 
     def masked_upload(
-        self,
-        client_id: int,
-        quantized: np.ndarray,
-        num_examples: int = 1,
-        loss: float = 0.0,
-    ) -> MaskedUpload:
-        """Mask a quantized (uint64-ring) update: embed its signed value in
-        the field and add ``z_i``."""
-        position = self._position(client_id)
-        embedded = to_field(np.asarray(quantized, dtype=np.uint64).view(np.int64))
-        if embedded.shape[-1] != self.dim:
+        self, client_ids: Sequence[int], quantized: np.ndarray
+    ) -> list[MaskedUpload]:
+        """Mask quantized (uint64-ring) updates, row ``r`` for client
+        ``client_ids[r]``: embed each signed value in the field and add
+        the client's ``z_i``, one field addition over every row."""
+        quantized = np.asarray(quantized, dtype=np.uint64)
+        positions = self._upload_positions(client_ids, quantized)
+        if quantized.shape[-1] != self.dim:
             raise ValueError("update dimension does not match the committed round")
-        return MaskedUpload(
-            client_id=int(client_id),
-            round_index=self.round_index,
-            num_examples=num_examples,
-            payload=f_add(embedded, self._masks[position]),
-            loss=loss,
-        )
+        embedded = to_field(quantized.view(np.int64))
+        return self._uploads(client_ids, f_add(embedded, self._masks[positions]))
 
     def recovery_segments(
         self, survivor_ids: Sequence[int]

@@ -16,6 +16,8 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
    where ``q_i`` is the fixed-point quantized update, ``b_i`` the self
    mask, ``s_ij`` the pairwise seed, and ``sign(i,j) = +1`` iff
    ``i < j`` — so pairwise masks cancel between any two survivors.
+   The simulation masks all of a round's uploads in one call and
+   expands each pair's mask once for both endpoints.
 4. **Unmask** — the server names the survivor/dropped split
    (:class:`~repro.fl.messages.UnmaskRequest`); each survivor answers
    with its self-mask shares for *survivors* and secret-key shares for
@@ -48,7 +50,7 @@ from ..messages import (
 )
 from .base import CommittedRound
 from .field import PRIME_INT, keyed_field
-from .masking import dh_public_key, dh_shared_seed, ring_mask_sum
+from .masking import dh_public_key, dh_shared_seed, ring_mask_rows, ring_mask_sum
 from .shamir import reconstruct_secrets, share_secrets
 
 
@@ -129,29 +131,35 @@ class SecAggRound(CommittedRound):
     # Phase 3: masked upload
     # ------------------------------------------------------------------
     def masked_upload(
-        self,
-        client_id: int,
-        quantized: np.ndarray,
-        num_examples: int = 1,
-        loss: float = 0.0,
-    ) -> MaskedUpload:
-        """Mask a quantized (uint64-ring) update the way client ``i`` would."""
-        position = self._position(client_id)
-        payload = np.asarray(quantized, dtype=np.uint64).copy()
-        dim = payload.shape[-1]
-        seeds = self._pairwise_seeds[position]
-        # Committed ids are sorted, so the peers after this client's
-        # position are the j > i whose masks it adds (sign(i, j) = +1).
-        payload += ring_mask_sum(self._self_mask_seeds[position], dim)
-        payload += ring_mask_sum(seeds[position + 1 :], dim)
-        payload -= ring_mask_sum(seeds[:position], dim)
-        return MaskedUpload(
-            client_id=int(client_id),
-            round_index=self.round_index,
-            num_examples=num_examples,
-            payload=payload,
-            loss=loss,
-        )
+        self, client_ids: Sequence[int], quantized: np.ndarray
+    ) -> list[MaskedUpload]:
+        """Mask quantized (uint64-ring) updates the way each client would.
+
+        Row ``r`` of ``quantized`` is client ``client_ids[r]``'s update;
+        the result lists their uploads in the same order.  Committed ids
+        are sorted, so client ``i`` adds the masks of peers after its
+        position (``sign(i, j) = +1``) and subtracts those before it.
+        Each pair with an uploading endpoint is expanded once, for both
+        endpoints (:func:`~repro.fl.secagg.masking.ring_mask_rows`):
+        pair ``(i, j)``, then client ``i``'s self mask as a last "pair"
+        whose minus side is a spare row, so an uploader's run of
+        subtractions stays consecutive.  Pairs of two non-uploading
+        clients are never expanded.
+        """
+        quantized = np.asarray(quantized, dtype=np.uint64)
+        positions = self._upload_positions(client_ids, quantized)
+        count = len(self.client_ids)
+        uploading = np.zeros(count + 1, dtype=bool)
+        uploading[positions] = True
+        # Column `count` of the pair grid is each client's self mask.
+        first, second = np.triu_indices(count, 1, m=count + 1)
+        needed = uploading[first] | uploading[second]
+        first, second = first[needed], second[needed]
+        seeds = np.concatenate(
+            [self._pairwise_seeds, self._self_mask_seeds[:, None]], axis=1
+        )[first, second]
+        masks = ring_mask_rows(seeds, first, second, count + 1, quantized.shape[-1])
+        return self._uploads(client_ids, quantized + masks[positions])
 
     # ------------------------------------------------------------------
     # Phase 4: unmasking
@@ -163,26 +171,30 @@ class SecAggRound(CommittedRound):
         share responses (self-mask shares for survivors, seed shares for
         dropped — never both for one sender)."""
         survivors = sorted(int(cid) for cid in survivor_ids)
-        dropped = [cid for cid in self.client_ids if cid not in set(survivors)]
+        survivor_set = set(survivors)
+        dropped = [cid for cid in self.client_ids if cid not in survivor_set]
         request = UnmaskRequest(self.round_index, survivors, dropped)
-        responses = []
-        for cid in survivors:
-            pos = self._positions[cid]
-            responses.append(
-                UnmaskResponse(
-                    client_id=cid,
-                    round_index=self.round_index,
-                    share_x=pos + 1,
-                    self_mask_shares={
-                        sid: int(self._self_mask_shares[pos, self._positions[sid]])
-                        for sid in survivors
-                    },
-                    seed_shares={
-                        did: int(self._seed_shares[pos, self._positions[did]])
-                        for did in dropped
-                    },
-                )
+        survivor_positions = [self._positions[cid] for cid in survivors]
+        dropped_positions = [self._positions[cid] for cid in dropped]
+        # Row r: survivor r's shares, as Python ints.
+        self_mask_rows = self._self_mask_shares[
+            np.ix_(survivor_positions, survivor_positions)
+        ].tolist()
+        seed_rows = self._seed_shares[
+            np.ix_(survivor_positions, dropped_positions)
+        ].tolist()
+        responses = [
+            UnmaskResponse(
+                client_id=cid,
+                round_index=self.round_index,
+                share_x=pos + 1,
+                self_mask_shares=dict(zip(survivors, self_mask_row)),
+                seed_shares=dict(zip(dropped, seed_row)),
             )
+            for cid, pos, self_mask_row, seed_row in zip(
+                survivors, survivor_positions, self_mask_rows, seed_rows
+            )
+        ]
         return request, responses
 
     def recover_sum(self, uploads: Sequence[MaskedUpload]) -> np.ndarray:

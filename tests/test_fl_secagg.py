@@ -388,7 +388,7 @@ class TestBonawitzChoreography:
     def test_uncommitted_clients_rejected(self):
         session = SecAggProtocol(seed=0).begin([1, 2, 3], 0)
         with pytest.raises(SecAggError):
-            session.masked_upload(7, np.zeros(DIM, np.uint64))
+            session.masked_upload([7], np.zeros((1, DIM), np.uint64))
 
 
 @pytest.mark.parametrize("protocol_cls", [SecAggProtocol, OneShotRecoveryProtocol])
@@ -405,7 +405,7 @@ class TestProtocolRecovery:
         session = self._begin(protocol_cls, list(range(12)), 4, DIM)
         quantized = codec.quantize(matrix, count=12)
         survivors = [0, 1, 3, 4, 6, 8, 9, 11]  # 4 of 12 drop after commitment
-        uploads = [session.masked_upload(cid, quantized[cid]) for cid in survivors]
+        uploads = session.masked_upload(survivors, quantized[survivors])
         recovered = session.recover_sum(uploads)
         expected = codec.quantize(matrix[survivors], count=12).sum(
             axis=0, dtype=np.uint64
@@ -419,7 +419,7 @@ class TestProtocolRecovery:
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(7)), 0, DIM)
         quantized = codec.quantize(matrix, count=7)
-        uploads = [session.masked_upload(cid, quantized[cid]) for cid in range(7)]
+        uploads = session.masked_upload(range(7), quantized)
         recovered = session.recover_sum(uploads)
         np.testing.assert_array_equal(
             recovered, codec.quantize(matrix, count=7).sum(axis=0, dtype=np.uint64)
@@ -432,7 +432,7 @@ class TestProtocolRecovery:
         threshold = session.threshold
         quantized = codec.quantize(matrix, count=9)
         survivors = list(range(threshold))
-        uploads = [session.masked_upload(cid, quantized[cid]) for cid in survivors]
+        uploads = session.masked_upload(survivors, quantized[survivors])
         recovered = session.recover_sum(uploads)
         expected = codec.quantize(matrix[survivors], count=9).sum(
             axis=0, dtype=np.uint64
@@ -444,10 +444,8 @@ class TestProtocolRecovery:
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(9)), 1, DIM)
         quantized = codec.quantize(matrix, count=9)
-        uploads = [
-            session.masked_upload(cid, quantized[cid])
-            for cid in range(session.threshold - 1)
-        ]
+        below = list(range(session.threshold - 1))
+        uploads = session.masked_upload(below, quantized[below])
         with pytest.raises(BelowThresholdError):
             session.recover_sum(uploads)
 
@@ -456,18 +454,22 @@ class TestProtocolRecovery:
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(6)), 0, DIM)
         quantized = codec.quantize(matrix, count=6)
-        upload = session.masked_upload(0, quantized[0])
-        others = [session.masked_upload(cid, quantized[cid]) for cid in range(1, 6)]
+        upload, *others = session.masked_upload(range(6), quantized)
         with pytest.raises(SecAggError):
             session.recover_sum([upload, upload] + others)
+
+    def test_upload_rows_must_align_with_the_ids(self, protocol_cls):
+        # One row for two clients must not broadcast into two uploads.
+        session = self._begin(protocol_cls, list(range(6)), 0, DIM)
+        with pytest.raises(ValueError):
+            session.masked_upload([0, 1], np.zeros((1, DIM), np.uint64))
 
     def test_uploads_hide_plaintext(self, protocol_cls):
         matrix = grid_matrix(6, seed=5)
         codec = FixedPointCodec(16)
         session = self._begin(protocol_cls, list(range(6)), 0, DIM)
         quantized = codec.quantize(matrix, count=6)
-        for cid in range(6):
-            upload = session.masked_upload(cid, quantized[cid])
+        for cid, upload in enumerate(session.masked_upload(range(6), quantized)):
             assert not np.array_equal(
                 np.asarray(upload.payload, dtype=np.uint64),
                 quantized[cid],
@@ -483,9 +485,7 @@ class TestProtocolRecovery:
         for _ in range(2):
             session = self._begin(protocol_cls, list(range(8)), 3, DIM)
             quantized = codec.quantize(matrix, count=8)
-            uploads = [
-                session.masked_upload(cid, quantized[cid]) for cid in survivors
-            ]
+            uploads = session.masked_upload(survivors, quantized[survivors])
             results.append(session.recover_sum(uploads))
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -512,7 +512,7 @@ class TestOneShotSpecifics:
         masks = [
             OneShotRecoveryProtocol(seed=4)
             .begin(committed, 7, dim=10)
-            .masked_upload(5, np.zeros(10, np.uint64))
+            .masked_upload([5], np.zeros((1, 10), np.uint64))[0]
             .payload
             for committed in ([3, 5, 8], [1, 3, 5, 8, 9])
         ]

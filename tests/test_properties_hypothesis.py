@@ -9,8 +9,9 @@ Invariant families, each load-bearing for the reproduction:
 4. Aggregation: FedAvg linearity/convexity (Eq. 1).
 5. Partitioning: Dirichlet label skew covers every sample exactly once.
 6. Aggregators: every rule is invariant to the order clients report in.
-7. SecAgg: any supra-threshold survivor set recovers the exact sum, and
-   the field matrix product under both protocols is exact.
+7. SecAgg: any supra-threshold survivor set recovers the exact sum, a
+   round's batched upload equals its per-client uploads, and the field
+   matrix product and fixed-base key exponentiation are exact.
 8. Event engine: round timelines, cutoff splits and arrival plans are
    pure functions of the plan/cohort *set*, never of listing or
    registration order; keyed draws for a subset are rows of the full draw.
@@ -39,6 +40,8 @@ from repro.fl import (
     make_aggregator,
 )
 from repro.fl.engine import RoundPlan
+from repro.fl.secagg import OneShotRecoveryProtocol, SecAggProtocol
+from repro.fl.secagg import field
 from repro.fl.secagg.field import (
     MATMUL_CHUNK,
     PRIME_INT,
@@ -47,6 +50,7 @@ from repro.fl.secagg.field import (
     f_mul,
     f_pow,
 )
+from repro.fl.secagg.masking import _BLOCK_WORDS, dh_public_key
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
 from repro.utils import keyed_words, numerical_gradient
@@ -330,6 +334,71 @@ class TestSecAggRecoveryProperties:
             )
 
 
+def reference_mask_sum(seeds, dim):
+    """``Σ PRG(s)`` unblocked: every ring mask at once, summed mod 2**64."""
+    return keyed_words(0, "secagg-ring-mask", seeds, k=dim).sum(
+        axis=0, dtype=np.uint64
+    )
+
+
+class TestBatchedUploadProperties:
+    """One ``masked_upload`` call masks a whole round, expanding each
+    pairwise mask once for both endpoints.  Every client's row must equal
+    its one-client call, and under Bonawitz also the unblocked formula
+    ``q_i + PRG(b_i) + Σ_{j>i} PRG(s_ij) − Σ_{j<i} PRG(s_ij)``, for any
+    committed set, any uploading subset in any order, and dims on both
+    sides of an expansion block."""
+
+    dims = st.one_of(
+        st.integers(1, 40),
+        st.integers(_BLOCK_WORDS // 8 - 2, _BLOCK_WORDS // 8 + 2),
+        st.integers(_BLOCK_WORDS - 2, _BLOCK_WORDS + 3),
+    )
+
+    @pytest.mark.parametrize("protocol_name", ["secagg", "secagg_oneshot"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batched_rows_equal_one_client_calls(self, protocol_name, data):
+        committed = sorted(
+            data.draw(
+                st.sets(st.integers(0, 10**6), min_size=1, max_size=9),
+                label="committed",
+            )
+        )
+        # A survivor subset in any listing order.
+        uploaders = data.draw(
+            st.permutations(committed), label="order"
+        )[: data.draw(st.integers(1, len(committed)), label="survivors")]
+        dim = data.draw(self.dims, label="dim")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        round_index = data.draw(st.integers(0, 2**20), label="round")
+        quantized = np.random.default_rng(seed).integers(
+            0, 2**64, (len(uploaders), dim), dtype=np.uint64
+        )
+        if protocol_name == "secagg":
+            session = SecAggProtocol(seed=seed).begin(committed, round_index)
+        else:
+            session = OneShotRecoveryProtocol(seed=seed).begin(
+                committed, round_index, dim=dim
+            )
+        uploads = session.masked_upload(uploaders, quantized)
+        assert [u.client_id for u in uploads] == uploaders
+        for row, (cid, upload) in enumerate(zip(uploaders, uploads)):
+            alone = session.masked_upload([cid], quantized[row][None])[0]
+            np.testing.assert_array_equal(upload.payload, alone.payload)
+            if protocol_name != "secagg":
+                continue
+            i = committed.index(cid)
+            seeds = session._pairwise_seeds[i]
+            expected = (
+                quantized[row]
+                + reference_mask_sum([session._self_mask_seeds[i]], dim)
+                + reference_mask_sum(seeds[i + 1 :], dim)
+                - reference_mask_sum(seeds[:i], dim)
+            )
+            np.testing.assert_array_equal(upload.payload, expected)
+
+
 # Field elements with the extremes 0 and p - 1 drawn often.
 field_elements = st.one_of(
     st.sampled_from([0, PRIME_INT - 1]), st.integers(0, PRIME_INT - 1)
@@ -401,6 +470,41 @@ class TestFieldMatmulProperties:
         b[0] = PRIME_INT - 1
         np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
 
+    # (m, k, n) at the real tile size: m·n just past _TILE splits the
+    # output into tiles, just below it leaves one, and k = 0 leaves every
+    # tile zero.
+    @pytest.mark.parametrize(
+        "m, k, n", [(256, 1, 257), (255, 2, 257), (1, 3, 65537), (300, 0, 300)]
+    )
+    def test_tile_boundaries(self, m, k, n):
+        rng = np.random.default_rng(m + k + n)
+        a = rng.integers(0, PRIME_INT, size=(m, k), dtype=np.uint64)
+        b = rng.integers(0, PRIME_INT, size=(k, n), dtype=np.uint64)
+        np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
+
+    # k around MATMUL_CHUNK with several row or column tiles, so every
+    # tile folds after each chunk: a small tile budget keeps the Python
+    # int reference affordable.
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [
+            (2, MATMUL_CHUNK - 1, 1370),
+            (2, MATMUL_CHUNK + 1, 1370),
+            (2740, MATMUL_CHUNK + 1, 2),
+            (40, 5, 37),
+        ],
+    )
+    def test_chunks_across_several_tiles(self, monkeypatch, m, k, n):
+        monkeypatch.setattr(field, "_TILE", 64)
+        monkeypatch.setattr(field, "_MIN_TILE_COLUMNS", 4)
+        height, width = field._tile_shape(m, n, k)
+        assert height < m or width < n
+        rng = np.random.default_rng(k)
+        a = rng.integers(0, PRIME_INT, size=(m, k), dtype=np.uint64)
+        b = rng.integers(0, PRIME_INT, size=(k, n), dtype=np.uint64)
+        a[0], b[:, -1] = PRIME_INT - 1, PRIME_INT - 1
+        np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
+
 
 class TestFieldPowProperties:
     """The windowed ``f_pow`` builds powers at the base's own shape and
@@ -428,6 +532,26 @@ class TestFieldPowProperties:
             dtype=np.uint64,
         ).reshape(b.shape)
         np.testing.assert_array_equal(np.asarray(result), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keys=arrays(
+            np.uint64,
+            st.integers(0, 40),
+            elements=st.one_of(
+                st.sampled_from([0, 1, PRIME_INT - 2, 2**64 - 1]),
+                st.integers(0, 2**64 - 1),
+            ),
+        )
+    )
+    def test_fixed_base_public_keys_equal_f_pow(self, keys):
+        np.testing.assert_array_equal(dh_public_key(keys), f_pow(7, keys))
+
+    def test_fixed_base_public_keys_at_the_edges(self):
+        keys = np.array([0, 1, PRIME_INT - 2, 2**64 - 1], dtype=np.uint64)
+        expected = [pow(7, int(key), PRIME_INT) for key in keys]
+        np.testing.assert_array_equal(dh_public_key(keys), expected)
+        np.testing.assert_array_equal(dh_public_key(keys), f_pow(7, keys))
 
     @settings(max_examples=40, deadline=None)
     @given(a=arrays(np.uint64, st.integers(0, 40), elements=field_elements))
