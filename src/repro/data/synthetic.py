@@ -86,16 +86,6 @@ class SyntheticImageDataset:
         indices = rng.choice(len(self), size=batch_size, replace=False)
         return self.batch(indices)
 
-    def pixel_statistics(self) -> tuple[float, float]:
-        """Mean and std of the per-image mean pixel value.
-
-        The RTF attack calibrates its bin quantiles against exactly this
-        scalar measurement distribution (paper Sec. IV-B), assuming the
-        server knows public statistics of the data domain.
-        """
-        means = self.images.reshape(len(self), -1).mean(axis=1)
-        return float(means.mean()), float(means.std())
-
 
 def _smooth_field(
     rng: np.random.Generator,

@@ -36,13 +36,7 @@ _EXPORTS = {
         "table1_report",
         "train_with_defense",
     ),
-    "paper_summary": (
-        "build_paper_summary",
-        "summary_holds",
-    ),
     "reporting": (
-        "PaperComparison",
-        "comparison_table",
         "format_table",
         "render_ascii_image",
         "side_by_side",

@@ -1,9 +1,8 @@
-"""Plain-text reporting: aligned tables, figure series, paper comparison."""
+"""Plain-text reporting: aligned tables and ASCII image panels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -32,36 +31,6 @@ def format_table(
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-@dataclass
-class PaperComparison:
-    """One paper-reported quantity next to our measured value."""
-
-    experiment: str
-    quantity: str
-    paper_value: str
-    measured: float
-    agrees: bool
-    note: str = ""
-
-
-def comparison_table(comparisons: Sequence[PaperComparison]) -> str:
-    """Render the paper-vs-measured scorecard as an aligned table."""
-    rows = [
-        (
-            c.experiment,
-            c.quantity,
-            c.paper_value,
-            f"{c.measured:.2f}",
-            "yes" if c.agrees else "NO",
-            c.note,
-        )
-        for c in comparisons
-    ]
-    return format_table(
-        ["experiment", "quantity", "paper", "measured", "shape holds", "note"], rows
-    )
 
 
 def render_ascii_image(image, width: int = 32) -> str:

@@ -364,11 +364,15 @@ def make_arrivals(
     driven by the rate knobs.  The trace-driven processes refuse nonzero
     dropout/straggler rates: under them those phenomena are emergent
     timing outcomes, and silently layering coin flips on top would make
-    the scenario lie about its own semantics.
+    the scenario lie about its own semantics.  A process instance is
+    already configured, so it refuses the rate knobs and options alike.
     """
     if isinstance(spec, ArrivalProcess):
-        if options:
-            raise ValueError("cannot pass options with a process instance")
+        if options or dropout_rate or straggler_rate:
+            raise ValueError(
+                "cannot pass options or nonzero rate knobs with a process "
+                "instance; configure the instance itself"
+            )
         return spec
     process = ARRIVALS.build(
         "instant" if spec is None else spec,

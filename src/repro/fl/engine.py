@@ -49,11 +49,6 @@ def ticks(seconds: float) -> int:
     return int(round(float(seconds) * TICKS_PER_SECOND))
 
 
-def seconds(tick_count: int) -> float:
-    """Convert integer clock ticks back to simulated seconds."""
-    return tick_count / TICKS_PER_SECOND
-
-
 class VirtualClock:
     """Deterministic simulated time, counted in integer ticks.
 
@@ -69,11 +64,6 @@ class VirtualClock:
     def now(self) -> int:
         """The current simulated time in ticks."""
         return self._now
-
-    @property
-    def now_s(self) -> float:
-        """The current simulated time in seconds."""
-        return seconds(self._now)
 
     def advance_to(self, tick: int) -> int:
         """Move time forward to ``tick``; moving backwards is a bug."""

@@ -17,41 +17,33 @@ cached client pins its shard and RNG stream, not a model: every client of
 a federation trains on one shared scratch model (see
 :func:`repro.fl.simulator.make_lazy_fleet`).
 
-``Fleet.from_clients`` wraps an eagerly-built list, for
-``Server(model, [clients])``.
+A fleet is the only client container a :class:`~repro.fl.server.Server`
+accepts; an eagerly-built list ``clients`` whose ids are ``0..n-1`` is
+wrapped as ``Fleet(len(clients), clients.__getitem__)``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.fl.client import Client
 
 
 class Fleet:
-    """A lazily-materializing registry of ``size`` federated clients."""
+    """A lazily-materializing registry of ``size`` federated clients.
+
+    ``size`` must be a positive Python or numpy integer; a float or a
+    string raises :class:`TypeError` rather than truncating.
+    """
 
     def __init__(self, size: int, factory: Callable[[int], Client]) -> None:
+        size = operator.index(size)
         if size <= 0:
             raise ValueError("fleet size must be positive")
-        self.size = int(size)
+        self.size = size
         self._factory = factory
         self._cache: dict[int, Client] = {}
-
-    @classmethod
-    def from_clients(cls, clients: Sequence[Client]) -> "Fleet":
-        """Wrap an eagerly-built client list (``Server(model, [clients])``)."""
-        if not clients:
-            raise ValueError("fleet needs at least one client")
-        by_id = {client.client_id: client for client in clients}
-        if sorted(by_id) != list(range(len(clients))):
-            raise ValueError(
-                "client ids must be exactly 0..n-1 with no duplicates"
-            )
-        fleet = cls(len(clients), by_id.__getitem__)
-        fleet._cache = by_id
-        return fleet
 
     def __len__(self) -> int:
         return self.size

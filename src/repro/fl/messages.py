@@ -56,25 +56,6 @@ class KeyAdvertisement:
 
 
 @dataclass
-class SecretShareBundle:
-    """Client -> client (via server): Shamir shares of the sender's seeds.
-
-    ``seed_share`` shares the sender's Diffie–Hellman secret key (so the
-    server can cancel a *dropped* sender's pairwise masks) and
-    ``self_mask_share`` shares the sender's self-mask seed (so the server
-    can cancel a *surviving* sender's self mask).  ``share_x`` is the
-    recipient's 1-indexed Shamir x-coordinate.
-    """
-
-    sender_id: int
-    recipient_id: int
-    round_index: int
-    share_x: int
-    seed_share: int
-    self_mask_share: int
-
-
-@dataclass
 class MaskedUpload:
     """Client -> server: the masked quantized update.
 
@@ -119,21 +100,6 @@ class UnmaskResponse:
     share_x: int
     self_mask_shares: dict[int, int] = field(default_factory=dict)
     seed_shares: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class EncodedMaskSegment:
-    """Client -> client (via server): one Lagrange-coded mask segment.
-
-    LightSecAgg-style offline phase: the sender's full-size mask is
-    encoded into ``n`` segments, one per committed client, such that any
-    ``threshold`` of them reconstruct the mask polynomial.
-    """
-
-    sender_id: int
-    recipient_id: int
-    round_index: int
-    segment: np.ndarray
 
 
 @dataclass
@@ -198,15 +164,3 @@ class RoundRecord:
     def num_selected(self) -> int:
         """How many clients the server sampled for this round."""
         return len(self.selected_ids)
-
-    @property
-    def participation_rate(self) -> float:
-        """Fraction of selected clients whose update entered the aggregate.
-
-        Returns 1.0 when no selection breakdown was recorded (legacy
-        construction paths that only fill ``participant_ids``).
-        """
-        if not self.selected_ids:
-            return 1.0
-        fresh = len(self.participant_ids) - len(self.stale_ids)
-        return fresh / len(self.selected_ids)

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..aggregators import Aggregator, FixedPointCodec
-from .base import default_threshold
 from .field import PRIME_INT
 from .lightsecagg import OneShotRecoveryProtocol
 from .protocol import SecAggProtocol
@@ -58,12 +57,6 @@ class ProtocolAggregator(Aggregator):
         self.codec = FixedPointCodec(fractional_bits, sum_limit=self.sum_limit)
         self._seed = seed
         self.last_metadata: dict = {}
-
-    def threshold_for(self, num_committed: int) -> int:
-        """The Shamir/recovery threshold this rule uses for a round."""
-        if self.threshold is not None:
-            return int(self.threshold)
-        return default_threshold(num_committed)
 
     def exact_sum(self, matrix: np.ndarray, num_committed: int | None = None) -> np.ndarray:
         """The plain quantized sum a protocol round must recover bit-for-bit."""

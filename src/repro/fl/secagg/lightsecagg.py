@@ -13,8 +13,8 @@ dropped:
    with ``r`` uniformly random *coding* chunks, and interprets the
    ``T = k + r`` chunks as evaluations of a degree ``T - 1`` polynomial
    ``f_i`` at ``alphas = 1..T``.  Client ``j`` receives the segment
-   ``f_i(beta_j)`` (:class:`~repro.fl.messages.EncodedMaskSegment`);
-   the betas are ``n`` further points disjoint from the alphas.
+   ``f_i(beta_j)``; the betas are ``n`` further points disjoint from
+   the alphas.
 2. **Masked upload** — survivors upload ``y_i = q_i + z_i`` in
    GF(2**61 - 1) (updates are fixed-point quantized, then embedded).
 3. **One-shot recovery** — each survivor ``j`` sends the *single*
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..messages import AggregatedMaskSegment, EncodedMaskSegment, MaskedUpload
+from ..messages import AggregatedMaskSegment, MaskedUpload
 from .base import CommittedRound
 from .field import (
     f_add,
@@ -95,19 +95,6 @@ class OneShotRound(CommittedRound):
         chunks[:, self.data_chunks * chunk :] = draws[:, self.dim :]
         values = chunks.reshape(count, self.threshold, chunk).transpose(1, 0, 2)
         return interpolate(self._alphas, values, self._betas)
-
-    def encoded_segments(self, recipient_id: int) -> list[EncodedMaskSegment]:
-        """The offline segment messages one client receives (inspection)."""
-        recipient_pos = self._positions[int(recipient_id)]
-        return [
-            EncodedMaskSegment(
-                sender_id=sender_id,
-                recipient_id=int(recipient_id),
-                round_index=self.round_index,
-                segment=self._segments[recipient_pos, self._positions[sender_id]],
-            )
-            for sender_id in self.client_ids
-        ]
 
     def masked_upload(
         self, client_ids: Sequence[int], quantized: np.ndarray

@@ -10,7 +10,8 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
 2. **Share keys** — every client Shamir-shares two secrets among all
    committed clients at threshold ``t``: its DH *secret key* (enough to
    re-derive its pairwise masks if it drops) and a fresh *self-mask
-   seed* (:class:`~repro.fl.messages.SecretShareBundle`).
+   seed*.  The simulation keeps the shares as two mailbox matrices
+   indexed ``[recipient, sender]``.
 3. **Masked upload** — a surviving client uploads
    ``y_i = q_i + PRG(b_i) + Σ_{j≠i} sign(i,j) · PRG(s_ij)  (mod 2**64)``
    where ``q_i`` is the fixed-point quantized update, ``b_i`` the self
@@ -44,7 +45,6 @@ from ...utils.rng import keyed_words
 from ..messages import (
     KeyAdvertisement,
     MaskedUpload,
-    SecretShareBundle,
     UnmaskRequest,
     UnmaskResponse,
 )
@@ -111,21 +111,6 @@ class SecAggRound(CommittedRound):
         shares = share_secrets(secrets, coefficients.transpose(1, 0, 2), count)
         # Mailboxes: share matrices indexed [recipient_position, sender_position].
         self._seed_shares, self._self_mask_shares = shares[..., 0], shares[..., 1]
-
-    def share_bundles(self) -> list[SecretShareBundle]:
-        """Materialize the n**2 share messages (for inspection/tests)."""
-        return [
-            SecretShareBundle(
-                sender_id=sender,
-                recipient_id=recipient,
-                round_index=self.round_index,
-                share_x=recipient_pos + 1,
-                seed_share=int(self._seed_shares[recipient_pos, sender_pos]),
-                self_mask_share=int(self._self_mask_shares[recipient_pos, sender_pos]),
-            )
-            for sender_pos, sender in enumerate(self.client_ids)
-            for recipient_pos, recipient in enumerate(self.client_ids)
-        ]
 
     # ------------------------------------------------------------------
     # Phase 3: masked upload

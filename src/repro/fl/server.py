@@ -16,10 +16,11 @@ byte-for-byte; a :class:`~repro.fl.engine.TimeCutoff` or a trace-driven
 arrival process makes dropout and straggling emergent timing outcomes
 instead of coin flips.
 
-Clients live in a :class:`~repro.fl.fleet.Fleet`: registering 10k–1M
-users costs a factory and a count, and a ``Client`` object (with its
-shard and RNG stream; the model it trains on is shared scratch) only
-materializes when the engine actually dispatches that id.
+Clients live in a :class:`~repro.fl.fleet.Fleet`, the only client
+container a server accepts: registering 10k–1M users costs a factory
+and a count, and a ``Client`` object (with its shard and RNG stream;
+the model it trains on is shared scratch) only materializes when the
+engine actually dispatches that id.
 
 :class:`DishonestServer` additionally manipulates the global model before
 broadcasting (the paper's threat model) and runs gradient inversion on a
@@ -30,7 +31,7 @@ protocol looks honest from the outside.
 from __future__ import annotations
 
 import operator
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class Server:
       (``"instant"``, ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``)
       or an :class:`~repro.fl.arrivals.ArrivalProcess` instance.  Under
       trace-driven processes the rate knobs must stay zero — lateness
-      and failure come from the timing traces.
+      and failure come from the timing traces — and so must they with an
+      instance, which carries its own configuration.
     - ``cutoff``: a :class:`~repro.fl.engine.CountCutoff` or
       :class:`~repro.fl.engine.TimeCutoff`; ``None`` is the legacy
       wait-for-everyone count cutoff.
@@ -76,15 +78,16 @@ class Server:
       ``num_examples`` instead of uniformly (only meaningful for rules
       that honour weights, i.e. FedAvg).
 
-    ``clients`` may be a concrete client sequence (ids must be
-    ``0..n-1``) or a lazy :class:`~repro.fl.fleet.Fleet`; either way the
-    server only materializes the clients it actually dispatches.
+    ``fleet`` must be a :class:`~repro.fl.fleet.Fleet`; the server only
+    materializes the clients it actually dispatches.  Wrap a hand-built
+    client list (ids ``0..n-1``) as ``Fleet(len(clients),
+    clients.__getitem__)``.
     """
 
     def __init__(
         self,
         model: Module,
-        clients: "Sequence[Client] | Fleet",
+        fleet: Fleet,
         learning_rate: float = 0.1,
         clients_per_round: Optional[int] = None,
         aggregator: "str | type[Aggregator] | Aggregator" = "fedavg",
@@ -96,20 +99,13 @@ class Server:
         arrivals: "str | ArrivalProcess | None" = None,
         arrival_options: Optional[dict] = None,
         cutoff: "CountCutoff | TimeCutoff | None" = None,
-        clock: Optional[VirtualClock] = None,
     ) -> None:
-        if isinstance(clients, Fleet):
-            self.fleet = clients
-        else:
-            if not clients:
-                raise ValueError("server needs at least one client")
-            self.fleet = Fleet.from_clients(list(clients))
-        for rate, label in (
-            (dropout_rate, "dropout_rate"),
-            (straggler_rate, "straggler_rate"),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1]")
+        if not isinstance(fleet, Fleet):
+            raise TypeError(
+                f"fleet must be a Fleet, got {type(fleet).__name__}; wrap a "
+                "client list as Fleet(len(clients), clients.__getitem__)"
+            )
+        self.fleet = fleet
         self.model = model
         self.learning_rate = learning_rate
         if clients_per_round is None:
@@ -129,7 +125,7 @@ class Server:
         self.accept_stale = accept_stale
         self.weight_by_examples = weight_by_examples
         self._rng = np.random.default_rng(seed)
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.arrivals = make_arrivals(
             arrivals,
             dropout_rate=dropout_rate,
@@ -344,9 +340,11 @@ class DishonestServer(Server):
     earlier one when every client is targeted (``target_client_id=None``),
     exactly the multi-victim regime large-scale attacks operate in.  Use
     :meth:`round_reconstructions` for everything captured in one round.
-    All honest-server scenario knobs (sampling, dropout, stragglers,
-    aggregator, arrival processes, cutoffs) pass through
-    ``**server_kwargs``.
+    ``target_client_id`` must be ``None`` or an id in ``fleet``: an id
+    outside it would match no update, and every round would record no
+    attack event, so it raises at construction.  All honest-server
+    scenario knobs (sampling, dropout, stragglers, aggregator, arrival
+    processes, cutoffs) pass through ``**server_kwargs``.
 
     Large-scale attacks opt into two further hooks through class
     attributes on the attack object:
@@ -365,12 +363,17 @@ class DishonestServer(Server):
     def __init__(
         self,
         model: Module,
-        clients: "Sequence[Client] | Fleet",
+        fleet: Fleet,
         attack: ActiveReconstructionAttack,
         target_client_id: Optional[int] = None,
         **server_kwargs,
     ) -> None:
-        super().__init__(model, clients, **server_kwargs)
+        super().__init__(model, fleet, **server_kwargs)
+        if target_client_id is not None and target_client_id not in self.fleet:
+            raise ValueError(
+                f"target_client_id {target_client_id} is outside the fleet "
+                f"of {len(self.fleet)} clients"
+            )
         self.attack = attack
         self.target_client_id = target_client_id
         self.reconstructions: dict[tuple[int, int], ReconstructionResult] = {}

@@ -98,7 +98,7 @@ RULE = register_rule(Rule(
     ),
     hint=(
         "use repro.utils.checkpoint.atomic_write_text/atomic_write_lines/"
-        "atomic_write_bytes (or save_state for arrays)"
+        "atomic_write_bytes (serialize arrays into an io.BytesIO first)"
     ),
     profiles=("lib",),
 ))

@@ -224,6 +224,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def num_parameters(self) -> int:
-        return sum(param.size for param in self.parameters())

@@ -1,8 +1,4 @@
-"""Model/state checkpointing to .npz archives, and crash-safe file writes.
-
-The FL simulator exchanges plain ``dict[str, np.ndarray]`` states; these
-helpers persist them (global-model checkpoints, attack reconstructions,
-experiment artifacts) without any pickle security surface.
+"""Crash-safe file writes for sweep stores, golden files and artifacts.
 
 All writes here are *atomic*: content lands in a temporary file in the
 destination directory, is fsynced, and is moved into place with
@@ -13,12 +9,9 @@ what the resumable sweep stores rely on to survive kills mid-persist.
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
@@ -90,19 +83,3 @@ def atomic_write_lines(path: str | Path, lines) -> Path:
             pass
         raise
     return path
-
-
-def save_state(path: str | Path, state: dict[str, np.ndarray]) -> Path:
-    """Write a state dict to ``path`` (.npz appended if missing), atomically."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    buffer = io.BytesIO()
-    np.savez(buffer, **state)  # repro-lint: disable=no-raw-write -- serializes into an in-memory buffer; the file write below is atomic
-    return atomic_write_bytes(path, buffer.getvalue())
-
-
-def load_state(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a state dict written by :func:`save_state`."""
-    with np.load(Path(path)) as archive:
-        return {name: archive[name].copy() for name in archive.files}

@@ -2,16 +2,14 @@
 
 Every stochastic component in the repository (dataset synthesis, model init,
 client sampling, attack parameter crafting, DP noise) draws from an explicit
-``numpy.random.Generator``.  ``spawn_rngs`` derives independent child
-generators from a single experiment seed so that adding a consumer never
-perturbs the streams of existing ones.
+``numpy.random.Generator``.
 
-``seed_sequence_for`` / ``derive_seed`` extend that discipline to *named*
-consumers: the child stream is keyed by string labels (e.g. a sweep cell's
-configuration fingerprint) rather than a spawn position, so the stream a
-consumer receives is invariant to enumeration order, to how work is sharded
-across processes, and to which other consumers exist.  That invariance is
-what lets serial and parallel sweep executors produce bit-identical results.
+``seed_sequence_for`` / ``derive_seed`` key a child stream by string labels
+(e.g. a sweep cell's configuration fingerprint) rather than a spawn
+position, so the stream a consumer receives is invariant to enumeration
+order, to how work is sharded across processes, and to which other
+consumers exist.  That invariance is what lets serial and parallel sweep
+executors produce bit-identical results.
 
 ``keyed_words`` / ``keyed_uniforms`` apply the same discipline to hot paths
 that need a few draws for *every member of a cohort*: a counter-based
@@ -43,12 +41,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def new_rng(seed: int | None = None) -> np.random.Generator:
     """Create a generator from an integer seed (or OS entropy when None)."""
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
 
 
 def seed_sequence_for(base_seed: int, *labels: str) -> np.random.SeedSequence:

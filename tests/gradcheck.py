@@ -1,4 +1,9 @@
-"""Numeric helpers: central-difference gradients for autograd verification."""
+"""Central-difference gradients for autograd verification (test helper).
+
+Not a test module: test files import ``numerical_gradient`` from here to
+check every autograd op against finite differences; the attacks depend on
+gradient exactness, so that check is load-bearing rather than cosmetic.
+"""
 
 from __future__ import annotations
 
@@ -12,12 +17,7 @@ def numerical_gradient(
     point: np.ndarray,
     epsilon: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference estimate of ``d func / d point``.
-
-    Used by the test suite to validate every autograd op against finite
-    differences; the attacks depend on gradient exactness, so this check is
-    load-bearing rather than cosmetic.
-    """
+    """Central-difference estimate of ``d func / d point``."""
     grad = np.zeros_like(point, dtype=np.float64)
     flat_point = point.reshape(-1)
     flat_grad = grad.reshape(-1)

@@ -12,7 +12,7 @@ from repro.tensor import (
     global_avg_pool2d,
     max_pool2d,
 )
-from repro.utils import numerical_gradient
+from gradcheck import numerical_gradient
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ import pytest
 
 from repro.defense import DPGradientDefense, OasisDefense
 from repro.experiments import (
-    PaperComparison,
-    comparison_table,
     format_table,
     monotone_in_batch_size,
     reconstruction_gallery,
@@ -195,11 +193,6 @@ class TestReporting:
         lines = table.splitlines()
         assert len(lines) == 4
         assert "2.50" in table
-
-    def test_comparison_table(self):
-        rows = [PaperComparison("fig5", "MR psnr", "15-20", 16.5, True)]
-        table = comparison_table(rows)
-        assert "fig5" in table and "yes" in table
 
     def test_render_ascii_image_dimensions(self, rng):
         art = render_ascii_image(rng.random((3, 16, 16)), width=20)

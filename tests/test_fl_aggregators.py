@@ -23,6 +23,7 @@ from repro.fl import (
     make_aggregator,
     unflatten_vector,
 )
+from repro.fl.secagg import default_threshold
 
 ALL_NAMES = [
     "fedavg", "median", "trimmed_mean", "masked_sum", "secagg", "secagg_oneshot",
@@ -384,8 +385,12 @@ class TestProtocolRegistryEntries:
     def test_lazy_names_accept_kwargs(self):
         agg = make_aggregator("secagg", fractional_bits=8, threshold=3)
         assert agg.fractional_bits == 8
-        assert agg.threshold_for(10) == 3
-        assert make_aggregator("secagg").threshold_for(10) == 6
+        matrix = np.zeros((10, 4))
+        agg.reduce(matrix, None)
+        assert agg.last_metadata["threshold"] == 3
+        default = make_aggregator("secagg")
+        default.reduce(matrix, None)
+        assert default.last_metadata["threshold"] == default_threshold(10) == 6
 
     def test_protocol_rules_require_commitment(self):
         assert make_aggregator("secagg").requires_commitment

@@ -20,6 +20,7 @@ from repro.fl import (
     AGGREGATORS,
     DishonestServer,
     FederationConfig,
+    Fleet,
     GradientUpdate,
     RoundBuffer,
     Server,
@@ -221,10 +222,10 @@ class TestLegacyByteIdentity:
     @pytest.mark.parametrize("seed", [0, 3, 42])
     def test_records_match_legacy_loop(self, kwargs, seed):
         engine = Server(
-            Module(), [StubClient(i) for i in range(10)], seed=seed, **kwargs
+            Module(), Fleet(10, StubClient), seed=seed, **kwargs
         )
         legacy = LegacyServer(
-            Module(), [StubClient(i) for i in range(10)], seed=seed, **kwargs
+            Module(), Fleet(10, StubClient), seed=seed, **kwargs
         )
         assert_records_identical(engine.run(6), legacy.run(6))
         if engine.last_aggregate is None:
@@ -245,10 +246,10 @@ class TestLegacyByteIdentity:
     )
     def test_secagg_commit_then_drop_matches_legacy(self, kwargs):
         engine = Server(
-            Module(), [StubClient(i) for i in range(8)], seed=7, **kwargs
+            Module(), Fleet(8, StubClient), seed=7, **kwargs
         )
         legacy = LegacyServer(
-            Module(), [StubClient(i) for i in range(8)], seed=7, **kwargs
+            Module(), Fleet(8, StubClient), seed=7, **kwargs
         )
         assert_records_identical(engine.run(4), legacy.run(4))
 
@@ -266,7 +267,7 @@ class TestLegacyByteIdentity:
 
         engine = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(12)],
+            Fleet(12, StubClient),
             RecordingAttack(),
             dropout_rate=0.2,
             straggler_rate=0.3,
@@ -275,7 +276,7 @@ class TestLegacyByteIdentity:
         )
         legacy = LegacyDishonestServer(
             Module(),
-            [StubClient(i) for i in range(12)],
+            Fleet(12, StubClient),
             RecordingAttack(),
             dropout_rate=0.2,
             straggler_rate=0.3,
@@ -289,14 +290,14 @@ class TestLegacyByteIdentity:
                 np.testing.assert_array_equal(ours, reference)
 
     def test_compat_records_carry_no_timing(self):
-        server = Server(Module(), [StubClient(i) for i in range(4)], seed=0)
+        server = Server(Module(), Fleet(4, StubClient), seed=0)
         assert server.run_round().timing is None
 
     def test_engine_rounds_are_deterministic(self):
         def run():
             server = Server(
                 Module(),
-                [StubClient(i) for i in range(10)],
+                Fleet(10, StubClient),
                 dropout_rate=0.2,
                 straggler_rate=0.2,
                 accept_stale=True,
@@ -313,7 +314,6 @@ class TestVirtualClock:
         assert clock.now == 0
         clock.advance_to(ticks(1.5))
         assert clock.now == 1_500_000
-        assert clock.now_s == pytest.approx(1.5)
 
     def test_never_runs_backwards(self):
         clock = VirtualClock(start=10)
@@ -362,7 +362,7 @@ class TestCutoffs:
     def test_time_cutoff_produces_emergent_stragglers(self):
         server = Server(
             Module(),
-            [StubClient(i) for i in range(8)],
+            Fleet(8, StubClient),
             arrivals="uniform",
             arrival_options={"low_s": 0.1, "high_s": 1.0},
             cutoff=TimeCutoff(ticks(0.5)),
@@ -386,7 +386,7 @@ class TestCutoffs:
         # hold the round open until one update lands.
         server = Server(
             Module(),
-            [StubClient(i) for i in range(6)],
+            Fleet(6, StubClient),
             arrivals="uniform",
             arrival_options={"low_s": 1.0, "high_s": 2.0},
             cutoff=TimeCutoff(ticks(0.01), min_arrivals=1),
@@ -399,7 +399,7 @@ class TestCutoffs:
     def test_count_target_closes_early(self):
         server = Server(
             Module(),
-            [StubClient(i) for i in range(8)],
+            Fleet(8, StubClient),
             arrivals="uniform",
             cutoff=CountCutoff(target=3),
             seed=1,
@@ -411,7 +411,7 @@ class TestCutoffs:
     def test_virtual_clock_advances_across_rounds(self):
         server = Server(
             Module(),
-            [StubClient(i) for i in range(4)],
+            Fleet(4, StubClient),
             arrivals="uniform",
             cutoff=TimeCutoff(ticks(0.5), min_arrivals=1),
             seed=0,
@@ -457,6 +457,18 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError, match="unknown arrival process"):
             make_arrivals("bursty")
 
+    @pytest.mark.parametrize(
+        "process", [UniformArrivals(), InstantArrivals()], ids=["uniform", "instant"]
+    )
+    def test_instances_reject_rate_knobs(self, process):
+        # An instance used to come back with the rates silently dropped.
+        for rates in ({"dropout_rate": 0.3}, {"straggler_rate": 0.3}):
+            with pytest.raises(ValueError, match="rate knobs"):
+                make_arrivals(process, **rates)
+            with pytest.raises(ValueError, match="rate knobs"):
+                Server(Module(), Fleet(4, StubClient), arrivals=process, **rates)
+        assert make_arrivals(process) is process
+
     def test_uniform_latency_is_order_invariant(self):
         process = UniformArrivals(seed=9)
         rng = np.random.default_rng(0)
@@ -499,7 +511,7 @@ class TestArrivalProcesses:
     def test_diurnal_fleet_still_makes_progress(self):
         server = Server(
             Module(),
-            [StubClient(i) for i in range(16)],
+            Fleet(16, StubClient),
             arrivals="tiered-diurnal",
             cutoff=TimeCutoff(ticks(2.0), min_arrivals=1),
             seed=4,
@@ -543,7 +555,7 @@ def _stub_compute(client_id: int) -> GradientUpdate:
 def _run_cohorts(server_class, kwargs, cohorts) -> dict:
     """Run one round per entry of ``cohorts`` (``None`` keeps the size)."""
     server = server_class(
-        Module(), [StubClient(i) for i in range(40)], seed=9, **kwargs
+        Module(), Fleet(40, StubClient), seed=9, **kwargs
     )
     records, aggregates, buffers = [], [], []
     for cohort in cohorts:
@@ -606,7 +618,7 @@ class TestPooledRoundBuffer:
     @pytest.mark.parametrize("name", AGGREGATORS.names())
     def test_aggregates_never_view_the_round_matrix(self, name):
         server = Server(
-            Module(), [StubClient(i) for i in range(6)], aggregator=name, seed=0
+            Module(), Fleet(6, StubClient), aggregator=name, seed=0
         )
         for cohort in (5, 1):
             server.clients_per_round = cohort

@@ -19,6 +19,7 @@ import pytest
 
 from repro.data import make_synthetic_dataset
 from repro.fl import (
+    DishonestServer,
     FederationConfig,
     FederatedSimulation,
     Fleet,
@@ -120,18 +121,20 @@ class TestFleetRegistry:
         with pytest.raises(TypeError):
             fleet.get(3.0)
 
-    def test_from_clients_requires_dense_ids(self):
-        with pytest.raises(ValueError, match="at least one client"):
-            Fleet.from_clients([])
-        with pytest.raises(ValueError, match="0..n-1"):
-            Fleet.from_clients([StubClient(0), StubClient(2)])
-        fleet = Fleet.from_clients([StubClient(0), StubClient(1)])
-        assert fleet.materialized_count == 2
-        assert [fleet.get(i).client_id for i in fleet.client_ids] == [0, 1]
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             Fleet(0, StubClient)
+
+    @pytest.mark.parametrize("size", [0.5, 2.9, "3"], ids=["0.5", "2.9", "str"])
+    def test_non_integer_size_rejected(self, size):
+        # int() used to truncate: 0.5 built an empty fleet, 2.9 two clients.
+        with pytest.raises(TypeError):
+            Fleet(size, StubClient)
+
+    def test_numpy_integer_size_accepted(self):
+        fleet = Fleet(np.int64(3), StubClient)
+        assert len(fleet) == 3 and type(fleet.size) is int
+        assert list(fleet.client_ids) == [0, 1, 2]
 
 
 class TestServerOverLazyFleet:
@@ -144,10 +147,12 @@ class TestServerOverLazyFleet:
 
     def test_sampling_identical_to_eager_fleet(self):
         # The engine draws selection from fleet *size*, so a lazy fleet
-        # and an eager roster of the same size share the RNG stream.
+        # and a fleet over an eager roster of the same size share the RNG
+        # stream.
+        roster = [StubClient(i) for i in range(64)]
         lazy = Server(Module(), Fleet(64, StubClient), clients_per_round=8, seed=5)
         eager = Server(
-            Module(), [StubClient(i) for i in range(64)], clients_per_round=8, seed=5
+            Module(), Fleet(64, roster.__getitem__), clients_per_round=8, seed=5
         )
         for _ in range(4):
             a, b = lazy.run_round(), eager.run_round()
@@ -161,6 +166,25 @@ class TestServerOverLazyFleet:
         server.run(2)
         assert fleet.materialized_count == 4
         assert fleet.get(0) is fleet.get(0)
+
+    @pytest.mark.parametrize(
+        "target,error", [(99, ValueError), (-1, ValueError), (2.5, TypeError)]
+    )
+    def test_dishonest_target_must_be_in_fleet(self, target, error):
+        # An id outside the fleet matches no update, so every round would
+        # record no attack event and read like a defense that worked.
+        knob = "target_client_id" if error is ValueError else None
+        with pytest.raises(error, match=knob):
+            DishonestServer(
+                Module(), Fleet(10, StubClient), object(), target_client_id=target
+            )
+
+    @pytest.mark.parametrize("target", [None, 0, 9, np.int64(9)])
+    def test_dishonest_target_in_fleet_accepted(self, target):
+        server = DishonestServer(
+            Module(), Fleet(10, StubClient), object(), target_client_id=target
+        )
+        assert server.target_client_id == target
 
 
 class TestLazySimulation:

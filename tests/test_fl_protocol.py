@@ -19,6 +19,7 @@ from repro.fl import (
     DishonestServer,
     FederatedSimulation,
     FederationConfig,
+    Fleet,
     ModelBroadcast,
     Server,
     partition_dataset,
@@ -166,7 +167,8 @@ class TestHonestServer:
                    seed=7)
             for i, shard in enumerate(partition_dataset(fl_dataset, num_clients))
         ]
-        return Server(make_mlp(fl_dataset), clients, learning_rate=0.5, seed=0)
+        fleet = Fleet(len(clients), clients.__getitem__)
+        return Server(make_mlp(fl_dataset), fleet, learning_rate=0.5, seed=0)
 
     def test_round_applies_eq1(self, fl_dataset):
         server = self._make_federation(fl_dataset)
@@ -188,13 +190,25 @@ class TestHonestServer:
             Client(i, shard, make_mlp(fl_dataset), CrossEntropyLoss(), batch_size=4)
             for i, shard in enumerate(partition_dataset(fl_dataset, 4))
         ]
-        server = Server(make_mlp(fl_dataset), clients, clients_per_round=2, seed=0)
+        fleet = Fleet(len(clients), clients.__getitem__)
+        server = Server(make_mlp(fl_dataset), fleet, clients_per_round=2, seed=0)
         record = server.run_round()
         assert len(record.participant_ids) == 2
 
     def test_requires_clients(self, fl_dataset):
         with pytest.raises(ValueError):
-            Server(make_mlp(fl_dataset), [])
+            Server(make_mlp(fl_dataset), Fleet(0, Client))
+
+    def test_rejects_client_list(self, fl_dataset):
+        # A list used to slip through and fail only at the first round.
+        clients = [
+            Client(0, fl_dataset, make_mlp(fl_dataset), CrossEntropyLoss(), 4)
+        ]
+        wrapper = r"Fleet\(len\(clients\), clients\.__getitem__\)"
+        with pytest.raises(TypeError, match=wrapper):
+            Server(make_mlp(fl_dataset), clients)
+        with pytest.raises(TypeError, match=wrapper):
+            DishonestServer(make_mlp(fl_dataset), clients, attack=RTFAttack(4))
 
     def test_loss_decreases_over_rounds(self, fl_dataset):
         server = self._make_federation(fl_dataset)
@@ -218,7 +232,8 @@ class TestDishonestServer:
         attack = RTFAttack(num_neurons)
         attack.calibrate_from_public_data(fl_dataset.images)
         server = DishonestServer(
-            factory(), clients, attack=attack, target_client_id=0, seed=0
+            factory(), Fleet(len(clients), clients.__getitem__), attack=attack,
+            target_client_id=0, seed=0,
         )
         server.run_round()
         assert (0, 0) in server.reconstructions
@@ -239,7 +254,9 @@ class TestDishonestServer:
         ]
         attack = RTFAttack(num_neurons)
         attack.calibrate_from_public_data(fl_dataset.images)
-        server = DishonestServer(factory(), clients, attack=attack)
+        server = DishonestServer(
+            factory(), Fleet(len(clients), clients.__getitem__), attack=attack
+        )
         record = server.run_round()
         assert record.attack_events
         assert record.attack_events[0]["attack"] == "rtf"
@@ -260,7 +277,8 @@ class TestDishonestServer:
         attack = RTFAttack(num_neurons)
         attack.calibrate_from_public_data(fl_dataset.images)
         server = DishonestServer(
-            factory(), clients, attack=attack, target_client_id=None, seed=0
+            factory(), Fleet(len(clients), clients.__getitem__), attack=attack,
+            target_client_id=None, seed=0,
         )
         server.run(2)
         assert set(server.reconstructions) == {
@@ -284,7 +302,8 @@ class TestDishonestServer:
         attack = RTFAttack(num_neurons)
         attack.calibrate_from_public_data(fl_dataset.images)
         server = DishonestServer(
-            factory(), clients, attack=attack, target_client_id=1
+            factory(), Fleet(len(clients), clients.__getitem__), attack=attack,
+            target_client_id=1,
         )
         record = server.run_round()
         assert all(e["client_id"] == 1 for e in record.attack_events)

@@ -13,6 +13,7 @@ from repro.data import make_synthetic_dataset
 from repro.fl import (
     FederatedSimulation,
     FederationConfig,
+    Fleet,
     GradientUpdate,
     Server,
     dirichlet_partition_indices,
@@ -42,7 +43,7 @@ class StubClient:
 
 
 def make_stub_server(num_clients, **kwargs):
-    return Server(Module(), [StubClient(i) for i in range(num_clients)], **kwargs)
+    return Server(Module(), Fleet(num_clients, StubClient), **kwargs)
 
 
 SCENARIOS = [(8, 0.0), (32, 0.1), (32, 0.3)]
@@ -82,12 +83,8 @@ class TestDropoutScenarios:
         assert set(record.participant_ids).isdisjoint(record.dropped_ids)
         assert not record.straggler_ids and not record.stale_ids
         assert record.num_selected == num_clients
-        assert record.participation_rate == pytest.approx(
-            len(record.participant_ids) / num_clients
-        )
         if dropout_rate == 0.0:
             assert not record.dropped_ids
-            assert record.participation_rate == 1.0
         else:
             # Seed 42 was chosen so each lossy scenario actually drops someone.
             assert record.dropped_ids
@@ -96,7 +93,7 @@ class TestDropoutScenarios:
     def test_dropout_rates_respected_over_many_rounds(self):
         server = make_stub_server(32, dropout_rate=0.3, seed=0)
         records = server.run(50)
-        rates = [r.participation_rate for r in records]
+        rates = [len(r.participant_ids) / len(r.selected_ids) for r in records]
         assert 0.6 < np.mean(rates) < 0.8  # ~= 1 - dropout_rate
 
     def test_full_dropout_round_still_completes(self):
@@ -207,7 +204,7 @@ class TestSamplingAndStragglers:
 
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(16)],
+            Fleet(16, StubClient),
             RecordingAttack(),
             straggler_rate=0.5,
             accept_stale=True,
@@ -239,7 +236,7 @@ class TestSamplingAndStragglers:
 
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(16)],
+            Fleet(16, StubClient),
             RecordingAttack(),
             straggler_rate=0.5,
             accept_stale=False,
@@ -265,7 +262,7 @@ class TestSamplingAndStragglers:
                 return update
 
         server = Server(
-            Module(), [Weighted(i) for i in range(4)], weight_by_examples=True
+            Module(), Fleet(4, Weighted), weight_by_examples=True
         )
         record = server.run_round()
         # ids 0..3 with weights [1, 3, 1, 3] -> (0 + 3 + 2 + 9) / 8

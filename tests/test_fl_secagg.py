@@ -18,6 +18,7 @@ import pytest
 from repro.fl import (
     DishonestServer,
     FixedPointCodec,
+    Fleet,
     GradientUpdate,
     Server,
     make_aggregator,
@@ -67,7 +68,7 @@ class StubClient:
 
 
 def make_stub_server(num_clients, **kwargs):
-    return Server(Module(), [StubClient(i) for i in range(num_clients)], **kwargs)
+    return Server(Module(), Fleet(num_clients, StubClient), **kwargs)
 
 
 class TestField:
@@ -361,9 +362,12 @@ class TestBonawitzChoreography:
         session = SecAggProtocol(seed=1).begin(list(range(6)), round_index=2)
         assert [a.client_id for a in session.advertisements] == list(range(6))
         assert all(a.round_index == 2 for a in session.advertisements)
-        bundles = session.share_bundles()
-        assert len(bundles) == 36  # n^2: every client shares with everyone
-        assert {b.share_x for b in bundles} == set(range(1, 7))
+        # n^2 shares of each secret: every client shares with everyone,
+        # mailboxes indexed [recipient, sender].
+        assert session._seed_shares.shape == (6, 6)
+        assert session._self_mask_shares.shape == (6, 6)
+        _, responses = session.unmask_messages(list(range(6)))
+        assert {r.share_x for r in responses} == set(range(1, 7))
 
     def test_unmask_responses_never_reveal_both_shares(self):
         # A survivor hands over self-mask shares for survivors and key
@@ -521,9 +525,8 @@ class TestOneShotSpecifics:
 
     def test_encoded_segments_messages(self):
         session = OneShotRecoveryProtocol(seed=1).begin([3, 5, 8], 2, dim=6)
-        received = session.encoded_segments(5)
-        assert [m.sender_id for m in received] == [3, 5, 8]
-        assert all(m.recipient_id == 5 and m.round_index == 2 for m in received)
+        # segments[j, i] = f_i(beta_j): one segment per (recipient, sender).
+        assert session._segments.shape == (3, 3, session.chunk_size)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -591,7 +594,7 @@ class TestServerIntegration:
         attack = PerUpdateAttack()
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(8)],
+            Fleet(8, StubClient),
             attack,
             aggregator=name,
             seed=0,
@@ -618,7 +621,7 @@ class TestServerIntegration:
 
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(8)],
+            Fleet(8, StubClient),
             AggregateAttack(),
             aggregator=name,
             seed=0,

@@ -218,7 +218,7 @@ class TestNoRawWrite:
             np.save(buffer, [1, 2])
         """)
         # Both are flagged statically; the in-memory one is the documented
-        # pragma case (visual.Gallery.save, checkpoint.save_state).
+        # pragma case (visual.Gallery.save).
         assert [v.rule for v in violations] == ["no-raw-write"] * 2
 
     def test_atomic_helpers_clean(self):

@@ -36,7 +36,7 @@ class TestResNet18:
     def test_full_width_parameter_count(self):
         # The canonical CIFAR ResNet-18 has ~11.2M parameters.
         model = resnet18(100, base_width=64, rng=np.random.default_rng(0))
-        count = model.num_parameters()
+        count = sum(param.size for param in model.parameters())
         assert 10_500_000 < count < 11_500_000
 
     def test_block_structure(self):

@@ -31,7 +31,7 @@ from repro.tensor import (
     max_pool2d,
     stack,
 )
-from repro.utils import numerical_gradient
+from gradcheck import numerical_gradient
 
 ATOL = 1e-6
 

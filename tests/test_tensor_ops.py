@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, concatenate, stack
-from repro.utils import numerical_gradient
+from gradcheck import numerical_gradient
 
 ATOL = 1e-6
 

@@ -1,45 +1,25 @@
-"""Utilities: RNG management, numeric helpers, checkpointing."""
+"""Utilities: RNG management and atomic writes; the gradcheck helper."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP
-from repro.tensor import Tensor
 from repro.utils import (
     derive_seed,
     keyed_uniforms,
     keyed_words,
     new_rng,
-    numerical_gradient,
     rng_for,
     seed_sequence_for,
-    spawn_rngs,
 )
-from repro.utils.checkpoint import (
-    atomic_write_bytes,
-    atomic_write_text,
-    load_state,
-    save_state,
-)
+from repro.utils.checkpoint import atomic_write_bytes, atomic_write_text
+from gradcheck import numerical_gradient
 
 
 class TestRng:
     def test_new_rng_seeded(self):
         assert new_rng(5).random() == new_rng(5).random()
-
-    def test_spawn_rngs_independent(self):
-        a, b = spawn_rngs(7, 2)
-        assert a.random() != b.random()
-
-    def test_spawn_rngs_reproducible(self):
-        first = [g.random() for g in spawn_rngs(7, 3)]
-        second = [g.random() for g in spawn_rngs(7, 3)]
-        assert first == second
-
-    def test_spawn_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
 
 
 class TestLabelKeyedSeeding:
@@ -150,31 +130,3 @@ class TestNumericalGradient:
         point = rng.standard_normal((2, 3))
         grad = numerical_gradient(lambda p: float((p ** 3).sum()), point)
         np.testing.assert_allclose(grad, 3 * point ** 2, atol=1e-5)
-
-
-class TestCheckpoint:
-    def test_state_roundtrip(self, tmp_path, rng):
-        state = {"a.weight": rng.standard_normal((3, 4)), "b": np.arange(5.0)}
-        path = save_state(tmp_path / "ckpt", state)
-        assert path.suffix == ".npz"
-        loaded = load_state(path)
-        assert set(loaded) == set(state)
-        for key in state:
-            np.testing.assert_array_equal(loaded[key], state[key])
-
-    def test_model_roundtrip(self, tmp_path, rng):
-        model = MLP([6, 4, 2], rng=np.random.default_rng(0))
-        path = save_state(tmp_path / "model.npz", model.state_dict())
-        other = MLP([6, 4, 2], rng=np.random.default_rng(99))
-        other.load_state_dict(load_state(path))
-        x = Tensor(rng.standard_normal((3, 6)))
-        np.testing.assert_allclose(model(x).numpy(), other(x).numpy())
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = save_state(tmp_path / "deep" / "dir" / "x", {"w": np.ones(2)})
-        assert path.exists()
-
-    def test_loaded_arrays_are_writable(self, tmp_path):
-        path = save_state(tmp_path / "s", {"w": np.ones(2)})
-        loaded = load_state(path)
-        loaded["w"][0] = 5.0  # must not raise
