@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.attacks.base import ActiveReconstructionAttack, ReconstructionResult, clip_to_image
 from repro.attacks.imprint import ImprintedModel, extract_imprint_gradients
+from repro.utils.normal import ndtri
 
 
 class RTFAttack(ActiveReconstructionAttack):
@@ -100,8 +101,6 @@ class RTFAttack(ActiveReconstructionAttack):
 
     def bin_edges(self) -> np.ndarray:
         """The Gaussian quantiles q_1 < ... < q_n staggering the biases."""
-        from scipy.special import ndtri
-
         probabilities = (np.arange(1, self.num_neurons + 1)) / (self.num_neurons + 1)
         return ndtri(probabilities) * self.measurement_std + self.measurement_mean
 

@@ -31,6 +31,7 @@ from repro.attacks.base import (
     clip_to_image,
 )
 from repro.attacks.imprint import ImprintedModel, extract_imprint_gradients
+from repro.utils.normal import ndtri
 
 # Fewer public samples than this and the empirical quantile is noise; the
 # Gaussian moment fallback takes over (matches the original CAH guard).
@@ -73,8 +74,6 @@ def trap_biases(
         return -thresholds
     row_sums = weight.sum(axis=1)
     row_norms = np.linalg.norm(weight, axis=1)
-    from scipy.special import ndtri
-
     z = ndtri(1.0 - activation_probability)
     return -(pixel_mean * row_sums + z * pixel_std * row_norms)
 

@@ -119,6 +119,7 @@ from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
 from repro.registry import parse_spec, split_spec_list
+from repro.utils.blas import limit_blas_threads
 from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
 
@@ -773,8 +774,11 @@ def worker_shared():
     return _WORKER_SHARED
 
 
-def _initialize_worker(shard_dir: Optional[str], shared) -> None:
+def _initialize_worker(shard_dir: Optional[str], shared, workers: int) -> None:
     global _WORKER_SHARD, _WORKER_SHARED
+    # A forked worker inherits the parent's BLAS pool; give each worker
+    # its share of the cores so the pools do not oversubscribe them.
+    limit_blas_threads(max(1, usable_cpu_count() // workers))
     if shard_dir is not None:
         _WORKER_SHARD = SweepStore(Path(shard_dir) / f"shard-{os.getpid()}.json")
     _WORKER_SHARED = shared
@@ -826,14 +830,14 @@ def _execute_task(task: tuple) -> tuple[str, object, float]:
     return key, result, elapsed
 
 
-def _worker_main(task_queue, result_queue, shard_dir, shared) -> None:
+def _worker_main(task_queue, result_queue, shard_dir, shared, workers) -> None:
     """Work-stealing worker loop: pull tasks until the sentinel arrives.
 
     Each finished cell is appended to this worker's shard store *before*
     its result is reported back, so a parent killed mid-run loses nothing
     the workers completed.
     """
-    _initialize_worker(shard_dir, shared)
+    _initialize_worker(shard_dir, shared, workers)
     try:
         while True:
             task = task_queue.get()
@@ -925,6 +929,7 @@ class WorkStealingSweepExecutor:
                     result_queue,
                     str(shard_dir) if shard_dir is not None else None,
                     shared,
+                    workers,
                 ),
                 daemon=True,
             )

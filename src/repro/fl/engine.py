@@ -293,7 +293,6 @@ class RoundEngine:
         compute: Callable[[int], GradientUpdate],
         compute_late: bool = True,
         extra_capacity: int = 0,
-        release_gradients: bool = False,
     ) -> RoundLedger:
         """Run one round's timeline and return the observed ledger.
 
@@ -303,14 +302,14 @@ class RoundEngine:
         ``extra_capacity`` reserves buffer rows for updates the server
         will append afterwards (stale arrivals from a previous round).
 
-        ``release_gradients=True`` drops each on-time update's gradient
-        dict right after its row is packed into the buffer — the server
-        sets it when nothing downstream reads per-update gradients (no
-        ``inspect_updates`` override), so a 10k-arrival round holds one
-        contiguous matrix instead of 10k per-client dicts.  Late updates
-        always keep their gradients: they fold into the next round's
-        buffer as stale arrivals.  Released updates all share the one
-        immutable :data:`~repro.fl.messages.RELEASED_GRADIENTS` mapping.
+        Each on-time update's gradient dict is dropped right after its
+        row is packed into the buffer, so a 10k-arrival round holds one
+        contiguous matrix instead of 10k per-client dicts.  Released
+        updates all share the one immutable
+        :data:`~repro.fl.messages.RELEASED_GRADIENTS` mapping; a server
+        that inspects updates reads their rows instead.  Late updates
+        keep their gradients: they fold into the next round's buffer as
+        stale arrivals.
 
         The ledger's ``buffer`` is the engine's own: it re-arms the
         previous round's matrix whenever this round's rows (one per plan
@@ -338,8 +337,7 @@ class RoundEngine:
                 buffer = self._round_buffer(capacity, flat_spec(update.gradients))
                 add = buffer.add
             add(update.gradients)
-            if release_gradients:
-                update.gradients = RELEASED_GRADIENTS
+            update.gradients = RELEASED_GRADIENTS
             append(update)
         straggler_ids = ids[on_time:]
         late = [compute(cid) for cid in straggler_ids] if compute_late else []

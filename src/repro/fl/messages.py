@@ -31,8 +31,8 @@ class GradientUpdate:
 
     Slotted: a fleet round creates one per arrival, and a slotted
     instance carries no ``__dict__`` for the cyclic collector to walk.
-    Once the engine has packed ``gradients`` into the round buffer it may
-    swap them for :data:`RELEASED_GRADIENTS`.
+    Once the engine has packed ``gradients`` into the round buffer it
+    swaps them for :data:`RELEASED_GRADIENTS`.
     """
 
     client_id: int

@@ -36,12 +36,22 @@ from typing import Optional
 import numpy as np
 
 from repro.attacks.base import ActiveReconstructionAttack, ReconstructionResult
-from repro.fl.aggregators import Aggregator, RoundBuffer, make_aggregator
+from repro.fl.aggregators import (
+    Aggregator,
+    RoundBuffer,
+    make_aggregator,
+    unflatten_vector,
+)
 from repro.fl.arrivals import ArrivalProcess, make_arrivals
 from repro.fl.client import Client
 from repro.fl.engine import CountCutoff, RoundEngine, TimeCutoff, VirtualClock
 from repro.fl.fleet import Fleet
-from repro.fl.messages import GradientUpdate, ModelBroadcast, RoundRecord
+from repro.fl.messages import (
+    RELEASED_GRADIENTS,
+    GradientUpdate,
+    ModelBroadcast,
+    RoundRecord,
+)
 from repro.fl.secagg.base import BelowThresholdError
 from repro.nn.module import Module
 
@@ -150,7 +160,11 @@ class Server:
         )
 
     def inspect_updates(self, updates: list[GradientUpdate]) -> list[dict]:
-        """Hook called with raw client updates; honest servers do nothing."""
+        """Hook called with the round's arrivals; honest servers do nothing.
+
+        Each update's ``gradients`` are read-only views of its row in the
+        round matrix, valid only during the call: copy what must outlive it.
+        """
         return []
 
     def broadcast_to(
@@ -188,16 +202,31 @@ class Server:
             if name in params:
                 params[name].data -= self.learning_rate * gradient
 
-    @property
-    def _retains_update_objects(self) -> bool:
-        """Whether per-update gradient dicts must outlive buffer ingest.
+    def _inspect_rows(
+        self, arrivals: list[GradientUpdate], buffer: Optional[RoundBuffer]
+    ) -> list[dict]:
+        """Run :meth:`inspect_updates` over the arrivals' packed rows.
 
-        Only an overridden :meth:`inspect_updates` ever reads a fresh
-        update's gradients after they are packed into the round buffer;
-        the honest no-op lets the engine release them at ingest so large
-        rounds hold one matrix, not thousands of dicts.
+        The engine releases every update's gradients at ingest, so the
+        round holds one matrix rather than a dict per update.  An
+        overridden hook gets each arrival's ``gradients`` rebound to
+        read-only views of its own row (an in-place write raises instead
+        of corrupting the aggregate); they are released again once the
+        hook returns, so no update still points into the matrix the
+        engine re-arms next round.  The honest no-op builds nothing.
         """
-        return type(self).inspect_updates is not Server.inspect_updates
+        if type(self).inspect_updates is Server.inspect_updates:
+            return []
+        if arrivals:
+            rows = buffer.matrix
+            rows.flags.writeable = False
+            for update, row in zip(arrivals, rows):
+                update.gradients = unflatten_vector(row, buffer.spec)
+        try:
+            return self.inspect_updates(arrivals)
+        finally:
+            for update in arrivals:
+                update.gradients = RELEASED_GRADIENTS
 
     def run_round(self) -> RoundRecord:
         """One full protocol round under the configured scenario.
@@ -248,19 +277,27 @@ class Server:
             compute,
             compute_late=not protocol_mode,
             extra_capacity=len(stale),
-            release_gradients=not self._retains_update_objects,
         )
-        updates = ledger.fresh
         self._stale_updates = ledger.late
+        arrivals = ledger.fresh + stale
+        # Fresh rows were packed at ingest time by the engine; stale
+        # arrivals append after them, reproducing the legacy
+        # fresh-then-stale row order exactly.
+        buffer = ledger.buffer
+        if stale:
+            if buffer is None:
+                buffer = RoundBuffer.for_updates([u.gradients for u in stale])
+            else:
+                for update in stale:
+                    buffer.add(update.gradients)
         # Inspect updates in the round they are *aggregated*: fresh ones
         # now, late ones only if/when they re-enter as stale arrivals —
         # inspecting the late list here would attribute next round's
         # aggregate members to this round's record (and count discarded
         # updates when accept_stale is off).
         attack_events = (
-            [] if protocol_mode else self.inspect_updates(updates + stale)
+            [] if protocol_mode else self._inspect_rows(arrivals, buffer)
         )
-        arrivals = updates + stale
         secagg_meta: dict | None = None
         weights = (
             [u.num_examples for u in arrivals]
@@ -269,15 +306,6 @@ class Server:
         )
         aggregated = None
         if arrivals:
-            # Fresh rows were packed at ingest time by the engine; stale
-            # arrivals append after them, reproducing the legacy
-            # fresh-then-stale row order exactly.
-            buffer = ledger.buffer
-            if buffer is None:
-                buffer = RoundBuffer.for_updates([u.gradients for u in stale])
-            else:
-                for update in stale:
-                    buffer.add(update.gradients)
             try:
                 aggregated = self.aggregator.aggregate(
                     buffer,

@@ -670,9 +670,7 @@ class TestPooledRoundBuffer:
             ScriptedArrivals([RoundPlan([0, 1, 2, 3], [10, 20, 30, 90])]),
             CountCutoff(target=3),
         )
-        ledger = engine.run_round(
-            [0, 1, 2, 3], 0, None, _stub_compute, release_gradients=True
-        )
+        ledger = engine.run_round([0, 1, 2, 3], 0, None, _stub_compute)
         assert len(ledger.fresh) == 3
         for update in ledger.fresh:
             assert update.gradients is RELEASED_GRADIENTS

@@ -24,6 +24,7 @@ from repro.fl import (
     Server,
     partition_dataset,
 )
+from repro.fl.messages import RELEASED_GRADIENTS
 from repro.metrics import per_image_best_psnr
 from repro.nn import (
     MLP,
@@ -310,6 +311,84 @@ class TestDishonestServer:
         assert set(server.reconstructions) == {(0, 1)}
 
 
+class _InspectionLog(DishonestServer):
+    """Keeps every list of updates handed to ``inspect_updates``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.inspected: list[list] = []
+
+    def inspect_updates(self, updates):
+        self.inspected.append(list(updates))
+        return super().inspect_updates(updates)
+
+
+class _WritingRTF(RTFAttack):
+    """Scales the gradients it is given in place before inverting them."""
+
+    def reconstruct(self, gradients):
+        for gradient in gradients.values():
+            gradient *= 2.0
+        return super().reconstruct(gradients)
+
+
+class TestDishonestGradientRelease:
+    """A dishonest server reads packed rows, never keeps per-update dicts."""
+
+    NUM_NEURONS = 32
+
+    def _server(self, fl_dataset, attack_class=RTFAttack):
+        def factory():
+            return ImprintedModel(fl_dataset.image_shape, self.NUM_NEURONS,
+                                  fl_dataset.num_classes,
+                                  rng=np.random.default_rng(5))
+        clients = [
+            Client(i, fl_dataset, factory(), CrossEntropyLoss(), batch_size=3,
+                   seed=11)
+            for i in range(4)
+        ]
+        attack = attack_class(self.NUM_NEURONS)
+        attack.calibrate_from_public_data(fl_dataset.images)
+        return _InspectionLog(
+            factory(), Fleet(len(clients), clients.__getitem__), attack=attack,
+            dropout_rate=0.3, straggler_rate=0.3, accept_stale=True, seed=9,
+        )
+
+    def test_two_rounds_with_stale_arrivals(self, fl_dataset):
+        server = self._server(fl_dataset)
+        first = server.run_round()
+        pooled = server.engine._buffer
+        snapshot = {
+            key: (result.images.copy(), result.occupancy.copy())
+            for key, result in server.reconstructions.items()
+        }
+        second = server.run_round()
+        # Round 0 leaves a straggler that round 1 folds in as a stale row
+        # after its fresh ones, in the re-armed round-0 matrix.
+        assert first.participant_ids and first.straggler_ids
+        assert second.stale_ids and len(second.participant_ids) > len(second.stale_ids)
+        assert server.engine._buffer is pooled
+        assert [len(updates) for updates in server.inspected] == [
+            len(first.participant_ids), len(second.participant_ids),
+        ]
+        for updates in server.inspected:
+            for update in updates:
+                assert update.gradients is RELEASED_GRADIENTS
+        assert snapshot and all(key[0] == 0 for key in snapshot)
+        for key, (images, occupancy) in snapshot.items():
+            np.testing.assert_array_equal(server.reconstructions[key].images, images)
+            np.testing.assert_array_equal(
+                server.reconstructions[key].occupancy, occupancy
+            )
+
+    def test_inspection_cannot_write_the_round_matrix(self, fl_dataset):
+        server = self._server(fl_dataset, _WritingRTF)
+        with pytest.raises(ValueError, match="read-only"):
+            server.run_round()
+        for update in server.inspected[0]:
+            assert update.gradients is RELEASED_GRADIENTS
+
+
 class TestFederatedSimulation:
     def test_runs_and_evaluates(self, fl_dataset):
         sim = FederatedSimulation(
@@ -346,8 +425,8 @@ class TestFederatedSimulation:
 
 
 def test_importing_the_fl_package_loads_no_scipy():
-    # scipy is imported at first use (Gaussian quantiles, SSIM), so a
-    # federation that never crafts a trap or scores SSIM never pays for it.
+    # The library imports scipy only for unique PSNR matching, at first
+    # use, so a federation never pays for it.
     src = Path(__file__).resolve().parents[1] / "src"
     completed = subprocess.run(
         [

@@ -287,6 +287,35 @@ def _exit_worker_hard(payload):
     os._exit(13)
 
 
+def _worker_blas_threads(payload):
+    """The thread count of the bundled OpenBLAS in the calling process."""
+    import ctypes
+
+    from repro.utils import blas
+
+    for path in blas._bundled_libraries():
+        getter = getattr(
+            ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None
+        )
+        if getter is not None:
+            return getter()
+    return None
+
+
+class TestWorkerBlasCap:
+    def test_each_worker_gets_its_share_of_the_cores(self, tmp_path, monkeypatch):
+        # Forked workers inherit the parent's BLAS pool; the initializer
+        # caps each at usable cores // workers.
+        if _worker_blas_threads(None) is None:
+            pytest.skip("numpy bundles no 64-bit scipy-openblas here")
+        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 6)
+        executions = WorkStealingSweepExecutor(2, start_method="fork").run(
+            [(key, _worker_blas_threads, None) for key in ("a", "b", "c")],
+            SweepStore(tmp_path / "s.json"),
+        )
+        assert {execution.result for execution in executions.values()} == {3}
+
+
 class TestFailureIsolation:
     def test_dead_worker_raises_broken_pool_instead_of_hanging(self, tmp_path):
         # Exceptions become structured failures, but a worker that dies

@@ -1,6 +1,11 @@
-"""Utilities: RNG management and atomic writes; the gradcheck helper."""
+"""Utilities: RNG management, atomic writes, the BLAS thread cap; the
+gradcheck helper."""
 
 from __future__ import annotations
+
+import ctypes
+import ctypes.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ from repro.utils import (
     rng_for,
     seed_sequence_for,
 )
+from repro.utils import blas
+from repro.utils.blas import limit_blas_threads
 from repro.utils.checkpoint import atomic_write_bytes, atomic_write_text
 from gradcheck import numerical_gradient
 
@@ -84,6 +91,40 @@ class TestKeyedDraws:
         # Each decile holds a tenth of the draws, within sampling noise.
         counts = np.histogram(draws, bins=10, range=(0.0, 1.0))[0]
         assert np.abs(counts / draws.size - 0.1).max() < 0.01
+
+
+class TestBlasThreadCap:
+    def test_caps_the_bundled_openblas(self):
+        getters = [
+            getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+            for path in blas._bundled_libraries()
+        ]
+        getter = next((g for g in getters if g is not None), None)
+        if getter is None:
+            pytest.skip("numpy bundles no 64-bit scipy-openblas here")
+        before = getter()
+        try:
+            assert limit_blas_threads(1) is None
+            assert getter() == 1
+        finally:
+            limit_blas_threads(before)
+        assert getter() == before
+
+    def test_without_a_bundled_openblas_it_says_why(self, monkeypatch):
+        monkeypatch.setattr(blas, "_bundled_libraries", lambda: [])
+        assert "no OpenBLAS" in limit_blas_threads(1)
+
+    def test_without_a_known_setter_it_says_why(self, monkeypatch):
+        libm = ctypes.util.find_library("m")
+        if libm is None:
+            pytest.skip("no libm to stand in for a BLAS without a setter")
+        monkeypatch.setattr(blas, "_bundled_libraries", lambda: [Path(libm)])
+        reason = limit_blas_threads(1)
+        assert reason.startswith("none of scipy_openblas_set_num_threads64_")
+
+    def test_rejects_fewer_than_one_thread(self):
+        with pytest.raises(ValueError, match="threads"):
+            limit_blas_threads(0)
 
 
 class TestAtomicWrite:
