@@ -15,25 +15,25 @@ module provides that engine:
   reconstructions with the vectorized pairwise-PSNR matcher.
 - :class:`SweepStore` is a resumable result store built for million-cell
   grids: an append-only record log where each finished cell costs O(1)
-  bytes to persist (the former monolithic-JSON store rewrote the whole
-  file per cell — O(N^2) bytes over a run) and only a ``key -> offset``
-  index stays in memory; values are read back lazily and
-  :meth:`SweepStore.iter_cells` streams the grid without materializing
-  it.  Completed runs compact the log into canonical sorted-key order.
-  The per-figure harnesses (``attack_sweep``,
-  ``defense_eval``) share the same store for their own grids.
+  bytes to persist and only a ``key -> offset`` index stays in memory;
+  values are read back lazily and :meth:`SweepStore.iter_cells` streams
+  the grid without materializing it.  Completed runs compact the log
+  into canonical sorted-key order.
+  The per-figure harnesses (``attack_sweep``, ``defense_eval``) share the
+  same store for their own grids.
 - :func:`run_tasks` is the one resumable driver every grid (the runner's
   and the harnesses') goes through: recover shards, serve cached keys,
   execute the rest.
 - :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
-  *how* the pending cells run: in-process, or pulled by worker processes
-  from a shared task queue — a worker takes its next cell the moment it
-  finishes the last, so wildly uneven cell costs (trap attacks vs linear
-  cells) never leave workers idle.  Each worker persists finished cells
-  to a per-worker **shard** store (``<store>.shards/shard-<pid>.json``)
-  merged into the main store on completion.  A run killed mid-sweep
-  leaves its shards behind; the next run (serial or parallel) recovers
-  them via :meth:`SweepStore.recover_shards` before computing anything,
+  *how* the pending cells run: in-process, or on a stdlib
+  :class:`~concurrent.futures.ProcessPoolExecutor` with one future per
+  cell — an idle worker takes the next cell the moment it finishes the
+  last, so wildly uneven cell costs (trap attacks vs linear cells) never
+  leave workers idle.  Each worker persists finished cells to a
+  per-worker **shard** store (``<store>.shards/shard-<pid>.json``) merged
+  into the main store on completion.  A run killed mid-sweep leaves its
+  shards behind; the next run (serial or parallel) recovers them via
+  :meth:`SweepStore.recover_shards` before computing anything,
   quarantining any corrupt shard instead of abandoning the good ones.
   :func:`make_executor` adapts the worker count to the usable cores
   instead of oversubscribing, degrading to serial on 1-core hosts.
@@ -94,12 +94,11 @@ import hashlib
 import json
 import multiprocessing
 import os
-import queue as queue_module
 import sys
 import time
 import traceback
 import warnings
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -344,9 +343,8 @@ class SweepStore:
     """Resumable append-only log store of finished cells.
 
     Built for million-cell grids: a :meth:`put` *appends* one record line
-    to the backing log — O(1) bytes per cell, instead of the former
-    monolithic-JSON store's full-file rewrite (O(N^2) bytes over a run) —
-    and only the ``key -> byte offset`` index lives in memory; cell values
+    to the backing log — O(1) bytes per cell — and only the
+    ``key -> byte offset`` index lives in memory; cell values
     stay on disk and are parsed on demand (:meth:`get`,
     :meth:`iter_cells`), so holding a 10^6-cell store open costs the index,
     not the grid.
@@ -712,6 +710,11 @@ def is_failure(result) -> bool:
     return isinstance(result, dict) and "error" in result
 
 
+def _measured(result: dict) -> bool:
+    """True for a cell result at least one client update went into."""
+    return not is_failure(result) and result.get("updates") != 0
+
+
 def _structured_error(error: BaseException) -> dict:
     """A JSON-able record of a task failure (kept out of the store)."""
     return {
@@ -764,6 +767,8 @@ def _notify(
 _WORKER_SHARD: Optional[SweepStore] = None
 _WORKER_SHARED: object = None
 
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
 
 def worker_shared():
     """The run-wide shared object passed to ``executor.run(..., shared=)``.
@@ -774,13 +779,13 @@ def worker_shared():
     return _WORKER_SHARED
 
 
-def _initialize_worker(shard_dir: Optional[str], shared, workers: int) -> None:
+def _initialize_worker(shard_dir: Optional[Path], shared, workers: int) -> None:
     global _WORKER_SHARD, _WORKER_SHARED
     # A forked worker inherits the parent's BLAS pool; give each worker
     # its share of the cores so the pools do not oversubscribe them.
     limit_blas_threads(max(1, usable_cpu_count() // workers))
     if shard_dir is not None:
-        _WORKER_SHARD = SweepStore(Path(shard_dir) / f"shard-{os.getpid()}.json")
+        _WORKER_SHARD = SweepStore(shard_dir / f"shard-{os.getpid()}.json")
     _WORKER_SHARED = shared
 
 
@@ -830,75 +835,36 @@ def _execute_task(task: tuple) -> tuple[str, object, float]:
     return key, result, elapsed
 
 
-def _worker_main(task_queue, result_queue, shard_dir, shared, workers) -> None:
-    """Work-stealing worker loop: pull tasks until the sentinel arrives.
-
-    Each finished cell is appended to this worker's shard store *before*
-    its result is reported back, so a parent killed mid-run loses nothing
-    the workers completed.
-    """
-    _initialize_worker(shard_dir, shared, workers)
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            result_queue.put(_execute_task(task))
-    finally:
-        if _WORKER_SHARD is not None:
-            _WORKER_SHARD.close()
-
-
 class WorkStealingSweepExecutor:
-    """Fan tasks out to worker processes that pull from a shared queue.
+    """Fan tasks out over a stdlib process pool, one future per task.
 
-    The former executor handed a process pool one future per cell; this
-    one makes the pull explicit and lock-free for the caller: every worker
-    draws its next cell from one shared queue the moment it finishes the
+    An idle worker takes the next pending cell the moment it finishes the
     last, so uneven cell costs (a trap-attack cell can cost many times a
-    linear one) never leave a worker idle while another drags a long
-    chunk — the degenerate, always-correct form of work stealing where
-    the global queue is every thief's victim.
+    linear one) never leave a worker idle while another drags a chunk.
 
-    Persistence is sharded: each worker appends finished cells to its own
-    log-backed shard store (``<store>.shards/shard-<pid>.json``), so no
-    two processes write one file and a killed run's completed cells
-    survive for :meth:`SweepStore.recover_shards`.  On completion the
-    parent merges all results into the main store, absorbs shards, and
-    compacts — producing bytes identical to a serial run, because every
-    cell's randomness is keyed by its configuration fingerprint, never by
-    which worker ran it or in what order.
+    Each worker appends finished cells to its own shard store
+    (``<store>.shards/shard-<pid>.json``) before returning them, so no two
+    processes write one file and a killed run's cells survive for
+    :meth:`SweepStore.recover_shards`.  On completion the parent merges
+    the results, absorbs the shards and compacts: the bytes equal a serial
+    run's, because every cell's randomness is keyed by its configuration
+    fingerprint, never by which worker ran it or when.
 
-    Task exceptions become structured failure results; a worker that dies
-    *without* raising (OOM-kill, segfault) surfaces as
-    :class:`concurrent.futures.process.BrokenProcessPool` once the
-    remaining workers drain the queue, and the dead run's shards remain
-    for the next run to recover.
+    Task exceptions become structured failure results.  A worker that
+    dies *without* raising (OOM-kill, segfault) breaks the pool:
+    :meth:`run` raises :class:`concurrent.futures.process.BrokenProcessPool`
+    and the shards stay for the next run.  Workers fork on Linux (cheap,
+    they inherit the loaded numpy) and use the platform's default start
+    method elsewhere (forking after BLAS init is unsafe on macOS).
 
-    Parameters
-    ----------
-    workers:
-        Worker-process count; capped at the number of pending tasks.
-        Construct directly to force a count; :func:`make_executor` caps
-        requests at the usable cores instead of oversubscribing.
-    start_method:
-        ``multiprocessing`` start method; default is ``fork`` on Linux
-        (cheap, inherits loaded numpy) and the platform default elsewhere
-        (forking after BLAS/framework init is unsafe on macOS).
+    ``workers`` is the process count, capped at the number of pending
+    tasks; :func:`make_executor` also caps it at the usable cores.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = start_method
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        if sys.platform == "linux":
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def run(
         self,
@@ -910,74 +876,25 @@ class WorkStealingSweepExecutor:
         if not tasks:
             store.compact()  # resumed byte-identity even with nothing to do
             return {}
-        shard_dir = store.shard_directory()
-        if shard_dir is not None:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-        context = self._context()
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        for task in tasks:
-            task_queue.put(task)
+        shard_dir = store.shard_directory()  # each worker's shard creates it
         workers = min(self.workers, len(tasks))
-        for _ in range(workers):
-            task_queue.put(None)  # one shutdown sentinel per worker
-        processes = [
-            context.Process(
-                target=_worker_main,
-                args=(
-                    task_queue,
-                    result_queue,
-                    str(shard_dir) if shard_dir is not None else None,
-                    shared,
-                    workers,
-                ),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(_START_METHOD),
+            initializer=_initialize_worker,
+            initargs=(shard_dir, shared, workers),
+        )
         executions: dict[str, CellExecution] = {}
-
-        def absorb(item) -> None:
-            key, result, elapsed = item
-            executions[key] = CellExecution(result, elapsed)
-            _notify(progress, key, result, elapsed, len(executions), len(tasks))
-
         try:
-            for process in processes:
-                process.start()
-            while len(executions) < len(tasks):
-                try:
-                    absorb(result_queue.get(timeout=0.1))
-                except queue_module.Empty:
-                    if any(process.is_alive() for process in processes):
-                        continue
-                    # Every worker exited; drain what they flushed before
-                    # deciding whether someone died holding a task.
-                    while len(executions) < len(tasks):
-                        try:
-                            absorb(result_queue.get(timeout=0.2))
-                        except queue_module.Empty:
-                            break
-                    if len(executions) < len(tasks):
-                        raise BrokenProcessPool(
-                            f"{len(tasks) - len(executions)} sweep task(s) "
-                            "never returned: a worker died without raising "
-                            "(OOM-kill or segfault); cells it finished "
-                            "survive in its shard for the next run to "
-                            "recover"
-                        )
+            futures = [pool.submit(_execute_task, task) for task in tasks]
+            for future in as_completed(futures):
+                key, result, elapsed = future.result()
+                executions[key] = CellExecution(result, elapsed)
+                _notify(progress, key, result, elapsed, len(executions), len(tasks))
         finally:
-            # Unread tasks (broken-pool or interrupt path) must not block
-            # the parent on the queue's feeder thread.
-            task_queue.cancel_join_thread()
-            for process in processes:
-                process.join(timeout=5.0)
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            task_queue.close()
-            result_queue.close()
+            # On a broken pool or an interrupt, drop the cells no worker
+            # has started instead of running the rest of the grid.
+            pool.shutdown(cancel_futures=True)
         store.update(
             {
                 key: execution.result
@@ -994,7 +911,6 @@ class WorkStealingSweepExecutor:
         return executions
 
 
-
 def usable_cpu_count() -> int:
     """Cores this process may actually run on (affinity-aware)."""
     if hasattr(os, "sched_getaffinity"):
@@ -1005,9 +921,7 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def make_executor(
-    workers: "int | None" = 1, start_method: Optional[str] = None
-):
+def make_executor(workers: "int | str | None" = 1):
     """Build the right executor for ``workers``, never oversubscribing.
 
     ``None`` (or ``"auto"``) asks for every usable core.  A request
@@ -1015,9 +929,9 @@ def make_executor(
     onto a 1-core host once *recorded a 0.29x "speedup"* in
     BENCH_sweep_parallel — and a request that lands at one worker
     degrades to the :class:`SerialSweepExecutor`, which beats a
-    single-worker process pool by construction.  Construct
-    :class:`WorkStealingSweepExecutor` directly to force a worker count
-    (tests do, to exercise multi-process paths on small hosts).
+    single-worker process pool by construction; more workers get a
+    :class:`WorkStealingSweepExecutor`.  Construct that directly to force a
+    worker count (tests do, to exercise multi-process paths on small hosts).
     """
     cap = usable_cpu_count()
     if workers is None or workers == "auto":
@@ -1034,7 +948,7 @@ def make_executor(
         workers = cap
     if workers <= 1:
         return SerialSweepExecutor()
-    return WorkStealingSweepExecutor(workers, start_method=start_method)
+    return WorkStealingSweepExecutor(workers)
 
 
 def run_tasks(
@@ -1094,8 +1008,9 @@ class SweepOutcome:
         """The headline metric of one cell.
 
         Raises :class:`KeyError` for a cell the outcome does not contain
-        and :class:`ValueError` for a cell that failed — both name the
-        cell, so a typo'd lookup never reads like a real number.
+        and :class:`ValueError` for a cell that failed or that no update
+        reached — all name the cell, so neither a typo'd lookup nor an
+        empty federation reads like a real number.
         """
         key = SweepCell(attack, defense, scenario).key
         if key not in self.results:
@@ -1108,23 +1023,23 @@ class SweepOutcome:
                 f"cell {key!r} failed ({result['error']['type']}: "
                 f"{result['error']['message']}); it has no mean_psnr"
             )
+        if not _measured(result):
+            raise ValueError(
+                f"no client update reached the server in cell {key!r}; "
+                "it has no mean_psnr"
+            )
         return float(result["mean_psnr"])
 
     def to_table(self) -> str:
         """Render the grid: one row per (attack, scenario), suites as columns.
 
         Failed cells render as ``ERR`` so a partially-broken sweep is
-        visible at a glance instead of hiding behind a dash.
+        visible at a glance instead of hiding behind a dash; cells no
+        update reached render as ``n/a``.
         """
-        defenses: list[str] = []
-        for result in self.results.values():
-            if result["defense"] not in defenses:
-                defenses.append(result["defense"])
-        pairs = []
-        for result in self.results.values():
-            pair = (result["attack"], result["scenario"])
-            if pair not in pairs:
-                pairs.append(pair)
+        results = self.results.values()
+        defenses = list(dict.fromkeys(r["defense"] for r in results))
+        pairs = list(dict.fromkeys((r["attack"], r["scenario"]) for r in results))
         rows = []
         for attack, scenario in pairs:
             row = [f"{attack}/{scenario}"]
@@ -1134,6 +1049,8 @@ class SweepOutcome:
                     row.append("-")
                 elif is_failure(cell):
                     row.append("ERR")
+                elif not _measured(cell):
+                    row.append("n/a")
                 else:
                     row.append(f"{cell['mean_psnr']:.1f}")
             rows.append(row)
@@ -1228,10 +1145,7 @@ class SweepRunner:
         self.public_size = public_size
         self.seed = seed
         self._dataset_fingerprint = dataset_fingerprint(dataset)
-        if isinstance(store, SweepStore):
-            self.store = store
-        else:
-            self.store = SweepStore(store)
+        self.store = store if isinstance(store, SweepStore) else SweepStore(store)
 
     def spec(self) -> dict:
         """Constructor arguments (minus the store) for worker-side rebuilds.
@@ -1368,8 +1282,10 @@ class SweepRunner:
         fleet = server.fleet
         psnrs: list[float] = []
         num_reconstructions = 0
+        updates = 0
         for _ in range(self.rounds):
             record = server.run_round()
+            updates += len(record.participant_ids)
             for client_id, result in server.round_reconstructions(
                 record.round_index
             ):
@@ -1383,7 +1299,7 @@ class SweepRunner:
                         originals, result.images
                     )
                 )
-        return {
+        result = {
             "attack": cell.attack,
             "defense": cell.defense,
             "scenario": cell.scenario,
@@ -1393,6 +1309,12 @@ class SweepRunner:
             "num_scored": len(psnrs),
             "rounds": self.rounds,
         }
+        if updates == 0:
+            # No update reached the server, so the cell measured nothing:
+            # its 0.0 PSNR is no defense's win.  Elided otherwise, so every
+            # measured record keeps its bytes.
+            result["updates"] = 0
+        return result
 
     def run(
         self,
@@ -1438,8 +1360,8 @@ def headline_ordering_holds(
     """Paper Fig. 5 shape: no-defense PSNR beats the defended cell everywhere.
 
     Checks every scenario present for ``attack``; vacuously False when the
-    outcome contains no such pair.  Failed cells carry no PSNR and are
-    skipped, like absent cells.
+    outcome contains no such pair.  Failed cells, and cells no update
+    reached, carry no PSNR and are skipped, like absent cells.
     """
     scenarios = {
         result["scenario"]
@@ -1454,7 +1376,7 @@ def headline_ordering_holds(
         )
         if baseline is None or defended_cell is None:
             continue
-        if is_failure(baseline) or is_failure(defended_cell):
+        if not (_measured(baseline) and _measured(defended_cell)):
             continue
         checked = True
         if baseline["mean_psnr"] <= defended_cell["mean_psnr"]:
@@ -1670,13 +1592,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.workers == "auto":
-        requested_workers: "int | None" = None
-    else:
-        try:
-            requested_workers = int(args.workers)
-        except ValueError:
-            parser.error("--workers must be an integer or 'auto'")
+    try:
+        executor = make_executor(args.workers)
+    except ValueError:
+        parser.error("--workers must be an integer or 'auto'")
 
     attacks = _spec_axis(parser, "--attacks", "attack", args.attacks)
     defenses = _spec_axis(parser, "--defenses", "defense", args.defenses)
@@ -1704,19 +1623,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def report(event: CellEvent) -> None:
         if event.status == "cached":
-            print(f"[store {event.completed}/{event.total}] {event.key} cached")
+            stage, detail = "store", "cached"
         elif event.status == "failed":
-            print(
-                f"[run {event.completed}/{event.total}] {event.key} FAILED "
-                f"({event.error['type']}: {event.error['message']})"
-            )
+            stage = "run"
+            detail = f"FAILED ({event.error['type']}: {event.error['message']})"
         else:
-            print(
-                f"[run {event.completed}/{event.total}] {event.key} "
-                f"done in {event.elapsed_s:.2f}s"
-            )
+            stage, detail = "run", f"done in {event.elapsed_s:.2f}s"
+        print(f"[{stage} {event.completed}/{event.total}] {event.key} {detail}")
 
-    outcome = runner.run(make_executor(requested_workers), progress=report)
+    outcome = runner.run(executor, progress=report)
     print()
     print(outcome.to_table())
     print(

@@ -451,19 +451,17 @@ AGGREGATORS.register(
 )
 
 
-def make_aggregator(spec: "str | type[Aggregator] | Aggregator" = "fedavg", **kwargs) -> Aggregator:
-    """Resolve an aggregator from a registered name, class, or instance.
+def make_aggregator(spec: "str | Aggregator" = "fedavg", **kwargs) -> Aggregator:
+    """Resolve an aggregator from a registry spec or an instance.
 
     Accepts an :class:`Aggregator` instance (returned as-is; ``kwargs``
-    must be empty), an ``Aggregator`` subclass, or a name in
-    :data:`AGGREGATORS`: ``fedavg``, ``median``, ``trimmed_mean``,
-    ``masked_sum``, and the protocol rules ``secagg`` and
-    ``secagg_oneshot``.
+    must be empty) or a spec over :data:`AGGREGATORS` — ``fedavg``,
+    ``median``, ``trimmed_mean``, ``masked_sum``, and the protocol rules
+    ``secagg`` and ``secagg_oneshot`` — whose knobs may ride in the spec
+    itself, e.g. ``"secagg(threshold=8)"``.
     """
     if isinstance(spec, Aggregator):
         if kwargs:
             raise ValueError("cannot pass kwargs with an aggregator instance")
         return spec
-    if isinstance(spec, type) and issubclass(spec, Aggregator):
-        return spec(**kwargs)
     return AGGREGATORS.build(spec, kwargs)

@@ -356,7 +356,6 @@ def make_arrivals(
     dropout_rate: float = 0.0,
     straggler_rate: float = 0.0,
     seed: int = 0,
-    **options,
 ) -> ArrivalProcess:
     """Resolve an arrival process from a name, instance, or ``None``.
 
@@ -364,19 +363,19 @@ def make_arrivals(
     driven by the rate knobs.  The trace-driven processes refuse nonzero
     dropout/straggler rates: under them those phenomena are emergent
     timing outcomes, and silently layering coin flips on top would make
-    the scenario lie about its own semantics.  A process instance is
-    already configured, so it refuses the rate knobs and options alike.
+    the scenario lie about its own semantics.  Knobs ride in the spec
+    (``"uniform(low_s=0.2, high_s=0.5)"``); a process instance is already
+    configured, so it refuses the rate knobs.
     """
     if isinstance(spec, ArrivalProcess):
-        if options or dropout_rate or straggler_rate:
+        if dropout_rate or straggler_rate:
             raise ValueError(
-                "cannot pass options or nonzero rate knobs with a process "
-                "instance; configure the instance itself"
+                "cannot pass nonzero rate knobs with a process instance; "
+                "configure the instance itself"
             )
         return spec
     process = ARRIVALS.build(
         "instant" if spec is None else spec,
-        options,
         dropout_rate=dropout_rate,
         straggler_rate=straggler_rate,
         seed=seed,

@@ -158,15 +158,12 @@ class TimeCutoff:
 
 
 def make_cutoff(
-    round_duration_s: Optional[float] = None,
-    count_target: Optional[int] = None,
-    min_arrivals: int = 0,
+    round_duration_s: Optional[float] = None, min_arrivals: int = 0
 ) -> "CountCutoff | TimeCutoff":
     """Resolve the configured cutoff policy.
 
     A positive ``round_duration_s`` selects a :class:`TimeCutoff`;
-    otherwise a :class:`CountCutoff` (with ``count_target``, or the
-    legacy wait-for-everyone degenerate case when that is ``None``).
+    otherwise the legacy wait-for-everyone :class:`CountCutoff`.
     ``min_arrivals`` is the time cutoff's grace floor, so a nonzero one
     without a positive ``round_duration_s`` raises :class:`ValueError`.
     """
@@ -174,7 +171,7 @@ def make_cutoff(
         return TimeCutoff(ticks(round_duration_s), min_arrivals=min_arrivals)
     if min_arrivals:
         raise ValueError("min_arrivals needs a positive round_duration_s")
-    return CountCutoff(target=count_target)
+    return CountCutoff()
 
 
 # --------------------------------------------------------------------------

@@ -70,9 +70,10 @@ class Server:
       survivor misses the deadline with ``straggler_rate``.  Late updates
       are dropped unless ``accept_stale=True``, in which case they fold
       into the *next* round's aggregate.
-    - ``arrivals`` / ``arrival_options``: a named arrival process
-      (``"instant"``, ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``)
-      or an :class:`~repro.fl.arrivals.ArrivalProcess` instance.  Under
+    - ``arrivals``: an arrival-process spec (``"instant"``,
+      ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``, with knobs in the
+      spec, e.g. ``"uniform(low_s=0.2)"``) or an
+      :class:`~repro.fl.arrivals.ArrivalProcess` instance.  Under
       trace-driven processes the rate knobs must stay zero — lateness
       and failure come from the timing traces — and so must they with an
       instance, which carries its own configuration.
@@ -80,7 +81,7 @@ class Server:
       :class:`~repro.fl.engine.TimeCutoff`; ``None`` is the legacy
       wait-for-everyone count cutoff.
     - ``aggregator``: an :class:`~repro.fl.aggregators.Aggregator`
-      instance, subclass, or registry name (``"fedavg"``, ``"median"``,
+      instance or registry spec (``"fedavg"``, ``"median"``,
       ``"trimmed_mean"``, ``"masked_sum"``, and the secure-aggregation
       protocol rules ``"secagg"`` / ``"secagg_oneshot"``, which run
       commit-then-drop rounds — see :mod:`repro.fl.secagg`).
@@ -100,14 +101,13 @@ class Server:
         fleet: Fleet,
         learning_rate: float = 0.1,
         clients_per_round: Optional[int] = None,
-        aggregator: "str | type[Aggregator] | Aggregator" = "fedavg",
+        aggregator: "str | Aggregator" = "fedavg",
         dropout_rate: float = 0.0,
         straggler_rate: float = 0.0,
         accept_stale: bool = False,
         weight_by_examples: bool = False,
         seed: int = 0,
         arrivals: "str | ArrivalProcess | None" = None,
-        arrival_options: Optional[dict] = None,
         cutoff: "CountCutoff | TimeCutoff | None" = None,
     ) -> None:
         if not isinstance(fleet, Fleet):
@@ -141,7 +141,6 @@ class Server:
             dropout_rate=dropout_rate,
             straggler_rate=straggler_rate,
             seed=seed,
-            **(arrival_options or {}),
         )
         self.cutoff = cutoff if cutoff is not None else CountCutoff()
         self.engine = RoundEngine(self.clock, self.arrivals, self.cutoff)

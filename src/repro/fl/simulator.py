@@ -22,6 +22,7 @@ import numpy as np
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense
 from repro.fl.aggregators import Aggregator, make_aggregator
+from repro.fl.arrivals import ArrivalProcess
 from repro.fl.client import Client
 from repro.fl.engine import CountCutoff, TimeCutoff, make_cutoff
 from repro.fl.fleet import Fleet
@@ -186,22 +187,18 @@ class FederationConfig:
     (``partition``: ``"iid"`` or ``"dirichlet"`` with ``dirichlet_alpha``
     label skew), the participation scenario (``clients_per_round``
     sampling, ``dropout_rate``, ``straggler_rate``, ``accept_stale``), and
-    the server-side ``aggregator`` (registry name, class, or instance —
-    see :func:`repro.fl.aggregators.make_aggregator`).
-
-    ``aggregator_options`` are constructor keywords forwarded when the
-    aggregator is given as a name or class — e.g.
-    ``aggregator="secagg", aggregator_options={"threshold": 8}`` pins a
-    SecAgg reconstruction threshold instead of the default strict
-    majority.  They are rejected for instances (the instance is already
-    configured).
+    the server-side ``aggregator`` (registry spec or instance — see
+    :func:`repro.fl.aggregators.make_aggregator`).  Knobs ride in the
+    spec: ``aggregator="secagg(threshold=8)"`` pins a SecAgg
+    reconstruction threshold instead of the default strict majority.
 
     Event-engine knobs (all default to the legacy-compatible behaviour):
 
-    - ``arrivals`` / ``arrival_options``: a named arrival process
-      (``"instant"``, ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``)
-      with its constructor options; ``None`` is the rate-driven compat
-      process.
+    - ``arrivals``: an arrival-process spec (``"instant"``,
+      ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``, knobs in the
+      spec) or an :class:`~repro.fl.arrivals.ArrivalProcess` instance for
+      knobs a spec cannot spell (custom ``HardwareTier`` tuples); ``None``
+      is the rate-driven compat process.
     - ``round_duration_s`` / ``min_arrivals``: a positive duration closes
       each round on a :class:`~repro.fl.engine.TimeCutoff` after that
       many simulated seconds (with an optional grace floor); zero keeps
@@ -223,11 +220,9 @@ class FederationConfig:
     dropout_rate: float = 0.0
     straggler_rate: float = 0.0
     accept_stale: bool = False
-    aggregator: "str | type[Aggregator] | Aggregator" = "fedavg"
-    aggregator_options: Optional[dict] = None
+    aggregator: "str | Aggregator" = "fedavg"
     weight_by_examples: bool = False
-    arrivals: Optional[str] = None
-    arrival_options: Optional[dict] = None
+    arrivals: "str | ArrivalProcess | None" = None
     round_duration_s: float = 0.0
     min_arrivals: int = 0
     fleet_size: int = 0
@@ -235,7 +230,7 @@ class FederationConfig:
 
     def make_aggregator(self) -> Aggregator:
         """Resolve the configured aggregation rule to an instance."""
-        return make_aggregator(self.aggregator, **(self.aggregator_options or {}))
+        return make_aggregator(self.aggregator)
 
     def make_cutoff(self) -> "CountCutoff | TimeCutoff":
         """Resolve the configured round-close policy."""
@@ -354,7 +349,6 @@ class FederatedSimulation:
             weight_by_examples=config.weight_by_examples,
             seed=config.seed,
             arrivals=config.arrivals,
-            arrival_options=config.arrival_options,
             cutoff=config.make_cutoff(),
         )
         if attack is None:

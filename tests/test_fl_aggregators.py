@@ -240,9 +240,10 @@ class TestRegistry:
     def test_resolves_names(self, name):
         assert make_aggregator(name).name in (name, "fedavg", "median")
 
-    def test_accepts_class_and_instance(self):
-        assert isinstance(make_aggregator(TrimmedMeanAggregator, trim_ratio=0.2),
-                          TrimmedMeanAggregator)
+    def test_accepts_knobbed_spec_and_instance(self):
+        trimmed = make_aggregator("trimmed_mean(trim_ratio=0.2)")
+        assert isinstance(trimmed, TrimmedMeanAggregator)
+        assert trimmed.trim_ratio == 0.2
         instance = FedAvgAggregator()
         assert make_aggregator(instance) is instance
 

@@ -340,7 +340,6 @@ class TestRoundTimeline:
 class TestCutoffs:
     def test_make_cutoff_resolves_policies(self):
         assert make_cutoff() == CountCutoff()
-        assert make_cutoff(count_target=3) == CountCutoff(target=3)
         timed = make_cutoff(round_duration_s=0.5, min_arrivals=2)
         assert timed == TimeCutoff(ticks(0.5), min_arrivals=2)
 
@@ -363,8 +362,7 @@ class TestCutoffs:
         server = Server(
             Module(),
             Fleet(8, StubClient),
-            arrivals="uniform",
-            arrival_options={"low_s": 0.1, "high_s": 1.0},
+            arrivals="uniform(low_s=0.1, high_s=1.0)",
             cutoff=TimeCutoff(ticks(0.5)),
             seed=2,
         )
@@ -387,8 +385,7 @@ class TestCutoffs:
         server = Server(
             Module(),
             Fleet(6, StubClient),
-            arrivals="uniform",
-            arrival_options={"low_s": 1.0, "high_s": 2.0},
+            arrivals="uniform(low_s=1.0, high_s=2.0)",
             cutoff=TimeCutoff(ticks(0.01), min_arrivals=1),
             seed=0,
         )
@@ -396,7 +393,7 @@ class TestCutoffs:
         assert len(record.participant_ids) == 1
         assert len(record.straggler_ids) == 5
 
-    def test_count_target_closes_early(self):
+    def test_count_cutoff_target_closes_early(self):
         server = Server(
             Module(),
             Fleet(8, StubClient),

@@ -456,6 +456,85 @@ class TestOutcomeEdgeCases:
         assert headline_ordering_holds(outcome, defended="SH") is False
 
 
+FULL = ParticipationScenario("full", num_clients=2)
+
+
+class TestEmptyFederation:
+    """A cell no update reached measured nothing: it is no perfect defense."""
+
+    @pytest.fixture(scope="class")
+    def full_only(self, sweep_dataset):
+        return make_runner(sweep_dataset, attacks=("rtf", "loki")).run()
+
+    def assert_unmeasured(self, outcome, scenario, full_only):
+        for attack in ("rtf", "loki"):
+            for defense in ("WO", "MR"):
+                cell = outcome.results[SweepCell(attack, defense, scenario).key]
+                assert cell["updates"] == 0
+                assert cell["num_scored"] == 0
+                with pytest.raises(ValueError, match="no client update"):
+                    outcome.mean_psnr(attack, defense, scenario)
+                measured = SweepCell(attack, defense, "full").key
+                # Measured cells carry no "updates" key: their bytes stay.
+                assert outcome.results[measured] == full_only.results[measured]
+            row = next(
+                line for line in outcome.to_table().splitlines()
+                if line.startswith(f"{attack}/{scenario}")
+            )
+            assert row.split()[1:] == ["n/a", "n/a"]
+        # The empty scenario does not decide the paper's headline check.
+        assert headline_ordering_holds(full_only) is True
+        for attack in ("rtf", "loki"):
+            assert headline_ordering_holds(outcome, attack) == (
+                headline_ordering_holds(full_only, attack)
+            )
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ParticipationScenario("alldrop", num_clients=4, dropout_rate=1.0),
+            ParticipationScenario("allstraggle", num_clients=4, straggler_rate=1.0),
+            ParticipationScenario(
+                "tiered-1us", num_clients=4, arrivals="tiered",
+                round_duration_s=1e-6,
+            ),
+        ],
+        ids=lambda scenario: scenario.name,
+    )
+    def test_no_arrival_is_no_measurement(self, sweep_dataset, full_only, scenario):
+        outcome = make_runner(
+            sweep_dataset, attacks=("rtf", "loki"), scenarios=(FULL, scenario)
+        ).run()
+        self.assert_unmeasured(outcome, scenario.name, full_only)
+
+    def test_secagg_abort_below_threshold_is_no_measurement(
+        self, sweep_dataset, full_only, monkeypatch
+    ):
+        # Updates arrive, but too few to unmask: LOKI has no aggregate.
+        from repro.fl.server import Server
+
+        records = []
+        run_round = Server.run_round
+
+        def recording_run_round(server):
+            records.append(run_round(server))
+            return records[-1]
+
+        monkeypatch.setattr(Server, "run_round", recording_run_round)
+        scenario = ParticipationScenario(
+            "secagg-abort", num_clients=6, dropout_rate=0.5,
+            aggregator="secagg(threshold=6)",
+        )
+        outcome = make_runner(
+            sweep_dataset, attacks=("rtf", "loki"), scenarios=(FULL, scenario)
+        ).run()
+        aborted = [record.secagg for record in records if record.secagg]
+        assert len(aborted) == 4
+        for meta in aborted:
+            assert meta["aborted"] and 0 < meta["survivors"] < meta["threshold"]
+        self.assert_unmeasured(outcome, scenario.name, full_only)
+
+
 class TestCommandLine:
     def test_module_cli_runs_without_runpy_warning(self):
         # The package re-exports sweep names lazily, so ``-m`` finds no

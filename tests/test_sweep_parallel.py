@@ -26,6 +26,7 @@ from repro.experiments import (
     WorkStealingSweepExecutor,
     headline_ordering_holds,
     make_executor,
+    run_tasks,
 )
 from repro.experiments import sweep as sweep_module
 
@@ -309,7 +310,7 @@ class TestWorkerBlasCap:
         if _worker_blas_threads(None) is None:
             pytest.skip("numpy bundles no 64-bit scipy-openblas here")
         monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 6)
-        executions = WorkStealingSweepExecutor(2, start_method="fork").run(
+        executions = WorkStealingSweepExecutor(2).run(
             [(key, _worker_blas_threads, None) for key in ("a", "b", "c")],
             SweepStore(tmp_path / "s.json"),
         )
@@ -327,6 +328,26 @@ class TestFailureIsolation:
             WorkStealingSweepExecutor(2).run(
                 [("key", _exit_worker_hard, None)], store
             )
+
+    def test_cells_a_dead_worker_finished_survive_in_its_shard(self, tmp_path):
+        # One worker runs a, b, then dies on the third task: a and b are
+        # in its shard, and the next run serves them and computes only c.
+        from concurrent.futures.process import BrokenProcessPool
+
+        path = tmp_path / "s.json"
+        tasks = [("a", _double, 1), ("b", _double, 2), ("c", _double, 3)]
+        with pytest.raises(BrokenProcessPool):
+            WorkStealingSweepExecutor(1).run(
+                tasks[:2] + [("dies", _exit_worker_hard, None)] + tasks[2:],
+                SweepStore(path),
+            )
+        [shard] = SweepStore.shard_directory_for(path).glob("shard-*.json")
+        assert dict(SweepStore(shard).iter_cells()) == {"a": 2, "b": 4}
+
+        executions = run_tasks(tasks, SweepStore(path))
+        assert [e.cached for e in executions] == [True, True, False]
+        assert [e.result for e in executions] == [2, 4, 6]
+        assert dict(SweepStore(path).iter_cells()) == {"a": 2, "b": 4, "c": 6}
     def test_failed_cell_records_structured_error(self, sweep_dataset, tmp_path):
         path = tmp_path / "sweep.json"
         outcome = make_runner(
