@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.fl.aggregators import FlatSpec, RoundBuffer, flat_spec
-from repro.fl.messages import RELEASED_GRADIENTS, GradientUpdate
+from repro.fl.messages import GradientUpdate
 
 #: Virtual-clock resolution: one tick is one simulated microsecond.
 TICKS_PER_SECOND = 1_000_000
@@ -299,14 +299,17 @@ class RoundEngine:
         ``extra_capacity`` reserves buffer rows for updates the server
         will append afterwards (stale arrivals from a previous round).
 
-        Each on-time update's gradient dict is dropped right after its
+        Each on-time update's gradient dict is released right after its
         row is packed into the buffer, so a 10k-arrival round holds one
         contiguous matrix instead of 10k per-client dicts.  Released
         updates all share the one immutable
         :data:`~repro.fl.messages.RELEASED_GRADIENTS` mapping; a server
-        that inspects updates reads their rows instead.  Late updates
-        keep their gradients: they fold into the next round's buffer as
-        stale arrivals.
+        that inspects updates reads their rows instead.  Packed arrays
+        nothing else holds go back to the tensor buffer pool
+        (:meth:`~repro.fl.messages.GradientUpdate.release_gradients`),
+        where the next client's backward pass picks them up.  Late
+        updates keep their gradients: they fold into the next round's
+        buffer as stale arrivals.
 
         The ledger's ``buffer`` is the engine's own: it re-arms the
         previous round's matrix whenever this round's rows (one per plan
@@ -334,7 +337,7 @@ class RoundEngine:
                 buffer = self._round_buffer(capacity, flat_spec(update.gradients))
                 add = buffer.add
             add(update.gradients)
-            update.gradients = RELEASED_GRADIENTS
+            update.release_gradients()
             append(update)
         straggler_ids = ids[on_time:]
         late = [compute(cid) for cid in straggler_ids] if compute_late else []

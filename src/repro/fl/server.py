@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+import repro.tensor.buffers as buffers
 from repro.attacks.base import ActiveReconstructionAttack, ReconstructionResult
 from repro.fl.aggregators import (
     Aggregator,
@@ -195,11 +196,22 @@ class Server:
         return [int(index) for index in indices]
 
     def apply_aggregate(self, aggregated: dict[str, np.ndarray]) -> None:
-        """w_{t+1} = w_t - eta * aggregated gradient (Eq. 1)."""
+        """w_{t+1} = w_t - eta * aggregated gradient (Eq. 1).
+
+        The ``eta * gradient`` step goes through a pooled scratch buffer
+        and is subtracted in place, bit for bit ``data -= eta * gradient``
+        without a full-size temporary per parameter.
+        """
         params = dict(self.model.named_parameters())
         for name, gradient in aggregated.items():
             if name in params:
-                params[name].data -= self.learning_rate * gradient
+                step = buffers.acquire(
+                    gradient.shape, np.result_type(gradient, self.learning_rate)
+                )
+                np.multiply(gradient, self.learning_rate, out=step)
+                data = params[name].data
+                np.subtract(data, step, out=data)
+                buffers.release(step)
 
     def _inspect_rows(
         self, arrivals: list[GradientUpdate], buffer: Optional[RoundBuffer]
@@ -289,6 +301,8 @@ class Server:
             else:
                 for update in stale:
                     buffer.add(update.gradients)
+            for update in stale:
+                update.release_gradients()
         # Inspect updates in the round they are *aggregated*: fresh ones
         # now, late ones only if/when they re-enter as stale arrivals —
         # inspecting the late list here would attribute next round's

@@ -200,7 +200,8 @@ class Module:
         copying: a parameter whose gradient is an exclusively-owned buffer
         (see ``Tensor._accumulate``) hands over the array itself and drops
         its own reference, which both skips the copy and keeps the buffer
-        out of the pool at the next ``zero_grad()``.  Values are identical
+        out of the pool at the next ``zero_grad()``; the FL engine returns
+        it to the pool once the update is packed.  Values are identical
         either way; use it when the model's gradients are consumed exactly
         once per backward (the FL client-update chokepoint).
         """

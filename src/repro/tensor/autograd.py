@@ -3,8 +3,8 @@
 The engine is a reverse-mode automatic differentiation system in the style
 of PyTorch's eager mode: every operation on :class:`~repro.tensor.Tensor`
 records a closure that propagates the output gradient to its parents.
-Calling :meth:`Tensor.backward` topologically sorts the recorded graph and
-runs the closures in reverse order.
+Calling :meth:`Tensor.backward` topologically sorts the recorded graph,
+runs the closures in reverse order, and then frees the graph.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ temporary — a profile of a smoke sweep cell attributes a large slice of
 wall time to those allocations rather than to the GEMMs.  The pool turns
 the steady-state of a training/attack loop (same model, same batch shape,
 round after round) into zero-allocation reuse: a buffer released at
-``zero_grad()`` or at the end of a conv backward is handed back for the
-next round's identically-shaped request.
+``zero_grad()``, at the end of a conv backward, or once the FL engine has
+packed a client's update is handed back for the next round's
+identically-shaped request.
 
 Rules (see DESIGN.md "The tensor core" for the ownership protocol):
 

@@ -54,6 +54,14 @@ def _as_array(data: ArrayLike, dtype=DEFAULT_DTYPE) -> np.ndarray:
     return np.asarray(data, dtype=dtype)
 
 
+def _freed_graph() -> None:
+    """Backward stand-in left on op nodes after their graph was freed."""
+    raise RuntimeError(
+        "backward through a graph that was already freed: a graph supports "
+        "one backward pass; rebuild it with a new forward"
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, inverting numpy broadcasting."""
     if grad.shape == shape:
@@ -84,7 +92,7 @@ class Tensor:
 
     __slots__ = (
         "data", "grad", "requires_grad", "_parents", "_backward", "name",
-        "_grad_owned",
+        "_grad_owned", "__weakref__",
     )
 
     def __init__(
@@ -230,16 +238,31 @@ class Tensor:
         grad:
             Gradient of the final objective with respect to this tensor.
             Defaults to 1 for scalar outputs (the usual loss case).
+
+        The graph is freed once the pass finishes (PyTorch's default
+        ``retain_graph=False``): every visited op node drops its backward
+        closure and its parents, which breaks the ``node -> closure ->
+        node`` reference cycles, so refcounting reclaims activations and
+        models at once instead of waiting for the cyclic collector.
+        ``.grad`` values stay.  A second backward through a freed node
+        raises :class:`RuntimeError`.
         """
+        if self._backward is _freed_graph:
+            _freed_graph()
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
         grad = _as_array(grad, self.data.dtype)
         self._accumulate(grad)
-        for node in reversed(topological_order(self)):
+        order = topological_order(self)
+        for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in order:
+            if node._backward is not None:
+                node._backward = _freed_graph
+                node._parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -16,14 +16,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.tensor.buffers as tensor_buffers
+from repro.data import make_synthetic_dataset
+from repro.defense.base import ClientDefense
 from repro.fl import (
     AGGREGATORS,
+    Client,
     DishonestServer,
     FederationConfig,
     Fleet,
     GradientUpdate,
     RoundBuffer,
     Server,
+    partition_dataset,
 )
 from repro.fl.engine import (
     CountCutoff,
@@ -43,6 +48,7 @@ from repro.fl.arrivals import (
 )
 from repro.fl.messages import RELEASED_GRADIENTS, ModelBroadcast
 from repro.fl.secagg.base import BelowThresholdError
+from repro.nn import MLP, CrossEntropyLoss
 from repro.nn.module import Module
 
 DIM = 4
@@ -677,3 +683,111 @@ class TestPooledRoundBuffer:
         # Late updates keep their gradients: they may fold in as stale rows.
         assert list(ledger.late[0].gradients) == ["w"]
         assert not hasattr(ledger.fresh[0], "__dict__")
+
+
+# --------------------------------------------------------------------------
+# Packed gradient arrays go back to the tensor buffer pool.
+# --------------------------------------------------------------------------
+
+
+class KeepingDefense(ClientDefense):
+    """Keeps what its gradient hook returns: the whole dict, or one array."""
+
+    name = "keeping"
+
+    def __init__(self, keep_dict: bool) -> None:
+        self.keep_dict = keep_dict
+        self.kept: list = []
+
+    def process_gradients(self, gradients, rng):
+        self.kept.append(gradients if self.keep_dict else gradients["body.0.weight"])
+        return gradients
+
+
+def _training_server(defense=None, num_clients=2, **kwargs) -> Server:
+    """A server over real clients training one shared scratch MLP."""
+    dataset = make_synthetic_dataset(4, 12, image_size=8, seed=3, name="pool")
+
+    def mlp(seed):
+        return MLP([dataset.flat_dim, 16, dataset.num_classes],
+                   rng=np.random.default_rng(seed))
+
+    scratch = mlp(1)
+    clients = [
+        Client(i, shard, scratch, CrossEntropyLoss(), batch_size=3,
+               defense=defense, seed=2)
+        for i, shard in enumerate(partition_dataset(dataset, num_clients))
+    ]
+    return Server(mlp(0), Fleet(len(clients), clients.__getitem__), seed=4, **kwargs)
+
+
+class TestGradientRecycling:
+    def test_release_pools_only_arrays_nothing_else_holds(self):
+        tensor_buffers.clear()
+        table, kept = np.ones((2, 4)), np.ones(5)
+        gradients = {"owned": np.full(3, 7.0), "row": table[0], "kept": kept}
+        owned_id = id(gradients["owned"])
+        update = GradientUpdate(0, 0, 1, gradients)
+        del gradients
+        update.release_gradients()
+        assert update.gradients is RELEASED_GRADIENTS
+        assert tensor_buffers.stats()["free_arrays"] == 1
+        assert id(tensor_buffers.acquire((3,), np.float64)) == owned_id
+        # A dict someone else still holds is left whole.
+        held = {"owned": np.full(3, 7.0)}
+        GradientUpdate(0, 0, 1, held).release_gradients()
+        assert tensor_buffers.stats()["free_arrays"] == 0
+
+    def test_steady_state_update_and_ingest_allocate_nothing(self):
+        server = _training_server()
+        server.run_round()
+        misses = tensor_buffers.stats()["misses"]
+        server.run_round()
+        assert tensor_buffers.stats()["misses"] == misses
+
+    def test_stale_arrivals_are_recycled_too(self):
+        server = _training_server(
+            num_clients=4, straggler_rate=0.5, accept_stale=True
+        )
+        records = server.run(4)
+        assert any(record.stale_ids for record in records)
+        misses = tensor_buffers.stats()["misses"]
+        for record in server.run(2):
+            assert record.participant_ids
+        assert tensor_buffers.stats()["misses"] == misses
+
+    @pytest.mark.parametrize("keep_dict", [True, False], ids=["dict", "array"])
+    def test_arrays_a_defense_keeps_are_never_pooled(self, keep_dict):
+        defense = KeepingDefense(keep_dict)
+        server = _training_server(defense=defense)
+        server.run_round()
+        kept = list(defense.kept)
+        kept_arrays = [
+            array
+            for item in kept
+            for array in (item.values() if keep_dict else [item])
+        ]
+        snapshot = [array.copy() for array in kept_arrays]
+        server.run(2)
+        for array, before in zip(kept_arrays, snapshot):
+            np.testing.assert_array_equal(array, before)
+            drawn = [
+                tensor_buffers.acquire(array.shape, array.dtype)
+                for _ in range(tensor_buffers.MAX_PER_KEY)
+            ]
+            assert all(other is not array for other in drawn)
+            for other in drawn:
+                tensor_buffers.release(other)
+
+    def test_apply_aggregate_matches_the_allocating_step(self):
+        server = _training_server()
+        before = server.model.state_dict()
+        aggregate = {
+            name: np.random.default_rng(5).standard_normal(value.shape)
+            for name, value in before.items()
+        }
+        server.apply_aggregate(aggregate)
+        for name, value in server.model.state_dict().items():
+            expected = before[name].copy()
+            expected -= server.learning_rate * aggregate[name]
+            assert value.tobytes() == expected.tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from repro.experiments import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,24 @@ class TestSmokeSweep:
         assert headline_ordering_holds(outcome)
         assert outcome.mean_psnr("rtf", "WO", "full") > 100.0
         assert outcome.mean_psnr("rtf", "MR", "full") < 60.0
+
+    def test_cells_leave_no_tensor_for_the_cyclic_collector(self, sweep_dataset):
+        """Every graph and model a cell builds is freed by refcounting."""
+        runner = make_runner(sweep_dataset)
+        flags = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for cell in runner.cells():
+                runner.run_cell(cell)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, Tensor)]
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(flags)
+            gc.enable()
+        assert leaked == []
 
     def test_cells_enumerate_deterministically(self, sweep_dataset):
         runner = make_runner(sweep_dataset)

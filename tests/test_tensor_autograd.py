@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.attacks import ImprintedModel
+from repro.fl.gradients import compute_batch_gradients
+from repro.nn import CrossEntropyLoss
 from repro.tensor import Tensor, is_grad_enabled, no_grad, topological_order
 
 
@@ -82,12 +88,70 @@ class TestBackward:
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [1.0])
 
+    def test_second_backward_through_a_freed_graph_raises(self):
+        x = Tensor([2.0], requires_grad=True)
+        y = x * 3.0
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        # A new graph that reaches back into the freed one raises too,
+        # instead of silently stopping at the freed node.
+        with pytest.raises(RuntimeError, match="freed"):
+            (y * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0])
+
     def test_detach_cuts_graph(self):
         x = Tensor([2.0], requires_grad=True)
         y = (x * 2.0).detach()
         assert not y.requires_grad
         out = y * 3.0
         assert not out.requires_grad
+
+
+class TestGraphLifetime:
+    def test_backward_frees_op_nodes_and_keeps_grads(self):
+        x = Tensor([2.0, 3.0], requires_grad=True)
+        y = x * x
+        loss = y.sum()
+        loss.backward()
+        for node in (y, loss):
+            assert node._parents == ()
+            assert node.grad is not None
+        assert x._backward is None
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0])
+        # Leaves stay usable: a fresh graph over x accumulates as before.
+        (x * 1.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 7.0])
+
+    def test_batch_gradients_leave_nothing_for_the_collector(self):
+        """Refcounting alone frees the graph, its activations and the model
+        once the caller lets go: no reference cycle waits for ``gc``."""
+
+        class RecordingLoss(CrossEntropyLoss):
+            def forward(self, logits, labels):
+                loss = super().forward(logits, labels)
+                refs.extend([weakref.ref(logits), weakref.ref(loss)])
+                return loss
+
+        refs: list[weakref.ref] = []
+        rng = np.random.default_rng(0)
+        images = rng.standard_normal((4, 3, 8, 8))
+        labels = np.array([0, 1, 2, 3])
+        gc.collect()
+        gc.disable()
+        try:
+            model = ImprintedModel((3, 8, 8), 16, 4, rng=rng)
+            gradients, _ = compute_batch_gradients(
+                model, RecordingLoss(), images, labels
+            )
+            refs.append(weakref.ref(model))
+            del model
+            assert len(refs) == 3
+            assert [ref() for ref in refs] == [None, None, None]
+            assert set(gradients)
+        finally:
+            gc.enable()
 
 
 class TestTopologicalOrder:
