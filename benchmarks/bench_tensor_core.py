@@ -25,7 +25,9 @@ CI worker, so they fail on regression, not on scheduler noise):
 - the 30-round sweep cell's result dict is equal across modes — the A/B
   equivalence oracle at bench scale.
 
-Results merge into ``BENCH_tensor_core.json`` next to this file.
+Results merge into ``BENCH_tensor_core.json`` next to this file.  A run
+that fails a gate still records its numbers, with the failed gates under
+each entry's ``"failed_gates"``, and then fails.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_tensor_core.py --benchmark-only
 """
@@ -66,6 +68,24 @@ GATE_OPTIMIZER_FLOOR = 0.80  # in-place steps must not be slower
 GATE_INDEX_CACHE = 5.0
 
 _RESULTS: dict = {}
+
+
+def _finish(key: str, entry: dict, failed_gates: list[str]) -> None:
+    """Record ``entry`` with its failed gates, write the JSON, then assert.
+
+    Writing first means a failing run still leaves what it measured.
+    """
+    entry["failed_gates"] = failed_gates
+    _RESULTS[key] = entry
+    write_bench_json(JSON_PATH, _RESULTS)
+    assert not failed_gates, "; ".join(failed_gates)
+
+
+def _below(label: str, value: float, gate: float) -> list[str]:
+    """``[reason]`` when ``value`` misses its ``>= gate``, else ``[]``."""
+    if value >= gate:
+        return []
+    return [f"{label} {value:.2f}x (gate >= {gate}x)"]
 
 
 def _best_of(fn, rounds: int = 5) -> float:
@@ -139,7 +159,7 @@ def test_graph_node_reduction(benchmark):
 
     reduction = reference_prof.total_calls / fused_prof.total_calls
     ce_reduction = reference_ce.total_calls / fused_ce.total_calls
-    _RESULTS["graph_node_reduction"] = {
+    entry = {
         "training_step": {
             "fused_nodes": fused_prof.total_calls,
             "reference_nodes": reference_prof.total_calls,
@@ -162,9 +182,14 @@ def test_graph_node_reduction(benchmark):
         f"   fused {fused_ce.total_calls:4d} nodes   ({ce_reduction:.1f}x, "
         f"gate >= {GATE_CE_NODE_REDUCTION:.0f}x)",
     )
-    assert reduction >= GATE_NODE_REDUCTION
-    assert ce_reduction >= GATE_CE_NODE_REDUCTION
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "graph_node_reduction",
+        entry,
+        _below("training-step node reduction", reduction, GATE_NODE_REDUCTION)
+        + _below(
+            "cross-entropy node reduction", ce_reduction, GATE_CE_NODE_REDUCTION
+        ),
+    )
 
 
 def test_training_loop_speedup(benchmark):
@@ -192,7 +217,7 @@ def test_training_loop_speedup(benchmark):
     update_f, update_r = _ab(update_loop)
     grads_f, grads_r = _ab(grads_loop)
 
-    _RESULTS["training_loop"] = {
+    entry = {
         "update_loop": {
             "fused_s": update_f, "reference_s": update_r,
             "speedup": update_r / update_f, "gate": GATE_UPDATE_LOOP,
@@ -209,9 +234,12 @@ def test_training_loop_speedup(benchmark):
         f"grads loop   fused {1e3 * grads_f:7.2f} ms   "
         f"reference {1e3 * grads_r:7.2f} ms   ({grads_r / grads_f:.2f}x)",
     )
-    assert update_r / update_f >= GATE_UPDATE_LOOP
-    assert grads_r / grads_f >= GATE_GRADS_LOOP
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "training_loop",
+        entry,
+        _below("update loop speedup", update_r / update_f, GATE_UPDATE_LOOP)
+        + _below("grads loop speedup", grads_r / grads_f, GATE_GRADS_LOOP),
+    )
 
 
 def test_fused_op_micro_speedups(benchmark):
@@ -240,7 +268,7 @@ def test_fused_op_micro_speedups(benchmark):
     ce_f, ce_r = _ab(ce_loop)
     conv_f, conv_r = _ab(conv_step)
 
-    _RESULTS["fused_ops"] = {
+    entry = {
         "cross_entropy_fwd_bwd": {
             "fused_s": ce_f, "reference_s": ce_r,
             "speedup": ce_r / ce_f, "gate": GATE_CROSS_ENTROPY,
@@ -257,9 +285,12 @@ def test_fused_op_micro_speedups(benchmark):
         f"small_cnn (8x3x16x16, fwd+bwd)        fused {1e3 * conv_f:7.2f} ms   "
         f"reference {1e3 * conv_r:7.2f} ms   ({conv_r / conv_f:.2f}x)",
     )
-    assert ce_r / ce_f >= GATE_CROSS_ENTROPY
-    assert conv_r / conv_f >= GATE_CONV
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "fused_ops",
+        entry,
+        _below("cross-entropy speedup", ce_r / ce_f, GATE_CROSS_ENTROPY)
+        + _below("small_cnn speedup", conv_r / conv_f, GATE_CONV),
+    )
 
 
 def test_optimizer_inplace_not_slower(benchmark):
@@ -285,9 +316,7 @@ def test_optimizer_inplace_not_slower(benchmark):
             "fused_s": fused_s, "reference_s": reference_s,
             "speedup": reference_s / fused_s, "gate": GATE_OPTIMIZER_FLOOR,
         }
-        assert reference_s / fused_s >= GATE_OPTIMIZER_FLOOR
 
-    _RESULTS["optimizer_steps"] = per_optimizer
     record_report(
         "Tensor core — 50 in-place optimizer steps vs allocating reference",
         "\n".join(
@@ -297,7 +326,14 @@ def test_optimizer_inplace_not_slower(benchmark):
             for name, stats in per_optimizer.items()
         ),
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    failed_gates = [
+        gate
+        for name, stats in per_optimizer.items()
+        for gate in _below(
+            f"{name} in-place step speedup", stats["speedup"], GATE_OPTIMIZER_FLOOR
+        )
+    ]
+    _finish("optimizer_steps", per_optimizer, failed_gates)
 
 
 def test_im2col_index_cache(benchmark):
@@ -320,20 +356,23 @@ def test_im2col_index_cache(benchmark):
     weight = Tensor(rng.standard_normal((4, 3, 3, 3)))
     for _ in range(3):
         conv2d(Tensor(rng.standard_normal((2, 3, 24, 24))), weight, None)
-    assert _im2col_indices.cache_info().hits > hits_before
+    conv_hits_cache = _im2col_indices.cache_info().hits > hits_before
 
     speedup = cold_s / warm_s
-    _RESULTS["im2col_index_cache"] = {
+    entry = {
         "cold_s": cold_s, "warm_s": warm_s,
         "speedup": speedup, "gate": GATE_INDEX_CACHE,
+        "conv_hits_cache": conv_hits_cache,
     }
     record_report(
         "Tensor core — _im2col_indices LRU cache",
         f"cold {1e6 * cold_s:8.2f} us   warm {1e6 * warm_s:8.2f} us   "
         f"({speedup:.0f}x, gate >= {GATE_INDEX_CACHE:.0f}x)",
     )
-    assert speedup >= GATE_INDEX_CACHE
-    write_bench_json(JSON_PATH, _RESULTS)
+    failed_gates = _below("index cache speedup", speedup, GATE_INDEX_CACHE)
+    if not conv_hits_cache:
+        failed_gates.append("conv2d never hit the index cache")
+    _finish("im2col_index_cache", entry, failed_gates)
 
 
 def test_sweep_cell_end_to_end(benchmark):
@@ -358,21 +397,24 @@ def test_sweep_cell_end_to_end(benchmark):
     with reference_kernels():
         reference_result = run_cell()
     # The A/B equivalence oracle: both kernel modes produce the same cell.
-    assert fused_result == reference_result
+    identical = fused_result == reference_result
 
     fused_s, reference_s = _ab(run_cell, rounds=3)
 
     speedup = reference_s / fused_s
-    _RESULTS["sweep_cell_end_to_end"] = {
+    entry = {
         "cell": "rtfxMR", "rounds": 30,
         "fused_s": fused_s, "reference_s": reference_s,
         "speedup": speedup, "gate": GATE_SWEEP_CELL,
-        "results_identical": True,
+        "results_identical": identical,
     }
     record_report(
         "Tensor core — 30-round sweep cell (rtf x MR), fused vs reference",
         f"fused {1e3 * fused_s:7.2f} ms   reference {1e3 * reference_s:7.2f} ms"
-        f"   ({speedup:.2f}x, gate >= {GATE_SWEEP_CELL:.2f}x, results identical)",
+        f"   ({speedup:.2f}x, gate >= {GATE_SWEEP_CELL:.2f}x, results "
+        f"{'identical' if identical else 'DIFFER'})",
     )
-    assert speedup >= GATE_SWEEP_CELL
-    write_bench_json(JSON_PATH, _RESULTS)
+    failed_gates = _below("sweep cell speedup", speedup, GATE_SWEEP_CELL)
+    if not identical:
+        failed_gates.append("the cell's results differ across kernel modes")
+    _finish("sweep_cell_end_to_end", entry, failed_gates)

@@ -78,6 +78,11 @@ class ClientDefense:
         gradients: dict[str, np.ndarray],
         rng: np.random.Generator,
     ) -> dict[str, np.ndarray]:
+        """Post-process the gradients; identity by default.
+
+        Overriding a gradient hook keeps the update's arrays out of the
+        tensor buffer pool, so the defense may keep what it returns.
+        """
         return gradients
 
     def finalize_update(
@@ -93,6 +98,7 @@ class ClientDefense:
         overriding both gets both applied, exactly once each.  Override
         this one when the action depends on the batch size the gradients
         were averaged over (DP-SGD's sigma * C / B noise calibration).
+        Overriding it keeps the arrays out of the pool, as above.
         """
         return gradients
 

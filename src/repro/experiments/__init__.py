@@ -67,6 +67,7 @@ _EXPORTS = {
         "WorkStealingSweepExecutor",
         "dataset_fingerprint",
         "headline_ordering_holds",
+        "headline_verdict",
         "is_failure",
         "make_executor",
         "run_tasks",

@@ -710,9 +710,17 @@ def is_failure(result) -> bool:
     return isinstance(result, dict) and "error" in result
 
 
-def _measured(result: dict) -> bool:
-    """True for a cell result at least one client update went into."""
-    return not is_failure(result) and result.get("updates") != 0
+def _unmeasured(cell: Optional[dict]) -> Optional[str]:
+    """Why a cell carries no PSNR: absent, failed or no update; else None."""
+    if cell is None:
+        return "absent"
+    if is_failure(cell):
+        return "failed"
+    return "no update" if cell.get("updates") == 0 else None
+
+
+# How :meth:`SweepOutcome.to_table` renders each kind of unmeasured cell.
+_TABLE_MARKS = {"absent": "-", "failed": "ERR", "no update": "n/a"}
 
 
 def _structured_error(error: BaseException) -> dict:
@@ -1023,7 +1031,7 @@ class SweepOutcome:
                 f"cell {key!r} failed ({result['error']['type']}: "
                 f"{result['error']['message']}); it has no mean_psnr"
             )
-        if not _measured(result):
+        if _unmeasured(result):
             raise ValueError(
                 f"no client update reached the server in cell {key!r}; "
                 "it has no mean_psnr"
@@ -1045,14 +1053,8 @@ class SweepOutcome:
             row = [f"{attack}/{scenario}"]
             for defense in defenses:
                 cell = self.results.get(SweepCell(attack, defense, scenario).key)
-                if cell is None:
-                    row.append("-")
-                elif is_failure(cell):
-                    row.append("ERR")
-                elif not _measured(cell):
-                    row.append("n/a")
-                else:
-                    row.append(f"{cell['mean_psnr']:.1f}")
+                mark = _TABLE_MARKS.get(_unmeasured(cell))
+                row.append(mark or f"{cell['mean_psnr']:.1f}")
             rows.append(row)
         return format_table(["attack/scenario"] + list(defenses), rows)
 
@@ -1351,37 +1353,65 @@ class SweepRunner:
         return outcome
 
 
-def headline_ordering_holds(
+def headline_verdict(
     outcome: SweepOutcome,
     attack: str = "rtf",
     undefended: str = "WO",
     defended: str = "MR",
-) -> bool:
-    """Paper Fig. 5 shape: no-defense PSNR beats the defended cell everywhere.
+) -> tuple[Optional[bool], str]:
+    """Paper Fig. 5 shape, with the reason: ``(holds, one-line verdict)``.
 
-    Checks every scenario present for ``attack``; vacuously False when the
-    outcome contains no such pair.  Failed cells, and cells no update
-    reached, carry no PSNR and are skipped, like absent cells.
+    ``holds`` is True when the no-defense PSNR beats the defended cell in
+    every scenario present for ``attack``, False at the first scenario
+    (in sorted order) where it does not, and None when no scenario has
+    both cells measured.  Absent or failed cells, and cells no update
+    reached, carry no PSNR: their scenarios are skipped and named.
     """
     scenarios = {
         result["scenario"]
         for result in outcome.results.values()
         if not is_failure(result) and result["attack"] == attack
     }
-    checked = False
+    checked, skipped = False, []
     for scenario in sorted(scenarios):
-        baseline = outcome.results.get(SweepCell(attack, undefended, scenario).key)
-        defended_cell = outcome.results.get(
-            SweepCell(attack, defended, scenario).key
-        )
-        if baseline is None or defended_cell is None:
-            continue
-        if not (_measured(baseline) and _measured(defended_cell)):
+        cells = {
+            arm: outcome.results.get(SweepCell(attack, arm, scenario).key)
+            for arm in (undefended, defended)
+        }
+        reasons = [
+            f"{arm} {_unmeasured(cell)}" for arm, cell in cells.items()
+            if _unmeasured(cell)
+        ]
+        if reasons:
+            skipped.append(f"{scenario} ({', '.join(reasons)})")
             continue
         checked = True
-        if baseline["mean_psnr"] <= defended_cell["mean_psnr"]:
-            return False
-    return checked
+        baseline, protected = (cell["mean_psnr"] for cell in cells.values())
+        if baseline <= protected:
+            return False, (
+                f"headline ordering FAILS in {scenario}: {undefended} mean "
+                f"PSNR {baseline:.2f} dB <= {defended} {protected:.2f} dB"
+            )
+    note = f"; skipped {', '.join(skipped)}" if skipped else ""
+    if not checked:
+        return None, (
+            f"headline ordering not checkable: no scenario has measured "
+            f"{attack} cells for both {undefended} and {defended}{note}"
+        )
+    return True, (
+        f"headline ordering holds: {undefended} mean PSNR > {defended} in "
+        f"every scenario{note}"
+    )
+
+
+def headline_ordering_holds(
+    outcome: SweepOutcome,
+    attack: str = "rtf",
+    undefended: str = "WO",
+    defended: str = "MR",
+) -> bool:
+    """Whether :func:`headline_verdict` says the Fig. 5 ordering holds."""
+    return headline_verdict(outcome, attack, undefended, defended)[0] is True
 
 
 # The scenario fields that existed before the event engine.  These are
@@ -1638,8 +1668,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"\n{len(outcome.computed)} computed, {len(outcome.cached)} cached, "
         f"{len(outcome.failed)} failed -> {store_path}"
     )
-    if headline_ordering_holds(outcome):
-        print("headline ordering holds: WO mean PSNR > MR in every scenario")
+    print(headline_verdict(outcome)[1])
     for key in outcome.failed:
         error = outcome.results[key]["error"]
         print(f"FAILED {key}: {error['type']}: {error['message']}")

@@ -34,6 +34,10 @@ class Client:
     in-place write raises instead of corrupting the broadcast the rest of
     the cohort reads.  Buffers are copied in.  What a client owns is its
     shard, its defense and its RNG stream.
+
+    Its updates are ``poolable`` (the engine recycles their packed
+    arrays) when the defense's class overrides neither gradient hook: a
+    defense with a gradient hook may keep what it returns.
     """
 
     def __init__(
@@ -58,6 +62,11 @@ class Client:
 
             defense = make_defense(defense)
         self.defense = defense
+        hooks = type(defense)
+        self._poolable = (
+            hooks.process_gradients is ClientDefense.process_gradients
+            and hooks.finalize_update is ClientDefense.finalize_update
+        )
         self._rng = np.random.default_rng((seed, client_id))
         self.last_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -80,4 +89,5 @@ class Client:
             num_examples=num_examples,
             gradients=gradients,
             loss=loss,
+            poolable=self._poolable,
         )

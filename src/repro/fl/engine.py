@@ -33,10 +33,12 @@ module replaces that loop with a small discrete-event simulation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+import repro.tensor.buffers as buffers
 from repro.fl.aggregators import FlatSpec, RoundBuffer, flat_spec
 from repro.fl.messages import GradientUpdate
 
@@ -219,12 +221,13 @@ class RoundLedger:
     """Everything the engine observed while running one round's events.
 
     ``fresh`` holds the on-time updates in arrival order — the order
-    their rows were packed into ``buffer`` — and ``late`` the updates
-    that completed after the cutoff (computed so they can fold into the
-    next round as stale arrivals; empty under commitment protocols, whose
-    late uploads are undecryptable and discarded uncomputed).  ``buffer``
-    is ``None`` when nothing arrived on time; otherwise it is the engine's
-    own buffer, valid until the engine runs its next round.
+    their rows were packed into ``buffer``, ahead of the round's stale
+    rows — and ``late`` the updates that completed after the cutoff
+    (computed so they can fold into the next round as stale arrivals;
+    empty under commitment protocols, whose late uploads are
+    undecryptable and discarded uncomputed).  ``buffer`` is ``None`` when
+    the round packed no row; otherwise it is the engine's own buffer,
+    valid until the engine runs its next round.
     """
 
     opened_at: int
@@ -247,9 +250,9 @@ class RoundEngine:
     completions, ingests on-time updates into the round buffer in arrival
     order, and classifies dropout and straggling from the timeline.
 
-    The engine also owns the round matrix: one :class:`RoundBuffer`,
-    re-armed each round that fits it and replaced only when a round needs
-    more rows or a different ``dim``.
+    The engine also owns every packed gradient and the round matrix: one
+    :class:`RoundBuffer`, re-armed each round that fits it and replaced
+    only when a round needs more rows or a different ``dim``.
     """
 
     def __init__(self, clock: VirtualClock, arrivals, cutoff) -> None:
@@ -289,33 +292,27 @@ class RoundEngine:
         server_rng,
         compute: Callable[[int], GradientUpdate],
         compute_late: bool = True,
-        extra_capacity: int = 0,
+        stale: Sequence[GradientUpdate] = (),
     ) -> RoundLedger:
         """Run one round's timeline and return the observed ledger.
 
         ``compute(client_id)`` is invoked in completion order — on-time
         arrivals first, late ones after (skipped entirely when
         ``compute_late`` is false, the commitment-protocol case).
-        ``extra_capacity`` reserves buffer rows for updates the server
-        will append afterwards (stale arrivals from a previous round).
+        ``stale`` (the server's late updates from a previous round) pack
+        after the on-time rows, even when nothing arrived on time.
 
-        Each on-time update's gradient dict is released right after its
-        row is packed into the buffer, so a 10k-arrival round holds one
-        contiguous matrix instead of 10k per-client dicts.  Released
-        updates all share the one immutable
-        :data:`~repro.fl.messages.RELEASED_GRADIENTS` mapping; a server
-        that inspects updates reads their rows instead.  Packed arrays
-        nothing else holds go back to the tensor buffer pool
-        (:meth:`~repro.fl.messages.GradientUpdate.release_gradients`),
-        where the next client's backward pass picks them up.  Late
-        updates keep their gradients: they fold into the next round's
-        buffer as stale arrivals.
+        Right after an update's row is copied, ``update.gradients``
+        becomes ``None``, so a 10k-arrival round holds one matrix, not
+        10k dicts, and a ``poolable`` update's arrays go back to the
+        tensor buffer pool for the next client's backward pass.  Late
+        updates keep their gradients until they fold in as stale.
 
         The ledger's ``buffer`` is the engine's own: it re-arms the
         previous round's matrix whenever this round's rows (one per plan
-        completion, plus ``extra_capacity``) fit it at the same ``dim``,
-        so the buffer is valid only until the next ``run_round``.  A round
-        with no on-time arrival leaves it untouched.
+        completion, plus one per stale update) fit it at the same
+        ``dim``, so the buffer is valid only until the next
+        ``run_round``.  A round that packs no row leaves it untouched.
         """
         opened_at = self.clock.now
         plan = self.arrivals.plan_round(
@@ -327,17 +324,22 @@ class RoundEngine:
         )
         ids, times = ids.tolist(), times.tolist()
 
-        fresh: list[GradientUpdate] = []
+        # Fresh rows as they are computed, then the stale ones.
+        packed: list[GradientUpdate] = []
         buffer: Optional[RoundBuffer] = None
-        append = fresh.append
-        for client_id in ids[:on_time]:
-            update = compute(client_id)
+        append = packed.append
+        release = buffers.release
+        for update in chain(map(compute, ids[:on_time]), stale):
+            gradients = update.gradients
             if buffer is None:
-                capacity = len(ids) + extra_capacity
-                buffer = self._round_buffer(capacity, flat_spec(update.gradients))
+                capacity = len(ids) + len(stale)
+                buffer = self._round_buffer(capacity, flat_spec(gradients))
                 add = buffer.add
-            add(update.gradients)
-            update.release_gradients()
+            add(gradients)
+            if update.poolable:
+                for array in gradients.values():
+                    release(array)
+            update.gradients = None
             append(update)
         straggler_ids = ids[on_time:]
         late = [compute(cid) for cid in straggler_ids] if compute_late else []
@@ -363,7 +365,7 @@ class RoundEngine:
         return RoundLedger(
             opened_at=opened_at,
             closed_at=closed_at,
-            fresh=fresh,
+            fresh=packed[:on_time],
             late=late,
             dropped_ids=list(plan.unavailable),
             straggler_ids=straggler_ids,

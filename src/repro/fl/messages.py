@@ -3,33 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from sys import getrefcount
-from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
-
-import repro.tensor.buffers as buffers
-
-#: The gradients of every update whose rows were packed into a round
-#: buffer and released: one shared, immutable, empty mapping.
-RELEASED_GRADIENTS: Mapping[str, np.ndarray] = MappingProxyType({})
-
-
-def _sole_refcounts() -> tuple[int, int]:
-    """``getrefcount`` of a dict held by one local name, and of its array.
-
-    Measured in the same code shape as :meth:`GradientUpdate.
-    release_gradients` rather than assumed, because CPython versions
-    differ in how many temporary references a call holds.
-    """
-    gradients = {"": np.empty(0)}
-    dict_refs = getrefcount(gradients)
-    for array in gradients.values():
-        return dict_refs, getrefcount(array)
-
-
-_SOLE_DICT_REFS, _SOLE_ARRAY_REFS = _sole_refcounts()
 
 
 @dataclass
@@ -50,34 +26,16 @@ class GradientUpdate:
 
     Slotted: a fleet round creates one per arrival, and a slotted
     instance carries no ``__dict__`` for the cyclic collector to walk.
-    Once the engine has packed ``gradients`` into the round buffer it
-    calls :meth:`release_gradients`.
+    The round engine sets ``gradients`` to ``None`` once it packed them,
+    first pooling the arrays if ``poolable`` says nothing else holds them.
     """
 
     client_id: int
     round_index: int
     num_examples: int
-    gradients: Mapping[str, np.ndarray]
+    gradients: Optional[Mapping[str, np.ndarray]]
     loss: float = 0.0
-
-    def release_gradients(self) -> None:
-        """Swap in :data:`RELEASED_GRADIENTS`; pool the arrays nobody holds.
-
-        Called once the gradients are packed.  An array goes back to the
-        tensor buffer pool only when nothing else can reach it: the dict
-        must be referenced by this update alone (a defense may keep the
-        dict it returned) and the array by the dict alone (a defense may
-        keep one array, and a view keeps its base alive).
-        ``buffers.release`` ignores views, so stub clients' table rows
-        are never pooled.
-        """
-        gradients = self.gradients
-        self.gradients = RELEASED_GRADIENTS
-        if getrefcount(gradients) > _SOLE_DICT_REFS:
-            return
-        for array in gradients.values():
-            if getrefcount(array) <= _SOLE_ARRAY_REFS:
-                buffers.release(array)
+    poolable: bool = False
 
 
 @dataclass

@@ -47,12 +47,7 @@ from repro.fl.arrivals import ArrivalProcess, make_arrivals
 from repro.fl.client import Client
 from repro.fl.engine import CountCutoff, RoundEngine, TimeCutoff, VirtualClock
 from repro.fl.fleet import Fleet
-from repro.fl.messages import (
-    RELEASED_GRADIENTS,
-    GradientUpdate,
-    ModelBroadcast,
-    RoundRecord,
-)
+from repro.fl.messages import GradientUpdate, ModelBroadcast, RoundRecord
 from repro.fl.secagg.base import BelowThresholdError
 from repro.nn.module import Module
 
@@ -159,11 +154,12 @@ class Server:
             round_index=self.round_index, state=self.model.state_dict()
         )
 
-    def inspect_updates(self, updates: list[GradientUpdate]) -> list[dict]:
+    def inspect_updates(self, updates: list[GradientUpdate], gradients: list) -> list[dict]:
         """Hook called with the round's arrivals; honest servers do nothing.
 
-        Each update's ``gradients`` are read-only views of its row in the
-        round matrix, valid only during the call: copy what must outlive it.
+        ``gradients[i]`` holds ``updates[i]``'s gradients as read-only
+        views of its row in the round matrix, valid only during the call:
+        copy what must outlive it.
         """
         return []
 
@@ -218,26 +214,18 @@ class Server:
     ) -> list[dict]:
         """Run :meth:`inspect_updates` over the arrivals' packed rows.
 
-        The engine releases every update's gradients at ingest, so the
-        round holds one matrix rather than a dict per update.  An
-        overridden hook gets each arrival's ``gradients`` rebound to
-        read-only views of its own row (an in-place write raises instead
-        of corrupting the aggregate); they are released again once the
-        hook returns, so no update still points into the matrix the
-        engine re-arms next round.  The honest no-op builds nothing.
+        An overridden hook gets read-only views of each arrival's row (an
+        in-place write raises instead of corrupting the aggregate); the
+        honest no-op builds nothing.
         """
         if type(self).inspect_updates is Server.inspect_updates:
             return []
+        gradients = []
         if arrivals:
             rows = buffer.matrix
             rows.flags.writeable = False
-            for update, row in zip(arrivals, rows):
-                update.gradients = unflatten_vector(row, buffer.spec)
-        try:
-            return self.inspect_updates(arrivals)
-        finally:
-            for update in arrivals:
-                update.gradients = RELEASED_GRADIENTS
+            gradients = [unflatten_vector(row, buffer.spec) for row in rows]
+        return self.inspect_updates(arrivals, gradients)
 
     def run_round(self) -> RoundRecord:
         """One full protocol round under the configured scenario.
@@ -245,9 +233,10 @@ class Server:
         The engine owns the round's timeline: it schedules the selected
         cohort through the arrival process, sorts the completions into
         virtual-time order, packs each on-time update into the round
-        buffer as it lands, and closes the round at the configured
-        cutoff.  Everything after the ledger — stale folding, hooks,
-        aggregation, the model step — is protocol and stays here.
+        buffer as it lands (and the stale arrivals after them), and
+        closes the round at the configured cutoff.  Everything after the
+        ledger — hooks, aggregation, the model step — is protocol and
+        stays here.
         Every rule aggregates through one ``aggregator.aggregate`` call
         given the arrivals' ids and the selected set; only protocol rules
         read the ids.
@@ -287,29 +276,17 @@ class Server:
             self._rng,
             compute,
             compute_late=not protocol_mode,
-            extra_capacity=len(stale),
+            stale=stale,
         )
         self._stale_updates = ledger.late
-        arrivals = ledger.fresh + stale
-        # Fresh rows were packed at ingest time by the engine; stale
-        # arrivals append after them, reproducing the legacy
-        # fresh-then-stale row order exactly.
-        buffer = ledger.buffer
-        if stale:
-            if buffer is None:
-                buffer = RoundBuffer.for_updates([u.gradients for u in stale])
-            else:
-                for update in stale:
-                    buffer.add(update.gradients)
-            for update in stale:
-                update.release_gradients()
+        arrivals = ledger.fresh + stale  # the buffer's row order
         # Inspect updates in the round they are *aggregated*: fresh ones
         # now, late ones only if/when they re-enter as stale arrivals —
         # inspecting the late list here would attribute next round's
         # aggregate members to this round's record (and count discarded
         # updates when accept_stale is off).
         attack_events = (
-            [] if protocol_mode else self._inspect_rows(arrivals, buffer)
+            [] if protocol_mode else self._inspect_rows(arrivals, ledger.buffer)
         )
         secagg_meta: dict | None = None
         weights = (
@@ -321,7 +298,7 @@ class Server:
         if arrivals:
             try:
                 aggregated = self.aggregator.aggregate(
-                    buffer,
+                    ledger.buffer,
                     weights,
                     self.round_index,
                     ids=[u.client_id for u in arrivals],
@@ -392,9 +369,12 @@ class DishonestServer(Server):
 
     - ``per_client_crafting`` — the attack's :meth:`craft_for_client` is
       called per participant, so each client receives its own manipulated
-      parameters (LOKI's per-client-disjoint neuron blocks).  The fleet's
-      ids are handed to ``attack.assign_clients`` once, at construction —
-      ids only, so even a million-user fleet materializes nothing here.
+      parameters (LOKI's per-client-disjoint neuron blocks).  When the
+      attack's ``num_neurons`` cover the whole fleet, its ids are handed
+      to ``attack.assign_clients`` once, at construction — ids only, so
+      even a million-user fleet materializes nothing here.  A larger
+      fleet is assigned each round's selected cohort instead, before the
+      first per-client craft; a cohort larger than the budget raises.
     - ``reconstructs_from_aggregate`` — per-update inversion is skipped
       and the attack inverts the round's FedAvg *aggregate* instead
       (``reconstruct_per_client``), the regime where secure aggregation
@@ -418,8 +398,17 @@ class DishonestServer(Server):
         self.attack = attack
         self.target_client_id = target_client_id
         self.reconstructions: dict[tuple[int, int], ReconstructionResult] = {}
-        if hasattr(attack, "assign_clients"):
+        assigns = hasattr(attack, "assign_clients")
+        self._assign_per_round = assigns and len(self.fleet) > attack.num_neurons
+        if assigns and not self._assign_per_round:
             attack.assign_clients(list(self.fleet.client_ids))
+
+    def select_client_ids(self) -> list[int]:
+        """Sample the cohort, and hand it blocks if the fleet outgrows them."""
+        selected = super().select_client_ids()
+        if self._assign_per_round:
+            self.attack.assign_clients(selected)
+        return selected
 
     def prepare_broadcast(self) -> ModelBroadcast:
         """Craft the malicious model, then broadcast it as if honest.
@@ -452,7 +441,7 @@ class DishonestServer(Server):
             round_index=broadcast.round_index, state=self.model.state_dict()
         )
 
-    def inspect_updates(self, updates: list[GradientUpdate]) -> list[dict]:
+    def inspect_updates(self, updates: list[GradientUpdate], gradients: list) -> list[dict]:
         """Invert every targeted update that reaches the server this round.
 
         Aggregate-reconstructing attacks skip this path entirely: their
@@ -462,14 +451,14 @@ class DishonestServer(Server):
         if getattr(self.attack, "reconstructs_from_aggregate", False):
             return []
         events = []
-        for update in updates:
+        for update, update_gradients in zip(updates, gradients):
             targeted = (
                 self.target_client_id is None
                 or update.client_id == self.target_client_id
             )
             if not targeted:
                 continue
-            result = self.attack.reconstruct(update.gradients)
+            result = self.attack.reconstruct(update_gradients)
             self.reconstructions[(update.round_index, update.client_id)] = result
             events.append(
                 {

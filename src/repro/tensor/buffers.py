@@ -22,6 +22,9 @@ Rules (see DESIGN.md "The tensor core" for the ownership protocol):
 - The pool is process-local and unbounded in key count but capped per key
   (:data:`MAX_PER_KEY`), so pathological shape churn degrades to plain
   allocation instead of hoarding memory.
+- A defense with a gradient hook never gets its arrays pooled: the FL
+  engine pools an update's arrays only when its client's defense
+  overrides neither ``process_gradients`` nor ``finalize_update``.
 """
 
 from __future__ import annotations

@@ -169,6 +169,49 @@ class TestAggregateReconstruction:
         record = federation.server.run_round()
         assert all(e.get("from_aggregate") for e in record.attack_events)
 
+    def test_fleet_larger_than_the_budget_assigns_each_cohort(self, cifar_like):
+        # 96 registered users cannot each own a block of 64 neurons, but a
+        # cohort of 4 can: blocks are assigned per round, over the cohort.
+        attack = calibrated(64, cifar_like, seed=7)
+
+        def factory():
+            return ImprintedModel(
+                cifar_like.image_shape, 64, cifar_like.num_classes,
+                rng=np.random.default_rng(5),
+            )
+
+        simulation = FederatedSimulation(
+            cifar_like,
+            factory,
+            FederationConfig(
+                fleet_size=96, clients_per_round=4, batch_size=4, seed=0
+            ),
+            attack=attack,
+            target_client_id=None,
+        )
+        for round_index in range(2):
+            record = simulation.server.run_round()
+            cohort = sorted(record.selected_ids)
+            assert attack.assigned_clients() == cohort
+            assert sorted(record.participant_ids) == cohort
+            pairs = simulation.server.round_reconstructions(round_index)
+            assert {client_id for client_id, _ in pairs} <= set(cohort)
+            assert any(len(result) for _, result in pairs)
+
+    def test_cohort_larger_than_the_budget_is_refused(self, cifar_like):
+        simulation = FederatedSimulation(
+            cifar_like,
+            lambda: ImprintedModel(
+                cifar_like.image_shape, 4, cifar_like.num_classes,
+                rng=np.random.default_rng(5),
+            ),
+            FederationConfig(fleet_size=16, clients_per_round=6, seed=0),
+            attack=calibrated(4, cifar_like, seed=7),
+            target_client_id=None,
+        )
+        with pytest.raises(ValueError, match="cannot cover 6 clients"):
+            simulation.server.run_round()
+
     def test_oasis_mr_sh_drops_aggregate_match_rate(self, cifar_like):
         def count_hits(defense):
             attack = calibrated(64, cifar_like, seed=7)

@@ -46,7 +46,7 @@ from repro.fl.arrivals import (
     UniformArrivals,
     make_arrivals,
 )
-from repro.fl.messages import RELEASED_GRADIENTS, ModelBroadcast
+from repro.fl.messages import ModelBroadcast
 from repro.fl.secagg.base import BelowThresholdError
 from repro.nn import MLP, CrossEntropyLoss
 from repro.nn.module import Module
@@ -122,7 +122,11 @@ class LegacyRoundMixin:
         stale = self._stale_updates if self.accept_stale else []
         self._stale_updates = late
         attack_events = (
-            [] if protocol_mode else self.inspect_updates(updates + stale)
+            []
+            if protocol_mode
+            else self.inspect_updates(
+                updates + stale, [u.gradients for u in updates + stale]
+            )
         )
         arrivals = updates + stale
         secagg_meta = None
@@ -667,7 +671,7 @@ class TestPooledRoundBuffer:
         with pytest.raises(ValueError, match="does not fit"):
             buffer.rearm(5, buffer.spec)
 
-    def test_released_updates_share_one_immutable_mapping(self):
+    def test_packed_updates_drop_their_gradients(self):
         engine = RoundEngine(
             VirtualClock(),
             ScriptedArrivals([RoundPlan([0, 1, 2, 3], [10, 20, 30, 90])]),
@@ -676,13 +680,36 @@ class TestPooledRoundBuffer:
         ledger = engine.run_round([0, 1, 2, 3], 0, None, _stub_compute)
         assert len(ledger.fresh) == 3
         for update in ledger.fresh:
-            assert update.gradients is RELEASED_GRADIENTS
-        with pytest.raises(TypeError):
-            RELEASED_GRADIENTS["w"] = np.zeros(DIM)
-        assert len(RELEASED_GRADIENTS) == 0
+            assert update.gradients is None
         # Late updates keep their gradients: they may fold in as stale rows.
         assert list(ledger.late[0].gradients) == ["w"]
         assert not hasattr(ledger.fresh[0], "__dict__")
+
+    def test_stale_only_round_packs_into_the_pooled_buffer(self):
+        server = _training_server(num_clients=2, accept_stale=True)
+        server.engine.arrivals = ScriptedArrivals([
+            RoundPlan([0, 1], [10, 20]),
+            RoundPlan([0, 1], [30, 40]),
+            RoundPlan([], [], unavailable=[0, 1]),
+        ])
+        server.engine.cutoff = CountCutoff(target=1)
+        server.run(2)
+        pooled = server.engine._buffer
+        (stale,) = server._stale_updates
+        expected = {name: array.copy() for name, array in stale.gradients.items()}
+        misses = tensor_buffers.stats()["misses"]
+        record = server.run_round()
+        assert record.participant_ids == record.stale_ids == [stale.client_id]
+        for name, array in expected.items():
+            assert server.last_aggregate[name].tobytes() == array.tobytes()
+        # The stale row went into the engine's own re-armed buffer.
+        assert server.engine._buffer is pooled and len(pooled) == 1
+        np.testing.assert_array_equal(
+            pooled.matrix[0],
+            np.concatenate([array.ravel() for array in expected.values()]),
+        )
+        assert tensor_buffers.stats()["misses"] == misses
+        assert stale.gradients is None
 
 
 # --------------------------------------------------------------------------
@@ -722,21 +749,27 @@ def _training_server(defense=None, num_clients=2, **kwargs) -> Server:
 
 
 class TestGradientRecycling:
-    def test_release_pools_only_arrays_nothing_else_holds(self):
+    def test_engine_pools_only_poolable_updates(self):
         tensor_buffers.clear()
-        table, kept = np.ones((2, 4)), np.ones(5)
-        gradients = {"owned": np.full(3, 7.0), "row": table[0], "kept": kept}
-        owned_id = id(gradients["owned"])
-        update = GradientUpdate(0, 0, 1, gradients)
-        del gradients
-        update.release_gradients()
-        assert update.gradients is RELEASED_GRADIENTS
+        owned, kept = np.full(DIM, 7.0), np.full(DIM, 8.0)
+        table = np.ones((2, DIM))
+        updates = {
+            0: GradientUpdate(0, 0, 1, {"w": owned}, poolable=True),
+            1: GradientUpdate(1, 0, 1, {"w": table[0]}, poolable=True),
+            2: GradientUpdate(2, 0, 1, {"w": kept}),
+        }
+        engine = RoundEngine(
+            VirtualClock(),
+            ScriptedArrivals([RoundPlan([0, 1, 2], [10, 20, 30])]),
+            CountCutoff(),
+        )
+        ledger = engine.run_round([0, 1, 2], 0, None, updates.__getitem__)
+        np.testing.assert_array_equal(ledger.buffer.matrix[:, 0], [7.0, 1.0, 8.0])
+        assert all(update.gradients is None for update in updates.values())
+        # Only the poolable update's own array is pooled: a view is not,
+        # nor is the array of an update that is not poolable.
         assert tensor_buffers.stats()["free_arrays"] == 1
-        assert id(tensor_buffers.acquire((3,), np.float64)) == owned_id
-        # A dict someone else still holds is left whole.
-        held = {"owned": np.full(3, 7.0)}
-        GradientUpdate(0, 0, 1, held).release_gradients()
-        assert tensor_buffers.stats()["free_arrays"] == 0
+        assert tensor_buffers.acquire((DIM,), np.float64) is owned
 
     def test_steady_state_update_and_ingest_allocate_nothing(self):
         server = _training_server()

@@ -24,7 +24,6 @@ from repro.fl import (
     Server,
     partition_dataset,
 )
-from repro.fl.messages import RELEASED_GRADIENTS
 from repro.metrics import per_image_best_psnr
 from repro.nn import (
     MLP,
@@ -318,9 +317,9 @@ class _InspectionLog(DishonestServer):
         super().__init__(*args, **kwargs)
         self.inspected: list[list] = []
 
-    def inspect_updates(self, updates):
+    def inspect_updates(self, updates, gradients):
         self.inspected.append(list(updates))
-        return super().inspect_updates(updates)
+        return super().inspect_updates(updates, gradients)
 
 
 class _WritingRTF(RTFAttack):
@@ -373,7 +372,7 @@ class TestDishonestGradientRelease:
         ]
         for updates in server.inspected:
             for update in updates:
-                assert update.gradients is RELEASED_GRADIENTS
+                assert update.gradients is None
         assert snapshot and all(key[0] == 0 for key in snapshot)
         for key, (images, occupancy) in snapshot.items():
             np.testing.assert_array_equal(server.reconstructions[key].images, images)
@@ -386,7 +385,7 @@ class TestDishonestGradientRelease:
         with pytest.raises(ValueError, match="read-only"):
             server.run_round()
         for update in server.inspected[0]:
-            assert update.gradients is RELEASED_GRADIENTS
+            assert update.gradients is None
 
 
 class TestFederatedSimulation:

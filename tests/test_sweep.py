@@ -22,6 +22,7 @@ from repro.experiments import (
     SweepStore,
     SweepStoreError,
     headline_ordering_holds,
+    headline_verdict,
     run_defense_lineup,
     run_sweep,
     run_tasks,
@@ -474,6 +475,64 @@ class TestOutcomeEdgeCases:
         # Cells exist for the attack but not the requested defense pair.
         outcome = make_runner(sweep_dataset, defenses=("WO", "MR")).run()
         assert headline_ordering_holds(outcome, defended="SH") is False
+
+
+def _verdict_outcome(*cells) -> SweepOutcome:
+    """An outcome of rtf cells given as ``(defense, scenario, fields)``."""
+    results = {
+        SweepCell("rtf", defense, scenario).key: {
+            "attack": "rtf", "defense": defense, "scenario": scenario, **fields
+        }
+        for defense, scenario, fields in cells
+    }
+    return SweepOutcome(results=results)
+
+
+class TestHeadlineVerdict:
+    """Every outcome gets a verdict: holds, FAILS, or not checkable."""
+
+    def test_holds_names_the_skipped_scenarios(self):
+        outcome = _verdict_outcome(
+            ("WO", "a", {"mean_psnr": 30.0}),
+            ("MR", "a", {"mean_psnr": 12.0}),
+            ("WO", "b", {"mean_psnr": 0.0, "updates": 0}),
+            ("MR", "b", {"mean_psnr": 0.0, "updates": 0}),
+        )
+        holds, verdict = headline_verdict(outcome)
+        assert holds is True
+        assert verdict.startswith("headline ordering holds")
+        assert "skipped b (WO no update, MR no update)" in verdict
+
+    def test_fails_names_the_first_failing_scenario(self):
+        outcome = _verdict_outcome(
+            ("WO", "a", {"mean_psnr": 30.0}),
+            ("MR", "a", {"mean_psnr": 12.0}),
+            ("WO", "b", {"mean_psnr": 11.5}),
+            ("MR", "b", {"mean_psnr": 14.25}),
+            ("WO", "c", {"mean_psnr": 10.0}),
+            ("MR", "c", {"mean_psnr": 20.0}),
+        )
+        holds, verdict = headline_verdict(outcome)
+        assert holds is False
+        assert verdict == (
+            "headline ordering FAILS in b: WO mean PSNR 11.50 dB <= MR 14.25 dB"
+        )
+
+    def test_not_checkable_says_why(self):
+        assert headline_verdict(SweepOutcome()) == (
+            None,
+            "headline ordering not checkable: no scenario has measured rtf "
+            "cells for both WO and MR",
+        )
+        outcome = _verdict_outcome(
+            ("WO", "a", {"mean_psnr": 30.0}),
+            ("MR", "a", {"error": {"type": "KeyError", "message": "boom"}}),
+        )
+        holds, verdict = headline_verdict(outcome)
+        assert holds is None and headline_ordering_holds(outcome) is False
+        assert verdict.endswith("; skipped a (MR failed)")
+        holds, verdict = headline_verdict(outcome, defended="SH")
+        assert holds is None and "skipped a (SH absent)" in verdict
 
 
 FULL = ParticipationScenario("full", num_clients=2)

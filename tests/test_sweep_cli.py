@@ -25,6 +25,17 @@ def test_smoke_grid_runs_and_persists(tmp_path, capsys):
     assert "done in" in output  # per-cell progress lines
 
 
+def test_cli_prints_a_verdict_when_the_headline_is_not_checkable(
+    tmp_path, capsys
+):
+    store = tmp_path / "sweep.json"
+    exit_code = main(["--grid", "smoke", "--defenses", "WO", "--store", str(store)])
+    assert exit_code == 0
+    output = capsys.readouterr().out
+    assert "headline ordering not checkable" in output
+    assert "skipped full (MR absent)" in output
+
+
 def test_existing_store_requires_resume_flag(tmp_path, capsys):
     store = tmp_path / "sweep.json"
     assert main(["--grid", "smoke", "--store", str(store)]) == 0
