@@ -58,7 +58,6 @@ _EXPORTS = {
         "CellExecution",
         "ParticipationScenario",
         "SerialSweepExecutor",
-        "ShardRecovery",
         "SweepCell",
         "SweepOutcome",
         "SweepRunner",

@@ -85,9 +85,9 @@ def run_sweep(
     resumable: each finished cell is persisted under a key derived from the
     full configuration, so re-running after an interruption only computes
     the missing cells.  ``workers > 1`` fans the pending cells out over
-    worker processes with sharded, crash-safe persistence; each cell's
-    trials are seeded by its configuration, so serial and parallel grids
-    are identical.  A failed cell lands in :attr:`SweepResult.errors` with
+    worker processes, and this process persists each cell as it arrives;
+    each cell's trials are seeded by its configuration, so serial and
+    parallel grids are identical.  A failed cell lands in :attr:`SweepResult.errors` with
     a NaN grid entry instead of killing the sweep.
     """
     data_key = f"{dataset.name}:{dataset_fingerprint(dataset)}"

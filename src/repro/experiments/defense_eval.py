@@ -100,7 +100,7 @@ def run_defense_lineup(
     With a :class:`~repro.experiments.SweepStore`, each defense arm's PSNR
     distribution is cached so interrupted lineups resume where they left
     off.  ``workers > 1`` evaluates the pending arms concurrently over
-    worker processes with sharded, crash-safe persistence and identical
+    worker processes, persisting each arm as it arrives, with identical
     results to the serial path.  A failed arm lands in
     :attr:`DefenseLineupResult.errors` with an empty distribution instead
     of killing the lineup.

@@ -22,21 +22,17 @@ module provides that engine:
   The per-figure harnesses (``attack_sweep``, ``defense_eval``) share the
   same store for their own grids.
 - :func:`run_tasks` is the one resumable driver every grid (the runner's
-  and the harnesses') goes through: recover shards, serve cached keys,
-  execute the rest.
+  and the harnesses') goes through: serve cached keys, execute the rest.
 - :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
   *how* the pending cells run: in-process, or on a stdlib
   :class:`~concurrent.futures.ProcessPoolExecutor` with one future per
   cell — an idle worker takes the next cell the moment it finishes the
   last, so wildly uneven cell costs (trap attacks vs linear cells) never
-  leave workers idle.  Each worker persists finished cells to a
-  per-worker **shard** store (``<store>.shards/shard-<pid>.json``) merged
-  into the main store on completion.  A run killed mid-sweep leaves its
-  shards behind; the next run (serial or parallel) recovers them via
-  :meth:`SweepStore.recover_shards` before computing anything,
-  quarantining any corrupt shard instead of abandoning the good ones.
-  :func:`make_executor` adapts the worker count to the usable cores
-  instead of oversubscribing, degrading to serial on 1-core hosts.
+  leave workers idle.  Either way the calling process is the store's one
+  writer: it appends each result the moment it arrives, so a run killed
+  mid-sweep keeps every cell it received, and the next run computes only
+  the rest.  :func:`make_executor` adapts the worker count to the usable
+  cores instead of oversubscribing, degrading to serial on 1-core hosts.
 
 Determinism is the load-bearing property: every cell's randomness derives
 from :func:`repro.utils.rng.derive_seed` keyed by the cell's configuration
@@ -93,6 +89,7 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import operator
 import os
 import sys
 import time
@@ -102,7 +99,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -331,14 +328,6 @@ def _record_line(key: str, value) -> str:
     )
 
 
-class ShardRecovery(NamedTuple):
-    """What :meth:`SweepStore.recover_shards` found: absorbed cells and
-    corrupt shard files quarantined as ``*.corrupt``."""
-
-    recovered: int
-    quarantined: int
-
-
 class SweepStore:
     """Resumable append-only log store of finished cells.
 
@@ -506,31 +495,13 @@ class SweepStore:
             self._mem[key] = value
             self._where[key] = None
             return
-        self._append({key: value})
-
-    def update(self, mapping: dict) -> None:
-        """Record many cells with a single buffered append."""
-        if not mapping:
-            return
-        if self.path is None:
-            self._mem.update(mapping)
-            self._where.update(dict.fromkeys(mapping))
-            return
-        self._append(mapping)
-
-    def _append(self, mapping: dict) -> None:
         handle = self._appender()
-        offset = self._data_end
-        buffer = bytearray()
-        for key, value in mapping.items():
-            line = (_record_line(key, value) + "\n").encode("utf-8")
-            self._where[key] = (offset, len(line))
-            offset += len(line)
-            buffer += line
+        line = (_record_line(key, value) + "\n").encode("utf-8")
         handle.seek(self._data_end)
-        handle.write(buffer)
+        handle.write(line)
         handle.flush()
-        self._data_end = offset
+        self._where[key] = (self._data_end, len(line))
+        self._data_end += len(line)
 
     def _appender(self):
         if self._append_handle is None:
@@ -604,69 +575,6 @@ class SweepStore:
         except Exception:
             pass
 
-    # -- shard support (parallel execution / crash recovery) ---------------
-
-    @staticmethod
-    def shard_directory_for(path: "str | Path") -> Path:
-        """The shard directory belonging to a store at ``path``."""
-        path = Path(path)
-        return path.with_name(path.name + ".shards")
-
-    def shard_directory(self) -> Optional[Path]:
-        """Where parallel workers persist this store's in-flight shards."""
-        if self.path is None:
-            return None
-        return self.shard_directory_for(self.path)
-
-    def recover_shards(self) -> ShardRecovery:
-        """Absorb shards left behind by a killed parallel run.
-
-        Every cell found in a readable shard is a finished result; each
-        shard is merged into this store (existing keys win — they are the
-        same results) and its file is removed **only after** the absorbing
-        append has durably landed in the main store, so a crash or a
-        failed persist mid-recovery never deletes results it has not
-        saved.  A shard that cannot be parsed (beyond the torn final line
-        every crash may leave, which is dropped silently) is quarantined —
-        renamed to ``<shard>.corrupt`` — instead of abandoning the
-        readable shards behind it.  Returns both counts; memory-only
-        stores have no shards and recover nothing.
-        """
-        directory = self.shard_directory()
-        if directory is None or not directory.is_dir():
-            return ShardRecovery(0, 0)
-        recovered = 0
-        quarantined = 0
-        for shard in sorted(directory.glob("shard-*.json")):
-            try:
-                shard_store = SweepStore(shard)
-                fresh = {
-                    key: value
-                    for key, value in shard_store.iter_cells()
-                    if key not in self._where
-                }
-                shard_store.close()
-            except SweepStoreError as error:
-                quarantine = shard.with_name(shard.name + ".corrupt")
-                shard.rename(quarantine)
-                quarantined += 1
-                warnings.warn(
-                    f"quarantined corrupt sweep shard {shard} -> "
-                    f"{quarantine}: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            self.update(fresh)  # raises before the unlink on a failed persist
-            recovered += len(fresh)
-            if self.path is not None:
-                shard.unlink()
-        try:
-            directory.rmdir()
-        except OSError:
-            pass  # quarantined/unrelated files present; leave the directory
-        return ShardRecovery(recovered, quarantined)
-
 
 # --------------------------------------------------------------------------
 # Execution engine: serial and process-pool executors over pending cells.
@@ -734,45 +642,57 @@ def _structured_error(error: BaseException) -> dict:
     }
 
 
-def _guarded(fn, payload) -> tuple[object, float]:
-    """Run one task, converting any exception into a structured failure."""
+def _execute_task(task: tuple) -> tuple[str, object, float]:
+    """Run one ``(key, fn, payload)`` task into a ``(key, result, elapsed)``
+    triple, converting any exception into a structured failure."""
+    key, fn, payload = task
     start = time.perf_counter()
     try:
         result = fn(payload)
     except Exception as error:  # noqa: BLE001 - one cell must not kill the sweep
         result = _structured_error(error)
-    return result, time.perf_counter() - start
+    return key, result, time.perf_counter() - start
 
 
-def _notify(
+def _persist_as_completed(
+    completed,
+    store: SweepStore,
     progress: Optional[ProgressCallback],
-    key: str,
-    result,
-    elapsed_s: float,
-    completed: int,
     total: int,
-) -> None:
-    if progress is None:
-        return
-    failed = is_failure(result)
-    progress(
-        CellEvent(
-            key=key,
-            status="failed" if failed else "done",
-            elapsed_s=elapsed_s,
-            completed=completed,
-            total=total,
-            error=result["error"] if failed else None,
-        )
-    )
+) -> dict[str, CellExecution]:
+    """The executors' one bookkeeping loop over ``(key, result, elapsed)``
+    triples: persist each success the moment it arrives, record its
+    :class:`CellExecution`, notify ``progress``; compact once all arrived.
+
+    Appending before notifying is the crash contract: a run that dies
+    anywhere (a raising callback, an interrupt, a broken pool) leaves
+    every result it received in the store log.
+    """
+    executions: dict[str, CellExecution] = {}
+    for key, result, elapsed in completed:
+        failed = is_failure(result)
+        if not failed:
+            store.put(key, result)
+        executions[key] = CellExecution(result, elapsed)
+        if progress is not None:
+            progress(
+                CellEvent(
+                    key=key,
+                    status="failed" if failed else "done",
+                    elapsed_s=elapsed,
+                    completed=len(executions),
+                    total=total,
+                    error=result["error"] if failed else None,
+                )
+            )
+    store.compact()
+    return executions
 
 
 # Per-worker state, installed by the pool initializer (or directly by the
 # serial executor).  Module-level because multiprocessing workers can only
-# reach module-level state: the shard store this worker persists to, and
-# the run-wide shared object (e.g. the dataset/runner spec) shipped once
-# per worker instead of once per task.
-_WORKER_SHARD: Optional[SweepStore] = None
+# reach module-level state: the run-wide shared object (e.g. the
+# dataset/runner spec) shipped once per worker instead of once per task.
 _WORKER_SHARED: object = None
 
 _START_METHOD = "fork" if sys.platform == "linux" else None
@@ -787,13 +707,11 @@ def worker_shared():
     return _WORKER_SHARED
 
 
-def _initialize_worker(shard_dir: Optional[Path], shared, workers: int) -> None:
-    global _WORKER_SHARD, _WORKER_SHARED
+def _initialize_worker(shared, workers: int) -> None:
+    global _WORKER_SHARED
     # A forked worker inherits the parent's BLAS pool; give each worker
     # its share of the cores so the pools do not oversubscribe them.
     limit_blas_threads(max(1, usable_cpu_count() // workers))
-    if shard_dir is not None:
-        _WORKER_SHARD = SweepStore(shard_dir / f"shard-{os.getpid()}.json")
     _WORKER_SHARED = shared
 
 
@@ -817,30 +735,15 @@ class SerialSweepExecutor:
         previous = _WORKER_SHARED
         _WORKER_SHARED = shared
         try:
-            executions: dict[str, CellExecution] = {}
-            for index, (key, fn, payload) in enumerate(tasks):
-                result, elapsed = _guarded(fn, payload)
-                if not is_failure(result):
-                    store.put(key, result)
-                executions[key] = CellExecution(result, elapsed)
-                _notify(progress, key, result, elapsed, index + 1, len(tasks))
-            store.compact()
-            return executions
+            return _persist_as_completed(
+                map(_execute_task, tasks), store, progress, len(tasks)
+            )
         finally:
             _WORKER_SHARED = previous
             # Don't retain the last sweep's dataset/runner in a long-lived
             # process; pool workers die with theirs, the serial path must
             # drop its own.
             _RUNNER_CACHE.clear()
-
-
-def _execute_task(task: tuple) -> tuple[str, object, float]:
-    """Worker entry: run one task, persist success to this worker's shard."""
-    key, fn, payload = task
-    result, elapsed = _guarded(fn, payload)
-    if _WORKER_SHARD is not None and not is_failure(result):
-        _WORKER_SHARD.put(key, result)
-    return key, result, elapsed
 
 
 class WorkStealingSweepExecutor:
@@ -850,20 +753,19 @@ class WorkStealingSweepExecutor:
     last, so uneven cell costs (a trap-attack cell can cost many times a
     linear one) never leave a worker idle while another drags a chunk.
 
-    Each worker appends finished cells to its own shard store
-    (``<store>.shards/shard-<pid>.json``) before returning them, so no two
-    processes write one file and a killed run's cells survive for
-    :meth:`SweepStore.recover_shards`.  On completion the parent merges
-    the results, absorbs the shards and compacts: the bytes equal a serial
-    run's, because every cell's randomness is keyed by its configuration
-    fingerprint, never by which worker ran it or when.
+    Workers only compute; this process is the store's one writer.  It
+    appends each result as the pool delivers it and compacts once every
+    cell arrived: the bytes equal a serial run's, because every cell's
+    randomness is keyed by its configuration fingerprint, never by which
+    worker ran it or when.
 
     Task exceptions become structured failure results.  A worker that
     dies *without* raising (OOM-kill, segfault) breaks the pool:
-    :meth:`run` raises :class:`concurrent.futures.process.BrokenProcessPool`
-    and the shards stay for the next run.  Workers fork on Linux (cheap,
-    they inherit the loaded numpy) and use the platform's default start
-    method elsewhere (forking after BLAS init is unsafe on macOS).
+    :meth:`run` raises :class:`concurrent.futures.process.BrokenProcessPool`,
+    the cells delivered before it stay in the store, and the next run
+    computes only the rest.  Workers fork on Linux (cheap, they inherit
+    the loaded numpy) and use the platform's default start method
+    elsewhere (forking after BLAS init is unsafe on macOS).
 
     ``workers`` is the process count, capped at the number of pending
     tasks; :func:`make_executor` also caps it at the usable cores.
@@ -884,39 +786,25 @@ class WorkStealingSweepExecutor:
         if not tasks:
             store.compact()  # resumed byte-identity even with nothing to do
             return {}
-        shard_dir = store.shard_directory()  # each worker's shard creates it
         workers = min(self.workers, len(tasks))
         pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(_START_METHOD),
             initializer=_initialize_worker,
-            initargs=(shard_dir, shared, workers),
+            initargs=(shared, workers),
         )
-        executions: dict[str, CellExecution] = {}
         try:
             futures = [pool.submit(_execute_task, task) for task in tasks]
-            for future in as_completed(futures):
-                key, result, elapsed = future.result()
-                executions[key] = CellExecution(result, elapsed)
-                _notify(progress, key, result, elapsed, len(executions), len(tasks))
+            return _persist_as_completed(
+                (future.result() for future in as_completed(futures)),
+                store,
+                progress,
+                len(tasks),
+            )
         finally:
             # On a broken pool or an interrupt, drop the cells no worker
             # has started instead of running the rest of the grid.
             pool.shutdown(cancel_futures=True)
-        store.update(
-            {
-                key: execution.result
-                for key, execution in executions.items()
-                if not is_failure(execution.result)
-            }
-        )
-        # Absorb-and-remove every shard through the store's own recovery
-        # path: our workers' shards hold keys just merged (skipped), while
-        # shards a *previous* killed run left behind are merged too —
-        # never deleted unmerged.
-        store.recover_shards()
-        store.compact()
-        return executions
 
 
 def usable_cpu_count() -> int:
@@ -940,11 +828,18 @@ def make_executor(workers: "int | str | None" = 1):
     single-worker process pool by construction; more workers get a
     :class:`WorkStealingSweepExecutor`.  Construct that directly to force a
     worker count (tests do, to exercise multi-process paths on small hosts).
+
+    An explicit count must be a Python or numpy integer of at least 1: a
+    float or a string raises :class:`TypeError` rather than truncating,
+    and ``0`` or a negative count raises :class:`ValueError` rather than
+    quietly running serially.
     """
     cap = usable_cpu_count()
     if workers is None or workers == "auto":
         workers = cap
-    workers = int(workers)
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"sweep workers must be >= 1, got {workers}")
     if workers > cap:
         warnings.warn(
             f"requested {workers} sweep workers but only {cap} usable "
@@ -954,7 +849,7 @@ def make_executor(workers: "int | str | None" = 1):
             stacklevel=2,
         )
         workers = cap
-    if workers <= 1:
+    if workers == 1:
         return SerialSweepExecutor()
     return WorkStealingSweepExecutor(workers)
 
@@ -969,15 +864,15 @@ def run_tasks(
     """Run a resumable grid of ``(key, fn, payload)`` tasks.
 
     The one driver every grid goes through (:meth:`SweepRunner.run` and
-    the per-figure harnesses): absorb the shards a killed parallel run
-    left behind, serve every key the store already holds (emitting a
-    ``"cached"`` :class:`CellEvent` each), and run the rest through
-    ``executor`` (serial in-process when None), which persists successes
-    and compacts the store.  ``shared`` reaches the task functions via
+    the per-figure harnesses): serve every key the store already holds
+    (emitting a ``"cached"`` :class:`CellEvent` each), and run the rest
+    through ``executor`` (serial in-process when None), which persists
+    each success as it arrives and compacts the store.  A killed run
+    leaves every cell it received in the store, so calling this again
+    computes only the rest.  ``shared`` reaches the task functions via
     :func:`worker_shared`.  Returns one :class:`CellExecution` per task,
     in task order.
     """
-    store.recover_shards()
     executions: dict[str, CellExecution] = {}
     pending: dict[str, tuple] = {}
     for key, fn, payload in tasks:
@@ -1154,7 +1049,7 @@ class SweepRunner:
 
         Everything here pickles: the dataset is plain arrays, scenarios are
         frozen dataclasses.  Workers get a memory-only store — persistence
-        is the executor's job, through shards.
+        is the executor's job, in the calling process.
         """
         return {
             "dataset": self.dataset,
@@ -1325,8 +1220,8 @@ class SweepRunner:
     ) -> SweepOutcome:
         """Evaluate the whole grid, serving finished cells from the store.
 
-        Drives :func:`run_tasks` (shard recovery, cache scan, ``executor``
-        — serial in-process when None) and collects everything in grid
+        Drives :func:`run_tasks` (cache scan, then ``executor`` — serial
+        in-process when None) and collects everything in grid
         order.  Failures are reported but never persisted, so they retry
         on the next run.
         """
@@ -1623,7 +1518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        executor = make_executor(args.workers)
+        executor = make_executor(
+            args.workers if args.workers == "auto" else int(args.workers)
+        )
     except ValueError:
         parser.error("--workers must be an integer or 'auto'")
 
@@ -1631,13 +1528,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     defenses = _spec_axis(parser, "--defenses", "defense", args.defenses)
 
     store_path = args.store or Path(f"sweep_{args.grid}.json")
-    shard_dir = SweepStore.shard_directory_for(store_path)
-    if (store_path.exists() or shard_dir.is_dir()) and not args.resume:
-        existing = store_path if store_path.exists() else shard_dir
+    if store_path.exists() and not args.resume:
         parser.error(
-            f"{existing} already exists (a finished store or shards from a "
-            "killed parallel run); pass --resume to finish that sweep with "
-            "it, or point --store elsewhere"
+            f"{store_path} already exists; pass --resume to finish that "
+            "sweep with it, or point --store elsewhere"
         )
     try:
         runner = GRID_PRESETS[args.grid](

@@ -318,23 +318,18 @@ GRID_DRIVERS = {
 
 
 class TestSharedDriver:
-    """Every grid runs through run_tasks: recover, serve cached, execute."""
+    """Every grid runs through run_tasks: serve cached, execute the rest."""
 
     @pytest.mark.parametrize("driver", sorted(GRID_DRIVERS))
-    def test_killed_run_shard_is_served_cached(
-        self, driver, sweep_dataset, tmp_path
-    ):
+    def test_stored_cell_is_served_cached(self, driver, sweep_dataset, tmp_path):
         run, sentinel = GRID_DRIVERS[driver]
         reference = SweepStore(tmp_path / "reference.json")
         run(sweep_dataset, reference)
         [key] = reference.keys()
         path = tmp_path / "store.json"
-        shard_dir = SweepStore.shard_directory_for(path)
-        shard_dir.mkdir()
-        SweepStore(shard_dir / "shard-999.json").put(key, sentinel)
+        SweepStore(path).put(key, sentinel)
         # The sentinel comes back: the cell was not recomputed.
         assert run(sweep_dataset, SweepStore(path)) == sentinel
-        assert not shard_dir.exists()
         assert SweepStore(path).get(key) == sentinel
 
     def test_results_in_task_order_marked_cached(self, tmp_path):

@@ -45,18 +45,6 @@ def test_existing_store_requires_resume_flag(tmp_path, capsys):
     assert "--resume" in capsys.readouterr().err
 
 
-def test_leftover_shards_also_require_resume_flag(tmp_path, capsys):
-    # A killed parallel run may leave only shards (no main store yet);
-    # starting "fresh" over them must be refused too, or their results
-    # would be silently absorbed into the new run.
-    store = tmp_path / "sweep.json"
-    (tmp_path / "sweep.json.shards").mkdir()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--grid", "smoke", "--store", str(store)])
-    assert excinfo.value.code == 2
-    assert "shards" in capsys.readouterr().err
-
-
 def test_resume_serves_finished_cells_from_store(tmp_path, capsys):
     store = tmp_path / "sweep.json"
     assert main(["--grid", "smoke", "--store", str(store)]) == 0
@@ -99,6 +87,19 @@ def test_workers_flag_rejects_garbage(tmp_path, capsys):
         ])
     assert excinfo.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "2.7"])
+def test_workers_flag_rejects_counts_below_one_and_fractions(
+    workers, tmp_path, capsys
+):
+    # Neither may fall back to a serial run or truncate to 2 workers.
+    store = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--grid", "smoke", "--store", str(store), "--workers", workers])
+    assert excinfo.value.code == 2
+    assert "--workers must be an integer or 'auto'" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_seed_flag_changes_results(tmp_path):

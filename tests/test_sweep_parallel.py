@@ -1,4 +1,4 @@
-"""Parallel sweep execution: determinism, shard recovery, failure isolation.
+"""Parallel sweep execution: determinism, resume, failure isolation.
 
 The engine's contract: serial runs, parallel runs with any worker count,
 and resumed-after-kill runs of the same grid all produce the identical
@@ -19,7 +19,6 @@ from repro.experiments import (
     CellEvent,
     ParticipationScenario,
     SerialSweepExecutor,
-    ShardRecovery,
     SweepCell,
     SweepRunner,
     SweepStore,
@@ -78,6 +77,11 @@ class TestExecutorEquivalence:
         assert len(serial.computed) == len(parallel.computed) == 4
         assert serial_path.read_bytes() == parallel_path.read_bytes()
         assert parallel.results == serial.results
+        # The parent is the one writer: workers leave no files behind.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "parallel.json",
+            "serial.json",
+        ]
 
     def test_secagg_arm_byte_identical_to_serial(self, sweep_dataset, tmp_path):
         # The protocol aggregators run full SecAgg rounds inside each
@@ -168,8 +172,22 @@ class TestExecutorEquivalence:
         assert isinstance(make_executor(1), SerialSweepExecutor)
         assert isinstance(make_executor(4), WorkStealingSweepExecutor)
         assert make_executor(4).workers == 4
+        assert make_executor(np.int64(3)).workers == 3
         with pytest.raises(ValueError):
             WorkStealingSweepExecutor(0)
+
+    @pytest.mark.parametrize(
+        "workers, error",
+        [(0, ValueError), (-3, ValueError), (2.7, TypeError), ("2", TypeError)],
+    )
+    def test_make_executor_rejects_bad_worker_counts(
+        self, monkeypatch, workers, error
+    ):
+        # A count below 1 must not fall back to serial, and a fraction
+        # must not truncate.
+        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 8)
+        with pytest.raises(error):
+            make_executor(workers)
 
     def test_make_executor_caps_at_usable_cores(self, monkeypatch):
         # The 0.29x regression: forcing 4 workers onto a 1-core host made
@@ -221,59 +239,6 @@ class TestResume:
         reference_path = tmp_path / "reference.json"
         make_runner(sweep_dataset, store=reference_path).run()
         assert path.read_bytes() == reference_path.read_bytes()
-
-    def test_crashed_parallel_shards_recovered_by_next_run(
-        self, sweep_dataset, tmp_path
-    ):
-        # A killed parallel run leaves per-worker shards behind; the next
-        # run (serial here) must absorb them as finished cells, not
-        # recompute them, and clean the shard directory up.
-        reference_path = tmp_path / "reference.json"
-        reference = make_runner(sweep_dataset, store=reference_path).run()
-
-        path = tmp_path / "sweep.json"
-        shard_dir = tmp_path / "sweep.json.shards"
-        shard_dir.mkdir()
-        runner = make_runner(sweep_dataset, store=path)
-        first_cell = runner.cells()[0]
-        shard = SweepStore(shard_dir / "shard-12345.json")
-        shard.put(
-            runner.store_key(first_cell), reference.results[first_cell.key]
-        )
-
-        resumed = make_runner(sweep_dataset, store=path).run()
-        assert first_cell.key in resumed.cached
-        assert len(resumed.computed) == 3
-        assert not shard_dir.exists()
-        assert path.read_bytes() == reference_path.read_bytes()
-
-    def test_parallel_executor_cleanup_absorbs_survivor_shards(self, tmp_path):
-        # An executor driven directly (without run_tasks' recover step)
-        # must still absorb a previous killed run's shards during
-        # cleanup, never delete them unmerged.
-        path = tmp_path / "sweep.json"
-        store = SweepStore(path)
-        shard_dir = store.shard_directory()
-        shard_dir.mkdir()
-        SweepStore(shard_dir / "shard-999.json").put(
-            "survivor-key", {"mean_psnr": 42.0}
-        )
-        WorkStealingSweepExecutor(2).run([("new-key", _double, 21)], store)
-        assert not shard_dir.exists()
-        reopened = SweepStore(path)
-        assert reopened.get("survivor-key") == {"mean_psnr": 42.0}
-        assert reopened.get("new-key") == 42
-
-    def test_recover_shards_counts_and_is_idempotent(self, sweep_dataset, tmp_path):
-        path = tmp_path / "sweep.json"
-        store = SweepStore(path)
-        shard_dir = store.shard_directory()
-        shard_dir.mkdir()
-        SweepStore(shard_dir / "shard-1.json").put("a", 1)
-        SweepStore(shard_dir / "shard-2.json").put("b", 2)
-        assert store.recover_shards() == ShardRecovery(2, 0)
-        assert store.recover_shards() == (0, 0)
-        assert sorted(store.keys()) == ["a", "b"]
 
 
 def _double(payload):
@@ -329,9 +294,10 @@ class TestFailureIsolation:
                 [("key", _exit_worker_hard, None)], store
             )
 
-    def test_cells_a_dead_worker_finished_survive_in_its_shard(self, tmp_path):
-        # One worker runs a, b, then dies on the third task: a and b are
-        # in its shard, and the next run serves them and computes only c.
+    def test_cells_a_dead_worker_finished_survive_in_the_store(self, tmp_path):
+        # One worker runs a, b, then dies on the third task: the pool
+        # delivers a and b before it breaks, the parent appends them as
+        # they arrive, and the next run serves them and computes only c.
         from concurrent.futures.process import BrokenProcessPool
 
         path = tmp_path / "s.json"
@@ -341,13 +307,62 @@ class TestFailureIsolation:
                 tasks[:2] + [("dies", _exit_worker_hard, None)] + tasks[2:],
                 SweepStore(path),
             )
-        [shard] = SweepStore.shard_directory_for(path).glob("shard-*.json")
-        assert dict(SweepStore(shard).iter_cells()) == {"a": 2, "b": 4}
+        assert dict(SweepStore(path).iter_cells()) == {"a": 2, "b": 4}
 
         executions = run_tasks(tasks, SweepStore(path))
         assert [e.cached for e in executions] == [True, True, False]
         assert [e.result for e in executions] == [2, 4, 6]
         assert dict(SweepStore(path).iter_cells()) == {"a": 2, "b": 4, "c": 6}
+
+    def test_cells_received_before_a_raising_callback_stay_stored(
+        self, sweep_dataset, tmp_path
+    ):
+        # The parent appends each result before it notifies: a progress
+        # callback that raises mid-run leaves every cell it was told about
+        # in the store, and the next run serves those cells cached.
+        path = tmp_path / "sweep.json"
+        done: list[str] = []
+
+        class Stop(Exception):
+            pass
+
+        def progress(event):
+            if event.status == "done":
+                done.append(event.key)
+            if len(done) == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            make_runner(sweep_dataset, store=path).run(
+                WorkStealingSweepExecutor(2), progress=progress
+            )
+        assert sorted(SweepStore(path).keys()) == sorted(done)
+
+        runner = make_runner(sweep_dataset, store=path)
+        stored = {runner.store_key(cell): cell.key for cell in runner.cells()}
+        resumed = runner.run(WorkStealingSweepExecutor(2))
+        assert sorted(resumed.cached) == sorted(stored[key] for key in done)
+        assert len(resumed.computed) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_cell_is_on_disk_before_its_event(self, tmp_path, workers):
+        # Both executors share one contract: by the time a "done" event
+        # fires, a fresh reader of the store file already sees the cell.
+        path = tmp_path / "s.json"
+        executor = (
+            SerialSweepExecutor()
+            if workers == 1
+            else WorkStealingSweepExecutor(workers)
+        )
+        seen: dict[str, object] = {}
+
+        def progress(event):
+            seen[event.key] = SweepStore(path).get(event.key)
+
+        tasks = [(key, _double, value) for value, key in enumerate("abcd")]
+        executor.run(tasks, SweepStore(path), progress)
+        assert seen == {"a": 0, "b": 2, "c": 4, "d": 6}
+
     def test_failed_cell_records_structured_error(self, sweep_dataset, tmp_path):
         path = tmp_path / "sweep.json"
         outcome = make_runner(

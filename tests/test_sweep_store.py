@@ -1,9 +1,9 @@
 """The append-only sweep-store log: format, compaction, crash recovery.
 
 Companion to the executor-level tests in test_sweep_parallel.py — these
-exercise the store itself: the log format and its torn-tail semantics,
-canonical compaction, and the shard-recovery
-paths (corrupt-shard quarantine, kill-mid-merge durability).
+exercise the store itself: the log format and its torn-tail semantics
+(a crash tears at most the final line, which the next open drops), and
+canonical compaction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.experiments import (
     STORE_FORMAT,
-    ShardRecovery,
     SerialSweepExecutor,
     SweepStore,
     SweepStoreError,
@@ -135,58 +134,6 @@ class TestCrashRecovery:
         store.close()
         reopened = SweepStore(path)
         assert dict(reopened.iter_cells()) == {"a": 1, "b": 22}
-
-    def test_corrupt_shard_quarantined_good_shards_recovered(self, tmp_path):
-        # Satellite bug: recovery used to raise on the first corrupt
-        # shard, abandoning every readable one behind it.
-        store = SweepStore(tmp_path / "s.json")
-        shard_dir = store.shard_directory()
-        shard_dir.mkdir()
-        make_store(shard_dir / "shard-1.json", {"a": 1})
-        (shard_dir / "shard-2.json").write_text(
-            '{"format":"oasis-sweep-log-v1"}\n{"k": broken\n{"k":"x","v":0}\n'
-        )
-        make_store(shard_dir / "shard-3.json", {"b": 2})
-        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
-            outcome = store.recover_shards()
-        assert outcome == ShardRecovery(recovered=2, quarantined=1)
-        assert sorted(store.keys()) == ["a", "b"]
-        assert not (shard_dir / "shard-2.json").exists()
-        assert (shard_dir / "shard-2.json.corrupt").exists()  # evidence kept
-        assert not (shard_dir / "shard-1.json").exists()
-        assert not (shard_dir / "shard-3.json").exists()
-
-    def test_shard_unlinked_only_after_durable_merge(self, tmp_path, monkeypatch):
-        # Kill-mid-merge: if persisting a shard's cells fails, that shard
-        # file must survive for the next recovery attempt.
-        store = SweepStore(tmp_path / "s.json")
-        shard_dir = store.shard_directory()
-        shard_dir.mkdir()
-        make_store(shard_dir / "shard-1.json", {"a": 1})
-        make_store(shard_dir / "shard-2.json", {"b": 2})
-        real_update = SweepStore.update
-        calls = []
-
-        def dying_update(self, mapping):
-            calls.append(mapping)
-            if len(calls) == 2:
-                raise OSError("disk full")  # dies merging the second shard
-            return real_update(self, mapping)
-
-        monkeypatch.setattr(SweepStore, "update", dying_update)
-        with pytest.raises(OSError):
-            store.recover_shards()
-        monkeypatch.undo()
-        assert not (shard_dir / "shard-1.json").exists()  # merged, removed
-        assert (shard_dir / "shard-2.json").exists()  # unmerged, kept
-        outcome = store.recover_shards()  # the resumed merge finishes the job
-        assert outcome == ShardRecovery(recovered=1, quarantined=0)
-        assert sorted(store.keys()) == ["a", "b"]
-        assert not shard_dir.exists()
-
-    def test_recovery_without_shard_directory_is_a_noop(self, tmp_path):
-        assert SweepStore(tmp_path / "s.json").recover_shards() == (0, 0)
-        assert SweepStore(None).recover_shards() == (0, 0)
 
 
 def _toy_task(payload):
