@@ -15,7 +15,8 @@ engine's claims, each gated against the seed's scalar implementation:
    regressions in the end-to-end evaluation loop show up as a number.
 
 Results are recorded as a report and emitted to ``BENCH_attack_eval.json``
-next to this file.
+next to this file.  A speedup test writes its numbers, with any missed gate
+in the entry's ``"failed_gates"``, before it fails.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_attack_eval.py --benchmark-only
 """
@@ -42,6 +43,24 @@ JSON_PATH = Path(__file__).parent / "BENCH_attack_eval.json"
 BATCH_SIZE = 64
 SUITE = "MR+SH"
 _RESULTS: dict = {}
+
+
+def _finish(key: str, entry: dict, failed_gates: list[str]) -> None:
+    """Record ``entry`` with its failed gates, write the JSON, then assert.
+
+    Writing first means a failing run still leaves what it measured.
+    """
+    entry["failed_gates"] = failed_gates
+    _RESULTS[key] = entry
+    write_bench_json(JSON_PATH, _RESULTS)
+    assert not failed_gates, "; ".join(failed_gates)
+
+
+def _below(label: str, value: float, gate: float) -> list[str]:
+    """``[reason]`` when ``value`` misses its ``>= gate``, else ``[]``."""
+    if value >= gate:
+        return []
+    return [f"{label} {value:.2f}x (gate >= {gate}x)"]
 
 
 def _best_of(fn, rounds: int = 7) -> float:
@@ -85,25 +104,25 @@ def test_batched_expansion_speedup(benchmark):
     scalar_s = _best_of(lambda: _scalar_expand_batch(defense, images, labels))
     batched_s = _best_of(lambda: defense.expand_batch(images, labels))
     speedup = scalar_s / batched_s
-    assert speedup >= 5.0, (
-        f"batched expansion only {speedup:.1f}x faster than the scalar loop"
-    )
 
-    _RESULTS["expansion"] = {
-        "batch_size": BATCH_SIZE,
-        "suite": SUITE,
-        "expanded_size": len(scalar[0]),
-        "scalar_loop_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup": speedup,
-    }
     record_report(
         f"Attack eval — OASIS batch expansion ({SUITE}, B={BATCH_SIZE})",
         f"scalar per-image loop {1e3 * scalar_s:8.3f} ms\n"
         f"batched apply_batch   {1e3 * batched_s:8.3f} ms"
         f"   ({speedup:.1f}x, gate >= 5x)",
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "expansion",
+        {
+            "batch_size": BATCH_SIZE,
+            "suite": SUITE,
+            "expanded_size": len(scalar[0]),
+            "scalar_loop_s": scalar_s,
+            "batched_s": batched_s,
+            "speedup": speedup,
+        },
+        _below("batched expansion speedup", speedup, 5.0),
+    )
 
 
 def _scalar_match(originals, reconstructions):
@@ -150,34 +169,27 @@ def test_vectorized_matching_speedup(benchmark):
 
     scalar_s = _best_of(lambda: _scalar_match(originals, reconstructions))
     vectorized_s = _best_of(vectorized)
-    unique_s = _best_of(
-        lambda: match_reconstructions(
-            originals, reconstructions, assignment="unique"
-        )
-    )
     average_s = _best_of(lambda: average_attack_psnr(originals, reconstructions))
     speedup = scalar_s / vectorized_s
-    assert speedup >= 5.0, (
-        f"vectorized matching only {speedup:.1f}x faster than the scalar loop"
-    )
 
-    _RESULTS["matching"] = {
-        "num_originals": len(originals),
-        "num_reconstructions": len(reconstructions),
-        "scalar_loop_s": scalar_s,
-        "vectorized_s": vectorized_s,
-        "unique_assignment_s": unique_s,
-        "average_attack_psnr_s": average_s,
-        "speedup": speedup,
-    }
     record_report(
         f"Attack eval — reconstruction matching ({BATCH_SIZE}x{BATCH_SIZE})",
         f"scalar O(RxB) loop  {1e3 * scalar_s:8.3f} ms\n"
         f"pairwise matrix     {1e3 * vectorized_s:8.3f} ms"
-        f"   ({speedup:.1f}x, gate >= 5x)\n"
-        f"unique (Hungarian)  {1e3 * unique_s:8.3f} ms",
+        f"   ({speedup:.1f}x, gate >= 5x)",
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "matching",
+        {
+            "num_originals": len(originals),
+            "num_reconstructions": len(reconstructions),
+            "scalar_loop_s": scalar_s,
+            "vectorized_s": vectorized_s,
+            "average_attack_psnr_s": average_s,
+            "speedup": speedup,
+        },
+        _below("vectorized matching speedup", speedup, 5.0),
+    )
 
 
 def test_sweep_cells_per_sec(benchmark):

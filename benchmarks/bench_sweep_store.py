@@ -12,7 +12,9 @@ bench demonstrates both scaling laws and gates on them:
    store's persistence shows the last-100 cost at 800 cells >= 2x the
    cost at 200 cells, documenting the cliff the log store removes.
 3. **Reopen stays cheap** — indexing a 10,000-cell log on open must run
-   at >= 50,000 cells/s (the offset scan parses no values).
+   at >= 50,000 cells/s.  The scan ``json.loads`` every record line to
+   check it and read its key, but keeps only ``key -> (offset, length)``;
+   values are decoded again on ``get``.
 
 Results land in ``BENCH_sweep_store.json`` next to this file, with the
 gates that failed under ``"failed_gates"``, before any gate is asserted:

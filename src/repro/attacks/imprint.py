@@ -46,11 +46,6 @@ class ImprintedModel(Module):
         Output classes of the (innocuous-looking) classifier head.
     rng:
         Generator for the head/decoder initialization.
-    gradient_amplification:
-        Norm of each decoder column — an attacker-controlled knob.  Larger
-        values make the malicious layer's gradients dominate the client's
-        update, which is how the attack survives moderate gradient noise
-        (the dishonest server trades stealth for robustness).
     """
 
     def __init__(
@@ -59,7 +54,6 @@ class ImprintedModel(Module):
         num_neurons: int,
         num_classes: int,
         rng: Optional[np.random.Generator] = None,
-        gradient_amplification: float = 1.0,
     ) -> None:
         super().__init__()
         # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
@@ -68,7 +62,6 @@ class ImprintedModel(Module):
         flat_dim = int(np.prod(input_shape))
         self.flat_dim = flat_dim
         self.num_neurons = num_neurons
-        self.gradient_amplification = gradient_amplification
         self.imprint = Linear(flat_dim, num_neurons, rng=rng)
         self.decoder = Linear(num_neurons, flat_dim, rng=rng)
         self.head = Linear(flat_dim, num_classes, rng=rng)
@@ -82,7 +75,7 @@ class ImprintedModel(Module):
         # Linear computes x @ W.T: W has shape (flat_dim, num_neurons) here,
         # so identical *columns* across neurons means W[:, i] == direction.
         self.decoder.weight.data = np.tile(
-            (self.gradient_amplification * direction)[:, None],
+            direction[:, None],
             (1, self.num_neurons),
         )
         self.decoder.bias.data = np.zeros_like(self.decoder.bias.data)

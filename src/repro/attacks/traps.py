@@ -118,14 +118,14 @@ def invert_active_neurons(
 
 
 def deduplicate_reconstructions(
-    flat: np.ndarray, indices: np.ndarray, similarity: float = 0.9999
+    flat: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Collapse near-identical reconstructions (many traps catch the same x).
 
     Greedy pass in neuron order; keeps the first representative of each
-    cluster of cosine-similar vectors.  The pairwise similarities are
-    computed as one Gram matrix so the pass stays fast for hundreds of
-    candidate reconstructions.
+    cluster of vectors whose cosine similarity exceeds 0.9999.  The pairwise
+    similarities are computed as one Gram matrix so the pass stays fast for
+    hundreds of candidate reconstructions.
     """
     norms = np.linalg.norm(flat, axis=1)
     norms = np.where(norms < 1e-12, 1.0, norms)
@@ -137,7 +137,7 @@ def deduplicate_reconstructions(
         if duplicate_of_earlier_kept[row]:
             continue
         keep.append(row)
-        duplicate_of_earlier_kept |= gram[row] > similarity
+        duplicate_of_earlier_kept |= gram[row] > 0.9999
     keep_array = np.array(keep, dtype=np.int64)
     return flat[keep_array], indices[keep_array]
 

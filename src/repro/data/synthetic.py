@@ -131,18 +131,22 @@ def _normalize01(image: np.ndarray) -> np.ndarray:
     return (image - low) / (high - low)
 
 
+# Every synthetic image is RGB; each sample adds its instance field at this
+# weight and per-pixel Gaussian noise at this standard deviation.
+_CHANNELS = 3
+_NOISE_LEVEL = 0.06
+_INSTANCE_WEIGHT = 0.25
+
+
 def make_synthetic_dataset(
     num_classes: int,
     samples_per_class: int,
     image_size: int = 32,
-    channels: int = 3,
     seed: int = 0,
-    noise_level: float = 0.06,
-    instance_weight: float = 0.25,
     name: str = "synthetic",
     class_names: Optional[Sequence[str]] = None,
 ) -> SyntheticImageDataset:
-    """Generate a class-structured dataset of smooth textured images.
+    """Generate a class-structured dataset of smooth textured RGB images.
 
     Samples of a class share a prototype field and marker; each sample mixes
     in its own instance field and noise, then is renormalized to [0, 1].
@@ -153,15 +157,15 @@ def make_synthetic_dataset(
     )
     del rng
     prototypes = [
-        _smooth_field(proto_rng, channels, image_size, image_size)
+        _smooth_field(proto_rng, _CHANNELS, image_size, image_size)
         for _ in range(num_classes)
     ]
     markers = [
-        _class_marker(marker_rng, channels, image_size, image_size)
+        _class_marker(marker_rng, _CHANNELS, image_size, image_size)
         for _ in range(num_classes)
     ]
     total = num_classes * samples_per_class
-    images = np.empty((total, channels, image_size, image_size), dtype=np.float32)
+    images = np.empty((total, _CHANNELS, image_size, image_size), dtype=np.float32)
     labels = np.empty(total, dtype=np.int64)
     index = 0
     for label in range(num_classes):
@@ -169,10 +173,10 @@ def make_synthetic_dataset(
         for _ in range(samples_per_class):
             amplitude = sample_rng.uniform(0.8, 1.2)
             instance = _smooth_field(
-                sample_rng, channels, image_size, image_size, waves=2, max_frequency=6.0
+                sample_rng, _CHANNELS, image_size, image_size, waves=2, max_frequency=6.0
             )
-            noise = sample_rng.standard_normal(base.shape) * noise_level
-            raw = amplitude * base + instance_weight * instance + noise
+            noise = sample_rng.standard_normal(base.shape) * _NOISE_LEVEL
+            raw = amplitude * base + _INSTANCE_WEIGHT * instance + noise
             images[index] = _normalize01(raw).astype(np.float32)
             labels[index] = label
             index += 1
@@ -204,14 +208,13 @@ def synthetic_imagenet(
 
 def synthetic_cifar100(
     samples_per_class: int = 8,
-    image_size: int = 32,
     seed: int = 2002,
 ) -> SyntheticImageDataset:
     """Stand-in for CIFAR100: 100 classes of 3x32x32 images."""
     return make_synthetic_dataset(
         num_classes=100,
         samples_per_class=samples_per_class,
-        image_size=image_size,
+        image_size=32,
         seed=seed,
         name="cifar100",
     )

@@ -42,7 +42,6 @@ class DPGradientDefense(ClientDefense):
         self,
         clip_norm: float = 1.0,
         noise_multiplier: float = 0.1,
-        seed: "int | None" = None,
     ) -> None:
         if clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
@@ -51,8 +50,6 @@ class DPGradientDefense(ClientDefense):
         self.clip_norm = clip_norm
         self.noise_multiplier = noise_multiplier
         self.name = f"DP(sigma={noise_multiplier})"
-        if seed is not None:
-            self.reseed(seed)
 
     def process_gradients(
         self,
@@ -92,7 +89,6 @@ class DPSGDDefense(ClientDefense):
         self,
         clip_norm: float = 1.0,
         noise_multiplier: float = 0.1,
-        seed: "int | None" = None,
     ) -> None:
         if clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
@@ -102,8 +98,6 @@ class DPSGDDefense(ClientDefense):
         self.noise_multiplier = noise_multiplier
         self.per_sample_clip = clip_norm
         self.name = f"DPSGD(z={noise_multiplier})"
-        if seed is not None:
-            self.reseed(seed)
 
     def finalize_update(
         self,

@@ -23,11 +23,7 @@ Signatures checked per fully-connected weight/bias pair:
   rate to the *same* target (1/B), so the per-neuron activation rates
   cluster in a band far tighter than any conventional layer's — even
   when the target rate itself is too large for the CAH sparsity check.
-  The band's ceiling deliberately stops below 0.5: rates pinned *at*
-  one half (QBI with ``expected_batch_size=2``) are statistically
-  indistinguishable from an honest zero-bias layer on centered data, so
-  flagging them would trade a detection nobody can make for a steady
-  false-positive stream.
+  The band's ceiling stops below 0.5 (see ``_RATE_BAND_CEILING``).
 
 Layer discovery is deliberately forgiving about naming: an attacker
 controls the state-dict keys, so weight/bias pairs are matched under any
@@ -57,6 +53,35 @@ class DetectionReport:
     def __bool__(self) -> bool:
         return self.suspicious
 
+
+# Layers narrower than this are skipped: too few rows for any signature
+# to be told apart from chance.
+_MIN_NEURONS = 16
+
+# RTF: at least this fraction of rows colinear with the dominant row,
+# next to strictly monotone biases.
+_COLINEAR_THRESHOLD = 0.9
+
+# LOKI: at least this fraction of rows exactly zero, each with a bias
+# below the threshold (a neuron that can never fire).
+_ZERO_ROW_FRACTION = 0.2
+_DISABLED_BIAS_THRESHOLD = -1e3
+
+# CAH: at least _SPARSE_NEURON_FRACTION of neurons fire for fewer than
+# _SPARSE_ACTIVATION_THRESHOLD of the client's own probes.
+_SPARSE_ACTIVATION_THRESHOLD = 0.1
+_SPARSE_NEURON_FRACTION = 0.9
+
+# QBI: at least _SPARSE_NEURON_FRACTION of probed activation rates at or
+# below the ceiling, with a standard deviation below the spread — rates
+# tuned to one shared quantile.  The ceiling catches every
+# ``expected_batch_size >= 3`` and deliberately stops below 0.5: rates
+# pinned *at* one half (QBI with ``expected_batch_size=2``) are
+# statistically indistinguishable from an honest zero-bias layer on
+# centered data, so flagging them would trade a detection nobody can make
+# for a steady false-positive stream.
+_RATE_BAND_CEILING = 0.45
+_RATE_BAND_SPREAD = 0.08
 
 # Separators under which `<root><sep>weight` / `<root><sep>bias` pairs are
 # recognized.  "" covers a bare top-level "weight" key.
@@ -135,14 +160,6 @@ def _colinear_row_fraction(weight: np.ndarray, tolerance: float = 1e-6) -> float
 def inspect_state(
     state: dict[str, np.ndarray],
     probe_inputs: np.ndarray | None = None,
-    colinear_threshold: float = 0.9,
-    sparse_activation_threshold: float = 0.1,
-    sparse_neuron_fraction: float = 0.9,
-    zero_row_fraction: float = 0.2,
-    disabled_bias_threshold: float = -1e3,
-    rate_band_ceiling: float = 0.45,
-    rate_band_spread: float = 0.08,
-    min_neurons: int = 16,
 ) -> DetectionReport:
     """Scan a broadcast model state for imprint-attack signatures.
 
@@ -156,29 +173,21 @@ def inspect_state(
         flattened probe width are additionally checked for the CAH/QBI
         trap-weight signatures (implausibly sparse or implausibly uniform
         activation rates).
-    zero_row_fraction / disabled_bias_threshold:
-        LOKI signature: at least this fraction of rows exactly zero, each
-        with a bias below the threshold (a neuron that can never fire).
-    rate_band_ceiling / rate_band_spread:
-        QBI signature: at least ``sparse_neuron_fraction`` of probed
-        activation rates at or below the ceiling with a standard
-        deviation below the spread — rates tuned to one shared quantile.
-        The default ceiling (0.45) catches every ``expected_batch_size
-        >= 3``; rates pinned at 0.5 (B=2) are left alone by design (see
-        the module docstring).
+
+    The thresholds are the module constants above.
     """
     findings: list[str] = []
     flat_probes = None
     if probe_inputs is not None and len(probe_inputs) >= 8:
         flat_probes = probe_inputs.reshape(len(probe_inputs), -1).astype(np.float64)
     for layer, weight, bias in _linear_pairs(state):
-        if weight.shape[0] < min_neurons:
+        if weight.shape[0] < _MIN_NEURONS:
             continue
         colinear = _colinear_row_fraction(weight)
         monotone = bool(
             np.all(np.diff(bias) < 0.0) or np.all(np.diff(bias) > 0.0)
         )
-        if colinear >= colinear_threshold and monotone:
+        if colinear >= _COLINEAR_THRESHOLD and monotone:
             findings.append(
                 f"{layer}: {100 * colinear:.0f}% identical weight rows with "
                 "monotone biases (RTF-style quantile imprint)"
@@ -186,9 +195,9 @@ def inspect_state(
             continue
         row_norms = np.linalg.norm(weight, axis=1)
         zero_rows = row_norms == 0.0
-        disabled = zero_rows & (bias < disabled_bias_threshold)
+        disabled = zero_rows & (bias < _DISABLED_BIAS_THRESHOLD)
         dead_fraction = float(np.mean(disabled))
-        if zero_row_fraction <= dead_fraction < 1.0:
+        if _ZERO_ROW_FRACTION <= dead_fraction < 1.0:
             findings.append(
                 f"{layer}: {100 * dead_fraction:.0f}% exactly-zero weight "
                 "rows with disabling biases next to a live block "
@@ -197,24 +206,24 @@ def inspect_state(
             continue
         if flat_probes is not None and weight.shape[1] == flat_probes.shape[1]:
             rates = ((flat_probes @ weight.T + bias) > 0.0).mean(axis=0)
-            sparse = float(np.mean(rates < sparse_activation_threshold))
-            if sparse >= sparse_neuron_fraction:
+            sparse = float(np.mean(rates < _SPARSE_ACTIVATION_THRESHOLD))
+            if sparse >= _SPARSE_NEURON_FRACTION:
                 findings.append(
                     f"{layer}: {100 * sparse:.0f}% of neurons fire for <"
-                    f"{100 * sparse_activation_threshold:.0f}% of local data "
+                    f"{100 * _SPARSE_ACTIVATION_THRESHOLD:.0f}% of local data "
                     "(CAH-style trap weights)"
                 )
                 continue
-            banded = float(np.mean(rates <= rate_band_ceiling))
+            banded = float(np.mean(rates <= _RATE_BAND_CEILING))
             spread = float(rates.std())
             if (
-                banded >= sparse_neuron_fraction
-                and spread <= rate_band_spread
+                banded >= _SPARSE_NEURON_FRACTION
+                and spread <= _RATE_BAND_SPREAD
                 and float(rates.mean()) > 0.0
             ):
                 findings.append(
                     f"{layer}: activation rates pinned to a "
-                    f"{100 * rate_band_ceiling:.0f}%-band with spread "
+                    f"{100 * _RATE_BAND_CEILING:.0f}%-band with spread "
                     f"{spread:.3f} (QBI-style quantile-tuned trap biases)"
                 )
     return DetectionReport(suspicious=bool(findings), findings=findings)

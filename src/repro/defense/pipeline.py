@@ -48,14 +48,12 @@ class DefensePipeline(ClientDefense):
         (``per_sample_clip``): two clipping regimes in one update have no
         well-defined composition, and silently picking one would run a
         different experiment than the one asked for.
-    name:
-        Display name; defaults to the stage names joined with ``">"``,
-        matching the registry's spec-string grammar.
+
+    The display name joins the stage names with ``">"``, matching the
+    registry's spec-string grammar.
     """
 
-    def __init__(
-        self, stages: Sequence[ClientDefense], name: "str | None" = None
-    ) -> None:
+    def __init__(self, stages: Sequence[ClientDefense]) -> None:
         flat: list[ClientDefense] = []
         for stage in stages:
             if isinstance(stage, DefensePipeline):
@@ -77,7 +75,7 @@ class DefensePipeline(ClientDefense):
         self.per_sample_clip = (
             clippers[0].per_sample_clip if clippers else None
         )
-        self.name = name or STAGE_SEPARATOR.join(
+        self.name = STAGE_SEPARATOR.join(
             stage.name for stage in self.stages
         )
 

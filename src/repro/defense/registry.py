@@ -133,18 +133,6 @@ def make_defense(
 # --------------------------------------------------------------------------
 
 
-def _make_dpsgd(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
-    """DP-SGD: per-example clipping + Gaussian noise sigma = z*C/B."""
-    return DPSGDDefense(clip_norm=clip_norm, noise_multiplier=noise_multiplier)
-
-
-def _make_dpfed(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
-    """Update-level DP (DP-FedSGD): clip the update, add N(0, (z*C)^2)."""
-    return DPGradientDefense(
-        clip_norm=clip_norm, noise_multiplier=noise_multiplier
-    )
-
-
 def _make_ats(suite: str = "MR"):
     """ATSPrivacy-style transform-replace, batch size unchanged."""
     return TransformReplaceDefense(suite=suite)
@@ -158,8 +146,8 @@ def _make_tabular(num_features: int = 8):
 DEFENSES.register("WO", NoDefense)
 for _suite_name in available_suites():
     DEFENSES.register(_suite_name, partial(OasisDefense, _suite_name))
-DEFENSES.register("dpsgd", _make_dpsgd)
-DEFENSES.register("dpfed", _make_dpfed)
+DEFENSES.register("dpsgd", DPSGDDefense)
+DEFENSES.register("dpfed", DPGradientDefense)
 DEFENSES.register("prune", GradientPruningDefense)
 DEFENSES.register("ats", _make_ats)
 DEFENSES.register("tabular", _make_tabular)

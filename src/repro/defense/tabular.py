@@ -25,7 +25,7 @@ rotation invariance.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,14 +81,14 @@ class MeanPreservingJitter(TabularTransform):
 class TabularOasisDefense(ClientDefense):
     """OASIS Eq. 7 for feature rows: D' = D ∪ transformed companions.
 
+    The tabular transformations building ``X'_t`` are one cyclic
+    permutation over all features plus two mean-preserving jitters — three
+    companions per row, matching the image suites' size.
+
     Parameters
     ----------
-    transforms:
-        The tabular transformations building ``X'_t``.  Default: one cyclic
-        permutation over all features plus two mean-preserving jitters —
-        three companions per row, matching the image suites' size.
     num_features:
-        Row width; used to build the default transform set.
+        Row width; the permutation cycles all of it.
     seed:
         Seed for the jitter noise (client-held, unknown to the server).
         Grid runners replace this stream via
@@ -100,17 +100,14 @@ class TabularOasisDefense(ClientDefense):
     def __init__(
         self,
         num_features: int,
-        transforms: Optional[Sequence[TabularTransform]] = None,
         seed: int = 0,
     ) -> None:
-        if transforms is None:
-            transforms = [
-                GroupPermutation([list(range(num_features))]),
-                MeanPreservingJitter(0.05),
-                MeanPreservingJitter(0.15),
-            ]
         self.num_features = num_features
-        self.transforms = list(transforms)
+        self.transforms = [
+            GroupPermutation([list(range(num_features))]),
+            MeanPreservingJitter(0.05),
+            MeanPreservingJitter(0.15),
+        ]
         self._rng = np.random.default_rng(seed)
         self.name = "TabularOASIS"
 

@@ -8,15 +8,14 @@ from typing import Iterable, Sequence
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
-    float_format: str = "{:.2f}",
 ) -> str:
-    """Render an aligned ASCII table (no external deps)."""
+    """Render an aligned ASCII table (no external deps); floats get 2 decimals."""
     rendered_rows = []
     for row in rows:
         rendered = []
         for cell in row:
             if isinstance(cell, float):
-                rendered.append(float_format.format(cell))
+                rendered.append(f"{cell:.2f}")
             else:
                 rendered.append(str(cell))
         rendered_rows.append(rendered)
@@ -52,7 +51,7 @@ def render_ascii_image(image, width: int = 32) -> str:
     return "\n".join("".join(ramp[c] for c in row) for row in chars)
 
 
-def side_by_side(left: str, right: str, gap: str = "   |   ") -> str:
+def side_by_side(left: str, right: str) -> str:
     """Join two ASCII blocks horizontally (original vs reconstruction)."""
     left_lines = left.splitlines()
     right_lines = right.splitlines()
@@ -62,5 +61,5 @@ def side_by_side(left: str, right: str, gap: str = "   |   ") -> str:
     for i in range(height):
         l = left_lines[i] if i < len(left_lines) else ""
         r = right_lines[i] if i < len(right_lines) else ""
-        out.append(l.ljust(width) + gap + r)
+        out.append(l.ljust(width) + "   |   " + r)
     return "\n".join(out)

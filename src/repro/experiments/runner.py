@@ -91,11 +91,10 @@ def run_attack_trial(
     num_neurons: int,
     defense: Optional[ClientDefense] = None,
     seed: int = 0,
-    public_size: int = 200,
 ) -> AttackTrialResult:
     """One full dishonest-server round against one client batch.
 
-    The attacker calibrates on the first ``public_size`` dataset images (the
+    The attacker calibrates on the first 200 dataset images (the
     standard public-prior assumption of RTF/CAH); the client batch is drawn
     with the trial seed, so trials are reproducible and independent.
     """
@@ -110,7 +109,7 @@ def run_attack_trial(
         rng=np.random.default_rng(seed + 1),
     )
     attack = make_attack(
-        attack_name, num_neurons, dataset.images[:public_size], seed=seed
+        attack_name, num_neurons, dataset.images[:200], seed=seed
     )
     attack.craft(model)
 

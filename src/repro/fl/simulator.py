@@ -366,6 +366,6 @@ class FederatedSimulation:
         """Run the federation for ``num_rounds`` and return the records."""
         return self.server.run(num_rounds)
 
-    def evaluate(self, dataset: SyntheticImageDataset, batch_size: int = 64) -> float:
+    def evaluate(self, dataset: SyntheticImageDataset) -> float:
         """Top-1 accuracy of the current global model on ``dataset``."""
-        return model_accuracy(self.server.model, dataset, batch_size)
+        return model_accuracy(self.server.model, dataset, 64)

@@ -13,12 +13,8 @@ would; see EXPERIMENTS.md.
 Matching is vectorized: every reconstruction-vs-original score comes out of
 one broadcasted pairwise-MSE matrix (:func:`pairwise_mse`), so scoring an
 attack round costs one array reduction instead of an O(R x B) Python loop.
-Two assignment conventions are supported: ``"best"`` scores each
-reconstruction against whichever original it matches best (the default
-throughout the paper), and ``"unique"`` computes an optimal one-to-one
-assignment (the Hungarian convention used by the `breaching` framework's
-evaluation, where duplicate reconstructions must not all claim the same
-original).
+Each reconstruction is scored against whichever original it matches best,
+the paper's convention; images live in [0, 1], so the peak signal is 1.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 MSE_FLOOR = 1e-14
-PSNR_CEILING = 10.0 * np.log10(1.0 / MSE_FLOOR)  # 140 dB for data_range=1
+PSNR_CEILING = 10.0 * np.log10(1.0 / MSE_FLOOR)  # 140 dB
 
 # Entries of the GEMM-computed pairwise-MSE matrix below this value are
 # recomputed with the exact direct difference: the quadratic expansion
@@ -49,12 +45,10 @@ def mse(original: np.ndarray, reconstruction: np.ndarray) -> float:
 def psnr(
     original: np.ndarray,
     reconstruction: np.ndarray,
-    data_range: float = 1.0,
-    mse_floor: float = MSE_FLOOR,
 ) -> float:
-    """PSNR in dB: ``10 log10(data_range^2 / MSE)``, MSE floored."""
-    error = max(mse(original, reconstruction), mse_floor)
-    return float(10.0 * np.log10(data_range ** 2 / error))
+    """PSNR in dB of images in [0, 1]: ``10 log10(1 / MSE)``, MSE floored."""
+    error = max(mse(original, reconstruction), MSE_FLOOR)
+    return float(10.0 * np.log10(1.0 / error))
 
 
 def _flatten_sets(
@@ -127,18 +121,15 @@ def pairwise_mse(
 def pairwise_psnr(
     originals: np.ndarray,
     reconstructions: np.ndarray,
-    data_range: float = 1.0,
-    mse_floor: float = MSE_FLOOR,
 ) -> np.ndarray:
     """The ``(R, B)`` matrix of floored PSNRs (see :func:`pairwise_mse`)."""
-    errors = np.maximum(pairwise_mse(originals, reconstructions), mse_floor)
-    return 10.0 * np.log10(data_range ** 2 / errors)
+    errors = np.maximum(pairwise_mse(originals, reconstructions), MSE_FLOOR)
+    return 10.0 * np.log10(1.0 / errors)
 
 
 def best_match_psnr(
     originals: np.ndarray,
     reconstruction: np.ndarray,
-    data_range: float = 1.0,
 ) -> tuple[float, int]:
     """PSNR of ``reconstruction`` against its best-matching original.
 
@@ -151,65 +142,31 @@ def best_match_psnr(
         raise ValueError(
             "cannot match a reconstruction against an empty set of originals"
         )
-    scores = pairwise_psnr(
-        originals, np.asarray(reconstruction)[None], data_range=data_range
-    )[0]
+    scores = pairwise_psnr(originals, np.asarray(reconstruction)[None])[0]
     best = int(np.argmax(scores))
     return float(scores[best]), best
-
-
-def _unique_assignment(scores: np.ndarray) -> np.ndarray:
-    """Maximize total PSNR under a one-to-one reconstruction→original map.
-
-    Returns an array of original indices per reconstruction row; rows left
-    over when reconstructions outnumber originals get ``-1``.  Uses SciPy's
-    Hungarian solver (the `breaching` convention).
-    """
-    # Imported here: scipy.optimize is slow to load and only this path needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    assigned = np.full(len(scores), -1, dtype=np.int64)
-    rows, cols = linear_sum_assignment(-scores)
-    assigned[rows] = cols
-    return assigned
 
 
 def match_reconstructions(
     originals: np.ndarray,
     reconstructions: np.ndarray,
-    data_range: float = 1.0,
-    assignment: str = "best",
 ) -> list[tuple[int, float]]:
     """Score every reconstruction against the originals, vectorized.
 
     Returns a list of (matched original index, psnr) per reconstruction.
-
-    ``assignment="best"`` (default) lets every reconstruction claim its
-    highest-PSNR original, duplicates allowed — the paper's convention.
-    ``assignment="unique"`` computes the Hungarian one-to-one assignment
-    maximizing total PSNR (the `breaching` convention); reconstructions in
-    excess of the batch size come back as ``(-1, nan)``.
+    Every reconstruction claims its highest-PSNR original, duplicates
+    allowed — the paper's convention.
     """
-    if assignment not in ("best", "unique"):
-        raise ValueError(
-            f"unknown assignment {assignment!r}; choose 'best' or 'unique'"
-        )
     if len(reconstructions) == 0:
         return []
     if len(originals) == 0:
         raise ValueError(
             "cannot match reconstructions against an empty set of originals"
         )
-    scores = pairwise_psnr(originals, reconstructions, data_range=data_range)
-    if assignment == "best":
-        indices = np.argmax(scores, axis=1)
-        return [
-            (int(index), float(scores[row, index]))
-            for row, index in enumerate(indices)
-        ]
-    indices = _unique_assignment(scores)
+    scores = pairwise_psnr(originals, reconstructions)
+    indices = np.argmax(scores, axis=1)
     return [
-        (int(index), float(scores[row, index]) if index >= 0 else float("nan"))
+        (int(index), float(scores[row, index]))
         for row, index in enumerate(indices)
     ]
 
@@ -217,7 +174,6 @@ def match_reconstructions(
 def average_attack_psnr(
     originals: np.ndarray,
     reconstructions: np.ndarray,
-    data_range: float = 1.0,
 ) -> float:
     """The figures' headline number: mean best-match PSNR over reconstructions.
 
@@ -231,14 +187,13 @@ def average_attack_psnr(
         raise ValueError(
             "cannot score reconstructions against an empty set of originals"
         )
-    scores = pairwise_psnr(originals, reconstructions, data_range=data_range)
+    scores = pairwise_psnr(originals, reconstructions)
     return float(np.mean(scores.max(axis=1)))
 
 
 def per_image_best_psnr(
     originals: np.ndarray,
     reconstructions: np.ndarray,
-    data_range: float = 1.0,
 ) -> np.ndarray:
     """For each *original*, the PSNR of the closest reconstruction.
 
@@ -247,5 +202,5 @@ def per_image_best_psnr(
     """
     if len(reconstructions) == 0:
         return np.zeros(len(originals))
-    scores = pairwise_psnr(originals, reconstructions, data_range=data_range)
+    scores = pairwise_psnr(originals, reconstructions)
     return scores.max(axis=0)

@@ -68,12 +68,12 @@ class TestDetection:
         assert not report.suspicious
 
     def test_small_layers_ignored(self):
-        # Tiny layers (below min_neurons) are skipped to avoid noise.
+        # Tiny layers (below 16 neurons) are skipped to avoid noise.
         state = {
             "fc.weight": np.tile(np.ones(4), (8, 1)),
             "fc.bias": -np.arange(8.0),
         }
-        assert not inspect_state(state, min_neurons=16).suspicious
+        assert not inspect_state(state).suspicious
 
     def test_report_is_truthy_when_suspicious(self, cifar_like):
         report = inspect_state(crafted_state(cifar_like, "rtf"))

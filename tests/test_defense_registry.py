@@ -201,6 +201,15 @@ class TestMakeDefense:
         with pytest.raises(RegistryError, match="declared knobs"):
             make_defense("prune", bogus=3)
 
+    @pytest.mark.parametrize("name", ["dpsgd", "dpfed"])
+    def test_dp_arms_declare_exactly_clip_norm_and_noise(self, name):
+        # Seeding goes through make_defense's reseed, never a knob.
+        with pytest.raises(
+            RegistryError,
+            match=r"declared knobs: \['clip_norm', 'noise_multiplier'\]",
+        ):
+            make_defense(f"{name}(seed=3)")
+
     def test_chain_builds_pipeline_in_order(self):
         defense = make_defense("MR>dpsgd(noise_multiplier=0.5)")
         assert isinstance(defense, DefensePipeline)

@@ -424,8 +424,8 @@ class TestFederatedSimulation:
 
 
 def test_importing_the_fl_package_loads_no_scipy():
-    # The library imports scipy only for unique PSNR matching, at first
-    # use, so a federation never pays for it.
+    # The library imports no scipy itself; this also catches a dependency
+    # that would pull it in.
     src = Path(__file__).resolve().parents[1] / "src"
     completed = subprocess.run(
         [

@@ -8,6 +8,7 @@ that introduces a violation fails tier-1 before CI even annotates it).
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -688,6 +689,23 @@ class TestCommittedTree:
         violations, checked = lint_paths([bench_dir], profile="bench")
         assert checked > 0
         assert violations == [], "\n".join(v.format() for v in violations)
+
+    def test_src_imports_no_scipy(self):
+        """The library runs on numpy alone; scipy is a test-only oracle."""
+        paths = sorted((SRC / "repro").rglob("*.py"))
+        assert paths
+        offenders = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "scipy" for m in modules):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
 
     def test_scratch_violation_would_fail(self, tmp_path):
         """Deliberately introducing a violation flips the exit to 1."""
