@@ -30,7 +30,8 @@ import numpy as np
 
 from common import bench_rng, imagenet_bench, record_report, write_bench_json
 from repro.defense import OasisDefense
-from repro.experiments import ParticipationScenario, SweepRunner
+from repro.experiments import SweepRunner
+from repro.fl import FederationConfig
 from repro.metrics import (
     average_attack_psnr,
     match_reconstructions,
@@ -199,8 +200,8 @@ def test_sweep_cells_per_sec(benchmark):
         attacks=("rtf", "cah"),
         defenses=("WO", "MR", "MR+SH"),
         scenarios=(
-            ParticipationScenario("full", num_clients=2),
-            ParticipationScenario("sampled", num_clients=4, clients_per_round=2),
+            FederationConfig("full", num_clients=2),
+            FederationConfig("sampled", num_clients=4, clients_per_round=2),
         ),
         batch_size=8,
         num_neurons=64,

@@ -40,13 +40,13 @@ from pathlib import Path
 
 from common import record_report, write_bench_json
 from repro.experiments import (
-    ParticipationScenario,
     SerialSweepExecutor,
     SweepRunner,
     make_executor,
     usable_cpu_count,
 )
 from repro.data import synthetic_imagenet
+from repro.fl import FederationConfig
 
 JSON_PATH = Path(__file__).parent / "BENCH_sweep_parallel.json"
 
@@ -64,8 +64,8 @@ def _bench_runner(store):
         attacks=("rtf", "cah"),
         defenses=("WO", "MR"),
         scenarios=(
-            ParticipationScenario("full", num_clients=4),
-            ParticipationScenario("sampled", num_clients=8, clients_per_round=4),
+            FederationConfig("full", num_clients=4),
+            FederationConfig("sampled", num_clients=8, clients_per_round=4),
         ),
         batch_size=16,
         num_neurons=256,

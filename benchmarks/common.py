@@ -19,20 +19,19 @@ import numpy as np
 
 from repro.data import make_synthetic_dataset, synthetic_cifar100, synthetic_imagenet
 from repro.utils import atomic_write_text
-from repro.utils.rng import new_rng
 
 _REPORTS: list[tuple[str, str]] = []
 
 
 def bench_rng(seed: int) -> np.random.Generator:
-    """The benchmark suite's one RNG constructor, over ``repro.utils.rng``.
+    """The benchmark suite's one RNG constructor: an explicitly seeded
+    ``np.random.default_rng``.
 
-    ``new_rng(seed)`` is stream-identical to ``np.random.default_rng(seed)``,
-    so migrating the benches here shifted no BENCH gate — but it puts every
-    bench draw on the same seeding discipline the library enforces, which is
-    what keeps recorded numbers comparable across runs and machines.
+    Every bench draw goes through it, on the same seeding discipline the
+    library enforces, which is what keeps recorded numbers comparable
+    across runs and machines.
     """
-    return new_rng(seed)
+    return np.random.default_rng(seed)
 
 
 def host_block() -> dict:

@@ -151,11 +151,9 @@ def make_synthetic_dataset(
     Samples of a class share a prototype field and marker; each sample mixes
     in its own instance field and noise, then is renormalized to [0, 1].
     """
-    rng = np.random.default_rng(seed)
     proto_rng, marker_rng, sample_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    del rng
     prototypes = [
         _smooth_field(proto_rng, _CHANNELS, image_size, image_size)
         for _ in range(num_classes)

@@ -148,22 +148,13 @@ class TransformReplaceDefense(ClientDefense):
     The batch size is unchanged — no union with the original — so the attack
     principle still applies to the transformed images themselves, and RTF
     reconstructs them perfectly (paper Fig. 14).
-
-    ``seed`` installs a private generator for the per-image transform
-    choice (``None`` draws from the caller's generator); grid runners
-    reseed it from the cell's configuration fingerprint instead, so the
-    chosen transforms never depend on execution order.
     """
 
-    def __init__(
-        self, suite: "TransformSuite | str" = "MR", seed: "int | None" = None
-    ) -> None:
+    def __init__(self, suite: "TransformSuite | str" = "MR") -> None:
         if isinstance(suite, str):
             suite = suite_by_name(suite)
         self.suite = suite
         self.name = f"ATS({suite.name})"
-        if seed is not None:
-            self.reseed(seed)
 
     def process_batch(
         self,

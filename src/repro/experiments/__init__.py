@@ -56,7 +56,6 @@ _EXPORTS = {
         "ZOO_DEFENSES",
         "CellEvent",
         "CellExecution",
-        "ParticipationScenario",
         "SerialSweepExecutor",
         "SweepCell",
         "SweepOutcome",
@@ -70,7 +69,6 @@ _EXPORTS = {
         "is_failure",
         "make_executor",
         "run_tasks",
-        "scenario_from_dict",
         "scenario_to_dict",
         "usable_cpu_count",
         "worker_shared",

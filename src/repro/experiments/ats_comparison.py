@@ -61,7 +61,8 @@ def run_ats_comparison(
     loss_fn = CrossEntropyLoss()
 
     # --- ATSPrivacy-style: replace every image with a transformed version.
-    ats = TransformReplaceDefense(suite_name, seed=seed)
+    ats = TransformReplaceDefense(suite_name)
+    ats.reseed(seed)
     ats_rng = np.random.default_rng(seed)
     ats_images, ats_labels = ats.process_batch(images, labels, ats_rng)
     gradients, _ = compute_batch_gradients(model, loss_fn, ats_images, ats_labels)

@@ -6,9 +6,10 @@ clients per round, so evaluating OASIS credibly means running every
 full dishonest-server protocol — not one hand-rolled loop per figure.  This
 module provides that engine:
 
-- :class:`ParticipationScenario` describes one federation shape (fleet
-  size, per-round sampling, dropout/stragglers, IID vs Dirichlet non-IID)
-  and lowers to the PR-1 :class:`~repro.fl.FederationConfig`.
+- A scenario is a named :class:`~repro.fl.FederationConfig`: one
+  federation shape (fleet size, per-round sampling, dropout/stragglers,
+  IID vs Dirichlet non-IID, aggregator, arrivals).  Each cell runs it
+  with the runner's batch size and the cell's seed.
 - :class:`SweepRunner` enumerates the cell grid, runs each cell through
   :class:`~repro.fl.DishonestServer` with ``target_client_id=None`` (every
   arriving update is inverted — the multi-victim regime), and scores all
@@ -96,7 +97,7 @@ import time
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -135,65 +136,14 @@ def dataset_fingerprint(dataset: SyntheticImageDataset) -> str:
     return digest.hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class ParticipationScenario:
-    """One federation shape a sweep cell runs under.
-
-    The PR-1 rate-based knobs are joined by the event-engine axis:
-    ``arrivals`` names an arrival process (``""`` keeps the legacy
-    rate-driven compat process), ``round_duration_s`` switches the round
-    to a time cutoff (with ``min_arrivals`` as the grace floor), and
-    ``fleet_size`` registers the federation as a lazy fleet instead of
-    eagerly partitioning ``num_clients`` shards.  All four default to the
-    values :func:`scenario_to_dict` elides, so legacy scenarios keep
-    their exact store fingerprints (and therefore their cell seeds and
-    golden values).
-    """
-
-    name: str
-    num_clients: int = 2
-    clients_per_round: Optional[int] = None
-    dropout_rate: float = 0.0
-    straggler_rate: float = 0.0
-    accept_stale: bool = False
-    partition: str = "iid"
-    dirichlet_alpha: float = 0.5
-    aggregator: str = "fedavg"
-    weight_by_examples: bool = False
-    arrivals: str = ""
-    round_duration_s: float = 0.0
-    min_arrivals: int = 0
-    fleet_size: int = 0
-
-    def to_config(self, batch_size: int, seed: int) -> FederationConfig:
-        """Lower this scenario to a :class:`~repro.fl.FederationConfig`."""
-        return FederationConfig(
-            num_clients=self.num_clients,
-            clients_per_round=self.clients_per_round,
-            batch_size=batch_size,
-            seed=seed,
-            partition=self.partition,
-            dirichlet_alpha=self.dirichlet_alpha,
-            dropout_rate=self.dropout_rate,
-            straggler_rate=self.straggler_rate,
-            accept_stale=self.accept_stale,
-            aggregator=self.aggregator,
-            weight_by_examples=self.weight_by_examples,
-            arrivals=self.arrivals or None,
-            round_duration_s=self.round_duration_s,
-            min_arrivals=self.min_arrivals,
-            fleet_size=self.fleet_size,
-        )
-
-
 # The sweep's default scenario lineup: full participation, per-round
 # sampling, client dropout, and Dirichlet label skew — the participation
-# regimes PR 1's federation engine simulates.
-DEFAULT_SCENARIOS: tuple[ParticipationScenario, ...] = (
-    ParticipationScenario("full", num_clients=2),
-    ParticipationScenario("sampled", num_clients=4, clients_per_round=2),
-    ParticipationScenario("dropout", num_clients=4, dropout_rate=0.25),
-    ParticipationScenario(
+# regimes the federation engine simulates.
+DEFAULT_SCENARIOS: tuple[FederationConfig, ...] = (
+    FederationConfig("full", num_clients=2),
+    FederationConfig("sampled", num_clients=4, clients_per_round=2),
+    FederationConfig("dropout", num_clients=4, dropout_rate=0.25),
+    FederationConfig(
         "noniid", num_clients=4, partition="dirichlet", dirichlet_alpha=0.3
     ),
 )
@@ -207,19 +157,19 @@ DEFAULT_SCENARIOS: tuple[ParticipationScenario, ...] = (
 # quantifies exactly that separation.  A dropout draw that leaves fewer
 # survivors than the t = n//2 + 1 threshold aborts the round gracefully
 # (recorded in ``RoundRecord.secagg``) rather than failing the cell.
-SECAGG_SCENARIOS: tuple[ParticipationScenario, ...] = (
-    ParticipationScenario("plain", num_clients=6, aggregator="masked_sum"),
-    ParticipationScenario(
+SECAGG_SCENARIOS: tuple[FederationConfig, ...] = (
+    FederationConfig("plain", num_clients=6, aggregator="masked_sum"),
+    FederationConfig(
         "plain-drop", num_clients=6, dropout_rate=0.25, aggregator="masked_sum"
     ),
-    ParticipationScenario("secagg", num_clients=6, aggregator="secagg"),
-    ParticipationScenario(
+    FederationConfig("secagg", num_clients=6, aggregator="secagg"),
+    FederationConfig(
         "secagg-drop", num_clients=6, dropout_rate=0.25, aggregator="secagg"
     ),
-    ParticipationScenario(
+    FederationConfig(
         "oneshot", num_clients=6, aggregator="secagg_oneshot"
     ),
-    ParticipationScenario(
+    FederationConfig(
         "oneshot-drop",
         num_clients=6,
         dropout_rate=0.25,
@@ -235,8 +185,8 @@ SECAGG_SCENARIOS: tuple[ParticipationScenario, ...] = (
 # arrivals into the next round and ``fleet-lazy`` sampling its cohort
 # from a lazily-materialized registry several times larger than any
 # round's cohort.
-FLEET_SCENARIOS: tuple[ParticipationScenario, ...] = (
-    ParticipationScenario(
+FLEET_SCENARIOS: tuple[FederationConfig, ...] = (
+    FederationConfig(
         "uniform-time",
         num_clients=8,
         clients_per_round=4,
@@ -244,7 +194,7 @@ FLEET_SCENARIOS: tuple[ParticipationScenario, ...] = (
         round_duration_s=0.6,
         min_arrivals=1,
     ),
-    ParticipationScenario(
+    FederationConfig(
         "tiered-time",
         num_clients=8,
         clients_per_round=4,
@@ -252,7 +202,7 @@ FLEET_SCENARIOS: tuple[ParticipationScenario, ...] = (
         round_duration_s=0.5,
         min_arrivals=1,
     ),
-    ParticipationScenario(
+    FederationConfig(
         "tiered-stale",
         num_clients=8,
         clients_per_round=4,
@@ -261,8 +211,9 @@ FLEET_SCENARIOS: tuple[ParticipationScenario, ...] = (
         round_duration_s=0.5,
         min_arrivals=1,
     ),
-    ParticipationScenario(
+    FederationConfig(
         "fleet-lazy",
+        num_clients=2,
         clients_per_round=6,
         arrivals="tiered",
         round_duration_s=1.0,
@@ -272,7 +223,7 @@ FLEET_SCENARIOS: tuple[ParticipationScenario, ...] = (
 )
 
 # Named scenario axes the CLI can swap in wholesale (--scenario-axis).
-SCENARIO_AXES: dict[str, tuple[ParticipationScenario, ...]] = {
+SCENARIO_AXES: dict[str, tuple[FederationConfig, ...]] = {
     "default": DEFAULT_SCENARIOS,
     "secagg": SECAGG_SCENARIOS,
     "fleet": FLEET_SCENARIOS,
@@ -998,7 +949,9 @@ class SweepRunner:
         strings — ``"WO"``, suite names, baselines, knobbed variants, or
         composed stacks like ``"MR>dpsgd"`` (see
         :mod:`repro.defense.registry`); scenarios are
-        :class:`ParticipationScenario` entries with unique names.
+        :class:`~repro.fl.FederationConfig` entries with unique names
+        that leave ``batch_size`` and ``seed`` to the runner and name
+        their aggregator and arrival process by registry spec.
     store:
         A :class:`SweepStore`, a path for one, or None for memory-only.
     """
@@ -1008,7 +961,7 @@ class SweepRunner:
         dataset: SyntheticImageDataset,
         attacks: Sequence[str] = ("rtf", "cah"),
         defenses: Sequence[str] = DEFAULT_DEFENSES,
-        scenarios: Sequence[ParticipationScenario] = DEFAULT_SCENARIOS,
+        scenarios: Sequence[FederationConfig] = DEFAULT_SCENARIOS,
         batch_size: int = 4,
         num_neurons: int = 64,
         rounds: int = 1,
@@ -1018,6 +971,8 @@ class SweepRunner:
     ) -> None:
         if not attacks or not defenses or not scenarios:
             raise ValueError("every grid axis needs at least one entry")
+        for scenario in scenarios:
+            _check_scenario(scenario)
         names = [scenario.name for scenario in scenarios]
         for axis_label, axis in (
             ("attacks", list(attacks)),
@@ -1099,7 +1054,7 @@ class SweepRunner:
             "seeding": "cell-fingerprint-v1",
             "scenario": scenario_to_dict(scenario),
         }
-        if scenario.arrivals not in ("", "instant"):
+        if scenario.arrivals not in (None, "instant"):
             config["arrival_stream"] = TRACE_STREAM_VERSION
         fingerprint = hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
@@ -1167,7 +1122,7 @@ class SweepRunner:
         simulation = FederatedSimulation(
             self.dataset,
             self._model_factory(seed, cell.attack),
-            scenario.to_config(self.batch_size, seed),
+            replace(scenario, batch_size=self.batch_size, seed=seed),
             defense=defense,
             attack=attack,
             target_client_id=None,
@@ -1320,33 +1275,53 @@ _LEGACY_SCENARIO_FIELDS = frozenset({
     "straggler_rate", "accept_stale", "partition", "dirichlet_alpha",
     "aggregator", "weight_by_examples",
 })
-_SCENARIO_DEFAULTS = {
-    field.name: field.default for field in fields(ParticipationScenario)
-}
+# The fields the runner sets for every cell; the store key fingerprints
+# the runner's values, so a scenario leaves them at their defaults.
+_RUNNER_FIELDS = ("batch_size", "seed")
 
 
-def scenario_from_dict(payload: dict) -> ParticipationScenario:
-    """Rebuild a :class:`ParticipationScenario` from its serialized payload.
+def scenario_to_dict(scenario: FederationConfig) -> dict:
+    """JSON-serializable fingerprint of a sweep scenario.
 
-    Fields absent from ``payload`` (elided defaults, or payloads written
-    before the field existed) take their dataclass defaults.
-    """
-    return ParticipationScenario(**payload)
-
-
-def scenario_to_dict(scenario: ParticipationScenario) -> dict:
-    """JSON-serializable form of a scenario (inverse of
-    :func:`scenario_from_dict`).
-
-    Pre-engine fields are always present; event-engine fields appear only
-    when they differ from their defaults, so legacy scenarios fingerprint
+    Pre-engine fields are always present; every later field appears only
+    when it differs from its default, so legacy scenarios fingerprint
     (and therefore seed) exactly as they did before the engine existed.
+    The runner-owned ``batch_size`` and ``seed`` never appear.
     """
     return {
-        key: value
-        for key, value in asdict(scenario).items()
-        if key in _LEGACY_SCENARIO_FIELDS or value != _SCENARIO_DEFAULTS[key]
+        item.name: getattr(scenario, item.name)
+        for item in fields(scenario)
+        if item.name in _LEGACY_SCENARIO_FIELDS
+        or (
+            item.name not in _RUNNER_FIELDS
+            and getattr(scenario, item.name) != item.default
+        )
     }
+
+
+def _check_scenario(scenario: FederationConfig) -> None:
+    """Refuse an unnamed scenario, or one the store key cannot describe."""
+    if not scenario.name:
+        raise ValueError("a sweep scenario needs a name")
+    owned = [
+        item.name
+        for item in fields(scenario)
+        if item.name in _RUNNER_FIELDS
+        and getattr(scenario, item.name) != item.default
+    ]
+    if owned:
+        raise ValueError(
+            f"scenario {scenario.name!r} sets {' and '.join(owned)}; "
+            "the sweep runner owns batch_size and seed"
+        )
+    if not isinstance(scenario.aggregator, str) or not isinstance(
+        scenario.arrivals, (str, type(None))
+    ):
+        raise ValueError(
+            f"scenario {scenario.name!r} holds an aggregator or arrival "
+            "process instance, which a store key cannot fingerprint; "
+            "name it by its registry spec"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1366,7 +1341,7 @@ class GridPreset:
     dataset: Callable[[], SyntheticImageDataset]
     attacks: tuple[str, ...]
     defenses: tuple[str, ...]
-    scenarios: tuple[ParticipationScenario, ...]
+    scenarios: tuple[FederationConfig, ...]
     sizes: dict
 
     def __call__(
@@ -1376,7 +1351,7 @@ class GridPreset:
         store,
         attacks: Optional[Sequence[str]] = None,
         defenses: Optional[Sequence[str]] = None,
-        scenarios: Optional[Sequence[ParticipationScenario]] = None,
+        scenarios: Optional[Sequence[FederationConfig]] = None,
     ) -> SweepRunner:
         return SweepRunner(
             self.dataset(),

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense
-from repro.fl.aggregators import Aggregator, make_aggregator
+from repro.fl.aggregators import Aggregator
 from repro.fl.arrivals import ArrivalProcess
 from repro.fl.client import Client
 from repro.fl.engine import CountCutoff, TimeCutoff, make_cutoff
@@ -179,7 +179,7 @@ def partition_dataset_dirichlet(
     return [dataset.subset(a) for a in assignments]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederationConfig:
     """Declarative description of a federation scenario.
 
@@ -208,8 +208,16 @@ class FederationConfig:
       each materialized client samples a ``shard_size`` private shard
       (``0`` → ``batch_size``) keyed by its id, so any cohort is
       reproducible without touching the rest of the fleet.
+
+    ``name`` labels the config as one scenario of a sweep grid
+    (:class:`~repro.experiments.SweepRunner`); a federation ignores it.
+    A sweep sets ``batch_size`` and ``seed`` itself, cell by cell, and
+    fingerprints every other field into the cell's store key (see
+    :func:`repro.experiments.sweep.scenario_to_dict`), so a scenario
+    names its aggregator and arrival process by registry spec.
     """
 
+    name: str = ""
     num_clients: int = 10
     clients_per_round: Optional[int] = None
     batch_size: int = 8
@@ -227,10 +235,6 @@ class FederationConfig:
     min_arrivals: int = 0
     fleet_size: int = 0
     shard_size: int = 0
-
-    def make_aggregator(self) -> Aggregator:
-        """Resolve the configured aggregation rule to an instance."""
-        return make_aggregator(self.aggregator)
 
     def make_cutoff(self) -> "CountCutoff | TimeCutoff":
         """Resolve the configured round-close policy."""
@@ -342,7 +346,7 @@ class FederatedSimulation:
         server_kwargs = dict(
             learning_rate=config.learning_rate,
             clients_per_round=config.clients_per_round,
-            aggregator=config.make_aggregator(),
+            aggregator=config.aggregator,
             dropout_rate=config.dropout_rate,
             straggler_rate=config.straggler_rate,
             accept_stale=config.accept_stale,

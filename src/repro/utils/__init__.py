@@ -6,18 +6,14 @@ from repro.utils.checkpoint import (
     atomic_write_text,
 )
 from repro.utils.rng import (
-    SeedSequence,
     derive_seed,
     keyed_uniforms,
     keyed_words,
-    new_rng,
     rng_for,
     seed_sequence_for,
 )
 
 __all__ = [
-    "new_rng",
-    "SeedSequence",
     "seed_sequence_for",
     "derive_seed",
     "rng_for",

@@ -29,18 +29,11 @@ import hashlib
 
 import numpy as np
 
-SeedSequence = np.random.SeedSequence
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64: the Weyl increment and the finalizer's two multipliers.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def new_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a generator from an integer seed (or OS entropy when None)."""
-    return np.random.default_rng(seed)
 
 
 def seed_sequence_for(base_seed: int, *labels: str) -> np.random.SeedSequence:

@@ -85,21 +85,24 @@ class TestTransformReplace:
     def test_batch_size_unchanged(self, rng):
         images = rng.random((6, 3, 8, 8))
         labels = np.arange(6)
-        defense = TransformReplaceDefense("MR", seed=0)
+        defense = TransformReplaceDefense("MR")
+        defense.reseed(0)
         out_images, out_labels = defense.process_batch(images, labels, rng)
         assert out_images.shape == images.shape
         np.testing.assert_array_equal(out_labels, labels)
 
     def test_images_actually_transformed(self, rng):
         images = rng.random((6, 3, 8, 8))
-        defense = TransformReplaceDefense("MR", seed=0)
+        defense = TransformReplaceDefense("MR")
+        defense.reseed(0)
         out_images, _ = defense.process_batch(images, np.arange(6), rng)
         # Rotations of random images differ from the originals.
         assert not np.allclose(out_images, images)
 
     def test_each_output_is_some_suite_transform(self, rng):
         images = rng.random((3, 3, 8, 8))
-        defense = TransformReplaceDefense("MR", seed=0)
+        defense = TransformReplaceDefense("MR")
+        defense.reseed(0)
         out_images, _ = defense.process_batch(images, np.arange(3), rng)
         for i in range(3):
             candidates = [t(images[i]) for t in defense.suite.transforms]

@@ -164,9 +164,8 @@ class TestNoGlobalRng:
 
     def test_utils_rng_helpers_clean(self):
         assert lint("""
-            from repro.utils.rng import new_rng, rng_for
-            rng = new_rng(0)
-            other = rng_for(0, "cell", "metric")
+            from repro.utils.rng import rng_for
+            rng = rng_for(0, "cell", "metric")
         """) == []
 
     def test_pragma_suppresses(self):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from repro.data import make_synthetic_dataset
 from repro.experiments import (
     DEFAULT_SCENARIOS,
-    ParticipationScenario,
+    SCENARIO_AXES,
     SweepCell,
     SweepOutcome,
     SweepRunner,
@@ -26,9 +27,8 @@ from repro.experiments import (
     run_defense_lineup,
     run_sweep,
     run_tasks,
-    scenario_from_dict,
-    scenario_to_dict,
 )
+from repro.fl import FederationConfig
 from repro.tensor import Tensor
 
 
@@ -41,7 +41,7 @@ def make_runner(dataset, store=None, **overrides):
     kwargs = dict(
         attacks=("rtf",),
         defenses=("WO", "MR"),
-        scenarios=(ParticipationScenario("full", num_clients=2),),
+        scenarios=(FederationConfig("full", num_clients=2),),
         batch_size=3,
         num_neurons=48,
         public_size=48,
@@ -52,31 +52,87 @@ def make_runner(dataset, store=None, **overrides):
     return SweepRunner(dataset, **kwargs)
 
 
-class TestScenario:
-    def test_lowers_to_federation_config(self):
-        scenario = ParticipationScenario(
-            "s", num_clients=8, clients_per_round=4, dropout_rate=0.1,
-            partition="dirichlet", dirichlet_alpha=0.2,
-        )
-        config = scenario.to_config(batch_size=6, seed=7)
-        assert config.num_clients == 8
-        assert config.clients_per_round == 4
-        assert config.dropout_rate == 0.1
-        assert config.partition == "dirichlet"
-        assert config.batch_size == 6
-        assert config.seed == 7
+# The store key of the (rtf, WO) cell of every scenario on the three named
+# axes under ``make_runner``.  Each cell's seed derives from its key, so a
+# changed key re-seeds the cell and orphans every stored result for it.
+PINNED_STORE_KEYS = {
+    "full": "rtf|WO|full|1f546feee64d",
+    "sampled": "rtf|WO|sampled|f0a45c3c2483",
+    "dropout": "rtf|WO|dropout|ea3350e1534e",
+    "noniid": "rtf|WO|noniid|04f8c644453a",
+    "plain": "rtf|WO|plain|1eea8ce146e9",
+    "plain-drop": "rtf|WO|plain-drop|baa6fc7fd149",
+    "secagg": "rtf|WO|secagg|2e019dcb1487",
+    "secagg-drop": "rtf|WO|secagg-drop|501b2efb765d",
+    "oneshot": "rtf|WO|oneshot|0338897937be",
+    "oneshot-drop": "rtf|WO|oneshot-drop|826ff7b495a7",
+    "uniform-time": "rtf|WO|uniform-time|ee423587e2c5",
+    "tiered-time": "rtf|WO|tiered-time|2997f09c4c50",
+    "tiered-stale": "rtf|WO|tiered-stale|5b09524ee0dc",
+    "fleet-lazy": "rtf|WO|fleet-lazy|d9d6d3855608",
+}
 
-    def test_round_trips_through_dict(self):
-        for scenario in DEFAULT_SCENARIOS:
-            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+AXIS_SCENARIOS = [
+    scenario
+    for axis in ("default", "secagg", "fleet")
+    for scenario in SCENARIO_AXES[axis]
+]
+
+
+class TestScenario:
+    def test_pins_cover_every_axis_scenario(self):
+        names = [scenario.name for scenario in AXIS_SCENARIOS]
+        assert names == list(PINNED_STORE_KEYS)
+
+    @pytest.mark.parametrize(
+        "scenario", AXIS_SCENARIOS, ids=lambda scenario: scenario.name
+    )
+    def test_store_key_pinned(self, sweep_dataset, scenario):
+        runner = make_runner(sweep_dataset, scenarios=(scenario,))
+        key = runner.store_key(SweepCell("rtf", "WO", scenario.name))
+        assert key == PINNED_STORE_KEYS[scenario.name]
+
+    @pytest.mark.parametrize(
+        "knob", [{"learning_rate": 0.05}, {"shard_size": 5}], ids=str
+    )
+    def test_non_default_knob_changes_the_key(self, sweep_dataset, knob):
+        scenario = replace(DEFAULT_SCENARIOS[0], **knob)
+        runner = make_runner(sweep_dataset, scenarios=(scenario,))
+        key = runner.store_key(SweepCell("rtf", "WO", "full"))
+        assert key != PINNED_STORE_KEYS["full"]
+
+    @pytest.mark.parametrize(
+        "knob", [{"batch_size": 3}, {"seed": 7}], ids=str
+    )
+    def test_runner_owned_fields_refused(self, sweep_dataset, knob):
+        scenario = replace(DEFAULT_SCENARIOS[0], **knob)
+        with pytest.raises(ValueError, match="runner owns batch_size and seed"):
+            make_runner(sweep_dataset, scenarios=(scenario,))
+
+    def test_instances_refused(self, sweep_dataset):
+        from repro.fl.aggregators import make_aggregator
+        from repro.fl.arrivals import make_arrivals
+
+        for knob in (
+            {"aggregator": make_aggregator("fedavg")},
+            {"arrivals": make_arrivals("uniform")},
+        ):
+            scenario = replace(DEFAULT_SCENARIOS[0], **knob)
+            with pytest.raises(ValueError, match="cannot fingerprint"):
+                make_runner(sweep_dataset, scenarios=(scenario,))
+
+    def test_unnamed_scenario_refused(self, sweep_dataset):
+        with pytest.raises(ValueError, match="needs a name"):
+            make_runner(sweep_dataset, scenarios=(FederationConfig(),))
 
     def test_duplicate_names_rejected(self, sweep_dataset):
         with pytest.raises(ValueError):
             make_runner(
                 sweep_dataset,
                 scenarios=(
-                    ParticipationScenario("dup"),
-                    ParticipationScenario("dup", num_clients=4),
+                    FederationConfig("dup"),
+                    FederationConfig("dup", num_clients=4),
                 ),
             )
 
@@ -177,7 +233,7 @@ class TestStoreResume:
         assert len(rebatched.computed) == 2 and rebatched.cached == []
         renamed_scenario = make_runner(
             sweep_dataset, store=path,
-            scenarios=(ParticipationScenario("full", num_clients=4),),
+            scenarios=(FederationConfig("full", num_clients=4),),
         ).run()
         assert len(renamed_scenario.computed) == 2
         assert renamed_scenario.cached == []
@@ -530,7 +586,7 @@ class TestHeadlineVerdict:
         assert holds is None and "skipped a (SH absent)" in verdict
 
 
-FULL = ParticipationScenario("full", num_clients=2)
+FULL = FederationConfig("full", num_clients=2)
 
 
 class TestEmptyFederation:
@@ -566,9 +622,9 @@ class TestEmptyFederation:
     @pytest.mark.parametrize(
         "scenario",
         [
-            ParticipationScenario("alldrop", num_clients=4, dropout_rate=1.0),
-            ParticipationScenario("allstraggle", num_clients=4, straggler_rate=1.0),
-            ParticipationScenario(
+            FederationConfig("alldrop", num_clients=4, dropout_rate=1.0),
+            FederationConfig("allstraggle", num_clients=4, straggler_rate=1.0),
+            FederationConfig(
                 "tiered-1us", num_clients=4, arrivals="tiered",
                 round_duration_s=1e-6,
             ),
@@ -595,7 +651,7 @@ class TestEmptyFederation:
             return records[-1]
 
         monkeypatch.setattr(Server, "run_round", recording_run_round)
-        scenario = ParticipationScenario(
+        scenario = FederationConfig(
             "secagg-abort", num_clients=6, dropout_rate=0.5,
             aggregator="secagg(threshold=6)",
         )

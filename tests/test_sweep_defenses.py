@@ -17,14 +17,13 @@ from repro.attacks import ImprintedModel
 from repro.data import make_synthetic_dataset
 from repro.defense import make_defense
 from repro.experiments import (
-    ParticipationScenario,
     SweepCell,
     SweepRunner,
     SweepStore,
     make_executor,
 )
 from repro.experiments.sweep import ZOO_DEFENSES, main
-from repro.fl import Client
+from repro.fl import Client, FederationConfig
 from repro.fl.messages import ModelBroadcast
 from repro.nn import CrossEntropyLoss
 from repro.registry import UnknownNameError
@@ -39,7 +38,7 @@ def make_runner(dataset, store=None, **overrides):
     kwargs = dict(
         attacks=("rtf",),
         defenses=("WO", "MR", "dpsgd", "prune", "MR>dpsgd"),
-        scenarios=(ParticipationScenario("full", num_clients=2),),
+        scenarios=(FederationConfig("full", num_clients=2),),
         batch_size=3,
         num_neurons=48,
         public_size=48,

@@ -46,7 +46,8 @@ def golden_runner(store=None):
     them in the same commit.
     """
     from repro.data import make_synthetic_dataset
-    from repro.experiments import ParticipationScenario, SweepRunner
+    from repro.experiments import SweepRunner
+    from repro.fl import FederationConfig
 
     dataset = make_synthetic_dataset(
         4, 12, image_size=8, seed=3, name="golden"
@@ -56,8 +57,8 @@ def golden_runner(store=None):
         attacks=("rtf", "cah", "linear", "qbi", "loki"),
         defenses=GOLDEN_DEFENSES,
         scenarios=(
-            ParticipationScenario("full", num_clients=2),
-            ParticipationScenario("sampled", num_clients=4, clients_per_round=2),
+            FederationConfig("full", num_clients=2),
+            FederationConfig("sampled", num_clients=4, clients_per_round=2),
         ),
         batch_size=3,
         num_neurons=48,

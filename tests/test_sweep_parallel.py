@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.data import make_synthetic_dataset
 from repro.experiments import (
     CellEvent,
-    ParticipationScenario,
     SerialSweepExecutor,
     SweepCell,
     SweepRunner,
@@ -28,6 +27,7 @@ from repro.experiments import (
     run_tasks,
 )
 from repro.experiments import sweep as sweep_module
+from repro.fl import FederationConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,8 @@ def make_runner(dataset, store=None, **overrides):
         attacks=("rtf",),
         defenses=("WO", "MR"),
         scenarios=(
-            ParticipationScenario("full", num_clients=2),
-            ParticipationScenario("sampled", num_clients=4, clients_per_round=2),
+            FederationConfig("full", num_clients=2),
+            FederationConfig("sampled", num_clients=4, clients_per_round=2),
         ),
         batch_size=3,
         num_neurons=48,
@@ -89,16 +89,16 @@ class TestExecutorEquivalence:
         # keyed by the cell fingerprint, so the byte-identity contract
         # must hold for secagg arms exactly as for plain ones.
         scenarios = (
-            ParticipationScenario(
+            FederationConfig(
                 "plain", num_clients=2, aggregator="masked_sum"
             ),
-            ParticipationScenario(
+            FederationConfig(
                 "secagg-drop",
                 num_clients=6,
                 dropout_rate=0.25,
                 aggregator="secagg",
             ),
-            ParticipationScenario(
+            FederationConfig(
                 "oneshot-drop",
                 num_clients=6,
                 dropout_rate=0.25,
@@ -229,7 +229,7 @@ class TestResume:
         make_runner(
             sweep_dataset,
             store=path,
-            scenarios=(ParticipationScenario("full", num_clients=2),),
+            scenarios=(FederationConfig("full", num_clients=2),),
         ).run()
         resumed = make_runner(sweep_dataset, store=path).run(
             WorkStealingSweepExecutor(2)
@@ -404,7 +404,7 @@ class TestFailureIsolation:
         make_runner(
             sweep_dataset,
             store=path,
-            scenarios=(ParticipationScenario("full", num_clients=2),),
+            scenarios=(FederationConfig("full", num_clients=2),),
         ).run()
         events: list[CellEvent] = []
         make_runner(

@@ -14,7 +14,6 @@ from repro.utils import (
     derive_seed,
     keyed_uniforms,
     keyed_words,
-    new_rng,
     rng_for,
     seed_sequence_for,
 )
@@ -22,11 +21,6 @@ from repro.utils import blas
 from repro.utils.blas import limit_blas_threads
 from repro.utils.checkpoint import atomic_write_bytes, atomic_write_text
 from gradcheck import numerical_gradient
-
-
-class TestRng:
-    def test_new_rng_seeded(self):
-        assert new_rng(5).random() == new_rng(5).random()
 
 
 class TestLabelKeyedSeeding:
