@@ -28,7 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, imagenet_bench, record_report, write_bench_json
+from common import (
+    below,
+    bench_rng,
+    best_of,
+    imagenet_bench,
+    record_report,
+    write_bench_json,
+)
 from repro.defense import OasisDefense
 from repro.experiments import SweepRunner
 from repro.fl import FederationConfig
@@ -56,22 +63,6 @@ def _finish(key: str, entry: dict, failed_gates: list[str]) -> None:
     write_bench_json(JSON_PATH, _RESULTS)
     assert not failed_gates, "; ".join(failed_gates)
 
-
-def _below(label: str, value: float, gate: float) -> list[str]:
-    """``[reason]`` when ``value`` misses its ``>= gate``, else ``[]``."""
-    if value >= gate:
-        return []
-    return [f"{label} {value:.2f}x (gate >= {gate}x)"]
-
-
-def _best_of(fn, rounds: int = 7) -> float:
-    fn()  # warmup
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _scalar_expand_batch(defense: OasisDefense, images, labels):
@@ -102,8 +93,8 @@ def test_batched_expansion_speedup(benchmark):
     np.testing.assert_allclose(vectorized[0], scalar[0], atol=1e-9)
     np.testing.assert_array_equal(vectorized[1], scalar[1])
 
-    scalar_s = _best_of(lambda: _scalar_expand_batch(defense, images, labels))
-    batched_s = _best_of(lambda: defense.expand_batch(images, labels))
+    scalar_s = best_of(lambda: _scalar_expand_batch(defense, images, labels), 7)
+    batched_s = best_of(lambda: defense.expand_batch(images, labels), 7)
     speedup = scalar_s / batched_s
 
     record_report(
@@ -122,7 +113,7 @@ def test_batched_expansion_speedup(benchmark):
             "batched_s": batched_s,
             "speedup": speedup,
         },
-        _below("batched expansion speedup", speedup, 5.0),
+        below("batched expansion speedup", speedup, 5.0),
     )
 
 
@@ -168,9 +159,9 @@ def test_vectorized_matching_speedup(benchmark):
     )
     np.testing.assert_allclose(per_image, scalar_per_image, atol=1e-9)
 
-    scalar_s = _best_of(lambda: _scalar_match(originals, reconstructions))
-    vectorized_s = _best_of(vectorized)
-    average_s = _best_of(lambda: average_attack_psnr(originals, reconstructions))
+    scalar_s = best_of(lambda: _scalar_match(originals, reconstructions), 7)
+    vectorized_s = best_of(vectorized, 7)
+    average_s = best_of(lambda: average_attack_psnr(originals, reconstructions), 7)
     speedup = scalar_s / vectorized_s
 
     record_report(
@@ -189,7 +180,7 @@ def test_vectorized_matching_speedup(benchmark):
             "average_attack_psnr_s": average_s,
             "speedup": speedup,
         },
-        _below("vectorized matching speedup", speedup, 5.0),
+        below("vectorized matching speedup", speedup, 5.0),
     )
 
 

@@ -11,7 +11,8 @@ mean/max PSNR, and per-cell wall-clock.  Two claims are gated:
    drops below its undefended count (the paper's Fig. 5/6 trend extended
    to the QBI and LOKI workloads).
 
-Results land in ``BENCH_attack_zoo.json`` next to this file.
+Results land in ``BENCH_attack_zoo.json`` next to this file, with a
+``"failed_gates"`` list, before the bench asserts that the list is empty.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_attack_zoo.py --benchmark-only
 """
@@ -94,6 +95,7 @@ def test_attack_zoo_grid(benchmark):
     )
 
     rows = []
+    failed_gates = []
     for name, arms in cells.items():
         rows.append([
             name,
@@ -103,14 +105,19 @@ def test_attack_zoo_grid(benchmark):
             f"{arms['WO']['seconds'] * 1e3:.0f}ms",
         ])
         # Gate 1: the attack works when nothing defends.
-        assert arms["WO"]["matches_over_18db"] >= 1, name
-        if ATTACKS.get(name).model_family == "imprint":
-            assert arms["WO"]["best_psnr"] > 100.0, name
+        if arms["WO"]["matches_over_18db"] < 1:
+            failed_gates.append(f"{name}: no undefended match above {MATCH_DB} dB")
+        if (
+            ATTACKS.get(name).model_family == "imprint"
+            and arms["WO"]["best_psnr"] <= 100.0
+        ):
+            failed_gates.append(f"{name}: no verbatim undefended reconstruction")
         # Gate 2: MR+SH drops the match rate.
-        assert (
+        if (
             arms["MR+SH"]["matches_over_18db"]
-            < arms["WO"]["matches_over_18db"]
-        ), name
+            >= arms["WO"]["matches_over_18db"]
+        ):
+            failed_gates.append(f"{name}: MR+SH did not drop the match rate")
 
     table = format_table(
         ["attack", "WO >18dB", "WO best", "MR+SH >18dB", "round"], rows
@@ -123,5 +130,7 @@ def test_attack_zoo_grid(benchmark):
             "num_neurons": NUM_NEURONS,
             "match_threshold_db": MATCH_DB,
             "cells": cells,
+            "failed_gates": failed_gates,
         },
     )
+    assert not failed_gates, "; ".join(failed_gates)

@@ -24,7 +24,8 @@ Gates, per imprint attack:
    reconstructions, where "strictly lower than zero" has no meaning).
 5. **FedAvg parity** — every arm reports the pre-expansion batch size.
 
-Results land in ``BENCH_defense_zoo.json`` next to this file.
+Results land in ``BENCH_defense_zoo.json`` next to this file, with a
+``"failed_gates"`` list, before the bench asserts that the list is empty.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_defense_zoo.py --benchmark-only
 """
@@ -109,29 +110,38 @@ def test_defense_zoo_grid(benchmark):
     )
 
     rows = []
+    failed_gates = []
     for attack, arms in cells.items():
         psnr = {arm: arms[arm]["mean_match_psnr"] for arm in DEFENSE_ARMS}
         rows.append([attack] + [f"{psnr[arm]:.1f}" for arm in DEFENSE_ARMS])
         # Gate 5: every arm reports the pre-expansion FedAvg weight.
         for arm in DEFENSE_ARMS:
-            assert arms[arm]["reported_examples"] == BATCH_SIZE, (attack, arm)
+            if arms[arm]["reported_examples"] != BATCH_SIZE:
+                failed_gates.append(f"{attack}/{arm}: FedAvg weight is not B")
         # Gate 1: the attack works when undefended.
-        assert psnr["WO"] > 18.0, attack
+        if psnr["WO"] <= 18.0:
+            failed_gates.append(f"{attack}: undefended PSNR not above 18 dB")
         # Gate 2: each paper-lineup component alone weakens the attack.
         for component in OASIS_DP_COMPONENTS:
-            assert psnr[component] < psnr["WO"], (attack, component)
+            if psnr[component] >= psnr["WO"]:
+                failed_gates.append(f"{attack}/{component}: did not weaken")
         # Gate 3 (the acceptance gate): the both-components-leak stack
         # scores strictly below its weakest component alone.
         strict_weakest = max(psnr[c] for c in STRICT_COMPONENTS)
         for component in STRICT_COMPONENTS:
-            assert psnr[component] > 0.0, (attack, component)
-        assert psnr[STRICT_COMPOSED] < strict_weakest, attack
+            if psnr[component] <= 0.0:
+                failed_gates.append(f"{attack}/{component}: leaks nothing")
+        if psnr[STRICT_COMPOSED] >= strict_weakest:
+            failed_gates.append(f"{attack}: {STRICT_COMPOSED} not below its weakest")
         # Gate 4: OASIS+DP composition never costs protection.
         oasis_dp_weakest = max(psnr[c] for c in OASIS_DP_COMPONENTS)
         if oasis_dp_weakest > 0.0:
-            assert psnr[OASIS_DP_COMPOSED] < oasis_dp_weakest, attack
-        else:
-            assert psnr[OASIS_DP_COMPOSED] == 0.0, attack
+            if psnr[OASIS_DP_COMPOSED] >= oasis_dp_weakest:
+                failed_gates.append(
+                    f"{attack}: {OASIS_DP_COMPOSED} not below its weakest"
+                )
+        elif psnr[OASIS_DP_COMPOSED] != 0.0:
+            failed_gates.append(f"{attack}: {OASIS_DP_COMPOSED} leaks")
 
     table = format_table(["attack"] + list(DEFENSE_ARMS), rows)
     record_report(
@@ -152,5 +162,7 @@ def test_defense_zoo_grid(benchmark):
                 "components": list(OASIS_DP_COMPONENTS),
             },
             "cells": cells,
+            "failed_gates": failed_gates,
         },
     )
+    assert not failed_gates, "; ".join(failed_gates)

@@ -9,11 +9,13 @@ better than flips.  Both datasets, B in {8, 64}.
 from __future__ import annotations
 
 from common import cifar100_bench, imagenet_bench, record_report
-from repro.experiments import FIG13_LINEUP, run_linear_lineup
+from repro.experiments import FIG13_LINEUP, run_defense_lineup
 
 
 def _run(dataset, batch_size):
-    return run_linear_lineup(dataset, batch_size, FIG13_LINEUP, num_trials=2, seed=19)
+    return run_defense_lineup(
+        dataset, "linear", batch_size, 0, FIG13_LINEUP, num_trials=2, seed=19
+    )
 
 
 def _check_shape(result):

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, record_report, write_bench_json
+from common import bench_rng, best_of, record_report, write_bench_json
 from repro.data import make_synthetic_dataset
 from repro.fl import (
     Client,
@@ -88,15 +88,6 @@ def _python_loop_mean(updates: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
     return aggregated
 
 
-def _best_of(fn, rounds: int = 9) -> float:
-    fn()  # warmup
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
 
 def test_buffered_aggregation_speedup(benchmark):
     updates = _make_updates(NUM_CLIENTS)
@@ -110,22 +101,22 @@ def test_buffered_aggregation_speedup(benchmark):
     for name in baseline:
         np.testing.assert_allclose(vectorized[name], baseline[name], atol=1e-12)
 
-    loop_s = _best_of(lambda: _python_loop_mean(updates))
-    reduce_s = _best_of(lambda: aggregator.aggregate(buffer))
-    ingest_s = _best_of(lambda: RoundBuffer.for_updates(updates))
+    loop_s = best_of(lambda: _python_loop_mean(updates), 9)
+    reduce_s = best_of(lambda: aggregator.aggregate(buffer), 9)
+    ingest_s = best_of(lambda: RoundBuffer.for_updates(updates), 9)
     speedup = loop_s / reduce_s
     assert speedup >= 5.0, (
         f"buffered aggregation only {speedup:.1f}x faster than the Python loop"
     )
 
     robust = {
-        name: _best_of(lambda agg=make_aggregator(name): agg.aggregate(buffer))
+        name: best_of(lambda agg=make_aggregator(name): agg.aggregate(buffer), 9)
         for name in ("median", "trimmed_mean")
     }
     # masked_sum expands O(K^2) pairwise masks — time it at a modest fleet.
     masked_buffer = RoundBuffer.for_updates(updates[:16])
-    robust["masked_sum@16"] = _best_of(
-        lambda: make_aggregator("masked_sum").aggregate(masked_buffer)
+    robust["masked_sum@16"] = best_of(
+        lambda: make_aggregator("masked_sum").aggregate(masked_buffer), 9
     )
 
     _RESULTS["aggregation"] = {

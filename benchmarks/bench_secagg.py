@@ -33,12 +33,11 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_secagg.py --benchmark-onl
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, record_report, write_bench_json
+from common import bench_rng, best_of, record_report, write_bench_json
 from repro.fl import make_aggregator
 
 JSON_PATH = Path(__file__).parent / "BENCH_secagg.json"
@@ -63,15 +62,6 @@ def _fleet():
     return matrix, committed, survivors
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    fn()  # warmup
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
 
 def test_secagg_dropout_recovery_and_overhead(benchmark):
     matrix, committed, survivors = _fleet()
@@ -82,7 +72,7 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
     # would leave its masks in the sum forever — which is exactly the
     # overhead comparison's point.
     plain = make_aggregator("masked_sum", seed=11)
-    plain_s = _best_of(lambda: plain.reduce(matrix[survivors], None))
+    plain_s = best_of(lambda: plain.reduce(matrix[survivors], None), 3)
 
     per_protocol: dict[str, dict] = {}
     for name in PROTOCOLS:
@@ -114,8 +104,8 @@ def test_secagg_dropout_recovery_and_overhead(benchmark):
         assert meta["survivors"] == len(survivors)
         assert meta["committed"] == NUM_CLIENTS
 
-        dropout_s = _best_of(full_round)
-        smooth_s = _best_of(no_dropout_round)
+        dropout_s = best_of(full_round, 3)
+        smooth_s = best_of(no_dropout_round, 3)
         per_protocol[name] = {
             "round_with_30pct_dropout_s": dropout_s,
             "round_no_dropout_s": smooth_s,

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, record_report, write_bench_json
+from common import below, bench_rng, best_of, record_report, write_bench_json
 from repro.experiments.sweep import GRID_PRESETS
 from repro.nn import MLP, Adam, CrossEntropyLoss, SGD, small_cnn
 from repro.profile import Profiler
@@ -80,22 +80,6 @@ def _finish(key: str, entry: dict, failed_gates: list[str]) -> None:
     write_bench_json(JSON_PATH, _RESULTS)
     assert not failed_gates, "; ".join(failed_gates)
 
-
-def _below(label: str, value: float, gate: float) -> list[str]:
-    """``[reason]`` when ``value`` misses its ``>= gate``, else ``[]``."""
-    if value >= gate:
-        return []
-    return [f"{label} {value:.2f}x (gate >= {gate}x)"]
-
-
-def _best_of(fn, rounds: int = 5) -> float:
-    fn()  # warmup
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _ab(fn, rounds: int = 7) -> tuple[float, float]:
@@ -185,8 +169,8 @@ def test_graph_node_reduction(benchmark):
     _finish(
         "graph_node_reduction",
         entry,
-        _below("training-step node reduction", reduction, GATE_NODE_REDUCTION)
-        + _below(
+        below("training-step node reduction", reduction, GATE_NODE_REDUCTION)
+        + below(
             "cross-entropy node reduction", ce_reduction, GATE_CE_NODE_REDUCTION
         ),
     )
@@ -237,8 +221,8 @@ def test_training_loop_speedup(benchmark):
     _finish(
         "training_loop",
         entry,
-        _below("update loop speedup", update_r / update_f, GATE_UPDATE_LOOP)
-        + _below("grads loop speedup", grads_r / grads_f, GATE_GRADS_LOOP),
+        below("update loop speedup", update_r / update_f, GATE_UPDATE_LOOP)
+        + below("grads loop speedup", grads_r / grads_f, GATE_GRADS_LOOP),
     )
 
 
@@ -288,8 +272,8 @@ def test_fused_op_micro_speedups(benchmark):
     _finish(
         "fused_ops",
         entry,
-        _below("cross-entropy speedup", ce_r / ce_f, GATE_CROSS_ENTROPY)
-        + _below("small_cnn speedup", conv_r / conv_f, GATE_CONV),
+        below("cross-entropy speedup", ce_r / ce_f, GATE_CROSS_ENTROPY)
+        + below("small_cnn speedup", conv_r / conv_f, GATE_CONV),
     )
 
 
@@ -329,7 +313,7 @@ def test_optimizer_inplace_not_slower(benchmark):
     failed_gates = [
         gate
         for name, stats in per_optimizer.items()
-        for gate in _below(
+        for gate in below(
             f"{name} in-place step speedup", stats["speedup"], GATE_OPTIMIZER_FLOOR
         )
     ]
@@ -348,9 +332,9 @@ def test_im2col_index_cache(benchmark):
         return _im2col_indices(*shape)
 
     benchmark.pedantic(warm, rounds=3, iterations=10)
-    cold_s = _best_of(cold)
+    cold_s = best_of(cold, 5)
     warm()  # prime
-    warm_s = _best_of(lambda: [warm() for _ in range(100)]) / 100
+    warm_s = best_of(lambda: [warm() for _ in range(100)], 5) / 100
     hits_before = _im2col_indices.cache_info().hits
     rng = bench_rng(34)
     weight = Tensor(rng.standard_normal((4, 3, 3, 3)))
@@ -369,7 +353,7 @@ def test_im2col_index_cache(benchmark):
         f"cold {1e6 * cold_s:8.2f} us   warm {1e6 * warm_s:8.2f} us   "
         f"({speedup:.0f}x, gate >= {GATE_INDEX_CACHE:.0f}x)",
     )
-    failed_gates = _below("index cache speedup", speedup, GATE_INDEX_CACHE)
+    failed_gates = below("index cache speedup", speedup, GATE_INDEX_CACHE)
     if not conv_hits_cache:
         failed_gates.append("conv2d never hit the index cache")
     _finish("im2col_index_cache", entry, failed_gates)
@@ -414,7 +398,7 @@ def test_sweep_cell_end_to_end(benchmark):
         f"   ({speedup:.2f}x, gate >= {GATE_SWEEP_CELL:.2f}x, results "
         f"{'identical' if identical else 'DIFFER'})",
     )
-    failed_gates = _below("sweep cell speedup", speedup, GATE_SWEEP_CELL)
+    failed_gates = below("sweep cell speedup", speedup, GATE_SWEEP_CELL)
     if not identical:
         failed_gates.append("the cell's results differ across kernel modes")
     _finish("sweep_cell_end_to_end", entry, failed_gates)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -74,6 +75,27 @@ def write_bench_json(path: Path, results: dict) -> None:
     merged.update(results)
     merged["host"] = host_block()
     atomic_write_text(path, json.dumps(merged, indent=2, sort_keys=True) + "\n")
+
+
+def best_of(fn, rounds: int) -> float:
+    """Seconds of ``fn``'s fastest call in ``rounds`` timed calls.
+
+    One untimed warm-up call runs first.
+    """
+    fn()
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def below(label: str, value: float, gate: float) -> list[str]:
+    """``[reason]`` when ``value`` misses its ``>= gate``, else ``[]``."""
+    if value >= gate:
+        return []
+    return [f"{label} {value:.2f}x (gate >= {gate}x)"]
 
 
 def record_report(title: str, body: str) -> None:

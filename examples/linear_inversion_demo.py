@@ -19,7 +19,7 @@ from repro.defense import OasisDefense
 from repro.experiments import format_table, render_ascii_image, side_by_side
 from repro.fl import compute_batch_gradients
 from repro.metrics import best_match_psnr
-from repro.nn import LogisticLoss
+from repro.nn import CrossEntropyLoss
 
 BATCH_SIZE = 8
 SEED = 19
@@ -28,7 +28,7 @@ SEED = 19
 def invert(model, inversion, images, labels, defense=None):
     if defense is not None:
         images, labels = defense.expand_batch(images, labels)
-    gradients, _ = compute_batch_gradients(model, LogisticLoss(), images, labels)
+    gradients, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
     return inversion.reconstruct(gradients)
 
 

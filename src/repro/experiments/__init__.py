@@ -27,7 +27,6 @@ _EXPORTS = {
         "PAPER_SETTINGS",
         "DefenseLineupResult",
         "run_defense_lineup",
-        "run_linear_lineup",
     ),
     "model_perf": (
         "TABLE1_LINEUP",

@@ -3,6 +3,8 @@
 Each experiment fixes the attack at its strongest (B, n) configuration from
 the Fig. 3/4 sweeps and compares the PSNR distribution of reconstructions
 under each OASIS transformation suite against the no-defense baseline (WO).
+Fig. 13 is the same lineup with the ``"linear"`` attack, whose trials run
+the Sec. IV-D single-layer protocol (``num_neurons`` is unused; pass 0).
 
 Lineup arms are defense-registry spec strings
 (:mod:`repro.defense.registry`), so beyond the paper's suite lineups any
@@ -19,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
-from repro.defense.registry import make_defense
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import psnr_distribution_task, run_linear_trial
+from repro.experiments.runner import psnr_distribution_task
 from repro.experiments.sweep import (
     SweepStore,
     dataset_fingerprint,
@@ -95,7 +96,7 @@ def run_defense_lineup(
     store: "SweepStore | None" = None,
     workers: int = 1,
 ) -> DefenseLineupResult:
-    """One panel of Fig. 5 (RTF) / Fig. 6 (CAH): PSNRs per transformation.
+    """One panel of Fig. 5 (RTF), 6 (CAH) or 13 (linear): PSNRs per arm.
 
     With a :class:`~repro.experiments.SweepStore`, each defense arm's PSNR
     distribution is cached so interrupted lineups resume where they left
@@ -139,34 +140,4 @@ def run_defense_lineup(
         num_neurons=num_neurons,
         distributions=distributions,
         errors=errors,
-    )
-
-
-def run_linear_lineup(
-    dataset: SyntheticImageDataset,
-    batch_size: int,
-    lineup: tuple[str, ...] = FIG13_LINEUP,
-    num_trials: int = 2,
-    seed: int = 0,
-) -> DefenseLineupResult:
-    """One panel of Fig. 13: the linear-model attack per transformation."""
-    distributions: dict[str, np.ndarray] = {}
-    for defense_name in lineup:
-        scores: list[float] = []
-        for trial in range(num_trials):
-            trial_seed = seed + 31 * trial
-            result = run_linear_trial(
-                dataset,
-                batch_size,
-                defense=make_defense(defense_name, seed=trial_seed),
-                seed=trial_seed,
-            )
-            scores.extend(result.psnrs)
-        distributions[defense_name] = np.array(scores)
-    return DefenseLineupResult(
-        attack="linear",
-        dataset=dataset.name,
-        batch_size=batch_size,
-        num_neurons=0,
-        distributions=distributions,
     )

@@ -17,7 +17,7 @@ import numpy as np
 from repro.attacks.base import ReconstructionResult
 from repro.attacks.imprint import ImprintedModel
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import make_attack
+from repro.attacks.registry import ATTACKS, make_attack
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
@@ -25,7 +25,7 @@ from repro.defense.registry import make_defense
 from repro.experiments.sweep import worker_shared
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
-from repro.nn.losses import CrossEntropyLoss, LogisticLoss
+from repro.nn.losses import CrossEntropyLoss
 
 
 @dataclass
@@ -96,8 +96,12 @@ def run_attack_trial(
 
     The attacker calibrates on the first 200 dataset images (the
     standard public-prior assumption of RTF/CAH); the client batch is drawn
-    with the trial seed, so trials are reproducible and independent.
+    with the trial seed, so trials are reproducible and independent.  An
+    attack whose ``model_family`` is ``"linear"`` runs the Sec. IV-D
+    protocol instead (:func:`run_linear_trial`; ``num_neurons`` unused).
     """
+    if ATTACKS.get(attack_name).model_family == "linear":
+        return run_linear_trial(dataset, batch_size, defense=defense, seed=seed)
     defense = defense if defense is not None else NoDefense()
     rng = np.random.default_rng((seed, batch_size, num_neurons))
     images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
@@ -141,7 +145,7 @@ def run_linear_trial(
     inversion = LinearModelInversion()
     inversion.craft(model)
     gradients, _, _ = compute_defended_update(
-        model, LogisticLoss(), images, labels, defense, rng
+        model, CrossEntropyLoss(), images, labels, defense, rng
     )
     result = inversion.reconstruct(gradients)
     return _score(result, images, "linear", defense.name, batch_size, 0)

@@ -4,9 +4,9 @@ Clients are *honest* in the paper's threat model — they faithfully train
 whatever model the server sends.  Their only protection is local batch
 preprocessing (OASIS, transform-replace) or gradient post-processing (DP,
 pruning), applied through a pluggable
-:class:`~repro.defense.ClientDefense` — a single defense, a composed
-:class:`~repro.defense.DefensePipeline`, or a registry spec string like
-``"MR>dpsgd"`` (resolved through :func:`repro.defense.make_defense`).
+:class:`~repro.defense.ClientDefense` — a single defense or a composed
+:class:`~repro.defense.DefensePipeline`; build one from a registry spec
+string like ``"MR>dpsgd"`` with :func:`repro.defense.make_defense`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Client:
         model: Module,
         loss_fn: Module,
         batch_size: int,
-        defense: "ClientDefense | str | None" = None,
+        defense: Optional[ClientDefense] = None,
         seed: int = 0,
     ) -> None:
         self.client_id = client_id
@@ -57,10 +57,6 @@ class Client:
         self.batch_size = min(batch_size, len(dataset))
         if defense is None:
             defense = NoDefense()
-        elif isinstance(defense, str):
-            from repro.defense.registry import make_defense
-
-            defense = make_defense(defense)
         self.defense = defense
         hooks = type(defense)
         self._poolable = (

@@ -12,7 +12,7 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.losses import CrossEntropyLoss, LogisticLoss, one_hot
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.resnet import BasicBlock, ResNet, resnet18, small_cnn
@@ -31,8 +31,6 @@ __all__ = [
     "Sequential",
     "MLP",
     "CrossEntropyLoss",
-    "LogisticLoss",
-    "one_hot",
     "Optimizer",
     "SGD",
     "Adam",

@@ -41,7 +41,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -49,18 +48,12 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(kaiming_uniform((out_features, in_features), rng))
-        if bias:
-            self.bias = Parameter(bias_uniform((out_features,), in_features, rng))
-        else:
-            self.bias = None
+        self.bias = Parameter(bias_uniform((out_features,), in_features, rng))
 
     def forward(self, x: Tensor) -> Tensor:
         if backend.FUSED and x.ndim == 2:
             return fused.linear(x, self.weight, self.bias)
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight.T + self.bias
 
 
 class Conv2d(Module):
@@ -98,11 +91,9 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch normalization over (N, H, W) per channel, with running stats."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
@@ -116,8 +107,6 @@ class BatchNorm2d(Module):
             self.running_mean,
             self.running_var,
             training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
 
@@ -132,22 +121,21 @@ class Identity(Module):
 
 
 class Flatten(Module):
-    def __init__(self, start_dim: int = 1) -> None:
-        super().__init__()
-        self.start_dim = start_dim
+    """Flatten every dimension after the batch dimension."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(self.start_dim)
+        return x.flatten(1)
 
 
 class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
+    """Max pooling over non-overlapping ``kernel_size`` windows."""
+
+    def __init__(self, kernel_size: int) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride)
+        return max_pool2d(x, self.kernel_size)
 
 
 class GlobalAvgPool2d(Module):

@@ -19,8 +19,8 @@ from repro.tensor import Tensor
 class Parameter(Tensor):
     """A tensor registered as a trainable leaf of a module."""
 
-    def __init__(self, data, name: str = "") -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 # Structure generation counter: bumped on every Parameter/Module
@@ -84,14 +84,8 @@ class Module:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        if not prefix:
-            yield from self._flat_named_parameters()
-            return
-        for name, param in self._parameters.items():
-            yield prefix + name, param
-        for name, module in self._modules.items():
-            yield from module.named_parameters(prefix + name + ".")
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        return iter(self._flat_named_parameters())
 
     def _flat_named_parameters(self) -> list[tuple[str, Parameter]]:
         cached = self._flat_parameters
@@ -114,12 +108,13 @@ class Module:
         for _, param in self._flat_named_parameters():
             yield param
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
         for name in self._buffers:
             # Read through the attribute so in-place replacement is visible.
-            yield prefix + name, getattr(self, name)
+            yield name, getattr(self, name)
         for name, module in self._modules.items():
-            yield from module.named_buffers(prefix + name + ".")
+            for child_name, buffer in module.named_buffers():
+                yield name + "." + child_name, buffer
 
     def modules(self) -> Iterator["Module"]:
         yield self

@@ -22,6 +22,12 @@ import numpy as np
 import repro.tensor.backend as backend
 from repro.nn.module import Parameter
 
+#: Adam's moment decay rates and denominator epsilon (Kingma & Ba's
+#: defaults, which Table I's training uses).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Optimizer:
     """Base class: holds the parameter list and the zero_grad/step protocol."""
@@ -100,14 +106,10 @@ class Adam(Optimizer):
         self,
         parameters: Iterable[Parameter],
         lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
@@ -118,8 +120,8 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
+        bias1 = 1.0 - ADAM_BETA1 ** self._step
+        bias2 = 1.0 - ADAM_BETA2 ** self._step
         if not backend.FUSED:
             self._step_reference(bias1, bias2)
             return
@@ -138,12 +140,12 @@ class Adam(Optimizer):
                 np.add(grad, a, out=a)
                 grad = a
             # m = beta1*m + (1-beta1)*grad, replayed in reference op order.
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=b)
+            m *= ADAM_BETA1
+            np.multiply(grad, 1.0 - ADAM_BETA1, out=b)
             np.add(m, b, out=m)
             # v = beta2*v + (1-beta2)*grad*grad.
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=b)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=b)
             np.multiply(b, grad, out=b)
             np.add(v, b, out=v)
             # param -= lr*m_hat / (sqrt(v_hat) + eps), same op order as the
@@ -152,7 +154,7 @@ class Adam(Optimizer):
             np.multiply(a, self.lr, out=a)
             np.divide(v, bias2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
+            np.add(b, ADAM_EPS, out=b)
             np.divide(a, b, out=a)
             np.subtract(param.data, a, out=param.data)
 
@@ -163,10 +165,10 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

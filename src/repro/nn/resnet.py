@@ -18,6 +18,7 @@ from repro.nn.layers import (
     GlobalAvgPool2d,
     Identity,
     Linear,
+    MaxPool2d,
     Module,
     ReLU,
     Sequential,
@@ -57,13 +58,15 @@ class BasicBlock(Module):
 
 
 class ResNet(Module):
-    """CIFAR-style ResNet: 3x3 stem (no 7x7/maxpool) then four block stages."""
+    """CIFAR-style ResNet: 3x3 stem (no 7x7/maxpool) then four block stages.
+
+    Inputs are RGB images (3 channels), as every dataset here is.
+    """
 
     def __init__(
         self,
         block_counts: Sequence[int],
         num_classes: int,
-        in_channels: int = 3,
         base_width: int = 64,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -71,7 +74,7 @@ class ResNet(Module):
         # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
         rng = rng if rng is not None else np.random.default_rng()
         widths = [base_width, base_width * 2, base_width * 4, base_width * 8]
-        self.stem_conv = Conv2d(in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=rng)
+        self.stem_conv = Conv2d(3, widths[0], 3, stride=1, padding=1, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(widths[0])
         self.stem_relu = ReLU()
 
@@ -104,7 +107,6 @@ class ResNet(Module):
 
 def resnet18(
     num_classes: int,
-    in_channels: int = 3,
     base_width: int = 64,
     rng: Optional[np.random.Generator] = None,
 ) -> ResNet:
@@ -114,26 +116,23 @@ def resnet18(
     11M-parameter model, smaller values give CPU-trainable variants with the
     same topology.
     """
-    return ResNet([2, 2, 2, 2], num_classes, in_channels=in_channels, base_width=base_width, rng=rng)
+    return ResNet([2, 2, 2, 2], num_classes, base_width=base_width, rng=rng)
 
 
 def small_cnn(
     num_classes: int,
     in_channels: int = 3,
-    width: int = 16,
     rng: Optional[np.random.Generator] = None,
 ) -> Module:
-    """A compact conv net for fast integration tests and FL round smoke runs."""
+    """A compact conv net (16 then 32 channels) for fast integration tests."""
     # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
     rng = rng if rng is not None else np.random.default_rng()
-    from repro.nn.layers import Flatten, MaxPool2d
-
     return Sequential(
-        Conv2d(in_channels, width, 3, padding=1, rng=rng),
+        Conv2d(in_channels, 16, 3, padding=1, rng=rng),
         ReLU(),
         MaxPool2d(2),
-        Conv2d(width, width * 2, 3, padding=1, rng=rng),
+        Conv2d(16, 32, 3, padding=1, rng=rng),
         ReLU(),
         GlobalAvgPool2d(),
-        Linear(width * 2, num_classes, rng=rng),
+        Linear(32, num_classes, rng=rng),
     )

@@ -39,14 +39,13 @@ __all__ = ["BufferPool", "acquire", "release", "clear", "stats", "MAX_PER_KEY"]
 class BufferPool:
     """Free-list pool of ndarrays keyed by ``(shape, dtype)``."""
 
-    __slots__ = ("_free", "_free_ids", "hits", "misses", "max_per_key")
+    __slots__ = ("_free", "_free_ids", "hits", "misses")
 
-    def __init__(self, max_per_key: int = MAX_PER_KEY) -> None:
+    def __init__(self) -> None:
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._free_ids: set[int] = set()
         self.hits = 0
         self.misses = 0
-        self.max_per_key = max_per_key
 
     def acquire(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Return an uninitialized C-contiguous array of ``shape``/``dtype``."""
@@ -64,7 +63,7 @@ class BufferPool:
         """Return ``arr`` to the pool; True if it was actually pooled.
 
         Views, non-contiguous arrays, already-free arrays, and overflow
-        beyond ``max_per_key`` are silently dropped (garbage-collected as
+        beyond :data:`MAX_PER_KEY` are silently dropped (garbage-collected as
         before pooling existed) — release is always safe to call.
         """
         if not isinstance(arr, np.ndarray) or arr.base is not None:
@@ -75,7 +74,7 @@ class BufferPool:
             return False
         key = (arr.shape, arr.dtype.str)
         stock = self._free.setdefault(key, [])
-        if len(stock) >= self.max_per_key:
+        if len(stock) >= MAX_PER_KEY:
             return False
         stock.append(arr)
         self._free_ids.add(id(arr))

@@ -28,6 +28,11 @@ import repro.tensor.backend as backend
 import repro.tensor.buffers as buffers
 from repro.tensor.tensor import Tensor
 
+#: Batch-norm running-statistics momentum and variance epsilon (PyTorch's
+#: defaults).
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 @lru_cache(maxsize=None)
 def _im2col_indices(
@@ -197,13 +202,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     return result
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) windows."""
-    stride = stride if stride is not None else kernel
+def max_pool2d(x: Tensor, kernel: int) -> Tensor:
+    """Max pooling over non-overlapping ``kernel`` x ``kernel`` windows."""
     n, c, h, w = x.shape
     fused = backend.FUSED
     cols, (rows, col_idx, out_h, out_w) = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, stride
+        x.data.reshape(n * c, 1, h, w), kernel, kernel
     )
     # cols: (N*C, k*k, L)
     argmax = cols.argmax(axis=1)
@@ -221,7 +225,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             else:
                 grad_cols = np.zeros_like(cols)
             np.put_along_axis(grad_cols, argmax[:, None, :], grad_out, axis=1)
-            grad = _col2im(grad_cols, (n * c, 1, h, w), kernel, rows, col_idx, stride)
+            grad = _col2im(grad_cols, (n * c, 1, h, w), kernel, rows, col_idx, kernel)
             if fused:
                 buffers.release(grad_cols)
                 buffers.release(cols)
@@ -247,8 +251,6 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Fused batch normalization over (N, H, W) per channel.
 
@@ -265,15 +267,15 @@ def batch_norm(
         var = x.data.var(axis=axes)
         count = x.data.size // x.shape[1]
         unbiased = var * count / max(count - 1, 1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mean = running_mean
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
     out = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
 

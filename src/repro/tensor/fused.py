@@ -23,17 +23,17 @@ is what ``benchmarks/bench_tensor_core.py`` measures against.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 import repro.tensor.buffers as buffers
 from repro.tensor.tensor import Tensor
 
-__all__ = ["linear", "cross_entropy"]
+__all__ = ["linear", "cross_entropy", "one_hot"]
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused ``y = x @ W.T + b`` for 2-D activations: one node, no views.
 
     Replaces the reference transpose->matmul->add three-node chain.  The
@@ -44,14 +44,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     because a differently-laid-out GEMM may sum in a different order.
     """
     data = x.data @ weight.data.T
-    if bias is not None:
-        np.add(data, bias.data, out=data)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    np.add(data, bias.data, out=data)
 
     def backward(out: Tensor) -> Callable[[], None]:
         def run() -> None:
             g = out.grad
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0,)), fresh=True)
             if weight.requires_grad:
                 # The reference BLAS call, then an exact elementwise copy
@@ -68,29 +66,27 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
 
         return run
 
-    return Tensor._make(data, parents, backward)
+    return Tensor._make(data, (x, weight, bias), backward)
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Bitwise-identical twin of :func:`repro.nn.losses.one_hot`."""
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Encode integer labels as one-hot rows."""
     labels = np.asarray(labels, dtype=np.int64)
     encoded = np.zeros((labels.shape[0], num_classes))
     encoded[np.arange(labels.shape[0]), labels] = 1.0
     return encoded
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Fused softmax cross-entropy over integer targets: one graph node.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Fused mean softmax cross-entropy over integer targets: one graph node.
 
     Replaces the ~10-node reference chain (max/sub/exp/sum/log/sub/mul/
     sum/neg/sum/scale) built by ``log_softmax`` + ``CrossEntropyLoss``.
     Forward and backward replay the reference op order exactly — see the
     module docstring for the bit-identity contract.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unsupported reduction: {reduction}")
     num_classes = logits.shape[-1]
-    encoded = _one_hot(np.asarray(targets), num_classes)
+    encoded = one_hot(np.asarray(targets), num_classes)
 
     # Forward, op for op as the reference chain computes it.
     maxes = logits.data.max(axis=-1, keepdims=True)
@@ -99,13 +95,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     sums = exps.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(sums)
     per_sample = -(log_probs * encoded).sum(axis=-1)
-    total = per_sample.sum()
-    if reduction == "mean":
-        inv = 1.0 / per_sample.size
-        data = total * inv
-    else:
-        inv = None
-        data = total
+    inv = 1.0 / per_sample.size
+    data = per_sample.sum() * inv
 
     def backward(out: Tensor) -> Callable[[], None]:
         def run() -> None:
@@ -113,7 +104,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
                 return
             # Reference reversed-topo replay: the loss scale, then the
             # one-hot path into log_probs, then the log-sum-exp path.
-            g = out.grad * inv if inv is not None else out.grad
+            g = out.grad * inv
             a1 = (-g) * encoded
             g_sums = a1.sum(axis=-1, keepdims=True)
             grad_logits = a1 + np.broadcast_to((-g_sums) / sums, a1.shape) * exps

@@ -91,7 +91,7 @@ class Tensor:
     """
 
     __slots__ = (
-        "data", "grad", "requires_grad", "_parents", "_backward", "name",
+        "data", "grad", "requires_grad", "_parents", "_backward",
         "_grad_owned", "__weakref__",
     )
 
@@ -100,14 +100,12 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         dtype=DEFAULT_DTYPE,
-        name: str = "",
     ) -> None:
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple["Tensor", ...] = ()
         self._backward: Optional[Callable[[], None]] = None
-        self.name = name
         # True when ``grad`` is exclusively ours: safe to mutate in place
         # and to hand back to the buffer pool at zero_grad().
         self._grad_owned = False
@@ -603,10 +601,10 @@ class Tensor:
 
         return Tensor._make(np.asarray(data), (self,), backward)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def var(self, axis=None) -> "Tensor":
         if not backend.FUSED:
             centered = self - self.mean(axis=axis, keepdims=True)
-            return (centered * centered).mean(axis=axis, keepdims=keepdims)
+            return (centered * centered).mean(axis=axis)
         # Fused biased variance: one node for the reference seven-node
         # sum/scale/neg/add/mul/sum/scale chain.  Forward replays the
         # reference op order exactly; backward replays the reference
@@ -618,14 +616,14 @@ class Tensor:
         mean_kept = self.data.sum(axis=axis, keepdims=True) * inv
         centered = self.data - mean_kept
         squared = centered * centered
-        data = squared.sum(axis=axis, keepdims=keepdims) * inv
+        data = squared.sum(axis=axis) * inv
 
         def backward(out: "Tensor") -> Callable[[], None]:
             def run() -> None:
                 if not self.requires_grad:
                     return
                 g_sq = np.broadcast_to(
-                    self._expand_reduced(out.grad * inv, axis, keepdims), self.shape
+                    self._expand_reduced(out.grad * inv, axis, False), self.shape
                 )
                 term = g_sq * centered
                 grad_centered = term + term
@@ -662,20 +660,6 @@ class Tensor:
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self - self.max(axis=axis, keepdims=True).detach()
         return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        return self.log_softmax(axis=axis).exp()
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

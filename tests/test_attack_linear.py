@@ -10,7 +10,7 @@ from repro.data import class_balanced_batch
 from repro.defense import OasisDefense
 from repro.fl import compute_batch_gradients
 from repro.metrics import average_attack_psnr, per_image_best_psnr
-from repro.nn import LogisticLoss
+from repro.nn import CrossEntropyLoss
 from repro.tensor import Tensor
 
 
@@ -44,7 +44,7 @@ class TestInversion:
     def test_unique_label_batch_reconstructed(self, setup, cifar_like, rng):
         model, inversion = setup
         images, labels = class_balanced_batch(cifar_like, 8, rng, unique_labels=True)
-        grads, _ = compute_batch_gradients(model, LogisticLoss(), images, labels)
+        grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         assert len(result) == 8
         # Reconstructions are dominated by the class sample (PSNR well above
@@ -55,7 +55,7 @@ class TestInversion:
     def test_only_present_classes_inverted(self, setup, cifar_like, rng):
         model, inversion = setup
         images, labels = class_balanced_batch(cifar_like, 4, rng, unique_labels=True)
-        grads, _ = compute_batch_gradients(model, LogisticLoss(), images, labels)
+        grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         assert sorted(result.neuron_indices) == sorted(labels.tolist())
 
@@ -70,7 +70,7 @@ class TestInversion:
         inversion = LinearModelInversion()
         inversion.craft(model)
         images, labels = class_balanced_batch(tiny_dataset, 4, rng, unique_labels=True)
-        grads, _ = compute_batch_gradients(model, LogisticLoss(), images, labels)
+        grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         per_image = per_image_best_psnr(images, result.images)
         assert np.all(per_image < 60.0)
@@ -84,12 +84,12 @@ class TestInversion:
     def test_oasis_turns_reconstruction_into_mixture(self, setup, cifar_like, rng):
         model, inversion = setup
         images, labels = class_balanced_batch(cifar_like, 8, rng, unique_labels=True)
-        grads, _ = compute_batch_gradients(model, LogisticLoss(), images, labels)
+        grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         undefended = average_attack_psnr(images, inversion.reconstruct(grads).images)
 
         expanded, expanded_labels = OasisDefense("MR").expand_batch(images, labels)
         grads, _ = compute_batch_gradients(
-            model, LogisticLoss(), expanded, expanded_labels
+            model, CrossEntropyLoss(), expanded, expanded_labels
         )
         defended = average_attack_psnr(images, inversion.reconstruct(grads).images)
         assert defended < undefended - 5.0

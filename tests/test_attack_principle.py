@@ -24,6 +24,7 @@ from repro.attacks import (
 )
 from repro.fl import compute_batch_gradients
 from repro.nn import CrossEntropyLoss
+from repro.tensor import Tensor
 
 
 @pytest.fixture
@@ -51,15 +52,17 @@ class TestEquation6:
             np.testing.assert_allclose(recovered, flat, atol=1e-9)
 
     def test_inversion_invariant_to_loss_scale(self, setup, rng):
-        # Eq. 6 divides two gradients sharing the loss scale, so mean vs sum
-        # reduction must give the same reconstruction.
-        model, _ = setup
+        # Eq. 6 divides two gradients sharing the loss scale, so scaling
+        # the loss must give the same reconstruction.
+        model, loss_fn = setup
         x = rng.random((1, 3, 8, 8))
-        w_mean, b_mean = _grads_for(model, CrossEntropyLoss("mean"), x, np.array([0]))
-        w_sum, b_sum = _grads_for(model, CrossEntropyLoss("sum"), x, np.array([0]))
+        w_mean, b_mean = _grads_for(model, loss_fn, x, np.array([0]))
+        model.zero_grad()
+        (loss_fn(model(Tensor(x)), np.array([0])) * 3.0).backward()
+        w_scaled, b_scaled = extract_imprint_gradients(model.grad_dict())
         i = int(np.argmax(np.abs(b_mean)))
         r1 = w_mean[i] / b_mean[i]
-        r2 = w_sum[i] / b_sum[i]
+        r2 = w_scaled[i] / b_scaled[i]
         np.testing.assert_allclose(r1, r2, atol=1e-9)
 
 
@@ -68,19 +71,18 @@ class TestBatchSummation:
         model, loss_fn = setup
         images = rng.random((4, 3, 8, 8))
         labels = np.array([0, 1, 2, 3])
-        w_batch, b_batch = _grads_for(
-            model, CrossEntropyLoss("sum"), images, labels
-        )
+        w_batch, b_batch = _grads_for(model, loss_fn, images, labels)
         w_acc = np.zeros_like(w_batch)
         b_acc = np.zeros_like(b_batch)
         for i in range(4):
             w_i, b_i = _grads_for(
-                model, CrossEntropyLoss("sum"), images[i : i + 1], labels[i : i + 1]
+                model, loss_fn, images[i : i + 1], labels[i : i + 1]
             )
             w_acc += w_i
             b_acc += b_i
-        np.testing.assert_allclose(w_batch, w_acc, atol=1e-10)
-        np.testing.assert_allclose(b_batch, b_acc, atol=1e-10)
+        # The mean loss scales the per-sample sum by 1/B.
+        np.testing.assert_allclose(4 * w_batch, w_acc, atol=1e-10)
+        np.testing.assert_allclose(4 * b_batch, b_acc, atol=1e-10)
 
     def test_solely_activating_sample_leaks_verbatim(self, rng):
         # Craft a layer where neuron 0 fires only for sample 0.
@@ -121,7 +123,7 @@ class TestBatchSummation:
         model = ImprintedModel((1, 3, 3), num_neurons=1, num_classes=2, rng=rng)
         images = rng.random((2, 1, 3, 3)) + 0.5
         model.set_imprint_parameters(np.full((1, 9), 1.0 / 9), np.array([-0.1]))
-        loss_fn = CrossEntropyLoss("sum")
+        loss_fn = CrossEntropyLoss()
         w_grad, b_grad = _grads_for(model, loss_fn, images, np.array([0, 1]))
         # Per-sample bias gradients:
         b_parts = []

@@ -13,7 +13,7 @@ from repro.attacks import (
 )
 from repro.defense import inspect_state
 from repro.fl import compute_batch_gradients
-from repro.nn import CrossEntropyLoss, LogisticLoss
+from repro.nn import CrossEntropyLoss
 from repro.registry import (
     DuplicateNameError,
     RegistryError,
@@ -124,7 +124,7 @@ class TestRoundTrips:
         )
         attack.craft(model)
         gradients, _ = compute_batch_gradients(
-            model, LogisticLoss(), images, labels
+            model, CrossEntropyLoss(), images, labels
         )
         result = attack.reconstruct(gradients)
         assert len(result) >= 1

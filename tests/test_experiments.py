@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.defense import DPGradientDefense, OasisDefense
 from repro.experiments import (
+    FIG13_LINEUP,
     format_table,
     monotone_in_batch_size,
     reconstruction_gallery,
@@ -15,7 +18,6 @@ from repro.experiments import (
     run_ats_comparison,
     run_attack_trial,
     run_defense_lineup,
-    run_linear_lineup,
     run_linear_trial,
     run_sweep,
     run_table1,
@@ -116,9 +118,44 @@ class TestLineups:
         assert "WO" in result.to_table()
 
     def test_fig13_lineup(self, cifar_like):
-        result = run_linear_lineup(cifar_like, 4, ("WO", "MR"), num_trials=1)
+        result = run_defense_lineup(
+            cifar_like, "linear", 4, 0, ("WO", "MR"), num_trials=1
+        )
         averages = result.averages()
         assert averages["WO"] > averages["MR"]
+
+    # sha256 of each arm's float64 PSNR distribution, as the dedicated
+    # Fig. 13 loop (one run_linear_trial per trial) produced it before the
+    # lineup delegated linear-family attacks to that same protocol.
+    FIG13_DIGESTS = {
+        "WO": "0f7a8e7dda7279a1e34e1581287b2f9dbbb720e6566cb178d3d6cc17c04c0bd3",
+        "MR": "4a36763a738b8d0b85528d014eb17849c9b90b845553138f7f37802bdf011cb8",
+        "mR": "6db47cab8e5a07a66d38a324062d513d1625f45e9190d3903207cb6d58167886",
+        "SH": "00242555c281d16b1f633521e58e0c5c5b1e86404d67e84cd85604ba1516988b",
+        "HFlip": "b849083cfe8e335f41361c15c0899158a0c11c5cd5dd3822321929c6846844fc",
+        "VFlip": "f9a5d64c8703f10fd48df724243e089e3a394cdee2dce587b8029ffcd36f7025",
+    }
+
+    def test_linear_lineup_runs_the_sec_ivd_protocol(self, cifar_like):
+        """The linear attack gets its single-layer model, not an imprint one."""
+        result = run_defense_lineup(
+            cifar_like, "linear", 4, 64, FIG13_LINEUP, num_trials=2, seed=19
+        )
+        assert result.errors == {}
+        digests = {
+            name: hashlib.sha256(
+                np.asarray(values, dtype=np.float64).tobytes()
+            ).hexdigest()
+            for name, values in result.distributions.items()
+        }
+        assert digests == self.FIG13_DIGESTS
+        assert all(len(v) == 8 for v in result.distributions.values())
+
+    def test_linear_attack_trial_is_the_linear_trial(self, cifar_like):
+        via_registry = run_attack_trial(cifar_like, "linear", 4, 64, seed=5)
+        direct = run_linear_trial(cifar_like, 4, seed=5)
+        assert via_registry.psnrs == direct.psnrs
+        assert via_registry.num_reconstructions == direct.num_reconstructions > 0
 
 
 class TestTable1:

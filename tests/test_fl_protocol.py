@@ -139,7 +139,7 @@ class TestSharedScratchModel:
             scratch = make_bn_net(fl_dataset, seed=5)
             clients = [
                 Client(i, shard, scratch, CrossEntropyLoss(), batch_size=3,
-                       defense="dpsgd", seed=4)
+                       defense=make_defense("dpsgd"), seed=4)
                 for i, shard in enumerate(partition_dataset(fl_dataset, 3))
             ]
             for i in earlier_ids:

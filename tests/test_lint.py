@@ -33,6 +33,10 @@ from repro.registry import DuplicateNameError, RegistryError, UnknownNameError
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
+# Parameters with a default in src/repro, the linter excluded (see
+# TestCommittedTree.test_defaulted_parameter_budget).
+DEFAULTED_PARAMETER_BUDGET = 288
+
 EXPECTED_RULES = {
     "no-global-rng",
     "no-raw-write",
@@ -705,6 +709,27 @@ class TestCommittedTree:
                 if any(m.split(".")[0] == "scipy" for m in modules):
                     offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
         assert offenders == []
+
+    def test_defaulted_parameter_budget(self):
+        """Every option is one more configuration the oracles must cover.
+
+        Counts parameters with a default in ``src/repro`` (the linter
+        excluded), positional and keyword-only alike.
+        """
+        count = 0
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            if "lint" in path.relative_to(SRC / "repro").parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    count += len(node.args.defaults)
+                    count += sum(d is not None for d in node.args.kw_defaults)
+        assert count <= DEFAULTED_PARAMETER_BUDGET, (
+            f"src/repro has {count} defaulted parameters, over the budget of "
+            f"{DEFAULTED_PARAMETER_BUDGET}.  A change that adds an option "
+            "raises DEFAULTED_PARAMETER_BUDGET in tests/test_lint.py and "
+            "says in CHANGES.md which caller sets the option and why."
+        )
 
     def test_scratch_violation_would_fail(self, tmp_path):
         """Deliberately introducing a violation flips the exit to 1."""

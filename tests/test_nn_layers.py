@@ -26,12 +26,6 @@ class TestLinear:
         expected = x @ layer.weight.data.T + layer.bias.data
         np.testing.assert_allclose(layer(Tensor(x)).numpy(), expected)
 
-    def test_no_bias(self, rng):
-        layer = Linear(4, 3, bias=False, rng=np.random.default_rng(0))
-        assert layer.bias is None
-        x = rng.standard_normal((2, 4))
-        np.testing.assert_allclose(layer(Tensor(x)).numpy(), x @ layer.weight.data.T)
-
     def test_weight_shape(self):
         layer = Linear(7, 2)
         assert layer.weight.shape == (2, 7)

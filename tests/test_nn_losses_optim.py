@@ -1,4 +1,4 @@
-"""Losses (cross entropy, logistic) and optimizers (SGD, Adam)."""
+"""The cross-entropy loss and the optimizers (SGD, Adam)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from repro.nn import (
     Adam,
     CrossEntropyLoss,
     Linear,
-    LogisticLoss,
     Parameter,
     SGD,
-    one_hot,
 )
 from repro.tensor import Tensor
+from repro.tensor.fused import one_hot
 
 
 class TestOneHot:
@@ -36,17 +35,6 @@ class TestCrossEntropy:
         expected = -log_probs[np.arange(6), labels].mean()
         assert np.isclose(loss, expected, atol=1e-12)
 
-    def test_sum_reduction(self, rng):
-        logits = rng.standard_normal((4, 3))
-        labels = rng.integers(0, 3, 4)
-        mean_loss = CrossEntropyLoss("mean")(Tensor(logits), labels).item()
-        sum_loss = CrossEntropyLoss("sum")(Tensor(logits), labels).item()
-        assert np.isclose(sum_loss, 4 * mean_loss)
-
-    def test_invalid_reduction(self):
-        with pytest.raises(ValueError):
-            CrossEntropyLoss("median")
-
     def test_perfect_prediction_low_loss(self):
         logits = np.array([[100.0, 0.0], [0.0, 100.0]])
         loss = CrossEntropyLoss()(Tensor(logits), np.array([0, 1])).item()
@@ -56,18 +44,11 @@ class TestCrossEntropy:
         logits = rng.standard_normal((3, 5))
         labels = np.array([1, 0, 4])
         t = Tensor(logits, requires_grad=True)
-        CrossEntropyLoss("sum")(t, labels).backward()
+        CrossEntropyLoss()(t, labels).backward()
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        expected = probs - one_hot(labels, 5)
+        expected = (probs - one_hot(labels, 5)) / 3
         np.testing.assert_allclose(t.grad, expected, atol=1e-10)
-
-    def test_logistic_loss_aliases_ce(self, rng):
-        logits = rng.standard_normal((4, 3))
-        labels = rng.integers(0, 3, 4)
-        a = CrossEntropyLoss()(Tensor(logits), labels).item()
-        b = LogisticLoss()(Tensor(logits), labels).item()
-        assert np.isclose(a, b)
 
 
 class TestSGD:

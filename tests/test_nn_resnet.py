@@ -82,7 +82,7 @@ class TestResNet18:
 
 class TestSmallCNN:
     def test_shapes(self, rng):
-        model = small_cnn(7, width=8, rng=np.random.default_rng(0))
+        model = small_cnn(7, rng=np.random.default_rng(0))
         out = model(Tensor(rng.standard_normal((4, 3, 16, 16))))
         assert out.shape == (4, 7)
 

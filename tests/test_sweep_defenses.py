@@ -134,7 +134,7 @@ class TestFedAvgWeightParity:
             model=model,
             loss_fn=CrossEntropyLoss(),
             batch_size=3,
-            defense="prune",  # spec strings resolve through the registry
+            defense=make_defense("prune"),
             seed=0,
         )
         update = client.local_update(

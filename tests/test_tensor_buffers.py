@@ -18,7 +18,7 @@ import repro.tensor.backend as backend
 import repro.tensor.buffers as buffers
 from repro.nn import MLP, CrossEntropyLoss
 from repro.tensor import Tensor
-from repro.tensor.buffers import BufferPool
+from repro.tensor.buffers import MAX_PER_KEY, BufferPool
 
 
 class TestBufferPool:
@@ -62,11 +62,11 @@ class TestBufferPool:
         assert pool.stats()["free_arrays"] == 1
 
     def test_per_key_cap(self):
-        pool = BufferPool(max_per_key=2)
-        arrays = [np.zeros((3,)) for _ in range(4)]
+        pool = BufferPool()
+        arrays = [np.zeros((3,)) for _ in range(MAX_PER_KEY + 2)]
         outcomes = [pool.release(arr) for arr in arrays]
-        assert outcomes == [True, True, False, False]
-        assert pool.stats()["free_arrays"] == 2
+        assert outcomes == [True] * MAX_PER_KEY + [False, False]
+        assert pool.stats()["free_arrays"] == MAX_PER_KEY
 
     def test_clear(self):
         pool = BufferPool()

@@ -83,7 +83,7 @@ OP_GRAPHS = {
     "mean": (lambda a: a.mean(), ((4, 6),)),
     "mean_axis": (lambda a: (a.mean(axis=1) * a.mean(axis=0).sum()).sum(), ((4, 6),)),
     "var": (lambda a: a.var(), ((4, 6),)),
-    "var_axis": (lambda a: (a.var(axis=0, keepdims=True) * a).sum(), ((4, 6),)),
+    "var_axis": (lambda a: (a.var(axis=0) * a).sum(), ((4, 6),)),
     "shared_out_grad": (lambda a: (a + a).sum(), ((5,),)),
     "param_reused": (lambda a, b: ((a * b) + (a - b)).sum(), ((3, 3), (3, 3))),
 }
@@ -102,15 +102,12 @@ def test_op_bitwise_equivalence(name):
         bitwise_equal(gf, gr)
 
 
-@pytest.mark.parametrize("reduction", ["mean", "sum"])
-def test_cross_entropy_bitwise_equivalence(reduction):
+def test_cross_entropy_bitwise_equivalence():
     logits = _rng().standard_normal((6, 5))
     labels = np.array([0, 4, 2, 2, 1, 3])
 
     def build():
-        return grad_through(
-            lambda t: CrossEntropyLoss(reduction=reduction)(t, labels), logits
-        )
+        return grad_through(lambda t: CrossEntropyLoss()(t, labels), logits)
 
     (value_f, grads_f), (value_r, grads_r) = run_both(build)
     bitwise_equal(np.asarray(value_f), np.asarray(value_r))
@@ -217,7 +214,7 @@ def test_cnn_gradients_bitwise_equivalence():
     labels = rng.integers(0, 4, size=2)
 
     def build():
-        model = small_cnn(4, width=4, rng=np.random.default_rng(13))
+        model = small_cnn(4, rng=np.random.default_rng(13))
         return compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
 
     (grads_f, loss_f), (grads_r, loss_r) = run_both(build)
