@@ -37,8 +37,6 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-import numpy as np
-
 from common import below, bench_rng, best_of, record_report, write_bench_json
 from repro.experiments.sweep import GRID_PRESETS
 from repro.nn import MLP, Adam, CrossEntropyLoss, SGD, small_cnn

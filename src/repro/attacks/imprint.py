@@ -97,8 +97,8 @@ class ImprintedModel(Module):
             )
         if bias.shape != self.imprint.bias.shape:
             raise ValueError(f"bias shape {bias.shape} != {self.imprint.bias.shape}")
-        self.imprint.weight.data = weight.astype(np.float64).copy()
-        self.imprint.bias.data = bias.astype(np.float64).copy()
+        self.imprint.weight.data = np.array(weight, dtype=np.float64, order="C")
+        self.imprint.bias.data = np.array(bias, dtype=np.float64, order="C")
 
     def imprint_parameters(self) -> tuple[np.ndarray, np.ndarray]:
         return self.imprint.weight.data, self.imprint.bias.data

@@ -68,17 +68,26 @@ def dirichlet_partition_indices(
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     labels = np.asarray(labels)
-    assignments: list[list[int]] = [[] for _ in range(num_clients)]
-    for cls in np.unique(labels):
-        indices = np.flatnonzero(labels == cls)
-        rng.shuffle(indices)
-        shares = rng.dirichlet(np.full(num_clients, alpha))
-        bounds = np.floor(np.cumsum(shares) * len(indices)).astype(int)
-        bounds = np.maximum.accumulate(np.clip(bounds, 0, len(indices)))
-        bounds[-1] = len(indices)
-        for client, piece in enumerate(np.split(indices, bounds[:-1])):
-            assignments[client].extend(piece.tolist())
-    return [np.asarray(sorted(a), dtype=np.int64) for a in assignments]
+    # One stable sort groups every class's indices, ascending, so each
+    # class's shuffle runs in place on its own slice.  The RNG sees the
+    # per-class calls in class order: shuffle, then the Dirichlet draw.
+    order = np.argsort(labels, kind="stable")
+    counts = np.unique(labels, return_counts=True)[1]
+    ends = np.cumsum(counts)
+    concentration = np.full(num_clients, alpha)
+    shares = np.empty((len(counts), num_clients))
+    for cls, (start, end) in enumerate(zip(ends - counts, ends)):
+        rng.shuffle(order[start:end])
+        shares[cls] = rng.dirichlet(concentration)
+    # Each class's split points at its cumulative shares, all classes at once.
+    sizes = counts[:, None]
+    bounds = np.floor(np.cumsum(shares, axis=1) * sizes).astype(np.int64)
+    bounds = np.maximum.accumulate(np.clip(bounds, 0, sizes), axis=1)
+    bounds[:, -1] = counts
+    per_client = np.diff(bounds, axis=1, prepend=0)
+    owner = np.repeat(np.tile(np.arange(num_clients), len(counts)), per_client.ravel())
+    shards = order[np.lexsort((order, owner))]
+    return np.split(shards, np.cumsum(per_client.sum(axis=0))[:-1])
 
 
 def rebalance_min_per_client(

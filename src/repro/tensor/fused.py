@@ -23,6 +23,8 @@ is what ``benchmarks/bench_tensor_core.py`` measures against.
 
 from __future__ import annotations
 
+import functools
+import os
 from typing import Callable
 
 import numpy as np
@@ -33,15 +35,39 @@ from repro.tensor.tensor import Tensor
 __all__ = ["linear", "cross_entropy", "one_hot"]
 
 
+@functools.lru_cache(maxsize=1024)
+def transposed_gemm_agrees(batch: int, fan_in: int, fan_out: int, dtype: str) -> bool:
+    """Whether BLAS sums ``g.T @ x`` in the order of ``(x.T @ g).T``.
+
+    Both GEMMs sum each weight-gradient element over the batch axis, but
+    swapping which operand is transposed swaps the kernel's M and N
+    roles, and a BLAS may then sum edge tiles in another order.  Whether
+    it does depends on the BLAS build and the shape (OpenBLAS 0.3.31 on
+    SkylakeX agrees at 3072 -> 64 or 100 and differs at 3072 -> 300), so
+    each C-contiguous shape is probed once per process on random data: a
+    different summation order shows as a differing bit.
+    """
+    probe = np.random.default_rng(0)
+    x = probe.standard_normal((batch, fan_in)).astype(dtype, copy=False)
+    g = probe.standard_normal((batch, fan_out)).astype(dtype, copy=False)
+    return np.array_equal(g.T @ x, (x.T @ g).T)
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked worker may run its BLAS with other thread counts: probe afresh.
+    os.register_at_fork(after_in_child=transposed_gemm_agrees.cache_clear)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused ``y = x @ W.T + b`` for 2-D activations: one node, no views.
 
     Replaces the reference transpose->matmul->add three-node chain.  The
     backward replays the reference contribution order (bias from the add
-    node first, then weight, then the input from the matmul node) and the
-    reference BLAS call shapes — ``grad_w`` is computed as
-    ``(x.T @ g).T`` exactly as the transpose node's backward produced it,
-    because a differently-laid-out GEMM may sum in a different order.
+    node first, then weight, then the input from the matmul node).  The
+    reference computes ``grad_w`` as ``(x.T @ g).T``.  Where BLAS sums
+    ``g.T @ x`` in the same order (:func:`transposed_gemm_agrees`), that
+    one GEMM writes the C-order weight gradient; elsewhere the reference
+    GEMM's result is copied out of its transposed layout.
     """
     data = x.data @ weight.data.T
     np.add(data, bias.data, out=data)
@@ -52,14 +78,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0,)), fresh=True)
             if weight.requires_grad:
-                # The reference BLAS call, then an exact elementwise copy
-                # into a C-contiguous pooled buffer: downstream *full*
+                # Into a C-contiguous pooled buffer: downstream *full*
                 # reductions (gradient clipping's np.sum) flatten in
-                # memory order, so handing out the transpose view itself
-                # would change their pairwise-summation grouping.
-                grad_w = x.data.T @ g
-                buf = buffers.acquire(weight.data.shape, grad_w.dtype)
-                np.copyto(buf, grad_w.T)
+                # memory order, so a transposed layout would change
+                # their pairwise-summation grouping.
+                dtype = np.result_type(g, x.data)
+                buf = buffers.acquire(weight.data.shape, dtype)
+                if (
+                    g.flags.c_contiguous
+                    and x.data.flags.c_contiguous
+                    and transposed_gemm_agrees(*x.shape, g.shape[1], dtype.str)
+                ):
+                    np.matmul(g.T, x.data, out=buf)
+                else:
+                    np.copyto(buf, (x.data.T @ g).T)
                 weight._accumulate(buf, fresh=True)
             if x.requires_grad:
                 x._accumulate(g @ weight.data, fresh=True)

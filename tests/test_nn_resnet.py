@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.nn import Adam, BasicBlock, CrossEntropyLoss, resnet18, small_cnn
 from repro.tensor import Tensor, no_grad

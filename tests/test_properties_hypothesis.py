@@ -7,7 +7,8 @@ Invariant families, each load-bearing for the reproduction:
    (mean preservation, involutions, rotation group structure).
 3. PSNR: metric axioms (symmetry in error magnitude, monotonicity, range).
 4. Aggregation: FedAvg linearity/convexity (Eq. 1).
-5. Partitioning: Dirichlet label skew covers every sample exactly once.
+5. Partitioning: Dirichlet label skew covers every sample exactly once,
+   and the vectorised split equals the per-class loop it replaced.
 6. Aggregators: every rule is invariant to the order clients report in.
 7. SecAgg: any supra-threshold survivor set recovers the exact sum, a
    round's batched upload equals its per-client uploads, and the field
@@ -231,25 +232,64 @@ class TestAggregationProperties:
         np.testing.assert_allclose(ab, ba, atol=1e-12)
 
 
+def per_class_dirichlet_partition(labels, num_clients, alpha, rng):
+    """Reference Dirichlet split: one class at a time, shards merged by sort.
+
+    For each class in label order: shuffle its indices, draw its client
+    shares, split at the floored cumulative-share bounds.
+    """
+    labels = np.asarray(labels)
+    assignments = [[] for _ in range(num_clients)]
+    for cls in np.unique(labels):
+        indices = np.flatnonzero(labels == cls)
+        rng.shuffle(indices)
+        shares = rng.dirichlet(np.full(num_clients, alpha))
+        bounds = np.floor(np.cumsum(shares) * len(indices)).astype(int)
+        bounds = np.maximum.accumulate(np.clip(bounds, 0, len(indices)))
+        bounds[-1] = len(indices)
+        for client, piece in enumerate(np.split(indices, bounds[:-1])):
+            assignments[client].extend(piece.tolist())
+    return [np.asarray(sorted(a), dtype=np.int64) for a in assignments]
+
+
+dirichlet_cases = given(
+    labels=arrays(
+        np.int64,
+        array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=60),
+        elements=st.integers(min_value=0, max_value=5),
+    ),
+    num_clients=st.integers(min_value=1, max_value=7),
+    alpha=st.floats(min_value=1e-3, max_value=100.0,
+                    allow_nan=False, allow_infinity=False),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
 class TestDirichletPartitionProperties:
     @settings(max_examples=40, deadline=None)
-    @given(
-        labels=arrays(
-            np.int64,
-            array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=60),
-            elements=st.integers(min_value=0, max_value=5),
-        ),
-        num_clients=st.integers(min_value=1, max_value=7),
-        alpha=st.floats(min_value=1e-3, max_value=100.0,
-                        allow_nan=False, allow_infinity=False),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
+    @dirichlet_cases
     def test_covers_all_samples_exactly_once(self, labels, num_clients, alpha, seed):
         rng = np.random.default_rng(seed)
         parts = dirichlet_partition_indices(labels, num_clients, alpha, rng)
         assert len(parts) == num_clients
         merged = np.sort(np.concatenate([p for p in parts] + [np.array([], int)]))
         np.testing.assert_array_equal(merged, np.arange(len(labels)))
+
+    @settings(max_examples=60, deadline=None)
+    @dirichlet_cases
+    def test_equals_the_per_class_loop(self, labels, num_clients, alpha, seed):
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        parts = dirichlet_partition_indices(labels, num_clients, alpha, rng)
+        expected = per_class_dirichlet_partition(
+            labels, num_clients, alpha, reference_rng
+        )
+        assert len(parts) == len(expected) == num_clients
+        for part, want in zip(parts, expected):
+            assert part.dtype == np.int64
+            np.testing.assert_array_equal(part, want)
+        # Same draws in the same order: the caller's stream continues alike.
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestAggregatorOrderInvariance:

@@ -12,7 +12,6 @@ silently, so each rule gets a direct test here.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import repro.tensor.backend as backend
 import repro.tensor.buffers as buffers

@@ -11,6 +11,8 @@ every level:
 - full model forward/backward and optimizer trajectories over many steps,
 - the aliasing hazards the in-place accumulate must survive (two parents
   borrowing one ``out.grad``; a parameter reused twice in one graph),
+- the fused linear's weight-gradient GEMM at every layer shape the grid,
+  figure, lineup and bench paths build, over batches of 1 to 600 rows,
 - the memory-layout clause: gradients leaving the core are C-contiguous,
   because downstream full-array reductions (gradient clipping) flatten in
   memory order — handing out a transpose view changed two golden cells by
@@ -39,6 +41,7 @@ from repro.tensor import (
     max_pool2d,
     reference_kernels,
 )
+from repro.tensor.fused import transposed_gemm_agrees
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
@@ -130,6 +133,67 @@ def test_linear_layer_bitwise_equivalence():
     fused_result, reference_result = run_both(build)
     for f, r in zip(fused_result, reference_result):
         bitwise_equal(np.asarray(f), np.asarray(r))
+
+
+# (fan_in, fan_out) of every Linear the library's paths build: the
+# ImprintedModel imprint/decoder/head at 32x32 (grid and lineups n = 64;
+# attack/defense zoos 128; parallel bench 256; figures 7-12 and
+# transform_study 300; figure 14 and quickstart 500) and at 64x64, the
+# Sec. IV-D LinearClassifier, and the bench MLPs.
+WEIGHT_GRAD_LAYERS = {
+    "imprint-32px-n64": (3072, 64),
+    "decoder-32px-n64": (64, 3072),
+    "imprint-32px-n128": (3072, 128),
+    "decoder-32px-n128": (128, 3072),
+    "imprint-32px-n256": (3072, 256),
+    "decoder-32px-n256": (256, 3072),
+    "imprint-32px-n300": (3072, 300),
+    "decoder-32px-n300": (300, 3072),
+    "imprint-32px-n500": (3072, 500),
+    "decoder-32px-n500": (500, 3072),
+    "head-32px-c100": (3072, 100),
+    "head-32px-c10": (3072, 10),
+    "imprint-64px-n64": (12288, 64),
+    "decoder-64px-n64": (64, 12288),
+    "mlp-64-128": (64, 128),
+    "mlp-128-64": (128, 64),
+    "mlp-64-10": (64, 10),
+    "mlp-192-64": (192, 64),
+    "mlp-192-16": (192, 16),
+    "mlp-16-4": (16, 4),
+}
+# Batch rows from 1 to 600: the grid's B = 4 and its OASIS-expanded
+# batches (8, 16, 28), and figure 12's B = 64 expanded to 448.
+WEIGHT_GRAD_ROWS = (1, 2, 3, 4, 8, 16, 28, 448, 600)
+
+
+@pytest.mark.parametrize("layer", sorted(WEIGHT_GRAD_LAYERS))
+def test_weight_gradient_gemm_matches_reference(layer):
+    """The fused weight gradient is the reference's at every shape.
+
+    The kernel takes ``g.T @ x`` only where its probe says BLAS sums it
+    in the order of the reference's ``(x.T @ g).T``.  The verdict must
+    hold on data the probe never saw, and the gradient must equal the
+    reference chain's bit for bit whichever GEMM ran.
+    """
+    fan_in, fan_out = WEIGHT_GRAD_LAYERS[layer]
+    linear = Linear(fan_in, fan_out, rng=np.random.default_rng(5))
+    rng = _rng()
+    inputs = rng.standard_normal((max(WEIGHT_GRAD_ROWS), fan_in))
+    upstream = rng.standard_normal((max(WEIGHT_GRAD_ROWS), fan_out))
+    for rows in WEIGHT_GRAD_ROWS:
+        x, g = inputs[:rows], upstream[:rows]
+        identity = np.array_equal(g.T @ x, np.ascontiguousarray((x.T @ g).T))
+        assert transposed_gemm_agrees(rows, fan_in, fan_out, "<f8") == identity
+
+        def build():
+            linear.zero_grad()
+            linear(Tensor(x)).backward(g)
+            assert linear.weight.grad.flags["C_CONTIGUOUS"]
+            return linear.weight.grad.copy()
+
+        fused_grad, reference_grad = run_both(build)
+        bitwise_equal(fused_grad, reference_grad)
 
 
 @pytest.mark.parametrize(
@@ -283,10 +347,12 @@ def test_mid_graph_mode_switch_is_safe():
 def test_transferred_gradients_are_c_contiguous():
     """Grads leaving the core must be C-contiguous owned arrays.
 
-    Regression for the one-ulp golden drift: the fused Linear backward
-    computes the weight gradient as ``(x.T @ g).T``; transferring that
-    *view* out of ``grad_dict`` changed the flattening order of
-    ``np.sum(g ** 2)`` in the clipping path.
+    Regression for the one-ulp golden drift: the reference computes the
+    weight gradient as the transposed view ``(x.T @ g).T``; transferring
+    that *view* out of ``grad_dict`` changed the flattening order of
+    ``np.sum(g ** 2)`` in the clipping path.  The fused Linear writes
+    ``g.T @ x`` straight into a C-order pooled buffer, or copies the
+    reference GEMM's result into one.
     """
     images, labels = _mlp_batch()
     model = MLP([12, 10, 4], rng=np.random.default_rng(29))
