@@ -151,6 +151,62 @@ class TestLineups:
         assert digests == self.FIG13_DIGESTS
         assert all(len(v) == 8 for v in result.distributions.values())
 
+    # sha256 of the float64 PSNR distributions (and of the sweep grid) of
+    # the imprint-family figure path: Figs. 3-6 and their ablations run
+    # through these lineups and sweeps, so a refactor of the trial that
+    # moves one byte of them fails here.
+    IMPRINT_LINEUP = ("WO", "MR", "dpsgd", "ats")
+    RTF_DIGESTS = {
+        "WO": "10778da63d278f79d8c76e05dd8a8448f208b991424b6011085caa14c9872a58",
+        "MR": "f07118c0c06a3c962f80107a738a03055366a9f24c1f6f736a9bb8c6fdc04783",
+        "dpsgd": "2fdf27fb5a7240d8b6634063b149a92c57f7a30a58a73462ec874cedbc353b4b",
+        "ats": "bf5f0779b6c7dd091158e09d37adce354dbf6beba1fce8a504075d3bda9cd2a4",
+    }
+    CAH_DIGESTS = {
+        "WO": "0861688f6bdd4ccb3084c8f6d0d3d006f01a00918eea3e627925da2aef352c28",
+        "MR": "d4eaf27b515891abd32afe010c668eb6dc5cb333e80db9274a40bfed10243be2",
+        "dpsgd": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ats": "eeeea90ec4377046a2ddc2e711f83adcdeb742ff3a8340f8a008ad488646b1cd",
+    }
+    SWEEP_GRID_DIGEST = (
+        "376040ec3f4a6fe21d6dafa9632bac98a07aef400f4c5ca6685bbcc2a1c9236f"
+    )
+
+    @staticmethod
+    def _digest(values) -> str:
+        return hashlib.sha256(
+            np.asarray(values, dtype=np.float64).tobytes()
+        ).hexdigest()
+
+    @pytest.mark.parametrize(
+        "attack,batch_size,expected",
+        [("rtf", 4, RTF_DIGESTS), ("cah", 8, CAH_DIGESTS)],
+        ids=["rtf", "cah"],
+    )
+    def test_imprint_lineup_bytes_pinned(
+        self, cifar_like, attack, batch_size, expected
+    ):
+        result = run_defense_lineup(
+            cifar_like, attack, batch_size, 100, self.IMPRINT_LINEUP,
+            num_trials=2, seed=19,
+        )
+        assert result.errors == {}
+        digests = {
+            name: self._digest(values)
+            for name, values in result.distributions.items()
+        }
+        assert digests == expected
+
+    def test_imprint_sweep_grid_bytes_pinned(self, cifar_like):
+        result = run_sweep(
+            cifar_like, "rtf",
+            batch_sizes=(4, 16),
+            neuron_counts=(50, 150),
+            num_trials=1,
+        )
+        assert result.errors == {}
+        assert self._digest(result.grid) == self.SWEEP_GRID_DIGEST
+
     def test_linear_attack_trial_is_the_linear_trial(self, cifar_like):
         via_registry = run_attack_trial(cifar_like, "linear", 4, 64, seed=5)
         direct = run_linear_trial(cifar_like, 4, seed=5)
