@@ -81,7 +81,7 @@ def _one_round(attack_name: str, defense_spec: str) -> dict:
     rng = bench_rng(12345)
     images, labels = dataset.sample_batch(BATCH_SIZE, rng)
     start = time.perf_counter()
-    grads, _, num_examples = compute_defended_update(
+    grads, _, num_examples, _ = compute_defended_update(
         model, CrossEntropyLoss(), images, labels, defense, rng
     )
     result = attack.reconstruct(grads)

@@ -2,7 +2,8 @@
 
 Built-in entries: RTF, CAH, linear-model inversion, QBI, and LOKI — all
 registered in :data:`ATTACKS` (:mod:`repro.attacks.registry`) and
-resolvable by name through :func:`make_attack`.
+resolvable by name through :func:`make_attack`; :func:`model_for` builds
+the global model each attack targets.
 """
 
 from repro.attacks.base import (
@@ -21,7 +22,7 @@ from repro.attacks.imprint import (
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack
-from repro.attacks.registry import ATTACKS, make_attack
+from repro.attacks.registry import ATTACKS, make_attack, model_for
 from repro.attacks.rtf import RTFAttack
 from repro.attacks.traps import TrapImprintAttack
 
@@ -43,4 +44,5 @@ __all__ = [
     "LinearModelInversion",
     "ATTACKS",
     "make_attack",
+    "model_for",
 ]

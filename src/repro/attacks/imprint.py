@@ -20,8 +20,6 @@ the original attack's pass-through construction).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.layers import Linear
@@ -53,11 +51,9 @@ class ImprintedModel(Module):
         input_shape: tuple[int, int, int],
         num_neurons: int,
         num_classes: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
-        rng = rng if rng is not None else np.random.default_rng()
         self.input_shape = tuple(input_shape)
         flat_dim = int(np.prod(input_shape))
         self.flat_dim = flat_dim

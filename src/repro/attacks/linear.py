@@ -36,7 +36,7 @@ class LinearClassifier(Module):
         self,
         input_shape: tuple[int, int, int],
         num_classes: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
         self.input_shape = tuple(input_shape)

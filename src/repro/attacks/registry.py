@@ -10,8 +10,9 @@ An attack's knobs are its constructor's keyword parameters; ``num_neurons``
 and ``seed`` are offered as context and passed only to constructors that
 take them.  The global-model family an attack targets is its
 ``model_family`` class attribute (``"imprint"`` for the malicious-layer
-attacks, ``"linear"`` for single-layer gradient inversion), which grid
-runners read to build the right architecture per cell.
+attacks, ``"linear"`` for single-layer gradient inversion);
+:func:`model_for` reads it to build that architecture, for every trial
+and every sweep cell alike.
 
 Adding an attack: implement
 :class:`~repro.attacks.base.ActiveReconstructionAttack` (``craft`` +
@@ -30,11 +31,14 @@ import numpy as np
 
 from repro.attacks.base import ActiveReconstructionAttack
 from repro.attacks.cah import CAHAttack
-from repro.attacks.linear import LinearModelInversion
+from repro.attacks.imprint import ImprintedModel
+from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack
 from repro.attacks.rtf import RTFAttack
-from repro.registry import IDENTIFIER_PATTERN, Registry
+from repro.data.synthetic import SyntheticImageDataset
+from repro.nn.module import Module
+from repro.registry import IDENTIFIER_PATTERN, Registry, parse_spec
 
 ATTACKS = Registry("attack", pattern=IDENTIFIER_PATTERN)
 
@@ -56,6 +60,30 @@ def make_attack(
     if public_images is not None and len(public_images):
         attack.calibrate_from_public_data(public_images)
     return attack
+
+
+def model_for(
+    attack_spec: str,
+    dataset: SyntheticImageDataset,
+    num_neurons: int,
+    seed: int,
+) -> Module:
+    """The global model the attack's ``model_family`` targets, at ``seed``.
+
+    Imprint-family attacks get the malicious-layer
+    :class:`~repro.attacks.imprint.ImprintedModel` with ``num_neurons``
+    attacked neurons; the linear inversion gets the paper's single-layer
+    classifier (Sec. IV-D; ``num_neurons`` unused).  The weights draw
+    from ``default_rng(seed + 1)``, so a trial and a sweep cell at one
+    seed build the same model.
+    """
+    [(name, _)] = parse_spec(attack_spec)
+    rng = np.random.default_rng(seed + 1)
+    if ATTACKS.get(name).model_family == "linear":
+        return LinearClassifier(dataset.image_shape, dataset.num_classes, rng)
+    return ImprintedModel(
+        dataset.image_shape, num_neurons, dataset.num_classes, rng
+    )
 
 
 ATTACKS.register("rtf", RTFAttack)

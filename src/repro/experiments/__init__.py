@@ -1,5 +1,10 @@
 """Per-figure/table experiment harnesses for the paper's evaluation.
 
+Every attack figure is a view of one trial (:func:`run_trial`): scored
+(:func:`run_attack_trial`, the sweeps and lineups), paired into galleries
+(:func:`reconstruction_gallery`) or held against two defenses
+(:func:`run_ats_comparison`).
+
 Every name below is re-exported lazily (PEP 562 ``__getattr__``): importing
 the package loads none of its submodules, so ``python -m
 repro.experiments.sweep`` finds no sweep module already imported when it
@@ -42,9 +47,9 @@ _EXPORTS = {
     ),
     "runner": (
         "AttackTrialResult",
-        "average_over_trials",
+        "Trial",
         "run_attack_trial",
-        "run_linear_trial",
+        "run_trial",
     ),
     "sweep": (
         "DEFAULT_DEFENSES",

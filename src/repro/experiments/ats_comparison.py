@@ -9,23 +9,20 @@ attacked neuron, so it is reconstructed verbatim — the attacker sees the
 The quantitative signature reproduced here: under transform-replace, the
 attack's reconstructions match the *client's actual training inputs* (the
 transformed images) at perfect-reconstruction PSNR, whereas under OASIS
-they match nothing.
+they match nothing.  The comparison is paired: two
+:func:`~repro.experiments.runner.run_trial` calls at one seed, which share
+the batch, the model and the crafted attack and differ only in the defense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.attacks.imprint import ImprintedModel
-from repro.attacks.registry import make_attack
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.baselines import TransformReplaceDefense
 from repro.defense.oasis import OasisDefense
-from repro.fl.gradients import compute_batch_gradients
+from repro.experiments.runner import run_trial
 from repro.metrics.psnr import average_attack_psnr
-from repro.nn.losses import CrossEntropyLoss
 
 
 @dataclass
@@ -48,37 +45,25 @@ def run_ats_comparison(
     seed: int = 0,
 ) -> ATSComparisonResult:
     """RTF against transform-replace (ATS) and against OASIS, same batch."""
-    rng = np.random.default_rng((seed, batch_size))
-    images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
-    model = ImprintedModel(
-        dataset.image_shape,
-        num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
-    )
-    attack = make_attack("rtf", num_neurons, dataset.images[:200], seed=seed)
-    attack.craft(model)
-    loss_fn = CrossEntropyLoss()
-
-    # --- ATSPrivacy-style: replace every image with a transformed version.
     ats = TransformReplaceDefense(suite_name)
     ats.reseed(seed)
-    ats_rng = np.random.default_rng(seed)
-    ats_images, ats_labels = ats.process_batch(images, labels, ats_rng)
-    gradients, _ = compute_batch_gradients(model, loss_fn, ats_images, ats_labels)
-    ats_result = attack.reconstruct(gradients)
-
-    # --- OASIS: union the transforms in (Eq. 7).
-    oasis = OasisDefense(suite_name)
-    oasis_images, oasis_labels = oasis.expand_batch(images, labels)
-    gradients, _ = compute_batch_gradients(model, loss_fn, oasis_images, oasis_labels)
-    oasis_result = attack.reconstruct(gradients)
-
+    replaced = run_trial(dataset, "rtf", batch_size, num_neurons, ats, seed)
+    expanded = run_trial(
+        dataset, "rtf", batch_size, num_neurons, OasisDefense(suite_name), seed
+    )
     return ATSComparisonResult(
-        ats_vs_training_inputs=average_attack_psnr(ats_images, ats_result.images),
-        ats_vs_originals=average_attack_psnr(images, ats_result.images),
-        oasis_vs_training_inputs=average_attack_psnr(oasis_images, oasis_result.images),
-        oasis_vs_originals=average_attack_psnr(images, oasis_result.images),
-        num_ats_reconstructions=len(ats_result),
-        num_oasis_reconstructions=len(oasis_result),
+        ats_vs_training_inputs=average_attack_psnr(
+            replaced.defended_images, replaced.result.images
+        ),
+        ats_vs_originals=average_attack_psnr(
+            replaced.images, replaced.result.images
+        ),
+        oasis_vs_training_inputs=average_attack_psnr(
+            expanded.defended_images, expanded.result.images
+        ),
+        oasis_vs_originals=average_attack_psnr(
+            expanded.images, expanded.result.images
+        ),
+        num_ats_reconstructions=len(replaced.result),
+        num_oasis_reconstructions=len(expanded.result),
     )

@@ -104,9 +104,10 @@ def run_sweep(
             f"|B{batch_sizes[j]}|t{num_trials}|s{seed}",
             average_psnr_task,
             {
-                "attack_name": attack_name,
+                "attack": attack_name,
                 "batch_size": batch_sizes[j],
                 "num_neurons": neuron_counts[i],
+                "defense": "WO",
                 "num_trials": num_trials,
                 "seed": seed,
             },

@@ -1,10 +1,16 @@
-"""Core experiment runner: one attack/defense evaluation trial.
+"""Core experiment runner: the one attack trial every figure is a view of.
 
 Every figure in the paper's evaluation reduces to repetitions of the same
 protocol: craft a malicious model, let an honest client compute gradients
 on a (possibly OASIS-expanded) batch, invert the gradients, and score the
-reconstructions by best-match PSNR.  This module implements that protocol
-once so the per-figure harnesses stay declarative.
+reconstructions.  :func:`run_trial` implements that protocol once and
+returns its raw material — the client's batch, the defended batch the
+gradients came from, and the reconstruction.  Everything else reads it:
+:func:`run_attack_trial` scores it by best-match PSNR (Figs. 2-6, 13 and
+the ablations), :func:`~repro.experiments.visual.reconstruction_gallery`
+pairs it into galleries (Figs. 7-12), and
+:func:`~repro.experiments.ats_comparison.run_ats_comparison` holds two
+defenses on one seed (Fig. 14).
 """
 
 from __future__ import annotations
@@ -15,9 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.attacks.base import ReconstructionResult
-from repro.attacks.imprint import ImprintedModel
-from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import ATTACKS, make_attack
+from repro.attacks.registry import ATTACKS, make_attack, model_for
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
@@ -26,6 +30,15 @@ from repro.experiments.sweep import worker_shared
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
 from repro.nn.losses import CrossEntropyLoss
+
+
+@dataclass(frozen=True)
+class Trial:
+    """One dishonest-server round against one client batch, unscored."""
+
+    images: np.ndarray  # the client's batch, as sampled
+    defended_images: np.ndarray  # the batch hook's output: what was trained on
+    result: ReconstructionResult
 
 
 @dataclass
@@ -47,41 +60,39 @@ class AttackTrialResult:
         return float(np.mean(self.psnrs))
 
 
-def average_psnr_task(payload: dict) -> float:
-    """Picklable grid task of the Fig. 3/4 sweeps: one (n, B) cell.
+def run_trial(
+    dataset: SyntheticImageDataset,
+    attack_name: str,
+    batch_size: int,
+    num_neurons: int,
+    defense: ClientDefense,
+    seed: int,
+) -> Trial:
+    """Sample a batch, craft, defend, compute the update, and invert it.
 
-    The payload holds :func:`average_over_trials` keyword arguments; the
-    dataset is the run's shared object (see
-    :func:`~repro.experiments.sweep.worker_shared`).  Returns the overall
-    mean average-PSNR.
+    The attacker calibrates on the first 200 dataset images (the standard
+    public-prior assumption of RTF/CAH) and attacks the model
+    :func:`~repro.attacks.registry.model_for` builds at ``seed``.  The
+    client batch draws from ``default_rng((seed, batch_size,
+    num_neurons))``, whose stream the defense then continues.  A
+    linear-family attack runs Sec. IV-D instead: its batch carries unique
+    labels and draws from ``default_rng((seed, batch_size))``.
     """
-    overall, _ = average_over_trials(worker_shared(), **payload)
-    return float(overall)
-
-
-def psnr_distribution_task(payload: dict) -> list[float]:
-    """Picklable grid task of the Fig. 5/6 lineups: one defense arm.
-
-    Returns the PSNRs of every reconstruction across ``num_trials``
-    trials; the dataset is the run's shared object.
-    """
-    scores: list[float] = []
-    for trial in range(payload["num_trials"]):
-        trial_seed = payload["seed"] + 31 * trial
-        result = run_attack_trial(
-            worker_shared(),
-            payload["attack"],
-            payload["batch_size"],
-            payload["num_neurons"],
-            # A fresh, trial-seeded defense per trial: stochastic arms (DP
-            # noise, transform-replace) must not thread one stream across
-            # trials, or the distribution would depend on how many trials
-            # ran before this one.
-            defense=make_defense(payload["defense"], seed=trial_seed),
-            seed=trial_seed,
+    if ATTACKS.get(attack_name).model_family == "linear":
+        rng = np.random.default_rng((seed, batch_size))
+        images, labels = class_balanced_batch(
+            dataset, min(batch_size, dataset.num_classes), rng, unique_labels=True
         )
-        scores.extend(result.psnrs)
-    return [float(score) for score in scores]
+    else:
+        rng = np.random.default_rng((seed, batch_size, num_neurons))
+        images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
+    model = model_for(attack_name, dataset, num_neurons, seed)
+    attack = make_attack(attack_name, num_neurons, dataset.images[:200], seed=seed)
+    attack.craft(model)
+    gradients, _, _, defended_images = compute_defended_update(
+        model, CrossEntropyLoss(), images, labels, defense, rng
+    )
+    return Trial(images, defended_images, attack.reconstruct(gradients))
 
 
 def run_attack_trial(
@@ -92,106 +103,65 @@ def run_attack_trial(
     defense: Optional[ClientDefense] = None,
     seed: int = 0,
 ) -> AttackTrialResult:
-    """One full dishonest-server round against one client batch.
-
-    The attacker calibrates on the first 200 dataset images (the
-    standard public-prior assumption of RTF/CAH); the client batch is drawn
-    with the trial seed, so trials are reproducible and independent.  An
-    attack whose ``model_family`` is ``"linear"`` runs the Sec. IV-D
-    protocol instead (:func:`run_linear_trial`; ``num_neurons`` unused).
-    """
-    if ATTACKS.get(attack_name).model_family == "linear":
-        return run_linear_trial(dataset, batch_size, defense=defense, seed=seed)
+    """One :func:`run_trial`, each reconstruction scored by best-match PSNR."""
     defense = defense if defense is not None else NoDefense()
-    rng = np.random.default_rng((seed, batch_size, num_neurons))
-    images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
-
-    model = ImprintedModel(
-        dataset.image_shape,
-        num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
-    )
-    attack = make_attack(
-        attack_name, num_neurons, dataset.images[:200], seed=seed
-    )
-    attack.craft(model)
-
-    gradients, _, _ = compute_defended_update(
-        model, CrossEntropyLoss(), images, labels, defense, rng
-    )
-    result = attack.reconstruct(gradients)
-    return _score(result, images, attack_name, defense.name, batch_size, num_neurons)
-
-
-def run_linear_trial(
-    dataset: SyntheticImageDataset,
-    batch_size: int,
-    defense: Optional[ClientDefense] = None,
-    seed: int = 0,
-) -> AttackTrialResult:
-    """Sec. IV-D: gradient inversion on a single-layer logistic model.
-
-    Batches are drawn with unique labels, per the experiment's assumption.
-    """
-    defense = defense if defense is not None else NoDefense()
-    rng = np.random.default_rng((seed, batch_size))
-    images, labels = class_balanced_batch(
-        dataset, min(batch_size, dataset.num_classes), rng, unique_labels=True
-    )
-    model = LinearClassifier(
-        dataset.image_shape, dataset.num_classes, rng=np.random.default_rng(seed + 1)
-    )
-    inversion = LinearModelInversion()
-    inversion.craft(model)
-    gradients, _, _ = compute_defended_update(
-        model, CrossEntropyLoss(), images, labels, defense, rng
-    )
-    result = inversion.reconstruct(gradients)
-    return _score(result, images, "linear", defense.name, batch_size, 0)
-
-
-def _score(
-    result: ReconstructionResult,
-    originals: np.ndarray,
-    attack: str,
-    defense: str,
-    batch_size: int,
-    num_neurons: int,
-) -> AttackTrialResult:
-    psnrs = [score for _, score in match_reconstructions(originals, result.images)]
+    trial = run_trial(dataset, attack_name, batch_size, num_neurons, defense, seed)
+    reconstructions = trial.result.images
     return AttackTrialResult(
-        attack=attack,
-        defense=defense,
+        attack=attack_name,
+        defense=defense.name,
         batch_size=batch_size,
         num_neurons=num_neurons,
-        psnrs=psnrs,
-        per_image_best=per_image_best_psnr(originals, result.images),
-        num_reconstructions=len(result),
+        psnrs=[
+            score for _, score in match_reconstructions(trial.images, reconstructions)
+        ],
+        per_image_best=per_image_best_psnr(trial.images, reconstructions),
+        num_reconstructions=len(trial.result),
     )
 
 
-def average_over_trials(
-    dataset: SyntheticImageDataset,
-    attack_name: str,
-    batch_size: int,
-    num_neurons: int,
-    defense: Optional[ClientDefense] = None,
-    num_trials: int = 3,
-    seed: int = 0,
-) -> tuple[float, list[AttackTrialResult]]:
-    """Mean average-PSNR over independent trials (fresh batch each trial)."""
-    trials = [
+def _repeated_trials(payload: dict) -> list[AttackTrialResult]:
+    """``num_trials`` independent trials of one grid task, seeded ``seed + 31 t``.
+
+    Each trial gets a fresh defense seeded by its trial seed: stochastic
+    arms (DP noise, transform-replace) must not thread one stream across
+    trials, or a result would depend on how many trials ran before it.
+    The dataset is the run's shared object (see
+    :func:`~repro.experiments.sweep.worker_shared`).
+    """
+    seeds = range(payload["seed"], payload["seed"] + 31 * payload["num_trials"], 31)
+    return [
         run_attack_trial(
-            dataset,
-            attack_name,
-            batch_size,
-            num_neurons,
-            defense=defense,
-            seed=seed + 31 * t,
+            worker_shared(),
+            payload["attack"],
+            payload["batch_size"],
+            payload["num_neurons"],
+            defense=make_defense(payload["defense"], seed=trial_seed),
+            seed=trial_seed,
         )
-        for t in range(num_trials)
+        for trial_seed in seeds
     ]
-    averages = [t.average_psnr for t in trials if t.num_reconstructions > 0]
-    overall = float(np.mean(averages)) if averages else 0.0
-    return overall, trials
+
+
+def average_psnr_task(payload: dict) -> float:
+    """Picklable grid task of the Fig. 3/4 sweeps: one (n, B) cell.
+
+    Returns the mean, over the trials that reconstructed anything, of each
+    trial's average PSNR (0.0 when none did).
+    """
+    averages = [
+        trial.average_psnr
+        for trial in _repeated_trials(payload)
+        if trial.num_reconstructions > 0
+    ]
+    return float(np.mean(averages)) if averages else 0.0
+
+
+def psnr_distribution_task(payload: dict) -> list[float]:
+    """Picklable grid task of the Fig. 5/6/13 lineups: one defense arm.
+
+    Returns the PSNRs of every reconstruction across ``num_trials`` trials.
+    """
+    return [
+        float(score) for trial in _repeated_trials(payload) for score in trial.psnrs
+    ]

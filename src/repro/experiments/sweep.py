@@ -109,13 +109,13 @@ from repro.data.synthetic import (
     make_synthetic_dataset,
     synthetic_cifar100,
 )
-from repro.attacks.registry import ATTACKS, make_attack
+from repro.attacks.registry import ATTACKS, make_attack, model_for
 from repro.defense.registry import DEFENSES, make_defense, validate_defense_spec
 from repro.experiments.reporting import format_table
 from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
-from repro.registry import parse_spec, split_spec_list
+from repro.registry import split_spec_list
 from repro.utils.blas import limit_blas_threads
 from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
@@ -1072,39 +1072,6 @@ class SweepRunner:
         """
         return derive_seed(self.seed, self.store_key(cell))
 
-    def _model_factory(self, seed: int, attack_spec: str):
-        """Global-model factory matching the attack's declared target.
-
-        Imprint-family attacks get the malicious-layer
-        :class:`~repro.attacks.imprint.ImprintedModel`; the linear
-        inversion runs against the paper's single-layer classifier.
-        """
-        dataset = self.dataset
-        num_neurons = self.num_neurons
-        [(attack_name, _)] = parse_spec(attack_spec)
-        if ATTACKS.get(attack_name).model_family == "linear":
-            from repro.attacks.linear import LinearClassifier
-
-            def factory():
-                return LinearClassifier(
-                    dataset.image_shape,
-                    dataset.num_classes,
-                    rng=np.random.default_rng(seed + 1),
-                )
-
-            return factory
-        from repro.attacks.imprint import ImprintedModel
-
-        def factory():
-            return ImprintedModel(
-                dataset.image_shape,
-                num_neurons,
-                dataset.num_classes,
-                rng=np.random.default_rng(seed + 1),
-            )
-
-        return factory
-
     def run_cell(self, cell: SweepCell) -> dict:
         """Evaluate one cell through the full dishonest-server protocol."""
         scenario = self.scenarios[cell.scenario]
@@ -1121,7 +1088,7 @@ class SweepRunner:
         defense = make_defense(cell.defense, seed=seed)
         simulation = FederatedSimulation(
             self.dataset,
-            self._model_factory(seed, cell.attack),
+            partial(model_for, cell.attack, self.dataset, self.num_neurons, seed),
             replace(scenario, batch_size=self.batch_size, seed=seed),
             defense=defense,
             attack=attack,

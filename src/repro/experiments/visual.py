@@ -5,9 +5,11 @@ place, the attack reconstructs a *linear combination* of an image and its
 transformed counterparts — an overlapped, unrecognizable composite — while
 without OASIS the reconstruction is the verbatim image.
 
-The gallery pairs each original with the reconstruction that matches it
-best; ``render_pairs`` emits terminal-friendly ASCII so the overlap is
-inspectable without an image viewer, and arrays can be saved as .npy.
+A gallery is a view of one :func:`~repro.experiments.runner.run_trial`:
+it pairs each original with the reconstruction that matches it best, read
+off one pairwise-PSNR matrix.  ``render_pairs`` emits terminal-friendly
+ASCII so the overlap is inspectable without an image viewer, and arrays
+can be saved as .npy.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.imprint import ImprintedModel
-from repro.attacks.registry import make_attack
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import NoDefense
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import render_ascii_image, side_by_side
-from repro.fl.gradients import compute_batch_gradients
-from repro.metrics.psnr import psnr
-from repro.nn.losses import CrossEntropyLoss
+from repro.experiments.runner import run_trial
+from repro.metrics.psnr import pairwise_psnr
 from repro.utils.checkpoint import atomic_write_bytes
 
 
@@ -70,50 +69,28 @@ def reconstruction_gallery(
     seed: int = 0,
     max_pairs: int = 4,
 ) -> Gallery:
-    """Run one attack round and pair originals with their best reconstructions.
+    """Run one attack trial and pair originals with their best reconstructions.
 
     ``suite_name`` None reproduces the without-OASIS panel; a suite name
     ("MR", "mR", "SH", "HFlip", "VFlip", "MR+SH") reproduces the defended
-    panel of the corresponding figure.
+    panel of the corresponding figure.  The first ``max_pairs`` originals
+    are paired; an attack that reconstructed nothing pairs none.
     """
     defense = NoDefense() if suite_name is None else make_defense(suite_name)
-    rng = np.random.default_rng((seed, batch_size))
-    images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
-    model = ImprintedModel(
-        dataset.image_shape,
-        num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
-    )
-    attack = make_attack(attack_name, num_neurons, dataset.images[:200], seed=seed)
-    attack.craft(model)
-    processed_images, processed_labels = defense.process_batch(images, labels, rng)
-    gradients, _ = compute_batch_gradients(
-        model, CrossEntropyLoss(), processed_images, processed_labels
-    )
-    result = attack.reconstruct(gradients)
-
-    pairs_orig, pairs_recon, scores = [], [], []
-    for original in images[:max_pairs]:
-        if len(result.images) == 0:
-            continue
-        candidate_scores = [psnr(original, recon) for recon in result.images]
-        best = int(np.argmax(candidate_scores))
-        pairs_orig.append(original)
-        pairs_recon.append(result.images[best])
-        scores.append(candidate_scores[best])
-    if pairs_orig:
-        originals = np.stack(pairs_orig)
-        reconstructions = np.stack(pairs_recon)
-    else:
-        originals = np.empty((0,) + dataset.image_shape)
-        reconstructions = np.empty((0,) + dataset.image_shape)
+    trial = run_trial(dataset, attack_name, batch_size, num_neurons, defense, seed)
+    candidates = trial.result.images
+    if len(candidates) == 0:
+        originals = trial.images[:0]
+        return Gallery(attack_name, defense.name, originals, originals, [])
+    originals = trial.images[:max_pairs]
+    scores = pairwise_psnr(originals, candidates)  # [reconstruction, original]
+    best = scores.argmax(axis=0)
     return Gallery(
         attack=attack_name,
         defense=defense.name,
         originals=originals,
-        reconstructions=reconstructions,
-        psnrs=scores,
+        reconstructions=candidates[best],
+        psnrs=scores[best, np.arange(len(originals))].tolist(),
     )
 
 

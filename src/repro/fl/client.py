@@ -76,7 +76,7 @@ class Client:
         self.model.bind_state_dict(broadcast.state)
         images, labels = self.dataset.sample_batch(self.batch_size, self._rng)
         self.last_batch = (images.copy(), labels.copy())
-        gradients, loss, num_examples = compute_defended_update(
+        gradients, loss, num_examples, _ = compute_defended_update(
             self.model, self.loss_fn, images, labels, self.defense, self._rng
         )
         return GradientUpdate(

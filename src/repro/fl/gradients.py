@@ -53,7 +53,7 @@ def compute_defended_update(
     labels: np.ndarray,
     defense,
     rng: np.random.Generator,
-) -> tuple[dict[str, np.ndarray], float, int]:
+) -> tuple[dict[str, np.ndarray], float, int, np.ndarray]:
     """The full client-side update pipeline with a defense attached.
 
     Applies every stage of the defense hook surface, in order: the batch
@@ -61,7 +61,8 @@ def compute_defended_update(
     (per-sample clipped when the defense sets ``per_sample_clip``, plain
     batch otherwise), the gradient hook (pruning / update-level noising),
     and the finalize hook (batch-size-calibrated DP-SGD noise).  Returns
-    (gradients, loss, original batch size).
+    (gradients, loss, original batch size, defended images): the last is
+    the batch hook's output, the images the gradients were computed on.
 
     The reported example count is deliberately the *pre-expansion* batch
     size: OASIS expansion is a local privacy mechanism, not extra client
@@ -90,7 +91,7 @@ def compute_defended_update(
         )
     gradients = defense.process_gradients(gradients, rng)
     gradients = defense.finalize_update(gradients, len(images), rng)
-    return gradients, loss_value, num_examples
+    return gradients, loss_value, num_examples, images
 
 
 def average_gradients(

@@ -7,7 +7,7 @@ convolutions/batch-norm/pooling for ResNet-18, and container modules.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +24,6 @@ from repro.tensor import (
 )
 
 
-def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
-    return rng if rng is not None else np.random.default_rng()
-
-
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``.
 
@@ -41,10 +36,9 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        rng = _default_rng(rng)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(kaiming_uniform((out_features, in_features), rng))
@@ -67,10 +61,10 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        rng = _default_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -194,10 +188,9 @@ class MLP(Module):
     def __init__(
         self,
         sizes: Sequence[int],
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        rng = _default_rng(rng)
         layers: list[Module] = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             layers.append(Linear(n_in, n_out, rng=rng))

@@ -8,7 +8,7 @@ thin variant while the full-width model remains available and unit-tested.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class BasicBlock(Module):
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
         self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=rng)
@@ -68,11 +69,10 @@ class ResNet(Module):
         block_counts: Sequence[int],
         num_classes: int,
         base_width: int = 64,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
-        rng = rng if rng is not None else np.random.default_rng()
         widths = [base_width, base_width * 2, base_width * 4, base_width * 8]
         self.stem_conv = Conv2d(3, widths[0], 3, stride=1, padding=1, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(widths[0])
@@ -108,7 +108,8 @@ class ResNet(Module):
 def resnet18(
     num_classes: int,
     base_width: int = 64,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> ResNet:
     """The paper's evaluation model: ResNet-18 = BasicBlock x [2, 2, 2, 2].
 
@@ -122,11 +123,10 @@ def resnet18(
 def small_cnn(
     num_classes: int,
     in_channels: int = 3,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> Module:
     """A compact conv net (16 then 32 channels) for fast integration tests."""
-    # repro-lint: disable=no-global-rng -- caller-convenience fallback for interactive use; every library path passes a fingerprint-seeded generator
-    rng = rng if rng is not None else np.random.default_rng()
     return Sequential(
         Conv2d(in_channels, 16, 3, padding=1, rng=rng),
         ReLU(),

@@ -33,7 +33,9 @@ class TestCrafting:
             CAHAttack(10, activation_probability=1.0)
 
     def test_neuron_count_must_match(self, cifar_like):
-        model = ImprintedModel(cifar_like.image_shape, 16, 10)
+        model = ImprintedModel(
+            cifar_like.image_shape, 16, 10, rng=np.random.default_rng(0)
+        )
         with pytest.raises(ValueError):
             CAHAttack(17).craft(model)
 
@@ -64,7 +66,9 @@ class TestCrafting:
         np.testing.assert_array_equal(models[0][1], models[1][1])
 
     def test_gaussian_fallback_without_public_data(self, cifar_like):
-        model = ImprintedModel(cifar_like.image_shape, 32, 10)
+        model = ImprintedModel(
+            cifar_like.image_shape, 32, 10, rng=np.random.default_rng(0)
+        )
         attack = CAHAttack(32, pixel_mean=0.5, pixel_std=0.2)
         attack.craft(model)  # must not raise
         _, bias = model.imprint_parameters()

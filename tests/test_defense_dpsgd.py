@@ -77,7 +77,7 @@ class TestDPSGDDefense:
         model = ImprintedModel(cifar_like.image_shape, 50, cifar_like.num_classes,
                                rng=np.random.default_rng(3))
         images, labels = cifar_like.sample_batch(4, rng)
-        grads, _, n = compute_defended_update(
+        grads, _, n, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, defense,
             np.random.default_rng(0),
         )
@@ -93,7 +93,7 @@ class TestClippingInvariance:
         model, attack = crafted
         images, labels = cifar_like.sample_batch(4, rng)
         defense = DPSGDDefense(clip_norm=0.01, noise_multiplier=0.0)
-        grads, _, _ = compute_defended_update(
+        grads, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, defense,
             np.random.default_rng(0),
         )
@@ -104,7 +104,7 @@ class TestClippingInvariance:
         model, attack = crafted
         images, labels = cifar_like.sample_batch(4, rng)
         defense = DPSGDDefense(clip_norm=0.01, noise_multiplier=1.0)
-        grads, _, _ = compute_defended_update(
+        grads, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, defense,
             np.random.default_rng(0),
         )
@@ -117,11 +117,11 @@ class TestClippingInvariance:
         model = ImprintedModel(cifar_like.image_shape, 50, cifar_like.num_classes,
                                rng=np.random.default_rng(3))
         images, labels = cifar_like.sample_batch(4, rng)
-        plain, _, _ = compute_defended_update(
+        plain, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, NoDefense(),
             np.random.default_rng(0),
         )
-        defended, _, _ = compute_defended_update(
+        defended, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels,
             DPSGDDefense(clip_norm=0.5, noise_multiplier=0.0),
             np.random.default_rng(0),

@@ -134,7 +134,7 @@ class TestComputeDefendedUpdate:
         # undefended one.
         images, labels = batch
         pipeline = make_defense("MR>dpsgd(noise_multiplier=0.0)")
-        _, _, num_examples = compute_defended_update(
+        _, _, num_examples, _ = compute_defended_update(
             self._model(), CrossEntropyLoss(), images, labels, pipeline, rng
         )
         assert num_examples == 3
@@ -163,7 +163,7 @@ class TestComputeDefendedUpdate:
         images, labels = batch
         pipeline = make_defense("MR>dpsgd(noise_multiplier=0.0,clip_norm=0.5)")
         model = self._model()
-        gradients, _, _ = compute_defended_update(
+        gradients, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, pipeline, rng
         )
         expanded, expanded_labels = OasisDefense("MR").expand_batch(
@@ -202,7 +202,7 @@ class TestComputeDefendedUpdate:
         raw, _ = compute_batch_gradients(
             model, CrossEntropyLoss(), images, labels
         )
-        defended, _, _ = compute_defended_update(
+        defended, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, BothHooks(), rng
         )
         for name, value in raw.items():
@@ -217,7 +217,7 @@ class TestComputeDefendedUpdate:
         images, labels = batch
         pipeline = make_defense("MR>prune(prune_fraction=0.5)")
         model = self._model()
-        gradients, _, _ = compute_defended_update(
+        gradients, _, _, _ = compute_defended_update(
             model, CrossEntropyLoss(), images, labels, pipeline, rng
         )
         expanded, expanded_labels = OasisDefense("MR").expand_batch(images, labels)

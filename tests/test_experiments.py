@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.attacks import model_for
 from repro.defense import DPGradientDefense, OasisDefense
 from repro.experiments import (
     FIG13_LINEUP,
@@ -18,13 +20,15 @@ from repro.experiments import (
     run_ats_comparison,
     run_attack_trial,
     run_defense_lineup,
-    run_linear_trial,
     run_sweep,
     run_table1,
+    run_trial,
     side_by_side,
     table1_report,
     train_with_defense,
 )
+from repro.experiments.sweep import SweepRunner
+from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.nn import MLP
 
 
@@ -50,9 +54,18 @@ class TestRunner:
             run_attack_trial(cifar_like, "dlg", 4, 100)
 
     def test_linear_trial(self, cifar_like):
-        result = run_linear_trial(cifar_like, 8, seed=3)
+        result = run_attack_trial(cifar_like, "linear", 8, 0, seed=3)
         assert result.attack == "linear"
         assert result.num_reconstructions == 8
+
+    def test_trial_returns_the_batch_the_gradients_came_from(self, cifar_like):
+        # The defended batch is the pipeline's own batch-hook output: MR
+        # expands each image into itself and its rotations, in order.
+        defense = OasisDefense("MR")
+        trial = run_trial(cifar_like, "rtf", 4, 100, defense, seed=3)
+        expanded, _ = defense.expand_batch(trial.images, np.zeros(4, dtype=int))
+        np.testing.assert_array_equal(trial.defended_images, expanded)
+        assert len(trial.result) > 0
 
     def test_dp_defense_reduces_rtf(self, cifar_like):
         clean = run_attack_trial(cifar_like, "rtf", 4, 100, seed=3)
@@ -125,8 +138,8 @@ class TestLineups:
         assert averages["WO"] > averages["MR"]
 
     # sha256 of each arm's float64 PSNR distribution, as the dedicated
-    # Fig. 13 loop (one run_linear_trial per trial) produced it before the
-    # lineup delegated linear-family attacks to that same protocol.
+    # Fig. 13 loop (one Sec. IV-D linear trial per trial) produced it before
+    # the lineup ran linear-family attacks through the same trial.
     FIG13_DIGESTS = {
         "WO": "0f7a8e7dda7279a1e34e1581287b2f9dbbb720e6566cb178d3d6cc17c04c0bd3",
         "MR": "4a36763a738b8d0b85528d014eb17849c9b90b845553138f7f37802bdf011cb8",
@@ -207,11 +220,35 @@ class TestLineups:
         assert result.errors == {}
         assert self._digest(result.grid) == self.SWEEP_GRID_DIGEST
 
-    def test_linear_attack_trial_is_the_linear_trial(self, cifar_like):
-        via_registry = run_attack_trial(cifar_like, "linear", 4, 64, seed=5)
-        direct = run_linear_trial(cifar_like, 4, seed=5)
-        assert via_registry.psnrs == direct.psnrs
-        assert via_registry.num_reconstructions == direct.num_reconstructions > 0
+    @pytest.mark.parametrize("attack", ["rtf", "loki", "linear"])
+    def test_sweep_cell_model_is_the_trial_model(self, cifar_like, attack):
+        """One builder serves both paths: a sweep cell broadcasts the model
+        :func:`model_for` builds at the cell seed, parameter by parameter."""
+        runner = SweepRunner(
+            cifar_like,
+            attacks=(attack,),
+            defenses=("WO",),
+            scenarios=(FederationConfig("full", num_clients=2),),
+            batch_size=2,
+            num_neurons=16,
+            rounds=1,
+        )
+        [cell] = runner.cells()
+        seed = runner.cell_seed(cell)
+        seen = []
+
+        class Recording(FederatedSimulation):
+            def __init__(self, dataset, model_factory, *args, **kwargs):
+                seen.append(model_factory())
+                super().__init__(dataset, model_factory, *args, **kwargs)
+
+        with mock.patch("repro.experiments.sweep.FederatedSimulation", Recording):
+            runner.run_cell(cell)
+        expected = model_for(attack, cifar_like, 16, seed).state_dict()
+        [broadcast] = seen
+        assert sorted(broadcast.state_dict()) == sorted(expected)
+        for name, value in broadcast.state_dict().items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
 
 
 class TestTable1:

@@ -105,17 +105,17 @@ class TestDefendedUpdateWeighting:
     def test_defended_reports_original_batch_size(self):
         from repro.defense import NoDefense
 
-        _, _, defended_count = self._compute(OasisDefense("MR"))
-        _, _, undefended_count = self._compute(NoDefense())
+        _, _, defended_count, _ = self._compute(OasisDefense("MR"))
+        _, _, undefended_count, _ = self._compute(NoDefense())
         assert defended_count == undefended_count == 4
 
     def test_fedavg_weight_parity(self):
         # A defended and an undefended client reporting the same batch size
         # must carry identical weight in an example-weighted FedAvg round.
-        defended_grads, _, defended_count = self._compute(OasisDefense("MR+SH"))
+        defended_grads, _, defended_count, _ = self._compute(OasisDefense("MR+SH"))
         from repro.defense import NoDefense
 
-        plain_grads, _, plain_count = self._compute(NoDefense(), seed=3)
+        plain_grads, _, plain_count, _ = self._compute(NoDefense(), seed=3)
         aggregated = average_gradients(
             [defended_grads, plain_grads], weights=[defended_count, plain_count]
         )

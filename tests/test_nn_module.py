@@ -68,7 +68,9 @@ class TestRegistration:
 
 class TestModes:
     def test_train_eval_propagate(self):
-        model = Sequential(Linear(4, 4), BatchNorm2d(4))
+        model = Sequential(
+            Linear(4, 4, rng=np.random.default_rng(0)), BatchNorm2d(4)
+        )
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()

@@ -19,7 +19,6 @@ from repro.experiments import (
     format_table,
     run_ats_comparison,
     run_attack_trial,
-    run_linear_trial,
 )
 
 
@@ -100,9 +99,9 @@ def build_paper_summary(
         )
     )
 
-    linear_wo = run_linear_trial(dataset, batch_size, seed=seed)
-    linear_mr = run_linear_trial(
-        dataset, batch_size, defense=OasisDefense("MR"), seed=seed
+    linear_wo = run_attack_trial(dataset, "linear", batch_size, 0, seed=seed)
+    linear_mr = run_attack_trial(
+        dataset, "linear", batch_size, 0, defense=OasisDefense("MR"), seed=seed
     )
     rows.append(
         PaperComparison(
