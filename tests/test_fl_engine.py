@@ -824,3 +824,114 @@ class TestGradientRecycling:
             expected = before[name].copy()
             expected -= server.learning_rate * aggregate[name]
             assert value.tobytes() == expected.tobytes()
+
+
+# --------------------------------------------------------------------------
+# Timed rounds pinned by digest: records, aggregates, events and ticks.
+# --------------------------------------------------------------------------
+
+
+class TableClient:
+    """A stub whose examples, loss and two-parameter gradient vary by id."""
+
+    table = np.random.default_rng(17).standard_normal((13, 10))
+
+    def __init__(self, client_id: int) -> None:
+        self.client_id = client_id
+
+    def local_update(self, broadcast) -> GradientUpdate:
+        row = self.table[self.client_id % len(self.table)] * (1 + self.client_id % 7)
+        return GradientUpdate(
+            client_id=self.client_id,
+            round_index=broadcast.round_index,
+            num_examples=1 + self.client_id % 5,
+            gradients={"a": row[:6].reshape(2, 3), "b": row[6:]},
+            loss=self.client_id / 7.0,
+        )
+
+
+class SignAttack:
+    """Reconstructs each positive 2-entry block: the count and bytes depend
+    on which row the server hands over for which update."""
+
+    name = "sign"
+
+    def craft(self, model):
+        pass
+
+    def reconstruct(self, gradients):
+        flat = np.concatenate([gradients["a"].ravel(), gradients["b"]])
+        return [pair.copy() for pair in flat.reshape(-1, 2) if pair.sum() > 0]
+
+
+def _tick_pairs(timing) -> list:
+    """Every ``(client id, tick)`` the timing lists: on time, then late."""
+    return [tuple(pair) for key in ("arrival_ticks", "late_ticks") for pair in timing[key]]
+
+
+def _timed_round_digests(dishonest: bool) -> dict:
+    """sha256 of six timed rounds of a 2k-user fleet, one per output kind."""
+    import hashlib
+
+    kwargs = dict(
+        clients_per_round=300,
+        arrivals="tiered",
+        cutoff=TimeCutoff(ticks(1.5), min_arrivals=20),
+        accept_stale=True,
+        weight_by_examples=True,
+        seed=23,
+    )
+    fleet = Fleet(2_000, TableClient)
+    server = (
+        DishonestServer(Module(), fleet, SignAttack(), **kwargs)
+        if dishonest
+        else Server(Module(), fleet, **kwargs)
+    )
+    hashes = {
+        kind: hashlib.sha256()
+        for kind in ("records", "aggregates", "events", "ticks", "reconstructions")
+    }
+    for record in server.run(6):
+        fields = dataclasses.asdict(record)
+        timing = fields.pop("timing")
+        events = fields.pop("attack_events")
+        fields["mean_loss"] = np.float64(fields["mean_loss"]).tobytes().hex()
+        hashes["records"].update(repr(sorted(fields.items())).encode())
+        hashes["events"].update(repr(events).encode())
+        hashes["ticks"].update(repr(_tick_pairs(timing)).encode())
+        hashes["ticks"].update(repr(
+            [timing[key] for key in ("opened_at", "closed_at", "cutoff", "unavailable")]
+        ).encode())
+        for name, value in sorted(server.last_aggregate.items()):
+            hashes["aggregates"].update(name.encode() + value.tobytes())
+    for key, results in getattr(server, "reconstructions", {}).items():
+        hashes["reconstructions"].update(repr(key).encode())
+        for pair in results:
+            hashes["reconstructions"].update(pair.tobytes())
+    return {kind: hasher.hexdigest() for kind, hasher in hashes.items()}
+
+
+# Computed before the round ledger went columnar; a change to how rounds
+# are ingested or recorded must leave every one of them unchanged.
+TIMED_ROUND_DIGESTS = {
+    "honest": {
+        "records": "16b09b12de1285a2244286fb07ec05a9c01272bdd1022d6f2af9bc45e2b618c5",
+        "aggregates": "b09ad58da69f0d50a7d834e12e93e092c346a41289979e9ef5a45285f1a9d1bf",
+        "events": "10e94164e6b09b7a2ceb16ce6808fefefe99bda73846bfdc3aa443360fd19459",
+        "ticks": "7055dfb325706af0480d194617128c219a8df50faed26062378ae10c71dc2b31",
+        "reconstructions": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "dishonest": {
+        "records": "16b09b12de1285a2244286fb07ec05a9c01272bdd1022d6f2af9bc45e2b618c5",
+        "aggregates": "b09ad58da69f0d50a7d834e12e93e092c346a41289979e9ef5a45285f1a9d1bf",
+        "events": "88b7820d1293beeef299217a35a23c6f6a554cb6d66a09f3b2b930b699b9e6a4",
+        "ticks": "7055dfb325706af0480d194617128c219a8df50faed26062378ae10c71dc2b31",
+        "reconstructions": "784d20d80d7ff3107862b8af42dd46b99a48ce71b9eb656e64ac26a17e97dc34",
+    },
+}
+
+
+class TestTimedRoundDigests:
+    @pytest.mark.parametrize("kind", ["honest", "dishonest"])
+    def test_timed_rounds_match_their_digests(self, kind):
+        assert _timed_round_digests(kind == "dishonest") == TIMED_ROUND_DIGESTS[kind]
