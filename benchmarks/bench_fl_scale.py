@@ -14,7 +14,7 @@ Two measurements back the federation engine's scalability claims:
    feeling.
 3. The event-driven engine over a lazy 100k-user fleet: rounds/sec with
    1k and 10k active clients per round under a time cutoff is gated (>= 15
-   and >= 2 rounds/s) and the materialized-client count is asserted to
+   and >= 2 rounds/s) and the materialized-client count is gated to
    stay O(dispatched), never O(registered).
 4. The same 1k-active round with real MLP clients training locally: a
    ``FederatedSimulation`` (every client trains on one scratch model) is
@@ -22,7 +22,8 @@ Two measurements back the federation engine's scalability claims:
    own), measured in the same process with equal global-model digests.
 
 Results are recorded as a report and emitted to ``BENCH_fl_scale.json``
-next to this file.
+next to this file.  Each entry carries a ``"failed_gates"`` list: a run
+that misses a gate still records what it measured, and then fails.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_fl_scale.py --benchmark-only
 """
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_rng, best_of, record_report, write_bench_json
+from common import below, bench_rng, best_of, record_report, write_bench_json
 from repro.data import make_synthetic_dataset
 from repro.fl import (
     Client,
@@ -88,6 +89,16 @@ def _python_loop_mean(updates: list[dict[str, np.ndarray]]) -> dict[str, np.ndar
     return aggregated
 
 
+def _finish(key: str, entry: dict, failed_gates: list[str]) -> None:
+    """Record ``entry`` with its failed gates, write the JSON, then assert.
+
+    Writing first means a failing run still leaves what it measured.
+    """
+    entry["failed_gates"] = failed_gates
+    _RESULTS[key] = entry
+    write_bench_json(JSON_PATH, _RESULTS)
+    assert not failed_gates, "; ".join(failed_gates)
+
 
 def test_buffered_aggregation_speedup(benchmark):
     updates = _make_updates(NUM_CLIENTS)
@@ -105,9 +116,6 @@ def test_buffered_aggregation_speedup(benchmark):
     reduce_s = best_of(lambda: aggregator.aggregate(buffer), 9)
     ingest_s = best_of(lambda: RoundBuffer.for_updates(updates), 9)
     speedup = loop_s / reduce_s
-    assert speedup >= 5.0, (
-        f"buffered aggregation only {speedup:.1f}x faster than the Python loop"
-    )
 
     robust = {
         name: best_of(lambda agg=make_aggregator(name): agg.aggregate(buffer), 9)
@@ -119,7 +127,7 @@ def test_buffered_aggregation_speedup(benchmark):
         lambda: make_aggregator("masked_sum").aggregate(masked_buffer), 9
     )
 
-    _RESULTS["aggregation"] = {
+    entry = {
         "num_clients": NUM_CLIENTS,
         "num_tensors": len(PARAM_SHAPES),
         "dim": buffer.dim,
@@ -138,7 +146,7 @@ def test_buffered_aggregation_speedup(benchmark):
             f"{name:<16}{1e3 * seconds:8.3f} ms" for name, seconds in robust.items()
         ),
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish("aggregation", entry, below("buffered fedavg over the loop", speedup, 5.0))
 
 
 def _rounds_per_sec(num_clients: int, dataset, rounds: int = 3) -> float:
@@ -171,11 +179,11 @@ def test_federation_rounds_per_sec(benchmark):
     )
     assert all(rate > 0.0 for rate in scaling.values())
     # Throughput should degrade sublinearly vs the 12.5x fleet growth.
-    assert scaling[8] / scaling[100] < 50.0
-
-    _RESULTS["federation_rounds_per_sec"] = {
-        str(n): rate for n, rate in scaling.items()
-    }
+    failed_gates = below(
+        "100-client over 8-client rounds/s, times 50",
+        50.0 * scaling[100] / scaling[8],
+        1.0,
+    )
     record_report(
         "FL scale — federation throughput vs fleet size (dropout 10%)",
         "\n".join(
@@ -183,7 +191,11 @@ def test_federation_rounds_per_sec(benchmark):
             for n, rate in scaling.items()
         ),
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "federation_rounds_per_sec",
+        {str(n): rate for n, rate in scaling.items()},
+        failed_gates,
+    )
 
 
 FLEET_SIZE = 100_000
@@ -242,18 +254,20 @@ def test_lazy_fleet_engine_throughput(benchmark):
         rounds=1,
         iterations=1,
     )
+    failed_gates = []
     for active, floor in FLEET_GATES.items():
-        rate = results[active]["rounds_per_sec"]
-        assert rate >= floor, (
-            f"{active} active clients: {rate:.2f} rounds/s under gate {floor}"
+        failed_gates += below(
+            f"{active} active: rounds/s over its {floor} floor",
+            results[active]["rounds_per_sec"] / floor,
+            1.0,
         )
         # Laziness gate: 4 rounds dispatch at most 4 * active distinct
         # clients; the other ~100k registered users must never be built.
-        assert results[active]["materialized"] <= 4 * active
-
-    _RESULTS["lazy_fleet_engine"] = {
-        str(active): result for active, result in results.items()
-    }
+        failed_gates += below(
+            f"{active} active: 4 * active over the materialized clients",
+            4 * active / results[active]["materialized"],
+            1.0,
+        )
     record_report(
         f"FL scale — event engine over a lazy {FLEET_SIZE:,}-user fleet "
         "(tiered arrivals, 2s cutoff)",
@@ -264,7 +278,11 @@ def test_lazy_fleet_engine_throughput(benchmark):
             for active, result in results.items()
         ),
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "lazy_fleet_engine",
+        {str(active): result for active, result in results.items()},
+        failed_gates,
+    )
 
 
 TRAINED_ACTIVE = 1000
@@ -402,12 +420,6 @@ def test_trained_fleet_round_shared_scratch(benchmark):
     assert digests["shared_scratch"] == digests["owned_models"], (
         "the shared scratch model changed the trained global model"
     )
-    assert result["speedup"] >= TRAINED_GATE, (
-        f"shared scratch model only {result['speedup']:.2f}x faster than "
-        f"owned models (gate >= {TRAINED_GATE}x)"
-    )
-
-    _RESULTS["trained_fleet_round"] = result
     record_report(
         f"FL scale — one {TRAINED_ACTIVE:,}-active round of real MLP clients "
         f"from a {FLEET_SIZE:,}-user fleet (tiered arrivals, 2s cutoff)",
@@ -417,4 +429,8 @@ def test_trained_fleet_round_shared_scratch(benchmark):
         f"global-model sha256 {digests['shared_scratch'][0][:16]}… "
         "equal across arms",
     )
-    write_bench_json(JSON_PATH, _RESULTS)
+    _finish(
+        "trained_fleet_round",
+        result,
+        below("shared scratch over owned models", result["speedup"], TRAINED_GATE),
+    )

@@ -36,9 +36,7 @@ def main() -> None:
     print(__doc__)
     dataset = synthetic_cifar100(samples_per_class=4)
     rng = np.random.default_rng(SEED)
-    images, labels = class_balanced_batch(
-        dataset, BATCH_SIZE, rng, unique_labels=True
-    )
+    images, labels = class_balanced_batch(dataset, BATCH_SIZE, rng)
     model = LinearClassifier(
         dataset.image_shape, dataset.num_classes, rng=np.random.default_rng(SEED)
     )

@@ -61,22 +61,19 @@ def class_balanced_batch(
     dataset: SyntheticImageDataset,
     batch_size: int,
     rng: np.random.Generator,
-    unique_labels: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a batch; with ``unique_labels`` every label appears at most once.
+    """Draw a batch in which every label appears at most once.
 
     The linear-model inversion experiment (paper Sec. IV-D) assumes batches
     whose images carry unique labels; this helper constructs them.
     """
-    if unique_labels:
-        classes = np.unique(dataset.labels)
-        if batch_size > len(classes):
-            raise ValueError(
-                f"cannot draw {batch_size} unique labels from {len(classes)} classes"
-            )
-        chosen = rng.choice(classes, size=batch_size, replace=False)
-        indices = np.array(
-            [rng.choice(np.flatnonzero(dataset.labels == c)) for c in chosen]
+    classes = np.unique(dataset.labels)
+    if batch_size > len(classes):
+        raise ValueError(
+            f"cannot draw {batch_size} unique labels from {len(classes)} classes"
         )
-        return dataset.batch(indices)
-    return dataset.sample_batch(batch_size, rng)
+    chosen = rng.choice(classes, size=batch_size, replace=False)
+    indices = np.array(
+        [rng.choice(np.flatnonzero(dataset.labels == c)) for c in chosen]
+    )
+    return dataset.batch(indices)

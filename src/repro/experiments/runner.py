@@ -81,7 +81,7 @@ def run_trial(
     if ATTACKS.get(attack_name).model_family == "linear":
         rng = np.random.default_rng((seed, batch_size))
         images, labels = class_balanced_batch(
-            dataset, min(batch_size, dataset.num_classes), rng, unique_labels=True
+            dataset, min(batch_size, dataset.num_classes), rng
         )
     else:
         rng = np.random.default_rng((seed, batch_size, num_neurons))

@@ -176,6 +176,18 @@ def make_cutoff(
     return CountCutoff()
 
 
+def release_gradients(update: GradientUpdate) -> None:
+    """Drop ``update``'s gradients, first pooling them if it is ``poolable``.
+
+    A poolable update's arrays are owned by nothing else, so they go back
+    to the tensor buffer pool for the next client's backward pass.
+    """
+    if update.poolable:
+        for array in update.gradients.values():
+            buffers.release(array)
+    update.gradients = None
+
+
 # --------------------------------------------------------------------------
 # Arrival plans (produced by repro.fl.arrivals, consumed by the engine).
 # --------------------------------------------------------------------------
@@ -220,19 +232,25 @@ class RoundPlan:
 class RoundLedger:
     """Everything the engine observed while running one round's events.
 
-    ``fresh`` holds the on-time updates in arrival order — the order
-    their rows were packed into ``buffer``, ahead of the round's stale
-    rows — and ``late`` the updates that completed after the cutoff
-    (computed so they can fold into the next round as stale arrivals;
-    empty under commitment protocols, whose late uploads are
-    undecryptable and discarded uncomputed).  ``buffer`` is ``None`` when
-    the round packed no row; otherwise it is the engine's own buffer,
-    valid until the engine runs its next round.
+    The packed rows are described column by column, in ``buffer`` row
+    order (the on-time arrivals, then the round's stale rows):
+    ``client_ids``, ``round_indices``, ``num_examples`` and ``losses``
+    hold one entry per row, copied from each update as it is packed, so
+    no per-arrival object outlives ingest.  ``late`` holds the updates
+    that completed after the cutoff, gradients and all (computed so they
+    can fold into the next round as stale arrivals; empty under
+    commitment protocols, whose late uploads are undecryptable and
+    discarded uncomputed).  ``buffer`` is ``None`` when the round packed
+    no row; otherwise it is the engine's own buffer, valid until the
+    engine runs its next round.
     """
 
     opened_at: int
     closed_at: int
-    fresh: list[GradientUpdate]
+    client_ids: list[int]
+    round_indices: list[int]
+    num_examples: list[int]
+    losses: list[float]
     late: list[GradientUpdate]
     dropped_ids: list[int]
     straggler_ids: list[int]
@@ -303,10 +321,12 @@ class RoundEngine:
         after the on-time rows, even when nothing arrived on time.
 
         Right after an update's row is copied, ``update.gradients``
-        becomes ``None``, so a 10k-arrival round holds one matrix, not
-        10k dicts, and a ``poolable`` update's arrays go back to the
-        tensor buffer pool for the next client's backward pass.  Late
-        updates keep their gradients until they fold in as stale.
+        becomes ``None`` (:func:`release_gradients`), its
+        ``client_id``, ``round_index``, ``num_examples`` and ``loss`` are
+        appended to the ledger's columns, and the engine lets go of it:
+        a 10k-arrival round holds one matrix and four flat lists, not 10k
+        updates.  Late updates keep their gradients until they fold in as
+        stale.
 
         The ledger's ``buffer`` is the engine's own: it re-arms the
         previous round's matrix whenever this round's rows (one per plan
@@ -324,11 +344,17 @@ class RoundEngine:
         )
         ids, times = ids.tolist(), times.tolist()
 
-        # Fresh rows as they are computed, then the stale ones.
-        packed: list[GradientUpdate] = []
+        # Fresh rows as they are computed, then the stale ones.  Each
+        # update leaves four scalars in the ledger's columns and is then
+        # dropped, so nothing per arrival outlives the gen-0 collector.
+        client_ids: list[int] = []
+        round_indices: list[int] = []
+        num_examples: list[int] = []
+        losses: list[float] = []
+        add_id, add_round = client_ids.append, round_indices.append
+        add_examples, add_loss = num_examples.append, losses.append
         buffer: Optional[RoundBuffer] = None
-        append = packed.append
-        release = buffers.release
+        release = release_gradients
         for update in chain(map(compute, ids[:on_time]), stale):
             gradients = update.gradients
             if buffer is None:
@@ -336,11 +362,11 @@ class RoundEngine:
                 buffer = self._round_buffer(capacity, flat_spec(gradients))
                 add = buffer.add
             add(gradients)
-            if update.poolable:
-                for array in gradients.values():
-                    release(array)
-            update.gradients = None
-            append(update)
+            release(update)
+            add_id(update.client_id)
+            add_round(update.round_index)
+            add_examples(update.num_examples)
+            add_loss(update.loss)
         straggler_ids = ids[on_time:]
         late = [compute(cid) for cid in straggler_ids] if compute_late else []
 
@@ -354,18 +380,19 @@ class RoundEngine:
                 "cutoff": (
                     "time" if isinstance(self.cutoff, TimeCutoff) else "count"
                 ),
-                "arrival_ticks": [
-                    [cid, tick] for cid, tick in zip(ids[:on_time], times[:on_time])
-                ],
-                "late_ticks": [
-                    [cid, tick] for cid, tick in zip(straggler_ids, times[on_time:])
-                ],
+                "arrival_ids": ids[:on_time],
+                "arrival_ticks": times[:on_time],
+                "late_ids": straggler_ids,
+                "late_ticks": times[on_time:],
                 "unavailable": list(plan.unavailable),
             }
         return RoundLedger(
             opened_at=opened_at,
             closed_at=closed_at,
-            fresh=packed[:on_time],
+            client_ids=client_ids,
+            round_indices=round_indices,
+            num_examples=num_examples,
+            losses=losses,
             late=late,
             dropped_ids=list(plan.unavailable),
             straggler_ids=straggler_ids,

@@ -135,9 +135,16 @@ class RoundRecord:
     (committed/survivor counts, threshold, recovered dropouts, or the
     abort reason when survivors fell below threshold).
 
-    ``timing`` is the event engine's virtual-clock annotation (open/close
-    ticks, per-client arrival ticks, cutoff policy) when the federation
-    runs a real arrival process or a non-default cutoff.  It stays
+    ``timing`` is the event engine's virtual-clock annotation when the
+    federation runs a real arrival process or a non-default cutoff:
+    ``opened_at`` / ``closed_at`` ticks, the ``cutoff`` policy
+    (``"time"`` or ``"count"``), the ``unavailable`` ids, and flat int
+    lists in completion order — ``arrival_ids`` with their
+    ``arrival_ticks`` for the on-time arrivals, ``late_ids`` with their
+    ``late_ticks`` for the completions after the cutoff (so
+    ``zip(timing["arrival_ids"], timing["arrival_ticks"])`` gives the
+    ``(client id, tick)`` pairs).  Flat lists keep a 10k-arrival record
+    at a handful of container objects.  It stays
     ``None`` in the legacy-compatible configuration, so records produced
     by the event engine's degenerate count cutoff compare equal to
     pre-engine records field-for-field.

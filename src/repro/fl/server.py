@@ -39,13 +39,19 @@ import repro.tensor.buffers as buffers
 from repro.attacks.base import ActiveReconstructionAttack, ReconstructionResult
 from repro.fl.aggregators import (
     Aggregator,
-    RoundBuffer,
     make_aggregator,
     unflatten_vector,
 )
 from repro.fl.arrivals import ArrivalProcess, make_arrivals
 from repro.fl.client import Client
-from repro.fl.engine import CountCutoff, RoundEngine, TimeCutoff, VirtualClock
+from repro.fl.engine import (
+    CountCutoff,
+    RoundEngine,
+    RoundLedger,
+    TimeCutoff,
+    VirtualClock,
+    release_gradients,
+)
 from repro.fl.fleet import Fleet
 from repro.fl.messages import GradientUpdate, ModelBroadcast, RoundRecord
 from repro.fl.secagg.base import BelowThresholdError
@@ -189,7 +195,7 @@ class Server:
         indices = self._rng.choice(
             len(self.fleet), size=self.clients_per_round, replace=False
         )
-        return [int(index) for index in indices]
+        return indices.tolist()
 
     def apply_aggregate(self, aggregated: dict[str, np.ndarray]) -> None:
         """w_{t+1} = w_t - eta * aggregated gradient (Eq. 1).
@@ -209,23 +215,32 @@ class Server:
                 np.subtract(data, step, out=data)
                 buffers.release(step)
 
-    def _inspect_rows(
-        self, arrivals: list[GradientUpdate], buffer: Optional[RoundBuffer]
-    ) -> list[dict]:
-        """Run :meth:`inspect_updates` over the arrivals' packed rows.
+    def _inspect_rows(self, ledger: RoundLedger) -> list[dict]:
+        """Run :meth:`inspect_updates` over the round's packed rows.
 
-        An overridden hook gets read-only views of each arrival's row (an
-        in-place write raises instead of corrupting the aggregate); the
-        honest no-op builds nothing.
+        An overridden hook gets one gradient-free :class:`GradientUpdate`
+        per row, rebuilt from the ledger's columns, and read-only views of
+        each row (an in-place write raises instead of corrupting the
+        aggregate); the honest no-op builds neither.
         """
         if type(self).inspect_updates is Server.inspect_updates:
             return []
-        gradients = []
-        if arrivals:
+        updates, gradients = [], []
+        if ledger.client_ids:
+            buffer = ledger.buffer
             rows = buffer.matrix
             rows.flags.writeable = False
             gradients = [unflatten_vector(row, buffer.spec) for row in rows]
-        return self.inspect_updates(arrivals, gradients)
+            updates = [
+                GradientUpdate(client_id, round_index, examples, None, loss)
+                for client_id, round_index, examples, loss in zip(
+                    ledger.client_ids,
+                    ledger.round_indices,
+                    ledger.num_examples,
+                    ledger.losses,
+                )
+            ]
+        return self.inspect_updates(updates, gradients)
 
     def run_round(self) -> RoundRecord:
         """One full protocol round under the configured scenario.
@@ -265,10 +280,11 @@ class Server:
         broadcast = self.prepare_broadcast()
         selected_ids = self.select_client_ids()
         stale = self._stale_updates if self.accept_stale else []
+        get, deliver = self.fleet.get, self.broadcast_to
 
         def compute(client_id: int) -> GradientUpdate:
-            client = self.fleet.get(client_id)
-            return client.local_update(self.broadcast_to(client, broadcast))
+            client = get(client_id)
+            return client.local_update(deliver(client, broadcast))
 
         ledger = self.engine.run_round(
             selected_ids,
@@ -278,30 +294,35 @@ class Server:
             compute_late=not protocol_mode,
             stale=stale,
         )
-        self._stale_updates = ledger.late
-        arrivals = ledger.fresh + stale  # the buffer's row order
+        if self.accept_stale:
+            self._stale_updates = ledger.late
+        else:
+            # Nothing will read a late update again: pool its arrays now.
+            self._stale_updates = []
+            for update in ledger.late:
+                release_gradients(update)
+        # The ledger's columns are in buffer row order: fresh, then stale.
         # Inspect updates in the round they are *aggregated*: fresh ones
         # now, late ones only if/when they re-enter as stale arrivals —
         # inspecting the late list here would attribute next round's
         # aggregate members to this round's record (and count discarded
         # updates when accept_stale is off).
-        attack_events = (
-            [] if protocol_mode else self._inspect_rows(arrivals, ledger.buffer)
-        )
+        attack_events = [] if protocol_mode else self._inspect_rows(ledger)
+        participant_ids = ledger.client_ids
         secagg_meta: dict | None = None
         weights = (
-            [u.num_examples for u in arrivals]
-            if (self.weight_by_examples and arrivals)
+            ledger.num_examples
+            if (self.weight_by_examples and participant_ids)
             else None
         )
         aggregated = None
-        if arrivals:
+        if participant_ids:
             try:
                 aggregated = self.aggregator.aggregate(
                     ledger.buffer,
                     weights,
                     self.round_index,
-                    ids=[u.client_id for u in arrivals],
+                    ids=participant_ids,
                     committed_ids=selected_ids,
                 )
                 if protocol_mode:
@@ -313,7 +334,7 @@ class Server:
                     "survivors": error.survivors,
                     "threshold": error.threshold,
                 }
-                arrivals = []
+                participant_ids = []
         if aggregated is not None:
             self.apply_aggregate(aggregated)
             self.last_aggregate = aggregated
@@ -322,10 +343,10 @@ class Server:
             self.last_aggregate = None
         record = RoundRecord(
             round_index=self.round_index,
-            participant_ids=[u.client_id for u in arrivals],
+            participant_ids=participant_ids,
             mean_loss=(
-                float(np.mean([u.loss for u in arrivals]))
-                if arrivals
+                float(np.mean(ledger.losses))
+                if participant_ids
                 else float("nan")
             ),
             attack_events=attack_events,

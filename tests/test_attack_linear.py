@@ -43,7 +43,7 @@ class TestModel:
 class TestInversion:
     def test_unique_label_batch_reconstructed(self, setup, cifar_like, rng):
         model, inversion = setup
-        images, labels = class_balanced_batch(cifar_like, 8, rng, unique_labels=True)
+        images, labels = class_balanced_batch(cifar_like, 8, rng)
         grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         assert len(result) == 8
@@ -54,7 +54,7 @@ class TestInversion:
 
     def test_only_present_classes_inverted(self, setup, cifar_like, rng):
         model, inversion = setup
-        images, labels = class_balanced_batch(cifar_like, 4, rng, unique_labels=True)
+        images, labels = class_balanced_batch(cifar_like, 4, rng)
         grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         assert sorted(result.neuron_indices) == sorted(labels.tolist())
@@ -69,7 +69,7 @@ class TestInversion:
         )
         inversion = LinearModelInversion()
         inversion.craft(model)
-        images, labels = class_balanced_batch(tiny_dataset, 4, rng, unique_labels=True)
+        images, labels = class_balanced_batch(tiny_dataset, 4, rng)
         grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         result = inversion.reconstruct(grads)
         per_image = per_image_best_psnr(images, result.images)
@@ -83,7 +83,7 @@ class TestInversion:
 
     def test_oasis_turns_reconstruction_into_mixture(self, setup, cifar_like, rng):
         model, inversion = setup
-        images, labels = class_balanced_batch(cifar_like, 8, rng, unique_labels=True)
+        images, labels = class_balanced_batch(cifar_like, 8, rng)
         grads, _ = compute_batch_gradients(model, CrossEntropyLoss(), images, labels)
         undefended = average_attack_psnr(images, inversion.reconstruct(grads).images)
 
@@ -98,7 +98,7 @@ class TestInversion:
         # Paper: "adding transformed images to the training batch guarantees
         # that x_t and X'_t activate the same neuron" — in a linear model
         # the class row *is* the neuron and label sharing is the guarantee.
-        images, labels = class_balanced_batch(cifar_like, 3, rng, unique_labels=True)
+        images, labels = class_balanced_batch(cifar_like, 3, rng)
         defense = OasisDefense("MR")
         expanded, expanded_labels = defense.expand_batch(images, labels)
         # Every companion shares its original's label (= class neuron).

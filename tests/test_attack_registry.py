@@ -113,9 +113,7 @@ class TestRoundTrips:
     def test_linear_attack_round_trips(self, tiny_dataset, rng):
         from repro.data.loaders import class_balanced_batch
 
-        images, labels = class_balanced_batch(
-            tiny_dataset, 4, rng, unique_labels=True
-        )
+        images, labels = class_balanced_batch(tiny_dataset, 4, rng)
         attack = make_attack("linear", NUM_NEURONS, None)
         model = LinearClassifier(
             tiny_dataset.image_shape,

@@ -142,13 +142,9 @@ class TestDataLoader:
 
 class TestClassBalancedBatch:
     def test_unique_labels(self, tiny_dataset, rng):
-        _, labels = class_balanced_batch(tiny_dataset, 4, rng, unique_labels=True)
+        _, labels = class_balanced_batch(tiny_dataset, 4, rng)
         assert len(set(labels.tolist())) == 4
 
     def test_too_many_unique_rejected(self, tiny_dataset, rng):
         with pytest.raises(ValueError):
-            class_balanced_batch(tiny_dataset, 5, rng, unique_labels=True)
-
-    def test_non_unique_path(self, tiny_dataset, rng):
-        images, labels = class_balanced_batch(tiny_dataset, 6, rng)
-        assert len(images) == 6
+            class_balanced_batch(tiny_dataset, 5, rng)

@@ -12,6 +12,7 @@ invalidating a single golden value.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -383,11 +384,15 @@ class TestCutoffs:
         for record in records:
             assert record.timing is not None
             assert record.timing["cutoff"] == "time"
-            deadline = record.timing["opened_at"] + ticks(0.5)
-            for _, tick in record.timing["arrival_ticks"]:
-                assert tick <= deadline
-            for _, tick in record.timing["late_ticks"]:
-                assert tick > deadline
+            timing = record.timing
+            deadline = timing["opened_at"] + ticks(0.5)
+            assert timing["arrival_ids"] == record.participant_ids
+            assert timing["late_ids"] == record.straggler_ids
+            assert len(timing["arrival_ticks"]) == len(timing["arrival_ids"])
+            assert len(timing["late_ticks"]) == len(timing["late_ids"])
+            assert all(tick <= deadline for tick in timing["arrival_ticks"])
+            assert all(tick > deadline for tick in timing["late_ticks"])
+            assert timing["arrival_ticks"] == sorted(timing["arrival_ticks"])
 
     def test_time_cutoff_min_arrivals_floor(self):
         # Deadline far below every possible latency: the grace floor must
@@ -649,7 +654,7 @@ class TestPooledRoundBuffer:
         pooled = first.buffer
         snapshot = pooled.matrix.copy()
         empty = engine.run_round([4, 5], 1, None, _stub_compute)
-        assert empty.buffer is None and empty.fresh == []
+        assert empty.buffer is None and empty.client_ids == []
         assert engine._buffer is pooled and len(pooled) == 3
         np.testing.assert_array_equal(pooled.matrix, snapshot)
         third = engine.run_round([6, 7], 2, None, _stub_compute)
@@ -677,13 +682,30 @@ class TestPooledRoundBuffer:
             ScriptedArrivals([RoundPlan([0, 1, 2, 3], [10, 20, 30, 90])]),
             CountCutoff(target=3),
         )
-        ledger = engine.run_round([0, 1, 2, 3], 0, None, _stub_compute)
-        assert len(ledger.fresh) == 3
-        for update in ledger.fresh:
+        computed = []
+
+        def compute(client_id):
+            computed.append(_stub_compute(client_id))
+            return computed[-1]
+
+        stale = [_stub_compute(9)]
+        ledger = engine.run_round([0, 1, 2, 3], 0, None, compute, stale=stale)
+        # The ledger keeps columns in row order (fresh, then stale), not
+        # the packed updates, whose gradients are gone.
+        assert ledger.client_ids == [0, 1, 2, 9]
+        assert ledger.round_indices == [0, 0, 0, 0]
+        assert ledger.num_examples == [1, 1, 1, 1]
+        assert ledger.losses == [0.0, 1.0, 2.0, 9.0]
+        for update in computed[:3] + stale:
             assert update.gradients is None
         # Late updates keep their gradients: they may fold in as stale rows.
+        assert ledger.late == computed[3:]
         assert list(ledger.late[0].gradients) == ["w"]
-        assert not hasattr(ledger.fresh[0], "__dict__")
+        assert not hasattr(ledger.late[0], "__dict__")
+        assert not any(
+            isinstance(value, GradientUpdate)
+            for value in vars(ledger).values()
+        )
 
     def test_stale_only_round_packs_into_the_pooled_buffer(self):
         server = _training_server(num_clients=2, accept_stale=True)
@@ -812,6 +834,33 @@ class TestGradientRecycling:
             for other in drawn:
                 tensor_buffers.release(other)
 
+    def test_refused_late_updates_are_released_at_once(self):
+        class OwningClient(StubClient):
+            """Hands over a fresh array it keeps no reference to."""
+
+            def local_update(self, broadcast):
+                update = super().local_update(broadcast)
+                update.gradients = {"w": np.full(DIM + 3, float(self.client_id))}
+                update.poolable = True
+                return update
+
+        server = Server(
+            Module(),
+            Fleet(6, OwningClient),
+            arrivals="uniform(low_s=0.1, high_s=1.0)",
+            cutoff=TimeCutoff(ticks(0.5)),
+            seed=2,
+        )
+        for _ in range(4):
+            tensor_buffers.clear()
+            record = server.run_round()
+            assert server._stale_updates == []
+            # Every computed update's array is back in the pool, the
+            # refused late ones' too.
+            computed = len(record.participant_ids) + len(record.straggler_ids)
+            assert tensor_buffers.stats()["free_arrays"] == computed
+        assert any(record.straggler_ids for record in server.history)
+
     def test_apply_aggregate_matches_the_allocating_step(self):
         server = _training_server()
         before = server.model.state_dict()
@@ -866,7 +915,7 @@ class SignAttack:
 
 def _tick_pairs(timing) -> list:
     """Every ``(client id, tick)`` the timing lists: on time, then late."""
-    return [tuple(pair) for key in ("arrival_ticks", "late_ticks") for pair in timing[key]]
+    return [pair for kind in ("arrival", "late") for pair in zip(timing[f"{kind}_ids"], timing[f"{kind}_ticks"])]
 
 
 def _timed_round_digests(dishonest: bool) -> dict:
@@ -935,3 +984,60 @@ class TestTimedRoundDigests:
     @pytest.mark.parametrize("kind", ["honest", "dishonest"])
     def test_timed_rounds_match_their_digests(self, kind):
         assert _timed_round_digests(kind == "dishonest") == TIMED_ROUND_DIGESTS[kind]
+
+
+# --------------------------------------------------------------------------
+# A round keeps nothing per arrival past ingest.
+# --------------------------------------------------------------------------
+
+
+def _tracked_growth(num_clients: int) -> dict:
+    """Collector-tracked objects that three timed rounds leave behind.
+
+    Every client is materialized first, so the fleet's cache does not
+    grow; the collector is off, so nothing that stays alive is hidden.
+    """
+    fleet = Fleet(num_clients, StubClient)
+    for client_id in fleet.client_ids:
+        fleet.get(client_id)
+    server = Server(
+        Module(),
+        fleet,
+        arrivals="uniform(low_s=0.1, high_s=1.0)",
+        cutoff=TimeCutoff(ticks(0.8)),
+        accept_stale=True,
+        seed=5,
+    )
+    server.run_round()
+    gc.collect()
+    gc.disable()
+    try:
+        stale_before = len(server._stale_updates)
+        before = len(gc.get_objects())
+        records = server.run(3)
+        growth = len(gc.get_objects()) - before
+        alive = {
+            id(obj) for obj in gc.get_objects() if isinstance(obj, GradientUpdate)
+        }
+    finally:
+        gc.enable()
+    return {
+        "arrivals": sum(len(record.participant_ids) for record in records),
+        # A stale update is one tracked object: its gradient dict holds
+        # only arrays, which the collector does not track.
+        "growth": growth - (len(server._stale_updates) - stale_before),
+        "alive": alive,
+        "stale": {id(update) for update in server._stale_updates},
+    }
+
+
+class TestColumnarLedger:
+    def test_rounds_leave_no_per_arrival_objects(self):
+        _tracked_growth(200)  # lazy imports and first-call caches
+        small = _tracked_growth(200)
+        large = _tracked_growth(2_000)
+        assert large["arrivals"] >= 3 * 1_500
+        # A 10x larger cohort leaves the same handful of round objects.
+        assert large["growth"] <= small["growth"] + 4
+        for run in (small, large):
+            assert run["stale"] and run["alive"] == run["stale"]
