@@ -666,3 +666,83 @@ class TestHundredClientAcceptance:
         np.testing.assert_array_equal(aggregated, expected)
         assert aggregator.last_metadata["survivors"] == 70
         assert aggregator.last_metadata["committed"] == 100
+
+
+# --------------------------------------------------------------------------
+# Protocol round bytes pinned by digest: uploads, segments, mailboxes, sums.
+# --------------------------------------------------------------------------
+
+
+def _protocol_round_digests(name: str, monkeypatch) -> dict:
+    """sha256 of three consecutive 100-committed, 30%-dropout rounds run
+    through one aggregator, one digest per output kind.
+
+    The recovered sum does not depend on the mask values, so only these
+    digests notice a kernel that changes the masks but still cancels
+    them.  Spies on the session methods read every message as the server
+    consumes it, on the aggregator's own path (so buffers a round borrows
+    are returned between rounds).
+    """
+    import hashlib
+
+    from repro.fl.secagg.lightsecagg import OneShotRound
+    from repro.fl.secagg.protocol import SecAggRound
+
+    kinds = ("payloads", "sums") + (
+        ("mailboxes",) if name == "secagg" else ("segments",)
+    )
+    hashes = {kind: hashlib.sha256() for kind in kinds}
+    session_cls = SecAggRound if name == "secagg" else OneShotRound
+    recover, segments = session_cls.recover_sum, OneShotRound.recovery_segments
+
+    def spied_recover(session, uploads):
+        for upload in uploads:
+            hashes["payloads"].update(np.asarray(upload.payload).tobytes())
+        if name == "secagg":
+            for mailbox in (session._seed_shares, session._self_mask_shares):
+                hashes["mailboxes"].update(np.ascontiguousarray(mailbox).tobytes())
+        total = recover(session, uploads)
+        hashes["sums"].update(total.tobytes())
+        return total
+
+    def spied_segments(session, survivor_ids):
+        messages = segments(session, survivor_ids)
+        for message in messages:
+            hashes["segments"].update(message.segment.tobytes())
+        return messages
+
+    monkeypatch.setattr(session_cls, "recover_sum", spied_recover)
+    monkeypatch.setattr(OneShotRound, "recovery_segments", spied_segments)
+    rng = np.random.default_rng(41)
+    aggregator = make_aggregator(name, seed=11)
+    for round_index in range(3):
+        committed = np.sort(rng.choice(100_000, 100, replace=False)).tolist()
+        survivors = sorted(rng.choice(committed, 70, replace=False).tolist())
+        matrix = rng.standard_normal((70, 1024)) * 0.05
+        aggregator.reduce(
+            matrix, None, round_index, ids=survivors, committed_ids=committed
+        )
+    return {kind: hasher.hexdigest() for kind, hasher in hashes.items()}
+
+
+# Computed before protocol rounds pooled their arrays and ran their field
+# kernels in place; neither may move a byte any round sends or recovers.
+PROTOCOL_ROUND_DIGESTS = {
+    "secagg": {
+        "payloads": "fbdd2613b35e38bb9b37a7effaaa8211c8b9bc18ac43f3187444b5ed86e8e3f4",
+        "sums": "4b9911079e1eba5b38d5277da9eb77e16ba48a29d56e3d6ec6bd2c731459f4ee",
+        "mailboxes": "02b92490bea9223a9017a982f0237d12db6fa9e4fccd898a7cdec6090290e42a",
+    },
+    "secagg_oneshot": {
+        "payloads": "293eef6c889361c6c244058a06d3e531f6e749b670b54432fd250963bed54c12",
+        "sums": "4b9911079e1eba5b38d5277da9eb77e16ba48a29d56e3d6ec6bd2c731459f4ee",
+        "segments": "59f99b03e2f3c688769115b33de856b9a2fafa7784b8b8f6fd3e6ecad3fc8205",
+    },
+}
+
+
+class TestProtocolRoundDigests:
+    @pytest.mark.parametrize("name", PROTOCOL_NAMES)
+    def test_rounds_match_their_digests(self, name, monkeypatch):
+        digests = _protocol_round_digests(name, monkeypatch)
+        assert digests == PROTOCOL_ROUND_DIGESTS[name]
