@@ -281,6 +281,10 @@ class TrimmedMeanAggregator(Aggregator):
         return f"{type(self).__name__}(trim_ratio={self.trim_ratio})"
 
 
+# Elements per block of FixedPointCodec.quantize_into's in-place cast.
+_CAST_BLOCK = 1 << 13
+
+
 class FixedPointCodec:
     """Fixed-point quantization into a modular ring, exact up to a sum bound.
 
@@ -315,16 +319,33 @@ class FixedPointCodec:
         so a batch passes iff its true quantized sum provably fits.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
+        return self.quantize_into(matrix, count, np.empty(matrix.shape, np.uint64))
+
+    def quantize_into(
+        self, matrix: np.ndarray, count: int | None, out: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`quantize` written into ``out``, a C-contiguous ``uint64``
+        array of ``matrix``'s shape.
+
+        The scaled, rounded values are computed in ``out``'s own words
+        (viewed as float64), their magnitude is read off their max and
+        min, and the integer cast runs in place, so the encoding
+        allocates nothing of the matrix's size.
+        """
+        matrix = np.asarray(matrix, dtype=np.float64)
         rows = len(matrix) if matrix.ndim > 1 else 1
         count = max(count if count is not None else rows, 1)
-        finite = np.isfinite(matrix).reshape(rows, -1).all(axis=1)
-        if not finite.all():
-            raise ValueError(
-                f"update row {int(np.argmin(finite))} holds non-finite values "
-                "(nan or inf); a fixed-point sum cannot encode them"
-            )
-        scaled = np.rint(matrix * self.scale)
-        magnitude = float(np.max(np.abs(scaled))) if scaled.size else 0.0
+        scaled = np.multiply(matrix, self.scale, out=out.view(np.float64))
+        np.rint(scaled, out=scaled)
+        magnitude = max(scaled.max(), -scaled.min()) if scaled.size else 0.0
+        if not np.isfinite(magnitude):
+            finite = np.isfinite(matrix).reshape(rows, -1).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"update row {int(np.argmin(finite))} holds non-finite values "
+                    "(nan or inf); a fixed-point sum cannot encode them"
+                )
+        magnitude = float(magnitude)
         if not magnitude * count < self.sum_limit:
             limit = self.sum_limit / self.scale / count
             raise ValueError(
@@ -333,7 +354,15 @@ class FixedPointCodec:
                 f"clients at {self.fractional_bits} fractional bits); clip "
                 "updates or lower fractional_bits"
             )
-        return scaled.astype(np.int64).view(np.uint64)
+        # numpy copies an overlapping source before casting it, so the
+        # in-place cast runs a block at a time: each copy stays small.
+        # Flat views of out: assigning the shape raises rather than copy.
+        words, values = out.view(np.int64), scaled.view()
+        words.shape = values.shape = (out.size,)
+        for start in range(0, len(words), _CAST_BLOCK):
+            block = slice(start, start + _CAST_BLOCK)
+            np.copyto(words[block], values[block], casting="unsafe")
+        return out
 
     def dequantize_sum(self, total: np.ndarray) -> np.ndarray:
         """Decode a ring sum back to floats (int64 two's-complement view)."""

@@ -34,6 +34,8 @@ class ProtocolAggregator(Aggregator):
     and set :attr:`sum_limit` for their codec; :meth:`reduce` runs the
     rest — quantize, mask the survivors' uploads in one batched
     ``masked_upload`` call, recover the ring sum and decode it.  The
+    quantized matrix is borrowed by the round, and every array the round
+    borrowed goes back to the pool once the sum is recovered.  The
     reduction divides by the survivor count, so results stay
     mean-scaled like FedAvg.
     :attr:`last_metadata` carries the most recent round's protocol
@@ -90,8 +92,13 @@ class ProtocolAggregator(Aggregator):
             survivors if committed_ids is None else (int(cid) for cid in committed_ids)
         )
         session = self._begin(committed, int(round_index), matrix.shape[1])
-        quantized = self.codec.quantize(matrix, count=len(committed))
+        quantized = self.codec.quantize_into(
+            matrix, len(committed), session.borrow_rows(len(matrix), matrix.shape[1])
+        )
         total = session.recover_sum(session.masked_upload(survivors, quantized))
+        # The total is a fresh array and no upload outlives this call, so
+        # the round's arrays go back to the pool for the next round.
+        session.release_buffers()
         self.last_metadata = {
             "protocol": self.name,
             "committed": len(committed),

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
+import repro.tensor.buffers as buffers
+
 from ..messages import MaskedUpload
 
 
@@ -52,8 +56,16 @@ class CommittedRound:
 
     Holds what both protocol rounds share: the sorted distinct ids, the
     threshold (strict majority by default), each client's position in
-    the sorted order, and the checks on who may upload and how many
-    uploads a recovery needs.
+    the sorted order, the checks on who may upload and how many uploads
+    a recovery needs, and the round's borrowed arrays.
+
+    A round runs its large arithmetic in arrays it borrows from the
+    :mod:`repro.tensor.buffers` pool (:meth:`borrow`), and
+    :meth:`release_buffers` hands them all back at once.  Upload
+    payloads, mask rows and encoded segments are such arrays or views
+    of them, so nothing a round returned may be used after its buffers
+    are released.  A round whose buffers are never released simply
+    leaves them to the garbage collector.
     """
 
     def __init__(
@@ -79,6 +91,29 @@ class CommittedRound:
             )
         self._seed = seed
         self._positions = {cid: pos for pos, cid in enumerate(ordered)}
+        self._borrowed: list[np.ndarray] = []
+
+    def borrow(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized pooled array that lives as long as the round."""
+        array = buffers.acquire(shape, dtype)
+        self._borrowed.append(array)
+        return array
+
+    def borrow_rows(self, rows: int, width: int) -> np.ndarray:
+        """``rows`` rows of a borrowed ``(rows, width)`` ``uint64`` matrix.
+
+        The matrix has at least as many rows as the committed set, so
+        rounds of one committed size reuse one pooled array however many
+        of their clients upload.
+        """
+        return self.borrow((max(rows, len(self.client_ids)), width), np.uint64)[:rows]
+
+    def release_buffers(self) -> None:
+        """Return every borrowed array to the pool; every payload, mask
+        row and segment of this round is invalid from here on."""
+        for array in self._borrowed:
+            buffers.release(array)
+        self._borrowed = []
 
     def _position(self, client_id: int) -> int:
         position = self._positions.get(int(client_id))

@@ -19,14 +19,22 @@ ufuncs) and return canonical representatives in ``[0, PRIME)`` as
 :func:`to_field` is the entry point for arbitrary signed integers, and
 :func:`keyed_field` for keyed random draws.  Sums of field products are
 accumulated in one place, :func:`f_matmul`, which runs them as exact
-float64 BLAS GEMMs over 21-bit limbs.
+float64 BLAS GEMMs over 21-bit limbs; plain sums of many elements, in
+:func:`f_sum`, as ``uint64`` sums of their 32-bit halves.  The ``_into``
+kernels write into a caller's arrays, so a protocol round can run its
+large arithmetic in arrays it borrowed from the
+:mod:`repro.tensor.buffers` pool.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from ...utils.rng import keyed_words
+import repro.tensor.buffers as buffers
+
+from ...utils.rng import counter_words, row_states, stream_words
 
 # The Mersenne prime 2**61 - 1, as a Python int and a uint64 scalar.
 PRIME_INT = (1 << 61) - 1
@@ -40,6 +48,8 @@ _SHIFT61 = np.uint64(61)
 _EIGHT = np.uint64(8)  # 2**64 mod PRIME
 _ONE = np.uint64(1)
 _THREE = np.uint64(3)
+# Where a uint64's low 32 bits sit in its uint32 view (f_sum).
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
 # f_matmul's limb split and inner chunk: three limb pairs of MATMUL_CHUNK
 # products, each at most (2**21 - 1)**2, sum strictly below 2**53.
 _LIMB_BITS = 21
@@ -62,6 +72,21 @@ def _fold(values: np.ndarray) -> np.ndarray:
     return folded - PRIME * (folded >= PRIME)
 
 
+def _fold_into(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`_fold` in place: ``values`` reduced into ``[0, PRIME)``.
+
+    ``scratch`` is a ``uint64`` buffer of ``values``' shape.  At most
+    ``PRIME + 7`` is left after the fold, and ``min(x, x - PRIME)``
+    subtracts ``PRIME`` exactly when ``x >= PRIME``.
+    """
+    np.right_shift(values, _SHIFT61, out=scratch)
+    values &= PRIME
+    values += scratch
+    np.subtract(values, PRIME, out=scratch)
+    np.minimum(values, scratch, out=values)
+    return values
+
+
 def to_field(values) -> np.ndarray:
     """Canonical field representatives of (possibly signed) integers.
 
@@ -72,6 +97,9 @@ def to_field(values) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind == "u":
         reduced = array.astype(np.uint64) % PRIME
+    elif array.dtype == np.int64:
+        # The remainder is canonical: reinterpret its words, no copy.
+        reduced = np.mod(array, PRIME_INT).view(np.uint64)
     else:
         signed = array.astype(object) if array.dtype.kind != "i" else array
         reduced = np.mod(signed, PRIME_INT).astype(np.uint64)
@@ -102,6 +130,36 @@ def f_sub(a, b) -> np.ndarray:
     )
 
 
+def f_add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Field addition in place: ``a`` becomes ``a + b``.
+
+    ``a`` and ``b`` are ``uint64`` arrays of one shape; ``b`` is
+    overwritten, as the fold's scratch, so the sum allocates nothing.
+    """
+    a += b
+    return _fold_into(a, b)
+
+
+def f_sum(terms, shape: tuple[int, ...]) -> np.ndarray:
+    """The exact field sum of ``terms``, canonical arrays of ``shape``.
+
+    Each term's words are read as their two 32-bit halves, which add
+    into ``uint64`` sums exactly for fewer than ``2**32`` terms; one
+    reduction then recombines them as ``high·2**32 + low`` (as in
+    :func:`f_mul`).  No field product and no full-size temporary: a sum
+    of protocol messages costs one addition per message.  No terms sum
+    to zeros.
+    """
+    halves = np.zeros(tuple(shape) + (2,), dtype=np.uint64)
+    for term in terms:
+        term = np.asarray(term, dtype=np.uint64)
+        halves += term.view(np.uint32).reshape(halves.shape)
+    low, high = halves[..., _LOW_HALF], halves[..., 1 - _LOW_HALF]
+    total = (high >> _SHIFT29) + ((high & _LOW29) << _SHIFT32)
+    total += (low & PRIME) + (low >> _SHIFT61)
+    return _fold(total)
+
+
 def f_mul(a, b) -> np.ndarray:
     """Field multiplication via 32-bit limb products (no 128-bit ints).
 
@@ -114,13 +172,25 @@ def f_mul(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint64)
     a1, a0 = a >> _SHIFT32, a & _LOW32
     b1, b0 = b >> _SHIFT32, b & _LOW32
-    high = a1 * b1  # < 2**58
-    mid = a1 * b0 + a0 * b1  # < 2**62
+    # The terms accumulate in place and each limb is dropped once spent,
+    # so a product of two large arrays holds few arrays of its size.
+    acc = a1 * b1  # < 2**58
+    acc *= _EIGHT
+    mid = a1 * b0
+    del a1
+    mid += a0 * b1  # < 2**62
+    del b1
+    acc += mid >> _SHIFT29
+    mid &= _LOW29
+    mid <<= _SHIFT32
+    acc += mid
+    del mid
     low = a0 * b0  # < 2**64
-    acc = high * _EIGHT
-    acc = acc + ((mid >> _SHIFT29) + ((mid & _LOW29) << _SHIFT32))
-    acc = acc + ((low & PRIME) + (low >> _SHIFT61))
-    return _fold(acc)
+    acc += low >> _SHIFT61
+    low &= PRIME
+    acc += low
+    # Arrays fold in place; numpy scalars (0-d inputs) cannot.
+    return _fold_into(acc, low) if isinstance(acc, np.ndarray) else _fold(acc)
 
 
 def f_pow(base, exponent) -> np.ndarray:
@@ -212,12 +282,21 @@ def f_inv(a) -> np.ndarray:
 
 
 def f_matmul(a, b) -> np.ndarray:
-    """Field matrix product ``a @ b``: ``(m, k)`` times ``(k, ...)``.
+    """Field matrix product ``a @ b``: ``(m, k)`` times ``(k, ...)``, as
+    a fresh ``(m, ...)`` array (:func:`f_matmul_into`)."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    return f_matmul_into(a, b, np.empty((len(a),) + b.shape[1:], dtype=np.uint64))
 
-    The one place field products are accumulated: Shamir sharing,
-    Lagrange interpolation and every protocol sum route through it.
-    Trailing axes of ``b`` are flattened into columns and restored on
-    the ``(m, ...)`` result.
+
+def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
+    """Field matrix product ``a @ b`` written into ``out``.
+
+    ``a`` is ``(m, k)``, ``b`` is ``(k, ...)`` and ``out`` a C-contiguous
+    ``uint64`` array of shape ``(m, ...)``.  The one place field
+    products are accumulated: Shamir sharing and Lagrange interpolation
+    route through it.  Trailing axes of ``b`` are flattened into
+    columns, and ``out`` is written as their ``(m, columns)`` matrix.
 
     The sums run as float64 BLAS GEMMs, exactly:
 
@@ -242,20 +321,26 @@ def f_matmul(a, b) -> np.ndarray:
     The result is built one output tile at a time (:func:`_tile_shape`):
     ``a`` is split into limbs once, ``b`` one column tile at a time into
     a reused buffer, and the conversions, rotations and folds of a tile
-    run in place in two reused cache-sized buffers, so no pass touches
-    a full-size temporary.
+    run in place in two cache-sized buffers, so no pass touches a
+    full-size temporary.  The three tile buffers come from the
+    :mod:`repro.tensor.buffers` pool and go back to it on return.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     columns = b.reshape(len(b), int(np.prod(b.shape[1:])))
     m, n = len(a), columns.shape[1]
-    out = np.zeros((m, n), dtype=np.uint64)
+    # A view, never a copy: assigning the shape raises if it would copy.
+    product = out.view()
+    product.shape = (m, n)
+    product.fill(0)
     starts = range(0, a.shape[1], MATMUL_CHUNK)
     a_limbs = [_limbs(a[:, start : start + MATMUL_CHUNK], axis=1) for start in starts]
     height, width = _tile_shape(m, n, a.shape[1])
-    diagonal_buffer = np.empty(height * width)
-    term_buffer = np.empty(height * width, dtype=np.uint64)
-    panel_buffer = np.empty(3 * min(a.shape[1], MATMUL_CHUNK) * width)
+    diagonal_buffer = buffers.acquire((height * width,), np.float64)
+    term_buffer = buffers.acquire((height * width,), np.uint64)
+    panel_buffer = buffers.acquire(
+        (3 * min(a.shape[1], MATMUL_CHUNK) * width,), np.float64
+    )
     for left in range(0, n, width):
         cols = min(width, n - left)
         for start, a_split in zip(starts, a_limbs):
@@ -266,7 +351,7 @@ def f_matmul(a, b) -> np.ndarray:
             )
             for top in range(0, m, height):
                 rows = min(height, m - top)
-                acc = out[top : top + rows, left : left + cols]
+                acc = product[top : top + rows, left : left + cols]
                 diagonal = diagonal_buffer[: rows * cols].reshape(rows, cols)
                 # The float buffer's bytes double as the shift scratch once
                 # a diagonal has been converted.
@@ -291,14 +376,10 @@ def f_matmul(a, b) -> np.ndarray:
                         # A short rotation of a 53-bit value never wraps.
                         term <<= np.uint64(rotation)
                     acc += term
-                # _fold in place; at most PRIME + 7 is left, and
-                # min(x, x - PRIME) subtracts PRIME exactly when x >= PRIME.
-                np.right_shift(acc, _SHIFT61, out=term)
-                acc &= PRIME
-                acc += term
-                np.subtract(acc, PRIME, out=term)
-                np.minimum(acc, term, out=acc)
-    return out.reshape((m,) + b.shape[1:])
+                _fold_into(acc, term)
+    for buffer in (diagonal_buffer, term_buffer, panel_buffer):
+        buffers.release(buffer)
+    return out
 
 
 def _limbs(values: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -351,15 +432,24 @@ def _even_split(size: int, most: int) -> int:
     return -(-size // pieces)
 
 
-def keyed_field(seed: int, label: str, ids, round_index: int, k: int) -> np.ndarray:
-    """``(len(ids), k)`` uniform field elements keyed by
-    ``(seed, label, id, round_index, column)``.
+def keyed_field(
+    seed: int, label: str, ids, round_index: int, out: np.ndarray
+) -> np.ndarray:
+    """Uniform field elements keyed by ``(seed, label, id, round_index,
+    column)``, written into the ``(len(ids), k)`` ``uint64`` array ``out``.
 
     The top 61 bits of :func:`~repro.utils.rng.keyed_words`, folded
     (bias ``2**-61``); like the words, row ``i`` depends only on
-    ``ids[i]`` and column ``j`` does not depend on ``k``.
+    ``ids[i]`` and column ``j`` does not depend on ``k``.  The words are
+    drawn, shifted and folded in ``out``, with one pooled scratch array.
     """
-    return _fold(keyed_words(seed, label, ids, round_index, k) >> _THREE)
+    scratch = buffers.acquire(out.shape, np.uint64)
+    states = row_states(seed, label, ids, round_index)
+    stream_words(states, counter_words(0, out.shape[1]), out, scratch)
+    out >>= _THREE
+    _fold_into(out, scratch)
+    buffers.release(scratch)
+    return out
 
 
 def lagrange_basis(xs: np.ndarray, targets: np.ndarray) -> np.ndarray:

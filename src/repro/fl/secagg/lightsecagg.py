@@ -30,13 +30,19 @@ coding chunks — privacy and recoverability share one threshold).
 
 Each client's mask and coding chunks are one keyed draw
 (:func:`~repro.fl.secagg.field.keyed_field`), so a mask does not depend
-on who else committed; every sum of products is a
-:func:`~repro.fl.secagg.field.f_matmul`; uploads and the recovered sum
-are the codec's ``uint64`` ring words, as in the Bonawitz round.
+on who else committed.  The encoding is one
+:func:`~repro.fl.secagg.field.f_matmul_into` by a cached basis, and the
+survivors' segment and payload totals are exact field sums
+(:func:`~repro.fl.secagg.field.f_sum`).  The mask draw, the encoding's
+chunks, the segments and the uploads live in arrays the round borrows
+(:meth:`~repro.fl.secagg.base.CommittedRound.borrow`).  Uploads and the
+recovered sum are the codec's ``uint64`` ring words, as in the
+Bonawitz round.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,14 +50,28 @@ import numpy as np
 from ..messages import AggregatedMaskSegment, MaskedUpload
 from .base import CommittedRound
 from .field import (
-    f_add,
-    f_matmul,
+    PRIME_INT,
+    f_add_into,
+    f_matmul_into,
     f_sub,
+    f_sum,
     from_field_centered,
     interpolate,
     keyed_field,
-    to_field,
+    lagrange_basis,
 )
+
+
+@functools.lru_cache(maxsize=16)
+def _encoding_basis(threshold: int, count: int) -> np.ndarray:
+    """The Lagrange basis from the alphas ``1..threshold`` to the betas
+    ``threshold + 1..threshold + count``: it depends on the round's
+    shape alone, so rounds of one shape share it, read-only."""
+    alphas = np.arange(1, threshold + 1, dtype=np.uint64)
+    betas = np.arange(threshold + 1, threshold + count + 1, dtype=np.uint64)
+    basis = lagrange_basis(alphas, betas)
+    basis.setflags(write=False)
+    return basis
 
 
 class OneShotRound(CommittedRound):
@@ -84,30 +104,48 @@ class OneShotRound(CommittedRound):
 
     def _encode_masks(self) -> np.ndarray:
         # One keyed draw per client: its mask z_i, then its coding chunks.
-        count, chunk = len(self.client_ids), self.chunk_size
-        draws = keyed_field(
+        count, chunk, dim = len(self.client_ids), self.chunk_size, self.dim
+        draws = self._draws = keyed_field(
             self._seed, "oneshot-mask", self.client_ids, self.round_index,
-            k=self.dim + self.privacy_chunks * chunk,
+            self.borrow((count, dim + self.privacy_chunks * chunk), np.uint64),
         )
-        self._masks = draws[:, : self.dim]
-        chunks = np.zeros((count, self.threshold * chunk), dtype=np.uint64)
-        chunks[:, : self.dim] = self._masks
-        chunks[:, self.data_chunks * chunk :] = draws[:, self.dim :]
-        values = chunks.reshape(count, self.threshold, chunk).transpose(1, 0, 2)
-        return interpolate(self._alphas, values, self._betas)
+        # values[t, i] is chunk t of client i's zero-padded mask, then its
+        # coding chunks: staged in (threshold, count, chunk) order, so the
+        # encoding reads it as one contiguous (threshold, count·chunk) matrix.
+        values = self.borrow((self.threshold, count, chunk), np.uint64)
+        full, rest = divmod(dim, chunk)
+        whole = draws[:, : full * chunk].reshape(count, full, chunk)
+        values[:full] = whole.transpose(1, 0, 2)
+        values[full : self.data_chunks] = 0
+        if rest:
+            values[full, :, :rest] = draws[:, full * chunk : dim]
+        coding = draws[:, dim:].reshape(count, self.privacy_chunks, chunk)
+        values[self.data_chunks :] = coding.transpose(1, 0, 2)
+        return f_matmul_into(
+            _encoding_basis(self.threshold, count),
+            values,
+            self.borrow((count, count, chunk), np.uint64),
+        )
 
     def masked_upload(
         self, client_ids: Sequence[int], quantized: np.ndarray
     ) -> list[MaskedUpload]:
         """Mask quantized (uint64-ring) updates, row ``r`` for client
         ``client_ids[r]``: embed each signed value in the field and add
-        the client's ``z_i``, one field addition over every row."""
+        the client's ``z_i``, one field addition over every row, in place
+        in two matrices the round borrows."""
         quantized = np.asarray(quantized, dtype=np.uint64)
         positions = self._upload_positions(client_ids, quantized)
         if quantized.shape[-1] != self.dim:
             raise ValueError("update dimension does not match the committed round")
-        embedded = to_field(quantized.view(np.int64))
-        return self._uploads(client_ids, f_add(embedded, self._masks[positions]))
+        payloads = self.borrow_rows(len(positions), self.dim)
+        # The int64 remainder is the canonical embedding (to_field).
+        np.remainder(quantized.view(np.int64), PRIME_INT, out=payloads.view(np.int64))
+        # Each uploader's draw row, whose first dim words are its mask z_i.
+        # Positions are valid; "raise" mode would copy through a buffer.
+        draws = self.borrow_rows(len(positions), self._draws.shape[1])
+        np.take(self._draws, positions, axis=0, out=draws, mode="clip")
+        return self._uploads(client_ids, f_add_into(payloads, draws[:, : self.dim]))
 
     def recovery_segments(
         self, survivor_ids: Sequence[int]
@@ -116,11 +154,12 @@ class OneShotRound(CommittedRound):
         the survivor set."""
         survivors = sorted(int(cid) for cid in survivor_ids)
         positions = [self._positions[cid] for cid in survivors]
-        indicator = np.zeros((1, len(self.client_ids)), dtype=np.uint64)
-        indicator[0, positions] = 1
-        # held[j, i] = f_i(beta_j) for survivor j; the 0/1 row sums over i.
-        held = self._segments[positions]
-        aggregated = f_matmul(indicator, held.transpose(1, 0, 2))[0]
+        # Column i of segments holds f_i(beta_j) for every recipient j:
+        # sum the survivors' columns, then keep the survivors' rows.
+        aggregated = f_sum(
+            (self._segments[:, i] for i in positions),
+            (len(self.client_ids), self.chunk_size),
+        )[positions]
         return [
             AggregatedMaskSegment(
                 client_id=cid, round_index=self.round_index, segment=segment
@@ -138,8 +177,7 @@ class OneShotRound(CommittedRound):
         the summed mask polynomial.
         """
         survivor_ids = self._survivor_ids(uploads)
-        payloads = np.stack([np.asarray(u.payload, dtype=np.uint64) for u in uploads])
-        total = f_matmul(np.ones((1, len(uploads)), dtype=np.uint64), payloads)[0]
+        total = f_sum((upload.payload for upload in uploads), (self.dim,))
 
         segments = self.recovery_segments(survivor_ids)[: self.threshold]
         seg_xs = self._betas[[self._positions[m.client_id] for m in segments]]

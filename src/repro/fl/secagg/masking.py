@@ -10,8 +10,8 @@ Masks are expanded in counter mode through
 :func:`~repro.utils.rng.keyed_words`' two steps: word ``j`` of the mask
 for seed ``s`` is a keyed hash of ``(s, j)``, so many masks come out of
 one vectorized expansion instead of one generator object per seed.  The
-expansion runs a cache-sized block of words at a time, into two reused
-buffers.  :func:`ring_mask_rows` expands each pairwise mask of a round's
+expansion runs a cache-sized block of words at a time, into pooled
+buffers every block reuses.  :func:`ring_mask_rows` expands each pairwise mask of a round's
 uploads once and adds it to one endpoint's row and subtracts it from the
 other's; :func:`ring_mask_sum` sums the masks the unmasking server must
 cancel into one vector.
@@ -32,12 +32,14 @@ import functools
 
 import numpy as np
 
-from ...utils.rng import keyed_words, row_states, stream_words
+import repro.tensor.buffers as buffers
+
+from ...utils.rng import counter_words, keyed_words, row_states, stream_words
 from .field import PRIME_INT, f_mul, f_pow
 
 _GENERATOR = 7
-# Mask words one expansion block holds (256 KiB): the block and its
-# scratch buffer stay in a 1 MiB L2 cache.
+# Mask words one expansion block holds (256 KiB): the block, its
+# scratch buffer and its counter tile stay in a 1 MiB L2 cache.
 _BLOCK_WORDS = 1 << 15
 
 
@@ -49,21 +51,33 @@ def _mask_blocks(seeds, dim: int):
     block is a run of seeds, or a slice of one long mask, expanded into
     two buffers every block reuses, so memory stays flat and
     cache-resident however many masks a round expands and however long
-    the update is.  Each mask equals its row of
+    the update is.  A third buffer holds the column range's counters
+    repeated down a block, built once per range and added contiguously
+    (:func:`~repro.utils.rng.stream_words`).  The three buffers come
+    from the :mod:`repro.tensor.buffers` pool and go back to it once
+    the last block is consumed, so a yielded block is valid only until
+    the next one.  Each mask equals its row of
     ``keyed_words(0, "secagg-ring-mask", seeds, k=dim)``.
     """
     states = row_states(0, "secagg-ring-mask", seeds)
     width = min(dim, _BLOCK_WORDS) or 1
     rows = max(1, min(len(states), _BLOCK_WORDS // width))
-    words, scratch = np.empty((2, rows * width), dtype=np.uint64)
+    pooled = buffers.acquire((3, _BLOCK_WORDS), np.uint64)
+    words, scratch, tile = pooled
     for start in range(0, dim, width):
         columns = min(width, dim - start)
+        counters = tile[: rows * columns].reshape(rows, columns)
+        counters[:] = counter_words(start, columns)
         for first in range(0, len(states), rows):
             block = states[first : first + rows]
             shape, size = (len(block), columns), len(block) * columns
             yield first, start, stream_words(
-                block, start, words[:size].reshape(shape), scratch[:size].reshape(shape)
+                block,
+                counters[: len(block)],
+                words[:size].reshape(shape),
+                scratch[:size].reshape(shape),
             )
+    buffers.release(pooled)
 
 
 def ring_mask_sum(seeds, dim: int) -> np.ndarray:
@@ -75,22 +89,24 @@ def ring_mask_sum(seeds, dim: int) -> np.ndarray:
     return total
 
 
-def ring_mask_rows(seeds, plus, minus, rows: int, dim: int) -> np.ndarray:
-    """Signed sums of ring masks into ``rows`` rows, each mask expanded once.
+def ring_mask_rows(seeds, plus, minus, out: np.ndarray) -> np.ndarray:
+    """Signed sums of ring masks into the rows of ``out``, each mask
+    expanded once.
 
     The mask of ``seeds[p]`` (the same ``PRG(s)`` as in
     :func:`ring_mask_sum`) is added to row ``plus[p]`` and subtracted
-    from row ``minus[p]`` of the ``(rows, dim)`` ``uint64`` result, so a
-    pairwise mask reaches both of its endpoints from one expansion.
-    ``plus`` must be non-decreasing and ``minus`` strictly increasing
-    within each run of equal ``plus``.  A run then adds its block's
-    column sum to its ``plus`` row in one pass, and subtracts from its
-    ``minus`` rows in one more, in place when they are consecutive.
+    from row ``minus[p]`` of ``out``, a ``(rows, dim)`` ``uint64`` array
+    this overwrites, so a pairwise mask reaches both of its endpoints
+    from one expansion.  ``plus`` must be non-decreasing and ``minus``
+    strictly increasing within each run of equal ``plus``.  A run then
+    adds its block's column sum to its ``plus`` row in one pass, and
+    subtracts from its ``minus`` rows in one more, in place when they
+    are consecutive.
     """
     plus = np.asarray(plus, dtype=np.intp)
     minus = np.asarray(minus, dtype=np.intp)
-    out = np.zeros((rows, dim), dtype=np.uint64)
-    for first, start, masks in _mask_blocks(seeds, dim):
+    out.fill(0)
+    for first, start, masks in _mask_blocks(seeds, out.shape[1]):
         target = out[:, start : start + masks.shape[1]]
         adds = plus[first : first + len(masks)]
         subtracts = minus[first : first + len(masks)]

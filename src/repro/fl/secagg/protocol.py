@@ -105,7 +105,7 @@ class SecAggRound(CommittedRound):
         count, degree = len(self.client_ids), self.threshold - 1
         coefficients = keyed_field(
             self._seed, "secagg-shamir", self.client_ids, self.round_index,
-            k=2 * degree,
+            np.empty((count, 2 * degree), dtype=np.uint64),
         ).reshape(count, degree, 2)
         secrets = np.stack([self._secret_keys, self._self_mask_seeds], axis=1)
         shares = share_secrets(secrets, coefficients.transpose(1, 0, 2), count)
@@ -129,11 +129,12 @@ class SecAggRound(CommittedRound):
         pair ``(i, j)``, then client ``i``'s self mask as a last "pair"
         whose minus side is a spare row, so an uploader's run of
         subtractions stays consecutive.  Pairs of two non-uploading
-        clients are never expanded.
+        clients are never expanded.  The mask rows and the uploads'
+        payload matrix are borrowed by the round (:meth:`borrow`).
         """
         quantized = np.asarray(quantized, dtype=np.uint64)
         positions = self._upload_positions(client_ids, quantized)
-        count = len(self.client_ids)
+        count, dim = len(self.client_ids), quantized.shape[-1]
         uploading = np.zeros(count + 1, dtype=bool)
         uploading[positions] = True
         # Column `count` of the pair grid is each client's self mask.
@@ -143,8 +144,14 @@ class SecAggRound(CommittedRound):
         seeds = np.concatenate(
             [self._pairwise_seeds, self._self_mask_seeds[:, None]], axis=1
         )[first, second]
-        masks = ring_mask_rows(seeds, first, second, count + 1, quantized.shape[-1])
-        return self._uploads(client_ids, quantized + masks[positions])
+        masks = ring_mask_rows(
+            seeds, first, second, self.borrow((count + 1, dim), np.uint64)
+        )
+        payloads = self.borrow_rows(len(positions), dim)
+        # Positions are valid; "raise" mode would copy through a buffer.
+        np.take(masks, positions, axis=0, out=payloads, mode="clip")
+        payloads += quantized
+        return self._uploads(client_ids, payloads)
 
     # ------------------------------------------------------------------
     # Phase 4: unmasking

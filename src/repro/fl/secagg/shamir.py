@@ -14,6 +14,8 @@ shares are information-theoretically independent of the secret.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .field import f_matmul, f_pow, interpolate
@@ -40,9 +42,18 @@ def share_secrets(
             f"{len(polynomials) - 1} coefficients imply threshold "
             f"{len(polynomials)}, above the {num_shares} shares"
         )
+    return f_matmul(_vandermonde(num_shares, len(polynomials)), polynomials)
+
+
+@functools.lru_cache(maxsize=16)
+def _vandermonde(num_shares: int, terms: int) -> np.ndarray:
+    """``V[j, d] = (j + 1)**d``: the share points' powers, which depend
+    on the sharing's shape alone, so sharings of one shape share them,
+    read-only."""
     xs = np.arange(1, num_shares + 1, dtype=np.uint64)
-    vandermonde = f_pow(xs[:, None], np.arange(len(polynomials))[None, :])
-    return f_matmul(vandermonde, polynomials)
+    vandermonde = f_pow(xs[:, None], np.arange(terms)[None, :])
+    vandermonde.setflags(write=False)
+    return vandermonde
 
 
 def reconstruct_secrets(xs, shares: np.ndarray) -> np.ndarray:

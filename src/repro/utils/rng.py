@@ -19,8 +19,8 @@ straight to a 64-bit word, vectorized over ids, with no generator object
 per id.  The draws for a subset of ids are exactly the matching rows of
 the full-cohort draw.  Its two steps are public for callers that reduce
 long streams without holding them: ``row_states`` hashes each id once,
-and ``stream_words`` expands any column range of those streams into a
-caller's buffers.
+and ``stream_words`` expands any column range of those streams (its
+``counter_words``) into a caller's buffers.
 """
 
 from __future__ import annotations
@@ -111,20 +111,28 @@ def row_states(seed: int, label: str, ids, round_index: int = 0) -> np.ndarray:
     return _mix(states, np.empty_like(states))
 
 
+def counter_words(start: int, width: int) -> np.ndarray:
+    """The ``(width,)`` Weyl counters of stream outputs ``start`` to
+    ``start + width - 1``, for :func:`stream_words`."""
+    return np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
+
+
 def stream_words(
-    states: np.ndarray, start: int, out: np.ndarray, scratch: np.ndarray
+    states: np.ndarray, counters: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Words ``start, start + 1, ...`` of the streams at ``states``, in ``out``.
+    """Outputs of the streams at ``states`` at the ``counters``, in ``out``.
 
     ``out`` and ``scratch`` are ``(len(states), width)`` ``uint64``
-    buffers; row ``i`` of ``out`` becomes the outputs ``start`` to
-    ``start + width - 1`` of the stream whose state is ``states[i]``.
-    Writing into caller-owned buffers lets a caller expand a long stream
-    one cache-sized block at a time without allocating.
+    buffers, and ``counters`` is :func:`counter_words` of the wanted
+    outputs, as a ``(width,)`` row or already repeated down a
+    ``(len(states), width)`` tile; row ``i`` of ``out`` becomes those
+    outputs of the stream whose state is ``states[i]``.  A contiguous
+    tile adds faster than the broadcast row, so a caller expanding many
+    blocks of one column range builds it once.  Writing into
+    caller-owned buffers lets a caller expand a long stream one
+    cache-sized block at a time without allocating.
     """
-    width = out.shape[1]
-    counters = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
-    np.add(states[:, None], counters, out=out)
+    np.add(counters, states[:, None], out=out)
     return _mix(out, scratch)
 
 
@@ -142,7 +150,7 @@ def keyed_words(
     """
     states = row_states(seed, label, ids, round_index)
     words = np.empty((len(states), k), dtype=np.uint64)
-    return stream_words(states, 0, words, np.empty_like(words))
+    return stream_words(states, counter_words(0, k), words, np.empty_like(words))
 
 
 def keyed_uniforms(

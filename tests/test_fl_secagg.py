@@ -746,3 +746,31 @@ class TestProtocolRoundDigests:
     def test_rounds_match_their_digests(self, name, monkeypatch):
         digests = _protocol_round_digests(name, monkeypatch)
         assert digests == PROTOCOL_ROUND_DIGESTS[name]
+
+
+class TestRoundMemory:
+    """A protocol round runs in arrays it borrows from the tensor buffer
+    pool and returns once the sum is recovered, so a steady-state round
+    allocates little beyond its small messages."""
+
+    @pytest.mark.parametrize("name", PROTOCOL_NAMES)
+    def test_steady_state_round_peak_stays_under_one_mib(self, name):
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        committed = np.sort(rng.choice(100_000, 100, replace=False)).tolist()
+        survivors = sorted(rng.choice(committed, 70, replace=False).tolist())
+        matrix = rng.standard_normal((70, 1024)) * 0.05
+        aggregator = make_aggregator(name, seed=2)
+        for round_index in range(2):  # warm-up: fills the pool
+            aggregator.reduce(
+                matrix, None, round_index, ids=survivors, committed_ids=committed
+            )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            aggregator.reduce(matrix, None, 2, ids=survivors, committed_ids=committed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1 << 20, f"{(peak - start) / 2**20:.2f} MiB"
