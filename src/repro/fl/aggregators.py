@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+import repro.tensor.buffers as buffers
 from repro.registry import IDENTIFIER_PATTERN, Registry
 
 # (name, shape, size) triples describing how a flat vector maps back to a
@@ -329,8 +330,8 @@ class FixedPointCodec:
 
         The scaled, rounded values are computed in ``out``'s own words
         (viewed as float64), their magnitude is read off their max and
-        min, and the integer cast runs in place, so the encoding
-        allocates nothing of the matrix's size.
+        min, and the integer cast runs in place through one pooled
+        block, so the encoding allocates nothing.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         rows = len(matrix) if matrix.ndim > 1 else 1
@@ -354,14 +355,18 @@ class FixedPointCodec:
                 f"clients at {self.fractional_bits} fractional bits); clip "
                 "updates or lower fractional_bits"
             )
-        # numpy copies an overlapping source before casting it, so the
-        # in-place cast runs a block at a time: each copy stays small.
+        # numpy would copy an overlapping source before casting it, so the
+        # in-place cast stages one block at a time in a pooled buffer.
         # Flat views of out: assigning the shape raises rather than copy.
         words, values = out.view(np.int64), scaled.view()
         words.shape = values.shape = (out.size,)
+        staging = buffers.acquire((_CAST_BLOCK,), np.float64)
         for start in range(0, len(words), _CAST_BLOCK):
-            block = slice(start, start + _CAST_BLOCK)
-            np.copyto(words[block], values[block], casting="unsafe")
+            block = values[start : start + _CAST_BLOCK]
+            staged = staging[: len(block)]
+            np.copyto(staged, block)
+            np.copyto(words[start : start + len(block)], staged, casting="unsafe")
+        buffers.release(staging)
         return out
 
     def dequantize_sum(self, total: np.ndarray) -> np.ndarray:
@@ -371,8 +376,19 @@ class FixedPointCodec:
         ) / self.scale
 
     def exact_sum(self, matrix: np.ndarray, count: int | None = None) -> np.ndarray:
-        """The plain fixed-point sum a protocol must recover bit-for-bit."""
-        total = self.quantize(matrix, count=count).sum(axis=0, dtype=np.uint64)
+        """The plain fixed-point sum a protocol must recover bit-for-bit.
+
+        The rows are quantized into a pooled array with a row for each of
+        the ``count`` clients, the shape a protocol round of that many
+        committed clients borrows, so checking rounds allocates nothing.
+        """
+        matrix = np.asarray(matrix, dtype=np.float64)
+        pooled = buffers.acquire(
+            (max(len(matrix), count or 0),) + matrix.shape[1:], np.uint64
+        )
+        quantized = self.quantize_into(matrix, count, pooled[: len(matrix)])
+        total = quantized.sum(axis=0, dtype=np.uint64)
+        buffers.release(pooled)
         return self.dequantize_sum(total)
 
     def __repr__(self) -> str:

@@ -58,7 +58,11 @@ class MaskedUpload:
     ``payload`` is uniformly random on its own — in the ``uint64`` ring
     for the Bonawitz-style protocol, in GF(2**61 - 1) for the one-shot
     recovery protocol.  The server learns an individual update only by
-    breaking the masking, never from this message.
+    breaking the masking, never from this message.  A protocol round
+    makes ``payload`` a row view of an array it borrowed from the tensor
+    buffer pool, valid until the round releases its buffers
+    (``CommittedRound.release_buffers``, which the protocol aggregators
+    call once the sum is recovered); copy it to keep it.
     """
 
     client_id: int

@@ -322,8 +322,9 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     ``a`` is split into limbs once, ``b`` one column tile at a time into
     a reused buffer, and the conversions, rotations and folds of a tile
     run in place in two cache-sized buffers, so no pass touches a
-    full-size temporary.  The three tile buffers come from the
-    :mod:`repro.tensor.buffers` pool and go back to it on return.
+    full-size temporary.  The limbs of ``a`` and the three tile buffers
+    come from the :mod:`repro.tensor.buffers` pool and go back to it on
+    return.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -334,7 +335,11 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     product.shape = (m, n)
     product.fill(0)
     starts = range(0, a.shape[1], MATMUL_CHUNK)
-    a_limbs = [_limbs(a[:, start : start + MATMUL_CHUNK], axis=1) for start in starts]
+    a_chunks = [a[:, start : start + MATMUL_CHUNK] for start in starts]
+    a_limbs = [
+        _limbs(chunk, axis=1, out=buffers.acquire((m, 3 * chunk.shape[1]), np.float64))
+        for chunk in a_chunks
+    ]
     height, width = _tile_shape(m, n, a.shape[1])
     diagonal_buffer = buffers.acquire((height * width,), np.float64)
     term_buffer = buffers.acquire((height * width,), np.uint64)
@@ -377,7 +382,7 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
                         term <<= np.uint64(rotation)
                     acc += term
                 _fold_into(acc, term)
-    for buffer in (diagonal_buffer, term_buffer, panel_buffer):
+    for buffer in (*a_limbs, diagonal_buffer, term_buffer, panel_buffer):
         buffers.release(buffer)
     return out
 

@@ -25,6 +25,10 @@ Rules (see DESIGN.md "The tensor core" for the ownership protocol):
 - A defense with a gradient hook never gets its arrays pooled: the FL
   engine pools an update's arrays only when its client's defense
   overrides neither ``process_gradients`` nor ``finalize_update``.
+- A secure-aggregation round borrows its large arrays for the whole
+  round (``repro.fl.secagg.base.CommittedRound.borrow``) and releases
+  them together once its sum is recovered; the field kernels' scratch
+  is acquired and released within one call.
 """
 
 from __future__ import annotations

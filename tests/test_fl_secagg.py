@@ -101,6 +101,22 @@ class TestField:
         np.testing.assert_array_equal(F.f_sub(F.f_add(a, b), b), a)
         np.testing.assert_array_equal(F.f_add(a, F.f_sub(0, a)), np.zeros(64, np.uint64))
 
+    def test_in_place_sums_match_python_ints(self):
+        # f_add_into and f_sum run the LightSecAgg upload and recovery
+        # totals in place; check them against Python bigints, with terms
+        # at the top of the field so every 32-bit half carries.
+        rng = np.random.default_rng(4)
+        terms = field_elements(rng, (40, 33))
+        terms[:5] = F.PRIME_INT - 1
+        reference = np.array(
+            [sum(int(x) for x in column) % F.PRIME_INT for column in terms.T],
+            dtype=np.uint64,
+        )
+        np.testing.assert_array_equal(F.f_sum(terms, (33,)), reference)
+        np.testing.assert_array_equal(F.f_sum([], (2, 3)), np.zeros((2, 3), np.uint64))
+        a, b = terms[0].copy(), terms[1].copy()
+        np.testing.assert_array_equal(F.f_add_into(a, b), F.f_add(terms[0], terms[1]))
+
     def test_multiplicative_inverse(self):
         rng = np.random.default_rng(2)
         a = field_elements(rng, 64)
