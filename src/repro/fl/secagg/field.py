@@ -387,16 +387,12 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _limbs(values: np.ndarray, axis: int, out=None) -> np.ndarray:
+def _limbs(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """The three 21-bit limbs of ``values`` as float64, stacked along
-    ``axis``: ``[x0 | x1 | x2]`` side by side for ``axis=1``, and
-    ``[x2; x1; x0]`` top to bottom for ``axis=0`` (:func:`f_matmul`).
-    ``out``, when given, is the buffer of that shape to fill."""
+    ``axis`` in ``out``: ``[x0 | x1 | x2]`` side by side for ``axis=1``,
+    and ``[x2; x1; x0]`` top to bottom for ``axis=0``
+    (:func:`f_matmul_into`)."""
     size = values.shape[axis]
-    if out is None:
-        shape = list(values.shape)
-        shape[axis] *= 3
-        out = np.empty(shape)
     # Field elements fit int64, whose float conversion is the faster.
     words = values.view(np.int64)
     for s in range(3):
