@@ -11,10 +11,10 @@ Masks are expanded in counter mode through
 for seed ``s`` is a keyed hash of ``(s, j)``, so many masks come out of
 one vectorized expansion instead of one generator object per seed.  The
 expansion runs a cache-sized block of words at a time, into pooled
-buffers every block reuses.  :func:`ring_mask_rows` expands each pairwise mask of a round's
-uploads once and adds it to one endpoint's row and subtracts it from the
-other's; :func:`ring_mask_sum` sums the masks the unmasking server must
-cancel into one vector.
+buffers every block reuses.  :func:`ring_mask_rows` expands each
+pairwise mask of a round's uploads once and adds it to one endpoint's
+row and subtracts it from the other's; :func:`ring_mask_sum` sums the
+masks the unmasking server must cancel into one vector.
 
 Key agreement is a textbook Diffie–Hellman simulation over the Mersenne
 prime of :mod:`repro.fl.secagg.field` (generator 7) — a stand-in for
