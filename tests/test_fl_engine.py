@@ -1041,3 +1041,91 @@ class TestColumnarLedger:
         assert large["growth"] <= small["growth"] + 4
         for run in (small, large):
             assert run["stale"] and run["alive"] == run["stale"]
+
+
+# --------------------------------------------------------------------------
+# Rate-driven rounds pinned by digest: every aggregator, dropout regime and
+# stale setting of the instant arrival process.
+# --------------------------------------------------------------------------
+
+
+RATE_AGGREGATORS = ("fedavg", "median", "masked_sum", "secagg", "secagg_oneshot")
+RATE_DROPOUTS = (0.0, 0.25, 0.6, 1.0)
+
+
+def _rate_round_digest(dishonest: bool = False, **kwargs) -> str:
+    """sha256 of six rate-driven rounds: every record and every aggregate."""
+    import hashlib
+
+    fleet = Fleet(16, TableClient)
+    kwargs = dict(clients_per_round=12, seed=31, **kwargs)
+    server = (
+        DishonestServer(Module(), fleet, SignAttack(), **kwargs)
+        if dishonest
+        else Server(Module(), fleet, **kwargs)
+    )
+    digest = hashlib.sha256()
+    for record in server.run(6):
+        fields = dataclasses.asdict(record)
+        fields["mean_loss"] = np.float64(fields["mean_loss"]).tobytes().hex()
+        digest.update(repr(sorted(fields.items())).encode())
+        aggregate = server.last_aggregate
+        if aggregate is None:
+            digest.update(b"no aggregate")
+            continue
+        for name, value in sorted(aggregate.items()):
+            digest.update(name.encode() + value.tobytes())
+    for key, results in getattr(server, "reconstructions", {}).items():
+        digest.update(repr(key).encode())
+        for pair in results:
+            digest.update(pair.tobytes())
+    return digest.hexdigest()
+
+
+# Computed before the straggler coin left the federation layer.  A round
+# without late arrivals is the same with and without ``accept_stale``, so
+# both settings must reproduce one digest.
+RATE_ROUND_DIGESTS = {
+    "fedavg-0.0": "d30ff02b460640b72e37e8ad4702591d97a2bf73233123283f025f030e13cea2",
+    "fedavg-0.25": "497e314979f245ff0bb1fa8c0074c2fc7b785533306e840d8336394c010a13d1",
+    "fedavg-0.6": "4cdd8ece2ef784e924c5cf34683b9a45ad2e72dafc00d8255e831cbcc804e7e6",
+    "fedavg-1.0": "1e139f9e6e5a8e0f706a56c5c016bc6027e1ffb6c7c9849b3ad7d58098fcd940",
+    "median-0.0": "d7dd62494c9f31df76150220fd80e5014fc8d09d057ce132762946845b471ae7",
+    "median-0.25": "af7ecb56bee80fa5ce692b2ab3195713c88efd94d6260e292c303aae89065d09",
+    "median-0.6": "e1e0e5eccd59ec5f375985af870b53f91d6aa463bd91a8fa160cb7d19bfe1348",
+    "median-1.0": "1536cea9b89e2b1829061ad2eac0db9c51c877ea2260abd53bdafe914270aed1",
+    "masked_sum-0.0": "235bd2faa749db041e60e5827c441d98faaf9757a3a08ae7b6063827ac47ecc2",
+    "masked_sum-0.25": "95740e3fbb04e2f034bd414c5129902fb3ecb0d07597e3034f07f4948f4682f6",
+    "masked_sum-0.6": "f2b181ea1fe020eb2c07f24107dfbf3152398d5471b1a788b797c890c7d6607f",
+    "masked_sum-1.0": "a760cff23030c9ad473cc36ed816cc64081a9004b6d555a4df5d561046c76d96",
+    "secagg-0.0": "8a133b3f5cc8ad88fc43de4a264a20a7576a115b375fc91392b706ca9096a855",
+    "secagg-0.25": "54d504803c9dfc3966489fefdb52669d33b910ff4d6e82c883ce3d0b866f1385",
+    "secagg-0.6": "9582e47038a2430327ce3f7342dae538fb96fe96367d1318f731cd1185293e98",
+    "secagg-1.0": "62fabfc02c4eb524e6edfc2319045ddc4807e83cf7131a6081009d016bf8edce",
+    "secagg_oneshot-0.0": "0aec7a4d26ad217c5f973275e35cedd10c2ed83fbcdc037816f37d9363bbe0c7",
+    "secagg_oneshot-0.25": "a23665b158d147404b9dcf33ca7a33d93e355af4f9a60c850424a52bedde1d5a",
+    "secagg_oneshot-0.6": "0ae6051928c286d05259c7f7bad84d46994d747e19ff5855d828cc742de27e20",
+    "secagg_oneshot-1.0": "a34d6597b070775d0d14a172ecf22b6adedcd726ab662eb997c15ce790bc4b3b",
+    "dishonest": "d99d3c630b7cb888c0e846d1f27166a2f0303ff1d61aedd03b7b83e3bb36563a",
+}
+
+
+class TestRateRoundDigests:
+    @pytest.mark.parametrize("accept_stale", [False, True], ids=["fresh", "stale"])
+    @pytest.mark.parametrize("dropout_rate", RATE_DROPOUTS)
+    @pytest.mark.parametrize("aggregator", RATE_AGGREGATORS)
+    def test_rate_rounds_match_their_digests(
+        self, aggregator, dropout_rate, accept_stale
+    ):
+        digest = _rate_round_digest(
+            aggregator=aggregator,
+            dropout_rate=dropout_rate,
+            accept_stale=accept_stale,
+        )
+        assert digest == RATE_ROUND_DIGESTS[f"{aggregator}-{dropout_rate}"]
+
+    def test_dishonest_rate_rounds_match_their_digest(self):
+        digest = _rate_round_digest(
+            dishonest=True, dropout_rate=0.25, accept_stale=True
+        )
+        assert digest == RATE_ROUND_DIGESTS["dishonest"]
