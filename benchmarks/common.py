@@ -23,6 +23,9 @@ from repro.utils import atomic_write_text
 
 _REPORTS: list[tuple[str, str]] = []
 
+#: BLAS threads every bench computes with; ``conftest.py`` caps the pool.
+BLAS_THREADS = 1
+
 
 def bench_rng(seed: int) -> np.random.Generator:
     """The benchmark suite's one RNG constructor: an explicitly seeded
@@ -54,6 +57,7 @@ def host_block() -> dict:
             var: os.environ.get(var)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
+        "blas_thread_cap": BLAS_THREADS,
         "usable_cores": usable_cpu_count(),
     }
 

@@ -1054,7 +1054,7 @@ class SweepRunner:
             "seeding": "cell-fingerprint-v1",
             "scenario": scenario_to_dict(scenario),
         }
-        if scenario.arrivals not in (None, "instant"):
+        if scenario.arrivals != "instant":
             config["arrival_stream"] = TRACE_STREAM_VERSION
         fingerprint = hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
@@ -1239,9 +1239,12 @@ def headline_ordering_holds(
 # value in every existing store.
 _LEGACY_SCENARIO_FIELDS = frozenset({
     "name", "num_clients", "clients_per_round", "dropout_rate",
-    "straggler_rate", "accept_stale", "partition", "dirichlet_alpha",
-    "aggregator", "weight_by_examples",
+    "accept_stale", "partition", "dirichlet_alpha", "aggregator",
+    "weight_by_examples",
 })
+# Legacy fields the federation layer no longer has, at the one value every
+# scenario held; the payload keeps them so no cell re-seeds.
+_RETIRED_SCENARIO_FIELDS = {"straggler_rate": 0.0}
 # The fields the runner sets for every cell; the store key fingerprints
 # the runner's values, so a scenario leaves them at their defaults.
 _RUNNER_FIELDS = ("batch_size", "seed")
@@ -1250,19 +1253,23 @@ _RUNNER_FIELDS = ("batch_size", "seed")
 def scenario_to_dict(scenario: FederationConfig) -> dict:
     """JSON-serializable fingerprint of a sweep scenario.
 
-    Pre-engine fields are always present; every later field appears only
-    when it differs from its default, so legacy scenarios fingerprint
-    (and therefore seed) exactly as they did before the engine existed.
-    The runner-owned ``batch_size`` and ``seed`` never appear.
+    Pre-engine fields are always present, retired ones at their one
+    value; every later field appears only when it differs from its
+    default, so legacy scenarios fingerprint (and therefore seed) exactly
+    as they did before the engine existed.  The runner-owned
+    ``batch_size`` and ``seed`` never appear.
     """
     return {
-        item.name: getattr(scenario, item.name)
-        for item in fields(scenario)
-        if item.name in _LEGACY_SCENARIO_FIELDS
-        or (
-            item.name not in _RUNNER_FIELDS
-            and getattr(scenario, item.name) != item.default
-        )
+        **_RETIRED_SCENARIO_FIELDS,
+        **{
+            item.name: getattr(scenario, item.name)
+            for item in fields(scenario)
+            if item.name in _LEGACY_SCENARIO_FIELDS
+            or (
+                item.name not in _RUNNER_FIELDS
+                and getattr(scenario, item.name) != item.default
+            )
+        },
     }
 
 
@@ -1282,7 +1289,7 @@ def _check_scenario(scenario: FederationConfig) -> None:
             "the sweep runner owns batch_size and seed"
         )
     if not isinstance(scenario.aggregator, str) or not isinstance(
-        scenario.arrivals, (str, type(None))
+        scenario.arrivals, str
     ):
         raise ValueError(
             f"scenario {scenario.name!r} holds an aggregator or arrival "

@@ -4,18 +4,17 @@ An :class:`ArrivalProcess` turns the server's selected client set into a
 :class:`~repro.fl.engine.RoundPlan` — per-client completion ticks on the
 virtual clock, plus the clients that never start at all.  The engine
 sorts those completions into time order; the round cutoff then *derives*
-dropout and straggling from the timeline instead of drawing them from
-rates.
+straggling from the timeline: a late arrival is one whose tick lands
+past a :class:`~repro.fl.engine.TimeCutoff`, never a coin flip.
 
 Three processes ship with the engine:
 
-- :class:`InstantArrivals` — the compatibility layer.  Reproduces the
-  legacy rate-based scenario semantics exactly: it consumes the server's
-  RNG with the same dropout/straggler coin flips the synchronous loop
-  drew, then synthesizes one-tick-apart completion times that replay the
-  legacy arrival order (survivors in selection order, then stragglers).
-  Under the default count cutoff this makes the event engine
-  byte-identical to the pre-engine loop.
+- :class:`InstantArrivals` — the default: rate-based dropout, the
+  paper's survivors-only threat model.  It consumes the server's RNG
+  with the same coin flips the pre-engine synchronous loop drew, then
+  synthesizes one-tick-apart completion times in selection order, so
+  under the default count cutoff every survivor is on time and the
+  event engine is byte-identical to that loop.
 - :class:`UniformArrivals` — every client's round latency is uniform on
   ``[low_s, high_s]`` simulated seconds, keyed by ``(seed, client_id,
   round)``.  The minimal genuinely-timed process; with a time cutoff,
@@ -23,9 +22,8 @@ Three processes ship with the engine:
 - :class:`TieredArrivals` — per-client latency/compute traces.  Each
   client is pinned to a :class:`HardwareTier` (flagship/mid/budget/IoT by
   fleet share), draws per-round compute time around the tier's mean with
-  lognormal jitter plus network latency, can fail mid-round with the
-  tier's failure rate, and — when a :class:`DiurnalCycle` is attached —
-  is simply offline for part of every simulated day.
+  lognormal jitter plus network latency, and can fail mid-round with the
+  tier's failure rate.
 
 Each trace is one vectorized :func:`~repro.utils.rng.keyed_uniforms`
 draw over the whole cohort, keyed by ``(seed, label, client, round)``:
@@ -39,11 +37,10 @@ fold it in, so a store never mixes plans drawn under two schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.fl.engine import TICKS_PER_SECOND, RoundPlan, ticks
+from repro.fl.engine import TICKS_PER_SECOND, RoundPlan
 from repro.registry import Registry
 from repro.utils.rng import keyed_uniforms
 
@@ -82,31 +79,23 @@ class ArrivalProcess:
 
 
 class InstantArrivals(ArrivalProcess):
-    """Legacy rate-based participation as a degenerate arrival process.
+    """Rate-based dropout as a degenerate arrival process.
 
     Consumes ``server_rng`` exactly as the synchronous loop's
     ``simulate_participation`` did — one dropout draw per selected
-    client, one straggler draw per survivor, zero draws when both rates
-    are zero — so federations configured through the rate knobs reproduce
-    the seed's RNG stream bit-for-bit.  Completion ticks are synthesized
-    one tick apart in the legacy computation order: survivors first (in
-    selection order), stragglers after every survivor.
+    client, then one more per survivor, zero draws when the rate is zero
+    — so federations configured through ``dropout_rate`` reproduce the
+    seed's RNG stream bit-for-bit.  Completion ticks are synthesized one
+    tick apart in selection order.
     """
 
     name = "instant"
     synthesizes_time = True
 
-    def __init__(
-        self, dropout_rate: float = 0.0, straggler_rate: float = 0.0
-    ) -> None:
-        for rate, label in (
-            (dropout_rate, "dropout_rate"),
-            (straggler_rate, "straggler_rate"),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1]")
+    def __init__(self, dropout_rate: float = 0.0) -> None:
+        if not 0.0 <= dropout_rate <= 1.0:
+            raise ValueError("dropout_rate must be in [0, 1]")
         self.dropout_rate = dropout_rate
-        self.straggler_rate = straggler_rate
 
     def plan_round(
         self,
@@ -115,32 +104,26 @@ class InstantArrivals(ArrivalProcess):
         opened_at: int,
         server_rng: np.random.Generator,
     ) -> RoundPlan:
-        if self.dropout_rate == 0.0 and self.straggler_rate == 0.0:
-            active = list(selected_ids)
-            dropped: list[int] = []
-            stragglers: list[int] = []
+        if self.dropout_rate == 0.0:
+            active, dropped = list(selected_ids), []
         else:
-            active, dropped, stragglers = [], [], []
+            active, dropped = [], []
             for client_id in selected_ids:
                 if server_rng.random() < self.dropout_rate:
                     dropped.append(client_id)
-                elif server_rng.random() < self.straggler_rate:
-                    stragglers.append(client_id)
                 else:
+                    # The retired straggler coin: stored cells were seeded
+                    # with it in the stream, so it is still drawn.
+                    server_rng.random()
                     active.append(client_id)
-        scheduled = active + stragglers
         return RoundPlan(
-            client_ids=scheduled,
-            times=opened_at + 1 + np.arange(len(scheduled)),
+            client_ids=active,
+            times=opened_at + 1 + np.arange(len(active)),
             unavailable=dropped,
-            expected_fresh=len(active),
         )
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(dropout_rate={self.dropout_rate}, "
-            f"straggler_rate={self.straggler_rate})"
-        )
+        return f"{type(self).__name__}(dropout_rate={self.dropout_rate})"
 
 
 class UniformArrivals(ArrivalProcess):
@@ -183,8 +166,7 @@ class HardwareTier:
     """One device class of a heterogeneous fleet.
 
     ``compute_s`` is the mean local-training duration in simulated
-    seconds, ``jitter`` the sigma of the lognormal factor applied per
-    round, ``network_s`` the mean one-way upload latency, and
+    seconds, ``network_s`` the mean one-way upload latency, and
     ``failure_rate`` the per-round probability the device starts but
     never reports (battery died, app evicted).  ``weight`` is the tier's
     share of the fleet.
@@ -192,19 +174,13 @@ class HardwareTier:
 
     name: str
     compute_s: float
-    network_s: float = 0.05
-    jitter: float = 0.35
+    network_s: float
+    weight: float
     failure_rate: float = 0.0
-    weight: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.compute_s <= 0 or self.network_s < 0:
-            raise ValueError("tier durations must be positive")
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError("failure_rate must be in [0, 1]")
-        if self.weight <= 0:
-            raise ValueError("tier weight must be positive")
 
+#: Sigma of the lognormal factor on every tier's per-round compute time.
+TIER_JITTER = 0.35
 
 #: A cross-device census loosely following published FL system papers:
 #: a fast minority, a broad middle, a long budget tail, and a sliver of
@@ -221,62 +197,27 @@ DEFAULT_TIERS: tuple[HardwareTier, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DiurnalCycle:
-    """Availability window repeating every ``period_s`` simulated seconds.
-
-    Each client's phase offset within the cycle is keyed by its id, so at
-    any instant roughly ``duty_cycle`` of the fleet is reachable and the
-    reachable set rotates as virtual time advances — the compressed-day
-    model of devices that are only eligible while idle and charging.
-    """
-
-    period_s: float = 60.0
-    duty_cycle: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError("duty_cycle must be in (0, 1]")
-
-    def available(self, client_ids, tick: int, seed: int) -> np.ndarray:
-        """Which of ``client_ids`` are inside their window at ``tick``."""
-        period = ticks(self.period_s)
-        window = int(round(period * self.duty_cycle))
-        phase = keyed_uniforms(seed, "diurnal-phase", client_ids)[:, 0]
-        return (tick + (phase * period).astype(np.int64)) % period < window
-
-
 class TieredArrivals(ArrivalProcess):
     """Per-client latency/compute traces over heterogeneous hardware tiers.
 
-    A client's tier assignment is permanent (keyed by id alone); its
-    per-round duration is ``(compute_s * lognormal(jitter) + network_s *
+    Every client runs on one of the :data:`DEFAULT_TIERS`.  A client's
+    tier assignment is permanent (keyed by id alone); its per-round
+    duration is ``(compute_s * lognormal(TIER_JITTER) + network_s *
     Exp(1))`` seconds, keyed by ``(client, round)``.  Tier failure draws
-    and the optional :class:`DiurnalCycle` availability check decide who
-    never completes.  All of it is deterministic per configuration —
+    decide who never completes.  All of it is deterministic per seed —
     nothing depends on the order clients were registered or scheduled.
     """
 
     name = "tiered"
+    tiers = DEFAULT_TIERS
 
-    def __init__(
-        self,
-        tiers: Sequence[HardwareTier] = DEFAULT_TIERS,
-        seed: int = 0,
-        diurnal: Optional[DiurnalCycle] = None,
-    ) -> None:
-        if not tiers:
-            raise ValueError("need at least one hardware tier")
-        self.tiers = tuple(tiers)
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.diurnal = diurnal
         weights = np.asarray([tier.weight for tier in self.tiers])
         self._edges = np.cumsum(weights / weights.sum())[:-1]
-        self._compute_s, self._network_s, self._jitter, self._failure_rate = (
+        self._compute_s, self._network_s, self._failure_rate = (
             np.asarray([getattr(tier, name) for tier in self.tiers])
-            for name in ("compute_s", "network_s", "jitter", "failure_rate")
+            for name in ("compute_s", "network_s", "failure_rate")
         )
 
     def tier_indices(self, client_ids) -> np.ndarray:
@@ -301,7 +242,7 @@ class TieredArrivals(ArrivalProcess):
         normal = np.sqrt(-2.0 * np.log(draw[:, 1])) * np.cos(
             2.0 * np.pi * draw[:, 2]
         )
-        compute = self._compute_s[tier] * np.exp(self._jitter[tier] * normal)
+        compute = self._compute_s[tier] * np.exp(TIER_JITTER * normal)
         network = self._network_s[tier] * -np.log(draw[:, 3])
         delays = _delay_ticks(compute + network)
         return np.where(draw[:, 0] < self._failure_rate[tier], 0, delays)
@@ -316,8 +257,6 @@ class TieredArrivals(ArrivalProcess):
         ids = np.asarray(selected_ids, dtype=np.int64)
         delays = self.completion_delays(ids, round_index)
         starts = delays > 0
-        if self.diurnal is not None:
-            starts &= self.diurnal.available(ids, opened_at, self.seed)
         return RoundPlan(
             client_ids=ids[starts],
             times=opened_at + delays[starts],
@@ -325,64 +264,42 @@ class TieredArrivals(ArrivalProcess):
         )
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(tiers={[t.name for t in self.tiers]}, "
-            f"diurnal={self.diurnal})"
-        )
+        return f"{type(self).__name__}(seed={self.seed})"
 
 
 # --------------------------------------------------------------------------
 # Registry.
 # --------------------------------------------------------------------------
 
-def _tiered_diurnal(
-    tiers: Sequence[HardwareTier] = DEFAULT_TIERS,
-    seed: int = 0,
-    diurnal: Optional[DiurnalCycle] = DiurnalCycle(),
-) -> TieredArrivals:
-    """Tiered arrivals with the default day/night availability cycle."""
-    return TieredArrivals(tiers, seed=seed, diurnal=diurnal)
-
-
 ARRIVALS = Registry("arrival process")
 ARRIVALS.register("instant", InstantArrivals)
 ARRIVALS.register("uniform", UniformArrivals)
 ARRIVALS.register("tiered", TieredArrivals)
-ARRIVALS.register("tiered-diurnal", _tiered_diurnal)
 
 
 def make_arrivals(
-    spec: "str | ArrivalProcess | None",
-    dropout_rate: float = 0.0,
-    straggler_rate: float = 0.0,
-    seed: int = 0,
+    spec: "str | ArrivalProcess", dropout_rate: float = 0.0, seed: int = 0
 ) -> ArrivalProcess:
-    """Resolve an arrival process from a name, instance, or ``None``.
+    """Resolve an arrival process from a registry spec or an instance.
 
-    ``None`` (and ``"instant"``) selects the legacy-compatible process
-    driven by the rate knobs.  The trace-driven processes refuse nonzero
-    dropout/straggler rates: under them those phenomena are emergent
-    timing outcomes, and silently layering coin flips on top would make
+    ``"instant"`` is the rate-driven default.  The trace-driven processes
+    refuse a nonzero ``dropout_rate``: under them dropout is an emergent
+    timing outcome, and silently layering coin flips on top would make
     the scenario lie about its own semantics.  Knobs ride in the spec
     (``"uniform(low_s=0.2, high_s=0.5)"``); a process instance is already
-    configured, so it refuses the rate knobs.
+    configured, so it refuses the rate knob.
     """
     if isinstance(spec, ArrivalProcess):
-        if dropout_rate or straggler_rate:
+        if dropout_rate:
             raise ValueError(
                 "cannot pass nonzero rate knobs with a process instance; "
                 "configure the instance itself"
             )
         return spec
-    process = ARRIVALS.build(
-        "instant" if spec is None else spec,
-        dropout_rate=dropout_rate,
-        straggler_rate=straggler_rate,
-        seed=seed,
-    )
-    if (dropout_rate or straggler_rate) and not isinstance(process, InstantArrivals):
+    process = ARRIVALS.build(spec, dropout_rate=dropout_rate, seed=seed)
+    if dropout_rate and not isinstance(process, InstantArrivals):
         raise ValueError(
-            f"arrival process {spec!r} derives dropout and straggling from "
-            "timing traces; rate knobs must stay zero under it"
+            f"arrival process {spec!r} derives dropout from timing traces; "
+            "rate knobs must stay zero under it"
         )
     return process

@@ -3,8 +3,8 @@
 The synchronous seed drove every selected client inline from
 ``Server.run_round`` — fine at 10 clients, hopeless at fleet scale, and
 structurally unable to express the timing phenomena cross-device attacks
-assume (stragglers, heterogeneous hardware, diurnal availability).  This
-module replaces that loop with a small discrete-event simulation:
+assume (stragglers, heterogeneous hardware).  This module replaces that
+loop with a small discrete-event simulation:
 
 - :class:`VirtualClock` — deterministic integer-tick simulated time
   (microsecond resolution).  Nothing in :mod:`repro.fl` ever reads the
@@ -17,11 +17,12 @@ module replaces that loop with a small discrete-event simulation:
   were registered or listed.  Registering clients in a different order
   cannot reorder the simulation — the property the hypothesis suite pins.
 - :class:`CountCutoff` / :class:`TimeCutoff` — round-close policies.  A
-  count cutoff closes the round once the expected number of updates has
+  count cutoff closes the round once every dispatched completion has
   landed (the degenerate case that reproduces the legacy synchronous loop
   byte-for-byte); a time cutoff closes at ``opened_at + duration`` and
-  whatever lands later *is* a straggler — lateness is an emergent timing
-  outcome, not a coin flip.
+  whatever lands later *is* a straggler.  The time cutoff is the only
+  source of late arrivals: lateness is a timing outcome, never a coin
+  flip.
 - :class:`RoundEngine` — runs one round: dispatches the selected clients
   through an :class:`~repro.fl.arrivals.ArrivalProcess`, splits the
   sorted timeline at the cutoff, ingests each on-time update into the
@@ -88,36 +89,22 @@ class VirtualClock:
 
 @dataclass(frozen=True)
 class CountCutoff:
-    """Close the round after a fixed number of updates has arrived.
+    """Close the round once every dispatched completion has landed.
 
-    ``target=None`` means "every on-time dispatch the arrival plan
-    expects" — with the compat arrival process this is exactly the legacy
-    synchronous behaviour (wait for all non-straggling survivors), which
-    is why the count-cutoff engine reproduces the seed's round records
-    byte-for-byte.  A positive ``target`` is the
-    over-selection strategy real systems use: select 120, close on the
-    first 100.
+    With the instant arrival process this is exactly the legacy
+    synchronous behaviour (wait for every survivor), which is why the
+    count-cutoff engine reproduces the seed's round records byte-for-byte.
     """
 
-    target: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.target is not None and self.target < 1:
-            raise ValueError("count cutoff target must be >= 1")
-
-    def close(
-        self, times: np.ndarray, opened_at: int, expected_fresh: Optional[int]
-    ) -> tuple[int, int]:
+    def close(self, times: np.ndarray, opened_at: int) -> tuple[int, int]:
         """Split completion-ordered ``times`` at the cutoff.
 
         Returns ``(on_time, closed_at)``: the first ``on_time``
         completions land before the round closes at tick ``closed_at``,
-        the rest are late.  A round that runs out of completions before
-        its target closes when the last one landed.
+        the rest are late.  Here every completion is on time, and the
+        round closes when the last one landed.
         """
-        target = self.target if self.target is not None else expected_fresh
-        on_time = len(times) if target is None else min(target, len(times))
-        return on_time, int(times[on_time - 1]) if on_time else opened_at
+        return len(times), int(times[-1]) if len(times) else opened_at
 
 
 @dataclass(frozen=True)
@@ -140,9 +127,7 @@ class TimeCutoff:
         if self.min_arrivals < 0:
             raise ValueError("min_arrivals must be non-negative")
 
-    def close(
-        self, times: np.ndarray, opened_at: int, expected_fresh: Optional[int]
-    ) -> tuple[int, int]:
+    def close(self, times: np.ndarray, opened_at: int) -> tuple[int, int]:
         """Split completion-ordered ``times`` at the deadline.
 
         Returns ``(on_time, closed_at)`` like :meth:`CountCutoff.close`.
@@ -199,18 +184,13 @@ class RoundPlan:
 
     ``client_ids`` lists the dispatched clients that will eventually
     complete and ``times`` their completion ticks, aligned and in any
-    order; ``unavailable`` the selected clients that never start (offline
+    order; ``unavailable`` the selected clients that never start (dropped
     at dispatch, failed mid-round) — the engine records them as dropped.
-    ``expected_fresh`` is set by the compat process to tell the default
-    count cutoff how many arrivals the legacy semantics would have waited
-    for (its stragglers are scheduled but not expected); trace-driven
-    processes leave it ``None``.
     """
 
     client_ids: np.ndarray
     times: np.ndarray
     unavailable: list[int] = field(default_factory=list)
-    expected_fresh: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.client_ids = np.asarray(self.client_ids, dtype=np.int64)
@@ -284,15 +264,12 @@ class RoundEngine:
         """Whether round records should carry the timing annotation.
 
         The compat configuration (rank-synthesized arrival times closing
-        on the legacy count) records ``None`` so its round records are
+        on the count cutoff) records ``None`` so its round records are
         byte-identical to the pre-engine synchronous loop; any real
-        arrival process or non-default cutoff records the timeline.
+        arrival process or a time cutoff records the timeline.
         """
         synthetic = getattr(self.arrivals, "synthesizes_time", False)
-        legacy_cutoff = (
-            isinstance(self.cutoff, CountCutoff) and self.cutoff.target is None
-        )
-        return not (synthetic and legacy_cutoff)
+        return not (synthetic and isinstance(self.cutoff, CountCutoff))
 
     def _round_buffer(self, capacity: int, spec: FlatSpec) -> RoundBuffer:
         """This round's buffer: the pooled one if the round fits it."""
@@ -339,9 +316,7 @@ class RoundEngine:
             list(selected_ids), round_index, opened_at, server_rng
         )
         ids, times = plan.timeline()
-        on_time, closed_at = self.cutoff.close(
-            times, opened_at, plan.expected_fresh
-        )
+        on_time, closed_at = self.cutoff.close(times, opened_at)
         ids, times = ids.tolist(), times.tolist()
 
         # Fresh rows as they are computed, then the stale ones.  Each

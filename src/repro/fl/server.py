@@ -10,11 +10,10 @@ dispatched through a pluggable :class:`~repro.fl.arrivals.ArrivalProcess`,
 updates ingest into the round buffer in completion order on the
 virtual clock, and the configured cutoff decides when the round
 closes.  Under the default configuration (rate-based
-:class:`~repro.fl.arrivals.InstantArrivals` + degenerate count cutoff)
-the engine reproduces the legacy synchronous loop's round records
-byte-for-byte; a :class:`~repro.fl.engine.TimeCutoff` or a trace-driven
-arrival process makes dropout and straggling emergent timing outcomes
-instead of coin flips.
+:class:`~repro.fl.arrivals.InstantArrivals` + count cutoff) the engine
+reproduces the legacy synchronous loop's round records byte-for-byte; a
+trace-driven arrival process makes dropout an emergent timing outcome,
+and a :class:`~repro.fl.engine.TimeCutoff` is what makes a client late.
 
 Clients live in a :class:`~repro.fl.fleet.Fleet`, the only client
 container a server accepts: registering 10k–1M users costs a factory
@@ -66,22 +65,22 @@ class Server:
     - ``clients_per_round``: per-round uniform sampling of the fleet; an
       integer of at least 1 (capped at the fleet size), ``None`` for the
       whole fleet.
-    - ``dropout_rate`` / ``straggler_rate``: the legacy rate-based
-      participation model, implemented by the compat arrival process —
-      a selected client fails before uploading with ``dropout_rate``; a
-      survivor misses the deadline with ``straggler_rate``.  Late updates
-      are dropped unless ``accept_stale=True``, in which case they fold
-      into the *next* round's aggregate.
+    - ``dropout_rate``: the rate-based dropout model of the default
+      ``"instant"`` arrival process — a selected client fails before
+      uploading with this probability, and the aggregate is taken over
+      the survivors.
     - ``arrivals``: an arrival-process spec (``"instant"``,
-      ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``, with knobs in the
-      spec, e.g. ``"uniform(low_s=0.2)"``) or an
+      ``"uniform"``, ``"tiered"``, with knobs in the spec, e.g.
+      ``"uniform(low_s=0.2)"``) or an
       :class:`~repro.fl.arrivals.ArrivalProcess` instance.  Under
-      trace-driven processes the rate knobs must stay zero — lateness
-      and failure come from the timing traces — and so must they with an
-      instance, which carries its own configuration.
-    - ``cutoff``: a :class:`~repro.fl.engine.CountCutoff` or
-      :class:`~repro.fl.engine.TimeCutoff`; ``None`` is the legacy
-      wait-for-everyone count cutoff.
+      trace-driven processes ``dropout_rate`` must stay zero — failure
+      comes from the timing traces — and so must it with an instance,
+      which carries its own configuration.
+    - ``cutoff``: the default :class:`~repro.fl.engine.CountCutoff` waits
+      for every dispatched client; a :class:`~repro.fl.engine.TimeCutoff`
+      closes at a deadline, and whoever lands later is a straggler.  Late
+      updates are dropped unless ``accept_stale=True``, in which case
+      they fold into the *next* round's aggregate.
     - ``aggregator``: an :class:`~repro.fl.aggregators.Aggregator`
       instance or registry spec (``"fedavg"``, ``"median"``,
       ``"trimmed_mean"``, ``"masked_sum"``, and the secure-aggregation
@@ -105,12 +104,11 @@ class Server:
         clients_per_round: Optional[int] = None,
         aggregator: "str | Aggregator" = "fedavg",
         dropout_rate: float = 0.0,
-        straggler_rate: float = 0.0,
         accept_stale: bool = False,
         weight_by_examples: bool = False,
         seed: int = 0,
-        arrivals: "str | ArrivalProcess | None" = None,
-        cutoff: "CountCutoff | TimeCutoff | None" = None,
+        arrivals: "str | ArrivalProcess" = "instant",
+        cutoff: "CountCutoff | TimeCutoff" = CountCutoff(),
     ) -> None:
         if not isinstance(fleet, Fleet):
             raise TypeError(
@@ -133,18 +131,12 @@ class Server:
         self.clients_per_round = min(clients_per_round, len(self.fleet))
         self.aggregator = make_aggregator(aggregator)
         self.dropout_rate = dropout_rate
-        self.straggler_rate = straggler_rate
         self.accept_stale = accept_stale
         self.weight_by_examples = weight_by_examples
         self._rng = np.random.default_rng(seed)
         self.clock = VirtualClock()
-        self.arrivals = make_arrivals(
-            arrivals,
-            dropout_rate=dropout_rate,
-            straggler_rate=straggler_rate,
-            seed=seed,
-        )
-        self.cutoff = cutoff if cutoff is not None else CountCutoff()
+        self.arrivals = make_arrivals(arrivals, dropout_rate=dropout_rate, seed=seed)
+        self.cutoff = cutoff
         self.engine = RoundEngine(self.clock, self.arrivals, self.cutoff)
         self.round_index = 0
         self.history: list[RoundRecord] = []
@@ -266,7 +258,7 @@ class Server:
         Under a protocol aggregator (``requires_commitment``) the round
         takes the commit-then-recover shape: every *selected* client
         commits mask material before uploads exist, so clients lost to
-        dropout or straggling after that point are recovered through the
+        dropout or lateness after that point are recovered through the
         protocol's unmasking phase rather than resampled.  Late uploads
         are discarded outright — a stale masked payload carries mask
         material of a finished round and can never be unmasked later —
@@ -382,8 +374,8 @@ class DishonestServer(Server):
     ``target_client_id`` must be ``None`` or an id in ``fleet``: an id
     outside it would match no update, and every round would record no
     attack event, so it raises at construction.  All honest-server
-    scenario knobs (sampling, dropout, stragglers, aggregator, arrival
-    processes, cutoffs) pass through ``**server_kwargs``.
+    scenario knobs (sampling, dropout, aggregator, arrival processes,
+    cutoffs) pass through ``**server_kwargs``.
 
     Large-scale attacks opt into two further hooks through class
     attributes on the attack object:

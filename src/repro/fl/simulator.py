@@ -3,8 +3,8 @@
 Convenience layer that turns a dataset + model factory + defense into a
 running federation, so examples and experiments stay short.  Scenarios are
 described declaratively through :class:`FederationConfig`: IID or Dirichlet
-label-skewed partitioning, per-round client sampling, dropout/straggler
-rates, arrival processes and round cutoffs for the event engine, and the
+label-skewed partitioning, per-round client sampling, the dropout rate,
+arrival processes and round cutoffs for the event engine, and the
 server-side aggregation rule.  Every federation's clients live in a lazy
 :class:`~repro.fl.fleet.Fleet`: a client (shard, RNG stream) materializes
 only when sampled, and all of them train on one scratch model, so a
@@ -195,28 +195,25 @@ class FederationConfig:
     Beyond the seed's sizing knobs it selects the data partition
     (``partition``: ``"iid"`` or ``"dirichlet"`` with ``dirichlet_alpha``
     label skew), the participation scenario (``clients_per_round``
-    sampling, ``dropout_rate``, ``straggler_rate``, ``accept_stale``), and
-    the server-side ``aggregator`` (registry spec or instance — see
+    sampling, ``dropout_rate``, ``accept_stale``), and the server-side
+    ``aggregator`` (registry spec or instance — see
     :func:`repro.fl.aggregators.make_aggregator`).  Knobs ride in the
     spec: ``aggregator="secagg(threshold=8)"`` pins a SecAgg
     reconstruction threshold instead of the default strict majority.
 
     Event-engine knobs (all default to the legacy-compatible behaviour):
 
-    - ``arrivals``: an arrival-process spec (``"instant"``,
-      ``"uniform"``, ``"tiered"``, ``"tiered-diurnal"``, knobs in the
-      spec) or an :class:`~repro.fl.arrivals.ArrivalProcess` instance for
-      knobs a spec cannot spell (custom ``HardwareTier`` tuples); ``None``
-      is the rate-driven compat process.
+    - ``arrivals``: an arrival-process spec (``"instant"``, the
+      rate-driven default, ``"uniform"`` or ``"tiered"``, knobs in the
+      spec) or an :class:`~repro.fl.arrivals.ArrivalProcess` instance.
     - ``round_duration_s`` / ``min_arrivals``: a positive duration closes
       each round on a :class:`~repro.fl.engine.TimeCutoff` after that
-      many simulated seconds (with an optional grace floor); zero keeps
-      the legacy count cutoff.
-    - ``fleet_size`` / ``shard_size``: a positive ``fleet_size`` registers
-      that many users instead of partitioning ``num_clients`` shards;
-      each materialized client samples a ``shard_size`` private shard
-      (``0`` → ``batch_size``) keyed by its id, so any cohort is
-      reproducible without touching the rest of the fleet.
+      many simulated seconds (with an optional grace floor), and an
+      update landing later is a straggler; zero keeps the count cutoff.
+    - ``fleet_size``: a positive ``fleet_size`` registers that many users
+      instead of partitioning ``num_clients`` shards; each materialized
+      client samples a ``batch_size`` private shard keyed by its id, so
+      any cohort is reproducible without touching the rest of the fleet.
 
     ``name`` labels the config as one scenario of a sweep grid
     (:class:`~repro.experiments.SweepRunner`); a federation ignores it.
@@ -235,15 +232,13 @@ class FederationConfig:
     partition: str = "iid"
     dirichlet_alpha: float = 0.5
     dropout_rate: float = 0.0
-    straggler_rate: float = 0.0
     accept_stale: bool = False
     aggregator: "str | Aggregator" = "fedavg"
     weight_by_examples: bool = False
-    arrivals: "str | ArrivalProcess | None" = None
+    arrivals: "str | ArrivalProcess" = "instant"
     round_duration_s: float = 0.0
     min_arrivals: int = 0
     fleet_size: int = 0
-    shard_size: int = 0
 
     def make_cutoff(self) -> "CountCutoff | TimeCutoff":
         """Resolve the configured round-close policy."""
@@ -280,7 +275,7 @@ def make_lazy_fleet(
     """The federation's client registry, materializing clients on demand.
 
     The shard source follows the config.  A positive ``fleet_size``
-    registers that many users, each holding a ``shard_size`` sample of the
+    registers that many users, each holding a ``batch_size`` sample of the
     dataset keyed by ``(seed, "fleet-shard", client_id)`` — a pure
     function of the id, so whichever cohort the server happens to
     dispatch sees the same data in any run, on any worker, regardless of
@@ -297,15 +292,16 @@ def make_lazy_fleet(
     """
     if config.fleet_size > 0:
         size = config.fleet_size
-        shard_size = config.shard_size or config.batch_size
-        if shard_size > len(dataset):
-            raise ValueError("shard_size cannot exceed the dataset")
+        if config.batch_size > len(dataset):
+            raise ValueError("batch_size cannot exceed the dataset in a fleet")
 
         def shard(client_id: int) -> SyntheticImageDataset:
             shard_rng = np.random.default_rng(
                 seed_sequence_for(config.seed, "fleet-shard", str(client_id))
             )
-            indices = shard_rng.choice(len(dataset), size=shard_size, replace=False)
+            indices = shard_rng.choice(
+                len(dataset), size=config.batch_size, replace=False
+            )
             return dataset.subset(np.sort(indices))
 
     else:
@@ -357,7 +353,6 @@ class FederatedSimulation:
             clients_per_round=config.clients_per_round,
             aggregator=config.aggregator,
             dropout_rate=config.dropout_rate,
-            straggler_rate=config.straggler_rate,
             accept_stale=config.accept_stale,
             weight_by_examples=config.weight_by_examples,
             seed=config.seed,

@@ -41,7 +41,6 @@ from repro.fl.engine import (
     ticks,
 )
 from repro.fl.arrivals import (
-    DiurnalCycle,
     InstantArrivals,
     TieredArrivals,
     UniformArrivals,
@@ -78,7 +77,11 @@ class LegacyRoundMixin:
     dropout/straggler coin flips from the server RNG itself, and builds
     the round buffer only after all updates exist — the exact code the
     event engine replaced, kept here as the byte-identity reference.
+    The server has no straggler rate any more; the loop still draws its
+    coin at the one rate every stored scenario used.
     """
+
+    straggler_rate = 0.0
 
     def _legacy_select_clients(self):
         indices = self._rng.choice(
@@ -197,6 +200,14 @@ class LegacyDishonestServer(LegacyRoundMixin, DishonestServer):
     pass
 
 
+# Late arrivals through the real timeline: latencies uniform on 0.1-1.0 s
+# against a 0.6 s deadline leave about four clients in ten late.
+LATE_ARRIVALS = dict(
+    arrivals="uniform(low_s=0.1, high_s=1.0)",
+    cutoff=TimeCutoff(ticks(0.6), min_arrivals=1),
+)
+
+
 def assert_records_identical(engine_records, legacy_records):
     """Field-for-field RoundRecord equality (nan-aware on mean_loss)."""
     assert len(engine_records) == len(legacy_records)
@@ -212,16 +223,16 @@ def assert_records_identical(engine_records, legacy_records):
         assert ours == reference
 
 
-# Every rate-based participation regime the legacy loop supported.
+# Every rate-based participation regime the server supports.
 IDENTITY_SCENARIOS = [
     dict(),
     dict(clients_per_round=5),
     dict(dropout_rate=0.3),
-    dict(straggler_rate=0.4),
-    dict(dropout_rate=0.2, straggler_rate=0.3),
-    dict(dropout_rate=0.2, straggler_rate=0.3, accept_stale=True),
+    dict(dropout_rate=0.4),
+    dict(dropout_rate=0.2),
+    dict(dropout_rate=0.2, accept_stale=True),
     dict(dropout_rate=1.0),
-    dict(straggler_rate=1.0, accept_stale=True),
+    dict(accept_stale=True),
     dict(clients_per_round=6, dropout_rate=0.25, aggregator="median"),
     dict(weight_by_examples=True),
     dict(aggregator="masked_sum", dropout_rate=0.25),
@@ -281,7 +292,6 @@ class TestLegacyByteIdentity:
             Fleet(12, StubClient),
             RecordingAttack(),
             dropout_rate=0.2,
-            straggler_rate=0.3,
             accept_stale=True,
             seed=11,
         )
@@ -290,7 +300,6 @@ class TestLegacyByteIdentity:
             Fleet(12, StubClient),
             RecordingAttack(),
             dropout_rate=0.2,
-            straggler_rate=0.3,
             accept_stale=True,
             seed=11,
         )
@@ -309,14 +318,15 @@ class TestLegacyByteIdentity:
             server = Server(
                 Module(),
                 Fleet(10, StubClient),
-                dropout_rate=0.2,
-                straggler_rate=0.2,
                 accept_stale=True,
                 seed=5,
+                **LATE_ARRIVALS,
             )
             return server.run(5)
 
-        assert_records_identical(run(), run())
+        records = run()
+        assert any(record.stale_ids for record in records)
+        assert_records_identical(records, run())
 
 
 class TestVirtualClock:
@@ -340,7 +350,7 @@ class TestRoundTimeline:
         assert times.tolist() == [3, 5, 5, 7]
 
     def test_completions_at_the_deadline_are_on_time(self):
-        on_time, closed_at = TimeCutoff(5).close(np.array([3, 5, 5, 6]), 0, None)
+        on_time, closed_at = TimeCutoff(5).close(np.array([3, 5, 5, 6]), 0)
         assert (on_time, closed_at) == (3, 5)
 
     def test_misaligned_plan_rejected(self):
@@ -362,8 +372,6 @@ class TestCutoffs:
             FederationConfig(min_arrivals=5).make_cutoff()
 
     def test_invalid_cutoffs_rejected(self):
-        with pytest.raises(ValueError):
-            CountCutoff(target=0)
         with pytest.raises(ValueError):
             TimeCutoff(0)
         with pytest.raises(ValueError):
@@ -408,18 +416,6 @@ class TestCutoffs:
         assert len(record.participant_ids) == 1
         assert len(record.straggler_ids) == 5
 
-    def test_count_cutoff_target_closes_early(self):
-        server = Server(
-            Module(),
-            Fleet(8, StubClient),
-            arrivals="uniform",
-            cutoff=CountCutoff(target=3),
-            seed=1,
-        )
-        record = server.run_round()
-        assert len(record.participant_ids) == 3
-        assert len(record.straggler_ids) == 5
-
     def test_virtual_clock_advances_across_rounds(self):
         server = Server(
             Module(),
@@ -440,22 +436,32 @@ class TestArrivalProcesses:
     def test_instant_reproduces_rate_draws(self):
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        process = InstantArrivals(dropout_rate=0.3, straggler_rate=0.2)
+        process = InstantArrivals(dropout_rate=0.3)
         plan = process.plan_round(list(range(32)), 0, 0, rng_a)
-        # Reference: the legacy per-client coin-flip sequence.
-        active, dropped, stragglers = [], [], []
+        # Reference: the legacy per-client coin flips, at straggler rate 0.
+        active, dropped = [], []
         for client_id in range(32):
             if rng_b.random() < 0.3:
                 dropped.append(client_id)
-            elif rng_b.random() < 0.2:
-                stragglers.append(client_id)
             else:
+                rng_b.random()  # the straggler coin, never below 0.0
                 active.append(client_id)
         assert plan.unavailable == dropped
-        assert plan.expected_fresh == len(active)
-        assert plan.client_ids.tolist() == active + stragglers
+        assert plan.client_ids.tolist() == active
         times = plan.times.tolist()
         assert times == sorted(times) and len(set(times)) == len(times)
+
+    @pytest.mark.parametrize("dropout_rate", [0.25, 0.6, 1.0])
+    def test_instant_draws_once_more_per_survivor(self, dropout_rate):
+        # The retired straggler coin is still drawn once per survivor:
+        # stored cells were seeded with it, so dropping it moves them.
+        selected = list(range(40))
+        rng = np.random.default_rng(7)
+        plan = InstantArrivals(dropout_rate).plan_round(selected, 0, 0, rng)
+        reference = np.random.default_rng(7)
+        for _ in range(len(selected) + len(plan.client_ids)):
+            reference.random()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_instant_zero_rates_draws_nothing(self):
         rng = np.random.default_rng(0)
@@ -473,12 +479,11 @@ class TestArrivalProcesses:
         "process", [UniformArrivals(), InstantArrivals()], ids=["uniform", "instant"]
     )
     def test_instances_reject_rate_knobs(self, process):
-        # An instance used to come back with the rates silently dropped.
-        for rates in ({"dropout_rate": 0.3}, {"straggler_rate": 0.3}):
-            with pytest.raises(ValueError, match="rate knobs"):
-                make_arrivals(process, **rates)
-            with pytest.raises(ValueError, match="rate knobs"):
-                Server(Module(), Fleet(4, StubClient), arrivals=process, **rates)
+        # An instance used to come back with the rate silently dropped.
+        with pytest.raises(ValueError, match="rate knobs"):
+            make_arrivals(process, dropout_rate=0.3)
+        with pytest.raises(ValueError, match="rate knobs"):
+            Server(Module(), Fleet(4, StubClient), arrivals=process, dropout_rate=0.3)
         assert make_arrivals(process) is process
 
     def test_uniform_latency_is_order_invariant(self):
@@ -507,32 +512,6 @@ class TestArrivalProcesses:
         iot = delays[(delays > 0) & (names == "iot")]
         flagship = delays[(delays > 0) & (names == "flagship")]
         assert iot.mean() > flagship.mean()
-
-    def test_diurnal_cycle_gates_availability(self):
-        cycle = DiurnalCycle(period_s=10.0, duty_cycle=0.5)
-        # Phase offsets spread the fleet: roughly half reachable at t=0.
-        fraction = cycle.available(np.arange(400), 0, seed=0).mean()
-        assert 0.3 < fraction < 0.7
-        # Every client flips availability somewhere within one period.
-        states = np.stack([
-            cycle.available(np.arange(10), ticks(t / 10), seed=0)
-            for t in range(100)
-        ])
-        assert states.any(axis=0).all() and not states.all(axis=0).any()
-
-    def test_diurnal_fleet_still_makes_progress(self):
-        server = Server(
-            Module(),
-            Fleet(16, StubClient),
-            arrivals="tiered-diurnal",
-            cutoff=TimeCutoff(ticks(2.0), min_arrivals=1),
-            seed=4,
-        )
-        records = server.run(3)
-        assert any(r.participant_ids for r in records)
-        assert any(r.timing["unavailable"] for r in records), (
-            "a 50% duty cycle should leave some selected clients offline"
-        )
 
 
 # --------------------------------------------------------------------------
@@ -592,8 +571,8 @@ POOLING_SCENARIOS = {
         cutoff=TimeCutoff(ticks(1.0), min_arrivals=1),
         accept_stale=True,
     ),
-    "rate-stale": dict(
-        clients_per_round=8, straggler_rate=0.4, accept_stale=True
+    "uniform-stale": dict(
+        clients_per_round=8, accept_stale=True, **LATE_ARRIVALS
     ),
 }
 
@@ -680,7 +659,7 @@ class TestPooledRoundBuffer:
         engine = RoundEngine(
             VirtualClock(),
             ScriptedArrivals([RoundPlan([0, 1, 2, 3], [10, 20, 30, 90])]),
-            CountCutoff(target=3),
+            TimeCutoff(50),
         )
         computed = []
 
@@ -714,7 +693,8 @@ class TestPooledRoundBuffer:
             RoundPlan([0, 1], [30, 40]),
             RoundPlan([], [], unavailable=[0, 1]),
         ])
-        server.engine.cutoff = CountCutoff(target=1)
+        # Each of the first two rounds has one completion past its deadline.
+        server.engine.cutoff = TimeCutoff(15)
         server.run(2)
         pooled = server.engine._buffer
         (stale,) = server._stale_updates
@@ -802,7 +782,7 @@ class TestGradientRecycling:
 
     def test_stale_arrivals_are_recycled_too(self):
         server = _training_server(
-            num_clients=4, straggler_rate=0.5, accept_stale=True
+            num_clients=4, accept_stale=True, **LATE_ARRIVALS
         )
         records = server.run(4)
         assert any(record.stale_ids for record in records)

@@ -201,7 +201,7 @@ class TestLazySimulation:
         )
 
     def test_shards_are_pure_functions_of_client_id(self, dataset):
-        config = self.make_config(1000, shard_size=4)
+        config = self.make_config(1000)
         model = MLP(
             [dataset.flat_dim, 4, dataset.num_classes],
             rng=np.random.default_rng(0),
@@ -248,9 +248,11 @@ class TestLazySimulation:
         np.testing.assert_array_equal(
             fleet.get(4).dataset.images, shards[4].images
         )
-        with pytest.raises(ValueError, match="shard_size"):
+        with pytest.raises(ValueError, match="batch_size"):
             make_lazy_fleet(
-                dataset, Module(), self.make_config(10, shard_size=10_000)
+                dataset,
+                Module(),
+                FederationConfig(batch_size=10_000, fleet_size=10),
             )
 
     @pytest.mark.parametrize(
@@ -358,10 +360,9 @@ class TestFleetScaleSoak:
             4, 32, image_size=8, seed=29, name="fleet-soak"
         )
         config = FederationConfig(
-            batch_size=2,
+            batch_size=4,
             seed=11,
             fleet_size=100_000,
-            shard_size=4,
             clients_per_round=1000,
             learning_rate=0.05,
             arrivals="tiered",

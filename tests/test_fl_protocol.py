@@ -24,6 +24,7 @@ from repro.fl import (
     Server,
     partition_dataset,
 )
+from repro.fl.engine import TimeCutoff, ticks
 from repro.metrics import per_image_best_psnr
 from repro.nn import (
     MLP,
@@ -350,7 +351,9 @@ class TestDishonestGradientRelease:
         attack.calibrate_from_public_data(fl_dataset.images)
         return _InspectionLog(
             factory(), Fleet(len(clients), clients.__getitem__), attack=attack,
-            dropout_rate=0.3, straggler_rate=0.3, accept_stale=True, seed=9,
+            accept_stale=True, seed=9,
+            arrivals="uniform(low_s=0.1, high_s=1.0)",
+            cutoff=TimeCutoff(ticks(0.75)),
         )
 
     def test_two_rounds_with_stale_arrivals(self, fl_dataset):
@@ -361,9 +364,11 @@ class TestDishonestGradientRelease:
             key: (result.images.copy(), result.occupancy.copy())
             for key, result in server.reconstructions.items()
         }
+        # Round 0 leaves one straggler that round 1 folds in as a stale row
+        # after its fresh ones; a cohort of three keeps the rows within
+        # the re-armed round-0 matrix.
+        server.clients_per_round = 3
         second = server.run_round()
-        # Round 0 leaves a straggler that round 1 folds in as a stale row
-        # after its fresh ones, in the re-armed round-0 matrix.
         assert first.participant_ids and first.straggler_ids
         assert second.stale_ids and len(second.participant_ids) > len(second.stale_ids)
         assert server.engine._buffer is pooled

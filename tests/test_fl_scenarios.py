@@ -20,10 +20,16 @@ from repro.fl import (
     partition_dataset_dirichlet,
     rebalance_min_per_client,
 )
+from repro.fl.engine import TimeCutoff, ticks
 from repro.nn import MLP
 from repro.nn.module import Module
 
 DIM = 4
+# Late arrivals through the real timeline: latencies uniform on 0.1-1.0 s
+# against a 0.6 s deadline leave about four clients in ten late.
+LATE_ARRIVALS = dict(
+    arrivals="uniform(low_s=0.1, high_s=1.0)", cutoff=TimeCutoff(ticks(0.6))
+)
 
 
 class StubClient:
@@ -109,7 +115,7 @@ class TestDropoutScenarios:
         with pytest.raises(ValueError):
             make_stub_server(4, dropout_rate=1.5)
         with pytest.raises(ValueError):
-            make_stub_server(4, straggler_rate=-0.1)
+            make_stub_server(4, dropout_rate=-0.1)
 
 
 class TestAllAggregatorsUnderDropout:
@@ -166,7 +172,7 @@ class TestSamplingAndStragglers:
         assert make_stub_server(8).clients_per_round == 8
 
     def test_stragglers_excluded_by_default(self):
-        server = make_stub_server(16, straggler_rate=0.5, seed=3)
+        server = make_stub_server(16, seed=3, **LATE_ARRIVALS)
         record = server.run_round()
         assert record.straggler_ids, "seeded scenario should produce stragglers"
         assert set(record.participant_ids).isdisjoint(record.straggler_ids)
@@ -174,7 +180,7 @@ class TestSamplingAndStragglers:
         np.testing.assert_allclose(server.last_aggregate["w"], expected, atol=1e-12)
 
     def test_stale_straggler_updates_fold_into_next_round(self):
-        server = make_stub_server(16, straggler_rate=0.5, accept_stale=True, seed=3)
+        server = make_stub_server(16, accept_stale=True, seed=3, **LATE_ARRIVALS)
         first = server.run_round()
         assert first.straggler_ids and not first.stale_ids
         second = server.run_round()
@@ -206,9 +212,9 @@ class TestSamplingAndStragglers:
             Module(),
             Fleet(16, StubClient),
             RecordingAttack(),
-            straggler_rate=0.5,
             accept_stale=True,
             seed=3,
+            **LATE_ARRIVALS,
         )
         first = server.run_round()
         assert first.straggler_ids, "seeded scenario should produce stragglers"
@@ -238,9 +244,9 @@ class TestSamplingAndStragglers:
             Module(),
             Fleet(16, StubClient),
             RecordingAttack(),
-            straggler_rate=0.5,
             accept_stale=False,
             seed=3,
+            **LATE_ARRIVALS,
         )
         record = server.run_round()
         assert record.straggler_ids

@@ -31,7 +31,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from repro.augment import horizontal_flip, rotate, shear, vertical_flip
 from repro.fl import (
     CountCutoff,
-    DiurnalCycle,
     RoundBuffer,
     TieredArrivals,
     TimeCutoff,
@@ -641,7 +640,7 @@ class TestFieldPowProperties:
         np.testing.assert_array_equal(f_mul(a, inverses)[nonzero], 1)
 
 
-def reference_close(times, opened_at, cutoff, expected_fresh):
+def reference_close(times, opened_at, cutoff):
     """The event-heap loop the sorted timeline replaced, as a reference.
 
     Completions and the round's close event pop in ``(tick, kind)``
@@ -649,10 +648,7 @@ def reference_close(times, opened_at, cutoff, expected_fresh):
     and the close tick exactly as that loop produced them.
     """
     if isinstance(cutoff, CountCutoff):
-        target = cutoff.target
-        if target is None:
-            target = len(times) if expected_fresh is None else expected_fresh
-        deadline, min_arrivals = None, 0
+        target, deadline, min_arrivals = len(times), None, 0
     else:
         target, deadline = None, opened_at + cutoff.duration
         min_arrivals = cutoff.min_arrivals
@@ -721,18 +717,14 @@ class TestRoundTimelineProperties:
         timed=st.booleans(),
         knob=st.integers(min_value=0, max_value=8),
         duration=st.integers(min_value=1, max_value=14),
-        expected=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
     )
     def test_cutoff_split_matches_event_loop(
-        self, offsets, opened_at, timed, knob, duration, expected
+        self, offsets, opened_at, timed, knob, duration
     ):
         times = np.sort(np.asarray(offsets, dtype=np.int64) + opened_at)
-        if timed:
-            cutoff = TimeCutoff(duration, min_arrivals=knob)
-        else:
-            cutoff = CountCutoff(target=knob or None)
-        on_time, closed_at = cutoff.close(times, opened_at, expected)
-        reference = reference_close(times.tolist(), opened_at, cutoff, expected)
+        cutoff = TimeCutoff(duration, min_arrivals=knob) if timed else CountCutoff()
+        on_time, closed_at = cutoff.close(times, opened_at)
+        reference = reference_close(times.tolist(), opened_at, cutoff)
         assert (on_time, max(closed_at, opened_at)) == reference
 
     @settings(max_examples=25, deadline=None)
@@ -755,7 +747,7 @@ class TestRoundTimelineProperties:
         order = np.random.default_rng(seed).permutation(len(ids))
         for process in (
             UniformArrivals(seed=arrivals_seed),
-            TieredArrivals(seed=arrivals_seed, diurnal=DiurnalCycle(period_s=5.0)),
+            TieredArrivals(seed=arrivals_seed),
         ):
             plans = [
                 process.plan_round(cohort, round_index, 7, np.random.default_rng(0))

@@ -94,7 +94,7 @@ class TestScenario:
         assert key == PINNED_STORE_KEYS[scenario.name]
 
     @pytest.mark.parametrize(
-        "knob", [{"learning_rate": 0.05}, {"shard_size": 5}], ids=str
+        "knob", [{"learning_rate": 0.05}, {"fleet_size": 5}], ids=str
     )
     def test_non_default_knob_changes_the_key(self, sweep_dataset, knob):
         scenario = replace(DEFAULT_SCENARIOS[0], **knob)
@@ -623,7 +623,6 @@ class TestEmptyFederation:
         "scenario",
         [
             FederationConfig("alldrop", num_clients=4, dropout_rate=1.0),
-            FederationConfig("allstraggle", num_clients=4, straggler_rate=1.0),
             FederationConfig(
                 "tiered-1us", num_clients=4, arrivals="tiered",
                 round_duration_s=1e-6,
