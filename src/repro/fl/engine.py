@@ -222,7 +222,8 @@ class RoundLedger:
     commitment protocols, whose late uploads are undecryptable and
     discarded uncomputed).  ``buffer`` is ``None`` when the round packed
     no row; otherwise it is the engine's own buffer, valid until the
-    engine runs its next round.
+    engine runs its next round.  Its capacity is one row per selected
+    client plus one per stale update, and its length the rows packed.
     """
 
     opened_at: int
@@ -306,10 +307,13 @@ class RoundEngine:
         stale.
 
         The ledger's ``buffer`` is the engine's own: it re-arms the
-        previous round's matrix whenever this round's rows (one per plan
-        completion, plus one per stale update) fit it at the same
-        ``dim``, so the buffer is valid only until the next
-        ``run_round``.  A round that packs no row leaves it untouched.
+        previous round's matrix whenever this round's capacity (one row
+        per selected client, plus one per stale update) fits it at the
+        same ``dim``, so the buffer is valid only until the next
+        ``run_round``.  Sizing by the cohort rather than by the plan's
+        completions keeps a round with fewer unavailable clients than
+        the last from re-allocating the matrix.  A round that packs no
+        row leaves it untouched.
         """
         opened_at = self.clock.now
         plan = self.arrivals.plan_round(
@@ -333,7 +337,7 @@ class RoundEngine:
         for update in chain(map(compute, ids[:on_time]), stale):
             gradients = update.gradients
             if buffer is None:
-                capacity = len(ids) + len(stale)
+                capacity = len(selected_ids) + len(stale)
                 buffer = self._round_buffer(capacity, flat_spec(gradients))
                 add = buffer.add
             add(gradients)

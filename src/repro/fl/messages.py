@@ -89,17 +89,20 @@ class UnmaskRequest:
 class UnmaskResponse:
     """Survivor -> server: the shares answering an :class:`UnmaskRequest`.
 
-    Maps sender id -> this survivor's share of that sender's self-mask
-    seed (for survivors) or secret key (for dropped clients).  A client
-    never reveals both kinds of share for the same sender — that would
-    hand the server everything needed to unmask a live upload.
+    ``self_mask_shares`` holds this survivor's shares of the survivors'
+    self-mask seeds, one ``uint64`` field element per id of the
+    request's sorted ``survivor_ids``; ``seed_shares`` its shares of the
+    dropped clients' secret keys, one per id of ``dropped_ids``.  Both
+    are rows (views) of the round's share arrays.  A client never
+    reveals both kinds of share for the same sender — that would hand
+    the server everything needed to unmask a live upload.
     """
 
     client_id: int
     round_index: int
     share_x: int
-    self_mask_shares: dict[int, int] = field(default_factory=dict)
-    seed_shares: dict[int, int] = field(default_factory=dict)
+    self_mask_shares: np.ndarray
+    seed_shares: np.ndarray
 
 
 @dataclass

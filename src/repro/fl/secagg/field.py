@@ -58,6 +58,8 @@ MATMUL_CHUNK = ((1 << 53) - 1) // (3 * ((1 << _LIMB_BITS) - 1) ** 2)
 # never fewer than _MIN_TILE_COLUMNS columns, so each GEMM stays wide.
 _TILE = 1 << 16
 _MIN_TILE_COLUMNS = 256
+# f_pow_gather's block: about this many result elements at a time.
+_POW_BLOCK = 1 << 13
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -198,34 +200,84 @@ def f_pow(base, exponent) -> np.ndarray:
 
     ``exponent`` holds non-negative integers below ``2**64`` and
     broadcasts against ``base``, so one call raises many bases to many
-    exponents.  Exponents are read in 4-bit fixed windows, least
-    significant first.  Each window builds the 16 powers of the base at
-    the base's own shape (four doubling multiplies and four squarings,
-    which also leave the next window's base), gathers the power each
-    element's digit selects, and multiplies it into the full-shape
-    result: one full-shape product per window, however the two
-    arguments broadcast.
+    exponents: :func:`f_pow_gather` over the base's own elements, so
+    the powers are built at the base's shape, not the result's.
+    """
+    base = np.asarray(base, dtype=np.uint64)
+    cells = np.arange(base.size).reshape(base.shape)
+    return f_pow_gather(base.reshape(-1), cells, exponent)
+
+
+def f_pow_gather(bases, which, exponent) -> np.ndarray:
+    """``bases[which] ** exponent`` over the field, elementwise.
+
+    ``bases`` is 1-D; ``which`` (indices into it) and ``exponent``
+    (non-negative integers below ``2**64``) broadcast to the result's
+    shape.  Exponents are read in 4-bit fixed windows.  Every window's
+    16 powers of every base are built once (:func:`_window_powers`), at
+    the bases' own size; each window then gathers the power that each
+    element's base and digit select, and multiplies it into the result.
+    So the result costs one product per window, whether ``which`` is
+    a broadcast row of peers or one index per element.  The result is
+    raised a block of leading-axis rows at a time, about
+    ``_POW_BLOCK`` elements, so a window's gather and product run in
+    cache-sized temporaries.
     """
     exponent = np.asarray(exponent)
     if np.any(exponent < 0):
         raise ValueError("exponent must be non-negative")
     exponent = exponent.astype(np.uint64)
-    base = np.asarray(base, dtype=np.uint64)
-    result = np.ones(np.broadcast_shapes(base.shape, exponent.shape), dtype=np.uint64)
-    # Flat index of each result element's base within one table row.
-    size = base.size
-    cells = np.arange(size).reshape(base.shape)
-    powers = np.empty((16,) + base.shape, dtype=np.uint64)
-    powers[0] = 1
+    which = np.asarray(which, dtype=np.intp)
+    shape = np.broadcast_shapes(which.shape, exponent.shape)
+    # Both operands padded to the result's rank (at least 1), so axis 0
+    # is the result's leading axis, which the blocks slice.
+    rank = max(len(shape), 1)
+    exponent = exponent.reshape((1,) * (rank - exponent.ndim) + exponent.shape)
+    which = which.reshape((1,) * (rank - which.ndim) + which.shape)
+    result = np.ones(shape or (1,), dtype=np.uint64)
     top = int(exponent.max()) if exponent.size else 0
-    for window in range(-(-top.bit_length() // 4)):
-        for count in (1, 2, 4, 8):
-            powers[count : 2 * count] = f_mul(powers[:count], base)
-            base = f_mul(base, base)
-        digits = (exponent >> np.uint64(4 * window)) & np.uint64(15)
-        chosen = powers.reshape(-1)[digits.astype(np.intp) * size + cells]
-        result = f_mul(result, chosen)
-    return result
+    windows = -(-top.bit_length() // 4)
+    if not (windows and result.size):
+        return result.reshape(shape)
+    powers = _window_powers(np.asarray(bases, dtype=np.uint64), windows)
+    step = max(1, _POW_BLOCK * len(result) // result.size)
+    for start in range(0, len(result), step):
+        rows = slice(start, start + step)
+        block_exponent = exponent[rows] if len(exponent) > 1 else exponent
+        # Row b of a window's table holds base b's 16 powers: flat index 16b + d.
+        block_which = (which[rows] if len(which) > 1 else which) << 4
+        block = None
+        for window in range(windows):
+            digits = (block_exponent >> np.uint64(4 * window)) & np.uint64(15)
+            # Digits are below 16, so their words read as intp exactly.
+            chosen = powers[window].reshape(-1)[block_which + digits.view(np.intp)]
+            block = chosen if block is None else f_mul(block, chosen)
+        result[rows] = block
+    return result.reshape(shape)
+
+
+def _window_powers(bases: np.ndarray, windows: int) -> np.ndarray:
+    """``powers[w, b, d] = bases[b] ** (d · 16**w)``: the digit powers of
+    every base, for ``windows`` 4-bit windows.
+
+    The squarings run once down the windows, four per window, and each
+    lands on its window's digit ``1``, ``2``, ``4`` or ``8``.  Every
+    other digit is the product of two powers already built, for all
+    windows and bases at once.  So the table takes ``4·windows + 2``
+    products at the bases' size, not eight per window.
+    """
+    powers = np.empty((windows, len(bases), 16), dtype=np.uint64)
+    powers[..., 0] = 1
+    square = bases
+    for k in range(4 * windows):
+        if k:
+            square = f_mul(square, square)
+        powers[k // 4, :, 1 << (k % 4)] = square
+    for low in (2, 4, 8):
+        powers[..., low + 1 : 2 * low] = f_mul(
+            powers[..., 1:low], powers[..., low : low + 1]
+        )
+    return powers
 
 
 def _product_tree(values: np.ndarray) -> list[np.ndarray]:

@@ -22,8 +22,9 @@ X25519 with the property that matters here: both endpoints of a pair
 derive the same seed without the server learning it.  Public keys are a
 fixed-base exponentiation over a cached table of the generator's
 powers; shared secrets raise whole key sets at once with the field's
-windowed :func:`f_pow`, which builds each window's powers over the
-un-broadcast public keys.
+windowed :func:`~repro.fl.secagg.field.f_pow_gather`, which builds the
+window tables once per distinct public key.  A committed set agrees
+each unordered pair once (:func:`dh_shared_seed`'s ``pairs``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 import repro.tensor.buffers as buffers
 
 from ...utils.rng import counter_words, keyed_words, row_states, stream_words
-from .field import PRIME_INT, f_mul, f_pow
+from .field import PRIME_INT, f_mul, f_pow_gather
 
 _GENERATOR = 7
 # Mask words one expansion block holds (256 KiB): the block, its
@@ -153,19 +154,28 @@ def dh_public_key(secret_keys) -> np.ndarray:
     return result
 
 
-def dh_shared_seed(secret_keys, peer_public_keys, round_index: int) -> np.ndarray:
-    """The pairwise PRG seeds ``g**(sk_i * sk_j)`` of keys and peers.
+def dh_shared_seed(
+    secret_keys, peer_public_keys, pairs, round_index: int
+) -> np.ndarray:
+    """The pairwise PRG seeds ``g**(sk_i * sk_j)`` of key pairs.
 
-    Entry ``[i, j]`` of the ``(len(secret_keys), len(peer_public_keys))``
-    result is the seed owner ``i`` shares with peer ``j``; both endpoints
-    of a pair derive the same seed.  The exponentiations run elementwise
-    in the field, and hashing each shared secret with the round index
-    (one vectorized keyed draw) gives every round an independent mask
-    stream from the same key pair.
+    ``pairs`` is ``(owners, peers)``: index arrays into ``secret_keys``
+    and ``peer_public_keys`` that broadcast to the result's shape; each
+    result entry is the seed its owner agrees with its peer, and both
+    endpoints of a pair derive the same seed.
+    ``np.ix_(range(m), range(n))`` asks for every owner with every peer,
+    the ``(m, n)`` matrix; ``np.triu_indices(n, 1)``, with a key set and
+    its own public keys, agrees each unordered pair once.  The
+    exponentiations run in one :func:`f_pow_gather`, whose window tables
+    cover each distinct peer key once, and hashing each shared secret
+    with the round index (one vectorized keyed draw) gives every round
+    an independent mask stream from the same key pair.
     """
-    shared = f_pow(
-        np.asarray(peer_public_keys, dtype=np.uint64)[None, :],
-        np.asarray(secret_keys, dtype=np.uint64)[:, None],
+    owners, peers = pairs
+    shared = f_pow_gather(
+        np.asarray(peer_public_keys, dtype=np.uint64),
+        peers,
+        np.asarray(secret_keys, dtype=np.uint64)[owners],
     )
     seeds = keyed_words(0, "secagg-pairwise", shared.reshape(-1), round_index)
     return seeds.reshape(shared.shape)

@@ -94,10 +94,17 @@ class SecAggRound(CommittedRound):
             for client_id, public_key in zip(self.client_ids, self._public_keys)
         ]
         # Every client agrees a pairwise seed with every peer once the
-        # keys are out; row i holds client i's seeds.
-        self._pairwise_seeds = dh_shared_seed(
-            self._secret_keys, self._public_keys, self.round_index
+        # keys are out.  Both endpoints derive the same seed, so each
+        # unordered pair is agreed once and mirrored: row i holds client
+        # i's seeds, and the diagonal, which is no pair, stays zero.
+        count = len(self.client_ids)
+        first, second = np.triu_indices(count, 1)
+        agreed = dh_shared_seed(
+            self._secret_keys, self._public_keys, (first, second), self.round_index
         )
+        self._pairwise_seeds = np.zeros((count, count), dtype=np.uint64)
+        self._pairwise_seeds[first, second] = agreed
+        self._pairwise_seeds[second, first] = agreed
 
     def _share_keys(self) -> None:
         # Both secrets of every client in one sharing: the (n, 2) secret
@@ -168,20 +175,18 @@ class SecAggRound(CommittedRound):
         request = UnmaskRequest(self.round_index, survivors, dropped)
         survivor_positions = [self._positions[cid] for cid in survivors]
         dropped_positions = [self._positions[cid] for cid in dropped]
-        # Row r: survivor r's shares, as Python ints.
+        # Row r: survivor r's shares, in the request's sender order.
         self_mask_rows = self._self_mask_shares[
             np.ix_(survivor_positions, survivor_positions)
-        ].tolist()
-        seed_rows = self._seed_shares[
-            np.ix_(survivor_positions, dropped_positions)
-        ].tolist()
+        ]
+        seed_rows = self._seed_shares[np.ix_(survivor_positions, dropped_positions)]
         responses = [
             UnmaskResponse(
                 client_id=cid,
                 round_index=self.round_index,
                 share_x=pos + 1,
-                self_mask_shares=dict(zip(survivors, self_mask_row)),
-                seed_shares=dict(zip(dropped, seed_row)),
+                self_mask_shares=self_mask_row,
+                seed_shares=seed_row,
             )
             for cid, pos, self_mask_row, seed_row in zip(
                 survivors, survivor_positions, self_mask_rows, seed_rows
@@ -209,10 +214,14 @@ class SecAggRound(CommittedRound):
 
         # Reconstruct every survivor's self-mask seed b_i and every dropped
         # client's secret key in one batched interpolation over the
-        # helpers' shares (each response lists them in sorted id order).
-        shares = np.array(
-            [[*r.self_mask_shares.values(), *r.seed_shares.values()] for r in helpers],
-            dtype=np.uint64,
+        # helpers' shares (each response lists them in the request's
+        # sorted survivor, then dropped, order).
+        shares = np.concatenate(
+            [
+                np.stack([r.self_mask_shares for r in helpers]),
+                np.stack([r.seed_shares for r in helpers]),
+            ],
+            axis=1,
         )
         recovered_self, recovered_keys = np.split(
             reconstruct_secrets(helper_xs, shares), [len(survivor_ids)]
@@ -227,7 +236,12 @@ class SecAggRound(CommittedRound):
             survivor_keys = self._public_keys[
                 [self._positions[cid] for cid in survivor_ids]
             ]
-            seeds = dh_shared_seed(recovered_keys, survivor_keys, self.round_index)
+            seeds = dh_shared_seed(
+                recovered_keys,
+                survivor_keys,
+                np.ix_(np.arange(len(recovered_keys)), np.arange(len(survivor_keys))),
+                self.round_index,
+            )
             # Survivor i uploaded sign(i, dropped) * mask; remove it.
             below = np.less.outer(survivor_ids, request.dropped_ids).T
             total -= ring_mask_sum(seeds[below], dim)

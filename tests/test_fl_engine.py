@@ -640,6 +640,26 @@ class TestPooledRoundBuffer:
         assert third.buffer is pooled
         np.testing.assert_array_equal(pooled.matrix[:, 0], [6.0, 7.0])
 
+    def test_round_with_more_completions_reuses_the_matrix(self):
+        # The matrix is sized by the selected cohort, not by the round's
+        # completions, so a round where fewer of the same cohort were
+        # unavailable still fits the previous round's matrix.
+        engine = RoundEngine(
+            VirtualClock(),
+            ScriptedArrivals([
+                RoundPlan([2, 1], [20, 10], unavailable=[3, 4]),
+                RoundPlan([1, 2, 3, 4], [30, 40, 50, 60]),
+            ]),
+            CountCutoff(),
+        )
+        first = engine.run_round([1, 2, 3, 4], 0, None, _stub_compute)
+        matrix = first.buffer._matrix
+        assert len(first.buffer) == 2 and first.buffer.capacity == 4
+        second = engine.run_round([1, 2, 3, 4], 1, None, _stub_compute)
+        assert second.buffer is first.buffer
+        assert second.buffer._matrix is matrix
+        np.testing.assert_array_equal(second.buffer.matrix[:, 0], [1.0, 2.0, 3.0, 4.0])
+
     def test_rearmed_buffer_keeps_its_checks(self):
         buffer = RoundBuffer(4, [("w", (DIM,), DIM)])
         buffer.rearm(2, [("v", (2, 2), DIM)])

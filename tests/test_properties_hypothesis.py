@@ -11,8 +11,9 @@ Invariant families, each load-bearing for the reproduction:
    and the vectorised split equals the per-class loop it replaced.
 6. Aggregators: every rule is invariant to the order clients report in.
 7. SecAgg: any supra-threshold survivor set recovers the exact sum, a
-   round's batched upload equals its per-client uploads, and the field
-   matrix product and fixed-base key exponentiation are exact.
+   round's batched upload equals its per-client uploads, both endpoints
+   of a key agreement derive the same seed, and the field matrix
+   product and fixed-base key exponentiation are exact.
 8. Event engine: round timelines, cutoff splits and arrival plans are
    pure functions of the plan/cohort *set*, never of listing or
    registration order; keyed draws for a subset are rows of the full draw.
@@ -50,7 +51,7 @@ from repro.fl.secagg.field import (
     f_mul,
     f_pow,
 )
-from repro.fl.secagg.masking import _BLOCK_WORDS, dh_public_key
+from repro.fl.secagg.masking import _BLOCK_WORDS, dh_public_key, dh_shared_seed
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor, buffers
 from repro.utils import keyed_words
@@ -638,6 +639,72 @@ class TestFieldPowProperties:
         nonzero = a != 0
         np.testing.assert_array_equal(inverses[~nonzero], 0)
         np.testing.assert_array_equal(f_mul(a, inverses)[nonzero], 1)
+
+
+# Diffie-Hellman secret keys over the protocol's range [1, p - 2], with
+# both ends drawn often.
+secret_keys = st.one_of(
+    st.sampled_from([1, PRIME_INT - 2]), st.integers(1, PRIME_INT - 2)
+)
+
+
+class TestKeyAgreementProperties:
+    """Both endpoints of a pair derive the same seed.  The commit phase
+    agrees each unordered pair once and mirrors it, so a batched upload
+    no longer shows the symmetry that makes pairwise masks cancel; these
+    properties check it on the key agreement itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=secret_keys, b=secret_keys, round_index=st.integers(0, 2**20))
+    def test_both_endpoints_derive_the_same_seed(self, a, b, round_index):
+        keys = np.array([a, b], dtype=np.uint64)
+        public = dh_public_key(keys)
+        pair = ([0], [0])
+        ab = dh_shared_seed(keys[:1], public[1:], pair, round_index)
+        ba = dh_shared_seed(keys[1:], public[:1], pair, round_index)
+        shared = pow(pow(7, b, PRIME_INT), a, PRIME_INT)
+        expected = keyed_words(0, "secagg-pairwise", [shared], round_index)[:, 0]
+        np.testing.assert_array_equal(ab, expected)
+        np.testing.assert_array_equal(ba, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        keys=st.lists(secret_keys, min_size=1, max_size=12),
+        round_index=st.integers(0, 2**20),
+    )
+    def test_pairs_agreed_once_equal_the_rectangle(self, keys, round_index):
+        keys = np.array(keys, dtype=np.uint64)
+        public = dh_public_key(keys)
+        count = len(keys)
+        rectangle = dh_shared_seed(
+            keys, public, np.ix_(np.arange(count), np.arange(count)), round_index
+        )
+        np.testing.assert_array_equal(rectangle, rectangle.T)
+        first, second = np.triu_indices(count, 1)
+        once = dh_shared_seed(keys, public, (first, second), round_index)
+        np.testing.assert_array_equal(once, rectangle[first, second])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        committed=st.sets(st.integers(0, 10**6), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+        round_index=st.integers(0, 2**20),
+    )
+    def test_commit_matrix_is_the_rectangle_off_the_diagonal(
+        self, committed, seed, round_index
+    ):
+        session = SecAggProtocol(seed=seed).begin(sorted(committed), round_index)
+        count = len(committed)
+        rectangle = dh_shared_seed(
+            session._secret_keys,
+            session._public_keys,
+            np.ix_(np.arange(count), np.arange(count)),
+            round_index,
+        )
+        off_diagonal = ~np.eye(count, dtype=bool)
+        np.testing.assert_array_equal(
+            session._pairwise_seeds[off_diagonal], rectangle[off_diagonal]
+        )
 
 
 def reference_close(times, opened_at, cutoff):
