@@ -15,12 +15,11 @@ Four rules ship with the engine:
 - :class:`CoordinateMedianAggregator` — coordinate-wise median, robust to
   a minority of crafted/byzantine updates.
 - :class:`TrimmedMeanAggregator` — coordinate-wise trimmed mean.
-- :class:`MaskedSumAggregator` — a secure-aggregation-style masked sum
-  (Bonawitz et al. / LightSecAgg regime): updates are fixed-point
-  quantized, each pair of surviving clients shares a pairwise additive
-  mask drawn over the full 64-bit ring, and masks cancel *exactly* in the
-  modular sum, so the server recovers the plain quantized sum bit-for-bit
-  while individual masked uploads are uniformly random.
+- :class:`MaskedSumAggregator` — the exact fixed-point sum a secure
+  sum reveals (Bonawitz et al. / LightSecAgg regime), without the
+  masking: pairwise masks cancel in the ring sum, so the aggregate is
+  the same bits.  The protocol rounds that mask and survive dropout are
+  in :mod:`repro.fl.secagg`.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ class Aggregator:
     :meth:`RoundBuffer.for_updates`).  It normalizes the weights, calls
     the rule's one hook, :meth:`reduce`, on the stacked ``(K, dim)``
     matrix and unpacks the result.  Rules whose output depends on the
-    round (mask derivation, protocol sessions) key everything off the
+    round (protocol sessions) key everything off the
     ``round_index`` the server passes — never off hidden instance state,
     which a resumed or replayed round would not share.
 
@@ -290,9 +289,9 @@ class FixedPointCodec:
     """Fixed-point quantization into a modular ring, exact up to a sum bound.
 
     Encodes floats as ``round(value * 2**fractional_bits)`` signed
-    integers; every masked-sum flavour (the in-aggregator model below and
-    the ``repro.fl.secagg`` protocols) shares this codec so "recovers the
-    exact quantized sum bit-for-bit" means the same bits everywhere.
+    integers; ``masked_sum`` below and the ``repro.fl.secagg`` protocols
+    share this codec, so "recovers the exact quantized sum bit-for-bit"
+    means the same bits everywhere.
 
     ``sum_limit`` bounds the magnitude the *summed* quantized values may
     reach: ``2**63`` for the two's-complement uint64 ring (int64 range),
@@ -396,88 +395,30 @@ class FixedPointCodec:
 
 
 class MaskedSumAggregator(Aggregator):
-    """Secure-aggregation-style masked sum with pairwise-cancelling masks.
+    """The fixed-point sum a secure sum reveals, scaled to a mean.
 
-    Models the arithmetic core of LightSecAgg/Bonawitz-style protocols:
-
-    1. Each client fixed-point quantizes its update with scale
-       ``2**fractional_bits`` into the 64-bit two's-complement ring.
-    2. Every *surviving* pair ``(i, j)``, ``i < j``, expands a shared seed
-       into a mask drawn uniformly over the ring; ``i`` adds it, ``j``
-       subtracts it (mod ``2**64``), so each masked upload is uniformly
-       random on its own.  (Dropout is modeled by generating masks among
-       the survivors only; a client dropping *after* masks are committed
-       is out of scope here — that is what the real protocol rounds in
-       :mod:`repro.fl.secagg` exist for.)
-    3. The server sums the masked uploads in the ring; the masks cancel
-       *exactly*, so the result equals the plain quantized sum bit-for-bit
-       (integer arithmetic has no rounding), which is then dequantized.
+    Each update is quantized with scale ``2**fractional_bits`` into the
+    64-bit two's-complement ring and the rows are summed exactly there:
+    the result a masked secure sum over these clients recovers, since
+    its pairwise masks cancel in the ring.  The masking itself, with
+    dropout after commitment, lives in the protocol rounds of
+    :mod:`repro.fl.secagg`.
 
     Weights are ignored: a secure sum reveals only the uniform total, so
     the reduction returns ``sum / K`` to stay mean-scaled like FedAvg.
-    Exact while the true quantized sum stays within int64, i.e.
-    ``K * max|round(g * 2**fractional_bits)| < 2**63`` — the codec guard
-    enforces exactly this bound.  Mask derivation is keyed by the round
-    index the server passes, so replaying or resuming a round draws the
-    identical mask stream no matter how many rounds the instance served.
-    Mask expansion is O(K^2 * dim) — faithful to the pairwise protocol,
-    so keep federations in the tens of clients when using this rule.
+    Exact while ``K * max|round(g * 2**fractional_bits)| < 2**63``, a
+    bound the codec enforces.
     """
 
     name = "masked_sum"
     honours_weights = False
 
-    def __init__(self, fractional_bits: int = 16, seed: int = 0) -> None:
+    def __init__(self, fractional_bits: int = 16) -> None:
         self.codec = FixedPointCodec(fractional_bits)
         self.fractional_bits = fractional_bits
-        self._seed = seed
-
-    def quantize(self, matrix: np.ndarray) -> np.ndarray:
-        """Fixed-point encode a float matrix into the uint64 ring.
-
-        Rejects updates whose quantized sum could leave the int64 range —
-        silent modular wraparound would otherwise corrupt the aggregate.
-        """
-        return self.codec.quantize(matrix)
-
-    def mask_updates(self, matrix: np.ndarray, round_index: int = 0) -> np.ndarray:
-        """Quantize and mask the (K, dim) update matrix — what clients upload.
-
-        Masks derive from ``(seed, round_index)`` alone: the same round
-        always draws the same masks (replay/resume safe) and distinct
-        rounds draw independent ones.
-        """
-        masked = self.quantize(matrix).copy()
-        count, dim = masked.shape
-        if count < 2:
-            return masked
-        ceiling = np.iinfo(np.uint64).max
-        seeds = iter(
-            np.random.SeedSequence((self._seed, int(round_index))).spawn(
-                count * (count - 1) // 2
-            )
-        )
-        for i in range(count):
-            for j in range(i + 1, count):
-                mask = np.random.default_rng(next(seeds)).integers(
-                    ceiling, size=dim, dtype=np.uint64, endpoint=True
-                )
-                masked[i] += mask
-                masked[j] -= mask
-        return masked
-
-    def unmask_sum(self, masked: np.ndarray) -> np.ndarray:
-        """Ring-sum masked uploads and dequantize the recovered plain sum."""
-        total = masked.sum(axis=0, dtype=np.uint64)
-        return self.codec.dequantize_sum(total)
-
-    def exact_sum(self, matrix: np.ndarray) -> np.ndarray:
-        """The unmasked fixed-point sum the protocol must recover bit-for-bit."""
-        return self.codec.exact_sum(matrix)
 
     def reduce(self, matrix, weights, round_index=0, ids=None, committed_ids=None):
-        masked = self.mask_updates(matrix, round_index)
-        return self.unmask_sum(masked) / len(matrix)
+        return self.codec.exact_sum(matrix) / len(matrix)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(fractional_bits={self.fractional_bits})"

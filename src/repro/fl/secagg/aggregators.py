@@ -1,12 +1,13 @@
 """Protocol-backed aggregators: real SecAgg rounds behind the Aggregator API.
 
-Unlike :class:`~repro.fl.aggregators.MaskedSumAggregator` — which models
-only the masked-sum *arithmetic* by drawing every mask server-side over
-whichever updates happened to arrive — these rules run a full protocol
-execution per round: masks are committed over the round's *selected*
-client set before any upload exists, each survivor's upload is masked
-client-side, and the server runs the protocol's recovery phase to cancel
-the masks of clients that dropped after commitment.  The server opts
+Unlike :class:`~repro.fl.aggregators.MaskedSumAggregator` — which
+computes only the exact fixed-point sum a secure sum reveals over
+whichever updates happened to arrive, and draws no masks — these rules
+run a full protocol execution per round: masks are committed over the
+round's *selected* client set before any upload exists, each survivor's
+upload is masked client-side, and the server runs the protocol's
+recovery phase to cancel the masks of clients that dropped after
+commitment.  The server opts
 into that choreography through ``requires_commitment``; see
 ``Server.run_round``.
 

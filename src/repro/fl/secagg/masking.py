@@ -1,8 +1,9 @@
 """Mask expansion and key agreement primitives for the Bonawitz protocol.
 
-Masks live in the full ``uint64`` ring (``mod 2**64``), matching the
-fixed-point encoding of :class:`~repro.fl.aggregators.MaskedSumAggregator`
-exactly, so the recovered sum is bit-for-bit the plain quantized sum.
+Masks live in the full ``uint64`` ring (``mod 2**64``) of
+:class:`~repro.fl.aggregators.FixedPointCodec`, so the recovered sum is
+bit-for-bit the plain quantized sum that ``masked_sum`` computes without
+masks.  This module holds the library's one expansion of pairwise masks.
 (LightSecAgg's field-domain masks are drawn in
 :mod:`repro.fl.secagg.lightsecagg`.)
 

@@ -95,16 +95,16 @@ class SecAggRound(CommittedRound):
         ]
         # Every client agrees a pairwise seed with every peer once the
         # keys are out.  Both endpoints derive the same seed, so each
-        # unordered pair is agreed once and mirrored: row i holds client
-        # i's seeds, and the diagonal, which is no pair, stays zero.
+        # unordered pair (i, j), i < j, is agreed once and kept at [i, j]
+        # of one (n, n + 1) seed table; its last column holds the self-mask
+        # seeds and its lower triangle stays zero.
         count = len(self.client_ids)
         first, second = np.triu_indices(count, 1)
-        agreed = dh_shared_seed(
+        self._seeds = np.zeros((count, count + 1), dtype=np.uint64)
+        self._seeds[first, second] = dh_shared_seed(
             self._secret_keys, self._public_keys, (first, second), self.round_index
         )
-        self._pairwise_seeds = np.zeros((count, count), dtype=np.uint64)
-        self._pairwise_seeds[first, second] = agreed
-        self._pairwise_seeds[second, first] = agreed
+        self._seeds[:, count] = self._self_mask_seeds
 
     def _share_keys(self) -> None:
         # Both secrets of every client in one sharing: the (n, 2) secret
@@ -148,11 +148,9 @@ class SecAggRound(CommittedRound):
         first, second = np.triu_indices(count, 1, m=count + 1)
         needed = uploading[first] | uploading[second]
         first, second = first[needed], second[needed]
-        seeds = np.concatenate(
-            [self._pairwise_seeds, self._self_mask_seeds[:, None]], axis=1
-        )[first, second]
         masks = ring_mask_rows(
-            seeds, first, second, self.borrow((count + 1, dim), np.uint64)
+            self._seeds[first, second], first, second,
+            self.borrow((count + 1, dim), np.uint64),
         )
         payloads = self.borrow_rows(len(positions), dim)
         # Positions are valid; "raise" mode would copy through a buffer.

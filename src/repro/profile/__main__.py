@@ -24,6 +24,7 @@ from repro.profile import profile_cell
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Profile the ``--cell`` named in ``argv``, print its JSON report, return 0."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.profile",
         description="attribute one sweep cell's wall time to tensor ops",

@@ -40,7 +40,18 @@ def _all_modules():
     return modules
 
 
-MODULES = _all_modules()
+FIRST_LEVEL = _all_modules()
+# The first-level walk above misses deeper modules (repro.fl.secagg.*,
+# repro.lint.rules.*) and the __main__ modules; walking the whole tree
+# adds each of them once.
+MODULES = FIRST_LEVEL + [
+    module
+    for module in (
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    )
+    if module not in FIRST_LEVEL
+]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -50,7 +61,7 @@ def test_module_has_docstring(module):
 
 def _public_members():
     members = []
-    for module in MODULES:
+    for module in FIRST_LEVEL:
         # A module's ``__all__`` is its public surface, resolved through
         # getattr so lazily re-exported names (PEP 562) are walked too.
         names = getattr(module, "__all__", None) or list(vars(module))
@@ -62,13 +73,27 @@ def _public_members():
                 continue
             if getattr(obj, "__module__", "").startswith("repro"):
                 members.append((f"{module.__name__}.{name}", obj))
+    # Anything the first-level walk did not reach, once, under the module
+    # that defines it.
+    checked = {id(obj) for _, obj in members}
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or id(obj) in checked:
+                continue
+            if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+                continue
+            if getattr(obj, "__module__", None) == module.__name__:
+                members.append((f"{module.__name__}.{name}", obj))
     return members
+
+
+PUBLIC_MEMBERS = _public_members()
 
 
 @pytest.mark.parametrize(
     "qualified_name,obj",
-    _public_members(),
-    ids=[name for name, _ in _public_members()],
+    PUBLIC_MEMBERS,
+    ids=[name for name, _ in PUBLIC_MEMBERS],
 )
 def test_public_item_has_docstring(qualified_name, obj):
     assert inspect.getdoc(obj), f"{qualified_name} lacks a docstring"

@@ -153,70 +153,31 @@ class TestMaskedSum:
         ]
 
     def test_recovers_plain_sum_bit_for_bit(self):
-        updates = self.grid_updates()
-        agg = MaskedSumAggregator(fractional_bits=16, seed=11)
-        matrix = pack(updates).matrix
-        recovered = agg.unmask_sum(agg.mask_updates(matrix))
         # Grid-aligned values make the fixed-point sum equal the exact float
-        # sum, so mask cancellation must reproduce it to the last bit.
-        np.testing.assert_array_equal(recovered, agg.exact_sum(matrix))
-        np.testing.assert_array_equal(recovered, matrix.sum(axis=0))
+        # sum, so the aggregate is that sum over K to the last bit.
+        updates = self.grid_updates(count=3)
+        matrix = pack(updates).matrix
+        out = MaskedSumAggregator(fractional_bits=16).aggregate(pack(updates))
+        np.testing.assert_array_equal(out["w"], matrix.sum(axis=0) / 3)
 
     def test_aggregate_equals_plain_mean_bit_for_bit(self):
         updates = self.grid_updates(count=4)  # power of two: exact division
-        out = MaskedSumAggregator(fractional_bits=16, seed=5).aggregate(pack(updates))
+        out = MaskedSumAggregator(fractional_bits=16).aggregate(pack(updates))
         matrix = pack(updates).matrix
         np.testing.assert_array_equal(out["w"], matrix.sum(axis=0) / 4.0)
 
-    def test_masked_uploads_hide_individual_updates(self):
-        updates = self.grid_updates()
-        agg = MaskedSumAggregator(seed=1)
-        matrix = pack(updates).matrix
-        masked = agg.mask_updates(matrix)
-        plain = agg.quantize(matrix)
-        # No client's masked upload may equal its plain quantized update.
-        for row in range(len(matrix)):
-            assert not np.array_equal(masked[row], plain[row])
-
-    def test_masks_are_fresh_each_round(self):
-        updates = self.grid_updates()
-        agg = MaskedSumAggregator(seed=1)
-        matrix = pack(updates).matrix
-        first = agg.mask_updates(matrix, round_index=0)
-        second = agg.mask_updates(matrix, round_index=1)
-        assert not np.array_equal(first, second)
-        # ... but both protocol executions recover the identical sum.
-        np.testing.assert_array_equal(agg.unmask_sum(first), agg.unmask_sum(second))
-
-    def test_mask_stream_is_replay_safe(self):
-        # Masks are keyed by the explicit round index, not by how many
-        # rounds the instance already served: replaying round 3 on a fresh
-        # instance (a resumed run) draws the identical mask stream.
-        updates = self.grid_updates()
-        matrix = pack(updates).matrix
-        veteran = MaskedSumAggregator(seed=1)
-        for earlier_round in range(3):
-            veteran.mask_updates(matrix, round_index=earlier_round)
-        resumed = MaskedSumAggregator(seed=1)
-        np.testing.assert_array_equal(
-            veteran.mask_updates(matrix, round_index=3),
-            resumed.mask_updates(matrix, round_index=3),
-        )
-
     def test_survivor_subset_still_cancels(self):
-        # Dropout: masks are generated among survivors only, so the sum over
-        # any subset of clients is recovered exactly as well.
+        # Clients that drop before uploading are left out of the round, so
+        # the aggregate over any survivor subset is that subset's exact sum.
         updates = self.grid_updates(count=6)
         survivors = [updates[i] for i in (0, 2, 5)]
-        agg = MaskedSumAggregator(seed=9)
         matrix = pack(survivors).matrix
-        np.testing.assert_array_equal(
-            agg.unmask_sum(agg.mask_updates(matrix)), matrix.sum(axis=0)
-        )
+        out = MaskedSumAggregator().aggregate(pack(survivors))
+        np.testing.assert_array_equal(out["w"], matrix.sum(axis=0) / 3)
 
     def test_single_client_passthrough(self):
         updates = self.grid_updates(count=1)
-        out = MaskedSumAggregator(seed=2).aggregate(pack(updates))
+        out = MaskedSumAggregator().aggregate(pack(updates))
         np.testing.assert_array_equal(out["w"], updates[0]["w"])
 
     def test_overflowing_update_rejected(self):

@@ -314,6 +314,29 @@ class TestAggregatorOrderInvariance:
         np.testing.assert_allclose(shuffled, base, atol=1e-9)
 
 
+class TestMaskedSumProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        matrix=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 30)),
+            elements=finite_floats,
+        ),
+        fractional_bits=st.integers(0, 40),
+    )
+    def test_aggregate_is_the_exact_fixed_point_mean(self, matrix, fractional_bits):
+        # Off the fixed-point grid, so quantization rounds: the aggregate
+        # is still the codec's exact ring sum over K, to the last bit.
+        aggregator = make_aggregator(
+            "masked_sum", fractional_bits=fractional_bits
+        )
+        out = aggregator.aggregate(
+            RoundBuffer.for_updates([{"w": row} for row in matrix])
+        )["w"]
+        expected = aggregator.codec.exact_sum(matrix) / len(matrix)
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestSecAggRecoveryProperties:
     """Protocol invariant: ANY survivor set of at least the threshold
     recovers the survivors' exact quantized sum bit-for-bit, and any
@@ -462,18 +485,29 @@ class TestBatchedUploadProperties:
             )
         uploads = session.masked_upload(uploaders, quantized)
         assert [u.client_id for u in uploads] == uploaders
+        count = len(committed)
+        if protocol_name == "secagg":
+            # Both endpoints of a pair derive one seed, so the table keeps
+            # pair (i, j) at (min, max) only.
+            rectangle = dh_shared_seed(
+                session._secret_keys,
+                session._public_keys,
+                np.ix_(np.arange(count), np.arange(count)),
+                round_index,
+            )
+            np.testing.assert_array_equal(rectangle, rectangle.T)
         for row, (cid, upload) in enumerate(zip(uploaders, uploads)):
             alone = session.masked_upload([cid], quantized[row][None])[0]
             np.testing.assert_array_equal(upload.payload, alone.payload)
             if protocol_name != "secagg":
                 continue
             i = committed.index(cid)
-            seeds = session._pairwise_seeds[i]
+            seeds = session._seeds
             expected = (
                 quantized[row]
-                + reference_mask_sum([session._self_mask_seeds[i]], dim)
-                + reference_mask_sum(seeds[i + 1 :], dim)
-                - reference_mask_sum(seeds[:i], dim)
+                + reference_mask_sum([seeds[i, count]], dim)
+                + reference_mask_sum(seeds[i, i + 1 : count], dim)
+                - reference_mask_sum(seeds[:i, i], dim)
             )
             np.testing.assert_array_equal(upload.payload, expected)
 
@@ -701,9 +735,14 @@ class TestKeyAgreementProperties:
             np.ix_(np.arange(count), np.arange(count)),
             round_index,
         )
-        off_diagonal = ~np.eye(count, dtype=bool)
+        # Symmetric, so the table's (min, max) entry is both endpoints' seed.
+        np.testing.assert_array_equal(rectangle, rectangle.T)
+        first, second = np.triu_indices(count, 1)
         np.testing.assert_array_equal(
-            session._pairwise_seeds[off_diagonal], rectangle[off_diagonal]
+            session._seeds[first, second], rectangle[first, second]
+        )
+        np.testing.assert_array_equal(
+            session._seeds[:, count], session._self_mask_seeds
         )
 
 
