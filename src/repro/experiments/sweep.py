@@ -116,7 +116,7 @@ from repro.fl.arrivals import TRACE_STREAM_VERSION
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
 from repro.registry import split_spec_list
-from repro.utils.blas import limit_blas_threads
+from repro.utils.blas import blas_thread_limit, limit_blas_threads
 from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
 
@@ -658,11 +658,13 @@ def worker_shared():
     return _WORKER_SHARED
 
 
-def _initialize_worker(shared, workers: int) -> None:
+def _initialize_worker(shared) -> None:
     global _WORKER_SHARED
-    # A forked worker inherits the parent's BLAS pool; give each worker
-    # its share of the cores so the pools do not oversubscribe them.
-    limit_blas_threads(max(1, usable_cpu_count() // workers))
+    # A forked worker inherits the parent's BLAS pool.  Cells compute
+    # under one BLAS thread, as the serial executor runs them: a
+    # multi-threaded GEMM sums in another order, so the bytes would
+    # depend on the executor and the host's core count.
+    limit_blas_threads(1)
     _WORKER_SHARED = shared
 
 
@@ -686,9 +688,12 @@ class SerialSweepExecutor:
         previous = _WORKER_SHARED
         _WORKER_SHARED = shared
         try:
-            return _persist_as_completed(
-                map(_execute_task, tasks), store, progress, len(tasks)
-            )
+            # One BLAS thread per cell, as in a pool worker; the process
+            # gets its thread count back afterwards.
+            with blas_thread_limit(1):
+                return _persist_as_completed(
+                    map(_execute_task, tasks), store, progress, len(tasks)
+                )
         finally:
             _WORKER_SHARED = previous
             # Don't retain the last sweep's dataset/runner in a long-lived
@@ -742,7 +747,7 @@ class WorkStealingSweepExecutor:
             max_workers=workers,
             mp_context=multiprocessing.get_context(_START_METHOD),
             initializer=_initialize_worker,
-            initargs=(shared, workers),
+            initargs=(shared,),
         )
         try:
             futures = [pool.submit(_execute_task, task) for task in tasks]

@@ -122,9 +122,11 @@ class CommittedRound:
         return position
 
     def _upload_positions(self, client_ids: Sequence[int], quantized) -> list[int]:
-        """The positions of a batched upload's clients, one ``quantized``
-        row each."""
+        """The positions of a batched upload's clients, each listed once,
+        one ``quantized`` row each."""
         positions = [self._position(cid) for cid in client_ids]
+        if len(set(positions)) != len(positions):
+            raise SecAggError("a batched upload lists a client twice")
         if len(quantized) != len(positions):
             raise ValueError("quantized rows must align with the uploading ids")
         return positions

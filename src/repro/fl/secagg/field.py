@@ -200,28 +200,32 @@ def f_pow(base, exponent) -> np.ndarray:
 
     ``exponent`` holds non-negative integers below ``2**64`` and
     broadcasts against ``base``, so one call raises many bases to many
-    exponents: :func:`f_pow_gather` over the base's own elements, so
-    the powers are built at the base's shape, not the result's.
+    exponents: :func:`f_pow_gather` from the window table of the base's
+    own elements, so the powers are built at the base's shape, not the
+    result's.
     """
     base = np.asarray(base, dtype=np.uint64)
+    exponent = np.asarray(exponent)
+    top = int(exponent.max()) if exponent.size else 0
+    powers = window_powers(base.reshape(-1), -(-top.bit_length() // 4))
     cells = np.arange(base.size).reshape(base.shape)
-    return f_pow_gather(base.reshape(-1), cells, exponent)
+    return f_pow_gather(powers, cells, exponent)
 
 
-def f_pow_gather(bases, which, exponent) -> np.ndarray:
-    """``bases[which] ** exponent`` over the field, elementwise.
+def f_pow_gather(powers, which, exponent) -> np.ndarray:
+    """``bases[which] ** exponent`` over the field, elementwise, from the
+    bases' window table ``powers`` (:func:`window_powers`).
 
-    ``bases`` is 1-D; ``which`` (indices into it) and ``exponent``
-    (non-negative integers below ``2**64``) broadcast to the result's
-    shape.  Exponents are read in 4-bit fixed windows.  Every window's
-    16 powers of every base are built once (:func:`_window_powers`), at
-    the bases' own size; each window then gathers the power that each
-    element's base and digit select, and multiplies it into the result.
-    So the result costs one product per window, whether ``which`` is
-    a broadcast row of peers or one index per element.  The result is
-    raised a block of leading-axis rows at a time, about
-    ``_POW_BLOCK`` elements, so a window's gather and product run in
-    cache-sized temporaries.
+    ``which`` (indices into the bases) and ``exponent`` (non-negative
+    integers below ``16**len(powers)``) broadcast to the result's
+    shape.  Exponents are read in 4-bit fixed windows: each window
+    gathers the power that each element's base and digit select, and
+    multiplies it into the result.  So the result costs one product per
+    window, whether ``which`` is a broadcast row of peers or one index
+    per element, and a table built once serves every call over the same
+    bases.  The result is raised a block of leading-axis rows at a time,
+    about ``_POW_BLOCK`` elements, so a window's gather and product run
+    in cache-sized temporaries.
     """
     exponent = np.asarray(exponent)
     if np.any(exponent < 0):
@@ -237,9 +241,13 @@ def f_pow_gather(bases, which, exponent) -> np.ndarray:
     result = np.ones(shape or (1,), dtype=np.uint64)
     top = int(exponent.max()) if exponent.size else 0
     windows = -(-top.bit_length() // 4)
+    if windows > len(powers):
+        raise ValueError(
+            f"a {top.bit_length()}-bit exponent needs {windows} windows; "
+            f"the table has {len(powers)}"
+        )
     if not (windows and result.size):
         return result.reshape(shape)
-    powers = _window_powers(np.asarray(bases, dtype=np.uint64), windows)
     step = max(1, _POW_BLOCK * len(result) // result.size)
     for start in range(0, len(result), step):
         rows = slice(start, start + step)
@@ -256,9 +264,10 @@ def f_pow_gather(bases, which, exponent) -> np.ndarray:
     return result.reshape(shape)
 
 
-def _window_powers(bases: np.ndarray, windows: int) -> np.ndarray:
+def window_powers(bases, windows: int) -> np.ndarray:
     """``powers[w, b, d] = bases[b] ** (d · 16**w)``: the digit powers of
-    every base, for ``windows`` 4-bit windows.
+    every base, for ``windows`` 4-bit windows (:func:`f_pow_gather`'s
+    table).
 
     The squarings run once down the windows, four per window, and each
     lands on its window's digit ``1``, ``2``, ``4`` or ``8``.  Every
@@ -266,6 +275,7 @@ def _window_powers(bases: np.ndarray, windows: int) -> np.ndarray:
     windows and bases at once.  So the table takes ``4·windows + 2``
     products at the bases' size, not eight per window.
     """
+    bases = np.asarray(bases, dtype=np.uint64)
     powers = np.empty((windows, len(bases), 16), dtype=np.uint64)
     powers[..., 0] = 1
     square = bases
@@ -350,25 +360,37 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     route through it.  Trailing axes of ``b`` are flattened into
     columns, and ``out`` is written as their ``(m, columns)`` matrix.
 
-    The sums run as float64 BLAS GEMMs, exactly:
+    The sums run as three float64 BLAS GEMMs per chunk, exactly:
 
     - Each element splits into three 21-bit limbs,
-      ``x = x0 + x1·2**21 + x2·2**42``, so a limb product is an integer
-      of at most ``(2**21 - 1)**2``.
-    - The nine limb products group by diagonal ``d = s + t``.  One GEMM
-      per diagonal sums ``a_s·b_t`` over its at most three limb pairs,
-      stacked along the inner axis: ``a``'s limbs side by side as
-      ``[a0 | a1 | a2]`` and ``b``'s as ``[b2; b1; b0]``, so every
-      diagonal is a column slice times a row slice, with no padding.
-    - The inner axis runs in chunks of ``MATMUL_CHUNK = 682`` terms, the
-      largest ``K`` with ``3·K·(2**21 - 1)**2 < 2**53``.  Every partial
-      sum of such products is a non-negative integer below ``2**53``,
-      which float64 holds exactly, whatever order BLAS adds in.
-    - Diagonal ``d`` weighs ``2**(21·d)``.  As ``2**61 ≡ 1 (mod p)``,
-      that weight is a 61-bit rotation by ``21·d mod 61`` bits.  The five
-      rotated diagonals (each below ``2**61``) add to the canonical
-      accumulator without passing ``2**64``; one fold per chunk reduces
-      the sum.
+      ``x = x0 + x1·2**21 + x2·2**42``.  A canonical element is below
+      ``2**61``, so its top limb ``x2`` has 19 bits.
+    - The nine limb products ``a_s·b_t`` weigh ``2**(21·(s + t))``.
+      Modulo ``p = 2**61 - 1``, ``2**63 ≡ 4`` and ``2**84 ≡ 4·2**21``,
+      so diagonals 3 and 4 fold into diagonals 0 and 1 at four times
+      their products.  That leaves three weight classes:
+
+      - weight ``1``: ``a0·b0 + 4a1·b2 + 4a2·b1``;
+      - weight ``2**21``: ``a0·b1 + a1·b0 + 4a2·b2``;
+      - weight ``2**42``: ``a0·b2 + a1·b1 + a2·b0``.
+
+      ``a``'s limbs sit side by side as ``[4a1 | 4a2 | a0 | a1 | a2]``
+      and ``b``'s top to bottom as ``[b2; b1; b0]``, so each class is
+      one GEMM of a ``3k``-column slice of ``a``'s panel times all of
+      ``b``'s, with no padding.
+    - Every product is at most ``(2**21 - 1)**2``: four times a 19-bit
+      limb is below ``2**21 - 1``, so ``4a1·b2``, ``4a2·b1`` and
+      ``4a2·b2`` stay within the bound of two 21-bit limbs.  The inner
+      axis runs in chunks of ``MATMUL_CHUNK = 682`` terms, the largest
+      ``K`` with ``3·K·(2**21 - 1)**2 < 2**53``, so every partial sum of
+      a class's ``3K`` products is a non-negative integer below
+      ``2**53``, which float64 holds exactly, whatever order BLAS adds
+      in.
+    - As ``2**61 ≡ 1 (mod p)``, the weights ``2**21`` and ``2**42`` are
+      61-bit rotations by 21 and 42 bits.  The canonical accumulator
+      plus the three classes (each below ``2**61`` once rotated, with
+      their carries below ``2**34``) stays below ``2**63``; one fold per
+      chunk reduces the sum.
 
     The result is built one output tile at a time (:func:`_tile_shape`):
     ``a`` is split into limbs once, ``b`` one column tile at a time into
@@ -388,8 +410,8 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     product.fill(0)
     starts = range(0, a.shape[1], MATMUL_CHUNK)
     a_chunks = [a[:, start : start + MATMUL_CHUNK] for start in starts]
-    a_limbs = [
-        _limbs(chunk, axis=1, out=buffers.acquire((m, 3 * chunk.shape[1]), np.float64))
+    a_panels = [
+        _left_panel(chunk, buffers.acquire((m, 5 * chunk.shape[1]), np.float64))
         for chunk in a_chunks
     ]
     height, width = _tile_shape(m, n, a.shape[1])
@@ -400,7 +422,7 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
     )
     for left in range(0, n, width):
         cols = min(width, n - left)
-        for start, a_split in zip(starts, a_limbs):
+        for start, a_panel in zip(starts, a_panels):
             b_chunk = columns[start : start + MATMUL_CHUNK, left : left + cols]
             k = len(b_chunk)
             b_split = _limbs(
@@ -411,31 +433,36 @@ def f_matmul_into(a, b, out: np.ndarray) -> np.ndarray:
                 acc = product[top : top + rows, left : left + cols]
                 diagonal = diagonal_buffer[: rows * cols].reshape(rows, cols)
                 # The float buffer's bytes double as the shift scratch once
-                # a diagonal has been converted.
+                # a class has been converted.
                 scratch = diagonal.view(np.uint64)
                 term = term_buffer[: rows * cols].reshape(rows, cols)
-                for d in range(5):
-                    low, high = max(0, d - 2), min(2, d)
+                for weight in range(3):
                     np.matmul(
-                        a_split[top : top + rows, low * k : (high + 1) * k],
-                        b_split[(2 - d + low) * k : (3 - d + high) * k],
+                        a_panel[top : top + rows, weight * k : (weight + 3) * k],
+                        b_split,
                         out=diagonal,
                     )
                     # Below 2**53, so the (faster) signed cast is exact.
                     np.copyto(term.view(np.int64), diagonal, casting="unsafe")
-                    rotation = _LIMB_BITS * d % 61
-                    if rotation > 61 - 53:
+                    if weight:
+                        rotation = _LIMB_BITS * weight
                         np.right_shift(term, np.uint64(61 - rotation), out=scratch)
                         acc += scratch
                         term <<= np.uint64(rotation)
                         term &= PRIME
-                    elif rotation:
-                        # A short rotation of a 53-bit value never wraps.
-                        term <<= np.uint64(rotation)
                     acc += term
                 _fold_into(acc, term)
-    for buffer in (*a_limbs, diagonal_buffer, term_buffer, panel_buffer):
+    for buffer in (*a_panels, diagonal_buffer, term_buffer, panel_buffer):
         buffers.release(buffer)
+    return out
+
+
+def _left_panel(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``[4x1 | 4x2 | x0 | x1 | x2]``: the left operand's limbs, and four
+    times its two upper limbs, side by side in ``out`` (:func:`f_matmul_into`)."""
+    size = values.shape[1]
+    _limbs(values, axis=1, out=out[:, 2 * size :])
+    np.multiply(out[:, 3 * size :], 4.0, out=out[:, : 2 * size])
     return out
 
 

@@ -18,7 +18,8 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
    mask, ``s_ij`` the pairwise seed, and ``sign(i,j) = +1`` iff
    ``i < j`` — so pairwise masks cancel between any two survivors.
    The simulation masks all of a round's uploads in one call and
-   expands each pair's mask once for both endpoints.
+   expands each pair's mask once for both endpoints (one endpoint, when
+   the other dropped).
 4. **Unmask** — the server names the survivor/dropped split
    (:class:`~repro.fl.messages.UnmaskRequest`); each survivor answers
    with its self-mask shares for *survivors* and secret-key shares for
@@ -50,8 +51,12 @@ from ..messages import (
 )
 from .base import CommittedRound
 from .field import PRIME_INT, keyed_field
-from .masking import dh_public_key, dh_shared_seed, ring_mask_rows, ring_mask_sum
-from .shamir import reconstruct_secrets, share_secrets
+from .masking import dh_public_key, dh_shared_seed, key_table, ring_mask_rows
+from .shamir import reconstruct_secrets, share_polynomials
+
+# Grid cells (candidate masks) one upload sweep reads: its index arrays
+# stay a few MiB at 1000 committed, and a 100-committed round is one sweep.
+_SWEEP_CELLS = 1 << 18
 
 
 class SecAggRound(CommittedRound):
@@ -89,6 +94,9 @@ class SecAggRound(CommittedRound):
         self._secret_keys = words[:, 0] % np.uint64(PRIME_INT - 2) + np.uint64(1)
         self._self_mask_seeds = words[:, 1] >> np.uint64(32)
         self._public_keys = dh_public_key(self._secret_keys)
+        # Both key agreements (here, and for dropped keys at recovery)
+        # gather from one window table of the committed public keys.
+        self._key_table = key_table(self._public_keys)
         self.advertisements = [
             KeyAdvertisement(client_id, self.round_index, int(public_key))
             for client_id, public_key in zip(self.client_ids, self._public_keys)
@@ -96,26 +104,33 @@ class SecAggRound(CommittedRound):
         # Every client agrees a pairwise seed with every peer once the
         # keys are out.  Both endpoints derive the same seed, so each
         # unordered pair (i, j), i < j, is agreed once and kept at [i, j]
-        # of one (n, n + 1) seed table; its last column holds the self-mask
-        # seeds and its lower triangle stays zero.
+        # of one borrowed (n, n + 1) seed table; its last column holds the
+        # self-mask seeds and its lower triangle is never read.
         count = len(self.client_ids)
         first, second = np.triu_indices(count, 1)
-        self._seeds = np.zeros((count, count + 1), dtype=np.uint64)
+        self._seeds = self.borrow((count, count + 1), np.uint64)
         self._seeds[first, second] = dh_shared_seed(
-            self._secret_keys, self._public_keys, (first, second), self.round_index
+            self._secret_keys, self._key_table, (first, second), self.round_index
         )
         self._seeds[:, count] = self._self_mask_seeds
 
     def _share_keys(self) -> None:
         # Both secrets of every client in one sharing: the (n, 2) secret
-        # pairs, each with its own keyed polynomial coefficients.
+        # pairs, each with its own keyed polynomial coefficients, stacked
+        # lowest degree first.  The coefficients, the stack and the share
+        # matrix are all borrowed, so a round of a seen size allocates none.
         count, degree = len(self.client_ids), self.threshold - 1
         coefficients = keyed_field(
             self._seed, "secagg-shamir", self.client_ids, self.round_index,
-            np.empty((count, 2 * degree), dtype=np.uint64),
+            self.borrow((count, 2 * degree), np.uint64),
         ).reshape(count, degree, 2)
-        secrets = np.stack([self._secret_keys, self._self_mask_seeds], axis=1)
-        shares = share_secrets(secrets, coefficients.transpose(1, 0, 2), count)
+        polynomials = self.borrow((self.threshold, count, 2), np.uint64)
+        polynomials[0, :, 0] = self._secret_keys
+        polynomials[0, :, 1] = self._self_mask_seeds
+        polynomials[1:] = coefficients.transpose(1, 0, 2)
+        shares = share_polynomials(
+            polynomials, self.borrow((count, count, 2), np.uint64)
+        )
         # Mailboxes: share matrices indexed [recipient_position, sender_position].
         self._seed_shares, self._self_mask_shares = shares[..., 0], shares[..., 1]
 
@@ -131,32 +146,62 @@ class SecAggRound(CommittedRound):
         the result lists their uploads in the same order.  Committed ids
         are sorted, so client ``i`` adds the masks of peers after its
         position (``sign(i, j) = +1``) and subtracts those before it.
-        Each pair with an uploading endpoint is expanded once, for both
-        endpoints (:func:`~repro.fl.secagg.masking.ring_mask_rows`):
-        pair ``(i, j)``, then client ``i``'s self mask as a last "pair"
-        whose minus side is a spare row, so an uploader's run of
-        subtractions stays consecutive.  Pairs of two non-uploading
-        clients are never expanded.  The mask rows and the uploads'
-        payload matrix are borrowed by the round (:meth:`borrow`).
+        The payloads are rows of one borrowed matrix (:meth:`borrow`) in
+        committed order, and
+        :func:`~repro.fl.secagg.masking.ring_mask_rows` adds every
+        mask an uploader needs into its row, each mask expanded once
+        (:meth:`_upload_masks` splits it into sweeps of a few uploaders
+        each).  No row is spent on a client that did not upload.
         """
         quantized = np.asarray(quantized, dtype=np.uint64)
         positions = self._upload_positions(client_ids, quantized)
-        count, dim = len(self.client_ids), quantized.shape[-1]
-        uploading = np.zeros(count + 1, dtype=bool)
-        uploading[positions] = True
-        # Column `count` of the pair grid is each client's self mask.
-        first, second = np.triu_indices(count, 1, m=count + 1)
-        needed = uploading[first] | uploading[second]
-        first, second = first[needed], second[needed]
-        masks = ring_mask_rows(
-            self._seeds[first, second], first, second,
-            self.borrow((count + 1, dim), np.uint64),
-        )
-        payloads = self.borrow_rows(len(positions), dim)
+        order = np.argsort(positions)
         # Positions are valid; "raise" mode would copy through a buffer.
-        np.take(masks, positions, axis=0, out=payloads, mode="clip")
-        payloads += quantized
-        return self._uploads(client_ids, payloads)
+        payloads = np.take(
+            quantized, order, axis=0, mode="clip",
+            out=self.borrow_rows(len(order), quantized.shape[-1]),
+        )
+        for sweep in self._upload_masks(np.take(positions, order)):
+            ring_mask_rows(*sweep, payloads)
+        rows = list(payloads)
+        ranks = np.argsort(order).tolist()  # each listed id's payload row
+        return self._uploads(client_ids, [rows[rank] for rank in ranks])
+
+    def _upload_masks(self, uploaders: np.ndarray):
+        """``(seeds, plus, minus)`` sweeps of every mask the sorted
+        ``uploaders`` add to their rows (rows are ranks in ``uploaders``),
+        a few uploaders' rows per sweep.
+
+        Row ``r`` of a grid lists uploader ``r``'s masks in three runs:
+        its pairs with the uploaders after it (``+`` to ``r``, ``-`` to
+        their consecutive ranks: one expansion for both endpoints), its
+        pairs with the dropped clients after it and its self mask (``+``
+        to ``r`` only), and its pairs with the dropped clients before it
+        (``-`` to ``r`` only).  The grid's columns are the seed table's
+        columns in that order, then its rows of the dropped clients, so
+        reading the grid's valid cells row by row gives every run at
+        once.  A pair of two dropped clients is never expanded.  Each
+        sweep covers about ``_SWEEP_CELLS`` grid cells, so a round's
+        index arrays stay small however many clients it commits.
+        """
+        count = len(self.client_ids)
+        dropped = np.setdiff1d(np.arange(count), uploaders, assume_unique=True)
+        columns = np.concatenate([uploaders, dropped, [count]])
+        side = np.arange(len(columns) + len(dropped))
+        before = side >= len(columns)  # the dropped clients before the owner
+        slab = np.where(side < len(uploaders), side, -1)
+        step = max(1, _SWEEP_CELLS // len(side))
+        for first in range(0, len(uploaders), step):
+            owners = uploaders[first : first + step, None]
+            grid = np.concatenate(
+                [self._seeds[owners, columns], self._seeds[dropped[:, None], owners.T].T],
+                axis=1,
+            )
+            valid = np.concatenate([columns > owners, dropped < owners], axis=1)
+            ranks = np.arange(first, first + len(owners))[:, None]
+            plus = np.where(before, -1, ranks)[valid]
+            minus = np.where(before, ranks, slab)[valid]
+            yield grid[valid], plus, minus
 
     # ------------------------------------------------------------------
     # Phase 4: unmasking
@@ -208,7 +253,6 @@ class SecAggRound(CommittedRound):
         total = np.zeros_like(np.asarray(uploads[0].payload, dtype=np.uint64))
         for upload in uploads:
             total += np.asarray(upload.payload, dtype=np.uint64)
-        dim = total.shape[-1]
 
         # Reconstruct every survivor's self-mask seed b_i and every dropped
         # client's secret key in one batched interpolation over the
@@ -224,26 +268,30 @@ class SecAggRound(CommittedRound):
         recovered_self, recovered_keys = np.split(
             reconstruct_secrets(helper_xs, shares), [len(survivor_ids)]
         )
-        # Cancel every survivor's self mask.
-        total -= ring_mask_sum(recovered_self, dim)
-
-        # Cancel the dropped clients' orphaned pairwise masks: re-derive
-        # every dropped key's pairwise seeds with every survivor, and
-        # remove the survivor-side contributions.
+        # Every survivor added its self mask, and the mask it agreed with
+        # each dropped peer after it; it subtracted the one agreed with
+        # each dropped peer before it.  Re-derive the dropped keys' seeds
+        # with every survivor, and take all of it back in one signed
+        # sweep into the total's one row.
+        added, subtracted = recovered_self, np.zeros(0, dtype=np.uint64)
         if request.dropped_ids:
-            survivor_keys = self._public_keys[
-                [self._positions[cid] for cid in survivor_ids]
-            ]
-            seeds = dh_shared_seed(
+            survivor_positions = [self._positions[cid] for cid in survivor_ids]
+            orphans = dh_shared_seed(
                 recovered_keys,
-                survivor_keys,
-                np.ix_(np.arange(len(recovered_keys)), np.arange(len(survivor_keys))),
+                self._key_table,
+                np.ix_(np.arange(len(recovered_keys)), survivor_positions),
                 self.round_index,
             )
-            # Survivor i uploaded sign(i, dropped) * mask; remove it.
-            below = np.less.outer(survivor_ids, request.dropped_ids).T
-            total -= ring_mask_sum(seeds[below], dim)
-            total += ring_mask_sum(seeds[~below], dim)
+            after = np.greater.outer(request.dropped_ids, survivor_ids)
+            added = np.concatenate([added, orphans[after]])
+            subtracted = orphans[~after]
+        counts = [len(added), len(subtracted)]
+        ring_mask_rows(
+            np.concatenate([added, subtracted]),
+            np.repeat([-1, 0], counts),
+            np.repeat([0, -1], counts),
+            total[None],
+        )
         self.last_recovery = {
             "survivors": len(survivor_ids),
             "dropped": len(request.dropped_ids),

@@ -3,7 +3,7 @@
 Secrets are field scalars (or batches of them); sharing a batch is one
 field matrix product — the Vandermonde matrix of the share points times
 the stacked ``[secrets; coefficients]``.  Sharing every client's seed
-pair in a 1000-client round is one :func:`~.field.f_matmul` call, whose
+pair in a 1000-client round is one :func:`~.field.f_matmul_into` call, whose
 few BLAS GEMMs cover every share row and coefficient at once.
 
 Share ``j`` (1-indexed ``x = j``) of secret ``s`` is ``f(j)`` for a
@@ -18,31 +18,25 @@ import functools
 
 import numpy as np
 
-from .field import f_matmul, f_pow, interpolate
+from .field import f_matmul_into, f_pow, interpolate
 
 
-def share_secrets(
-    secrets: np.ndarray, coefficients: np.ndarray, num_shares: int
-) -> np.ndarray:
-    """Split a batch of secrets into ``num_shares`` Shamir shares.
+def share_polynomials(polynomials: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Split a batch of secrets into Shamir shares, written into ``out``.
 
-    ``secrets`` holds canonical field elements of any shape ``S`` and
-    ``coefficients`` the ``(t - 1,) + S`` uniform higher-degree
-    coefficients, so the threshold ``t`` is one more than the
-    coefficient count.  The result has shape ``(num_shares,) + S``
-    where row ``j`` is the share evaluated at ``x = j + 1``.  Any ``t``
-    rows recover the batch via :func:`reconstruct_secrets`.
+    ``polynomials`` is ``(t,) + S``: canonical field elements of any
+    shape ``S`` (the secrets), then their ``t - 1`` uniform
+    higher-degree coefficients, lowest degree first, so the threshold is
+    ``t``.  ``out`` is a C-contiguous ``(num_shares,) + S`` ``uint64``
+    array; row ``j`` becomes the shares evaluated at ``x = j + 1``.  Any
+    ``t`` rows recover the batch via :func:`reconstruct_secrets`.
     """
-    secrets = np.atleast_1d(np.asarray(secrets, dtype=np.uint64))
-    polynomials = np.concatenate(
-        [secrets[None], np.asarray(coefficients, dtype=np.uint64)]
-    )
-    if len(polynomials) > num_shares:
+    if len(polynomials) > len(out):
         raise ValueError(
             f"{len(polynomials) - 1} coefficients imply threshold "
-            f"{len(polynomials)}, above the {num_shares} shares"
+            f"{len(polynomials)}, above the {len(out)} shares"
         )
-    return f_matmul(_vandermonde(num_shares, len(polynomials)), polynomials)
+    return f_matmul_into(_vandermonde(len(out), len(polynomials)), polynomials, out)
 
 
 @functools.lru_cache(maxsize=16)

@@ -32,7 +32,7 @@ from repro.fl.secagg import (
 )
 from repro.fl.secagg import field as F
 from repro.fl.secagg import masking
-from repro.fl.secagg.shamir import reconstruct_secrets, share_secrets
+from repro.fl.secagg.shamir import reconstruct_secrets, share_polynomials
 from repro.fl.engine import TimeCutoff, ticks
 from repro.nn.module import Module
 from repro.utils import keyed_words
@@ -219,11 +219,13 @@ class TestFieldPowAndInverse:
         )
         reference = reference_pow(bases, exponents)
         which, column = np.indices(reference.shape).reshape(2, -1)
+        # One table of the bases serves both gathers.
+        powers = F.window_powers(bases, 16)
         np.testing.assert_array_equal(
-            F.f_pow_gather(bases, which, exponents[column]), reference[which, column]
+            F.f_pow_gather(powers, which, exponents[column]), reference[which, column]
         )
         np.testing.assert_array_equal(
-            F.f_pow_gather(bases, np.arange(len(bases))[None, :], exponents[:, None]),
+            F.f_pow_gather(powers, np.arange(len(bases))[None, :], exponents[:, None]),
             reference.T,
         )
         np.testing.assert_array_equal(
@@ -298,6 +300,15 @@ def reference_mask_sum(seeds, dim):
     )
 
 
+def one_row_mask_sum(seeds, dim):
+    """``Σ PRG(s)`` as the recovery sweep takes it: every mask added into
+    one row, no minus side."""
+    count = np.size(seeds)
+    return masking.ring_mask_rows(
+        seeds, np.zeros(count), np.full(count, -1), np.zeros((1, dim), np.uint64)
+    )[0]
+
+
 class TestRingMaskExpansion:
     DIM = 1000
     ROWS = masking._BLOCK_WORDS // DIM  # seeds per expansion block
@@ -306,12 +317,12 @@ class TestRingMaskExpansion:
     def test_equals_unblocked_reference_around_the_block_size(self, count):
         seeds = np.random.default_rng(count).integers(0, 2**64, count, dtype=np.uint64)
         np.testing.assert_array_equal(
-            masking.ring_mask_sum(seeds, self.DIM), reference_mask_sum(seeds, self.DIM)
+            one_row_mask_sum(seeds, self.DIM), reference_mask_sum(seeds, self.DIM)
         )
 
     def test_no_seeds_sum_to_zero(self):
         np.testing.assert_array_equal(
-            masking.ring_mask_sum(np.array([], dtype=np.uint64), 7),
+            one_row_mask_sum(np.array([], dtype=np.uint64), 7),
             np.zeros(7, dtype=np.uint64),
         )
 
@@ -319,14 +330,13 @@ class TestRingMaskExpansion:
         dim = masking._BLOCK_WORDS + 5
         seeds = np.array([3, 1, 2**64 - 1], dtype=np.uint64)
         np.testing.assert_array_equal(
-            masking.ring_mask_sum(seeds, dim), reference_mask_sum(seeds, dim)
+            one_row_mask_sum(seeds, dim), reference_mask_sum(seeds, dim)
         )
 
     def test_scalar_seed_is_one_mask(self):
-        # The self-mask path passes one numpy scalar seed.
         seed = np.uint64(12345)
         np.testing.assert_array_equal(
-            masking.ring_mask_sum(seed, 33), reference_mask_sum([seed], 33)
+            one_row_mask_sum(seed, 33), reference_mask_sum([seed], 33)
         )
 
 
@@ -355,6 +365,16 @@ class TestKeyedWordStreams:
             keyed_words(2**64 - 1, "", [1]),
             np.array([[0x3CEF64A9E193F12F]], dtype=np.uint64),
         )
+
+
+def share_secrets(secrets, coefficients, num_shares):
+    """Shares of ``secrets`` under ``coefficients`` (``(t - 1,) + S``),
+    ``num_shares`` rows of them."""
+    secrets = np.asarray(secrets, dtype=np.uint64)
+    polynomials = np.concatenate([secrets[None], coefficients])
+    return share_polynomials(
+        polynomials, np.empty((num_shares,) + secrets.shape, dtype=np.uint64)
+    )
 
 
 class TestShamir:
@@ -448,6 +468,25 @@ class TestBonawitzChoreography:
                 response.seed_shares, session._seed_shares[recipient, dropped]
             )
 
+    @pytest.mark.parametrize("cells", [1, 17])
+    def test_upload_sweeps_of_any_size_mask_alike(self, monkeypatch, cells):
+        # A large round masks its uploaders a few rows per sweep; one row
+        # per sweep, or a few, must give the one-sweep payloads.
+        from repro.fl.secagg import protocol
+
+        survivors = [5, 0, 3, 6, 2]
+        quantized = FixedPointCodec(16).quantize(grid_matrix(5, seed=2), count=8)
+
+        def payloads():
+            session = SecAggProtocol(seed=4).begin(range(8), 1)
+            uploads = session.masked_upload(survivors, quantized)
+            return [np.array(upload.payload) for upload in uploads]
+
+        whole = payloads()
+        monkeypatch.setattr(protocol, "_SWEEP_CELLS", cells)
+        for row, alone in zip(whole, payloads()):
+            np.testing.assert_array_equal(row, alone)
+
     def test_default_threshold_is_strict_majority(self):
         assert default_threshold(10) == 6
         assert default_threshold(11) == 6
@@ -527,6 +566,13 @@ class TestProtocolRecovery:
         upload, *others = session.masked_upload(range(6), quantized)
         with pytest.raises(SecAggError):
             session.recover_sum([upload, upload] + others)
+
+    def test_batched_upload_lists_each_client_once(self, protocol_cls):
+        # Uploader rows are ranks in committed order: a repeated id would
+        # give one client two rows of one mask set.
+        session = self._begin(protocol_cls, list(range(6)), 0, DIM)
+        with pytest.raises(SecAggError, match="twice"):
+            session.masked_upload([1, 1], np.zeros((2, DIM), np.uint64))
 
     def test_upload_rows_must_align_with_the_ids(self, protocol_cls):
         # One row for two clients must not broadcast into two uploads.

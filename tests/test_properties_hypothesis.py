@@ -11,7 +11,8 @@ Invariant families, each load-bearing for the reproduction:
    and the vectorised split equals the per-class loop it replaced.
 6. Aggregators: every rule is invariant to the order clients report in.
 7. SecAgg: any supra-threshold survivor set recovers the exact sum, a
-   round's batched upload equals its per-client uploads, both endpoints
+   round's batched upload equals its per-client uploads, the blocked
+   mask sweep equals its one-mask-at-a-time reference, both endpoints
    of a key agreement derive the same seed, and the field matrix
    product and fixed-base key exponentiation are exact.
 8. Event engine: round timelines, cutoff splits and arrival plans are
@@ -51,6 +52,7 @@ from repro.fl.secagg.field import (
     f_mul,
     f_pow,
 )
+from repro.fl.secagg import masking
 from repro.fl.secagg.masking import _BLOCK_WORDS, dh_public_key, dh_shared_seed
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor, buffers
@@ -616,6 +618,94 @@ class TestFieldMatmulProperties:
         a = rng.integers(0, PRIME_INT, size=(m, k), dtype=np.uint64)
         b = rng.integers(0, PRIME_INT, size=(k, n), dtype=np.uint64)
         a[0], b[:, -1] = PRIME_INT - 1, PRIME_INT - 1
+        np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
+
+
+def reference_mask_rows(seeds, plus, minus, rows, dim):
+    """``ring_mask_rows`` one mask at a time, unblocked: each mask added
+    to its ``plus`` row and subtracted from its ``minus`` row, a negative
+    row skipping that side."""
+    out = np.zeros((rows, dim), dtype=np.uint64)
+    masks = keyed_words(0, "secagg-ring-mask", seeds, k=dim)
+    for mask, add, subtract in zip(masks, plus, minus):
+        if add >= 0:
+            out[add] += mask
+        if subtract >= 0:
+            out[subtract] -= mask
+    return out
+
+
+class TestRingMaskRowsProperties:
+    """``ring_mask_rows`` folds a run of masks into one pass per side: a
+    two-sided run's minus rows are one slab, a one-sided run's masks sum
+    into one row.  Whatever the runs, and wherever an expansion block
+    cuts them, every row must equal the one-mask-at-a-time reference."""
+
+    ROWS = 6
+    # Few seeds per expansion block (a block holds _BLOCK_WORDS words),
+    # so runs straddle blocks; and masks longer than one block.
+    dims = st.one_of(
+        st.integers(1, 12),
+        st.integers(_BLOCK_WORDS // 3 - 1, _BLOCK_WORDS // 3 + 1),
+        st.integers(_BLOCK_WORDS - 1, _BLOCK_WORDS + 2),
+    )
+    runs = st.lists(
+        st.tuples(
+            st.sampled_from(["slab", "plus", "minus", "skipped"]),
+            st.integers(0, ROWS - 1),
+            st.integers(0, ROWS - 1),
+            st.integers(1, 5),
+        ),
+        max_size=6,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=runs, dim=dims, seed=st.integers(0, 2**16))
+    def test_runs_equal_the_per_mask_reference(self, runs, dim, seed):
+        plus, minus = [], []
+        for kind, add, subtract, length in runs:
+            if kind == "slab":
+                length = min(length, self.ROWS - subtract)
+                plus += [add] * length
+                minus += list(range(subtract, subtract + length))
+            else:
+                plus += [add if kind == "plus" else -1] * length
+                minus += [subtract if kind == "minus" else -1] * length
+        self._check(plus, minus, dim, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(-2, ROWS - 1), st.integers(-2, ROWS - 1)),
+            max_size=24,
+        ),
+        dim=dims,
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_rows_equal_the_per_mask_reference(self, rows, dim, seed):
+        # Unordered rows: runs break wherever the pattern does.
+        self._check([p for p, _ in rows], [m for _, m in rows], dim, seed)
+
+    def _check(self, plus, minus, dim, seed):
+        count = len(plus)
+        seeds = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+        start = np.random.default_rng(seed + 1).integers(
+            0, 2**64, (self.ROWS, dim), dtype=np.uint64
+        )
+        out = masking.ring_mask_rows(seeds, plus, minus, start.copy())
+        expected = start + reference_mask_rows(seeds, plus, minus, self.ROWS, dim)
+        np.testing.assert_array_equal(out, expected)
+
+
+class TestFieldMatmulExactness:
+    """The three weight classes fold four times the top limb's products
+    into the lower diagonals: at a full inner chunk of entries ``p - 1``
+    every class sum sits at its largest, and must stay exact."""
+
+    @pytest.mark.parametrize("k", [MATMUL_CHUNK, MATMUL_CHUNK + 1])
+    def test_maximal_entries_equal_python_int_products(self, k):
+        a = np.full((2, k), PRIME_INT - 1, dtype=np.uint64)
+        b = np.full((k, 3), PRIME_INT - 1, dtype=np.uint64)
         np.testing.assert_array_equal(f_matmul(a, b), reference_matmul(a, b))
 
 

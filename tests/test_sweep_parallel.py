@@ -254,24 +254,37 @@ def _exit_worker_hard(payload):
 
 
 def _worker_blas_threads(payload):
-    """The thread count of the bundled OpenBLAS in the calling process."""
-    import ctypes
+    """The BLAS thread count in the calling process (None if unknown)."""
+    from repro.utils.blas import blas_threads
 
-    from repro.utils import blas
+    return blas_threads()
 
-    for path in blas._bundled_libraries():
-        getter = getattr(
-            ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None
-        )
-        if getter is not None:
-            return getter()
-    return None
+
+def _trained_linear_digest(rows):
+    """sha256 of a 3072 -> 64 linear layer after two SGD steps on ``rows``
+    examples: past 512 rows OpenBLAS splits the weight gradient's inner
+    axis across its threads, so the bytes show the thread count."""
+    import hashlib
+
+    from repro.nn import CrossEntropyLoss, Linear, SGD
+    from repro.tensor import Tensor
+
+    rng = np.random.default_rng(7)
+    layer = Linear(3072, 64, rng=rng)
+    x = Tensor(rng.standard_normal((rows, 3072)))
+    labels = rng.integers(0, 64, rows)
+    optimizer = SGD(layer.parameters(), lr=0.1)
+    for _ in range(2):
+        optimizer.zero_grad()
+        CrossEntropyLoss()(layer(x), labels).backward()
+        optimizer.step()
+    return hashlib.sha256(layer.weight.data.tobytes()).hexdigest()
 
 
 class TestWorkerBlasCap:
-    def test_each_worker_gets_its_share_of_the_cores(self, tmp_path, monkeypatch):
+    def test_each_worker_computes_under_one_blas_thread(self, tmp_path, monkeypatch):
         # Forked workers inherit the parent's BLAS pool; the initializer
-        # caps each at usable cores // workers.
+        # caps each at one thread, however many cores there are.
         if _worker_blas_threads(None) is None:
             pytest.skip("numpy bundles no 64-bit scipy-openblas here")
         monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 6)
@@ -279,7 +292,30 @@ class TestWorkerBlasCap:
             [(key, _worker_blas_threads, None) for key in ("a", "b", "c")],
             SweepStore(tmp_path / "s.json"),
         )
-        assert {execution.result for execution in executions.values()} == {3}
+        assert {execution.result for execution in executions.values()} == {1}
+
+    def test_serial_cells_run_under_one_thread_and_restore_the_pool(self, tmp_path):
+        before = _worker_blas_threads(None)
+        if before is None:
+            pytest.skip("numpy bundles no 64-bit scipy-openblas here")
+        executions = SerialSweepExecutor().run(
+            [("a", _worker_blas_threads, None)], SweepStore(tmp_path / "s.json")
+        )
+        assert executions["a"].result == 1
+        assert _worker_blas_threads(None) == before
+
+    def test_linear_training_past_512_rows_is_executor_invariant(self, tmp_path):
+        # Serial = parallel on any host: both compute under one BLAS
+        # thread, so a GEMM that OpenBLAS would split across threads sums
+        # in the same order in both.
+        tasks = [(f"rows={rows}", _trained_linear_digest, rows) for rows in (600, 1030)]
+        serial = SerialSweepExecutor().run(tasks, SweepStore(tmp_path / "serial.json"))
+        parallel = WorkStealingSweepExecutor(2).run(
+            tasks, SweepStore(tmp_path / "parallel.json")
+        )
+        assert {key: run.result for key, run in serial.items()} == {
+            key: run.result for key, run in parallel.items()
+        }
 
 
 class TestFailureIsolation:
